@@ -5,9 +5,11 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use warp_core::event::{Event, EventId};
 use warp_core::gvt::{GvtController, MatternAgent};
 use warp_core::object::{ErasedState, ObjectState};
+use warp_core::policy::{CancellationMode, FixedCancellation, FixedCheckpoint, ObjectPolicies};
 use warp_core::queues::{InputQueue, StateQueue};
 use warp_core::trace::TraceDigest;
-use warp_core::{LpId, ObjectId, VirtualTime};
+use warp_core::{CostModel, LpId, ObjectId, ObjectRuntime, VirtualTime};
+use warp_models::PholdConfig;
 use warp_net::{AggregationConfig, Aggregator};
 
 fn ev(sender: u32, serial: u64, rt: u64) -> Event {
@@ -131,6 +133,77 @@ fn bench_state_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// Events per iteration of the per-event benches.
+const PER_EVENT_BATCH: usize = 1024;
+
+/// A one-object, all-local PHOLD runtime checkpointing every `chi`
+/// events, initialized, with the [`PER_EVENT_BATCH`] jobs its `init`
+/// sent to itself not yet delivered.
+fn phold_object(chi: u32) -> (ObjectRuntime, CostModel, Vec<Event>) {
+    let spec = PholdConfig {
+        n_objects: 1,
+        n_lps: 1,
+        population_per_object: PER_EVENT_BATCH,
+        ttl: u32::MAX - 1,
+        mean_delay: 5000.0,
+        locality: 1.0,
+        seed: 7,
+    }
+    .spec();
+    let id = ObjectId(0);
+    let policies = ObjectPolicies::new(
+        Box::new(FixedCancellation(CancellationMode::Aggressive)),
+        Box::new(FixedCheckpoint::new(chi)),
+    );
+    let mut rt = ObjectRuntime::new(id, (spec.objects)(id), policies);
+    let mut jobs = Vec::new();
+    rt.init(&spec.cost, &mut jobs);
+    (rt, spec.cost, jobs)
+}
+
+/// The two calls the traced pass of `bench/` charges the kernel's time
+/// to (`trace.core.process`, `trace.core.deliver`), one event at a time:
+/// `deliver` is the pending-set insert, `process_next` is pop + model +
+/// output-queue copy + (every χ-th event) snapshot.
+fn bench_per_event(c: &mut Criterion) {
+    let mut g = c.benchmark_group("per_event");
+    g.bench_function("deliver_1k", |b| {
+        b.iter_batched(
+            || phold_object(1),
+            |(mut rt, cost, jobs)| {
+                let mut out = Vec::new();
+                for ev in jobs {
+                    rt.deliver(ev, &cost, &mut out);
+                }
+                black_box(rt.next_time())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    for chi in [1u32, 16] {
+        g.bench_function(format!("process_next_1k_chi{chi}"), |b| {
+            b.iter_batched(
+                || {
+                    let (mut rt, cost, jobs) = phold_object(chi);
+                    let mut out = Vec::new();
+                    for ev in jobs {
+                        rt.deliver(ev, &cost, &mut out);
+                    }
+                    (rt, cost, Vec::with_capacity(PER_EVENT_BATCH))
+                },
+                |(mut rt, cost, mut out)| {
+                    // The next hops are left undelivered, so exactly the
+                    // delivered batch executes.
+                    while rt.process_next(&cost, &mut out) {}
+                    black_box(out.len())
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 fn bench_aggregator(c: &mut Criterion) {
     let mut g = c.benchmark_group("aggregation");
     for (name, config) in [
@@ -199,6 +272,7 @@ criterion_group!(
     benches,
     bench_input_queue,
     bench_state_queue,
+    bench_per_event,
     bench_aggregator,
     bench_gvt,
     bench_trace_digest

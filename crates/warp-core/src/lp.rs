@@ -20,15 +20,23 @@ use std::sync::Arc;
 /// One logical process: local scheduler over its objects.
 pub struct LpRuntime {
     id: LpId,
-    partition: Arc<Partition>,
     objects: Vec<ObjectRuntime>,
-    index_of: HashMap<ObjectId, usize>,
+    /// Dense routing table over *global* object ids: the object's index
+    /// in `objects`, or [`REMOTE`] when another LP hosts it.
+    slot_of: Vec<u32>,
     cost: CostModel,
     /// LP-level modeled CPU charges (local deliveries) pending drain.
     cost_acc: f64,
     /// Scratch queue for intra-LP delivery cascades.
     cascade: VecDeque<Event>,
+    /// Scratch for what one object call emits, drained into `cascade`
+    /// right after the call. Both are empty between calls and keep their
+    /// capacity, so routing allocates nothing per event.
+    fresh: Vec<Event>,
 }
+
+/// `slot_of` entry of an object hosted by another LP.
+const REMOTE: u32 = u32::MAX;
 
 impl LpRuntime {
     /// Assemble an LP from its object runtimes. `objects` must be exactly
@@ -45,19 +53,18 @@ impl LpRuntime {
             expected.to_vec(),
             "LP {id} constructed with objects not matching the partition"
         );
-        let index_of = objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.id(), i))
-            .collect();
+        let mut slot_of = vec![REMOTE; partition.n_objects()];
+        for (i, o) in objects.iter().enumerate() {
+            slot_of[o.id().index()] = i as u32;
+        }
         LpRuntime {
             id,
-            partition,
             objects,
-            index_of,
+            slot_of,
             cost,
             cost_acc: 0.0,
             cascade: VecDeque::new(),
+            fresh: Vec::new(),
         }
     }
 
@@ -74,38 +81,34 @@ impl LpRuntime {
     /// Run every object's `init`, delivering local events and returning
     /// remote ones for the transport.
     pub fn init(&mut self, out: &mut Vec<Event>) {
-        let mut fresh = Vec::new();
-        for i in 0..self.objects.len() {
-            self.objects[i].init(&self.cost, &mut fresh);
+        for o in &mut self.objects {
+            o.init(&self.cost, &mut self.fresh);
         }
-        self.route(fresh, out);
+        self.route(out);
     }
 
     /// Deliver a batch of incoming events from the transport. Cascaded
     /// anti-messages to remote LPs are pushed to `out`.
     pub fn deliver(&mut self, events: Vec<Event>, out: &mut Vec<Event>) {
-        self.route(events, out);
+        self.cascade.extend(events);
+        self.route(out);
     }
 
-    /// Route events: local destinations are delivered (cascading through
-    /// any rollbacks they trigger), remote destinations accumulate in
-    /// `out` for the transport layer.
-    fn route(&mut self, events: Vec<Event>, out: &mut Vec<Event>) {
-        self.cascade.extend(events);
-        let mut fresh = Vec::new();
+    /// Route what is queued in `cascade` followed by `fresh`: local
+    /// destinations are delivered (cascading through any rollbacks they
+    /// trigger), remote destinations accumulate in `out` for the
+    /// transport layer.
+    fn route(&mut self, out: &mut Vec<Event>) {
+        self.cascade.extend(self.fresh.drain(..));
         while let Some(ev) = self.cascade.pop_front() {
-            let dst_lp = self.partition.lp_of(ev.dst);
-            if dst_lp != self.id {
+            let slot = self.slot_of[ev.dst.index()];
+            if slot == REMOTE {
                 out.push(ev);
                 continue;
             }
-            let idx = *self
-                .index_of
-                .get(&ev.dst)
-                .unwrap_or_else(|| panic!("object {} missing from {}", ev.dst, self.id));
             self.cost_acc += self.cost.local_delivery;
-            self.objects[idx].deliver(ev, &self.cost, &mut fresh);
-            self.cascade.extend(fresh.drain(..));
+            self.objects[slot as usize].deliver(ev, &self.cost, &mut self.fresh);
+            self.cascade.extend(self.fresh.drain(..));
         }
     }
 
@@ -141,23 +144,21 @@ impl LpRuntime {
         else {
             return false;
         };
-        let mut fresh = Vec::new();
-        let advanced = self.objects[best].process_next(&self.cost, &mut fresh);
+        let advanced = self.objects[best].process_next(&self.cost, &mut self.fresh);
         debug_assert!(advanced);
-        self.route(fresh, out);
+        self.route(out);
         true
     }
 
     /// Flush held-back lazy anti-messages of idle objects so GVT can
     /// advance past them. Busy objects flush on their own as they process.
     pub fn flush_idle(&mut self, out: &mut Vec<Event>) {
-        let mut fresh = Vec::new();
-        for i in 0..self.objects.len() {
-            if self.objects[i].next_time().is_infinite() {
-                self.objects[i].flush_all_pending(&self.cost, &mut fresh);
+        for o in &mut self.objects {
+            if o.next_time().is_infinite() {
+                o.flush_all_pending(&self.cost, &mut self.fresh);
             }
         }
-        self.route(fresh, out);
+        self.route(out);
     }
 
     /// The LP's optimism front: the largest LVT among its objects (how
@@ -167,6 +168,13 @@ impl LpRuntime {
             .iter()
             .map(|o| o.lvt())
             .fold(VirtualTime::ZERO, VirtualTime::max)
+    }
+
+    /// Estimated bytes of retained history across the LP's objects, each
+    /// an O(1) read (see [`ObjectRuntime::history_bytes`]) — what the
+    /// threaded executive paces fossil collection by.
+    pub fn history_bytes(&self) -> usize {
+        self.objects.iter().map(|o| o.history_bytes()).sum()
     }
 
     /// Total retained history items (input events + output records +
@@ -212,14 +220,14 @@ impl LpRuntime {
     /// session (see [`ObjectRuntime::rollback_to_horizon`] for the exact
     /// preconditions).
     pub fn rollback_to_horizon(&mut self, horizon: VirtualTime, out: &mut Vec<Event>) {
-        let mut frontier = Vec::new();
         // Harvest from every object before routing: a frontier event
         // delivered into an object that has not rolled back yet would be
         // destroyed by its own rollback.
         for o in &mut self.objects {
-            frontier.extend(o.rollback_to_horizon(horizon, &self.cost));
+            self.fresh
+                .extend(o.rollback_to_horizon(horizon, &self.cost));
         }
-        self.route(frontier, out);
+        self.route(out);
     }
 
     /// Per-object committed events with receive time in `[from, below)`.
@@ -254,14 +262,14 @@ impl LpRuntime {
         out: &mut Vec<Event>,
     ) {
         let mut raw = Vec::new();
-        let mut frontier = Vec::new();
-        for i in 0..self.objects.len() {
-            self.objects[i].init(&self.cost, &mut raw);
-            let log = logs.remove(&self.objects[i].id()).unwrap_or_default();
-            self.objects[i].replay_committed(log, &self.cost, &mut raw);
-            frontier.extend(raw.drain(..).filter(|ev| ev.recv_time >= horizon));
+        for o in &mut self.objects {
+            o.init(&self.cost, &mut raw);
+            let log = logs.remove(&o.id()).unwrap_or_default();
+            o.replay_committed(log, &self.cost, &mut raw);
+            self.fresh
+                .extend(raw.drain(..).filter(|ev| ev.recv_time >= horizon));
         }
-        self.route(frontier, out);
+        self.route(out);
     }
 
     /// Drain modeled CPU seconds charged since the last drain (object

@@ -17,6 +17,8 @@ pub type StatePos = Option<EventKey>;
 #[derive(Debug)]
 struct Entry {
     pos: StatePos,
+    /// `state.bytes()` at save time (snapshots are immutable).
+    bytes: usize,
     state: ErasedState,
 }
 
@@ -25,6 +27,8 @@ struct Entry {
 pub struct StateQueue {
     /// Snapshots in increasing `pos` order (`None` first).
     entries: Vec<Entry>,
+    /// Running sum of the entries' `bytes`.
+    retained_bytes: usize,
 }
 
 impl StateQueue {
@@ -44,9 +48,25 @@ impl StateQueue {
         self.entries.is_empty()
     }
 
-    /// Total bytes of retained snapshots (memory-pressure diagnostic).
+    /// Total bytes of retained snapshots, recomputed from the snapshots
+    /// themselves: one virtual call per entry. Diagnostics and tests; the
+    /// executives' per-batch memory check reads
+    /// [`retained_bytes`](Self::retained_bytes).
     pub fn bytes(&self) -> usize {
         self.entries.iter().map(|e| e.state.bytes()).sum()
+    }
+
+    /// Total bytes of retained snapshots from a running counter kept by
+    /// every mutator — O(1), always equal to [`bytes`](Self::bytes).
+    pub fn retained_bytes(&self) -> usize {
+        self.retained_bytes
+    }
+
+    /// Drop `entries[range]`, keeping the byte counter in step.
+    fn discard(&mut self, range: impl std::ops::RangeBounds<usize>) {
+        for e in self.entries.drain(range) {
+            self.retained_bytes -= e.bytes;
+        }
     }
 
     /// Append a snapshot taken at `pos`. Positions must arrive in
@@ -59,7 +79,9 @@ impl StateQueue {
             pos,
             self.entries.last().map(|e| e.pos)
         );
-        self.entries.push(Entry { pos, state });
+        let bytes = state.bytes();
+        self.retained_bytes += bytes;
+        self.entries.push(Entry { pos, bytes, state });
     }
 
     /// Find the newest snapshot strictly before `key`, for a rollback
@@ -82,7 +104,7 @@ impl StateQueue {
             .entries
             .partition_point(|e| e.pos.is_none_or(|p| p < key));
         let n = self.entries.len() - idx;
-        self.entries.truncate(idx);
+        self.discard(idx..);
         n as u64
     }
 
@@ -115,7 +137,7 @@ impl StateQueue {
             .entries
             .partition_point(|e| e.pos.is_none_or(|p| p < bound))
             .min(self.entries.len().saturating_sub(1));
-        self.entries.drain(..cut);
+        self.discard(..cut);
         cut as u64
     }
 
@@ -220,5 +242,17 @@ mod tests {
     fn bytes_sums_snapshots() {
         let q = filled();
         assert_eq!(q.bytes(), 5 * std::mem::size_of::<S>());
+    }
+
+    #[test]
+    fn running_byte_counter_follows_every_mutator() {
+        let mut q = filled();
+        assert_eq!(q.retained_bytes(), q.bytes());
+        q.truncate_from(key(25));
+        assert_eq!(q.retained_bytes(), 3 * std::mem::size_of::<S>());
+        q.save(Some(key(26)), ErasedState::of(S(26)));
+        q.fossil_collect_before(key(20));
+        assert_eq!(q.retained_bytes(), 2 * std::mem::size_of::<S>());
+        assert_eq!(q.retained_bytes(), q.bytes());
     }
 }

@@ -16,6 +16,19 @@ use crate::policy::{CancellationMode, ControlChange, ControlTransition, ObjectPo
 use crate::queues::{InputQueue, Inserted, OutputQueue, StateQueue};
 use crate::stats::ObjectStats;
 use crate::time::VirtualTime;
+use std::sync::OnceLock;
+
+/// Per-object debug trace to stderr, filtered by `WARP_TRACE_OBJECT`.
+/// The arguments are only formatted once the filter has passed, and the
+/// whole statement is dead code without `debug_assertions`: a release
+/// build must not pay for a diagnostic nobody reads (`docs/hot-path.md`).
+macro_rules! trace {
+    ($rt:expr, $($arg:tt)*) => {
+        if cfg!(debug_assertions) && $rt.traced() {
+            eprintln!("[obj#{} lvt={}] {}", $rt.id.0, $rt.lvt, format_args!($($arg)*));
+        }
+    };
+}
 
 /// A send request captured from a model during one `execute` call.
 #[derive(Debug, Clone)]
@@ -125,6 +138,10 @@ pub struct ObjectRuntime {
     /// byte-identical with recording on or off.
     control_log: Vec<ControlTransition>,
     record_control: bool,
+    /// Scratch for the sends of the event being executed; empty between
+    /// events, its capacity reused so the collecting context allocates
+    /// nothing per event.
+    sends: Vec<SendReq>,
 }
 
 /// Upper bound on the undrained control log. Executives drain at every
@@ -132,6 +149,12 @@ pub struct ObjectRuntime {
 /// sequential golden model), where it stops the log growing with the
 /// run. Oldest entries are kept, newest dropped.
 const CONTROL_LOG_CAP: usize = 1 << 16;
+
+/// Flat per-record estimate behind [`ObjectRuntime::history_bytes`]: an
+/// `Event` plus a small heap block (its payload, or a snapshot's box).
+/// Exact sizes would cost a walk over the queues; the executives only
+/// compare growth against a budget of megabytes.
+const HISTORY_RECORD_BYTES: usize = std::mem::size_of::<Event>() + 32;
 
 impl ObjectRuntime {
     /// Wrap a simulation object with its per-object policies.
@@ -156,6 +179,7 @@ impl ObjectRuntime {
             cost_acc: 0.0,
             control_log: Vec::new(),
             record_control: false,
+            sends: Vec::new(),
         }
     }
 
@@ -237,22 +261,32 @@ impl ObjectRuntime {
         (self.input.len(), self.output.len(), self.states.len())
     }
 
+    /// Estimated bytes of retained history, O(1): a flat
+    /// `HISTORY_RECORD_BYTES` per executed input event, output record
+    /// and snapshot entry, plus the snapshots' own bytes from the state
+    /// queue's running counter. Pending input is not history — no GVT
+    /// advance reclaims it.
+    pub fn history_bytes(&self) -> usize {
+        let records = self.input.processed_len() + self.output.len() + self.states.len();
+        records * HISTORY_RECORD_BYTES + self.states.retained_bytes()
+    }
+
     #[inline]
     fn charge(&mut self, c: f64) {
         self.cost_acc += c;
     }
 
-    #[cfg(debug_assertions)]
-    fn trace(&self, msg: &str) {
-        if let Ok(v) = std::env::var("WARP_TRACE_OBJECT") {
-            if v.split(',').any(|t| t == self.id.0.to_string()) {
-                eprintln!("[obj#{} lvt={}] {}", self.id.0, self.lvt, msg);
-            }
-        }
+    /// Is this object named in `WARP_TRACE_OBJECT` (comma-separated
+    /// object ids)? The variable is read once per process.
+    fn traced(&self) -> bool {
+        static IDS: OnceLock<Vec<u32>> = OnceLock::new();
+        IDS.get_or_init(|| {
+            std::env::var("WARP_TRACE_OBJECT")
+                .map(|v| v.split(',').filter_map(|t| t.parse().ok()).collect())
+                .unwrap_or_default()
+        })
+        .contains(&self.id.0)
     }
-
-    #[cfg(not(debug_assertions))]
-    fn trace(&self, _msg: &str) {}
 
     /// Initialize: run the model's `init`, emit its initial events into
     /// `out`, then snapshot the time-zero state.
@@ -287,19 +321,23 @@ impl ObjectRuntime {
     pub fn deliver(&mut self, ev: Event, cost: &CostModel, out: &mut Vec<Event>) {
         debug_assert_eq!(ev.dst, self.id, "event routed to the wrong object");
         self.charge(cost.queue_insert);
-        self.trace(&format!(
+        trace!(
+            self,
             "deliver {:?} {:?} recv={} kind={}",
-            ev.sign, ev.id, ev.recv_time, ev.kind
-        ));
+            ev.sign,
+            ev.id,
+            ev.recv_time,
+            ev.kind
+        );
         match self.input.insert(ev) {
             Inserted::Enqueued => {}
-            Inserted::OrphanStored => self.trace("  -> orphan anti stored"),
+            Inserted::OrphanStored => trace!(self, "  -> orphan anti stored"),
             Inserted::Annihilated => {
                 self.stats.annihilated += 1;
                 self.charge(cost.annihilation);
             }
             Inserted::Straggler(key) => {
-                self.trace(&format!("  -> straggler, rollback to {key:?}"));
+                trace!(self, "  -> straggler, rollback to {key:?}");
                 self.stats.straggler_rollbacks += 1;
                 self.rollback(key, true, cost, out);
             }
@@ -329,7 +367,7 @@ impl ObjectRuntime {
         let mut ctx = CollectCtx {
             me: self.id,
             now,
-            sends: Vec::new(),
+            sends: std::mem::take(&mut self.sends),
         };
         {
             let ev = self.input.processed_at(idx);
@@ -341,9 +379,10 @@ impl ObjectRuntime {
         self.stats.cost_execution += cost.event_exec;
         self.charge(cost.event_exec);
 
-        for req in ctx.sends {
+        for req in ctx.sends.drain(..) {
             self.dispose_send(key, req, cost, out);
         }
+        self.sends = ctx.sends;
 
         // Periodic checkpointing: save after every χ-th event.
         self.events_since_save += 1;
@@ -380,10 +419,7 @@ impl ObjectRuntime {
                 if let Some(i) = self.match_pending(&req, true, cost) {
                     // Lazy hit: the receiver already holds this message.
                     let orig = self.lazy_pending.remove(i);
-                    self.trace(&format!(
-                        "lazy HIT: keep {:?} recv={}",
-                        orig.id, orig.recv_time
-                    ));
+                    trace!(self, "lazy HIT: keep {:?} recv={}", orig.id, orig.recv_time);
                     self.stats.lazy_hits += 1;
                     self.policies.cancellation.record_comparison(true);
                     self.output.record(Some(gen), orig);
@@ -445,14 +481,15 @@ impl ObjectRuntime {
         );
         self.serial_next += 1;
         self.stats.sent += 1;
-        self.trace(&format!(
+        trace!(
+            self,
             "transmit {:?} dst={} recv={} kind={} plen={}",
             ev.id,
             ev.dst,
             ev.recv_time,
             ev.kind,
             ev.payload.len()
-        ));
+        );
         self.output.record(gen, ev.clone());
         out.push(ev);
     }
@@ -470,10 +507,12 @@ impl ObjectRuntime {
         while i < self.lazy_pending.len() {
             if self.lazy_pending[i].send_time < horizon {
                 let orig = self.lazy_pending.remove(i);
-                self.trace(&format!(
+                trace!(
+                    self,
                     "lazy MISS flush: anti {:?} recv={} (horizon {horizon})",
-                    orig.id, orig.recv_time
-                ));
+                    orig.id,
+                    orig.recv_time
+                );
                 self.stats.lazy_misses += 1;
                 self.stats.anti_sent += 1;
                 self.policies.cancellation.record_comparison(false);
@@ -525,10 +564,12 @@ impl ObjectRuntime {
             CancellationMode::Aggressive => {
                 let monitoring = self.policies.cancellation.monitoring();
                 for ev in cancelled {
-                    self.trace(&format!(
+                    trace!(
+                        self,
                         "rollback({key:?}): AGGR anti {:?} recv={}",
-                        ev.id, ev.recv_time
-                    ));
+                        ev.id,
+                        ev.recv_time
+                    );
                     self.stats.anti_sent += 1;
                     out.push(ev.to_anti());
                     if monitoring {
@@ -538,10 +579,12 @@ impl ObjectRuntime {
             }
             CancellationMode::Lazy => {
                 for ev in &cancelled {
-                    self.trace(&format!(
+                    trace!(
+                        self,
                         "rollback({key:?}): LAZY hold {:?} recv={}",
-                        ev.id, ev.recv_time
-                    ));
+                        ev.id,
+                        ev.recv_time
+                    );
                 }
                 self.lazy_pending.extend(cancelled);
             }
@@ -655,10 +698,11 @@ impl ObjectRuntime {
     /// so both strategies stay correct across the switch.
     fn switch_mode(&mut self, new_mode: CancellationMode, out: &mut Vec<Event>) {
         self.stats.strategy_switches += 1;
-        self.trace(&format!(
+        trace!(
+            self,
             "switch mode -> {new_mode:?} (pending {})",
             self.lazy_pending.len()
-        ));
+        );
         match new_mode {
             CancellationMode::Aggressive => {
                 // Everything held back must be cancelled now.
@@ -795,7 +839,7 @@ impl ObjectRuntime {
             self.restore_and_coast(first, cost);
         }
         self.input.discard_unprocessed();
-        self.trace(&format!("rollback_to_horizon {h}: lvt={}", self.lvt));
+        trace!(self, "rollback_to_horizon {h}: lvt={}", self.lvt);
         self.output
             .records()
             .iter()

@@ -212,3 +212,47 @@ proptest! {
         prop_assert_eq!(pos, Some(key_at(cut)));
     }
 }
+
+/// A snapshot whose reported size is part of its value, so the byte
+/// counter sees snapshots of many sizes.
+#[derive(Clone, Debug)]
+struct Blob(usize);
+impl ObjectState for Blob {
+    fn state_bytes(&self) -> usize {
+        self.0
+    }
+}
+
+proptest! {
+    /// The O(1) running byte counter equals the recomputed sum after any
+    /// interleaving of saves, rollback truncations and fossil passes.
+    #[test]
+    fn state_queue_byte_counter_matches_recomputation(
+        ops in proptest::collection::vec((0u8..4, 1u64..40), 1..80),
+    ) {
+        let mut q = StateQueue::new();
+        q.save(None, ErasedState::of(Blob(11)));
+        // Time of the newest retained snapshot (0 = the initial one).
+        let mut newest = 0u64;
+        for (op, x) in ops {
+            match op {
+                // Saves outnumber the rest, as in a run.
+                0 | 1 => {
+                    newest += x;
+                    q.save(Some(key_at(newest)), ErasedState::of(Blob(x as usize * 17)));
+                }
+                2 => {
+                    let cut = newest.saturating_sub(x).max(1);
+                    q.truncate_from(key_at(cut));
+                    newest = cut - 1;
+                }
+                _ => {
+                    if let Some(bound) = q.fossil_bound(VirtualTime::new(newest.saturating_sub(x))) {
+                        q.fossil_collect_before(bound);
+                    }
+                }
+            }
+            prop_assert_eq!(q.retained_bytes(), q.bytes());
+        }
+    }
+}

@@ -188,6 +188,7 @@ use crate::snapshot::{
 use crate::spec::SimulationSpec;
 use crate::threaded::{lp_thread, CkptPart, LpOutcome, LpPort, LpSeed, Packet};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -2800,7 +2801,22 @@ struct WorkerPort {
     balance: bool,
     /// Artificial slowdown shared by every LP thread in this process.
     throttle: Option<Arc<EventThrottle>>,
+    /// When this LP thread last yielded its core (see [`TRANSPORT_TURN`]).
+    last_yield: Cell<Instant>,
 }
+
+/// How long a busy LP thread keeps its core before it yields to the
+/// transport threads. On a host with no spare core those threads
+/// otherwise run only when the scheduler preempts the LP thread, once
+/// per scheduler slice (milliseconds); every message hop then costs a
+/// slice, the LP fills the wait with speculation it has to roll back, and
+/// how much depends on where the slices fall — throughput several times
+/// lower and different from run to run. Yielding after every batch
+/// removes the wait but hands messages over one at a time, which costs
+/// message-heavy workloads more in context switches than it saves in
+/// rollback; half a millisecond keeps most of both (sizing runs:
+/// `docs/kernel-internals.md`, "Sharing cores with the transport").
+const TRANSPORT_TURN: Duration = Duration::from_micros(500);
 
 impl LpPort for WorkerPort {
     fn id(&self) -> usize {
@@ -2875,6 +2891,12 @@ impl LpPort for WorkerPort {
     fn throttle(&self) {
         if let Some(t) = &self.throttle {
             t.pace();
+        }
+    }
+    fn yield_core(&self) {
+        if self.last_yield.get().elapsed() >= TRANSPORT_TURN {
+            std::thread::yield_now();
+            self.last_yield.set(Instant::now());
         }
     }
 }
@@ -3513,6 +3535,7 @@ fn run_session_as_worker(
                 rx,
                 balance: init.balance,
                 throttle: throttle.clone(),
+                last_yield: Cell::new(Instant::now()),
             };
             let spec = spec.clone();
             std::thread::spawn(move || lp_thread(spec, port, seed, ckpt_base))

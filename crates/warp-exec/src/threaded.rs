@@ -106,6 +106,12 @@ pub(crate) trait LpPort {
     /// process-wide rate limit) for balance tests; everywhere else it is
     /// free.
     fn throttle(&self) {}
+    /// Called once per pass of the LP loop that found work. An LP with
+    /// speculative work never blocks, so a port whose packets are moved
+    /// by other threads of this process (the distributed port: link
+    /// writers, readers, the inbound router) gives them the core here;
+    /// the lane mesh has no such threads and does nothing.
+    fn yield_core(&self) {}
 }
 
 impl LpPort for Endpoint<Packet> {
@@ -148,6 +154,14 @@ impl LpPort for LaneEndpoint<Packet> {
 const BATCH: usize = 64;
 /// Fallback GVT cadence when the spec disables fossil collection.
 const TERMINATION_PROBE: Duration = Duration::from_millis(5);
+/// Growth of the controller LP's retained history, since its last fossil
+/// pass, that starts a GVT round ahead of the period. Wall-clock pacing
+/// alone lets retained history scale with the event rate (a kernel twice
+/// as fast keeps twice the history per 50 ms); this bounds it in bytes
+/// instead. 2 MiB is a few thousand small-state events or a few hundred
+/// SMMP cache states per round; the sizing runs are in
+/// `docs/kernel-internals.md` ("GVT and fossils").
+const HISTORY_GROWTH_BUDGET: usize = 2 << 20;
 
 /// Run the spec on real threads. Returns when GVT reaches infinity.
 pub fn run_threaded(spec: &SimulationSpec) -> RunReport {
@@ -251,11 +265,22 @@ struct LpThread<P: LpPort> {
     /// Telemetry collector (`None` unless the spec enabled it). Sampled
     /// at every GVT round; purely observational.
     recorder: Option<warp_telemetry::Recorder>,
+    /// Scratch: remote-destined events the LP just surfaced, on their way
+    /// to the aggregation layer. Empty between uses, capacity reused.
+    remote: Vec<Event>,
+    /// Scratch: physical messages due for sending. Likewise.
+    due: Vec<PhysMsg>,
+    /// `lp.history_bytes()` right after this LP's last fossil pass: the
+    /// level [`HISTORY_GROWTH_BUDGET`] is measured from. An edge, not a
+    /// level: while a lagging peer pins GVT a pass reclaims nothing, and
+    /// a trigger on the level itself would start rounds back to back.
+    history_mark: usize,
 }
 
 impl<P: LpPort> LpThread<P> {
-    fn ship(&mut self, msgs: Vec<PhysMsg>) {
-        for msg in msgs {
+    /// Send every physical message in `due`.
+    fn ship(&mut self) {
+        for msg in self.due.drain(..) {
             let c = msg.send_cost(self.lp.cost_model());
             self.agg.note_send_cost(c);
             let epoch = self.agent.tag_send(msg.min_recv_time());
@@ -264,17 +289,18 @@ impl<P: LpPort> LpThread<P> {
         }
     }
 
-    fn offer_remote(&mut self, events: Vec<Event>) {
-        if events.is_empty() {
+    /// Hand the events in `remote` to the aggregation layer and ship
+    /// whatever falls due.
+    fn offer_remote(&mut self) {
+        if self.remote.is_empty() {
             return;
         }
         let now = self.start.elapsed().as_secs_f64();
-        let mut due = Vec::new();
-        for ev in events {
+        for ev in self.remote.drain(..) {
             let dst = self.partition.lp_of(ev.dst);
-            self.agg.offer(dst, ev, now, &mut due);
+            self.agg.offer(dst, ev, now, &mut self.due);
         }
-        self.ship(due);
+        self.ship();
     }
 
     fn local_min(&self) -> VirtualTime {
@@ -330,6 +356,7 @@ impl<P: LpPort> LpThread<P> {
                     self.lp.fossil_collect_retaining(bound, pin);
                 }
             }
+            self.history_mark = self.lp.history_bytes();
         }
     }
 
@@ -369,9 +396,8 @@ impl<P: LpPort> LpThread<P> {
             Packet::Data { msg, epoch } => {
                 self.agent.note_receive(epoch);
                 self.agg.note_received(&msg, self.lp.cost_model());
-                let mut remote = Vec::new();
-                self.lp.deliver(msg.events, &mut remote);
-                self.offer_remote(remote);
+                self.lp.deliver(msg.events, &mut self.remote);
+                self.offer_remote();
             }
             Packet::Token(token) => {
                 if self.ctrl.is_some() {
@@ -406,13 +432,10 @@ impl<P: LpPort> LpThread<P> {
         let debug_trace = std::env::var("WARP_DEBUG_THREADED").is_ok();
         let mut loops: u64 = 0;
         match self.boot_frontier.take() {
-            Some(frontier) => self.offer_remote(frontier),
-            None => {
-                let mut init_out = Vec::new();
-                self.lp.init(&mut init_out);
-                self.offer_remote(init_out);
-            }
+            Some(frontier) => self.remote = frontier,
+            None => self.lp.init(&mut self.remote),
         }
+        self.offer_remote();
 
         while !self.done {
             loops += 1;
@@ -445,34 +468,37 @@ impl<P: LpPort> LpThread<P> {
             }
 
             // 2. A batch of optimistic event executions.
-            let mut remote = Vec::new();
             for _ in 0..BATCH {
-                if !self.lp.process_one(&mut remote) {
+                if !self.lp.process_one(&mut self.remote) {
                     break;
                 }
                 idle = false;
                 self.port.throttle();
             }
-            self.offer_remote(remote);
+            self.offer_remote();
 
             // 3. Aggregation deadlines (wall clock); idle lazy flushes.
             let now = self.start.elapsed().as_secs_f64();
-            let mut due = Vec::new();
-            self.agg.poll(now, &mut due);
-            self.ship(due);
+            self.agg.poll(now, &mut self.due);
+            self.ship();
             if self.lp.next_time().is_infinite() {
-                let mut remote = Vec::new();
-                self.lp.flush_idle(&mut remote);
-                self.offer_remote(remote);
+                self.lp.flush_idle(&mut self.remote);
+                self.offer_remote();
+            }
+            if !idle {
+                self.port.yield_core();
             }
 
             // 4. Controller cadence: periodic rounds, eager when idle
-            //    (termination detection).
-            if self.ctrl.is_some() {
+            //    (termination detection) or when retained history has
+            //    grown by the budget since the last fossil pass.
+            if let Some(ctrl) = self.ctrl.as_mut().filter(|c| !c.in_progress()) {
                 let due_round = self.last_round.elapsed() >= self.gvt_period
-                    || (idle && self.lp.next_time().is_infinite());
-                if due_round && !self.ctrl.as_ref().unwrap().in_progress() {
-                    let token = self.ctrl.as_mut().unwrap().start_round();
+                    || (idle && self.lp.next_time().is_infinite())
+                    || (self.fossil
+                        && self.lp.history_bytes() >= self.history_mark + HISTORY_GROWTH_BUDGET);
+                if due_round {
+                    let token = ctrl.start_round();
                     self.forward_token(token);
                 }
             }
@@ -615,6 +641,218 @@ pub(crate) fn lp_thread<P: LpPort>(
         fossil_pin: ckpt_base,
         aborted: false,
         recorder,
+        remote: Vec::new(),
+        due: Vec::new(),
+        history_mark: 0,
     };
     worker.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+    use warp_core::wire::{PayloadReader, PayloadWriter};
+    use warp_core::{ErasedState, ExecutionContext, ObjectState, Partition, SimObject};
+
+    /// Jobs that each object keeps sending to itself, a fixed `STEP`
+    /// ticks on, until their hop count runs out: no cross-LP traffic, no
+    /// rollback, and a known amount of history per event.
+    #[derive(Clone, Debug)]
+    struct Hops(u64);
+    impl ObjectState for Hops {}
+
+    struct Looper {
+        jobs: u32,
+        hops: u32,
+        state: Hops,
+    }
+
+    const STEP: u64 = 10;
+
+    impl Looper {
+        fn hop(ctx: &mut dyn ExecutionContext, left: u32) {
+            if left > 0 {
+                let mut w = PayloadWriter::new();
+                w.u32(left - 1);
+                let me = ctx.me();
+                ctx.send(me, STEP, 1, w.finish());
+            }
+        }
+    }
+
+    impl SimObject for Looper {
+        fn init(&mut self, ctx: &mut dyn ExecutionContext) {
+            for _ in 0..self.jobs {
+                Looper::hop(ctx, self.hops);
+            }
+        }
+        fn execute(&mut self, ctx: &mut dyn ExecutionContext, ev: &Event) {
+            self.state.0 += 1;
+            let left = PayloadReader::new(&ev.payload).u32().expect("hop count");
+            Looper::hop(ctx, left);
+        }
+        fn snapshot(&self) -> ErasedState {
+            ErasedState::of(self.state.clone())
+        }
+        fn restore(&mut self, snapshot: &ErasedState) {
+            self.state = snapshot.get::<Hops>().clone();
+        }
+        fn state_bytes(&self) -> usize {
+            std::mem::size_of::<Hops>()
+        }
+    }
+
+    /// Two looping objects over `n_lps` LPs; the period never fires, so
+    /// every round before the LPs go idle is a history-growth round.
+    fn looper_spec(n_lps: usize, jobs: u32, hops: u32) -> SimulationSpec {
+        SimulationSpec::new(
+            Partition::round_robin(2, n_lps),
+            Arc::new(move |_| {
+                Box::new(Looper {
+                    jobs,
+                    hops,
+                    state: Hops(0),
+                }) as Box<dyn SimObject>
+            }),
+        )
+        .with_gvt_period(Some(10.0))
+    }
+
+    /// A lane endpoint that slows LP 1 down per event and, on LP 0,
+    /// counts the tokens sent up to the LP's last executed event and the
+    /// times the loop offered its core.
+    struct Probe {
+        lane: LaneEndpoint<Packet>,
+        tokens: AtomicU64,
+        tokens_while_busy: Arc<AtomicU64>,
+        core_offers: Arc<AtomicU64>,
+    }
+
+    impl LpPort for Probe {
+        fn id(&self) -> usize {
+            self.lane.id()
+        }
+        fn n_total(&self) -> usize {
+            self.lane.n_peers()
+        }
+        fn send(&self, to: usize, p: Packet) {
+            if matches!(p, Packet::Token(_)) {
+                self.tokens.fetch_add(1, Relaxed);
+            }
+            self.lane.send(to, p);
+        }
+        fn try_recv(&self) -> Option<Packet> {
+            self.lane.try_recv()
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
+            self.lane.recv_timeout(timeout)
+        }
+        fn throttle(&self) {
+            if self.lane.id() == 0 {
+                self.tokens_while_busy
+                    .store(self.tokens.load(Relaxed), Relaxed);
+            } else {
+                let until = Instant::now() + Duration::from_micros(5);
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+        fn yield_core(&self) {
+            if self.lane.id() == 0 {
+                self.core_offers.fetch_add(1, Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_gvt_starts_one_round_per_budget_of_growth_not_a_storm() {
+        // LP 1 crawls, so GVT stays far behind LP 0 and LP 0's fossil
+        // passes reclaim next to nothing: its retained history only
+        // grows. A trigger on the level would start a round at every
+        // loop iteration once past the budget.
+        let (jobs, hops) = (64, 1000);
+        let spec = looper_spec(2, jobs, hops);
+        let tokens_while_busy = Arc::new(AtomicU64::new(0));
+        let core_offers = Arc::new(AtomicU64::new(0));
+        let handles: Vec<_> = lane_mesh::<Packet>(2)
+            .into_iter()
+            .map(|lane| {
+                let spec = spec.clone();
+                let port = Probe {
+                    lane,
+                    tokens: AtomicU64::new(0),
+                    tokens_while_busy: tokens_while_busy.clone(),
+                    core_offers: core_offers.clone(),
+                };
+                std::thread::spawn(move || lp_thread(spec, port, LpSeed::Fresh, None))
+            })
+            .collect();
+        let outcomes: Vec<LpOutcome> = handles
+            .into_iter()
+            .map(|h| h.join().expect("LP thread panicked"))
+            .collect();
+
+        let per_lp = jobs as u64 * hops as u64;
+        for o in &outcomes {
+            assert_eq!(o.summary.kernel.net_executed(), per_lp, "terminated early");
+        }
+        // A busy LP never blocks: its port must get the chance to give
+        // the core away at least once per batch it executes.
+        assert!(core_offers.load(Relaxed) >= per_lp / BATCH as u64);
+        // An executed event retains an input event, an output record and
+        // a snapshot; `history_bytes` charges each well under an
+        // `Event`'s size plus 128 bytes.
+        let produced = per_lp as usize * 3 * (std::mem::size_of::<Event>() + 128);
+        let growth_rounds = tokens_while_busy.load(Relaxed);
+        assert!(
+            growth_rounds >= 2,
+            "history growth started {growth_rounds} rounds under a pinned GVT"
+        );
+        assert!(
+            growth_rounds <= (produced / HISTORY_GROWTH_BUDGET) as u64,
+            "{growth_rounds} rounds for at most {produced} bytes of history: a round storm"
+        );
+    }
+
+    #[test]
+    fn history_growth_alone_keeps_retained_history_bounded() {
+        // One LP: its token comes straight back, so how far history
+        // overshoots the budget does not depend on thread scheduling.
+        let (jobs, hops) = (64, 2000);
+        let spec = looper_spec(1, jobs, hops).with_telemetry();
+        let report = run_threaded(&spec);
+        let want = crate::run_sequential(&spec);
+        assert_eq!(report.committed_events, want.committed_events);
+        for (g, w) in report.per_lp[0].objects.iter().zip(&want.per_lp[0].objects) {
+            assert_eq!((g.id, g.committed), (w.id, w.committed));
+        }
+
+        // Samples are taken just before each fossil pass. With a 10 s
+        // period and no growth trigger the first round would be the idle
+        // one at the end, with the whole run — 3 items per event —
+        // retained.
+        let telemetry = report.telemetry.expect("telemetry was on");
+        let peak = telemetry
+            .samples
+            .iter()
+            .map(|s| s.retained)
+            .max()
+            .expect("sampled at every round");
+        // Every retained item is charged at least an `Event`'s size, so a
+        // budget is at most this many items, on top of what a pass cannot
+        // reclaim (the pending jobs and their newest snapshots) and one
+        // batch of overshoot.
+        let budget_items = (HISTORY_GROWTH_BUDGET / std::mem::size_of::<Event>()) as u64;
+        let floor = 2 * (2 * jobs as u64 + BATCH as u64);
+        assert!(
+            peak <= floor + budget_items,
+            "{peak} items retained at a round; the budget is {budget_items}"
+        );
+        let whole_run = 3 * 2 * jobs as u64 * hops as u64;
+        assert!(whole_run > 10 * budget_items, "run too short to tell");
+        assert!(report.kernel.fossils_collected > 0);
+    }
 }

@@ -123,6 +123,11 @@ struct Cluster {
     gvt_rounds: u64,
     cost: warp_core::CostModel,
     partition: std::sync::Arc<warp_core::Partition>,
+    /// Scratch: remote-destined events an LP just surfaced, on their way
+    /// to its aggregation layer. Empty between uses, capacity reused.
+    remote: Vec<Event>,
+    /// Scratch: physical messages due for transmission. Likewise.
+    due: Vec<PhysMsg>,
 }
 
 impl Cluster {
@@ -158,11 +163,12 @@ impl Cluster {
         self.push(t, VEvent::Wake { node, version });
     }
 
-    /// Ship a batch of physical messages from `lp`, charging the sender's
-    /// node clock and scheduling arrivals.
-    fn transmit(&mut self, lp: usize, msgs: Vec<PhysMsg>) {
+    /// Ship the physical messages in `due` from `lp`, charging the
+    /// sender's node clock and scheduling arrivals.
+    fn transmit(&mut self, lp: usize) {
         let node = self.node_of_lp[lp];
-        for msg in msgs {
+        let mut due = std::mem::take(&mut self.due);
+        for msg in due.drain(..) {
             let send_cost = msg.send_cost(&self.cost);
             self.charge(node, send_cost);
             self.aggs[lp].note_send_cost(send_cost);
@@ -170,53 +176,54 @@ impl Cluster {
             let dst_lp = msg.dst.index();
             self.push(arrive_at, VEvent::Arrive { dst_lp, msg });
         }
+        self.due = due;
     }
 
-    /// Offer remote events from `lp` to its aggregation layer at the
-    /// node's current clock, then transmit whatever became due.
-    fn offer_remote(&mut self, lp: usize, events: Vec<Event>) {
-        if events.is_empty() {
+    /// Offer the events in `remote` from `lp` to its aggregation layer at
+    /// the node's current clock, then transmit whatever became due.
+    fn offer_remote(&mut self, lp: usize) {
+        if self.remote.is_empty() {
             return;
         }
         let now = self.nodes[self.node_of_lp[lp]].clock;
-        let mut due = Vec::new();
-        for ev in events {
+        for ev in self.remote.drain(..) {
             let dst = self.partition.lp_of(ev.dst);
             debug_assert_ne!(dst.index(), lp, "LP surfaced a local event as remote");
-            self.aggs[lp].offer(dst, ev, now, &mut due);
+            self.aggs[lp].offer(dst, ev, now, &mut self.due);
         }
-        self.transmit(lp, due);
+        self.transmit(lp);
     }
 
     fn run_node(&mut self, node_idx: usize, t_wake: f64) {
         let clock = self.nodes[node_idx].clock.max(t_wake);
         self.nodes[node_idx].clock = clock;
+        // Borrowed for the step and put back: nothing below reads it
+        // through `self.nodes`.
+        let lp_list = std::mem::take(&mut self.nodes[node_idx].lps);
 
         // 1. Ingest every arrived physical message on this node's LPs.
-        let lp_list = self.nodes[node_idx].lps.clone();
         for &lp in &lp_list {
             if self.inbox[lp].is_empty() {
                 continue;
             }
-            let msgs = std::mem::take(&mut self.inbox[lp]);
-            for msg in msgs {
+            let mut msgs = std::mem::take(&mut self.inbox[lp]);
+            for msg in msgs.drain(..) {
                 let recv_cost = msg.recv_cost(&self.cost);
                 self.charge(node_idx, recv_cost);
                 self.aggs[lp].note_received(&msg, &self.cost);
-                let mut remote = Vec::new();
-                self.lps[lp].deliver(msg.events, &mut remote);
+                self.lps[lp].deliver(msg.events, &mut self.remote);
                 let c = self.lps[lp].take_cost();
                 self.charge(node_idx, c);
-                self.offer_remote(lp, remote);
+                self.offer_remote(lp);
             }
+            self.inbox[lp] = msgs;
         }
 
         // 2. Flush aggregation buckets that have aged out.
         for &lp in &lp_list {
             let now = self.nodes[node_idx].clock;
-            let mut due = Vec::new();
-            self.aggs[lp].poll(now, &mut due);
-            self.transmit(lp, due);
+            self.aggs[lp].poll(now, &mut self.due);
+            self.transmit(lp);
         }
 
         // 3. Execute one event on the LP holding the earliest timestamp.
@@ -226,22 +233,20 @@ impl Cluster {
             .filter(|&lp| self.lps[lp].next_time().is_finite())
             .min_by_key(|&lp| self.lps[lp].next_time());
         if let Some(lp) = busiest {
-            let mut remote = Vec::new();
-            let advanced = self.lps[lp].process_one(&mut remote);
+            let advanced = self.lps[lp].process_one(&mut self.remote);
             debug_assert!(advanced);
             self.steps += 1;
             let c = self.lps[lp].take_cost();
             self.charge(node_idx, c);
-            self.offer_remote(lp, remote);
+            self.offer_remote(lp);
         } else {
             // Whole node idle: decide the fate of held-back lazy sends so
             // GVT can move past them.
             for &lp in &lp_list {
-                let mut remote = Vec::new();
-                self.lps[lp].flush_idle(&mut remote);
+                self.lps[lp].flush_idle(&mut self.remote);
                 let c = self.lps[lp].take_cost();
                 self.charge(node_idx, c);
-                self.offer_remote(lp, remote);
+                self.offer_remote(lp);
             }
         }
 
@@ -269,6 +274,7 @@ impl Cluster {
                 self.schedule_wake(node_idx, d);
             }
         }
+        self.nodes[node_idx].lps = lp_list;
     }
 
     /// Exact GVT: minimum over LP contributions, buffered aggregates,
@@ -360,16 +366,17 @@ pub fn run_virtual_inspect(
         gvt_rounds: 0,
         cost: spec.cost.clone(),
         partition: spec.partition.clone(),
+        remote: Vec::new(),
+        due: Vec::new(),
     };
 
     // Init: every LP runs object inits; initial remote events go through
     // the aggregation layer like any other traffic.
     for lp in 0..n_lps {
-        let mut remote = Vec::new();
-        cluster.lps[lp].init(&mut remote);
+        cluster.lps[lp].init(&mut cluster.remote);
         let node = cluster.node_of_lp[lp];
         cluster.nodes[node].clock += cluster.lps[lp].take_cost();
-        cluster.offer_remote(lp, remote);
+        cluster.offer_remote(lp);
     }
     for node in 0..cluster.nodes.len() {
         let t = cluster.nodes[node].clock;
