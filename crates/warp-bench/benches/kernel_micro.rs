@@ -8,7 +8,7 @@ use warp_core::object::{ErasedState, ObjectState};
 use warp_core::policy::{CancellationMode, FixedCancellation, FixedCheckpoint, ObjectPolicies};
 use warp_core::queues::{InputQueue, StateQueue};
 use warp_core::trace::TraceDigest;
-use warp_core::{CostModel, LpId, ObjectId, ObjectRuntime, VirtualTime};
+use warp_core::{CostModel, LpId, LpRuntime, ObjectId, ObjectRuntime, VirtualTime};
 use warp_models::PholdConfig;
 use warp_net::{AggregationConfig, Aggregator};
 
@@ -201,7 +201,53 @@ fn bench_per_event(c: &mut Criterion) {
             )
         });
     }
+    // The LP scheduler: lowest-timestamp-first choice among `n` objects,
+    // in steady state (every object has executed a few events, history is
+    // fossil-collected as it goes). What may still grow with `n` is cache
+    // footprint, not the choice itself (`docs/hot-path.md` §5;
+    // `tests/sched_scaling.rs` guards the ratio).
+    g.sample_size(40);
+    for n_objects in [2usize, 8, 64, 512, 4096] {
+        g.bench_function(format!("process_one_{n_objects}obj"), |b| {
+            let mut lp = phold_lp(n_objects);
+            drive_lp(&mut lp, 4 * n_objects.max(PER_EVENT_BATCH));
+            b.iter(|| {
+                drive_lp(&mut lp, PER_EVENT_BATCH);
+                black_box(lp.next_time())
+            })
+        });
+    }
     g.finish();
+}
+
+/// One LP hosting `n_objects` all-local PHOLD objects under the default
+/// policies, 16 jobs pending per object, initialized.
+fn phold_lp(n_objects: usize) -> LpRuntime {
+    let spec = PholdConfig {
+        n_objects,
+        n_lps: 1,
+        population_per_object: 16,
+        ttl: u32::MAX - 1,
+        mean_delay: 500.0,
+        locality: 1.0,
+        seed: 7,
+    }
+    .spec();
+    let mut lp = spec.build_lp(LpId(0));
+    lp.init(&mut Vec::new());
+    lp
+}
+
+/// Execute `events` events on `lp`, with a fossil pass every 256 as an
+/// executive would pace them.
+fn drive_lp(lp: &mut LpRuntime, events: usize) {
+    let mut remote = Vec::new();
+    for i in 0..events {
+        assert!(lp.process_one(&mut remote), "PHOLD ran dry");
+        if i % 256 == 255 {
+            lp.fossil_collect(lp.gvt_contribution());
+        }
+    }
 }
 
 fn bench_aggregator(c: &mut Criterion) {

@@ -33,10 +33,112 @@ pub struct LpRuntime {
     /// right after the call. Both are empty between calls and keep their
     /// capacity, so routing allocates nothing per event.
     fresh: Vec<Event>,
+    /// Lowest-timestamp-first index over `objects[i].next_time()`, kept
+    /// current by [`touch`](Self::touch) after every call into an object
+    /// that can move its pending minimum.
+    sched: Schedule,
+    /// Slots called into since the last [`take_cost`](Self::take_cost):
+    /// the only objects whose cost accumulator can be non-zero. `dirty[i]`
+    /// ⇔ `i` is listed in `touched`, so the list never outgrows the
+    /// object count however long an executive goes without draining.
+    touched: Vec<u32>,
+    dirty: Vec<bool>,
 }
 
 /// `slot_of` entry of an object hosted by another LP.
 const REMOTE: u32 = u32::MAX;
+
+/// One node of the [`Schedule`]: a next-event time and the slot it
+/// belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    time: VirtualTime,
+    slot: u32,
+}
+
+/// The LP scheduler's index: a winner (tournament) tree over the
+/// objects' next-event times, in one array that never reallocates.
+///
+/// `cap` is the object count rounded up to a power of two. Node
+/// `cap + i` is the leaf of slot `i` (leaves past the last object stay
+/// at ∞ forever); node `k < cap` holds a copy of the earlier of its
+/// children `2k` and `2k + 1`, the *left* one on a tie; node 1 is the
+/// root. Leaves are in slot order, so "left wins ties" makes the root
+/// the lowest slot among the objects at the minimum time — the choice
+/// `Iterator::min_by_key` made when the scheduler was a linear scan, and
+/// the one the virtual executive's rollback pattern and modeled clock
+/// are pinned to. A padding leaf can only tie (at ∞) with something to
+/// its left, so it never reaches the root ahead of a real slot.
+struct Schedule {
+    nodes: Box<[Entry]>,
+    cap: usize,
+}
+
+impl Schedule {
+    /// Index over `n` idle objects.
+    fn new(n: usize) -> Self {
+        let cap = n.next_power_of_two();
+        let nodes = (0..2 * cap)
+            .map(|k| Entry {
+                time: VirtualTime::INFINITY,
+                slot: k.saturating_sub(cap) as u32,
+            })
+            .collect();
+        let mut sched = Schedule { nodes, cap };
+        sched.rebuild(std::iter::empty());
+        sched
+    }
+
+    /// The earliest next-event time and the lowest slot holding it (at
+    /// ∞ the whole LP is idle and the slot means nothing).
+    #[inline]
+    fn min(&self) -> Entry {
+        self.nodes[1]
+    }
+
+    #[inline]
+    fn winner(&self, k: usize) -> Entry {
+        let (l, r) = (self.nodes[2 * k], self.nodes[2 * k + 1]);
+        if r.time < l.time {
+            r
+        } else {
+            l
+        }
+    }
+
+    /// Slot `slot`'s next-event time is now `time`: one leaf write, then
+    /// replay its matches towards the root, stopping at the first whose
+    /// winner does not change (no ancestor above it changes either). At
+    /// most ⌈log₂ n⌉ compares, and none when the time did not move —
+    /// the common delivery, an insert behind the object's minimum.
+    #[inline]
+    fn set(&mut self, slot: usize, time: VirtualTime) {
+        let mut k = self.cap + slot;
+        if self.nodes[k].time == time {
+            return;
+        }
+        self.nodes[k].time = time;
+        while k > 1 {
+            k /= 2;
+            let w = self.winner(k);
+            if self.nodes[k] == w {
+                return;
+            }
+            self.nodes[k] = w;
+        }
+    }
+
+    /// Recompute every match after overwriting the leading leaves with
+    /// `times` (slot order).
+    fn rebuild(&mut self, times: impl Iterator<Item = VirtualTime>) {
+        for (leaf, time) in self.nodes[self.cap..].iter_mut().zip(times) {
+            leaf.time = time;
+        }
+        for k in (1..self.cap).rev() {
+            self.nodes[k] = self.winner(k);
+        }
+    }
+}
 
 impl LpRuntime {
     /// Assemble an LP from its object runtimes. `objects` must be exactly
@@ -57,6 +159,7 @@ impl LpRuntime {
         for (i, o) in objects.iter().enumerate() {
             slot_of[o.id().index()] = i as u32;
         }
+        let n = objects.len();
         LpRuntime {
             id,
             objects,
@@ -65,6 +168,9 @@ impl LpRuntime {
             cost_acc: 0.0,
             cascade: VecDeque::new(),
             fresh: Vec::new(),
+            sched: Schedule::new(n),
+            touched: Vec::with_capacity(n),
+            dirty: vec![false; n],
         }
     }
 
@@ -84,6 +190,7 @@ impl LpRuntime {
         for o in &mut self.objects {
             o.init(&self.cost, &mut self.fresh);
         }
+        self.touch_all();
         self.route(out);
     }
 
@@ -108,17 +215,51 @@ impl LpRuntime {
             }
             self.cost_acc += self.cost.local_delivery;
             self.objects[slot as usize].deliver(ev, &self.cost, &mut self.fresh);
+            self.touch(slot as usize);
             self.cascade.extend(self.fresh.drain(..));
         }
     }
 
-    /// Receive time of the earliest unprocessed event across the LP's
-    /// objects (∞ when the whole LP is idle).
-    pub fn next_time(&self) -> VirtualTime {
+    /// `objects[slot]` was just called into — a delivery (insert,
+    /// annihilation, rollback) or an execution: bring its leaf of the
+    /// schedule index up to date and list it for the next cost drain.
+    #[inline]
+    fn touch(&mut self, slot: usize) {
+        self.sched.set(slot, self.objects[slot].next_time());
+        if !self.dirty[slot] {
+            self.dirty[slot] = true;
+            self.touched.push(slot as u32);
+        }
+    }
+
+    /// Every object was just called into behind `route`'s back (init,
+    /// in-place rollback, replay from a committed log): rebuild the
+    /// schedule index and list every slot for the next cost drain.
+    fn touch_all(&mut self) {
+        self.sched
+            .rebuild(self.objects.iter().map(|o| o.next_time()));
+        self.dirty.fill(true);
+        self.touched.clear();
+        self.touched.extend(0..self.objects.len() as u32);
+    }
+
+    /// The scheduler's choice by linear scan — what [`Schedule::min`]
+    /// must agree with. Reference for debug assertions only.
+    fn scan_choice(&self) -> Option<usize> {
         self.objects
             .iter()
-            .map(|o| o.next_time())
-            .fold(VirtualTime::INFINITY, VirtualTime::min)
+            .enumerate()
+            .filter(|(_, o)| o.next_time().is_finite())
+            .min_by_key(|(_, o)| o.next_time())
+            .map(|(i, _)| i)
+    }
+
+    /// Receive time of the earliest unprocessed event across the LP's
+    /// objects (∞ when the whole LP is idle). One read of the schedule
+    /// index, whatever the object count.
+    #[inline]
+    pub fn next_time(&self) -> VirtualTime {
+        self.sched.min().time
     }
 
     /// Lower bound this LP imposes on GVT (next events plus any unsent
@@ -131,21 +272,23 @@ impl LpRuntime {
     }
 
     /// Execute one event: the lowest-timestamp-first object is chosen,
-    /// mirroring WARPED's LP scheduler. Outgoing remote events land in
-    /// `out`. Returns `false` when the LP is idle.
+    /// mirroring WARPED's LP scheduler; among objects tied at that
+    /// timestamp, the one in the lowest slot. Outgoing remote events land
+    /// in `out`. Returns `false` when the LP is idle.
     pub fn process_one(&mut self, out: &mut Vec<Event>) -> bool {
-        let Some(best) = self
-            .objects
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.next_time().is_finite())
-            .min_by_key(|(_, o)| o.next_time())
-            .map(|(i, _)| i)
-        else {
+        let Entry { time, slot } = self.sched.min();
+        let best = time.is_finite().then_some(slot as usize);
+        debug_assert_eq!(
+            best,
+            self.scan_choice(),
+            "schedule index out of step with the objects"
+        );
+        let Some(best) = best else {
             return false;
         };
         let advanced = self.objects[best].process_next(&self.cost, &mut self.fresh);
         debug_assert!(advanced);
+        self.touch(best);
         self.route(out);
         true
     }
@@ -227,6 +370,7 @@ impl LpRuntime {
             self.fresh
                 .extend(o.rollback_to_horizon(horizon, &self.cost));
         }
+        self.touch_all();
         self.route(out);
     }
 
@@ -269,15 +413,30 @@ impl LpRuntime {
             self.fresh
                 .extend(raw.drain(..).filter(|ev| ev.recv_time >= horizon));
         }
+        self.touch_all();
         self.route(out);
     }
 
     /// Drain modeled CPU seconds charged since the last drain (object
-    /// work plus LP-level delivery overhead).
+    /// work plus LP-level delivery overhead). The sum is the LP's own
+    /// charges plus every object's *in slot order*: float addition does
+    /// not commute bit for bit, and the virtual executive's clock is
+    /// pinned to this order. Objects not called into since the last drain
+    /// hold exactly 0.0 and `x + 0.0 == x`, so only the touched ones are
+    /// visited — sorted first.
     pub fn take_cost(&mut self) -> f64 {
+        debug_assert!(
+            self.objects
+                .iter()
+                .zip(&self.dirty)
+                .all(|(o, &dirty)| dirty || o.pending_cost() == 0.0),
+            "an object was charged without being touched"
+        );
         let mut c = std::mem::replace(&mut self.cost_acc, 0.0);
-        for o in &mut self.objects {
-            c += o.take_cost();
+        self.touched.sort_unstable();
+        for slot in self.touched.drain(..) {
+            self.dirty[slot as usize] = false;
+            c += self.objects[slot as usize].take_cost();
         }
         c
     }
@@ -634,6 +793,75 @@ mod tests {
         );
         let got: Vec<_> = lp.objects().iter().map(|o| o.trace_digest()).collect();
         assert_eq!(got, want, "in-place rollback diverged from the original");
+    }
+
+    #[test]
+    fn schedule_prefers_the_lowest_slot_on_a_tie_and_never_a_padding_leaf() {
+        let t = VirtualTime::new;
+        // Five slots pad to eight leaves.
+        let mut s = Schedule::new(5);
+        assert!(s.min().time.is_infinite());
+        s.set(3, t(7));
+        s.set(1, t(7));
+        s.set(4, t(7));
+        assert_eq!((s.min().time, s.min().slot), (t(7), 1));
+        s.set(1, VirtualTime::INFINITY);
+        assert_eq!((s.min().time, s.min().slot), (t(7), 3));
+        s.set(3, t(9));
+        assert_eq!((s.min().time, s.min().slot), (t(7), 4));
+        s.set(4, VirtualTime::INFINITY);
+        assert_eq!((s.min().time, s.min().slot), (t(9), 3));
+        s.rebuild([t(4), t(2), t(2), VirtualTime::INFINITY, t(2)].into_iter());
+        assert_eq!((s.min().time, s.min().slot), (t(2), 1));
+        // No objects at all: one idle padding leaf.
+        assert!(Schedule::new(0).min().time.is_infinite());
+    }
+
+    #[test]
+    fn take_cost_adds_objects_in_slot_order_not_touch_order() {
+        // Slot 1 executes (charge 1.0) and sends to slot 0 (charges ε to
+        // the LP and ε to slot 0, ε = half an ulp of 1.0): the touch
+        // order is 1, 0. In slot order the sum is (ε + ε) + 1.0, exactly
+        // 1 + 2ε; in touch order (ε + 1.0) + ε rounds to 1.0 twice.
+        let half_ulp = f64::EPSILON / 2.0;
+        let cost = CostModel {
+            event_exec: 1.0,
+            state_save_fixed: 0.0,
+            queue_insert: half_ulp,
+            local_delivery: half_ulp,
+            ..CostModel::uniform_unit()
+        };
+        let part = Arc::new(Partition::round_robin(2, 1));
+        let ping = |peer| Ping {
+            peer: ObjectId(peer),
+            start: false,
+            state: PingState { bounces: 0 },
+        };
+        let objects = vec![(0, ping(1)), (1, ping(0))]
+            .into_iter()
+            .map(|(id, o)| ObjectRuntime::new(ObjectId(id), Box::new(o), ObjectPolicies::default()))
+            .collect();
+        let mut lp = LpRuntime::new(LpId(0), part, objects, cost);
+        let mut out = Vec::new();
+        lp.init(&mut out);
+        let mut w = PayloadWriter::new();
+        w.u64(1);
+        let ext = Event::new(
+            EventId {
+                sender: ObjectId(99),
+                serial: 0,
+            },
+            ObjectId(1),
+            VirtualTime::ZERO,
+            VirtualTime::new(5),
+            0,
+            w.finish(),
+        );
+        lp.deliver(vec![ext], &mut out);
+        lp.take_cost();
+        assert!(lp.process_one(&mut out));
+        assert_eq!(lp.take_cost(), 1.0 + f64::EPSILON);
+        assert_eq!(lp.take_cost(), 0.0, "drained");
     }
 
     #[test]

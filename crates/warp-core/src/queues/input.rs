@@ -89,10 +89,12 @@ impl InputQueue {
 
     /// Receive time of the next unprocessed event
     /// ([`VirtualTime::INFINITY`] when idle) — the object's contribution
-    /// to GVT alongside its LVT.
+    /// to GVT alongside its LVT. One load: the wheel caches its minimum's
+    /// key, which embeds the receive time, so the event is not visited.
     pub fn next_time(&self) -> VirtualTime {
-        self.next_unprocessed()
-            .map_or(VirtualTime::INFINITY, |e| e.recv_time)
+        self.pending
+            .min_key()
+            .map_or(VirtualTime::INFINITY, |k| k.recv_time)
     }
 
     /// Move the minimum pending event into the history, returning a

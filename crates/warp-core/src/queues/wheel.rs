@@ -27,9 +27,9 @@
 //!   64-tick window). Overflow holds events beyond the origin's 2^18
 //!   window — always strictly later than everything in the wheel.
 //! * After any mutation, if the wheel is non-empty the global minimum
-//!   lives in level 0 and its location is cached, so peeking the next
-//!   event (`&self`, called once per scheduler iteration for the GVT
-//!   contribution) is two array indexes.
+//!   lives in level 0 and its location and key are cached: peeking the
+//!   next event is two array indexes on `&self`, reading its key (all
+//!   `next_time()` needs) is one load.
 
 use crate::event::{Event, EventKey};
 use std::collections::BTreeMap;
@@ -109,7 +109,7 @@ impl PendingWheel {
     }
 
     /// The minimum-key pending event, if any. Two array indexes off the
-    /// cached location — safe to call once per scheduler iteration.
+    /// cached location.
     pub fn peek_min(&self) -> Option<&Event> {
         self.min
             .map(|(slot, idx, _)| &self.buckets[slot as usize][idx as usize])

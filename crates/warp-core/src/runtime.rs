@@ -218,6 +218,12 @@ impl ObjectRuntime {
         std::mem::replace(&mut self.cost_acc, 0.0)
     }
 
+    /// Modeled CPU seconds charged and not yet drained (the LP's debug
+    /// cross-check that it drains every object it should).
+    pub(crate) fn pending_cost(&self) -> f64 {
+        self.cost_acc
+    }
+
     /// Switch control-transition recording on or off (off by default).
     /// Recording is purely observational: it charges no modeled cost.
     pub fn set_record_control(&mut self, on: bool) {

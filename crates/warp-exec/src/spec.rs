@@ -121,8 +121,8 @@ impl SimulationSpec {
     }
 
     /// Instantiate a single LP runtime (the threaded executive builds LPs
-    /// where their threads live).
-    pub(crate) fn build_lp(&self, lp: LpId) -> LpRuntime {
+    /// where their threads live; kernel benchmarks drive one directly).
+    pub fn build_lp(&self, lp: LpId) -> LpRuntime {
         let objects = self
             .partition
             .objects_of(lp)

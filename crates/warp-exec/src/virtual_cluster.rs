@@ -226,13 +226,15 @@ impl Cluster {
             self.transmit(lp);
         }
 
-        // 3. Execute one event on the LP holding the earliest timestamp.
+        // 3. Execute one event on the LP holding the earliest timestamp
+        //    (the first such LP on a tie). Each `next_time()` is one read
+        //    of the LP's schedule index.
         let busiest = lp_list
             .iter()
-            .copied()
-            .filter(|&lp| self.lps[lp].next_time().is_finite())
-            .min_by_key(|&lp| self.lps[lp].next_time());
-        if let Some(lp) = busiest {
+            .map(|&lp| (self.lps[lp].next_time(), lp))
+            .filter(|(t, _)| t.is_finite())
+            .min_by_key(|&(t, _)| t);
+        if let Some((_, lp)) = busiest {
             let advanced = self.lps[lp].process_one(&mut self.remote);
             debug_assert!(advanced);
             self.steps += 1;

@@ -362,3 +362,91 @@ fn recorded_chi_trajectory_replays_through_a_fresh_tuner() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Golden pins: the on-line virtual run is deterministic down to the last
+// bit of its modeled clock. The clock is a float sum whose order follows
+// the LP scheduler's choices (which object runs on a timestamp tie) and
+// `LpRuntime::take_cost`'s slot order, so a scheduler that breaks a tie
+// differently or drains costs in another order moves these numbers long
+// before it moves a digest.
+// ---------------------------------------------------------------------
+
+/// The paper's on-line policy set, as the repository benchmark runs it
+/// (`bench/src/workloads.rs::online`).
+fn online(spec: SimulationSpec) -> SimulationSpec {
+    spec.with_policies(Arc::new(|_| {
+        ObjectPolicies::new(
+            Box::new(DynamicCancellation::dc(16, 0.45, 0.2, 16)),
+            Box::new(DynamicCheckpoint::new(1, 64, 64)),
+        )
+    }))
+    .with_aggregation(AggregationConfig::saaw(1e-3))
+}
+
+/// Every integer counter of the merged kernel statistics, in declaration
+/// order.
+fn counters(s: &warp_core::ObjectStats) -> [u64; 17] {
+    [
+        s.executed,
+        s.coasted,
+        s.rolled_back,
+        s.straggler_rollbacks,
+        s.anti_rollbacks,
+        s.states_saved,
+        s.states_restored,
+        s.sent,
+        s.anti_sent,
+        s.annihilated,
+        s.lazy_hits,
+        s.lazy_misses,
+        s.monitor_hits,
+        s.monitor_misses,
+        s.strategy_switches,
+        s.interval_adjustments,
+        s.fossils_collected,
+    ]
+}
+
+#[test]
+fn online_virtual_runs_are_pinned_to_the_bit() {
+    use warp_models::{RaidConfig, ServeConfig, SmmpConfig};
+    // Captured at the commit before the LP scheduler index went in.
+    let pins: [(&str, SimulationSpec, u64, [u64; 17]); 3] = [
+        (
+            "smmp",
+            SmmpConfig::small(150, 11).spec(),
+            0x3fd001153b14d9bc,
+            [
+                3228, 35, 1302, 53, 31, 1420, 84, 2110, 184, 184, 1133, 0, 128, 1, 8, 45, 4231,
+            ],
+        ),
+        (
+            "raid",
+            RaidConfig::small(60, 11).spec(),
+            0x3fdb5e60ed7d2b06,
+            [
+                1655, 9, 695, 41, 6, 1055, 47, 1271, 311, 311, 804, 0, 124, 10, 8, 20, 1723,
+            ],
+        ),
+        (
+            "serve",
+            ServeConfig::small(11).spec(),
+            0x3ff4d7d10589930f,
+            [
+                20333, 1009, 9054, 455, 176, 5537, 631, 14975, 3696, 3696, 1278, 628, 676, 1461,
+                32, 307, 25002,
+            ],
+        ),
+    ];
+    for (name, spec, completion_bits, kernel) in pins {
+        let r = run_virtual(&online(spec));
+        assert_eq!(
+            r.completion_seconds.to_bits(),
+            completion_bits,
+            "{name}: modeled completion moved ({} s)",
+            r.completion_seconds
+        );
+        assert_eq!(counters(&r.kernel), kernel, "{name}: kernel counters moved");
+    }
+}

@@ -13,7 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use warped_online::core::{LpId, LpRuntime, ObjectRuntime};
+use warped_online::core::{LpId, LpRuntime};
 use warped_online::models::PholdConfig;
 
 thread_local! {
@@ -83,14 +83,7 @@ fn an_executed_event_allocates_payload_output_copy_and_snapshot_only() {
         locality: 1.0,
         seed: 7,
     };
-    let spec = cfg.spec();
-    let objects = spec
-        .partition
-        .objects_of(LpId(0))
-        .iter()
-        .map(|&id| ObjectRuntime::new(id, (spec.objects)(id), (spec.policies)(id)))
-        .collect();
-    let mut lp = LpRuntime::new(LpId(0), spec.partition.clone(), objects, spec.cost.clone());
+    let mut lp = cfg.spec().build_lp(LpId(0));
     lp.init(&mut Vec::new());
 
     const WARM_UP: usize = 64 * ROUND;
