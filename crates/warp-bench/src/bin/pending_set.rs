@@ -12,7 +12,6 @@
 //! should write to a scratch path, not the checked-in artifact.
 
 use std::time::Instant;
-use warp_bench::dist_bench::{smoke, write_artifact};
 use warp_core::event::{Event, EventId, EventKey};
 use warp_core::queues::InputQueue;
 use warp_core::{ObjectId, VirtualTime};
@@ -259,7 +258,7 @@ fn main() {
     for size in SIZES {
         // The legacy queue pays an O(pending) memmove per insert, so the
         // op budget shrinks with the population to keep runs bounded.
-        let ops: u64 = if smoke() {
+        let ops: u64 = if std::env::var("WARP_BENCH_SMOKE").is_ok_and(|v| v == "1") {
             20_000
         } else if size >= 100_000 {
             200_000
@@ -298,5 +297,10 @@ fn main() {
         "sizes": serde_json::Value::Map(sizes_json),
         "speedup_at_100k": speedup_at_max,
     });
-    write_artifact(&out, &json);
+    std::fs::write(
+        &out,
+        serde_json::to_vec_pretty(&json).expect("serialize artifact"),
+    )
+    .unwrap_or_else(|e| panic!("write {out}: {e}"));
+    println!("written to {out}");
 }

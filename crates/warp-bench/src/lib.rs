@@ -10,9 +10,6 @@
 //! | `fig8_smmp_dyma` | Fig. 8 — SMMP execution time vs aggregate age (FAW/SAAW/none) |
 //! | `fig9_raid_dyma` | Fig. 9 — RAID execution time vs aggregate age |
 //! | `table_throughput` | §8 text — committed events/second baselines |
-//! | `phold_distributed` | `BENCH_phold_distributed.json` — real-mesh committed ev/s, transport × aggregation matrix |
-//! | `smmp_distributed` | `BENCH_smmp_distributed.json` — same matrix on the communication-bound SMMP model |
-//! | `transport_loopback` | `BENCH_transport_loopback.json` — raw threaded-vs-poll frame throughput + thread count |
 //! | `pending_set` | `BENCH_pending_set.json` — timing-wheel vs legacy sorted-`Vec` pending set ops/s (see `docs/hot-path.md`) |
 //!
 //! Experiments run on the deterministic virtual-cluster executive with
@@ -24,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dist_bench;
 pub mod svg;
 
 use serde::Serialize;

@@ -115,9 +115,9 @@
 //! delta chains under the new owner map, broadcasts [`Frame::Rebalance`]
 //! (workers abort their LP threads exactly as on a peer loss and
 //! re-announce `LISTEN`), then regroups into a new session whose
-//! `Resume` restores every LP on its *new* owner. Because restoration
-//! replays committed history through the normal kernel paths, the
-//! committed trace digest is unchanged by any migration. Migrations are
+//! resume stream restores every LP on its *new* owner. Because
+//! restoration replays committed history through the normal kernel paths,
+//! the committed trace digest is unchanged by any migration. Migrations are
 //! recorded as [`MigrationRecord`]s in the final report and as
 //! `Param::Assignment` control events in the telemetry trajectory.
 //!
@@ -203,8 +203,8 @@ use warp_balance::{Assignment, BalanceController, BalancePolicy, LpLoad};
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::{LpId, VirtualTime};
 use warp_elastic::{ElasticController, ElasticPolicy, ScaleDirection, ScalePlan};
-use warp_net::tcp::{bind_loopback, MeshEvent, MeshSender, TcpMeshConfig};
-use warp_net::{FaultPlan, Frame, Mesh, Transport};
+use warp_net::tcp::{bind_loopback, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
+use warp_net::{FaultPlan, Frame};
 use warp_telemetry::{ControlEvent, Param, TelemetryReport};
 
 /// Transport tuning for distributed runs. All knobs that used to be
@@ -237,13 +237,6 @@ pub struct NetTuning {
     /// follow-up `SessionLine`.
     #[serde(default)]
     pub orphan_grace_ms: u64,
-    /// Which mesh engine moves the bytes: the thread-per-link
-    /// [`warp_net::TcpMesh`] or the single event-loop
-    /// [`PollMesh`](warp_net::PollMesh). Purely an I/O-strategy choice;
-    /// wire protocol and semantics are identical, and mixed clusters
-    /// interoperate.
-    #[serde(default)]
-    pub transport: Transport,
     /// On-the-wire DyMA: initial per-link aggregation window in
     /// microseconds. 0 (the default) disables aggregation — every
     /// `Data` frame departs immediately, exactly the v7 behavior.
@@ -277,7 +270,6 @@ impl Default for NetTuning {
             connect_backoff_max_ms: 500,
             max_frame_bytes: 0,
             orphan_grace_ms: 0,
-            transport: Transport::Threaded,
             agg_window_us: 0,
             agg_adapt: true,
             agg_min_window_us: 0,
@@ -570,7 +562,8 @@ pub struct WorkerInit {
     /// Total LP count (drives the LP→process assignment).
     pub n_lps: u32,
     /// Session epoch to establish under (0 = fresh run; > 0 means this
-    /// process was spawned into a recovery and must await `Resume`).
+    /// process was spawned into a recovery and must await the resume
+    /// stream).
     #[serde(default)]
     pub session: u32,
     /// Every process's listen address, as `(proc_id, addr)` pairs.
@@ -1430,7 +1423,7 @@ fn run_cluster(
             }) => {
                 // A planned reconfiguration: not charged to the recovery
                 // budget. Re-key the stored chains so each worker's next
-                // `Resume` carries exactly the LPs it now owns.
+                // resume stream carries exactly the LPs it now owns.
                 st.session += 1;
                 st.probation = None;
                 match rekey_chains(&st.store.chains, next.n_workers(), |lp| next.proc_of(lp)) {
@@ -2051,7 +2044,7 @@ fn run_session_as_coordinator(
         // minimal.
         ..TcpMeshConfig::new(0, n_procs)
     };
-    let mesh = Mesh::establish(cfg.net.transport, mesh_cfg, listener, &[])?;
+    let mesh = TcpMesh::establish(mesh_cfg, listener, &[])?;
 
     if session > 0 {
         // Stream each worker's chain as a ResumeChunk sequence: the
@@ -2098,7 +2091,7 @@ fn resume_chunk_len(recovery: &RecoveryPolicy, net: &NetTuning) -> usize {
 /// sequence. Returns the number of chunks sent — always at least one,
 /// because the final chunk's `last` marker is what releases the worker.
 fn send_resume_chunks(
-    mesh: &Mesh,
+    mesh: &TcpMesh,
     to: u32,
     session: u32,
     gvt: VirtualTime,
@@ -2138,7 +2131,7 @@ fn send_resume_chunks(
 /// and ends as [`SessionEnd::Lost`] — the same recovery path a crash
 /// takes, so the cluster regroups under a fresh session epoch.
 fn coordinate(
-    mesh: &Mesh,
+    mesh: &TcpMesh,
     cfg: &DistConfig,
     deadline: Instant,
     admission: Option<&Admission>,
@@ -3080,7 +3073,7 @@ enum WorkerSessionEnd {
     /// A peer was lost; LP state is discarded, awaiting recovery.
     PeerLost(String),
     /// The coordinator announced a migration; LP state is discarded,
-    /// awaiting the new session's assignment and `Resume`.
+    /// awaiting the new session's assignment and resume stream.
     Rebalance,
     /// The coordinator retired this worker in a scale-in: its LPs are
     /// drained to the survivors via the checkpoint chains, `DrainAck`
@@ -3365,7 +3358,7 @@ fn run_session_as_worker(
         agg: init.net.agg_tuning(),
         ..TcpMeshConfig::new(init.proc_id, n_procs)
     };
-    let mesh = Mesh::establish(init.net.transport, mesh_cfg, listener, &peer_addrs)
+    let mesh = TcpMesh::establish(mesh_cfg, listener, &peer_addrs)
         .map_err(|e| format!("mesh establishment: {e}"))?;
 
     // Test hook: die like a killed worker — no Bye, no report — right
@@ -3391,8 +3384,7 @@ fn run_session_as_worker(
     // Session > 0: wait for the coordinator's resume stream (other
     // peers may already be running and sending — buffer their frames).
     // The payload arrives as an ordered ResumeChunk sequence reassembled
-    // here; the monolithic Resume frame is still honored for protocol
-    // compatibility.
+    // here.
     let mut backlog: Vec<(u32, Frame)> = Vec::new();
     let restore = if session > 0 {
         let wait = Duration::from_millis(init.net.liveness_ms.saturating_mul(10))
@@ -3407,20 +3399,6 @@ fn run_session_as_worker(
                 ));
             }
             match mesh.recv_timeout(Duration::from_millis(50)) {
-                Some(MeshEvent::Frame {
-                    frame:
-                        Frame::Resume {
-                            session: s,
-                            gvt,
-                            payload,
-                        },
-                    ..
-                }) => {
-                    if s != session {
-                        return Err(format!("Resume for session {s} inside session {session}"));
-                    }
-                    break Some((gvt, payload));
-                }
                 Some(MeshEvent::Frame {
                     frame:
                         Frame::ResumeChunk {
@@ -3652,22 +3630,22 @@ fn stash_retained(
 /// What the router hands back.
 enum RouteEnd {
     /// Told to stop (LP threads all finished).
-    Stopped(Mesh),
+    Stopped(TcpMesh),
     /// A peer was lost uncleanly; every local LP got `Packet::Abort`.
     Lost {
         /// The mesh, for the caller to slam shut.
-        mesh: Mesh,
+        mesh: TcpMesh,
         /// What the failure detector observed.
         detail: String,
     },
     /// The coordinator announced a migration; every local LP got
     /// `Packet::Abort` and the session ends on purpose.
-    Rebalance(Mesh),
+    Rebalance(TcpMesh),
     /// The coordinator retired this worker; every local LP got
     /// `Packet::Abort` and the caller must `DrainAck` and exit cleanly.
     Retire {
         /// The mesh, for the drain acknowledgement and clean close.
-        mesh: Mesh,
+        mesh: TcpMesh,
         /// The barrier horizon announced in the `Retire` frame.
         gvt: VirtualTime,
     },
@@ -3677,7 +3655,7 @@ enum RouteEnd {
 /// stop, fanning the checkpoint protocol out to the LP threads along
 /// the way. On an unclean peer loss, aborts every local LP and returns.
 fn route_inbound(
-    mesh: Mesh,
+    mesh: TcpMesh,
     locals: &[Option<Sender<Packet>>],
     stop: &AtomicBool,
     backlog: Vec<(u32, Frame)>,
@@ -3915,6 +3893,22 @@ mod tests {
         assert_eq!(back.handicap_us, 0);
         assert_eq!(back.handicap_events, 0);
         assert!(back.rejoin.is_none(), "pre-failover init = no parking");
+    }
+
+    #[test]
+    fn retired_transport_key_is_ignored() {
+        // Job files and init lines written while `NetTuning` still had
+        // a `transport` engine switch must keep loading: the key is
+        // dropped, everything beside it is honored.
+        let line = r#"{"proc_id":1,"n_procs":2,"n_lps":4,"peers":[[0,"127.0.0.1:1"]],
+                       "model":null,"connect_ms":1000,
+                       "net":{"heartbeat_ms":100,"liveness_ms":900,
+                              "connect_backoff_start_ms":20,"connect_backoff_max_ms":500,
+                              "transport":"Poll","agg_window_us":2000}}"#;
+        let back: WorkerInit = serde_json::from_str(line).unwrap();
+        assert_eq!(back.net.liveness_ms, 900);
+        assert_eq!(back.net.agg_window_us, 2000);
+        back.net.validate().unwrap();
     }
 
     #[test]

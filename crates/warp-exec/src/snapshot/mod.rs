@@ -5,10 +5,10 @@
 //! checkpoint. Workers ship these deltas to the coordinator inside
 //! `Frame::Snapshot` payloads; the coordinator accumulates one delta
 //! chain per worker and, on recovery, concatenates each worker's chain
-//! into a `Frame::Resume` payload. Restoring a worker replays the
-//! merged logs through the normal kernel paths
-//! ([`warp_core::LpRuntime::restore_committed`]), which regenerates
-//! both object state and the cross-checkpoint event frontier.
+//! into one resume payload (streamed as `Frame::ResumeChunk`s).
+//! Restoring a worker replays the merged logs through the normal
+//! kernel paths ([`warp_core::LpRuntime::restore_committed`]), which
+//! regenerates both object state and the cross-checkpoint event frontier.
 //!
 //! Everything is encoded with the canonical `warp_core::wire` layer so
 //! the snapshot format inherits the codec's determinism guarantees. The
@@ -204,7 +204,7 @@ pub(crate) fn decode_delta(
 }
 
 /// Concatenate a worker's accumulated delta payloads (oldest first)
-/// into one `Frame::Resume` payload.
+/// into one resume payload (sent as a `Frame::ResumeChunk` stream).
 pub(crate) fn encode_resume(deltas: &[Vec<u8>]) -> Vec<u8> {
     let mut w = PayloadWriter::new();
     w.u32(deltas.len() as u32);
@@ -214,7 +214,7 @@ pub(crate) fn encode_resume(deltas: &[Vec<u8>]) -> Vec<u8> {
     w.finish()
 }
 
-/// Split a `Frame::Resume` payload back into the ordered delta chain.
+/// Split a reassembled resume payload back into the ordered delta chain.
 /// A truncated final delta is an error, never a shorter chain: silently
 /// tolerating it would resume a worker from a partial history and
 /// commit a diverged trace.

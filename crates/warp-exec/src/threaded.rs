@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use warp_core::gvt::{GvtController, MatternAgent};
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::{Event, ObjectId, VirtualTime};
-use warp_net::{lane_mesh, Aggregator, Endpoint, LaneEndpoint, PhysMsg};
+use warp_net::{lane_mesh, Aggregator, LaneEndpoint, PhysMsg};
 
 /// Traffic multiplexed over the mesh. Shared with the distributed
 /// executive, whose TCP frames carry exactly these payloads (the
@@ -60,9 +60,9 @@ pub(crate) struct CkptPart {
 }
 
 /// What an LP needs from its transport. The threaded executive plugs in
-/// an in-process channel [`Endpoint`]; the distributed executive plugs
-/// in a port that routes local packets over channels and remote ones
-/// over the TCP mesh. LP ids are *global* — the LP loop itself never
+/// a [`LaneEndpoint`] of the SPSC lane mesh; the distributed executive
+/// plugs in a port that routes local packets over channels and remote
+/// ones over the TCP mesh. LP ids are *global* — the LP loop itself never
 /// knows whether a peer lives in this process.
 pub(crate) trait LpPort {
     /// This LP's global id.
@@ -112,24 +112,6 @@ pub(crate) trait LpPort {
     /// writers, readers, the inbound router) gives them the core here;
     /// the lane mesh has no such threads and does nothing.
     fn yield_core(&self) {}
-}
-
-impl LpPort for Endpoint<Packet> {
-    fn id(&self) -> usize {
-        Endpoint::id(self)
-    }
-    fn n_total(&self) -> usize {
-        self.n_peers()
-    }
-    fn send(&self, to: usize, p: Packet) {
-        Endpoint::send(self, to, p);
-    }
-    fn try_recv(&self) -> Option<Packet> {
-        Endpoint::try_recv(self)
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
-        Endpoint::recv_timeout(self, timeout)
-    }
 }
 
 impl LpPort for LaneEndpoint<Packet> {

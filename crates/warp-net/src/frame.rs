@@ -50,16 +50,16 @@
 //!   retained runtimes can roll back to.
 //! * `Bye` — graceful shutdown: the peer finished sending and will close
 //!   after draining. A connection that dies *without* `Bye` is a crash.
-//! * `Progress` / `SnapshotReq` / `Snapshot` / `SnapshotAck` / `Resume` —
-//!   the checkpoint/recovery plane. Workers report committed GVT
-//!   (`Progress`); the coordinator requests a checkpoint at a GVT
-//!   (`SnapshotReq`), each worker answers with its wire-encoded committed
+//! * `Progress` / `SnapshotReq` / `Snapshot` / `SnapshotAck` /
+//!   `ResumeChunk` — the checkpoint/recovery plane. Workers report
+//!   committed GVT (`Progress`); the coordinator requests a checkpoint
+//!   at a GVT (`SnapshotReq`), each worker answers with its wire-encoded committed
 //!   delta (`Snapshot`), the coordinator confirms persistence
 //!   (`SnapshotAck`, letting workers advance their fossil pin), and after
-//!   a failure `Resume` re-seeds a worker with the accumulated checkpoint
-//!   payload for a new session epoch. `ResumeChunk` (v5) streams that
-//!   payload as a contiguous sequence of bounded slices instead, so a
-//!   long job's delta chain is never limited by the frame-size cap.
+//!   a failure the accumulated checkpoint payload re-seeds each worker
+//!   for a new session epoch. It travels as a `ResumeChunk` stream (v5):
+//!   a contiguous sequence of bounded slices, so a long job's delta
+//!   chain is never limited by the frame-size cap.
 //!
 //! `Hello` additionally carries a *session epoch*: recovery re-establishes
 //! the mesh under an incremented session, so connection attempts left over
@@ -185,23 +185,15 @@ pub enum Frame {
         /// The persisted horizon.
         gvt: VirtualTime,
     },
-    /// Coordinator → worker at the start of a recovery session: rebuild
-    /// from the accumulated checkpoint payload and resume from `gvt`.
-    Resume {
-        /// The session epoch this resume belongs to.
-        session: u32,
-        /// The restore horizon (the last persisted checkpoint GVT).
-        gvt: VirtualTime,
-        /// Concatenated checkpoint deltas (schema owned by `warp-exec`).
-        payload: Vec<u8>,
-    },
-    /// Coordinator → worker: one slice of a streamed resume payload
-    /// (protocol v5). The coordinator splits the encoded checkpoint
-    /// chain at a configurable chunk size and sends the pieces in `seq`
-    /// order over the same FIFO link; the worker concatenates payloads
-    /// until `last` and then decodes exactly as it would a monolithic
-    /// [`Frame::Resume`]. This keeps individual frames far below the
-    /// frame-size cap no matter how long the delta chain has grown.
+    /// Coordinator → worker at the start of a recovery session: one
+    /// slice of the streamed resume payload (protocol v5) the worker
+    /// rebuilds from before resuming at `gvt`. The coordinator splits
+    /// the encoded checkpoint chain (schema owned by `warp-exec`) at a
+    /// configurable chunk size and sends the pieces in `seq` order over
+    /// the same FIFO link; the worker concatenates payloads until `last`
+    /// and then decodes the whole. This keeps individual frames far
+    /// below the frame-size cap no matter how long the delta chain has
+    /// grown.
     ResumeChunk {
         /// The session epoch this resume belongs to.
         session: u32,
@@ -241,7 +233,7 @@ pub enum Frame {
     /// Coordinator → workers: end this session cleanly at the checkpoint
     /// barrier so the cluster can regroup under a new LP assignment.
     /// Workers treat it like a planned recovery: abort local LP threads,
-    /// re-announce, and await the next session's `Resume`.
+    /// re-announce, and await the next session's resume stream.
     Rebalance {
         /// The checkpoint horizon the new session will resume from.
         gvt: VirtualTime,
@@ -304,7 +296,7 @@ const TAG_PROGRESS: u8 = 8;
 const TAG_SNAPSHOT_REQ: u8 = 9;
 const TAG_SNAPSHOT: u8 = 10;
 const TAG_SNAPSHOT_ACK: u8 = 11;
-const TAG_RESUME: u8 = 12;
+// 12 is retired (the monolithic `Resume`); do not reuse it.
 const TAG_TELEMETRY: u8 = 13;
 const TAG_LOAD_REPORT: u8 = 14;
 const TAG_REBALANCE: u8 = 15;
@@ -423,15 +415,6 @@ impl Frame {
             Frame::SnapshotAck { ckpt, gvt } => {
                 w.u8(TAG_SNAPSHOT_ACK).u32(*ckpt);
                 write_vt(&mut w, *gvt);
-            }
-            Frame::Resume {
-                session,
-                gvt,
-                payload,
-            } => {
-                w.u8(TAG_RESUME).u32(*session);
-                write_vt(&mut w, *gvt);
-                w.bytes(payload);
             }
             Frame::ResumeChunk {
                 session,
@@ -595,11 +578,6 @@ impl Frame {
             TAG_SNAPSHOT_ACK => Frame::SnapshotAck {
                 ckpt: r.u32().map_err(mal)?,
                 gvt: read_vt(&mut r).map_err(mal)?,
-            },
-            TAG_RESUME => Frame::Resume {
-                session: r.u32().map_err(mal)?,
-                gvt: read_vt(&mut r).map_err(mal)?,
-                payload: r.bytes().map_err(mal)?.to_vec(),
             },
             TAG_RESUME_CHUNK => {
                 let session = r.u32().map_err(mal)?;
@@ -838,11 +816,6 @@ mod tests {
                 ckpt: 3,
                 gvt: VirtualTime::new(17),
             },
-            Frame::Resume {
-                session: 2,
-                gvt: VirtualTime::new(17),
-                payload: vec![],
-            },
             Frame::ResumeChunk {
                 session: 2,
                 gvt: VirtualTime::new(17),
@@ -956,6 +929,8 @@ mod tests {
         let mut d = FrameDecoder::new();
         d.push(&raw);
         assert_eq!(d.next(), Err(FrameError::BadTag(0xEE)));
+        // The retired monolithic `Resume` tag is just another bad tag.
+        assert_eq!(Frame::decode_body(&[12]), Err(FrameError::BadTag(12)));
     }
 
     #[test]

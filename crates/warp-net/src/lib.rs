@@ -1,29 +1,24 @@
 //! # warp-net — communication substrate for the Time Warp kernel
 //!
-//! Three pieces:
+//! One path per level: lock-free lanes between the LP threads of a
+//! process, one TCP mesh between processes.
 //!
-//! * [`aggregate`] — Dynamic Message Aggregation (DyMA): per-LP buffers
-//!   that coalesce events to the same destination LP into physical
-//!   messages, under the policies of [`policy`] (unaggregated / FAW /
-//!   SAAW).
-//! * [`policy`] — the aggregation policy configurations, with the SAAW
-//!   adaptation law imported from `warp-control`.
+//! * [`aggregate`] + [`policy`] — Dynamic Message Aggregation (DyMA):
+//!   per-LP buffers that coalesce events to the same destination LP into
+//!   physical messages, under the unaggregated / FAW / SAAW policy
+//!   configurations (the SAAW adaptation law lives in `warp-control`).
 //! * [`spsc`] — the threaded executive's transport: a full mesh of
 //!   preallocated single-producer/single-consumer ring-buffer lanes
 //!   between LP threads (see `docs/hot-path.md`).
-//! * [`inproc`] — the channel-based predecessor of [`spsc`], kept as a
-//!   reference mesh with the same surface.
 //! * [`frame`] + [`tcp`] — the distributed executive's transport: a
 //!   length-prefixed, versioned frame codec over the canonical
-//!   `warp_core::wire` encoding, and a full TCP mesh of processes with
-//!   handshakes, heartbeats, and drain-then-close shutdown.
-//! * [`poll`] — the production data plane: the same mesh surface run by
-//!   a single readiness-driven event loop (nonblocking sockets, O(1)
-//!   threads per process) instead of two threads per link. Selected via
-//!   [`Transport::Poll`]; see `docs/data-plane.md`.
+//!   `warp_core::wire` encoding, and a full TCP mesh of processes (a
+//!   reader and a writer thread per link) with handshakes, heartbeats,
+//!   sequencing and drain-then-close shutdown. It is the only
+//!   inter-process engine; `docs/data-plane.md` records why.
 //! * [`wire_agg`] — on-the-wire DyMA (protocol v8): per-link
 //!   aggregation of outbound `Data` frames into `DataBatch` under a
-//!   SAAW-adapted window, shared by both transports.
+//!   SAAW-adapted window, run by each link's writer thread.
 //! * [`fault`] — deterministic, seeded fault injection (drop / duplicate
 //!   / delay / partition / crash) applied at the sending side of each TCP
 //!   link, so every recovery path is exercised reproducibly.
@@ -38,10 +33,7 @@
 pub mod aggregate;
 pub mod fault;
 pub mod frame;
-pub mod inproc;
-pub mod mesh_select;
 pub mod policy;
-pub mod poll;
 pub mod spsc;
 pub mod tcp;
 pub mod wire_agg;
@@ -49,10 +41,7 @@ pub mod wire_agg;
 pub use aggregate::{Aggregator, PhysMsg};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope, Selector};
 pub use frame::{Frame, FrameDecoder, FrameError, PROTO_VERSION};
-pub use inproc::{mesh, Endpoint};
-pub use mesh_select::{Mesh, Transport};
 pub use policy::AggregationConfig;
-pub use poll::PollMesh;
 pub use spsc::{lane_mesh, LaneEndpoint};
 pub use tcp::{bind_loopback, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
 pub use wire_agg::{AggTuning, LinkAggStats, LinkAggregator};

@@ -1,15 +1,11 @@
 //! Preallocated SPSC ring-buffer lanes for the threaded executive.
 //!
-//! The in-process channel mesh ([`crate::inproc`]) funnels every sender
-//! into one MPSC queue per receiver: each send is an allocation plus
-//! contended queue push. This module replaces it on the hot path with a
-//! dedicated single-producer/single-consumer ring per ordered LP pair —
-//! a slot write and two atomic stores per message, no allocation, no
-//! lock — while keeping the same mesh surface (`id` / `send` /
-//! `try_recv` / `recv_timeout`) so [`lane_mesh`] is a drop-in for
-//! [`crate::inproc::mesh`]. See `docs/hot-path.md`.
+//! Every ordered LP pair gets a dedicated single-producer/single-consumer
+//! ring: a send is a slot write and two atomic stores — no allocation,
+//! no lock, no queue shared between senders — behind a mesh surface of
+//! `id` / `send` / `try_recv` / `recv_timeout`. See `docs/hot-path.md`.
 //!
-//! Semantics preserved from the channel mesh:
+//! Semantics:
 //!
 //! * FIFO per ordered sender→receiver pair (a ring is a FIFO; when it
 //!   fills, messages spill into an unbounded overflow queue that drains
@@ -199,8 +195,7 @@ impl Doorbell {
 }
 
 /// One LP's view of the lane mesh: the producer ends of its outgoing
-/// lanes and the consumer ends of its incoming ones. API-compatible
-/// with [`crate::inproc::Endpoint`].
+/// lanes and the consumer ends of its incoming ones.
 pub struct LaneEndpoint<T> {
     id: usize,
     /// `tx[to]`: this endpoint is the unique producer.

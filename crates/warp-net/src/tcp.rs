@@ -1,10 +1,12 @@
 //! TCP process mesh for the distributed executive.
 //!
-//! A [`TcpMesh`] is the multi-process analogue of [`inproc::mesh`]: a
-//! full mesh of loopback-or-LAN TCP connections between `n_procs`
-//! processes, carrying [`Frame`]s instead of in-memory packets. The
-//! surface mirrors `inproc::Endpoint` — `send`, `try_recv`,
-//! `recv_timeout` — so the executive layer can route over either.
+//! A [`TcpMesh`] is the multi-process analogue of the threaded
+//! executive's [`lane_mesh`](crate::spsc::lane_mesh): a full mesh of
+//! loopback-or-LAN TCP connections between `n_procs` processes,
+//! carrying [`Frame`]s instead of in-memory packets, with the same
+//! `send` / `try_recv` / `recv_timeout` surface. It is the only
+//! inter-process engine (`docs/data-plane.md` records the measurement
+//! that retired the single-event-loop alternative).
 //!
 //! Establishment is deterministic: process `i` *dials* every peer with a
 //! lower id (with retry + exponential backoff, so start-up order does not
@@ -34,8 +36,6 @@
 //! [`Frame::Bye`], flushes, closes the write half, and keeps draining
 //! the read half until the peer's own `Bye` arrives, so no in-flight
 //! frame is lost to teardown.
-//!
-//! [`inproc::mesh`]: crate::inproc::mesh
 
 use crate::fault::{DataFate, FaultPlan, LinkChaos};
 use crate::frame::{Frame, FrameDecoder, PROTO_VERSION};
@@ -109,7 +109,7 @@ impl TcpMeshConfig {
 
     /// The aggregation tuning a link of this mesh should run, with the
     /// byte cap pinned to the mesh frame cap.
-    pub(crate) fn link_agg_tuning(&self) -> Option<AggTuning> {
+    fn link_agg_tuning(&self) -> Option<AggTuning> {
         self.agg.as_ref().filter(|a| a.enabled()).map(|a| {
             let mut t = a.clone();
             t.max_frame_bytes = self.max_frame_bytes;
@@ -200,7 +200,7 @@ pub enum MeshEvent {
     },
 }
 
-pub(crate) enum WriterCmd {
+enum WriterCmd {
     Frame(Frame),
     Shutdown,
 }
@@ -221,21 +221,13 @@ struct Peer {
     reader: JoinHandle<()>,
 }
 
-/// How a [`MeshSender`] reaches the link machinery: the threaded mesh
-/// owns one command channel per link writer; the poll mesh multiplexes
-/// every link through its single event loop.
-#[derive(Clone)]
-pub(crate) enum SenderInner {
-    PerLink(Vec<Option<Sender<WriterCmd>>>),
-    Shared(Sender<(u32, WriterCmd)>),
-}
-
 /// A cloneable sending half of the mesh, for threads that only transmit.
 #[derive(Clone)]
 pub struct MeshSender {
-    pub(crate) proc_id: u32,
-    pub(crate) inner: SenderInner,
-    pub(crate) loopback: Sender<MeshEvent>,
+    proc_id: u32,
+    /// One command channel per link writer (`None` at our own id).
+    cmd_txs: Vec<Option<Sender<WriterCmd>>>,
+    loopback: Sender<MeshEvent>,
 }
 
 impl MeshSender {
@@ -250,15 +242,8 @@ impl MeshSender {
             });
             return;
         }
-        match &self.inner {
-            SenderInner::PerLink(cmd_txs) => {
-                if let Some(Some(tx)) = cmd_txs.get(to as usize) {
-                    let _ = tx.send(WriterCmd::Frame(frame));
-                }
-            }
-            SenderInner::Shared(tx) => {
-                let _ = tx.send((to, WriterCmd::Frame(frame)));
-            }
+        if let Some(Some(tx)) = self.cmd_txs.get(to as usize) {
+            let _ = tx.send(WriterCmd::Frame(frame));
         }
     }
 }
@@ -293,12 +278,11 @@ impl TcpMesh {
     pub fn sender(&self) -> MeshSender {
         MeshSender {
             proc_id: self.cfg.proc_id,
-            inner: SenderInner::PerLink(
-                self.peers
-                    .iter()
-                    .map(|p| p.as_ref().map(|p| p.cmd_tx.clone()))
-                    .collect(),
-            ),
+            cmd_txs: self
+                .peers
+                .iter()
+                .map(|p| p.as_ref().map(|p| p.cmd_tx.clone()))
+                .collect(),
             loopback: self.event_tx.clone(),
         }
     }
@@ -444,12 +428,9 @@ impl TcpMesh {
 const ACCEPT_HS_FLOOR: Duration = Duration::from_secs(2);
 
 /// Dial every lower-id peer and accept every higher-id one, handshakes
-/// included: the transport-independent half of mesh establishment,
-/// shared by the threaded mesh and the poll mesh. Returns one
-/// `(connected stream, decoder-with-residue)` per peer slot (`None` at
-/// our own id). Streams are left in *blocking* mode; the caller picks
-/// its I/O discipline.
-pub(crate) fn establish_links(
+/// included. Returns one `(connected stream, decoder-with-residue)` per
+/// peer slot (`None` at our own id); streams are left in blocking mode.
+fn establish_links(
     cfg: &TcpMeshConfig,
     listener: TcpListener,
     peer_addrs: &[(u32, SocketAddr)],
@@ -697,8 +678,7 @@ fn handshake(
 
 /// Per-link outbound state: data-frame sequence stamping, fault
 /// injection, and the buffer of frames a `Delay` rule is holding back.
-/// Shared by the threaded writer and the poll loop.
-pub(crate) struct LinkTx {
+struct LinkTx {
     next_seq: u64,
     chaos: Option<LinkChaos>,
     /// Control-plane (`Token`/`GvtNews`) chaos: its own rule stream with
@@ -713,11 +693,11 @@ pub(crate) struct LinkTx {
     /// whose transmission releases them.
     held: Vec<(u64, Vec<u8>)>,
     /// A `Partition` rule fired: the link is silent for the session.
-    pub(crate) partitioned: bool,
+    partitioned: bool,
 }
 
 impl LinkTx {
-    pub(crate) fn new(chaos: Option<LinkChaos>, ctl_chaos: Option<LinkChaos>) -> Self {
+    fn new(chaos: Option<LinkChaos>, ctl_chaos: Option<LinkChaos>) -> Self {
         LinkTx {
             next_seq: 0,
             chaos,
@@ -733,7 +713,7 @@ impl LinkTx {
     /// fault rules. Data frames consume a sequence number even when a
     /// fault swallows them — that is exactly what makes the loss visible
     /// to the receiver as a gap.
-    pub(crate) fn stage(&mut self, mut frame: Frame, out: &mut Vec<u8>) {
+    fn stage(&mut self, mut frame: Frame, out: &mut Vec<u8>) {
         if self.partitioned {
             return;
         }
@@ -809,7 +789,7 @@ impl LinkTx {
 
     /// Release everything still held — on idle and before `Bye`, so a
     /// delayed frame is never lost to quiescence or shutdown.
-    pub(crate) fn flush_held(&mut self, out: &mut Vec<u8>) {
+    fn flush_held(&mut self, out: &mut Vec<u8>) {
         if self.partitioned {
             return;
         }
@@ -957,7 +937,7 @@ fn writer_loop(
 
 /// What [`LinkRx::on_frame`] concluded about one decoded frame.
 #[derive(Debug)]
-pub(crate) enum RxStatus {
+enum RxStatus {
     /// Keep reading.
     Open,
     /// The peer ended its stream with `Bye`; unclean when a sequence
@@ -968,10 +948,8 @@ pub(crate) enum RxStatus {
 }
 
 /// Per-link inbound state: data-frame deduplication, reorder buffering
-/// and gap tracking, plus `DataBatch` fan-out. Shared by the threaded
-/// reader and the poll loop so sequencing semantics cannot diverge
-/// between transports.
-pub(crate) struct LinkRx {
+/// and gap tracking, plus `DataBatch` fan-out.
+struct LinkRx {
     /// The next expected data-frame sequence number.
     expected_seq: u64,
     /// Frames that arrived ahead of a gap, keyed by sequence.
@@ -981,7 +959,7 @@ pub(crate) struct LinkRx {
 }
 
 impl LinkRx {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         LinkRx {
             expected_seq: 0,
             ahead: BTreeMap::new(),
@@ -1009,12 +987,7 @@ impl LinkRx {
 
     /// Feed one decoded frame through the sequencing machinery,
     /// emitting deliverable frames on `events`.
-    pub(crate) fn on_frame(
-        &mut self,
-        frame: Frame,
-        peer: u32,
-        events: &Sender<MeshEvent>,
-    ) -> RxStatus {
+    fn on_frame(&mut self, frame: Frame, peer: u32, events: &Sender<MeshEvent>) -> RxStatus {
         match frame {
             Frame::Heartbeat => RxStatus::Open,
             Frame::Bye => {
@@ -1082,7 +1055,7 @@ impl LinkRx {
     /// A gap that outlives the liveness budget means the frame was
     /// lost, not reordered — there is no retransmission, so the link is
     /// broken for good. Returns the lost sequence number.
-    pub(crate) fn gap_expired(&self, liveness: Duration) -> Option<u64> {
+    fn gap_expired(&self, liveness: Duration) -> Option<u64> {
         self.gap_since
             .and_then(|t| (t.elapsed() > liveness).then_some(self.expected_seq))
     }
@@ -1532,6 +1505,58 @@ mod tests {
         assert!(!clean);
         m0.abort();
         m1.abort();
+    }
+
+    #[test]
+    fn aggregated_stream_arrives_in_order_with_fewer_frames() {
+        let mut cfg0 = fast_cfg(0, 2);
+        cfg0.agg = Some(AggTuning {
+            window_us: 2_000,
+            min_window_us: 100,
+            max_window_us: 20_000,
+            adapt: true,
+            max_batch: 64,
+            ..AggTuning::default()
+        });
+        let (m0, m1) = pair_with(cfg0, fast_cfg(1, 2));
+        for epoch in 0..50 {
+            m0.send(1, data(epoch));
+        }
+        assert_eq!(recv_data_epochs(&m1, 50), (0..50).collect::<Vec<_>>());
+        let stats = m0.agg_stats();
+        assert_eq!(stats.len(), 1);
+        assert!(
+            stats[0].frames_saved > 0,
+            "50 rapid sends never coalesced: {stats:?}"
+        );
+        // A GVT-critical frame behind the data stream keeps FIFO order.
+        m0.send(1, token(99));
+        assert_eq!(expect_frame(&m1), (0, token(99)));
+        m0.shutdown();
+        m1.shutdown();
+    }
+
+    #[test]
+    fn shutdown_flushes_the_open_aggregate() {
+        let mut cfg0 = fast_cfg(0, 2);
+        cfg0.agg = Some(AggTuning {
+            // A window far beyond the test's patience: only the
+            // shutdown drain can deliver these frames.
+            window_us: 5_000_000,
+            min_window_us: 100,
+            max_window_us: 10_000_000,
+            adapt: false,
+            max_batch: 64,
+            ..AggTuning::default()
+        });
+        let (m0, m1) = pair_with(cfg0, fast_cfg(1, 2));
+        for epoch in 0..5 {
+            m0.send(1, data(epoch));
+        }
+        m0.shutdown();
+        assert_eq!(recv_data_epochs(&m1, 5), vec![0, 1, 2, 3, 4]);
+        assert_eq!(expect_down(&m1), (0, true));
+        m1.shutdown();
     }
 
     #[test]

@@ -30,10 +30,9 @@
 //! * **Close** — the link is shutting down; residue departs unbatched
 //!   of its window.
 //!
-//! Aggregation is transport-independent: the threaded writer loop and
-//! the poll event loop both drive the same `offer`/`poll_expired`
-//! surface, so behavior (and telemetry) is identical under either
-//! transport.
+//! The aggregator does no I/O of its own: the link's writer thread
+//! drives the `offer`/`poll_expired`/`close` surface and stamps and
+//! writes whatever departs.
 
 use crate::frame::Frame;
 use serde::{Deserialize, Serialize};
@@ -185,9 +184,9 @@ struct Entry {
     msg: crate::aggregate::PhysMsg,
 }
 
-/// The per-link aggregation engine. Owned by whichever loop writes the
-/// link (threaded writer thread or the poll loop); publishes gauges
-/// through a shared handle so the executive can read them mid-run.
+/// The per-link aggregation engine. Owned by the link's writer thread;
+/// publishes gauges through a shared handle so the executive can read
+/// them mid-run.
 pub struct LinkAggregator {
     tuning: AggTuning,
     law: Option<SaawLaw>,
@@ -289,7 +288,7 @@ impl LinkAggregator {
     }
 
     /// Flush if the window has aged out. Drive this from the link's
-    /// wakeup machinery (writer timeout / poll deadline).
+    /// wakeup machinery (the writer's `recv_timeout`).
     pub fn poll_expired(&mut self, now: Instant) -> Vec<Frame> {
         match self.opened_at {
             Some(t) if now.duration_since(t) >= self.window => self.flush(FlushCause::Expiry, now),

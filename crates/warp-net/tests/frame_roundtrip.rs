@@ -170,16 +170,6 @@ fn arb_frame() -> BoxedStrategy<Frame> {
         (
             any::<u32>(),
             any::<u64>(),
-            proptest::collection::vec(any::<u8>(), 0..128),
-        )
-            .prop_map(|(session, gvt, payload)| Frame::Resume {
-                session,
-                gvt: VirtualTime::from_ticks(gvt),
-                payload,
-            }),
-        (
-            any::<u32>(),
-            any::<u64>(),
             any::<u32>(),
             any::<bool>(),
             proptest::collection::vec(any::<u8>(), 0..128),

@@ -3,11 +3,11 @@
 //! collection — cross-checked against the sequential golden model.
 //!
 //! ```text
-//! cargo run --release --example phold_parallel [n_lps] [ttl] [--transport inproc|tcp] [--telemetry OUT.jsonl]
+//! cargo run --release --example phold_parallel [n_lps] [ttl] [--transport threads|tcp] [--telemetry OUT.jsonl]
 //! ```
 //!
-//! `--transport inproc` (default) runs every LP as a thread in this
-//! process over lossless channels. `--transport tcp` runs the same
+//! `--transport threads` (default) runs every LP as a thread in this
+//! process over the SPSC lane mesh. `--transport tcp` runs the same
 //! model through the distributed executive: a coordinator plus two
 //! `warp-worker` processes exchanging frames over loopback TCP. Both
 //! print committed-events/sec and verify the committed history against
@@ -54,14 +54,14 @@ fn worker_bin() -> PathBuf {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut transport = "inproc".to_string();
+    let mut transport = "threads".to_string();
     let mut telemetry_out: Option<PathBuf> = None;
     let mut positional = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         if a == "--transport" {
             transport = it.next().unwrap_or_else(|| {
-                eprintln!("--transport needs a value: inproc | tcp");
+                eprintln!("--transport needs a value: threads | tcp");
                 std::process::exit(2);
             });
         } else if let Some(v) = a.strip_prefix("--transport=") {
@@ -107,7 +107,7 @@ fn main() {
     println!("{}", seq.summary_line());
 
     let par = match transport.as_str() {
-        "inproc" => run_threaded(&spec),
+        "threads" => run_threaded(&spec),
         "tcp" => {
             let job = ClusterJob {
                 collect_traces: true,
@@ -122,7 +122,7 @@ fn main() {
                 })
         }
         other => {
-            eprintln!("unknown transport {other:?}: expected inproc | tcp");
+            eprintln!("unknown transport {other:?}: expected threads | tcp");
             std::process::exit(2);
         }
     };
@@ -156,7 +156,7 @@ fn main() {
         println!("telemetry written to {}", path.display());
     }
 
-    if transport == "inproc" {
+    if transport == "threads" {
         // And once more with GVT + fossil collection on (memory-bounded).
         let spec = cfg.spec().with_gvt_period(Some(0.01));
         let par = run_threaded(&spec);

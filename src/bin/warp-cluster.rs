@@ -9,7 +9,7 @@
 //!              [--balance] [--slow PROC:MICROS[:EVENTS]] [--store-dir DIR]
 //!              [--elastic] [--min-workers N] [--max-workers N] [--admit-file PATH]
 //!              [--max-frame-bytes N] [--resume-chunk-bytes N]
-//!              [--transport threaded|poll] [--agg-window US] [--agg-fixed]
+//!              [--agg-window US] [--agg-fixed]
 //!              [--rejoin-grace MS] [--supervise]
 //! warp-cluster --resume STORE_DIR [--workers N] [--timeout SECS]
 //!              [--telemetry OUT.jsonl] [--admit-file PATH]
@@ -42,11 +42,9 @@
 //! the streamed resume chunks (both override the job's `net`/`recovery`
 //! settings).
 //!
-//! `--transport threaded|poll` picks the mesh engine (thread-per-link
-//! vs. the single readiness-driven event loop; see
-//! `docs/data-plane.md`). `--agg-window US` turns on on-the-wire DyMA
-//! with an initial per-link window of `US` microseconds, SAAW-adapted
-//! unless `--agg-fixed` pins it.
+//! `--agg-window US` turns on on-the-wire DyMA with an initial per-link
+//! window of `US` microseconds, SAAW-adapted unless `--agg-fixed` pins
+//! it (see `docs/data-plane.md`).
 //!
 //! `--rejoin-grace MS` arms coordinator fail-over (implies recovery;
 //! needs `--store-dir`): the coordinator journals its control-plane
@@ -78,7 +76,7 @@ fn usage() -> ! {
          \x20                [--balance] [--slow PROC:MICROS[:EVENTS]] [--store-dir DIR]\n\
          \x20                [--elastic] [--min-workers N] [--max-workers N] [--admit-file PATH]\n\
          \x20                [--max-frame-bytes N] [--resume-chunk-bytes N]\n\
-         \x20                [--transport threaded|poll] [--agg-window US] [--agg-fixed]\n\
+         \x20                [--agg-window US] [--agg-fixed]\n\
          \x20                [--rejoin-grace MS] [--supervise]\n\
          \x20      warp-cluster --resume STORE_DIR [--workers N] [--timeout SECS]\n\
          \x20                [--telemetry OUT.jsonl] [--admit-file PATH]\n\
@@ -129,7 +127,6 @@ fn run() -> Result<(), String> {
     let mut store_dir: Option<String> = None;
     let mut max_frame_bytes: Option<u64> = None;
     let mut resume_chunk_bytes: Option<u64> = None;
-    let mut transport: Option<warp_net::Transport> = None;
     let mut agg_window_us: Option<u64> = None;
     let mut agg_fixed = false;
     let mut resume: Option<PathBuf> = None;
@@ -213,11 +210,6 @@ fn run() -> Result<(), String> {
                         .unwrap_or_else(|| usage()),
                 );
                 job_flags.push("--resume-chunk-bytes");
-            }
-            "--transport" => {
-                let spec = argv.next().unwrap_or_else(|| usage());
-                transport = Some(warp_net::Transport::parse(&spec).unwrap_or_else(|_| usage()));
-                job_flags.push("--transport");
             }
             "--agg-window" => {
                 agg_window_us = Some(
@@ -336,9 +328,6 @@ fn run() -> Result<(), String> {
     }
     if let Some(n) = resume_chunk_bytes {
         job.recovery.resume_chunk_bytes = n;
-    }
-    if let Some(t) = transport {
-        job.net.transport = t;
     }
     if let Some(us) = agg_window_us {
         job.net.agg_window_us = us;

@@ -2,8 +2,8 @@
 //! real worker processes.
 //!
 //! Two layers of checks. First, the digest matrix: sequential vs
-//! threaded vs distributed (threaded × poll transports, SAAW
-//! aggregation, and a worker crash mid-run) must all commit the
+//! threaded vs distributed (plain, under SAAW on-the-wire
+//! aggregation, and through a worker crash mid-run) must all commit the
 //! byte-identical history — the golden-model contract every other
 //! workload honors. Second, the reason SERVE exists: a diurnal burst
 //! wave with hot-tenant skew must make the balance controller migrate
@@ -17,7 +17,7 @@ use warp_balance::BalancePolicy;
 use warp_elastic::ElasticPolicy;
 use warp_exec::distributed::{NetTuning, RecoveryPolicy};
 use warp_exec::{run_sequential, run_threaded};
-use warp_net::{FaultPlan, Transport};
+use warp_net::FaultPlan;
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
 use warped_online::models::ServeConfig;
 
@@ -93,11 +93,10 @@ fn serve_two_workers_commit_the_sequential_history() {
 }
 
 #[test]
-fn serve_poll_with_saaw_aggregation_commits_the_sequential_history() {
+fn serve_with_saaw_aggregation_commits_the_sequential_history() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let job = ClusterJob {
         net: NetTuning {
-            transport: Transport::Poll,
             agg_window_us: 2_000,
             agg_adapt: true,
             ..NetTuning::default()
@@ -109,7 +108,7 @@ fn serve_poll_with_saaw_aggregation_commits_the_sequential_history() {
     let saved: u64 = dist.wire_agg.iter().map(|l| l.frames_saved).sum();
     assert!(
         saved > 0,
-        "an open-arrival pipeline over poll should give SAAW pairs to coalesce"
+        "an open-arrival pipeline should give SAAW pairs to coalesce"
     );
 }
 
