@@ -1,4 +1,4 @@
-//! `BENCH_pending_set.json` — pending-set microbench: the timing-wheel
+//! `pending_set OUT.json` — pending-set microbench: the timing-wheel
 //! [`InputQueue`] against a faithful replica of the legacy sorted-`Vec` +
 //! cursor queue it replaced, on an identical deterministic
 //! insert/pop/rollback/fossil mix at 1k and 100k pending events.
@@ -8,8 +8,9 @@
 //! implementations ever diverge. Reported per (queue, pending-size)
 //! cell: operations per second over the steady-state mix.
 //!
-//! `WARP_BENCH_SMOKE=1` shrinks the iteration counts for CI; smoke runs
-//! should write to a scratch path, not the checked-in artifact.
+//! The output path is a required argument — no artifact is checked in;
+//! the measured table lives in `docs/hot-path.md` §1.
+//! `WARP_BENCH_SMOKE=1` shrinks the iteration counts for CI.
 
 use std::time::Instant;
 use warp_core::event::{Event, EventId, EventKey};
@@ -248,9 +249,10 @@ fn run_mix<Q: PendingSet>(q: &mut Q, size: usize, ops: u64, seed: u64) -> MixRes
 }
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_pending_set.json".into());
+    let Some(out) = std::env::args().nth(1) else {
+        eprintln!("usage: pending_set OUT.json");
+        std::process::exit(2);
+    };
     let seed = 11u64;
     println!("== BENCH pending_set — insert/pop/rollback mix, wheel vs legacy sorted Vec ==");
     let mut sizes_json: Vec<(String, serde_json::Value)> = Vec::new();

@@ -10,7 +10,7 @@
 //! | `fig8_smmp_dyma` | Fig. 8 — SMMP execution time vs aggregate age (FAW/SAAW/none) |
 //! | `fig9_raid_dyma` | Fig. 9 — RAID execution time vs aggregate age |
 //! | `table_throughput` | §8 text — committed events/second baselines |
-//! | `pending_set` | `BENCH_pending_set.json` — timing-wheel vs legacy sorted-`Vec` pending set ops/s (see `docs/hot-path.md`) |
+//! | `pending_set` | `OUT.json` (path argument) — timing-wheel vs legacy sorted-`Vec` pending set ops/s (see `docs/hot-path.md`) |
 //!
 //! Experiments run on the deterministic virtual-cluster executive with
 //! the SPARC/10 Mb-Ethernet cost model; "execution time" is modeled

@@ -186,11 +186,6 @@ pub struct RunReport {
     /// trajectory (`None` unless the spec enabled telemetry).
     #[serde(default)]
     pub telemetry: Option<TelemetryReport>,
-    /// Per-link on-the-wire aggregation gauges from the distributed
-    /// data plane, one entry per (worker, peer) link (empty when wire
-    /// aggregation was off or the executive has no wire).
-    #[serde(default)]
-    pub wire_agg: Vec<warp_net::LinkAggStats>,
     /// Resume and checkpoint-store accounting (all zero outside the
     /// distributed executive). Kept last so legacy reports parse.
     #[serde(default)]
@@ -333,7 +328,6 @@ mod tests {
             migrations: Vec::new(),
             scales: Vec::new(),
             telemetry: None,
-            wire_agg: Vec::new(),
             resume: ResumeStats::default(),
             per_lp: vec![LpSummary {
                 lp: 0,

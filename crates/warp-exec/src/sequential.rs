@@ -208,7 +208,6 @@ pub fn run_sequential(spec: &SimulationSpec) -> RunReport {
         migrations: Vec::new(),
         scales: Vec::new(),
         telemetry: None,
-        wire_agg: Vec::new(),
         resume: Default::default(),
     }
 }

@@ -197,7 +197,6 @@ pub fn run_threaded(spec: &SimulationSpec) -> RunReport {
         migrations: Vec::new(),
         scales: Vec::new(),
         telemetry,
-        wire_agg: Vec::new(),
         resume: Default::default(),
     }
 }

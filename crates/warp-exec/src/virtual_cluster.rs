@@ -579,7 +579,6 @@ pub fn run_virtual_inspect(
         telemetry: crate::threaded::merge_telemetry(
             recorders.into_iter().map(warp_telemetry::Recorder::finish),
         ),
-        wire_agg: Vec::new(),
         resume: Default::default(),
     }
 }

@@ -16,11 +16,6 @@
 //!   mismatch aborts the connection before any simulation traffic.
 //! * `Data` — a physical message (aggregated events) tagged with the
 //!   sender's Mattern epoch.
-//! * `DataBatch` — several physical messages for the same link coalesced
-//!   under the adaptive aggregation window (v8). Consumes one link
-//!   sequence number for the whole batch; receivers fan the entries out
-//!   in order, so delivery is indistinguishable from the unbatched
-//!   stream.
 //! * `Token` / `GvtNews` — the circulating GVT token and the controller's
 //!   round results, addressed to a destination LP so the receiving
 //!   process can route them to the right LP thread.
@@ -83,10 +78,11 @@ use warp_core::{LpId, VirtualTime};
 /// chunked `ResumeChunk` stream replacing monolithic `Resume` payloads.
 /// v6: the elastic membership plane (`Join`, `Retire`, `DrainAck`).
 /// v7: the failover plane (`Reattach` — a parked worker re-admitting
-/// itself to a restarted coordinator). v8: the on-the-wire aggregation
-/// batch (`DataBatch` — several same-link physical messages coalesced
-/// under the adaptive DyMA window into one frame).
-pub const PROTO_VERSION: u16 = 8;
+/// itself to a restarted coordinator). v8: a per-link batch frame (tag
+/// 21). v9: that frame is gone again — events are aggregated once, by
+/// the LP's DyMA buffers — so a v8 peer, which could still send one, is
+/// refused at `Hello`.
+pub const PROTO_VERSION: u16 = 9;
 
 /// Default upper bound on a frame body. Protects the decoder from
 /// allocating gigabytes off a corrupt or malicious length prefix.
@@ -118,20 +114,6 @@ pub enum Frame {
         epoch: u32,
         /// The physical message (src/dst LPs + events).
         msg: PhysMsg,
-    },
-    /// Several physical messages for the same link, coalesced under the
-    /// on-the-wire aggregation window (v8). Semantically identical to a
-    /// run of [`Frame::Data`] frames in entry order: the batch consumes
-    /// exactly one link sequence number, so the receiver's
-    /// dedup/reorder/gap machinery treats it as a single unit, then
-    /// fans the entries out to LPs in order. Each entry keeps its own
-    /// Mattern epoch — entries staged on either side of an epoch bump
-    /// may share a batch.
-    DataBatch {
-        /// Per-link monotone sequence number for the whole batch.
-        seq: u64,
-        /// `(epoch, msg)` pairs in original send order.
-        entries: Vec<(u32, PhysMsg)>,
     },
     /// The circulating GVT token, addressed to a specific LP.
     Token {
@@ -305,7 +287,7 @@ const TAG_JOIN: u8 = 17;
 const TAG_RETIRE: u8 = 18;
 const TAG_DRAIN_ACK: u8 = 19;
 const TAG_REATTACH: u8 = 20;
-const TAG_DATA_BATCH: u8 = 21;
+// 21 is retired (the per-link batch of v8); do not reuse it.
 
 /// Why a byte stream failed to decode as frames.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,18 +349,6 @@ impl Frame {
                     .u32(msg.events.len() as u32);
                 for e in &msg.events {
                     encode_event(&mut w, e);
-                }
-            }
-            Frame::DataBatch { seq, entries } => {
-                w.u8(TAG_DATA_BATCH).u64(*seq).u32(entries.len() as u32);
-                for (epoch, msg) in entries {
-                    w.u32(*epoch)
-                        .u32(msg.src.0)
-                        .u32(msg.dst.0)
-                        .u32(msg.events.len() as u32);
-                    for e in &msg.events {
-                        encode_event(&mut w, e);
-                    }
                 }
             }
             Frame::Token { dst_lp, token } => {
@@ -516,37 +486,6 @@ impl Frame {
                     epoch,
                     msg: PhysMsg { src, dst, events },
                 }
-            }
-            TAG_DATA_BATCH => {
-                let seq = r.u64().map_err(mal)?;
-                let n_entries = r.u32().map_err(mal)? as usize;
-                if n_entries > body.len() {
-                    // Each entry needs ≥ 1 byte; an impossible count is
-                    // corruption, not a huge allocation request.
-                    return Err(FrameError::Malformed(format!(
-                        "batch entry count {n_entries} exceeds body size {}",
-                        body.len()
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n_entries);
-                for _ in 0..n_entries {
-                    let epoch = r.u32().map_err(mal)?;
-                    let src = LpId(r.u32().map_err(mal)?);
-                    let dst = LpId(r.u32().map_err(mal)?);
-                    let n = r.u32().map_err(mal)? as usize;
-                    if n > body.len() {
-                        return Err(FrameError::Malformed(format!(
-                            "event count {n} exceeds body size {}",
-                            body.len()
-                        )));
-                    }
-                    let mut events = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        events.push(decode_event(&mut r).map_err(mal)?);
-                    }
-                    entries.push((epoch, PhysMsg { src, dst, events }));
-                }
-                Frame::DataBatch { seq, entries }
             }
             TAG_TOKEN => Frame::Token {
                 dst_lp: r.u32().map_err(mal)?,
@@ -764,27 +703,6 @@ mod tests {
                     events: vec![ev(1, 10), ev(2, 11).to_anti()],
                 },
             },
-            Frame::DataBatch {
-                seq: 42,
-                entries: vec![
-                    (
-                        4,
-                        PhysMsg {
-                            src: LpId(1),
-                            dst: LpId(0),
-                            events: vec![ev(3, 12)],
-                        },
-                    ),
-                    (
-                        5,
-                        PhysMsg {
-                            src: LpId(2),
-                            dst: LpId(0),
-                            events: vec![ev(4, 13), ev(5, 14).to_anti()],
-                        },
-                    ),
-                ],
-            },
             Frame::Token {
                 dst_lp: 2,
                 token: GvtToken {
@@ -929,8 +847,11 @@ mod tests {
         let mut d = FrameDecoder::new();
         d.push(&raw);
         assert_eq!(d.next(), Err(FrameError::BadTag(0xEE)));
-        // The retired monolithic `Resume` tag is just another bad tag.
-        assert_eq!(Frame::decode_body(&[12]), Err(FrameError::BadTag(12)));
+        // The retired tags (monolithic `Resume`, the v8 per-link batch)
+        // are just more bad tags.
+        for tag in [12, 21] {
+            assert_eq!(Frame::decode_body(&[tag]), Err(FrameError::BadTag(tag)));
+        }
     }
 
     #[test]

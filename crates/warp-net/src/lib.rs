@@ -7,6 +7,8 @@
 //!   per-LP buffers that coalesce events to the same destination LP into
 //!   physical messages, under the unaggregated / FAW / SAAW policy
 //!   configurations (the SAAW adaptation law lives in `warp-control`).
+//!   This is the only aggregation layer: the mesh below adds no
+//!   batching window of its own.
 //! * [`spsc`] — the threaded executive's transport: a full mesh of
 //!   preallocated single-producer/single-consumer ring-buffer lanes
 //!   between LP threads (see `docs/hot-path.md`).
@@ -16,9 +18,6 @@
 //!   reader and a writer thread per link) with handshakes, heartbeats,
 //!   sequencing and drain-then-close shutdown. It is the only
 //!   inter-process engine; `docs/data-plane.md` records why.
-//! * [`wire_agg`] — on-the-wire DyMA (protocol v8): per-link
-//!   aggregation of outbound `Data` frames into `DataBatch` under a
-//!   SAAW-adapted window, run by each link's writer thread.
 //! * [`fault`] — deterministic, seeded fault injection (drop / duplicate
 //!   / delay / partition / crash) applied at the sending side of each TCP
 //!   link, so every recovery path is exercised reproducibly.
@@ -36,7 +35,6 @@ pub mod frame;
 pub mod policy;
 pub mod spsc;
 pub mod tcp;
-pub mod wire_agg;
 
 pub use aggregate::{Aggregator, PhysMsg};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope, Selector};
@@ -44,4 +42,3 @@ pub use frame::{Frame, FrameDecoder, FrameError, PROTO_VERSION};
 pub use policy::AggregationConfig;
 pub use spsc::{lane_mesh, LaneEndpoint};
 pub use tcp::{bind_loopback, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
-pub use wire_agg::{AggTuning, LinkAggStats, LinkAggregator};

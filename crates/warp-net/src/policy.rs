@@ -13,11 +13,13 @@ use serde::{Deserialize, Serialize};
 use warp_control::SaawLaw;
 
 /// Serializable aggregation configuration chosen per run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum AggregationConfig {
     /// No aggregation: flush every event immediately.
+    #[default]
     Unaggregated,
-    /// Fixed aggregation window, in modeled seconds.
+    /// Fixed aggregation window, in seconds on the executive's clock
+    /// (modeled on the virtual cluster, wall on the real executives).
     Faw {
         /// The constant window size.
         window: f64,
@@ -50,6 +52,29 @@ impl AggregationConfig {
             AggregationConfig::Unaggregated => "none",
             AggregationConfig::Faw { .. } => "FAW",
             AggregationConfig::Saaw { .. } => "SAAW",
+        }
+    }
+
+    /// Check a configuration that arrived from outside the program (a
+    /// job file) against what [`Aggregator::new`](crate::Aggregator::new)
+    /// would otherwise assert.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |w: f64| w > 0.0 && w.is_finite();
+        let ok = match *self {
+            AggregationConfig::Unaggregated => true,
+            AggregationConfig::Faw { window } => positive(window),
+            AggregationConfig::Saaw {
+                initial_window,
+                min_window,
+                max_window,
+            } => positive(initial_window) && positive(min_window) && min_window <= max_window,
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "aggregation windows must be positive, with min <= max: {self:?}"
+            ))
         }
     }
 
@@ -148,6 +173,31 @@ mod tests {
     #[should_panic]
     fn zero_faw_window_rejected() {
         let _ = AggregationConfig::Faw { window: 0.0 }.build();
+    }
+
+    #[test]
+    fn validate_accepts_what_build_accepts_and_nothing_else() {
+        for ok in [
+            AggregationConfig::Unaggregated,
+            AggregationConfig::Faw { window: 1e-3 },
+            AggregationConfig::saaw(1e-3),
+        ] {
+            ok.validate().unwrap();
+        }
+        let saaw = |initial_window, min_window, max_window| AggregationConfig::Saaw {
+            initial_window,
+            min_window,
+            max_window,
+        };
+        for bad in [
+            AggregationConfig::Faw { window: 0.0 },
+            AggregationConfig::Faw { window: f64::NAN },
+            saaw(-1e-3, 1e-4, 1e-2),
+            saaw(1e-3, 0.0, 1e-2),
+            saaw(1e-3, 1e-2, 1e-4),
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

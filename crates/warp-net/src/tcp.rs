@@ -39,13 +39,12 @@
 
 use crate::fault::{DataFate, FaultPlan, LinkChaos};
 use crate::frame::{Frame, FrameDecoder, PROTO_VERSION};
-use crate::wire_agg::{AggTuning, LinkAggStats, LinkAggregator};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -80,11 +79,6 @@ pub struct TcpMeshConfig {
     /// per-link memory and forces senders — the chunked resume stream in
     /// particular — to keep individual frames small.
     pub max_frame_bytes: usize,
-    /// On-the-wire DyMA aggregation (`None` = every `Data` frame departs
-    /// immediately, the pre-v8 behavior). The tuning's own byte cap is
-    /// overridden by `max_frame_bytes` so a flushed batch can never
-    /// exceed what the peer's decoder accepts.
-    pub agg: Option<AggTuning>,
 }
 
 impl TcpMeshConfig {
@@ -103,18 +97,7 @@ impl TcpMeshConfig {
             dial_backoff_max: Duration::from_millis(500),
             faults: None,
             max_frame_bytes: crate::frame::MAX_FRAME_BYTES,
-            agg: None,
         }
-    }
-
-    /// The aggregation tuning a link of this mesh should run, with the
-    /// byte cap pinned to the mesh frame cap.
-    fn link_agg_tuning(&self) -> Option<AggTuning> {
-        self.agg.as_ref().filter(|a| a.enabled()).map(|a| {
-            let mut t = a.clone();
-            t.max_frame_bytes = self.max_frame_bytes;
-            t
-        })
     }
 
     /// Check the knobs for internal consistency. [`TcpMesh::establish`]
@@ -159,20 +142,6 @@ impl TcpMeshConfig {
                 "max_frame_bytes ({}) below the 1024-byte floor control frames need",
                 self.max_frame_bytes
             ));
-        }
-        if let Some(agg) = self.agg.as_ref().filter(|a| a.enabled()) {
-            if agg.min_window_us == 0 {
-                return Err("agg.min_window_us must be positive".into());
-            }
-            if agg.max_window_us < agg.min_window_us {
-                return Err(format!(
-                    "agg.max_window_us ({}) below agg.min_window_us ({})",
-                    agg.max_window_us, agg.min_window_us
-                ));
-            }
-            if agg.max_batch == 0 {
-                return Err("agg.max_batch must be at least 1".into());
-            }
         }
         Ok(())
     }
@@ -255,7 +224,6 @@ pub struct TcpMesh {
     peers: Vec<Option<Peer>>,
     event_tx: Sender<MeshEvent>,
     event_rx: Receiver<MeshEvent>,
-    agg_stats: Vec<Option<Arc<Mutex<LinkAggStats>>>>,
 }
 
 /// Bind a listener on an ephemeral loopback port.
@@ -285,15 +253,6 @@ impl TcpMesh {
                 .collect(),
             loopback: self.event_tx.clone(),
         }
-    }
-
-    /// Per-link aggregation gauges (links with aggregation off are
-    /// absent). A live snapshot: callers may read it mid-run.
-    pub fn agg_stats(&self) -> Vec<LinkAggStats> {
-        self.agg_stats
-            .iter()
-            .filter_map(|s| s.as_ref().map(|s| s.lock().unwrap().clone()))
-            .collect()
     }
 
     /// Queue a frame for `to` (see [`MeshSender::send`]).
@@ -340,7 +299,6 @@ impl TcpMesh {
         let n = cfg.n_procs as usize;
         let (event_tx, event_rx) = mpsc::channel();
         let mut peers: Vec<Option<Peer>> = (0..n).map(|_| None).collect();
-        let mut agg_stats: Vec<Option<Arc<Mutex<LinkAggStats>>>> = (0..n).map(|_| None).collect();
         for (peer_id, slot) in links.into_iter().enumerate() {
             let Some((stream, dec)) = slot else { continue };
             let (cmd_tx, cmd_rx) = mpsc::channel();
@@ -354,15 +312,11 @@ impl TcpMesh {
                 .faults
                 .as_ref()
                 .and_then(|p| p.link_control(cfg.proc_id, peer_id as u32, cfg.session));
-            let agg = cfg
-                .link_agg_tuning()
-                .map(|t| LinkAggregator::new(peer_id as u32, t));
-            agg_stats[peer_id] = agg.as_ref().map(|a| a.stats());
             let aborting = Arc::new(AtomicBool::new(false));
             let aborting_w = Arc::clone(&aborting);
             let writer = thread::Builder::new()
                 .name(format!("mesh-w{}-{peer_id}", cfg.proc_id))
-                .spawn(move || writer_loop(wr, cmd_rx, hb, chaos, ctl_chaos, agg, aborting_w))?;
+                .spawn(move || writer_loop(wr, cmd_rx, hb, chaos, ctl_chaos, aborting_w))?;
             let rd = stream.try_clone()?;
             let tx = event_tx.clone();
             let live = cfg.liveness_timeout;
@@ -387,7 +341,6 @@ impl TcpMesh {
             peers,
             event_tx,
             event_rx,
-            agg_stats,
         })
     }
 
@@ -740,14 +693,9 @@ impl LinkTx {
             }
             return;
         }
-        // A `DataBatch` is one sequenced unit, exactly like `Data`: one
-        // chaos fate, one receiver-side dedup/reorder slot per batch.
-        let seq_slot = match &mut frame {
-            Frame::Data { seq, .. } | Frame::DataBatch { seq, .. } => seq,
-            _ => {
-                frame.encode_into(out);
-                return;
-            }
+        let Frame::Data { seq: seq_slot, .. } = &mut frame else {
+            frame.encode_into(out);
+            return;
         };
         let s = self.next_seq;
         self.next_seq += 1;
@@ -806,7 +754,6 @@ fn writer_loop(
     heartbeat: Duration,
     chaos: Option<LinkChaos>,
     ctl_chaos: Option<LinkChaos>,
-    mut agg: Option<LinkAggregator>,
     aborting: Arc<AtomicBool>,
 ) {
     let mut w = &stream;
@@ -817,52 +764,18 @@ fn writer_loop(
         let _ = w.flush();
         let _ = stream.shutdown(std::net::Shutdown::Write);
     };
-    // Stage one application frame, routing `Data` through the
-    // aggregation window when one is configured.
-    let stage = |tx: &mut LinkTx, agg: &mut Option<LinkAggregator>, f: Frame, out: &mut Vec<u8>| {
-        match agg {
-            Some(a) => {
-                for departed in a.offer(f, Instant::now()) {
-                    tx.stage(departed, out);
-                }
-            }
-            None => tx.stage(f, out),
-        }
-    };
-    // Residue on shutdown: the open aggregate departs before Bye.
-    let drain_agg = |tx: &mut LinkTx, agg: &mut Option<LinkAggregator>, out: &mut Vec<u8>| {
-        if let Some(a) = agg {
-            for departed in a.close(Instant::now()) {
-                tx.stage(departed, out);
-            }
-        }
-    };
-    // The last instant anything hit the wire: heartbeats key off it so
-    // the shorter aggregation wakeups don't triple the idle probe rate.
-    let mut last_write = Instant::now();
     loop {
-        // Sleep until a command arrives, the open aggregate must flush,
-        // or a heartbeat falls due — whichever is soonest.
-        let now = Instant::now();
-        let hb_due = last_write + heartbeat;
-        let mut wake = hb_due;
-        if let Some(d) = agg.as_ref().and_then(|a| a.next_deadline()) {
-            wake = wake.min(d);
-        }
-        let timeout = wake
-            .saturating_duration_since(now)
-            .max(Duration::from_millis(1));
-        match cmd_rx.recv_timeout(timeout) {
+        match cmd_rx.recv_timeout(heartbeat) {
             Ok(WriterCmd::Frame(frame)) => {
                 out.clear();
-                stage(&mut tx, &mut agg, frame, &mut out);
+                tx.stage(frame, &mut out);
                 // Opportunistically coalesce whatever else is queued —
                 // without losing a Shutdown hiding behind the frames.
                 let mut shutdown_after = false;
                 loop {
                     match cmd_rx.try_recv() {
                         Ok(WriterCmd::Frame(f)) => {
-                            stage(&mut tx, &mut agg, f, &mut out);
+                            tx.stage(f, &mut out);
                             if out.len() > 1 << 20 {
                                 break;
                             }
@@ -875,14 +788,10 @@ fn writer_loop(
                     }
                 }
                 if shutdown_after {
-                    drain_agg(&mut tx, &mut agg, &mut out);
                     tx.flush_held(&mut out);
                 }
-                if !out.is_empty() {
-                    if w.write_all(&out).is_err() {
-                        return; // reader reports the dead link
-                    }
-                    last_write = Instant::now();
+                if !out.is_empty() && w.write_all(&out).is_err() {
+                    return; // reader reports the dead link
                 }
                 if shutdown_after {
                     if !tx.partitioned {
@@ -902,27 +811,15 @@ fn writer_loop(
                     continue; // a partitioned link heartbeats nothing
                 }
                 out.clear();
-                let now = Instant::now();
-                if let Some(a) = agg.as_mut() {
-                    for departed in a.poll_expired(now) {
-                        tx.stage(departed, &mut out);
-                    }
-                }
-                if now >= last_write + heartbeat {
-                    tx.flush_held(&mut out);
-                    out.extend_from_slice(&Frame::Heartbeat.encode());
-                }
-                if !out.is_empty() {
-                    if w.write_all(&out).is_err() {
-                        return;
-                    }
-                    last_write = Instant::now();
+                tx.flush_held(&mut out);
+                out.extend_from_slice(&Frame::Heartbeat.encode());
+                if w.write_all(&out).is_err() {
+                    return;
                 }
             }
             Ok(WriterCmd::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
                 if !tx.partitioned {
                     out.clear();
-                    drain_agg(&mut tx, &mut agg, &mut out);
                     tx.flush_held(&mut out);
                     if !out.is_empty() && w.write_all(&out).is_err() {
                         return;
@@ -948,7 +845,7 @@ enum RxStatus {
 }
 
 /// Per-link inbound state: data-frame deduplication, reorder buffering
-/// and gap tracking, plus `DataBatch` fan-out.
+/// and gap tracking.
 struct LinkRx {
     /// The next expected data-frame sequence number.
     expected_seq: u64,
@@ -964,24 +861,6 @@ impl LinkRx {
             expected_seq: 0,
             ahead: BTreeMap::new(),
             gap_since: None,
-        }
-    }
-
-    /// Deliver one sequenced unit to the owner. A batch fans out as the
-    /// run of `Data` frames it replaced — the executive layer never
-    /// sees `DataBatch`, so aggregation is invisible above the mesh.
-    fn dispatch(events: &Sender<MeshEvent>, peer: u32, frame: Frame) -> bool {
-        match frame {
-            Frame::DataBatch { entries, .. } => {
-                for (epoch, msg) in entries {
-                    let frame = Frame::Data { seq: 0, epoch, msg };
-                    if events.send(MeshEvent::Frame { from: peer, frame }).is_err() {
-                        return false;
-                    }
-                }
-                true
-            }
-            frame => events.send(MeshEvent::Frame { from: peer, frame }).is_ok(),
         }
     }
 
@@ -1010,11 +889,7 @@ impl LinkRx {
                     }
                 }
             }
-            frame @ (Frame::Data { .. } | Frame::DataBatch { .. }) => {
-                let seq = match &frame {
-                    Frame::Data { seq, .. } | Frame::DataBatch { seq, .. } => *seq,
-                    _ => unreachable!(),
-                };
+            Frame::Data { seq, .. } => {
                 if seq < self.expected_seq {
                     // Duplicate of an already-delivered frame.
                     return RxStatus::Open;
@@ -1026,12 +901,12 @@ impl LinkRx {
                     self.gap_since.get_or_insert_with(Instant::now);
                     return RxStatus::Open;
                 }
-                if !Self::dispatch(events, peer, frame) {
+                if events.send(MeshEvent::Frame { from: peer, frame }).is_err() {
                     return RxStatus::OwnerGone;
                 }
                 self.expected_seq += 1;
-                while let Some(f) = self.ahead.remove(&self.expected_seq) {
-                    if !Self::dispatch(events, peer, f) {
+                while let Some(frame) = self.ahead.remove(&self.expected_seq) {
+                    if events.send(MeshEvent::Frame { from: peer, frame }).is_err() {
                         return RxStatus::OwnerGone;
                     }
                     self.expected_seq += 1;
@@ -1505,58 +1380,6 @@ mod tests {
         assert!(!clean);
         m0.abort();
         m1.abort();
-    }
-
-    #[test]
-    fn aggregated_stream_arrives_in_order_with_fewer_frames() {
-        let mut cfg0 = fast_cfg(0, 2);
-        cfg0.agg = Some(AggTuning {
-            window_us: 2_000,
-            min_window_us: 100,
-            max_window_us: 20_000,
-            adapt: true,
-            max_batch: 64,
-            ..AggTuning::default()
-        });
-        let (m0, m1) = pair_with(cfg0, fast_cfg(1, 2));
-        for epoch in 0..50 {
-            m0.send(1, data(epoch));
-        }
-        assert_eq!(recv_data_epochs(&m1, 50), (0..50).collect::<Vec<_>>());
-        let stats = m0.agg_stats();
-        assert_eq!(stats.len(), 1);
-        assert!(
-            stats[0].frames_saved > 0,
-            "50 rapid sends never coalesced: {stats:?}"
-        );
-        // A GVT-critical frame behind the data stream keeps FIFO order.
-        m0.send(1, token(99));
-        assert_eq!(expect_frame(&m1), (0, token(99)));
-        m0.shutdown();
-        m1.shutdown();
-    }
-
-    #[test]
-    fn shutdown_flushes_the_open_aggregate() {
-        let mut cfg0 = fast_cfg(0, 2);
-        cfg0.agg = Some(AggTuning {
-            // A window far beyond the test's patience: only the
-            // shutdown drain can deliver these frames.
-            window_us: 5_000_000,
-            min_window_us: 100,
-            max_window_us: 10_000_000,
-            adapt: false,
-            max_batch: 64,
-            ..AggTuning::default()
-        });
-        let (m0, m1) = pair_with(cfg0, fast_cfg(1, 2));
-        for epoch in 0..5 {
-            m0.send(1, data(epoch));
-        }
-        m0.shutdown();
-        assert_eq!(recv_data_epochs(&m1, 5), vec![0, 1, 2, 3, 4]);
-        assert_eq!(expect_down(&m1), (0, true));
-        m1.shutdown();
     }
 
     #[test]

@@ -12,21 +12,21 @@ use warp_core::{Event, LpId, ObjectId, VirtualTime};
 use warp_net::frame::{Frame, FrameDecoder, PROTO_VERSION};
 use warp_net::PhysMsg;
 
-/// A peer still speaking protocol v7 (pre-`DataBatch`) must be refused
-/// at `Hello`: the version gate is what guarantees a v8 process never
-/// sends a batch frame to a decoder that cannot parse tag 21.
+/// A peer still speaking protocol v8 must be refused at `Hello`: v8
+/// could send the per-link batch frame (tag 21), which a v9 decoder no
+/// longer parses.
 #[test]
-fn v7_peer_is_refused_at_hello() {
+fn v8_peer_is_refused_at_hello() {
     use std::io::Write;
     use warp_net::{bind_loopback, TcpMesh, TcpMeshConfig};
 
-    const { assert!(PROTO_VERSION >= 8, "DataBatch shipped in v8") };
+    const { assert!(PROTO_VERSION >= 9, "tag 21 was retired in v9") };
     let listener = bind_loopback().unwrap();
     let addr = listener.local_addr().unwrap();
-    let v7 = std::thread::spawn(move || {
+    let v8 = std::thread::spawn(move || {
         let s = std::net::TcpStream::connect(addr).unwrap();
         let hello = Frame::Hello {
-            version: 7,
+            version: 8,
             proc_id: 1,
             n_procs: 2,
             session: 0,
@@ -36,12 +36,12 @@ fn v7_peer_is_refused_at_hello() {
         std::thread::sleep(std::time::Duration::from_millis(500));
     });
     let err = match TcpMesh::establish(TcpMeshConfig::new(0, 2), listener, &[]) {
-        Ok(_) => panic!("establishment must fail against a v7 peer"),
+        Ok(_) => panic!("establishment must fail against a v8 peer"),
         Err(e) => e,
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("version"), "{err}");
-    v7.join().unwrap();
+    v8.join().unwrap();
 }
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -103,31 +103,6 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                     events,
                 },
             }),
-        // Protocol v8: the on-the-wire aggregation batch — several
-        // same-link physical messages coalesced into one frame.
-        (
-            any::<u64>(),
-            proptest::collection::vec(
-                (
-                    any::<u32>(),
-                    any::<u32>(),
-                    any::<u32>(),
-                    proptest::collection::vec(arb_event(), 0..4),
-                )
-                    .prop_map(|(epoch, src, dst, events)| {
-                        (
-                            epoch,
-                            PhysMsg {
-                                src: LpId(src),
-                                dst: LpId(dst),
-                                events,
-                            },
-                        )
-                    }),
-                0..5,
-            ),
-        )
-            .prop_map(|(seq, entries)| Frame::DataBatch { seq, entries }),
         (any::<u32>(), any::<u32>(), any::<u64>(), any::<i64>()).prop_map(
             |(dst_lp, round, min, count)| Frame::Token {
                 dst_lp,

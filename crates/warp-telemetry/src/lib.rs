@@ -73,8 +73,11 @@ pub enum Param {
     /// [`MODE_LAZY`]; `sampled_o` is the Hit Ratio, `-1` when the policy
     /// samples nothing). Recorded on actual flips only.
     Cancellation,
-    /// DyMA aggregation window in modeled seconds (`object` is the
+    /// DyMA aggregation window of one LP's bucket (`object` is the
     /// *destination LP* of the adjusted bucket; `sampled_o` is `-1`).
+    /// `old`/`new` are seconds on the clock the executive ages buckets
+    /// by: modeled seconds on the virtual cluster, wall seconds on the
+    /// threaded and distributed executives.
     Window,
     /// LP→worker assignment: the cluster balancer migrated an LP
     /// (`lp`/`object` are the migrated LP; `old`/`new` are the source
@@ -92,13 +95,6 @@ pub enum Param {
     /// the number of parked workers re-adopted via `Reattach`). Recorded
     /// by the resumed coordinator.
     Coordinator,
-    /// On-the-wire aggregation window on one mesh link (`lp` is the
-    /// sending *process*, `object` the peer process; `old`/`new` are
-    /// windows in **microseconds of wall time** — unlike
-    /// [`Param::Window`], whose units are modeled seconds; `sampled_o`
-    /// is `-1`). Recorded by each worker from its link gauges at
-    /// session end.
-    AggWindow,
 }
 
 /// One controller decision: the paper's `(O, I)` pair caught in the act,
@@ -529,14 +525,13 @@ impl TelemetryReport {
             .unwrap_or_else(|| "-".into());
         format!(
             "telemetry: {} samples, {} events ({} χ moves, {} mode flips, {} window moves, \
-             {} wire-window moves, {} migrations, {} scales, {} failovers), max finite gvt {}, \
+             {} migrations, {} scales, {} failovers), max finite gvt {}, \
              mean DyMA window {}, dropped {}/{}",
             self.samples.len(),
             self.events.len(),
             self.moves_of(Param::Chi),
             self.moves_of(Param::Cancellation),
             self.moves_of(Param::Window),
-            self.moves_of(Param::AggWindow),
             self.moves_of(Param::Assignment),
             self.moves_of(Param::ClusterSize),
             self.moves_of(Param::Coordinator),

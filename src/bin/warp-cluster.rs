@@ -42,9 +42,11 @@
 //! the streamed resume chunks (both override the job's `net`/`recovery`
 //! settings).
 //!
-//! `--agg-window US` turns on on-the-wire DyMA with an initial per-link
-//! window of `US` microseconds, SAAW-adapted unless `--agg-fixed` pins
-//! it (see `docs/data-plane.md`).
+//! `--agg-window US` sets the job's DyMA policy (`aggregation`): every
+//! LP buffers its cross-LP events per destination LP for a window of
+//! `US` microseconds of wall time, SAAW-adapted inside [50 µs, 20 ms]
+//! unless `--agg-fixed` pins it (FAW); `0` turns aggregation off (see
+//! `docs/data-plane.md`).
 //!
 //! `--rejoin-grace MS` arms coordinator fail-over (implies recovery;
 //! needs `--store-dir`): the coordinator journals its control-plane
@@ -67,8 +69,16 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use warp_exec::distributed::{resume_coordinator, run_coordinator};
+use warp_net::AggregationConfig;
 use warp_telemetry::TelemetryReport;
 use warped_online::cluster::{dist_config, resume_job, ClusterJob};
+
+/// SAAW clamps behind `--agg-window`, in wall seconds.
+/// `AggregationConfig::saaw`'s ×100 upper clamp suits modeled time; on
+/// the real executives a window that adapts up to hundreds of
+/// milliseconds of host time stalls every receiver.
+const AGG_MIN_WINDOW: f64 = 50e-6;
+const AGG_MAX_WINDOW: f64 = 20e-3;
 
 fn usage() -> ! {
     eprintln!(
@@ -127,7 +137,7 @@ fn run() -> Result<(), String> {
     let mut store_dir: Option<String> = None;
     let mut max_frame_bytes: Option<u64> = None;
     let mut resume_chunk_bytes: Option<u64> = None;
-    let mut agg_window_us: Option<u64> = None;
+    let mut agg_window: Option<u64> = None;
     let mut agg_fixed = false;
     let mut resume: Option<PathBuf> = None;
     let mut rejoin_grace: Option<u64> = None;
@@ -212,7 +222,7 @@ fn run() -> Result<(), String> {
                 job_flags.push("--resume-chunk-bytes");
             }
             "--agg-window" => {
-                agg_window_us = Some(
+                agg_window = Some(
                     argv.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage()),
@@ -329,11 +339,22 @@ fn run() -> Result<(), String> {
     if let Some(n) = resume_chunk_bytes {
         job.recovery.resume_chunk_bytes = n;
     }
-    if let Some(us) = agg_window_us {
-        job.net.agg_window_us = us;
-    }
-    if agg_fixed {
-        job.net.agg_adapt = false;
+    match agg_window {
+        Some(0) => job.aggregation = AggregationConfig::Unaggregated,
+        Some(us) => {
+            let window = us as f64 * 1e-6;
+            job.aggregation = if agg_fixed {
+                AggregationConfig::Faw { window }
+            } else {
+                AggregationConfig::Saaw {
+                    initial_window: window,
+                    min_window: AGG_MIN_WINDOW,
+                    max_window: AGG_MAX_WINDOW,
+                }
+            };
+        }
+        None if agg_fixed => return Err("--agg-fixed pins the window --agg-window sets".into()),
+        None => {}
     }
     if let Some(ms) = rejoin_grace {
         job.recovery.rejoin_grace_ms = ms;

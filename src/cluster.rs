@@ -18,7 +18,7 @@ use warp_elastic::ElasticPolicy;
 use warp_exec::distributed::{run_coordinator, DistConfig, DistError, NetTuning, RecoveryPolicy};
 use warp_exec::{RunReport, SimulationSpec};
 use warp_models::{PholdConfig, QnetConfig, RaidConfig, ServeConfig, SmmpConfig};
-use warp_net::FaultPlan;
+use warp_net::{AggregationConfig, FaultPlan};
 
 /// A serializable model choice for distributed runs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -65,6 +65,11 @@ pub struct ClusterJob {
     /// final report. Purely observational: never perturbs the run.
     #[serde(default)]
     pub telemetry: bool,
+    /// DyMA policy every LP aggregates its cross-LP events under.
+    /// Windows are wall seconds here: the real executives age buckets
+    /// by the host clock.
+    #[serde(default)]
+    pub aggregation: AggregationConfig,
     /// Transport tuning (heartbeats, liveness, dial backoff) applied to
     /// every process in the mesh.
     #[serde(default)]
@@ -104,6 +109,7 @@ impl ClusterJob {
             gvt_period,
             collect_traces: false,
             telemetry: false,
+            aggregation: AggregationConfig::Unaggregated,
             net: NetTuning::default(),
             recovery: RecoveryPolicy::default(),
             balance: BalancePolicy::default(),
@@ -116,7 +122,11 @@ impl ClusterJob {
 
     /// The fully-configured simulation spec this job describes.
     pub fn spec(&self) -> SimulationSpec {
-        let mut spec = self.model.base_spec().with_gvt_period(self.gvt_period);
+        let mut spec = self
+            .model
+            .base_spec()
+            .with_gvt_period(self.gvt_period)
+            .with_aggregation(self.aggregation.clone());
         if self.collect_traces {
             spec = spec.with_traces();
         }
@@ -151,6 +161,9 @@ pub fn dist_config(
     worker_bin: std::path::PathBuf,
     timeout: std::time::Duration,
 ) -> Result<DistConfig, DistError> {
+    job.aggregation
+        .validate()
+        .map_err(DistError::InvalidConfig)?;
     let model =
         serde_json::to_value(job).map_err(|e| DistError::Protocol(format!("job encode: {e}")))?;
     Ok(DistConfig {
@@ -212,6 +225,27 @@ mod tests {
         assert!(spec.collect_traces);
         assert!(spec.telemetry, "telemetry must reach every worker's spec");
         assert_eq!(spec.gvt_period, None);
+    }
+
+    #[test]
+    fn aggregation_defaults_off_and_reaches_the_worker_spec() {
+        // A job file written before the field existed.
+        let model = serde_json::to_string(&ModelSpec::Phold(PholdConfig::new(50, 1))).unwrap();
+        let v = serde_json::from_str(&format!(r#"{{"model":{model},"gvt_period":null}}"#)).unwrap();
+        let spec = spec_from_model_json(&v).unwrap();
+        assert_eq!(spec.aggregation, AggregationConfig::Unaggregated);
+
+        let saaw = AggregationConfig::Saaw {
+            initial_window: 2e-3,
+            min_window: 50e-6,
+            max_window: 20e-3,
+        };
+        let job = ClusterJob {
+            aggregation: saaw.clone(),
+            ..ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None)
+        };
+        let spec = spec_from_model_json(&serde_json::to_value(&job).unwrap()).unwrap();
+        assert_eq!(spec.aggregation, saaw);
     }
 
     #[test]

@@ -42,10 +42,6 @@ fn assert_distributed_matches_sequential(job: ClusterJob, n_workers: u32) {
         "distributed run committed a different history than the sequential golden model"
     );
     assert_eq!(dist.per_lp.len(), spec.partition.n_lps());
-    assert!(
-        dist.wire_agg.is_empty(),
-        "aggregation off must report no wire gauges"
-    );
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! real worker processes.
 //!
 //! Two layers of checks. First, the digest matrix: sequential vs
-//! threaded vs distributed (plain, under SAAW on-the-wire
-//! aggregation, and through a worker crash mid-run) must all commit the
+//! threaded vs distributed (plain, under SAAW aggregation, and
+//! through a worker crash mid-run) must all commit the
 //! byte-identical history — the golden-model contract every other
 //! workload honors. Second, the reason SERVE exists: a diurnal burst
 //! wave with hot-tenant skew must make the balance controller migrate
@@ -15,9 +15,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 use warp_balance::BalancePolicy;
 use warp_elastic::ElasticPolicy;
-use warp_exec::distributed::{NetTuning, RecoveryPolicy};
+use warp_exec::distributed::RecoveryPolicy;
 use warp_exec::{run_sequential, run_threaded};
-use warp_net::FaultPlan;
+use warp_net::{AggregationConfig, FaultPlan};
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
 use warped_online::models::ServeConfig;
 
@@ -96,18 +96,17 @@ fn serve_two_workers_commit_the_sequential_history() {
 fn serve_with_saaw_aggregation_commits_the_sequential_history() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let job = ClusterJob {
-        net: NetTuning {
-            agg_window_us: 2_000,
-            agg_adapt: true,
-            ..NetTuning::default()
+        aggregation: AggregationConfig::Saaw {
+            initial_window: 2e-3,
+            min_window: 50e-6,
+            max_window: 20e-3,
         },
         ..serve_job()
     };
     let dist = run_job(&job, 2, 120);
     assert_matches_sequential(&job, &dist);
-    let saved: u64 = dist.wire_agg.iter().map(|l| l.frames_saved).sum();
     assert!(
-        saved > 0,
+        dist.comm.events_offered > dist.comm.phys_sent,
         "an open-arrival pipeline should give SAAW pairs to coalesce"
     );
 }
