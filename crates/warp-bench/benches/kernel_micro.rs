@@ -1,7 +1,9 @@
 //! Microbenchmarks of the kernel's hot paths: queue operations, state
-//! snapshots, rollback, the aggregation layer and GVT agents.
+//! snapshots, rollback, the aggregation layer, GVT agents and the SPSC
+//! lanes.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use std::time::Duration;
 use warp_core::event::{Event, EventId};
 use warp_core::gvt::{GvtController, MatternAgent};
 use warp_core::object::{ErasedState, ObjectState};
@@ -10,7 +12,7 @@ use warp_core::queues::{InputQueue, StateQueue};
 use warp_core::trace::TraceDigest;
 use warp_core::{CostModel, LpId, LpRuntime, ObjectId, ObjectRuntime, VirtualTime};
 use warp_models::PholdConfig;
-use warp_net::{AggregationConfig, Aggregator};
+use warp_net::{lane_mesh, AggregationConfig, Aggregator, LaneEndpoint};
 
 fn ev(sender: u32, serial: u64, rt: u64) -> Event {
     Event::new(
@@ -280,6 +282,69 @@ fn bench_aggregator(c: &mut Criterion) {
     g.finish();
 }
 
+/// About the size of the threaded executive's `Packet`.
+type Parcel = [u64; 8];
+const STOP: Parcel = [u64::MAX; 8];
+
+fn recv_parcel(ep: &LaneEndpoint<Parcel>, park: bool) -> Parcel {
+    loop {
+        let got = if park {
+            ep.recv_timeout(Duration::from_millis(50))
+        } else {
+            ep.try_recv()
+        };
+        match got {
+            Some(p) => return p,
+            None => std::hint::spin_loop(),
+        }
+    }
+}
+
+fn bench_lanes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("lanes");
+    // What the LP loop pays after every executed event when nothing has
+    // arrived: 1 000 polls per iteration, so µs/iter reads as ns/poll.
+    // A scan of every incoming lane, so it grows with the peers; the
+    // number a many-LP workload would have to beat with an O(1) check.
+    for peers in [2usize, 16, 64] {
+        let ep = lane_mesh::<Parcel>(peers).swap_remove(0);
+        g.bench_function(format!("empty_poll_1k_{peers}peers"), |b| {
+            b.iter(|| {
+                for _ in 0..1000 {
+                    black_box(ep.try_recv());
+                }
+            })
+        });
+    }
+    // The latency the LP loop is built around: two threads bounce one
+    // parcel, 500 round trips = 1 000 hops per iteration, so µs/iter
+    // reads as ns/hop. `busy` polls `try_recv` (an LP with work to do),
+    // `parked` sleeps on the doorbell (an idle LP).
+    for (name, park) in [("busy", false), ("parked", true)] {
+        let mut eps = lane_mesh::<Parcel>(2);
+        let echo = eps.pop().expect("two endpoints");
+        let ep = eps.pop().expect("two endpoints");
+        let peer = std::thread::spawn(move || loop {
+            let p = recv_parcel(&echo, park);
+            if p == STOP {
+                return;
+            }
+            echo.send(0, p);
+        });
+        g.bench_function(format!("ping_pong_hop_1k_{name}"), |b| {
+            b.iter(|| {
+                for i in 0..500u64 {
+                    ep.send(1, [i; 8]);
+                    black_box(recv_parcel(&ep, park));
+                }
+            })
+        });
+        ep.send(1, STOP);
+        peer.join().expect("echo thread panicked");
+    }
+    g.finish();
+}
+
 fn bench_gvt(c: &mut Criterion) {
     c.bench_function("gvt_token_round_8lps", |b| {
         b.iter_batched(
@@ -320,6 +385,7 @@ criterion_group!(
     bench_state_queue,
     bench_per_event,
     bench_aggregator,
+    bench_lanes,
     bench_gvt,
     bench_trace_digest
 );

@@ -2743,6 +2743,9 @@ impl LpPort for WorkerPort {
     fn n_total(&self) -> usize {
         self.n_lps as usize
     }
+    fn n_local(&self) -> usize {
+        self.locals.iter().flatten().count()
+    }
     fn send(&self, to: usize, p: Packet) {
         if self.assign.proc_of(to as u32) == self.my_proc {
             if let Some(Some(tx)) = self.locals.get(to) {
