@@ -6,9 +6,11 @@
 //! migration — the explicit [`warp_balance::Assignment`] map travels in
 //! every [`WorkerInit`]/[`SessionLine`]). Every process joins a full
 //! TCP mesh ([`warp_net::tcp`]); inside a worker, each of its LPs runs
-//! the *same* `lp_thread` loop the threaded executive uses, plugged into
-//! a `WorkerPort` that routes packets to co-resident LPs over local
-//! channels and to remote LPs as [`Frame`]s over the mesh. The Mattern
+//! the *same* `lp_thread` loop over the *same* SPSC lane mesh
+//! ([`warp_net::spsc`]) the threaded executive uses. A `WorkerPort`
+//! puts packets for co-resident LPs on their lanes and sends the rest
+//! as [`Frame`]s over the TCP mesh; the session thread holds the lane
+//! mesh's last endpoint and routes inbound frames onto it. The Mattern
 //! GVT token circulates in global LP-id order exactly as in the threaded
 //! executive — the token ring simply spans process boundaries now — and
 //! GVT = ∞ shuts every LP down wherever it lives.
@@ -149,10 +151,13 @@
 //! bad admission.
 //!
 //! *Scale-in* retires the highest-numbered worker: after the barrier
-//! checkpoint, the coordinator sends the retiree [`Frame::Retire`] and
-//! the survivors [`Frame::Rebalance`]; the retiree aborts its LP
-//! threads, answers [`Frame::DrainAck`], closes cleanly, and **exits
-//! 0** — its LPs restore on the survivors from the re-keyed chains.
+//! checkpoint, the coordinator sends the retiree [`Frame::Retire`]; the
+//! retiree aborts its LP threads, answers [`Frame::DrainAck`], closes
+//! cleanly, and **exits 0**. Only then (on the ack, or on the retiree's
+//! clean close) do the survivors get [`Frame::Rebalance`] — a survivor
+//! aborting earlier could reach the retiree as a lost peer before its
+//! `Retire` did — and the retiree's LPs restore on them from the
+//! re-keyed chains.
 //! Every transition lands in the report as a [`ScaleRecord`] and in the
 //! telemetry trajectory as a `Param::ClusterSize` control event, and
 //! because restoration replays committed history through the normal
@@ -195,16 +200,17 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use warp_balance::{Assignment, BalanceController, BalancePolicy, LpLoad};
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::{LpId, VirtualTime};
 use warp_elastic::{ElasticController, ElasticPolicy, ScaleDirection, ScalePlan};
 use warp_net::tcp::{bind_loopback, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
-use warp_net::{FaultPlan, Frame};
+use warp_net::{lane_mesh, FaultPlan, Frame, LaneEndpoint};
 use warp_telemetry::{ControlEvent, Param, TelemetryReport};
 
 /// Transport tuning for distributed runs. All knobs that used to be
@@ -485,7 +491,10 @@ impl From<io::Error> for DistError {
     }
 }
 
-/// The first line of JSON a worker reads on stdin.
+/// The first line of JSON a worker reads on stdin. Like [`SessionLine`],
+/// every field is required (`null` spells an absent option): the
+/// coordinator writes them all, and a peer of another build would be
+/// refused at the mesh `Hello` anyway.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorkerInit {
     /// This worker's mesh process id (1-based; 0 is the coordinator).
@@ -497,47 +506,36 @@ pub struct WorkerInit {
     /// Session epoch to establish under (0 = fresh run; > 0 means this
     /// process was spawned into a recovery and must await the resume
     /// stream).
-    #[serde(default)]
     pub session: u32,
     /// Every process's listen address, as `(proc_id, addr)` pairs.
     pub peers: Vec<(u32, String)>,
     /// Opaque model description for the worker's spec builder.
     pub model: serde_json::Value,
     /// Transport tuning (identical on every process).
-    #[serde(default)]
     pub net: NetTuning,
     /// Mesh establishment budget, milliseconds.
     pub connect_ms: u64,
     /// Whether the checkpoint/recovery protocol is armed.
-    #[serde(default)]
     pub recovery: bool,
     /// Explicit LP→worker owner map (`assignment[lp]` = owning proc id).
-    /// Empty means the contiguous default for `(n_lps, n_procs - 1)` —
-    /// the pre-migration wire format.
-    #[serde(default)]
     pub assignment: Vec<u32>,
     /// Whether the load balancer is armed (workers then stream one
     /// [`Frame::LoadReport`] per LP at each GVT round).
-    #[serde(default)]
     pub balance: bool,
     /// Artificial slowdown: minimum microseconds between executed events
     /// across this whole worker process (0 = full speed). Test/benchmark
     /// knob for balance experiments.
-    #[serde(default)]
     pub handicap_us: u64,
     /// Budget on the slowdown: pace only the first this-many executed
     /// events, then run at full speed (0 = unlimited). Counted once per
     /// process across all its sessions — a transient-skew knob for
     /// elastic experiments.
-    #[serde(default)]
     pub handicap_events: u64,
     /// Deterministic fault plan for this process's mesh links.
-    #[serde(default)]
     pub fault: Option<FaultPlan>,
     /// Park-and-rejoin instructions: present when the run keeps a
     /// durable journal and [`RecoveryPolicy::rejoin_grace_ms`] is set.
-    /// `None` = coordinator loss orphans this worker (legacy behavior).
-    #[serde(default)]
+    /// `None` = coordinator loss orphans this worker.
     pub rejoin: Option<RejoinSpec>,
 }
 
@@ -572,13 +570,11 @@ pub struct SessionLine {
     pub peers: Vec<(u32, String)>,
     /// Mesh establishment budget, milliseconds.
     pub connect_ms: u64,
-    /// The LP→worker owner map for the new session (empty = unchanged).
-    /// Carries the migrated placement after a [`Frame::Rebalance`].
-    #[serde(default)]
+    /// The LP→worker owner map for the new session: the migrated
+    /// placement after a [`Frame::Rebalance`].
     pub assignment: Vec<u32>,
-    /// Total mesh size for the new session (0 = unchanged). Carries the
-    /// grown or shrunk cluster shape after an elastic scale.
-    #[serde(default)]
+    /// Total mesh size for the new session: the grown or shrunk cluster
+    /// shape after an elastic scale.
     pub n_procs: u32,
 }
 
@@ -589,7 +585,6 @@ struct WorkerReport {
     per_lp: Vec<LpSummary>,
     /// Resume accounting accumulated across this worker's sessions
     /// (rebuild vs. in-place rollback counts, replayed events).
-    #[serde(default)]
     resume: ResumeStats,
 }
 
@@ -1037,6 +1032,8 @@ struct CoordState {
     /// coordinator incarnation included — the unit the
     /// `WARP_COORD_TEST_CRASH=barriers:N` hook counts.
     barriers: u64,
+    /// The test-crash hook's barrier count ([`crash_hook`]).
+    crash_after: Option<u64>,
 }
 
 /// One durable control-plane record: the JSON payload of a run-journal
@@ -1115,57 +1112,29 @@ impl CoordState {
     }
 }
 
-/// How the coordinator's test-crash hook fires (env var
-/// `WARP_COORD_TEST_CRASH`, merged with
-/// [`FaultPlan::coordinator_crash_after`]). The counted unit is the
-/// completed checkpoint barrier, cumulative across coordinator
-/// incarnations — so a resumed coordinator inheriting the env var does
-/// not re-crash: the journal restores the count at or past the trigger,
-/// and only exact equality fires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CrashHook {
-    None,
-    /// Legacy form (any value other than `barriers:N`): abort at the
-    /// first `Progress` frame of the run.
-    FirstProgress,
-    /// `barriers:N`: abort immediately after the Nth barrier commits
-    /// (journal appended, acks broadcast) — between barriers, the
-    /// survivable window.
-    AfterBarriers(u64),
-}
-
-impl CrashHook {
-    fn from_env(fault: Option<&FaultPlan>) -> CrashHook {
-        CrashHook::resolve(
-            fault,
-            std::env::var("WARP_COORD_TEST_CRASH").ok().as_deref(),
-        )
-    }
-
-    /// The merge of the fault plan's trigger and the env hook: barrier
-    /// counts take the earlier of the two, and the legacy
-    /// first-`Progress` form always wins (it fires soonest).
-    fn resolve(fault: Option<&FaultPlan>, env: Option<&str>) -> CrashHook {
-        let from_plan = fault
-            .and_then(FaultPlan::coordinator_crash_after)
-            .map(CrashHook::AfterBarriers);
-        let from_env =
-            env.map(
-                |v| match v.strip_prefix("barriers:").and_then(|n| n.parse().ok()) {
-                    Some(n) => CrashHook::AfterBarriers(n),
-                    None => CrashHook::FirstProgress,
-                },
-            );
-        match (from_plan, from_env) {
-            (Some(CrashHook::AfterBarriers(a)), Some(CrashHook::AfterBarriers(b))) => {
-                CrashHook::AfterBarriers(a.min(b))
-            }
-            (Some(h), None) | (None, Some(h)) => h,
-            (Some(_), Some(CrashHook::FirstProgress)) => CrashHook::FirstProgress,
-            (None, None) => CrashHook::None,
-            (Some(h), Some(_)) => h,
-        }
-    }
+/// The coordinator's test-crash hook: abort right after this many
+/// checkpoint barriers have committed (journal appended, acks
+/// broadcast) — between barriers, the survivable window. Set by the env
+/// var `WARP_COORD_TEST_CRASH=barriers:N` and by
+/// [`FaultPlan::coordinator_crash_after`]; the earlier count wins. The
+/// count is cumulative across coordinator incarnations, so a resumed
+/// coordinator inheriting the env var does not re-crash: the journal
+/// restores the count at or past the trigger, and only exact equality
+/// fires. Any other env value is refused before a worker exists.
+fn crash_hook(fault: Option<&FaultPlan>, env: Option<&str>) -> Result<Option<u64>, DistError> {
+    let from_env = env
+        .map(|v| {
+            v.strip_prefix("barriers:")
+                .and_then(|n| n.parse().ok())
+                .ok_or_else(|| {
+                    DistError::InvalidConfig(format!(
+                        "WARP_COORD_TEST_CRASH={v:?}: the only form is barriers:N"
+                    ))
+                })
+        })
+        .transpose()?;
+    let from_plan = fault.and_then(FaultPlan::coordinator_crash_after);
+    Ok(from_env.into_iter().chain(from_plan).min())
 }
 
 /// Stage and run a distributed simulation, returning the merged report.
@@ -1229,6 +1198,10 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
                 .into(),
         ));
     }
+    let crash_after = crash_hook(
+        cfg.fault.as_ref(),
+        std::env::var("WARP_COORD_TEST_CRASH").ok().as_deref(),
+    )?;
     // Open the durable store (and its run journal) before any worker
     // exists, so a bad directory fails the run without orphaning
     // processes.
@@ -1291,6 +1264,7 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
         probation: None,
         journal,
         barriers: 0,
+        crash_after,
     };
     run_cluster(cfg, workers, admission, deadline, start, announce, &mut st)
 }
@@ -1668,6 +1642,10 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
             "resume requires recovery: the journal is part of the checkpoint machinery".into(),
         ));
     }
+    let crash_after = crash_hook(
+        cfg.fault.as_ref(),
+        std::env::var("WARP_COORD_TEST_CRASH").ok().as_deref(),
+    )?;
     let path = journal_path(store_dir);
     let contents = load_journal(&path).map_err(|e| {
         DistError::InvalidConfig(format!("run journal at {}: {e}", store_dir.display()))
@@ -1875,6 +1853,7 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         probation: None,
         journal: Some(journal),
         barriers: rec.barriers,
+        crash_after,
     };
     run_cluster(cfg, workers, admission, deadline, start, announce, &mut st)
 }
@@ -2114,11 +2093,18 @@ fn coordinate(
         barrier_fired: bool,
     }
     let mut planned: Option<PlannedTransition> = None;
-    // A scale-in past its barrier: `Retire` went to the retiree and
-    // `Rebalance` to the survivors; the session ends once the retiree
-    // answers `DrainAck`. Survivor aborts are expected in this window.
+    // A scale-in past its barrier: `Retire` went to the retiree, whose
+    // `DrainAck` (or clean close) ends the session. The survivors'
+    // `Rebalance` waits for it: a survivor that aborted first could
+    // reach the retiree as a lost peer before its `Retire` does.
     let mut draining: Option<ScalePlan> = None;
-    let crash_hook = CrashHook::from_env(cfg.fault.as_ref());
+    // Ends the session for every worker but `except` (a retiree that
+    // drained already): each aborts its LP threads and regroups.
+    let rebalance = |gvt: VirtualTime, except: Option<u32>| {
+        for w in (1..=n_workers as u32).filter(|&w| Some(w) != except) {
+            mesh.send(w, Frame::Rebalance { gvt });
+        }
+    };
     let stall_budget = (cfg.recovery.enabled && cfg.recovery.stall_budget_ms > 0)
         .then(|| Duration::from_millis(cfg.recovery.stall_budget_ms));
     let mut last_gvt_advance = Instant::now();
@@ -2174,22 +2160,15 @@ fn coordinate(
         // Drive a planned transition (migration or scale): first a
         // checkpoint barrier so the chains cover everything committed,
         // then end the session on purpose — a broadcast `Rebalance`
-        // (everyone aborts and regroups), except the scale-in retiree,
-        // which gets `Retire` and must answer `DrainAck` before the
-        // session is declared over.
+        // (everyone aborts and regroups). On scale-in the retiree gets
+        // `Retire` instead, and the survivors' `Rebalance` waits for its
+        // `DrainAck`.
         if let Some(p) = planned.as_mut() {
             if pending.is_none() {
                 if p.barrier_fired {
                     match planned.take().unwrap().t {
                         Transition::Rebalance(plan) => {
-                            for w in 1..=n_workers as u32 {
-                                mesh.send(
-                                    w,
-                                    Frame::Rebalance {
-                                        gvt: st.store.horizon,
-                                    },
-                                );
-                            }
+                            rebalance(st.store.horizon, None);
                             return Ok(SessionEnd::Rebalance {
                                 next: plan.assignment,
                                 moves: plan.moves,
@@ -2198,14 +2177,7 @@ fn coordinate(
                         }
                         Transition::Scale(plan) => match plan.retired() {
                             None => {
-                                for w in 1..=n_workers as u32 {
-                                    mesh.send(
-                                        w,
-                                        Frame::Rebalance {
-                                            gvt: st.store.horizon,
-                                        },
-                                    );
-                                }
+                                rebalance(st.store.horizon, None);
                                 return Ok(SessionEnd::Scale { plan });
                             }
                             Some(retiree) => {
@@ -2215,14 +2187,6 @@ fn coordinate(
                                         gvt: st.store.horizon,
                                     },
                                 );
-                                for w in (1..=n_workers as u32).filter(|w| *w != retiree) {
-                                    mesh.send(
-                                        w,
-                                        Frame::Rebalance {
-                                            gvt: st.store.horizon,
-                                        },
-                                    );
-                                }
                                 draining = Some(plan);
                             }
                         },
@@ -2275,13 +2239,6 @@ fn coordinate(
                     }
                 }
                 Frame::Progress { gvt } => {
-                    // Test hook (legacy form): die like a killed
-                    // coordinator — no goodbye — once the run is
-                    // demonstrably underway, so orphan hygiene can be
-                    // exercised with real processes.
-                    if crash_hook == CrashHook::FirstProgress {
-                        std::process::abort();
-                    }
                     worker_gvt[from as usize - 1] = Some(gvt);
                     if best_gvt.is_none_or(|b| gvt > b) {
                         best_gvt = Some(gvt);
@@ -2438,13 +2395,13 @@ fn coordinate(
                                     },
                                 );
                             }
-                            // Test hook (`barriers:N` form): die like a
-                            // killed coordinator *between* barriers —
-                            // after this one committed and acked. Exact
+                            // Test hook: die like a killed coordinator
+                            // — no goodbye — *between* barriers, after
+                            // this one committed and acked. Exact
                             // equality, so a resumed coordinator that
                             // inherits the env var (journal restores
                             // `barriers` at N) never re-crashes.
-                            if crash_hook == CrashHook::AfterBarriers(st.barriers) {
+                            if st.crash_after == Some(st.barriers) {
                                 std::process::abort();
                             }
                         }
@@ -2454,9 +2411,10 @@ fn coordinate(
                 Frame::DrainAck { .. } => {
                     // The scale-in retiree confirms it aborted its LPs
                     // and is about to close cleanly and exit; the
-                    // session is over on purpose. A stray ack outside a
+                    // survivors may regroup now. A stray ack outside a
                     // drain window is stale traffic, ignored.
                     if let Some(plan) = draining.take() {
+                        rebalance(st.store.horizon, Some(plan.from_workers));
                         return Ok(SessionEnd::Scale { plan });
                     }
                 }
@@ -2471,23 +2429,18 @@ fn coordinate(
                 clean,
                 detail,
             }) => {
-                if let Some(plan) = draining.as_ref() {
-                    if peer == plan.from_workers {
-                        if clean {
-                            // The retiree closed cleanly before its ack
-                            // was read (the frames can race); a clean
-                            // close past the barrier means it drained.
-                            return Ok(SessionEnd::Scale {
-                                plan: draining.take().unwrap(),
-                            });
-                        }
-                        return Ok(SessionEnd::Lost {
-                            peer,
-                            detail: format!("crashed while draining for retirement: {detail}"),
-                        });
+                if let Some(plan) = draining.take_if(|p| p.retired() == Some(peer)) {
+                    if clean {
+                        // The retiree closed cleanly before its ack was
+                        // read (the frames can race); a clean close past
+                        // the barrier means it drained.
+                        rebalance(st.store.horizon, Some(peer));
+                        return Ok(SessionEnd::Scale { plan });
                     }
-                    // Survivors abort on `Rebalance` while the retiree
-                    // drains; their going down here is the plan working.
+                    return Ok(SessionEnd::Lost {
+                        peer,
+                        detail: format!("crashed while draining for retirement: {detail}"),
+                    });
                 } else if clean && reports[peer as usize - 1].is_some() {
                     closed[peer as usize - 1] = true;
                 } else {
@@ -2704,17 +2657,27 @@ impl EventThrottle {
     }
 }
 
-/// An LP's transport inside a worker process: packets for co-resident
-/// LPs go over local channels, everything else becomes a frame on the
-/// TCP mesh addressed to the owning process.
+/// Where a worker delivers a packet for one global LP id.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// A co-resident LP: its endpoint in the session's lane mesh.
+    Lane(usize),
+    /// An LP of another process (the owner's mesh proc id): the packet
+    /// goes out as a frame.
+    Remote(u32),
+}
+
+/// An LP's transport inside a worker process: its endpoint in the
+/// session's SPSC lane mesh — the transport `run_threaded` uses — for
+/// co-resident LPs, a frame on the TCP mesh addressed to the owning
+/// process for everything else. Inbound frames reach the lane from the
+/// session thread (`route_inbound`).
 struct WorkerPort {
     lp: u32,
-    n_lps: u32,
-    my_proc: u32,
-    assign: Arc<Assignment>,
-    locals: Arc<Vec<Option<Sender<Packet>>>>,
+    lane: LaneEndpoint<Packet>,
+    /// Dense, by global LP id; shared by the session's ports and thread.
+    slot_of: Arc<[Slot]>,
     mesh_tx: MeshSender,
-    rx: Receiver<Packet>,
     /// Stream per-LP load reports to the coordinator at GVT rounds.
     balance: bool,
     /// Artificial slowdown shared by every LP thread in this process.
@@ -2741,42 +2704,42 @@ impl LpPort for WorkerPort {
         self.lp as usize
     }
     fn n_total(&self) -> usize {
-        self.n_lps as usize
+        self.slot_of.len()
     }
     fn n_local(&self) -> usize {
-        self.locals.iter().flatten().count()
+        // The mesh's last endpoint is the session thread's.
+        self.lane.n_peers() - 1
     }
     fn send(&self, to: usize, p: Packet) {
-        if self.assign.proc_of(to as u32) == self.my_proc {
-            if let Some(Some(tx)) = self.locals.get(to) {
-                // A send to an LP that already shut down is ignorable by
-                // construction (it can only concern committed history).
-                let _ = tx.send(p);
+        match self.slot_of[to] {
+            // A send to an LP that already shut down parks in its lane
+            // (it can only concern committed history).
+            Slot::Lane(lane) => self.lane.send(lane, p),
+            Slot::Remote(proc) => {
+                let frame = match p {
+                    // The link writer stamps the real per-link sequence.
+                    Packet::Data { msg, epoch } => Frame::Data { seq: 0, epoch, msg },
+                    Packet::Token(token) => Frame::Token {
+                        dst_lp: to as u32,
+                        token,
+                    },
+                    Packet::GvtNews(gvt) => Frame::GvtNews {
+                        dst_lp: to as u32,
+                        gvt,
+                    },
+                    // Checkpoint and abort traffic is process-local by
+                    // design; the LP loop never addresses it to a peer.
+                    Packet::Ckpt { .. } | Packet::CkptAck(_) | Packet::Abort => return,
+                };
+                self.mesh_tx.send(proc, frame);
             }
-        } else {
-            let frame = match p {
-                // The link writer stamps the real per-link sequence.
-                Packet::Data { msg, epoch } => Frame::Data { seq: 0, epoch, msg },
-                Packet::Token(token) => Frame::Token {
-                    dst_lp: to as u32,
-                    token,
-                },
-                Packet::GvtNews(gvt) => Frame::GvtNews {
-                    dst_lp: to as u32,
-                    gvt,
-                },
-                // Checkpoint and abort traffic is process-local by
-                // design; the LP loop never addresses it to a peer.
-                Packet::Ckpt { .. } | Packet::CkptAck(_) | Packet::Abort => return,
-            };
-            self.mesh_tx.send(self.assign.proc_of(to as u32), frame);
         }
     }
     fn try_recv(&self) -> Option<Packet> {
-        self.rx.try_recv().ok()
+        self.lane.try_recv()
     }
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
-        self.rx.recv_timeout(timeout).ok()
+        self.lane.recv_timeout(timeout)
     }
     fn note_gvt(&self, gvt: VirtualTime) {
         // Only the controller LP calls this; the coordinator paces the
@@ -2994,7 +2957,8 @@ fn spawn_control_reader<R: Read + Send + 'static>(src: R) -> Receiver<String> {
     rx
 }
 
-/// How a worker session ended.
+/// How a worker session ended. Every cause but `Finished` aborted the
+/// local LP threads.
 enum WorkerSessionEnd {
     /// GVT reached ∞; the report is sent and the mesh closed cleanly.
     Finished,
@@ -3006,7 +2970,10 @@ enum WorkerSessionEnd {
     /// The coordinator retired this worker in a scale-in: its LPs are
     /// drained to the survivors via the checkpoint chains, `DrainAck`
     /// is sent, and the process exits 0.
-    Retire,
+    Retire {
+        /// The barrier horizon announced in the `Retire` frame.
+        gvt: VirtualTime,
+    },
 }
 
 /// The worker's life after bootstrap: run mesh sessions until one
@@ -3025,12 +2992,8 @@ pub fn run_worker(
     // Mesh size is per *session* now, not per run: elastic scales grow
     // and shrink it via [`SessionLine::n_procs`].
     let mut n_procs = init.n_procs;
-    let mut assign = if init.assignment.is_empty() {
-        Assignment::contiguous(init.n_lps, n_procs - 1)
-    } else {
-        Assignment::from_owners(init.assignment.clone(), n_procs - 1)
-    }
-    .map_err(|e| format!("assignment: {e}"))?;
+    let mut assign = Assignment::from_owners(init.assignment.clone(), n_procs - 1)
+        .map_err(|e| format!("assignment: {e}"))?;
     if assign.n_lps() != init.n_lps {
         return Err(format!(
             "assignment covers {} LPs but the model has {}",
@@ -3076,7 +3039,7 @@ pub fn run_worker(
             &floor,
         )? {
             WorkerSessionEnd::Finished => return Ok(()),
-            WorkerSessionEnd::Retire => {
+            WorkerSessionEnd::Retire { .. } => {
                 eprintln!(
                     "warp-worker (proc {}): retired by scale-in at session {session}; exiting",
                     init.proc_id
@@ -3158,13 +3121,9 @@ pub fn run_worker(
         session = sl.session;
         peers = sl.peers;
         connect_ms = sl.connect_ms;
-        if sl.n_procs != 0 {
-            n_procs = sl.n_procs;
-        }
-        if !sl.assignment.is_empty() {
-            assign = Assignment::from_owners(sl.assignment, n_procs - 1)
-                .map_err(|e| format!("session assignment: {e}"))?;
-        }
+        n_procs = sl.n_procs;
+        assign = Assignment::from_owners(sl.assignment, n_procs - 1)
+            .map_err(|e| format!("session assignment: {e}"))?;
         listener = Some(lst);
     }
 }
@@ -3414,30 +3373,26 @@ fn run_session_as_worker(
     // stale runtime may be missing history a newer horizon commits.
     retained.clear();
 
-    // Local delivery channels for this process's LPs.
-    let mut locals: Vec<Option<Sender<Packet>>> = (0..init.n_lps).map(|_| None).collect();
-    let mut inboxes = Vec::new();
-    for (lp, _) in &seeds {
-        let (tx, rx) = mpsc::channel();
-        locals[*lp as usize] = Some(tx);
-        inboxes.push(rx);
+    // One lane mesh per session: an endpoint per co-resident LP, in
+    // ascending global-id order, and the last one for this thread, which
+    // routes inbound frames onto the lanes.
+    let mut slot_of: Vec<Slot> = assign.owners().iter().map(|&p| Slot::Remote(p)).collect();
+    for (lane, &lp) in my_lps.iter().enumerate() {
+        slot_of[lp as usize] = Slot::Lane(lane);
     }
-    let locals = Arc::new(locals);
-    let mesh_tx = mesh.sender();
-    let assign_arc = Arc::new(assign.clone());
+    let slot_of: Arc<[Slot]> = slot_of.into();
+    let mut lanes = lane_mesh::<Packet>(my_lps.len() + 1);
+    let session_lane = lanes.pop().expect("the session thread's endpoint");
 
-    let handles: Vec<_> = seeds
+    let lp_threads: Vec<_> = seeds
         .into_iter()
-        .zip(inboxes)
-        .map(|((lp, seed), rx)| {
+        .zip(lanes)
+        .map(|((lp, seed), lane)| {
             let port = WorkerPort {
                 lp,
-                n_lps: init.n_lps,
-                my_proc: init.proc_id,
-                assign: Arc::clone(&assign_arc),
-                locals: Arc::clone(&locals),
-                mesh_tx: mesh_tx.clone(),
-                rx,
+                lane,
+                slot_of: Arc::clone(&slot_of),
+                mesh_tx: mesh.sender(),
                 balance: init.balance,
                 throttle: throttle.clone(),
                 last_yield: Cell::new(Instant::now()),
@@ -3447,54 +3402,22 @@ fn run_session_as_worker(
         })
         .collect();
 
-    // Inbound router: mesh frames → local LP channels. Runs until the
-    // LP threads finish, then hands the mesh back for the report.
-    let stop = Arc::new(AtomicBool::new(false));
-    let n_local = my_lps.len();
-    let router = {
-        let stop = Arc::clone(&stop);
-        let locals = Arc::clone(&locals);
-        let floor = Arc::clone(floor);
-        let from_base = ckpt_base.unwrap_or(VirtualTime::ZERO);
-        std::thread::spawn(move || {
-            route_inbound(mesh, &locals, &stop, backlog, n_local, from_base, &floor)
-        })
-    };
-
-    let mut outcomes: Vec<LpOutcome> = handles
+    let end = route_inbound(
+        &mesh,
+        &session_lane,
+        &slot_of,
+        backlog,
+        ckpt_base.unwrap_or(VirtualTime::ZERO),
+        floor,
+        &lp_threads,
+    );
+    let mut outcomes: Vec<LpOutcome> = lp_threads
         .into_iter()
         .map(|h| h.join().expect("LP thread panicked"))
         .collect();
-    stop.store(true, Ordering::Relaxed);
-    let route_end = router.join().expect("router thread panicked");
 
-    match route_end {
-        RouteEnd::Lost { mesh, detail } => {
-            mesh.abort();
-            stash_retained(retained, outcomes);
-            Ok(WorkerSessionEnd::PeerLost(detail))
-        }
-        RouteEnd::Rebalance(mesh) => {
-            mesh.abort();
-            stash_retained(retained, outcomes);
-            Ok(WorkerSessionEnd::Rebalance)
-        }
-        RouteEnd::Retire { mesh, gvt } => {
-            // Everything this worker owns below the barrier horizon is
-            // already in the coordinator's chains; speculation above it
-            // is discarded like any aborted session. Confirm the drain,
-            // flush it with a clean close, and let the caller exit 0.
-            mesh.send(0, Frame::DrainAck { gvt });
-            mesh.shutdown();
-            Ok(WorkerSessionEnd::Retire)
-        }
-        RouteEnd::Stopped(mesh) => {
-            if outcomes.iter().any(|o| o.aborted) {
-                // The abort raced GVT = ∞; treat the session as lost.
-                mesh.abort();
-                stash_retained(retained, outcomes);
-                return Ok(WorkerSessionEnd::PeerLost("aborted mid-run".into()));
-            }
+    match end {
+        WorkerSessionEnd::Finished => {
             outcomes.sort_by_key(|o| o.summary.lp);
             let report = WorkerReport {
                 gvt_rounds: outcomes.iter().map(|o| o.gvt_rounds).max().unwrap_or(0),
@@ -3504,9 +3427,21 @@ fn run_session_as_worker(
             let bytes = serde_json::to_vec(&report).map_err(|e| format!("report encode: {e}"))?;
             mesh.send(0, Frame::Report(bytes));
             mesh.shutdown();
-            Ok(WorkerSessionEnd::Finished)
+        }
+        WorkerSessionEnd::Retire { gvt } => {
+            // Everything this worker owns below the barrier horizon is
+            // already in the coordinator's chains; speculation above it
+            // is discarded like any aborted session. Confirm the drain,
+            // flush it with a clean close, and let the caller exit 0.
+            mesh.send(0, Frame::DrainAck { gvt });
+            mesh.shutdown();
+        }
+        WorkerSessionEnd::PeerLost(_) | WorkerSessionEnd::Rebalance => {
+            mesh.abort();
+            stash_retained(retained, outcomes);
         }
     }
+    Ok(end)
 }
 
 /// Keep the runtimes aborted LP threads handed back, keyed by LP, for
@@ -3522,66 +3457,37 @@ fn stash_retained(
     }
 }
 
-/// What the router hands back.
-enum RouteEnd {
-    /// Told to stop (LP threads all finished).
-    Stopped(TcpMesh),
-    /// A peer was lost uncleanly; every local LP got `Packet::Abort`.
-    Lost {
-        /// The mesh, for the caller to slam shut.
-        mesh: TcpMesh,
-        /// What the failure detector observed.
-        detail: String,
-    },
-    /// The coordinator announced a migration; every local LP got
-    /// `Packet::Abort` and the session ends on purpose.
-    Rebalance(TcpMesh),
-    /// The coordinator retired this worker; every local LP got
-    /// `Packet::Abort` and the caller must `DrainAck` and exit cleanly.
-    Retire {
-        /// The mesh, for the drain acknowledgement and clean close.
-        mesh: TcpMesh,
-        /// The barrier horizon announced in the `Retire` frame.
-        gvt: VirtualTime,
-    },
-}
-
-/// Dispatch inbound mesh traffic to local LP channels until told to
-/// stop, fanning the checkpoint protocol out to the LP threads along
-/// the way. On an unclean peer loss, aborts every local LP and returns.
+/// The session thread's loop: move inbound mesh traffic (the resume
+/// phase's `backlog` first) onto the local LPs' lanes through this
+/// thread's `lane`, and fan the checkpoint protocol out to them, until
+/// every LP thread has stopped (`Finished`). A peer loss, a protocol
+/// violation, a migration or a retirement aborts every local LP and
+/// ends the session at once.
 fn route_inbound(
-    mesh: TcpMesh,
-    locals: &[Option<Sender<Packet>>],
-    stop: &AtomicBool,
+    mesh: &TcpMesh,
+    lane: &LaneEndpoint<Packet>,
+    slot_of: &[Slot],
     backlog: Vec<(u32, Frame)>,
-    n_local: usize,
     mut ckpt_from: VirtualTime,
     floor: &AtomicU64,
-) -> RouteEnd {
+    lp_threads: &[JoinHandle<LpOutcome>],
+) -> WorkerSessionEnd {
+    let n_local = lp_threads.len();
     let deliver = |lp: u32, p: Packet| {
-        if let Some(Some(tx)) = locals.get(lp as usize) {
-            let _ = tx.send(p); // finished LPs simply miss stale traffic
+        if let Some(&Slot::Lane(to)) = slot_of.get(lp as usize) {
+            lane.send(to, p); // finished LPs simply miss stale traffic
         }
     };
     let fan_local = |p: &dyn Fn() -> Packet| {
-        for tx in locals.iter().flatten() {
-            let _ = tx.send(p());
+        for to in 0..n_local {
+            lane.send(to, p());
         }
     };
-    let handle = |frame: Frame, from: u32, ckpt_from: &mut VirtualTime| -> Result<(), String> {
+    let mut handle = |from: u32, frame: Frame| -> Option<WorkerSessionEnd> {
         match frame {
-            Frame::Data { msg, epoch, .. } => {
-                deliver(msg.dst.0, Packet::Data { msg, epoch });
-                Ok(())
-            }
-            Frame::Token { dst_lp, token } => {
-                deliver(dst_lp, Packet::Token(token));
-                Ok(())
-            }
-            Frame::GvtNews { dst_lp, gvt } => {
-                deliver(dst_lp, Packet::GvtNews(gvt));
-                Ok(())
-            }
+            Frame::Data { msg, epoch, .. } => deliver(msg.dst.0, Packet::Data { msg, epoch }),
+            Frame::Token { dst_lp, token } => deliver(dst_lp, Packet::Token(token)),
+            Frame::GvtNews { dst_lp, gvt } => deliver(dst_lp, Packet::GvtNews(gvt)),
             Frame::SnapshotReq { ckpt, gvt } => {
                 let (tx, rx) = mpsc::channel::<CkptPart>();
                 fan_local(&|| Packet::Ckpt {
@@ -3590,13 +3496,12 @@ fn route_inbound(
                     reply: tx.clone(),
                 });
                 drop(tx);
-                let from_vt = *ckpt_from;
-                *ckpt_from = (*ckpt_from).max(gvt);
+                let from_vt = ckpt_from;
+                ckpt_from = ckpt_from.max(gvt);
                 let out = mesh.sender();
                 std::thread::spawn(move || {
                     collect_ckpt(rx, out, ckpt, from_vt, gvt, n_local);
                 });
-                Ok(())
             }
             Frame::SnapshotAck { gvt, .. } => {
                 // The coordinator journals the barrier *before* this
@@ -3605,55 +3510,45 @@ fn route_inbound(
                 // horizon a successor coordinator can replay.
                 floor.fetch_max(gvt.ticks(), Ordering::AcqRel);
                 fan_local(&|| Packet::CkptAck(gvt));
-                Ok(())
             }
-            other => Err(format!("unexpected {other:?} from proc {from}")),
+            // A planned session end: abort the LP threads exactly as on
+            // a peer loss, but report it as a migration.
+            Frame::Rebalance { .. } => {
+                fan_local(&|| Packet::Abort);
+                return Some(WorkerSessionEnd::Rebalance);
+            }
+            // A planned *final* session end for this process: abort the
+            // LP threads, then drain and exit.
+            Frame::Retire { gvt } => {
+                fan_local(&|| Packet::Abort);
+                return Some(WorkerSessionEnd::Retire { gvt });
+            }
+            other => {
+                let detail = format!("unexpected {other:?} from proc {from}");
+                eprintln!(
+                    "warp-worker (proc {}): protocol violation: {detail}",
+                    mesh.proc_id()
+                );
+                fan_local(&|| Packet::Abort);
+                return Some(WorkerSessionEnd::PeerLost(detail));
+            }
         }
+        None
     };
 
     for (from, frame) in backlog {
-        if matches!(frame, Frame::Rebalance { .. }) {
-            fan_local(&|| Packet::Abort);
-            return RouteEnd::Rebalance(mesh);
-        }
-        if let Frame::Retire { gvt } = frame {
-            fan_local(&|| Packet::Abort);
-            return RouteEnd::Retire { mesh, gvt };
-        }
-        if let Err(detail) = handle(frame, from, &mut ckpt_from) {
-            eprintln!(
-                "warp-worker (proc {}): protocol violation: {detail}",
-                mesh.proc_id()
-            );
-            fan_local(&|| Packet::Abort);
-            return RouteEnd::Lost { mesh, detail };
+        if let Some(end) = handle(from, frame) {
+            return end;
         }
     }
     loop {
-        if stop.load(Ordering::Relaxed) {
-            return RouteEnd::Stopped(mesh);
+        if lp_threads.iter().all(JoinHandle::is_finished) {
+            return WorkerSessionEnd::Finished;
         }
         match mesh.recv_timeout(Duration::from_millis(20)) {
             Some(MeshEvent::Frame { from, frame }) => {
-                if matches!(frame, Frame::Rebalance { .. }) {
-                    // A planned session end: abort the LP threads exactly
-                    // as on a peer loss, but report it as a migration.
-                    fan_local(&|| Packet::Abort);
-                    return RouteEnd::Rebalance(mesh);
-                }
-                if let Frame::Retire { gvt } = frame {
-                    // A planned *final* session end for this process:
-                    // abort the LP threads, then drain and exit.
-                    fan_local(&|| Packet::Abort);
-                    return RouteEnd::Retire { mesh, gvt };
-                }
-                if let Err(detail) = handle(frame, from, &mut ckpt_from) {
-                    eprintln!(
-                        "warp-worker (proc {}): protocol violation: {detail}",
-                        mesh.proc_id()
-                    );
-                    fan_local(&|| Packet::Abort);
-                    return RouteEnd::Lost { mesh, detail };
+                if let Some(end) = handle(from, frame) {
+                    return end;
                 }
             }
             Some(MeshEvent::PeerDown {
@@ -3666,7 +3561,7 @@ fn route_inbound(
                     mesh.proc_id()
                 );
                 fan_local(&|| Packet::Abort);
-                return RouteEnd::Lost { mesh, detail };
+                return WorkerSessionEnd::PeerLost(detail);
             }
             // Clean goodbyes while LPs still run mean the peer finished
             // its share after GVT = ∞; per-link FIFO guarantees the ∞
@@ -3680,9 +3575,10 @@ fn route_inbound(
 
 /// Gather one checkpoint's parts from the local LP threads and, when
 /// complete, ship the encoded delta to the coordinator. An LP that
-/// already shut down never answers (its reply sender is dropped), which
-/// leaves the checkpoint incomplete — the coordinator simply never
-/// commits it, and the run is terminating anyway.
+/// already shut down never answers: the request, reply sender included,
+/// sits in its lane until the session drops the lane mesh, and the
+/// collector then returns with the checkpoint incomplete — the
+/// coordinator simply never commits it, and the session is over anyway.
 fn collect_ckpt(
     rx: Receiver<CkptPart>,
     out: MeshSender,
@@ -3777,25 +3673,41 @@ mod tests {
     }
 
     #[test]
-    fn legacy_worker_init_defaults_the_balance_fields() {
-        // A pre-migration init line (no assignment/balance/handicap)
-        // must still parse: empty map = contiguous default, balancer off.
-        let line = r#"{"proc_id":1,"n_procs":2,"n_lps":4,"peers":[[0,"127.0.0.1:1"]],
-                       "model":null,"connect_ms":1000}"#;
-        let back: WorkerInit = serde_json::from_str(line).unwrap();
-        assert!(back.assignment.is_empty());
-        assert!(!back.balance);
-        assert_eq!(back.handicap_us, 0);
-        assert_eq!(back.handicap_events, 0);
-        assert!(back.rejoin.is_none(), "pre-failover init = no parking");
+    fn worker_init_without_an_assignment_is_refused() {
+        // The coordinator writes every field; a line that lacks one
+        // comes from no build that could pass `Hello`, and a missing
+        // owner map must not quietly mean "contiguous".
+        let line = serde_json::to_string(&WorkerInit {
+            proc_id: 1,
+            n_procs: 2,
+            n_lps: 4,
+            session: 0,
+            peers: vec![(0, "127.0.0.1:1".into())],
+            model: serde_json::Value::Null,
+            net: NetTuning::default(),
+            connect_ms: 1000,
+            recovery: true,
+            assignment: vec![1; 4],
+            balance: false,
+            handicap_us: 0,
+            handicap_events: 0,
+            fault: None,
+            rejoin: None,
+        })
+        .unwrap();
+        serde_json::from_str::<WorkerInit>(&line).expect("the full line parses");
+        let legacy = line.replace(r#""assignment":[1,1,1,1],"#, "");
+        assert_ne!(legacy, line, "the owner map is gone from {legacy}");
+        let err = serde_json::from_str::<WorkerInit>(&legacy).unwrap_err();
+        assert!(err.to_string().contains("assignment"), "{err}");
     }
 
     #[test]
     fn retired_transport_key_is_ignored() {
-        // Job files and init lines written while `NetTuning` still had
-        // a `transport` engine switch or the on-the-wire aggregation
-        // knobs must keep loading: the keys are dropped, everything
-        // beside them is honored.
+        // Job files written while `NetTuning` still had a `transport`
+        // engine switch or the on-the-wire aggregation knobs must keep
+        // loading: the keys are dropped, everything beside them is
+        // honored.
         // (The five `agg_*` names are assembled here so CI's grep guard
         // on retired names can cover this file too.)
         let agg_keys = [
@@ -3808,16 +3720,14 @@ mod tests {
         .map(|(knob, value)| format!(r#""agg_{knob}":{value}"#))
         .join(",");
         for retired in [r#""transport":"Poll""#, &agg_keys] {
-            let line = format!(
-                r#"{{"proc_id":1,"n_procs":2,"n_lps":4,"peers":[[0,"127.0.0.1:1"]],
-                    "model":null,"connect_ms":1000,
-                    "net":{{"heartbeat_ms":100,"liveness_ms":900,
-                           "connect_backoff_start_ms":20,"connect_backoff_max_ms":500,
-                           {retired}}}}}"#
+            let net = format!(
+                r#"{{"heartbeat_ms":100,"liveness_ms":900,
+                    "connect_backoff_start_ms":20,"connect_backoff_max_ms":500,
+                    {retired}}}"#
             );
-            let back: WorkerInit = serde_json::from_str(&line).unwrap();
-            assert_eq!(back.net.liveness_ms, 900);
-            back.net.validate().unwrap();
+            let back: NetTuning = serde_json::from_str(&net).unwrap();
+            assert_eq!(back.liveness_ms, 900);
+            back.validate().unwrap();
         }
     }
 
@@ -3836,12 +3746,6 @@ mod tests {
         assert_eq!(back.peers, sl.peers);
         assert_eq!(back.assignment, vec![2, 1, 1, 2]);
         assert_eq!(back.n_procs, 3);
-        // Legacy line without an assignment or mesh size defaults to
-        // "unchanged" for both.
-        let legacy = r#"{"session":1,"peers":[[0,"127.0.0.1:9"]],"connect_ms":100}"#;
-        let back: SessionLine = serde_json::from_str(legacy).unwrap();
-        assert!(back.assignment.is_empty());
-        assert_eq!(back.n_procs, 0);
     }
 
     #[test]
@@ -4016,40 +3920,26 @@ mod tests {
     }
 
     #[test]
-    fn crash_hook_parses_barrier_and_legacy_forms() {
-        assert_eq!(CrashHook::resolve(None, None), CrashHook::None);
-        assert_eq!(
-            CrashHook::resolve(None, Some("1")),
-            CrashHook::FirstProgress,
-            "any non-barrier value keeps the legacy first-Progress hook"
-        );
-        assert_eq!(
-            CrashHook::resolve(None, Some("barriers:3")),
-            CrashHook::AfterBarriers(3)
-        );
-        assert_eq!(
-            CrashHook::resolve(None, Some("barriers:nope")),
-            CrashHook::FirstProgress
-        );
+    fn crash_hook_parses_barrier_forms_and_refuses_the_rest() {
+        assert_eq!(crash_hook(None, None).unwrap(), None);
+        assert_eq!(crash_hook(None, Some("barriers:3")).unwrap(), Some(3));
         let plan = FaultPlan::new().crash_coordinator_after(5);
+        assert_eq!(crash_hook(Some(&plan), None).unwrap(), Some(5));
+        // Two barrier counts merge to the earlier trigger.
         assert_eq!(
-            CrashHook::resolve(Some(&plan), None),
-            CrashHook::AfterBarriers(5)
-        );
-        // Two barrier counts merge to the earlier trigger; the legacy
-        // form fires soonest and always wins.
-        assert_eq!(
-            CrashHook::resolve(Some(&plan), Some("barriers:2")),
-            CrashHook::AfterBarriers(2)
+            crash_hook(Some(&plan), Some("barriers:2")).unwrap(),
+            Some(2)
         );
         assert_eq!(
-            CrashHook::resolve(Some(&plan), Some("barriers:9")),
-            CrashHook::AfterBarriers(5)
+            crash_hook(Some(&plan), Some("barriers:9")).unwrap(),
+            Some(5)
         );
-        assert_eq!(
-            CrashHook::resolve(Some(&plan), Some("now")),
-            CrashHook::FirstProgress
-        );
+        for bad in ["1", "now", "barriers:nope", "barriers:"] {
+            match crash_hook(Some(&plan), Some(bad)) {
+                Err(DistError::InvalidConfig(m)) => assert!(m.contains("barriers:N"), "{m}"),
+                other => panic!("{bad:?}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

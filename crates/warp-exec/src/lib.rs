@@ -9,11 +9,12 @@
 //!   charged from the cost model, wire latency and bandwidth on every
 //!   physical message. This is the substrate all figures are reproduced
 //!   on ("execution time" = modeled completion time).
-//! * [`threaded`] — one OS thread per LP over a channel mesh with
+//! * [`threaded`] — one OS thread per LP over a mesh of SPSC lanes with
 //!   Mattern-token GVT: the kernel as a real parallel program.
 //! * [`distributed`] — the threaded kernel spread across OS processes: a
-//!   coordinator spawns worker binaries, LP blocks run per worker, and
-//!   the same LP loop exchanges frames over a TCP mesh.
+//!   coordinator spawns worker binaries, LP blocks run per worker on the
+//!   same LP loop and the same lanes, and frames cross a TCP mesh
+//!   between the processes.
 //!
 //! All four consume a [`spec::SimulationSpec`] and produce a
 //! [`report::RunReport`].

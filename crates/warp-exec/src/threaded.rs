@@ -21,8 +21,8 @@ use warp_net::{lane_mesh, Aggregator, LaneEndpoint, PhysMsg};
 
 /// Traffic multiplexed over the mesh. Shared with the distributed
 /// executive, whose TCP frames carry exactly these payloads (the
-/// checkpoint and abort packets are process-local: the distributed
-/// router fans the corresponding frames out to its LP threads).
+/// checkpoint and abort packets are process-local: a worker's session
+/// thread fans the corresponding frames out to its LP threads).
 pub(crate) enum Packet {
     /// Application events (a physical message), tagged with the sender's
     /// Mattern epoch.
@@ -61,9 +61,10 @@ pub(crate) struct CkptPart {
 
 /// What an LP needs from its transport. The threaded executive plugs in
 /// a [`LaneEndpoint`] of the SPSC lane mesh; the distributed executive
-/// plugs in a port that routes local packets over channels and remote
-/// ones over the TCP mesh. LP ids are *global* — the LP loop itself never
-/// knows whether a peer lives in this process.
+/// plugs in a port around the same kind of endpoint that sends packets
+/// for other processes' LPs over the TCP mesh instead. LP ids are
+/// *global* — the LP loop itself never knows whether a peer lives in
+/// this process.
 pub(crate) trait LpPort {
     /// This LP's global id.
     fn id(&self) -> usize;
@@ -113,9 +114,9 @@ pub(crate) trait LpPort {
     /// Called once per pass (≤ [`BATCH`] events) of the LP loop that found
     /// work. An LP with speculative work never blocks, so a port whose
     /// packets are moved by other threads of this process (the
-    /// distributed port: link writers, readers, the inbound router) gives
-    /// them the core here; the lane mesh has no such threads and does
-    /// nothing.
+    /// distributed port: link writers, readers, the session thread that
+    /// routes inbound frames) gives them the core here; the lane mesh has
+    /// no such threads and does nothing.
     fn yield_core(&self) {}
 }
 
@@ -602,7 +603,6 @@ impl<P: LpPort> LpThread<P> {
                 objects,
             },
             gvt_rounds: self.gvt_rounds,
-            aborted: self.aborted,
             telemetry,
             runtime: if self.aborted {
                 Some(Box::new(self.lp))
@@ -631,12 +631,10 @@ pub(crate) enum LpSeed {
 
 /// What an LP thread hands back when it stops.
 pub(crate) struct LpOutcome {
-    /// Final per-LP summary (meaningless when `aborted`).
+    /// Final per-LP summary (meaningless after `Packet::Abort`).
     pub summary: LpSummary,
     /// GVT rounds this LP's controller completed (0 off the controller).
     pub gvt_rounds: u64,
-    /// The thread stopped on `Packet::Abort` rather than GVT = ∞.
-    pub aborted: bool,
     /// Accumulated telemetry (`None` when disabled or when the port
     /// streamed batches out instead).
     pub telemetry: Option<warp_telemetry::TelemetryReport>,
@@ -647,9 +645,9 @@ pub(crate) struct LpOutcome {
 }
 
 /// Drive one LP to completion over any transport. Shared by the
-/// threaded executive (in-process channel mesh) and the distributed
-/// executive (TCP mesh between worker processes). The global LP 0 hosts
-/// the GVT controller wherever it lives.
+/// threaded executive (SPSC lane mesh) and the distributed executive
+/// (lanes inside a worker process, the TCP mesh between them). The
+/// global LP 0 hosts the GVT controller wherever it lives.
 ///
 /// `ckpt_base` arms the checkpoint protocol: `Some(h)` means recovery is
 /// on, the committed log from `h` up is not yet persisted (h = ZERO on a

@@ -9,9 +9,10 @@
 //!   configurations (the SAAW adaptation law lives in `warp-control`).
 //!   This is the only aggregation layer: the mesh below adds no
 //!   batching window of its own.
-//! * [`spsc`] — the threaded executive's transport: a full mesh of
-//!   preallocated single-producer/single-consumer ring-buffer lanes
-//!   between LP threads (see `docs/hot-path.md`).
+//! * [`spsc`] — the in-process transport of both executives: a full
+//!   mesh of preallocated single-producer/single-consumer ring-buffer
+//!   lanes between the LP threads of one process (see
+//!   `docs/hot-path.md`).
 //! * [`frame`] + [`tcp`] — the distributed executive's transport: a
 //!   length-prefixed, versioned frame codec over the canonical
 //!   `warp_core::wire` encoding, and a full TCP mesh of processes (a

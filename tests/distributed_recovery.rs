@@ -256,18 +256,31 @@ fn workers_exit_on_their_own_when_the_coordinator_dies() {
         .expect("write job file");
     drop(f);
 
-    // WARP_COORD_TEST_CRASH makes the coordinator abort() at the first
-    // GVT progress report — a kill -9 as far as the workers can tell.
-    let out = Command::new(env!("CARGO_BIN_EXE_warp-cluster"))
-        .arg(&job_path)
-        .arg("--workers")
-        .arg("2")
-        .env("WARP_WORKER_BIN", worker_bin())
-        .env("WARP_COORD_TEST_CRASH", "1")
-        .env("WARP_ANNOUNCE_WORKERS", "1")
-        .stdin(std::process::Stdio::null())
-        .output()
-        .expect("spawn warp-cluster");
+    let coordinator = |hook: &str| {
+        Command::new(env!("CARGO_BIN_EXE_warp-cluster"))
+            .arg(&job_path)
+            .arg("--workers")
+            .arg("2")
+            .env("WARP_WORKER_BIN", worker_bin())
+            .env("WARP_COORD_TEST_CRASH", hook)
+            .env("WARP_ANNOUNCE_WORKERS", "1")
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn warp-cluster")
+    };
+    // The hook's only form is `barriers:N`; anything else is a config
+    // error before a single worker exists.
+    let refused = coordinator("1");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(!refused.status.success());
+    assert!(stderr.contains("barriers:N"), "{stderr}");
+    assert!(!stderr.contains("WORKER_PID"), "{stderr}");
+
+    // `barriers:1` makes the coordinator abort() right after its first
+    // checkpoint barrier — with `ckpt_min_interval_ms` 0, the first GVT
+    // progress report starts it — a kill -9 as far as the workers can
+    // tell.
+    let out = coordinator("barriers:1");
     let _ = std::fs::remove_file(&job_path);
     assert!(
         !out.status.success(),
