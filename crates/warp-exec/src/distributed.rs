@@ -9,8 +9,11 @@
 //! the *same* `lp_thread` loop over the *same* SPSC lane mesh
 //! ([`warp_net::spsc`]) the threaded executive uses. A `WorkerPort`
 //! puts packets for co-resident LPs on their lanes and sends the rest
-//! as [`Frame`]s over the TCP mesh; the session thread holds the lane
-//! mesh's last endpoint and routes inbound frames onto it. The Mattern
+//! as [`Frame`]s over the TCP mesh. Inbound, each peer worker's link
+//! reader owns a lane endpoint of its own and puts that peer's data,
+//! token and GVT frames straight onto the destination LP's lane; the
+//! session thread holds one more endpoint and sees only control frames
+//! and the LP threads' exit wakes. The Mattern
 //! GVT token circulates in global LP-id order exactly as in the threaded
 //! executive — the token ring simply spans process boundaries now — and
 //! GVT = ∞ shuts every LP down wherever it lives.
@@ -193,7 +196,6 @@ use crate::snapshot::{
 use crate::spec::SimulationSpec;
 use crate::threaded::{lp_thread, CkptPart, LpOutcome, LpPort, LpSeed, Packet};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -203,13 +205,12 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use warp_balance::{Assignment, BalanceController, BalancePolicy, LpLoad};
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::{LpId, VirtualTime};
 use warp_elastic::{ElasticController, ElasticPolicy, ScaleDirection, ScalePlan};
-use warp_net::tcp::{bind_loopback, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
+use warp_net::tcp::{bind_loopback, InboundHook, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
 use warp_net::{lane_mesh, FaultPlan, Frame, LaneEndpoint};
 use warp_telemetry::{ControlEvent, Param, TelemetryReport};
 
@@ -1952,7 +1953,7 @@ fn run_session_as_coordinator(
         // minimal.
         ..TcpMeshConfig::new(0, n_procs)
     };
-    let mesh = TcpMesh::establish(mesh_cfg, listener, &[])?;
+    let mesh = TcpMesh::establish(mesh_cfg, listener, &[], |_| None)?;
 
     if session > 0 {
         // Stream each worker's chain as a ResumeChunk sequence: the
@@ -2670,34 +2671,24 @@ enum Slot {
 /// An LP's transport inside a worker process: its endpoint in the
 /// session's SPSC lane mesh — the transport `run_threaded` uses — for
 /// co-resident LPs, a frame on the TCP mesh addressed to the owning
-/// process for everything else. Inbound frames reach the lane from the
-/// session thread (`route_inbound`).
+/// process for everything else. Peer workers' frames reach the lane
+/// from their link readers (`route_data`), checkpoint and abort packets
+/// from the session thread. Dropping the port, when the LP thread ends
+/// or unwinds, sends the session thread its exit wake.
 struct WorkerPort {
     lp: u32,
     lane: LaneEndpoint<Packet>,
-    /// Dense, by global LP id; shared by the session's ports and thread.
+    /// LPs of this worker (the lane mesh also holds the session
+    /// thread's and the link readers' endpoints).
+    n_local: usize,
+    /// Dense, by global LP id; shared by the session's ports and readers.
     slot_of: Arc<[Slot]>,
     mesh_tx: MeshSender,
     /// Stream per-LP load reports to the coordinator at GVT rounds.
     balance: bool,
     /// Artificial slowdown shared by every LP thread in this process.
     throttle: Option<Arc<EventThrottle>>,
-    /// When this LP thread last yielded its core (see [`TRANSPORT_TURN`]).
-    last_yield: Cell<Instant>,
 }
-
-/// How long a busy LP thread keeps its core before it yields to the
-/// transport threads. On a host with no spare core those threads
-/// otherwise run only when the scheduler preempts the LP thread, once
-/// per scheduler slice (milliseconds); every message hop then costs a
-/// slice, the LP fills the wait with speculation it has to roll back, and
-/// how much depends on where the slices fall — throughput several times
-/// lower and different from run to run. Yielding after every batch
-/// removes the wait but hands messages over one at a time, which costs
-/// message-heavy workloads more in context switches than it saves in
-/// rollback; half a millisecond keeps most of both (sizing runs:
-/// `docs/kernel-internals.md`, "Sharing cores with the transport").
-const TRANSPORT_TURN: Duration = Duration::from_micros(500);
 
 impl LpPort for WorkerPort {
     fn id(&self) -> usize {
@@ -2707,8 +2698,7 @@ impl LpPort for WorkerPort {
         self.slot_of.len()
     }
     fn n_local(&self) -> usize {
-        // The mesh's last endpoint is the session thread's.
-        self.lane.n_peers() - 1
+        self.n_local
     }
     fn send(&self, to: usize, p: Packet) {
         match self.slot_of[to] {
@@ -2777,11 +2767,22 @@ impl LpPort for WorkerPort {
             t.pace();
         }
     }
+    /// On a host with no spare core the link threads otherwise run only
+    /// when the scheduler preempts this thread, a slice (milliseconds)
+    /// per hop, and the LP fills the wait with speculation it must roll
+    /// back. Once the readers fed the lanes directly, yielding every pass
+    /// beat yielding every 250 µs to 1 ms on the rollback-heavy workloads
+    /// and cost `serve-steady` ≈3 % (`docs/kernel-internals.md`,
+    /// "Sharing cores with the transport").
     fn yield_core(&self) {
-        if self.last_yield.get().elapsed() >= TRANSPORT_TURN {
-            std::thread::yield_now();
-            self.last_yield.set(Instant::now());
-        }
+        std::thread::yield_now();
+    }
+}
+
+impl Drop for WorkerPort {
+    fn drop(&mut self) {
+        // A loopback heartbeat: readers never surface real ones.
+        self.mesh_tx.send(self.mesh_tx.proc_id(), Frame::Heartbeat);
     }
 }
 
@@ -3244,8 +3245,29 @@ fn run_session_as_worker(
         max_frame_bytes: init.net.frame_cap(),
         ..TcpMeshConfig::new(init.proc_id, n_procs)
     };
-    let mesh = TcpMesh::establish(mesh_cfg, listener, &peer_addrs)
-        .map_err(|e| format!("mesh establishment: {e}"))?;
+    // One lane mesh per session, built first so that each peer worker's
+    // link reader can own an endpoint: the co-resident LPs' endpoints in
+    // ascending global-id order, then this thread's, then one per peer
+    // worker (the coordinator's link carries no LP traffic).
+    let n_local = my_lps.len();
+    let mut slot_of: Vec<Slot> = assign.owners().iter().map(|&p| Slot::Remote(p)).collect();
+    for (lane, &lp) in my_lps.iter().enumerate() {
+        slot_of[lp as usize] = Slot::Lane(lane);
+    }
+    let slot_of: Arc<[Slot]> = slot_of.into();
+    let peer_workers = n_procs as usize - 2;
+    let mut lanes = lane_mesh::<Packet>(n_local + 1 + peer_workers);
+    let mut link_lanes = lanes.split_off(n_local + 1).into_iter();
+    let session_lane = lanes.pop().expect("the session thread's endpoint");
+    let mesh = TcpMesh::establish(mesh_cfg, listener, &peer_addrs, |peer| {
+        if peer == 0 {
+            return None;
+        }
+        let lane = link_lanes.next().expect("an endpoint per peer worker");
+        let slot_of = Arc::clone(&slot_of);
+        Some(Box::new(move |frame| route_data(&lane, &slot_of, frame)) as InboundHook)
+    })
+    .map_err(|e| format!("mesh establishment: {e}"))?;
 
     // Test hook: die like a killed worker — no Bye, no report — right
     // after joining the mesh, so failure-detection and recovery paths
@@ -3268,10 +3290,11 @@ fn run_session_as_worker(
     }
 
     // Session > 0: wait for the coordinator's resume stream (other
-    // peers may already be running and sending — buffer their frames).
-    // The payload arrives as an ordered ResumeChunk sequence reassembled
-    // here.
-    let mut backlog: Vec<(u32, Frame)> = Vec::new();
+    // peers may already be running and sending — their frames wait in
+    // the lanes). The payload arrives as an ordered ResumeChunk sequence
+    // reassembled here. The coordinator streams every resume before it
+    // sends anything else, so on its FIFO link nothing else can come
+    // first.
     let restore = if session > 0 {
         let wait = Duration::from_millis(init.net.liveness_ms.saturating_mul(10))
             .max(Duration::from_secs(30));
@@ -3312,7 +3335,12 @@ fn run_session_as_worker(
                         break Some((gvt, std::mem::take(&mut chunks)));
                     }
                 }
-                Some(MeshEvent::Frame { from, frame }) => backlog.push((from, frame)),
+                Some(MeshEvent::Frame { from, frame }) => {
+                    mesh.abort();
+                    return Ok(WorkerSessionEnd::PeerLost(format!(
+                        "unexpected {frame:?} from proc {from} before the resume"
+                    )));
+                }
                 Some(MeshEvent::PeerDown {
                     clean: false,
                     detail,
@@ -3373,17 +3401,6 @@ fn run_session_as_worker(
     // stale runtime may be missing history a newer horizon commits.
     retained.clear();
 
-    // One lane mesh per session: an endpoint per co-resident LP, in
-    // ascending global-id order, and the last one for this thread, which
-    // routes inbound frames onto the lanes.
-    let mut slot_of: Vec<Slot> = assign.owners().iter().map(|&p| Slot::Remote(p)).collect();
-    for (lane, &lp) in my_lps.iter().enumerate() {
-        slot_of[lp as usize] = Slot::Lane(lane);
-    }
-    let slot_of: Arc<[Slot]> = slot_of.into();
-    let mut lanes = lane_mesh::<Packet>(my_lps.len() + 1);
-    let session_lane = lanes.pop().expect("the session thread's endpoint");
-
     let lp_threads: Vec<_> = seeds
         .into_iter()
         .zip(lanes)
@@ -3391,11 +3408,11 @@ fn run_session_as_worker(
             let port = WorkerPort {
                 lp,
                 lane,
+                n_local,
                 slot_of: Arc::clone(&slot_of),
                 mesh_tx: mesh.sender(),
                 balance: init.balance,
                 throttle: throttle.clone(),
-                last_yield: Cell::new(Instant::now()),
             };
             let spec = spec.clone();
             std::thread::spawn(move || lp_thread(spec, port, seed, ckpt_base))
@@ -3405,11 +3422,9 @@ fn run_session_as_worker(
     let end = route_inbound(
         &mesh,
         &session_lane,
-        &slot_of,
-        backlog,
+        n_local,
         ckpt_base.unwrap_or(VirtualTime::ZERO),
         floor,
-        &lp_threads,
     );
     let mut outcomes: Vec<LpOutcome> = lp_threads
         .into_iter()
@@ -3457,27 +3472,36 @@ fn stash_retained(
     }
 }
 
-/// The session thread's loop: move inbound mesh traffic (the resume
-/// phase's `backlog` first) onto the local LPs' lanes through this
-/// thread's `lane`, and fan the checkpoint protocol out to them, until
-/// every LP thread has stopped (`Finished`). A peer loss, a protocol
-/// violation, a migration or a retirement aborts every local LP and
-/// ends the session at once.
+/// A peer worker's link hook, on its reader thread: put a `Data`,
+/// `Token` or `GvtNews` frame straight onto its LP's lane through the
+/// reader's own `lane` endpoint, and hand anything else back to the
+/// session thread.
+fn route_data(lane: &LaneEndpoint<Packet>, slot_of: &[Slot], frame: Frame) -> Option<Frame> {
+    let (lp, p) = match frame {
+        Frame::Data { msg, epoch, .. } => (msg.dst.0, Packet::Data { msg, epoch }),
+        Frame::Token { dst_lp, token } => (dst_lp, Packet::Token(token)),
+        Frame::GvtNews { dst_lp, gvt } => (dst_lp, Packet::GvtNews(gvt)),
+        other => return Some(other),
+    };
+    if let Some(&Slot::Lane(to)) = slot_of.get(lp as usize) {
+        lane.send(to, p); // finished LPs simply miss stale traffic
+    }
+    None
+}
+
+/// The session thread's loop: fan the coordinator's checkpoint protocol
+/// out to the local LPs through this thread's `lane`, and count their
+/// exit wakes until all `n_local` have stopped (`Finished`). LP traffic
+/// never comes here: the link readers deliver it (`route_data`). A peer
+/// loss, a protocol violation, a migration or a retirement aborts every
+/// local LP and ends the session at once.
 fn route_inbound(
     mesh: &TcpMesh,
     lane: &LaneEndpoint<Packet>,
-    slot_of: &[Slot],
-    backlog: Vec<(u32, Frame)>,
+    n_local: usize,
     mut ckpt_from: VirtualTime,
     floor: &AtomicU64,
-    lp_threads: &[JoinHandle<LpOutcome>],
 ) -> WorkerSessionEnd {
-    let n_local = lp_threads.len();
-    let deliver = |lp: u32, p: Packet| {
-        if let Some(&Slot::Lane(to)) = slot_of.get(lp as usize) {
-            lane.send(to, p); // finished LPs simply miss stale traffic
-        }
-    };
     let fan_local = |p: &dyn Fn() -> Packet| {
         for to in 0..n_local {
             lane.send(to, p());
@@ -3485,9 +3509,6 @@ fn route_inbound(
     };
     let mut handle = |from: u32, frame: Frame| -> Option<WorkerSessionEnd> {
         match frame {
-            Frame::Data { msg, epoch, .. } => deliver(msg.dst.0, Packet::Data { msg, epoch }),
-            Frame::Token { dst_lp, token } => deliver(dst_lp, Packet::Token(token)),
-            Frame::GvtNews { dst_lp, gvt } => deliver(dst_lp, Packet::GvtNews(gvt)),
             Frame::SnapshotReq { ckpt, gvt } => {
                 let (tx, rx) = mpsc::channel::<CkptPart>();
                 fan_local(&|| Packet::Ckpt {
@@ -3536,26 +3557,24 @@ fn route_inbound(
         None
     };
 
-    for (from, frame) in backlog {
-        if let Some(end) = handle(from, frame) {
-            return end;
-        }
-    }
-    loop {
-        if lp_threads.iter().all(JoinHandle::is_finished) {
-            return WorkerSessionEnd::Finished;
-        }
-        match mesh.recv_timeout(Duration::from_millis(20)) {
-            Some(MeshEvent::Frame { from, frame }) => {
+    let mut running = n_local;
+    while running > 0 {
+        match mesh.recv() {
+            // An LP thread's port dropped (see `WorkerPort`).
+            MeshEvent::Frame {
+                frame: Frame::Heartbeat,
+                ..
+            } => running -= 1,
+            MeshEvent::Frame { from, frame } => {
                 if let Some(end) = handle(from, frame) {
                     return end;
                 }
             }
-            Some(MeshEvent::PeerDown {
+            MeshEvent::PeerDown {
                 peer,
                 clean: false,
                 detail,
-            }) => {
+            } => {
                 eprintln!(
                     "warp-worker (proc {}): lost proc {peer} ({detail}); discarding session",
                     mesh.proc_id()
@@ -3564,13 +3583,13 @@ fn route_inbound(
                 return WorkerSessionEnd::PeerLost(detail);
             }
             // Clean goodbyes while LPs still run mean the peer finished
-            // its share after GVT = ∞; per-link FIFO guarantees the ∞
-            // news preceded the Bye, so nothing this process still
-            // needs was lost.
-            Some(MeshEvent::PeerDown { .. }) => {}
-            None => {}
+            // its share after GVT = ∞; its link reader put the ∞ news on
+            // the lanes before it read the Bye, so nothing this process
+            // still needs was lost.
+            MeshEvent::PeerDown { .. } => {}
         }
     }
+    WorkerSessionEnd::Finished
 }
 
 /// Gather one checkpoint's parts from the local LP threads and, when

@@ -114,8 +114,8 @@ pub(crate) trait LpPort {
     /// Called once per pass (≤ [`BATCH`] events) of the LP loop that found
     /// work. An LP with speculative work never blocks, so a port whose
     /// packets are moved by other threads of this process (the
-    /// distributed port: link writers, readers, the session thread that
-    /// routes inbound frames) gives them the core here; the lane mesh has
+    /// distributed port: link writers, and link readers that put inbound
+    /// frames on the lanes) gives them the core here; the lane mesh has
     /// no such threads and does nothing.
     fn yield_core(&self) {}
 }

@@ -27,6 +27,12 @@
 //! instead). A [`FaultPlan`] in the config arms deterministic fault
 //! injection on the sending side of each link (see [`crate::fault`]).
 //!
+//! Delivery: every frame that leaves that sequencing, in order, is
+//! offered to the link's [`InboundHook`] (if the owner gave it one) on
+//! the reader thread itself; what the hook hands back — and everything
+//! on a hook-less link — goes to the owner's event queue. A hook is how
+//! a worker puts application traffic straight onto its LPs' lanes.
+//!
 //! Liveness: each connection runs a writer thread (sends queued frames,
 //! injects [`Frame::Heartbeat`] when idle) and a reader thread (decodes
 //! frames, tracks time-since-last-byte). A link silent for longer than
@@ -169,6 +175,11 @@ pub enum MeshEvent {
     },
 }
 
+/// A link's inbound hook: runs on the link's reader thread for every
+/// in-order frame (heartbeats and `Bye` excluded); returns the frames it
+/// does not consume, which then surface as [`MeshEvent::Frame`].
+pub type InboundHook = Box<dyn FnMut(Frame) -> Option<Frame> + Send>;
+
 enum WriterCmd {
     Frame(Frame),
     Shutdown,
@@ -200,6 +211,11 @@ pub struct MeshSender {
 }
 
 impl MeshSender {
+    /// This process's id (the target of a loopback send).
+    pub fn proc_id(&self) -> u32 {
+        self.proc_id
+    }
+
     /// Queue a frame for `to`. Self-sends loop back locally. Sending to
     /// a peer whose link already died is a silent no-op — the owner has
     /// (or will) see the `PeerDown` event and must react there.
@@ -283,15 +299,25 @@ impl TcpMesh {
         }
     }
 
+    /// Block for the next event.
+    pub fn recv(&self) -> MeshEvent {
+        self.event_rx
+            .recv()
+            .expect("the mesh holds its own loopback sender")
+    }
+
     /// Establish the full mesh. `listener` must already be bound;
     /// `peer_addrs` must contain an address for every peer with an id
     /// lower than `cfg.proc_id` (higher ids dial us and extra entries
     /// are ignored). Blocks until every link is up and handshaken, or
-    /// fails within `cfg.connect_timeout`.
+    /// fails within `cfg.connect_timeout`. `inbound` is asked once per
+    /// peer for that link's [`InboundHook`]; `|_| None` delivers every
+    /// frame as a [`MeshEvent`].
     pub fn establish(
         cfg: TcpMeshConfig,
         listener: TcpListener,
         peer_addrs: &[(u32, SocketAddr)],
+        mut inbound: impl FnMut(u32) -> Option<InboundHook>,
     ) -> io::Result<TcpMesh> {
         let links = establish_links(&cfg, listener, peer_addrs)?;
 
@@ -323,9 +349,10 @@ impl TcpMesh {
             let pid = peer_id as u32;
             let closing = Arc::new(AtomicBool::new(false));
             let closing_r = Arc::clone(&closing);
+            let hook = inbound(pid);
             let reader = thread::Builder::new()
                 .name(format!("mesh-r{}-{peer_id}", cfg.proc_id))
-                .spawn(move || reader_loop(rd, dec, tx, pid, live, closing_r))?;
+                .spawn(move || reader_loop(rd, dec, tx, hook, pid, live, closing_r))?;
             peers[peer_id] = Some(Peer {
                 cmd_tx,
                 stream,
@@ -864,9 +891,10 @@ impl LinkRx {
         }
     }
 
-    /// Feed one decoded frame through the sequencing machinery,
-    /// emitting deliverable frames on `events`.
-    fn on_frame(&mut self, frame: Frame, peer: u32, events: &Sender<MeshEvent>) -> RxStatus {
+    /// Feed one decoded frame through the sequencing machinery, handing
+    /// deliverable frames to `offer` in order (it returns false once the
+    /// mesh owner is gone).
+    fn on_frame(&mut self, frame: Frame, offer: &mut impl FnMut(Frame) -> bool) -> RxStatus {
         match frame {
             Frame::Heartbeat => RxStatus::Open,
             Frame::Bye => {
@@ -901,12 +929,12 @@ impl LinkRx {
                     self.gap_since.get_or_insert_with(Instant::now);
                     return RxStatus::Open;
                 }
-                if events.send(MeshEvent::Frame { from: peer, frame }).is_err() {
+                if !offer(frame) {
                     return RxStatus::OwnerGone;
                 }
                 self.expected_seq += 1;
                 while let Some(frame) = self.ahead.remove(&self.expected_seq) {
-                    if events.send(MeshEvent::Frame { from: peer, frame }).is_err() {
+                    if !offer(frame) {
                         return RxStatus::OwnerGone;
                     }
                     self.expected_seq += 1;
@@ -919,7 +947,7 @@ impl LinkRx {
                 RxStatus::Open
             }
             frame => {
-                if events.send(MeshEvent::Frame { from: peer, frame }).is_err() {
+                if !offer(frame) {
                     return RxStatus::OwnerGone;
                 }
                 RxStatus::Open
@@ -940,6 +968,7 @@ fn reader_loop(
     stream: TcpStream,
     mut dec: FrameDecoder,
     events: Sender<MeshEvent>,
+    mut hook: Option<InboundHook>,
     peer: u32,
     liveness: Duration,
     closing: Arc<AtomicBool>,
@@ -950,6 +979,16 @@ fn reader_loop(
             clean,
             detail,
         });
+    };
+    let mut offer = |frame: Frame| {
+        let frame = match hook.as_mut() {
+            Some(hook) => match hook(frame) {
+                Some(frame) => frame,
+                None => return true,
+            },
+            None => frame,
+        };
+        events.send(MeshEvent::Frame { from: peer, frame }).is_ok()
     };
     // Poll in slices so silence is noticed within a fraction of the
     // liveness budget even though `read` itself blocks.
@@ -976,7 +1015,7 @@ fn reader_loop(
         // Drain everything already buffered (handshake residue first).
         loop {
             match dec.next() {
-                Ok(Some(frame)) => match rx.on_frame(frame, peer, &events) {
+                Ok(Some(frame)) => match rx.on_frame(frame, &mut offer) {
                     RxStatus::Open => {}
                     RxStatus::Closed { clean, detail } => {
                         down(clean, detail);
@@ -1070,11 +1109,22 @@ mod tests {
     }
 
     fn pair_with(cfg0: TcpMeshConfig, cfg1: TcpMeshConfig) -> (TcpMesh, TcpMesh) {
+        pair_hooked(cfg0, cfg1, None)
+    }
+
+    /// A pair whose proc 1 runs `hook` on its link from proc 0.
+    fn pair_hooked(
+        cfg0: TcpMeshConfig,
+        cfg1: TcpMeshConfig,
+        mut hook: Option<InboundHook>,
+    ) -> (TcpMesh, TcpMesh) {
         let l0 = bind_loopback().unwrap();
         let l1 = bind_loopback().unwrap();
         let a0 = l0.local_addr().unwrap();
-        let t = thread::spawn(move || TcpMesh::establish(cfg1, l1, &[(0, a0)]).unwrap());
-        let m0 = TcpMesh::establish(cfg0, l0, &[]).unwrap();
+        let t = thread::spawn(move || {
+            TcpMesh::establish(cfg1, l1, &[(0, a0)], |_| hook.take()).unwrap()
+        });
+        let m0 = TcpMesh::establish(cfg0, l0, &[], |_| None).unwrap();
         (m0, t.join().unwrap())
     }
 
@@ -1173,7 +1223,7 @@ mod tests {
         for (i, l) in ls.into_iter().enumerate().rev() {
             let peers: Vec<_> = (0..i as u32).map(|j| (j, addrs[j as usize])).collect();
             handles.push(thread::spawn(move || {
-                TcpMesh::establish(fast_cfg(i as u32, 3), l, &peers).unwrap()
+                TcpMesh::establish(fast_cfg(i as u32, 3), l, &peers, |_| None).unwrap()
             }));
         }
         let mut meshes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1203,11 +1253,16 @@ mod tests {
         let addr = probe.local_addr().unwrap();
         drop(probe);
         let t = thread::spawn(move || {
-            TcpMesh::establish(fast_cfg(1, 2), bind_loopback().unwrap(), &[(0, addr)])
+            TcpMesh::establish(
+                fast_cfg(1, 2),
+                bind_loopback().unwrap(),
+                &[(0, addr)],
+                |_| None,
+            )
         });
         thread::sleep(Duration::from_millis(300));
         let listener = TcpListener::bind(addr).expect("ephemeral port rebind");
-        let m0 = TcpMesh::establish(fast_cfg(0, 2), listener, &[]).unwrap();
+        let m0 = TcpMesh::establish(fast_cfg(0, 2), listener, &[], |_| None).unwrap();
         let m1 = t.join().unwrap().unwrap();
         m1.send(0, token(7));
         assert_eq!(expect_frame(&m0), (1, token(7)));
@@ -1253,7 +1308,7 @@ mod tests {
             // Hold the socket open long enough for the other side to read.
             thread::sleep(Duration::from_millis(500));
         });
-        let err = match TcpMesh::establish(fast_cfg(0, 2), listener, &[]) {
+        let err = match TcpMesh::establish(fast_cfg(0, 2), listener, &[], |_| None) {
             Ok(_) => panic!("establishment must fail on a version mismatch"),
             Err(e) => e,
         };
@@ -1291,7 +1346,7 @@ mod tests {
             let mut sink = [0u8; 1024];
             while matches!((&s).read(&mut sink), Ok(n) if n > 0) {}
         });
-        let m0 = TcpMesh::establish(fast_cfg(0, 2), listener, &[]).unwrap();
+        let m0 = TcpMesh::establish(fast_cfg(0, 2), listener, &[], |_| None).unwrap();
         assert_eq!(expect_frame(&m0), (1, token(31)));
         assert_eq!(expect_frame(&m0), (1, token(32)));
         assert_eq!(expect_down(&m0), (1, true));
@@ -1303,7 +1358,7 @@ mod tests {
     fn invalid_config_is_rejected_before_any_io() {
         let mut cfg = fast_cfg(0, 2);
         cfg.liveness_timeout = cfg.heartbeat_interval; // not strictly greater
-        let err = match TcpMesh::establish(cfg, bind_loopback().unwrap(), &[]) {
+        let err = match TcpMesh::establish(cfg, bind_loopback().unwrap(), &[], |_| None) {
             Ok(_) => panic!("invalid config must not establish"),
             Err(e) => e,
         };
@@ -1350,6 +1405,63 @@ mod tests {
         }
         assert_eq!(recv_data_epochs(&m1, 4), vec![0, 1, 2, 3]);
         m0.shutdown();
+        m1.shutdown();
+    }
+
+    #[test]
+    fn inbound_hook_sees_each_data_frame_once_in_order() {
+        let mut cfg0 = fast_cfg(0, 2);
+        cfg0.faults = Some(
+            FaultPlan::new()
+                .with(
+                    0,
+                    1,
+                    FaultKind::Duplicate(Selector::Every { every: 2, phase: 1 }),
+                )
+                .with(
+                    0,
+                    1,
+                    FaultKind::Delay {
+                        sel: Selector::At(2),
+                        hold: 2,
+                    },
+                ),
+        );
+        // The hook consumes data frames and hands every other frame back.
+        let (seen_tx, seen) = mpsc::channel::<Frame>();
+        let hook: InboundHook = Box::new(move |frame| {
+            seen_tx.send(frame.clone()).unwrap();
+            (!matches!(frame, Frame::Data { .. })).then_some(frame)
+        });
+        let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), Some(hook));
+        for epoch in 0..6 {
+            m0.send(1, data(epoch));
+        }
+        // Idle past a few heartbeat intervals: heartbeats reach neither
+        // the hook nor the event queue.
+        thread::sleep(Duration::from_millis(150));
+        m0.send(1, token(77));
+        m0.shutdown();
+
+        // The handed-back token is the first event, so no data frame
+        // surfaced; the Bye still closes the link cleanly behind it.
+        assert_eq!(expect_frame(&m1), (0, token(77)));
+        assert_eq!(expect_down(&m1), (0, true));
+        let offered: Vec<Frame> = seen.try_iter().collect();
+        let epochs: Vec<u32> = offered
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Data { epoch, .. } => Some(*epoch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            epochs,
+            vec![0, 1, 2, 3, 4, 5],
+            "each data frame once, in order"
+        );
+        assert_eq!(offered.last(), Some(&token(77)), "offered: {offered:?}");
+        assert_eq!(offered.len(), 7, "only data and the token: {offered:?}");
         m1.shutdown();
     }
 
@@ -1406,9 +1518,9 @@ mod tests {
             thread::sleep(Duration::from_millis(150));
             let mut cfg1 = fast_cfg(1, 2);
             cfg1.session = 1;
-            TcpMesh::establish(cfg1, bind_loopback().unwrap(), &[(0, addr)]).unwrap()
+            TcpMesh::establish(cfg1, bind_loopback().unwrap(), &[(0, addr)], |_| None).unwrap()
         });
-        let m0 = TcpMesh::establish(cfg0, listener, &[]).unwrap();
+        let m0 = TcpMesh::establish(cfg0, listener, &[], |_| None).unwrap();
         let m1 = real.join().unwrap();
         m1.send(0, token(5));
         assert_eq!(expect_frame(&m0), (1, token(5)));

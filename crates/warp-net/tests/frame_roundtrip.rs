@@ -35,7 +35,7 @@ fn v8_peer_is_refused_at_hello() {
         // Hold the socket open long enough for the refusal to happen.
         std::thread::sleep(std::time::Duration::from_millis(500));
     });
-    let err = match TcpMesh::establish(TcpMeshConfig::new(0, 2), listener, &[]) {
+    let err = match TcpMesh::establish(TcpMeshConfig::new(0, 2), listener, &[], |_| None) {
         Ok(_) => panic!("establishment must fail against a v8 peer"),
         Err(e) => e,
     };

@@ -88,8 +88,9 @@ fn qnet_two_workers_commit_the_sequential_history() {
 
 #[test]
 fn phold_multiple_lps_per_worker() {
-    // 4 LPs over 2 workers: exercises intra-worker channel routing and
-    // cross-process frames in the same run.
+    // 4 LPs over 2 workers: co-resident LPs talk over the worker's
+    // lanes, and cross-process frames land on the same lanes from the
+    // link reader, in the same run.
     let cfg = PholdConfig {
         n_objects: 16,
         n_lps: 4,
@@ -103,6 +104,25 @@ fn phold_multiple_lps_per_worker() {
             ..ClusterJob::new(ModelSpec::Phold(cfg), None)
         },
         2,
+    );
+}
+
+#[test]
+fn qnet_three_workers_commit_the_sequential_history() {
+    // 6 LPs over 3 workers: every LP's inbox has three producers — its
+    // co-resident neighbour and the link readers of both peer workers.
+    let cfg = QnetConfig {
+        n_stations: 12,
+        n_lps: 6,
+        n_jobs: 18,
+        ..QnetConfig::new(40, 17)
+    };
+    assert_distributed_matches_sequential(
+        ClusterJob {
+            collect_traces: true,
+            ..ClusterJob::new(ModelSpec::Qnet(cfg), None)
+        },
+        3,
     );
 }
 
