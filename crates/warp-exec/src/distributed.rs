@@ -9,11 +9,15 @@
 //! the *same* `lp_thread` loop over the *same* SPSC lane mesh
 //! ([`warp_net::spsc`]) the threaded executive uses. A `WorkerPort`
 //! puts packets for co-resident LPs on their lanes and sends the rest
-//! as [`Frame`]s over the TCP mesh. Inbound, each peer worker's link
-//! reader owns a lane endpoint of its own and puts that peer's data,
-//! token and GVT frames straight onto the destination LP's lane; the
-//! session thread holds one more endpoint and sees only control frames
-//! and the LP threads' exit wakes. The Mattern
+//! as [`Frame`]s over the TCP mesh, written to the socket by the LP
+//! thread itself. Inbound, each link to a peer worker is pumped: no
+//! thread of its own reads it; the LP threads read it between events
+//! (and the session thread on its idle ticks), and the link's hook, on
+//! a lane endpoint of its own, puts that peer's data, token and GVT
+//! frames straight onto the destination LP's lane. A worker session's
+//! threads are its LP threads plus the coordinator link's reader; the
+//! session thread holds one more lane endpoint and sees only control
+//! frames and the LP threads' exit wakes. The Mattern
 //! GVT token circulates in global LP-id order exactly as in the threaded
 //! executive — the token ring simply spans process boundaries now — and
 //! GVT = ∞ shuts every LP down wherever it lives.
@@ -194,8 +198,9 @@ use crate::snapshot::{
     LpDelta, SnapshotError,
 };
 use crate::spec::SimulationSpec;
-use crate::threaded::{lp_thread, CkptPart, LpOutcome, LpPort, LpSeed, Packet};
+use crate::threaded::{lp_thread, CkptPart, LpOutcome, LpPort, LpSeed, Packet, BATCH};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -220,7 +225,7 @@ use warp_telemetry::{ControlEvent, Param, TelemetryReport};
 /// cluster.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NetTuning {
-    /// Idle interval after which a link writer injects a heartbeat
+    /// Longest a live link stays silent before a heartbeat goes out
     /// (milliseconds).
     pub heartbeat_ms: u64,
     /// Silence threshold after which a link is declared half-open, and
@@ -2670,24 +2675,47 @@ enum Slot {
 
 /// An LP's transport inside a worker process: its endpoint in the
 /// session's SPSC lane mesh — the transport `run_threaded` uses — for
-/// co-resident LPs, a frame on the TCP mesh addressed to the owning
-/// process for everything else. Peer workers' frames reach the lane
-/// from their link readers (`route_data`), checkpoint and abort packets
-/// from the session thread. Dropping the port, when the LP thread ends
-/// or unwinds, sends the session thread its exit wake.
+/// co-resident LPs, a frame this thread writes to the TCP mesh,
+/// addressed to the owning process, for everything else. Peer workers'
+/// frames reach the lane when some thread of this process pumps their
+/// links (`route_data`) — this one when its lane is empty — checkpoint
+/// and abort packets from the session thread. Dropping the port, when
+/// the LP thread ends or unwinds, sends the session thread its exit
+/// wake.
 struct WorkerPort {
     lp: u32,
     lane: LaneEndpoint<Packet>,
     /// LPs of this worker (the lane mesh also holds the session
-    /// thread's and the link readers' endpoints).
+    /// thread's and the peer links' endpoints).
     n_local: usize,
-    /// Dense, by global LP id; shared by the session's ports and readers.
+    /// Dense, by global LP id; shared by the session's ports and links.
     slot_of: Arc<[Slot]>,
     mesh_tx: MeshSender,
+    /// Empty inbox checks left before the next pump of the peer links.
+    skip: Cell<usize>,
+    /// Checks skipped after the last empty pump: doubles with each empty
+    /// pump up to a pass ([`BATCH`]), back to 0 when a byte arrives.
+    backoff: Cell<usize>,
     /// Stream per-LP load reports to the coordinator at GVT rounds.
     balance: bool,
     /// Artificial slowdown shared by every LP thread in this process.
     throttle: Option<Arc<EventThrottle>>,
+}
+
+impl WorkerPort {
+    /// Pump the peer links and restart or extend the backoff. True if
+    /// any byte arrived.
+    fn pump(&self) -> bool {
+        let read = self.mesh_tx.pump();
+        let backoff = if read {
+            0
+        } else {
+            (self.backoff.get() * 2).clamp(1, BATCH)
+        };
+        self.backoff.set(backoff);
+        self.skip.set(backoff);
+        read
+    }
 }
 
 impl LpPort for WorkerPort {
@@ -2707,7 +2735,7 @@ impl LpPort for WorkerPort {
             Slot::Lane(lane) => self.lane.send(lane, p),
             Slot::Remote(proc) => {
                 let frame = match p {
-                    // The link writer stamps the real per-link sequence.
+                    // The link stamps the real per-link sequence.
                     Packet::Data { msg, epoch } => Frame::Data { seq: 0, epoch, msg },
                     Packet::Token(token) => Frame::Token {
                         dst_lp: to as u32,
@@ -2725,10 +2753,29 @@ impl LpPort for WorkerPort {
             }
         }
     }
+    /// The lanes first; when they are empty, the peer links — unless
+    /// the backoff says to skip this check. An empty non-blocking read is
+    /// a syscall, many times a lane check, and the loop asks after every
+    /// event.
     fn try_recv(&self) -> Option<Packet> {
-        self.lane.try_recv()
+        if let Some(p) = self.lane.try_recv() {
+            return Some(p);
+        }
+        match self.skip.get() {
+            0 => self.pump().then(|| self.lane.try_recv()).flatten(),
+            n => {
+                self.skip.set(n - 1);
+                None
+            }
+        }
     }
+    /// Pump the peer links, then park on the lanes. Frames that reach
+    /// the socket during the park wait for its end, or for another
+    /// thread of this process to pump; pumping and yielding until the
+    /// timeout instead cost `phold-dense` a quarter of its rate
+    /// (`docs/hot-path.md` §6).
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
+        self.pump();
         self.lane.recv_timeout(timeout)
     }
     fn note_gvt(&self, gvt: VirtualTime) {
@@ -2767,13 +2814,15 @@ impl LpPort for WorkerPort {
             t.pace();
         }
     }
-    /// On a host with no spare core the link threads otherwise run only
-    /// when the scheduler preempts this thread, a slice (milliseconds)
-    /// per hop, and the LP fills the wait with speculation it must roll
-    /// back. Once the readers fed the lanes directly, yielding every pass
-    /// beat yielding every 250 µs to 1 ms on the rollback-heavy workloads
-    /// and cost `serve-steady` ≈3 % (`docs/kernel-internals.md`,
-    /// "Sharing cores with the transport").
+    /// No link thread is left to give the core to: the LP threads write
+    /// and read the peer links themselves. What a yield still hands
+    /// over on a host with no spare core is this process's other LP
+    /// threads — and the peer process's, which are the ones that read
+    /// what this LP just wrote and answer it. Without it the hop waits
+    /// for the scheduler to preempt an LP, a slice (milliseconds) per
+    /// hop, filled with speculation that rolls back; yielding every pass
+    /// measured ahead of no yield on all four benchmark workloads
+    /// (`docs/kernel-internals.md`, "Sharing cores with the transport").
     fn yield_core(&self) {
         std::thread::yield_now();
     }
@@ -3246,9 +3295,10 @@ fn run_session_as_worker(
         ..TcpMeshConfig::new(init.proc_id, n_procs)
     };
     // One lane mesh per session, built first so that each peer worker's
-    // link reader can own an endpoint: the co-resident LPs' endpoints in
+    // link hook can own an endpoint: the co-resident LPs' endpoints in
     // ascending global-id order, then this thread's, then one per peer
-    // worker (the coordinator's link carries no LP traffic).
+    // worker (the coordinator's link carries no LP traffic, so it keeps a
+    // reader thread and no hook).
     let n_local = my_lps.len();
     let mut slot_of: Vec<Slot> = assign.owners().iter().map(|&p| Slot::Remote(p)).collect();
     for (lane, &lp) in my_lps.iter().enumerate() {
@@ -3307,7 +3357,7 @@ fn run_session_as_worker(
                     "no Resume within {wait:?} of joining session {session}"
                 ));
             }
-            match mesh.recv_timeout(Duration::from_millis(50)) {
+            match mesh.recv_timeout(mesh.tick()) {
                 Some(MeshEvent::Frame {
                     frame:
                         Frame::ResumeChunk {
@@ -3411,6 +3461,8 @@ fn run_session_as_worker(
                 n_local,
                 slot_of: Arc::clone(&slot_of),
                 mesh_tx: mesh.sender(),
+                skip: Cell::new(0),
+                backoff: Cell::new(0),
                 balance: init.balance,
                 throttle: throttle.clone(),
             };
@@ -3472,10 +3524,10 @@ fn stash_retained(
     }
 }
 
-/// A peer worker's link hook, on its reader thread: put a `Data`,
-/// `Token` or `GvtNews` frame straight onto its LP's lane through the
-/// reader's own `lane` endpoint, and hand anything else back to the
-/// session thread.
+/// A peer worker's link hook, on whichever thread pumps the link: put a
+/// `Data`, `Token` or `GvtNews` frame straight onto its LP's lane
+/// through the link's own `lane` endpoint, and hand anything else back
+/// to the session thread.
 fn route_data(lane: &LaneEndpoint<Packet>, slot_of: &[Slot], frame: Frame) -> Option<Frame> {
     let (lp, p) = match frame {
         Frame::Data { msg, epoch, .. } => (msg.dst.0, Packet::Data { msg, epoch }),
@@ -3491,10 +3543,12 @@ fn route_data(lane: &LaneEndpoint<Packet>, slot_of: &[Slot], frame: Frame) -> Op
 
 /// The session thread's loop: fan the coordinator's checkpoint protocol
 /// out to the local LPs through this thread's `lane`, and count their
-/// exit wakes until all `n_local` have stopped (`Finished`). LP traffic
-/// never comes here: the link readers deliver it (`route_data`). A peer
-/// loss, a protocol violation, a migration or a retirement aborts every
-/// local LP and ends the session at once.
+/// exit wakes until all `n_local` have stopped (`Finished`). Between
+/// events it does the peer links' idle duties (`TcpMesh::tick`:
+/// liveness, gap expiry, heartbeats) as often as the mesh asks. LP
+/// traffic never comes here: whoever pumps a peer link delivers it
+/// (`route_data`). A peer loss, a protocol violation, a migration or a
+/// retirement aborts every local LP and ends the session at once.
 fn route_inbound(
     mesh: &TcpMesh,
     lane: &LaneEndpoint<Packet>,
@@ -3559,7 +3613,10 @@ fn route_inbound(
 
     let mut running = n_local;
     while running > 0 {
-        match mesh.recv() {
+        let Some(event) = mesh.recv_timeout(mesh.tick()) else {
+            continue;
+        };
+        match event {
             // An LP thread's port dropped (see `WorkerPort`).
             MeshEvent::Frame {
                 frame: Frame::Heartbeat,
@@ -3583,8 +3640,8 @@ fn route_inbound(
                 return WorkerSessionEnd::PeerLost(detail);
             }
             // Clean goodbyes while LPs still run mean the peer finished
-            // its share after GVT = ∞; its link reader put the ∞ news on
-            // the lanes before it read the Bye, so nothing this process
+            // its share after GVT = ∞; the link's hook put the ∞ news on
+            // the lanes before the Bye was read, so nothing this process
             // still needs was lost.
             MeshEvent::PeerDown { .. } => {}
         }

@@ -74,10 +74,16 @@ pub(crate) trait LpPort {
     /// [`HISTORY_GROWTH_BUDGET`]).
     fn n_local(&self) -> usize;
     /// Send a packet to a global LP id. Must never block on the LP loop
-    /// and must tolerate peers that already shut down.
+    /// and must tolerate peers that already shut down. The lanes never
+    /// block; the distributed port writes a remote packet to its socket
+    /// on this thread, and what the socket refuses waits in the link's
+    /// backlog instead (`warp_net::tcp`) — without it, two LPs writing to
+    /// each other over full buffers would deadlock.
     fn send(&self, to: usize, p: Packet);
     /// Non-blocking receive. The LP loop asks after every executed
-    /// event, so with nothing inbound this must be cheap.
+    /// event, so with nothing inbound this must be cheap: a lane scan
+    /// is; the distributed port's read of its peer links is a syscall,
+    /// so it backs off over empty reads (`WorkerPort`).
     fn try_recv(&self) -> Option<Packet>;
     /// Blocking receive with a timeout; `None` on timeout.
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet>;
@@ -113,10 +119,10 @@ pub(crate) trait LpPort {
     fn throttle(&self) {}
     /// Called once per pass (≤ [`BATCH`] events) of the LP loop that found
     /// work. An LP with speculative work never blocks, so a port whose
-    /// packets are moved by other threads of this process (the
-    /// distributed port: link writers, and link readers that put inbound
-    /// frames on the lanes) gives them the core here; the lane mesh has
-    /// no such threads and does nothing.
+    /// peers' answers need other threads of this host to run (the
+    /// distributed port: the other LP threads of this worker and of its
+    /// peer workers) gives them the core here; the lane mesh does
+    /// nothing.
     fn yield_core(&self) {}
 }
 
@@ -146,7 +152,7 @@ impl LpPort for LaneEndpoint<Packet> {
 /// (aggregation deadlines, idle flushes, the core yield, the GVT
 /// cadence). Not a latency: every event's remote sends are offered and
 /// the inbox is read *between* events, so neither waits out a pass.
-const BATCH: usize = 64;
+pub(crate) const BATCH: usize = 64;
 /// Fallback GVT cadence when the spec disables fossil collection.
 const TERMINATION_PROBE: Duration = Duration::from_millis(5);
 /// Growth of retained history per process, since the last fossil pass,

@@ -292,8 +292,8 @@ impl FaultPlan {
     }
 
     /// Compile the plan's data-scope rules for one directed link in one
-    /// session: the rules that apply, ready for the link writer to
-    /// consult per data frame. `None` when no rule touches the link (the
+    /// session: the rules that apply, ready for the link's sending side
+    /// to consult per data frame. `None` when no rule touches the link (the
     /// common case — zero overhead on healthy links).
     pub fn link(&self, from: u32, to: u32, session: u32) -> Option<LinkChaos> {
         self.compile(from, to, session, FaultScope::Data, 0)
@@ -339,7 +339,7 @@ impl FaultPlan {
     }
 }
 
-/// What the link writer should do with one outgoing data frame.
+/// What a link's sending side should do with one outgoing data frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DataFate {
     /// Send normally.

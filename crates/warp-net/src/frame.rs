@@ -107,8 +107,8 @@ pub enum Frame {
     /// Application events between two LPs.
     Data {
         /// Per-link monotone sequence number, assigned by the sending
-        /// link writer. Lets the receiver deduplicate, restore send
-        /// order, and detect frame loss.
+        /// link. Lets the receiver deduplicate, restore send order, and
+        /// detect frame loss.
         seq: u64,
         /// Sender's Mattern epoch at transmission time.
         epoch: u32,

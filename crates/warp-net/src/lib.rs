@@ -15,9 +15,10 @@
 //!   `docs/hot-path.md`).
 //! * [`frame`] + [`tcp`] — the distributed executive's transport: a
 //!   length-prefixed, versioned frame codec over the canonical
-//!   `warp_core::wire` encoding, and a full TCP mesh of processes (a
-//!   reader and a writer thread per link) with handshakes, heartbeats,
-//!   sequencing and drain-then-close shutdown. It is the only
+//!   `warp_core::wire` encoding, and a full TCP mesh of processes with
+//!   handshakes, heartbeats, sequencing and drain-then-close shutdown.
+//!   Senders write on their own thread; links to peer workers are pumped
+//!   by their owner's threads, the rest keep one reader thread each. It is the only
 //!   inter-process engine; `docs/data-plane.md` records why.
 //! * [`fault`] — deterministic, seeded fault injection (drop / duplicate
 //!   / delay / partition / crash) applied at the sending side of each TCP

@@ -19,38 +19,55 @@
 //! accepted connection claiming a different session (a zombie dial from
 //! the dead session) is simply dropped — the listener keeps accepting.
 //!
-//! Reliability: each link writer stamps outgoing [`Frame::Data`] frames
-//! with a per-link sequence number; the reader deduplicates, buffers
-//! ahead-of-order frames until the gap fills, and declares the link
-//! uncleanly down if a gap persists past the liveness timeout (a lost
-//! frame cannot be retransmitted — recovery restarts from a checkpoint
-//! instead). A [`FaultPlan`] in the config arms deterministic fault
-//! injection on the sending side of each link (see [`crate::fault`]).
+//! Reliability: each link's sending side stamps outgoing [`Frame::Data`]
+//! frames with a per-link sequence number; the receiving side
+//! deduplicates, buffers ahead-of-order frames until the gap fills, and
+//! declares the link uncleanly down if a gap persists past the liveness
+//! timeout (a lost frame cannot be retransmitted — recovery restarts
+//! from a checkpoint instead). A [`FaultPlan`] in the config arms
+//! deterministic fault injection on the sending side of each link (see
+//! [`crate::fault`]).
 //!
-//! Delivery: every frame that leaves that sequencing, in order, is
-//! offered to the link's [`InboundHook`] (if the owner gave it one) on
-//! the reader thread itself; what the hook hands back — and everything
-//! on a hook-less link — goes to the owner's event queue. A hook is how
-//! a worker puts application traffic straight onto its LPs' lanes.
+//! Sending: no link has a thread of its own for it. A send stages the
+//! frame and writes it to the socket on the calling thread, under the
+//! link's outbound lock. Bytes a non-blocking socket refuses wait in the
+//! link's ordered backlog, which the next send or [`TcpMesh::tick`]
+//! flushes, so a sender never blocks on a peer that is not reading.
 //!
-//! Liveness: each connection runs a writer thread (sends queued frames,
-//! injects [`Frame::Heartbeat`] when idle) and a reader thread (decodes
-//! frames, tracks time-since-last-byte). A link silent for longer than
-//! the liveness timeout is declared half-open and reported as
+//! Receiving: what a link carries decides who reads it. A link whose
+//! owner gave it an [`InboundHook`] — a worker's link to a peer worker,
+//! whose frames go straight onto the worker's LP lanes — is *pumped*: its
+//! socket is non-blocking, no thread is spawned for it, and whoever wants
+//! its frames reads it until it would block ([`MeshSender::pump`], from
+//! the LP threads between events, and [`TcpMesh::tick`]). Every other
+//! link — every link to the coordinator, on both sides — keeps one reader
+//! thread blocked on its socket; its writes may block too, but only
+//! while that peer's own reader thread drains them. Both ways of reading
+//! run the same code: every frame that leaves the sequencing, in order, is
+//! offered to the link's hook; what the hook hands back — and everything
+//! on a hook-less link — goes to the owner's event queue.
+//!
+//! Liveness: whoever reads a link also does its idle duties. Once a link
+//! has sent nothing for half a heartbeat interval, its pending backlog
+//! is flushed, frames a `Delay` fault holds back are released and a
+//! [`Frame::Heartbeat`] goes out; a link silent for longer than the
+//! liveness timeout is declared half-open and reported as
 //! [`MeshEvent::PeerDown`] with `clean: false` — the same event an
-//! abrupt EOF (peer killed) produces. Graceful shutdown sends
-//! [`Frame::Bye`], flushes, closes the write half, and keeps draining
-//! the read half until the peer's own `Bye` arrives, so no in-flight
-//! frame is lost to teardown.
+//! abrupt EOF (peer killed) produces. A reader thread does this on its
+//! own read timeout; the owner of pumped links calls [`TcpMesh::tick`]
+//! at least as often as it asks. Graceful shutdown sends [`Frame::Bye`]
+//! behind everything queued, flushes, closes the write half, and keeps
+//! draining the read half until the peer's own `Bye` arrives, so no
+//! in-flight frame is lost to teardown.
 
 use crate::fault::{DataFate, FaultPlan, LinkChaos};
 use crate::frame::{Frame, FrameDecoder, PROTO_VERSION};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -64,7 +81,8 @@ pub struct TcpMeshConfig {
     /// Mesh session epoch; both ends of every connection must agree
     /// (0 on a fresh run, incremented on each recovery re-establishment).
     pub session: u32,
-    /// Idle interval after which the writer injects a heartbeat.
+    /// Longest a live link stays silent: a link that has sent nothing
+    /// for half of it heartbeats at its reader's next idle check.
     pub heartbeat_interval: Duration,
     /// Silence threshold after which a link is declared half-open. Also
     /// bounds how long a data-frame sequence gap may persist before the
@@ -151,6 +169,13 @@ impl TcpMeshConfig {
         }
         Ok(())
     }
+
+    /// How often a link's reader does its idle duties: half the
+    /// heartbeat interval, so no live link stays silent for longer than
+    /// one interval.
+    fn idle_check(&self) -> Duration {
+        self.heartbeat_interval / 2
+    }
 }
 
 /// What the mesh delivers to its owner.
@@ -175,38 +200,76 @@ pub enum MeshEvent {
     },
 }
 
-/// A link's inbound hook: runs on the link's reader thread for every
-/// in-order frame (heartbeats and `Bye` excluded); returns the frames it
-/// does not consume, which then surface as [`MeshEvent::Frame`].
+/// A link's inbound hook: runs for every in-order frame (heartbeats and
+/// `Bye` excluded) on whichever thread is pumping the link; returns the
+/// frames it does not consume, which then surface as
+/// [`MeshEvent::Frame`]. A link with a hook is pumped and has no reader
+/// thread (module docs).
 pub type InboundHook = Box<dyn FnMut(Frame) -> Option<Frame> + Send>;
 
-enum WriterCmd {
-    Frame(Frame),
-    Shutdown,
+/// A socket that has nothing for us, or no room, right now: `WouldBlock`
+/// on a non-blocking socket, or the expired timeout of a blocking one.
+fn would_block(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
-struct Peer {
-    cmd_tx: Sender<WriterCmd>,
-    /// Clone of the connection, kept so `abort` can slam it shut.
+/// Lock a link half, past a poisoning: the worst a panic under the lock
+/// leaves behind is a partial frame in a backlog, which the peer's
+/// decoder rejects as a corrupt stream — an unclean link loss, which
+/// recovery handles — and teardown (`Drop` included) must not panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One connection, shared by every thread that sends on it or reads it.
+struct Link {
+    /// Clone of the connection, kept so `abort` can slam it shut before
+    /// it takes either lock.
     stream: TcpStream,
-    /// Set when we start shutting down: bounds the reader's final drain
-    /// so joining it cannot block on a peer that never says `Bye`.
-    closing: Arc<AtomicBool>,
-    /// Set by `abort` only: tells the writer to exit at its next wakeup
-    /// even if it would otherwise write nothing — a *partitioned* link's
-    /// writer is deliberately silent, so a dead socket alone would never
-    /// make it return, and joining it would hang.
-    aborting: Arc<AtomicBool>,
-    writer: JoinHandle<()>,
-    reader: JoinHandle<()>,
+    /// The outbound half: every send stages and writes under this lock.
+    tx: Mutex<LinkTx>,
+    /// The inbound half of a pumped link (`None`: a reader thread owns
+    /// it).
+    rx: Option<Mutex<LinkIn>>,
 }
 
-/// A cloneable sending half of the mesh, for threads that only transmit.
+impl Link {
+    /// Read a pumped link until its socket would block — unless another
+    /// thread is reading it right now — then flush its backlog. True if
+    /// any byte arrived.
+    fn pump(&self) -> bool {
+        let Some(rx) = &self.rx else { return false };
+        let read = rx.try_lock().is_ok_and(|mut rx| rx.read_available());
+        if let Ok(mut tx) = self.tx.try_lock() {
+            tx.flush();
+        }
+        read
+    }
+
+    /// A pumped link's idle duties (see [`TcpMesh::tick`]); a reader
+    /// thread does them for its own link.
+    fn tick(&self, idle: Duration, liveness: Duration) {
+        let Some(rx) = &self.rx else { return };
+        if let Ok(mut rx) = rx.try_lock() {
+            rx.read_available();
+            rx.check(liveness);
+        }
+        if let Ok(mut tx) = self.tx.try_lock() {
+            tx.tick(idle);
+        }
+    }
+}
+
+/// A cloneable handle on the mesh's links for the threads that use
+/// them: it sends, and it pumps the links no thread reads.
 #[derive(Clone)]
 pub struct MeshSender {
     proc_id: u32,
-    /// One command channel per link writer (`None` at our own id).
-    cmd_txs: Vec<Option<Sender<WriterCmd>>>,
+    /// Indexed by peer id (`None` at our own id).
+    links: Arc<[Option<Arc<Link>>]>,
     loopback: Sender<MeshEvent>,
 }
 
@@ -216,9 +279,11 @@ impl MeshSender {
         self.proc_id
     }
 
-    /// Queue a frame for `to`. Self-sends loop back locally. Sending to
-    /// a peer whose link already died is a silent no-op — the owner has
-    /// (or will) see the `PeerDown` event and must react there.
+    /// Send a frame to `to` on the calling thread. Self-sends loop back
+    /// locally. On a pumped link this never blocks: what the socket
+    /// refuses waits in the link's backlog. Sending to a peer whose link
+    /// already died is a silent no-op — the owner has (or will) see the
+    /// `PeerDown` event and must react there.
     pub fn send(&self, to: u32, frame: Frame) {
         if to == self.proc_id {
             let _ = self.loopback.send(MeshEvent::Frame {
@@ -227,9 +292,20 @@ impl MeshSender {
             });
             return;
         }
-        if let Some(Some(tx)) = self.cmd_txs.get(to as usize) {
-            let _ = tx.send(WriterCmd::Frame(frame));
+        if let Some(Some(link)) = self.links.get(to as usize) {
+            lock(&link.tx).send(frame);
         }
+    }
+
+    /// Read every pumped link until its socket would block, delivering
+    /// through the link's hook, and flush its backlog. A link another
+    /// thread is reading at that moment is skipped. True if any byte
+    /// arrived.
+    pub fn pump(&self) -> bool {
+        self.links
+            .iter()
+            .flatten()
+            .fold(false, |any, link| link.pump() | any)
     }
 }
 
@@ -237,8 +313,12 @@ impl MeshSender {
 /// details.
 pub struct TcpMesh {
     cfg: TcpMeshConfig,
-    peers: Vec<Option<Peer>>,
-    event_tx: Sender<MeshEvent>,
+    out: MeshSender,
+    /// One per hook-less link.
+    readers: Vec<JoinHandle<()>>,
+    /// Set once teardown starts: bounds the reader threads' final drain
+    /// so joining them cannot block on a peer that never says `Bye`.
+    closing: Arc<AtomicBool>,
     event_rx: Receiver<MeshEvent>,
 }
 
@@ -260,29 +340,12 @@ impl TcpMesh {
 
     /// A cloneable sender over the same links.
     pub fn sender(&self) -> MeshSender {
-        MeshSender {
-            proc_id: self.cfg.proc_id,
-            cmd_txs: self
-                .peers
-                .iter()
-                .map(|p| p.as_ref().map(|p| p.cmd_tx.clone()))
-                .collect(),
-            loopback: self.event_tx.clone(),
-        }
+        self.out.clone()
     }
 
-    /// Queue a frame for `to` (see [`MeshSender::send`]).
+    /// Send a frame to `to` (see [`MeshSender::send`]).
     pub fn send(&self, to: u32, frame: Frame) {
-        if to == self.cfg.proc_id {
-            let _ = self.event_tx.send(MeshEvent::Frame {
-                from: self.cfg.proc_id,
-                frame,
-            });
-            return;
-        }
-        if let Some(Some(peer)) = self.peers.get(to as usize) {
-            let _ = peer.cmd_tx.send(WriterCmd::Frame(frame));
-        }
+        self.out.send(to, frame);
     }
 
     /// Next event if one is already queued.
@@ -299,11 +362,19 @@ impl TcpMesh {
         }
     }
 
-    /// Block for the next event.
-    pub fn recv(&self) -> MeshEvent {
-        self.event_rx
-            .recv()
-            .expect("the mesh holds its own loopback sender")
+    /// The idle duties of the pumped links, which no thread of their own
+    /// watches: read each one, declare it down once it has been silent
+    /// or held a sequence gap past the liveness timeout, and — once it
+    /// has sent nothing for a while — release held frames and heartbeat;
+    /// flush its backlog. Returns how long the owner may wait before the
+    /// next call (half the heartbeat interval). A mesh with no pumped
+    /// link has nothing to do here.
+    pub fn tick(&self) -> Duration {
+        let idle = self.cfg.idle_check();
+        for link in self.out.links.iter().flatten() {
+            link.tick(idle, self.cfg.liveness_timeout);
+        }
+        idle
     }
 
     /// Establish the full mesh. `listener` must already be bound;
@@ -311,94 +382,162 @@ impl TcpMesh {
     /// lower than `cfg.proc_id` (higher ids dial us and extra entries
     /// are ignored). Blocks until every link is up and handshaken, or
     /// fails within `cfg.connect_timeout`. `inbound` is asked once per
-    /// peer for that link's [`InboundHook`]; `|_| None` delivers every
-    /// frame as a [`MeshEvent`].
+    /// peer for that link's [`InboundHook`]: a link given one is pumped
+    /// by its owner, a link given `None` gets a reader thread that puts
+    /// every frame on the event queue.
     pub fn establish(
         cfg: TcpMeshConfig,
         listener: TcpListener,
         peer_addrs: &[(u32, SocketAddr)],
         mut inbound: impl FnMut(u32) -> Option<InboundHook>,
     ) -> io::Result<TcpMesh> {
-        let links = establish_links(&cfg, listener, peer_addrs)?;
+        let streams = establish_links(&cfg, listener, peer_addrs)?;
 
-        // All links are up: spawn the per-connection reader/writer pairs.
-        let n = cfg.n_procs as usize;
         let (event_tx, event_rx) = mpsc::channel();
-        let mut peers: Vec<Option<Peer>> = (0..n).map(|_| None).collect();
-        for (peer_id, slot) in links.into_iter().enumerate() {
-            let Some((stream, dec)) = slot else { continue };
-            let (cmd_tx, cmd_rx) = mpsc::channel();
-            let wr = stream.try_clone()?;
-            let hb = cfg.heartbeat_interval;
-            let chaos = cfg
-                .faults
-                .as_ref()
-                .and_then(|p| p.link(cfg.proc_id, peer_id as u32, cfg.session));
-            let ctl_chaos = cfg
-                .faults
-                .as_ref()
-                .and_then(|p| p.link_control(cfg.proc_id, peer_id as u32, cfg.session));
-            let aborting = Arc::new(AtomicBool::new(false));
-            let aborting_w = Arc::clone(&aborting);
-            let writer = thread::Builder::new()
-                .name(format!("mesh-w{}-{peer_id}", cfg.proc_id))
-                .spawn(move || writer_loop(wr, cmd_rx, hb, chaos, ctl_chaos, aborting_w))?;
-            let rd = stream.try_clone()?;
-            let tx = event_tx.clone();
-            let live = cfg.liveness_timeout;
-            let pid = peer_id as u32;
-            let closing = Arc::new(AtomicBool::new(false));
-            let closing_r = Arc::clone(&closing);
-            let hook = inbound(pid);
-            let reader = thread::Builder::new()
-                .name(format!("mesh-r{}-{peer_id}", cfg.proc_id))
-                .spawn(move || reader_loop(rd, dec, tx, hook, pid, live, closing_r))?;
-            peers[peer_id] = Some(Peer {
-                cmd_tx,
+        let closing = Arc::new(AtomicBool::new(false));
+        let mut readers = Vec::new();
+        let mut links = Vec::with_capacity(streams.len());
+        for (peer_id, slot) in streams.into_iter().enumerate() {
+            let Some((stream, dec)) = slot else {
+                links.push(None);
+                continue;
+            };
+            let peer = peer_id as u32;
+            let hook = inbound(peer);
+            let pumped = hook.is_some();
+            if pumped {
+                stream.set_nonblocking(true)?;
+            } else {
+                stream.set_read_timeout(Some(cfg.idle_check()))?;
+                // The peer's reader thread drains this link continuously;
+                // only a wedged peer could hold a write longer.
+                stream.set_write_timeout(Some(cfg.liveness_timeout))?;
+            }
+            let faults = cfg.faults.as_ref();
+            let tx = LinkTx::new(
+                stream.try_clone()?,
+                faults.and_then(|p| p.link(cfg.proc_id, peer, cfg.session)),
+                faults.and_then(|p| p.link_control(cfg.proc_id, peer, cfg.session)),
+            );
+            let mut rx = LinkIn::new(peer, stream.try_clone()?, dec, hook, event_tx.clone());
+            // Frames the peer pipelined behind its Hello.
+            rx.deliver();
+            let (pumped_rx, thread_rx) = if pumped {
+                (Some(Mutex::new(rx)), None)
+            } else {
+                (None, Some(rx))
+            };
+            let link = Arc::new(Link {
                 stream,
-                closing,
-                aborting,
-                writer,
-                reader,
+                tx: Mutex::new(tx),
+                rx: pumped_rx,
             });
+            if let Some(rx) = thread_rx {
+                let (reader_link, closing) = (Arc::clone(&link), Arc::clone(&closing));
+                let (idle, live) = (cfg.idle_check(), cfg.liveness_timeout);
+                readers.push(
+                    thread::Builder::new()
+                        .name(format!("mesh-r{}-{peer_id}", cfg.proc_id))
+                        .spawn(move || reader_loop(reader_link, rx, idle, live, closing))?,
+                );
+            }
+            links.push(Some(link));
         }
 
         Ok(TcpMesh {
+            out: MeshSender {
+                proc_id: cfg.proc_id,
+                links: links.into(),
+                loopback: event_tx,
+            },
             cfg,
-            peers,
-            event_tx,
+            readers,
+            closing,
             event_rx,
         })
     }
 
-    /// Graceful shutdown: announce `Bye` on every link, flush, close
-    /// the write halves, then drain each read half until the peer's own
-    /// `Bye` — or for at most the liveness timeout if the peer keeps the
-    /// link open (it may not be shutting down yet). Frames already
-    /// queued are sent before the `Bye`.
-    pub fn shutdown(mut self) {
-        for peer in self.peers.iter().flatten() {
-            peer.closing.store(true, Ordering::Relaxed);
-            let _ = peer.cmd_tx.send(WriterCmd::Shutdown);
+    /// Graceful shutdown: announce `Bye` on every link behind whatever
+    /// it already queued, flush, close the write halves, then drain each
+    /// read half until the peer's own `Bye` — or for at most the
+    /// liveness timeout if the peer keeps the link open (it may not be
+    /// shutting down yet). A pumped link is drained here with blocking
+    /// reads; a reader thread drains its own.
+    pub fn shutdown(self) {
+        self.closing.store(true, Ordering::Relaxed);
+        let deadline = Instant::now() + self.cfg.liveness_timeout;
+        self.say_bye(deadline);
+        for link in self.out.links.iter().flatten() {
+            let Some(rx) = &link.rx else { continue };
+            let mut rx = lock(rx);
+            if link.stream.set_nonblocking(false).is_err()
+                || link
+                    .stream
+                    .set_read_timeout(Some(self.cfg.idle_check()))
+                    .is_err()
+            {
+                continue;
+            }
+            while !rx.done && Instant::now() < deadline {
+                rx.read_once();
+            }
         }
-        for peer in self.peers.iter_mut().filter_map(Option::take) {
-            let _ = peer.writer.join();
-            let _ = peer.reader.join();
-        }
+        self.join_readers();
     }
 
     /// Abrupt teardown for tests and fatal-error paths: slam every
     /// socket shut with no `Bye`. Peers observe an unclean close.
-    pub fn abort(mut self) {
-        for peer in self.peers.iter().flatten() {
-            peer.closing.store(true, Ordering::Relaxed);
-            peer.aborting.store(true, Ordering::Relaxed);
-            let _ = peer.stream.shutdown(std::net::Shutdown::Both);
+    pub fn abort(self) {
+        self.closing.store(true, Ordering::Relaxed);
+        // Sockets first, locks never: a thread blocked writing or
+        // reading on any link wakes with an error at once.
+        for link in self.out.links.iter().flatten() {
+            let _ = link.stream.shutdown(Shutdown::Both);
         }
-        for peer in self.peers.iter_mut().filter_map(Option::take) {
-            drop(peer.cmd_tx);
-            let _ = peer.writer.join();
-            let _ = peer.reader.join();
+        self.join_readers();
+    }
+
+    fn join_readers(mut self) {
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
+        }
+    }
+
+    /// Stage `Bye` on every link, flush every backlog — reading the
+    /// pumped links meanwhile, so two processes flushing into each other
+    /// cannot wedge — until `deadline`, and close the write half of each
+    /// link whose `Bye` went out.
+    fn say_bye(&self, deadline: Instant) {
+        let links = || self.out.links.iter().flatten();
+        let byes: Vec<bool> = links().map(|link| lock(&link.tx).stage_bye()).collect();
+        loop {
+            let mut pending = false;
+            for link in links() {
+                link.pump();
+                let mut tx = lock(&link.tx);
+                tx.flush();
+                pending |= !tx.backlog.is_empty();
+            }
+            if !pending || Instant::now() >= deadline {
+                break;
+            }
+            thread::yield_now();
+        }
+        for (link, bye) in links().zip(byes) {
+            if bye {
+                let _ = link.stream.shutdown(Shutdown::Write);
+            }
+        }
+    }
+}
+
+impl Drop for TcpMesh {
+    /// A mesh dropped without [`shutdown`](TcpMesh::shutdown) or
+    /// [`abort`](TcpMesh::abort) still says `Bye` on every link; it does
+    /// not wait for the peers' own.
+    fn drop(&mut self) {
+        if !self.closing.swap(true, Ordering::Relaxed) {
+            self.say_bye(Instant::now() + self.cfg.liveness_timeout);
         }
     }
 }
@@ -656,9 +795,19 @@ fn handshake(
     }
 }
 
-/// Per-link outbound state: data-frame sequence stamping, fault
-/// injection, and the buffer of frames a `Delay` rule is holding back.
+/// A link's outbound half: the write side of the connection, its
+/// backlog, data-frame sequence stamping, fault injection, and the
+/// buffer of frames a `Delay` rule is holding back.
 struct LinkTx {
+    stream: TcpStream,
+    /// Encoded bytes the socket has not taken yet, oldest first. A send
+    /// appends behind them, so frames reach the wire in send order.
+    backlog: Vec<u8>,
+    /// When a frame was last staged: the idle clock behind heartbeats and
+    /// the release of held frames.
+    last_send: Instant,
+    /// `Bye` was staged or the socket failed: nothing more is staged.
+    closed: bool,
     next_seq: u64,
     chaos: Option<LinkChaos>,
     /// Control-plane (`Token`/`GvtNews`) chaos: its own rule stream with
@@ -677,8 +826,12 @@ struct LinkTx {
 }
 
 impl LinkTx {
-    fn new(chaos: Option<LinkChaos>, ctl_chaos: Option<LinkChaos>) -> Self {
+    fn new(stream: TcpStream, chaos: Option<LinkChaos>, ctl_chaos: Option<LinkChaos>) -> Self {
         LinkTx {
+            stream,
+            backlog: Vec::with_capacity(4096),
+            last_send: Instant::now(),
+            closed: false,
             next_seq: 0,
             chaos,
             ctl_chaos,
@@ -689,11 +842,71 @@ impl LinkTx {
         }
     }
 
-    /// Stamp and encode one outgoing frame into `out`, applying any
-    /// fault rules. Data frames consume a sequence number even when a
-    /// fault swallows them — that is exactly what makes the loss visible
-    /// to the receiver as a gap.
-    fn stage(&mut self, mut frame: Frame, out: &mut Vec<u8>) {
+    /// Stage one frame behind the backlog and write what the socket
+    /// takes.
+    fn send(&mut self, frame: Frame) {
+        if self.closed {
+            return;
+        }
+        self.stage(frame);
+        self.last_send = Instant::now();
+        self.flush();
+    }
+
+    /// Write the backlog until it is empty or the socket refuses more
+    /// without blocking; the rest waits, in order, for the next send or
+    /// tick. A failed socket drops everything: the link's reader reports
+    /// the dead link.
+    fn flush(&mut self) {
+        while !self.backlog.is_empty() {
+            match (&self.stream).write(&self.backlog) {
+                Ok(n) if n > 0 => {
+                    self.backlog.drain(..n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if would_block(&e) => return,
+                _ => {
+                    self.closed = true;
+                    self.backlog.clear();
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Idle duties: once nothing was staged for `idle`, release held
+    /// frames and heartbeat; flush the backlog either way.
+    fn tick(&mut self, idle: Duration) {
+        if !self.closed && !self.partitioned && self.last_send.elapsed() >= idle {
+            self.flush_held();
+            Frame::Heartbeat.encode_into(&mut self.backlog);
+            self.last_send = Instant::now();
+        }
+        self.flush();
+    }
+
+    /// Stage `Bye` behind everything queued and held, and accept nothing
+    /// more. A partitioned link stays silent instead. True if a `Bye`
+    /// was staged.
+    fn stage_bye(&mut self) -> bool {
+        if self.closed {
+            return false;
+        }
+        self.closed = true;
+        if self.partitioned {
+            return false;
+        }
+        self.flush_held();
+        Frame::Bye.encode_into(&mut self.backlog);
+        true
+    }
+
+    /// Stamp and encode one outgoing frame into the backlog, applying
+    /// any fault rules. Data frames consume a sequence number even when
+    /// a fault swallows them — that is exactly what makes the loss
+    /// visible to the receiver as a gap.
+    fn stage(&mut self, mut frame: Frame) {
+        let out = &mut self.backlog;
         if self.partitioned {
             return;
         }
@@ -741,7 +954,7 @@ impl LinkTx {
                 self.held.push((release_after, bytes));
             }
             DataFate::Partition => {
-                // Frames staged earlier in this batch still go out (they
+                // Frames already in the backlog still go out (they
                 // precede the partition point); everything from here on
                 // is swallowed, heartbeats included.
                 self.partitioned = true;
@@ -764,97 +977,13 @@ impl LinkTx {
 
     /// Release everything still held — on idle and before `Bye`, so a
     /// delayed frame is never lost to quiescence or shutdown.
-    fn flush_held(&mut self, out: &mut Vec<u8>) {
+    fn flush_held(&mut self) {
         if self.partitioned {
             return;
         }
         self.held.sort_by_key(|(release, _)| *release);
         for (_, bytes) in self.held.drain(..) {
-            out.extend_from_slice(&bytes);
-        }
-    }
-}
-
-fn writer_loop(
-    stream: TcpStream,
-    cmd_rx: Receiver<WriterCmd>,
-    heartbeat: Duration,
-    chaos: Option<LinkChaos>,
-    ctl_chaos: Option<LinkChaos>,
-    aborting: Arc<AtomicBool>,
-) {
-    let mut w = &stream;
-    let mut out = Vec::with_capacity(4096);
-    let mut tx = LinkTx::new(chaos, ctl_chaos);
-    let say_bye = |mut w: &TcpStream| {
-        let _ = w.write_all(&Frame::Bye.encode());
-        let _ = w.flush();
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-    };
-    loop {
-        match cmd_rx.recv_timeout(heartbeat) {
-            Ok(WriterCmd::Frame(frame)) => {
-                out.clear();
-                tx.stage(frame, &mut out);
-                // Opportunistically coalesce whatever else is queued —
-                // without losing a Shutdown hiding behind the frames.
-                let mut shutdown_after = false;
-                loop {
-                    match cmd_rx.try_recv() {
-                        Ok(WriterCmd::Frame(f)) => {
-                            tx.stage(f, &mut out);
-                            if out.len() > 1 << 20 {
-                                break;
-                            }
-                        }
-                        Ok(WriterCmd::Shutdown) => {
-                            shutdown_after = true;
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                if shutdown_after {
-                    tx.flush_held(&mut out);
-                }
-                if !out.is_empty() && w.write_all(&out).is_err() {
-                    return; // reader reports the dead link
-                }
-                if shutdown_after {
-                    if !tx.partitioned {
-                        say_bye(w);
-                    }
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // An abort slams the socket, but only a *write* would
-                // notice — and a partitioned link never writes. The flag
-                // is the sole way its writer learns the mesh is gone.
-                if aborting.load(Ordering::Relaxed) {
-                    return;
-                }
-                if tx.partitioned {
-                    continue; // a partitioned link heartbeats nothing
-                }
-                out.clear();
-                tx.flush_held(&mut out);
-                out.extend_from_slice(&Frame::Heartbeat.encode());
-                if w.write_all(&out).is_err() {
-                    return;
-                }
-            }
-            Ok(WriterCmd::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
-                if !tx.partitioned {
-                    out.clear();
-                    tx.flush_held(&mut out);
-                    if !out.is_empty() && w.write_all(&out).is_err() {
-                        return;
-                    }
-                    say_bye(w);
-                }
-                return;
-            }
+            self.backlog.extend_from_slice(&bytes);
         }
     }
 }
@@ -964,44 +1093,153 @@ impl LinkRx {
     }
 }
 
-fn reader_loop(
-    stream: TcpStream,
-    mut dec: FrameDecoder,
-    events: Sender<MeshEvent>,
-    mut hook: Option<InboundHook>,
+/// A link's inbound half: the read side of the connection, the decoder,
+/// the sequencing, and delivery to the hook or the owner's event queue.
+/// A reader thread and [`Link::pump`] drive this same code.
+struct LinkIn {
     peer: u32,
+    stream: TcpStream,
+    dec: FrameDecoder,
+    seq: LinkRx,
+    hook: Option<InboundHook>,
+    events: Sender<MeshEvent>,
+    buf: Vec<u8>,
+    last_byte: Instant,
+    /// The link was reported down, or its owner is gone: nothing more is
+    /// read.
+    done: bool,
+}
+
+impl LinkIn {
+    fn new(
+        peer: u32,
+        stream: TcpStream,
+        dec: FrameDecoder,
+        hook: Option<InboundHook>,
+        events: Sender<MeshEvent>,
+    ) -> Self {
+        LinkIn {
+            peer,
+            stream,
+            dec,
+            seq: LinkRx::new(),
+            hook,
+            events,
+            buf: vec![0; 64 * 1024],
+            last_byte: Instant::now(),
+            done: false,
+        }
+    }
+
+    /// One read — blocking or not, as the socket is set — and delivery of
+    /// whatever it completed. False when there was nothing to read.
+    fn read_once(&mut self) -> bool {
+        match (&self.stream).read(&mut self.buf) {
+            Ok(0) => self.down(false, "connection closed without Bye".into()),
+            Ok(n) => {
+                self.last_byte = Instant::now();
+                self.dec.push(&self.buf[..n]);
+                self.deliver();
+            }
+            Err(e) if would_block(&e) => return false,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => self.down(false, format!("read failed: {e}")),
+        }
+        true
+    }
+
+    /// Read until the socket would block. True if any byte arrived.
+    fn read_available(&mut self) -> bool {
+        let mut any = false;
+        while !self.done && self.read_once() {
+            any = true;
+        }
+        any
+    }
+
+    /// Run every frame the decoder completed through the sequencing, in
+    /// order, into the hook or the event queue.
+    fn deliver(&mut self) {
+        let (hook, events, peer) = (&mut self.hook, &self.events, self.peer);
+        let mut offer = |frame: Frame| {
+            let frame = match hook.as_mut() {
+                Some(hook) => match hook(frame) {
+                    Some(frame) => frame,
+                    None => return true,
+                },
+                None => frame,
+            };
+            events.send(MeshEvent::Frame { from: peer, frame }).is_ok()
+        };
+        let end = loop {
+            if self.done {
+                return;
+            }
+            match self.dec.next() {
+                Ok(Some(frame)) => match self.seq.on_frame(frame, &mut offer) {
+                    RxStatus::Open => {}
+                    end => break end,
+                },
+                Ok(None) => return,
+                Err(e) => {
+                    break RxStatus::Closed {
+                        clean: false,
+                        detail: format!("stream corrupt: {e}"),
+                    }
+                }
+            }
+        };
+        self.end(end);
+    }
+
+    /// A gap that outlived the liveness budget, or a link silent for as
+    /// long, is down.
+    fn check(&mut self, liveness: Duration) {
+        if self.done {
+            return;
+        }
+        if let Some(lost) = self.seq.gap_expired(liveness) {
+            self.down(
+                false,
+                format!("data frame {lost} lost (gap persisted past {liveness:?})"),
+            );
+        } else if self.last_byte.elapsed() > liveness {
+            self.down(false, format!("half-open link: silent for {liveness:?}"));
+        }
+    }
+
+    fn down(&mut self, clean: bool, detail: String) {
+        self.end(RxStatus::Closed { clean, detail });
+    }
+
+    /// Stop reading; a closed link is reported to the owner once.
+    fn end(&mut self, status: RxStatus) {
+        if self.done {
+            return;
+        }
+        self.done = true;
+        if let RxStatus::Closed { clean, detail } = status {
+            let _ = self.events.send(MeshEvent::PeerDown {
+                peer: self.peer,
+                clean,
+                detail,
+            });
+        }
+    }
+}
+
+/// A hook-less link's reader thread: block on the socket (the read
+/// timeout is the idle-check period), deliver, check liveness, and do
+/// the link's outbound idle duties.
+fn reader_loop(
+    link: Arc<Link>,
+    mut rx: LinkIn,
+    idle: Duration,
     liveness: Duration,
     closing: Arc<AtomicBool>,
 ) {
-    let down = |clean: bool, detail: String| {
-        let _ = events.send(MeshEvent::PeerDown {
-            peer,
-            clean,
-            detail,
-        });
-    };
-    let mut offer = |frame: Frame| {
-        let frame = match hook.as_mut() {
-            Some(hook) => match hook(frame) {
-                Some(frame) => frame,
-                None => return true,
-            },
-            None => frame,
-        };
-        events.send(MeshEvent::Frame { from: peer, frame }).is_ok()
-    };
-    // Poll in slices so silence is noticed within a fraction of the
-    // liveness budget even though `read` itself blocks.
-    let poll = (liveness / 4).max(Duration::from_millis(10));
-    if stream.set_read_timeout(Some(poll)).is_err() {
-        down(false, "could not arm the read timeout".into());
-        return;
-    }
-    let mut last_byte = Instant::now();
-    let mut buf = [0u8; 64 * 1024];
     let mut closing_since: Option<Instant> = None;
-    let mut rx = LinkRx::new();
-    loop {
+    while !rx.done {
         // Once our side starts shutting down, drain for at most the
         // liveness budget: a peer that is not shutting down yet keeps
         // heartbeating and would otherwise pin this thread (and the
@@ -1012,52 +1250,10 @@ fn reader_loop(
                 return;
             }
         }
-        // Drain everything already buffered (handshake residue first).
-        loop {
-            match dec.next() {
-                Ok(Some(frame)) => match rx.on_frame(frame, &mut offer) {
-                    RxStatus::Open => {}
-                    RxStatus::Closed { clean, detail } => {
-                        down(clean, detail);
-                        return;
-                    }
-                    RxStatus::OwnerGone => return,
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    down(false, format!("stream corrupt: {e}"));
-                    return;
-                }
-            }
-        }
-        if let Some(lost) = rx.gap_expired(liveness) {
-            down(
-                false,
-                format!("data frame {lost} lost (gap persisted past {liveness:?})"),
-            );
-            return;
-        }
-        match (&stream).read(&mut buf) {
-            Ok(0) => {
-                down(false, "connection closed without Bye".into());
-                return;
-            }
-            Ok(n) => {
-                last_byte = Instant::now();
-                dec.push(&buf[..n]);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if last_byte.elapsed() > liveness {
-                    down(false, format!("half-open link: silent for {liveness:?}"));
-                    return;
-                }
-            }
-            Err(e) => {
-                down(false, format!("read failed: {e}"));
-                return;
-            }
+        rx.read_once();
+        rx.check(liveness);
+        if let Ok(mut tx) = link.tx.try_lock() {
+            tx.tick(idle);
         }
     }
 }
@@ -1109,29 +1305,72 @@ mod tests {
     }
 
     fn pair_with(cfg0: TcpMeshConfig, cfg1: TcpMeshConfig) -> (TcpMesh, TcpMesh) {
-        pair_hooked(cfg0, cfg1, None)
+        pair_hooked(cfg0, cfg1, None, None)
     }
 
-    /// A pair whose proc 1 runs `hook` on its link from proc 0.
+    /// A pair whose procs run `hook0` / `hook1` on their link (pumped;
+    /// `None`: served by a reader thread).
     fn pair_hooked(
         cfg0: TcpMeshConfig,
         cfg1: TcpMeshConfig,
-        mut hook: Option<InboundHook>,
+        mut hook0: Option<InboundHook>,
+        mut hook1: Option<InboundHook>,
     ) -> (TcpMesh, TcpMesh) {
         let l0 = bind_loopback().unwrap();
         let l1 = bind_loopback().unwrap();
         let a0 = l0.local_addr().unwrap();
         let t = thread::spawn(move || {
-            TcpMesh::establish(cfg1, l1, &[(0, a0)], |_| hook.take()).unwrap()
+            TcpMesh::establish(cfg1, l1, &[(0, a0)], |_| hook1.take()).unwrap()
         });
-        let m0 = TcpMesh::establish(cfg0, l0, &[], |_| None).unwrap();
+        let m0 = TcpMesh::establish(cfg0, l0, &[], |_| hook0.take()).unwrap();
         (m0, t.join().unwrap())
+    }
+
+    /// For a pumped link, a hook that hands every frame back to the event
+    /// queue; `None` (a reader thread) otherwise.
+    fn relay(pumped: bool) -> Option<InboundHook> {
+        pumped.then(|| Box::new(Some::<Frame>) as InboundHook)
+    }
+
+    /// A full mesh shaped like a cluster: proc 0 coordinates, and the
+    /// links between the other procs are pumped, as a worker's links to
+    /// its peer workers are.
+    fn cluster(n: u32) -> Vec<TcpMesh> {
+        let ls: Vec<_> = (0..n).map(|_| bind_loopback().unwrap()).collect();
+        let addrs: Vec<_> = ls.iter().map(|l| l.local_addr().unwrap()).collect();
+        let mut handles = Vec::new();
+        for (i, l) in (0..n).zip(ls).rev() {
+            let peers: Vec<_> = (0..i).map(|j| (j, addrs[j as usize])).collect();
+            handles.push(thread::spawn(move || {
+                TcpMesh::establish(fast_cfg(i, n), l, &peers, |peer| relay(i > 0 && peer > 0))
+                    .unwrap()
+            }));
+        }
+        let mut meshes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        meshes.sort_by_key(|m| m.proc_id());
+        meshes
+    }
+
+    /// Shut both ends down at once, so neither waits out the other's
+    /// liveness budget for its `Bye`.
+    fn shutdown_pair(m0: TcpMesh, m1: TcpMesh) {
+        let t = thread::spawn(move || m1.shutdown());
+        m0.shutdown();
+        t.join().unwrap();
+    }
+
+    /// Do `m`'s idle duties for `d`, as a worker's session thread would.
+    fn tick_for(m: &TcpMesh, d: Duration) {
+        let end = Instant::now() + d;
+        while Instant::now() < end {
+            thread::sleep(m.tick());
+        }
     }
 
     /// An empty-payload data frame; `epoch` doubles as the test's marker.
     fn data(epoch: u32) -> Frame {
         Frame::Data {
-            seq: 0, // stamped by the link writer
+            seq: 0, // stamped by the sending link
             epoch,
             msg: crate::aggregate::PhysMsg {
                 src: warp_core::LpId(0),
@@ -1163,10 +1402,11 @@ mod tests {
         }
     }
 
+    /// The next frame, ticking `m` meanwhile as its owner would.
     fn expect_frame(m: &TcpMesh) -> (u32, Frame) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
-            match m.recv_timeout(Duration::from_millis(100)) {
+            match m.recv_timeout(m.tick()) {
                 Some(MeshEvent::Frame { from, frame }) => return (from, frame),
                 Some(MeshEvent::PeerDown { peer, detail, .. }) => {
                     panic!("peer {peer} went down while a frame was expected: {detail}")
@@ -1180,9 +1420,7 @@ mod tests {
     fn expect_down(m: &TcpMesh) -> (u32, bool) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
-            if let Some(MeshEvent::PeerDown { peer, clean, .. }) =
-                m.recv_timeout(Duration::from_millis(100))
-            {
+            if let Some(MeshEvent::PeerDown { peer, clean, .. }) = m.recv_timeout(m.tick()) {
                 return (peer, clean);
             }
         }
@@ -1217,17 +1455,7 @@ mod tests {
 
     #[test]
     fn three_proc_mesh_routes_every_pair() {
-        let ls: Vec<_> = (0..3).map(|_| bind_loopback().unwrap()).collect();
-        let addrs: Vec<_> = ls.iter().map(|l| l.local_addr().unwrap()).collect();
-        let mut handles = Vec::new();
-        for (i, l) in ls.into_iter().enumerate().rev() {
-            let peers: Vec<_> = (0..i as u32).map(|j| (j, addrs[j as usize])).collect();
-            handles.push(thread::spawn(move || {
-                TcpMesh::establish(fast_cfg(i as u32, 3), l, &peers, |_| None).unwrap()
-            }));
-        }
-        let mut meshes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        meshes.sort_by_key(|m| m.proc_id());
+        let meshes = cluster(3);
         for src in 0..3u32 {
             for dst in 0..3u32 {
                 if src == dst {
@@ -1282,14 +1510,138 @@ mod tests {
 
     #[test]
     fn idle_link_stays_alive_on_heartbeats() {
-        let (m0, m1) = pair();
-        // Well past the liveness timeout with no application traffic.
-        thread::sleep(Duration::from_millis(900));
-        assert!(m0.try_recv().is_none(), "heartbeats must not surface");
-        m0.send(1, token(4));
-        assert_eq!(expect_frame(&m1), (0, token(4)));
-        m0.shutdown();
-        m1.shutdown();
+        for pumped in [false, true] {
+            let (m0, m1) = pair_hooked(fast_cfg(0, 2), fast_cfg(1, 2), None, relay(pumped));
+            // Well past the liveness timeout with no application traffic;
+            // a pumped link heartbeats and checks liveness on its ticks.
+            tick_for(&m1, Duration::from_millis(900));
+            assert!(m0.try_recv().is_none(), "heartbeats must not surface");
+            assert!(m1.try_recv().is_none(), "heartbeats must not surface");
+            m0.send(1, token(4));
+            assert_eq!(expect_frame(&m1), (0, token(4)));
+            shutdown_pair(m0, m1);
+        }
+    }
+
+    #[test]
+    fn dropped_mesh_still_says_bye() {
+        for pumped in [false, true] {
+            let (m0, m1) = pair_hooked(fast_cfg(0, 2), fast_cfg(1, 2), relay(pumped), None);
+            drop(m0);
+            assert_eq!(expect_down(&m1), (0, true), "pumped: {pumped}");
+            m1.shutdown();
+        }
+    }
+
+    #[test]
+    fn backlog_keeps_order_and_never_blocks_the_sender() {
+        let (m0, m1) = pair_hooked(fast_cfg(0, 2), fast_cfg(1, 2), relay(true), relay(true));
+        // 16 MiB in 64 KiB frames while proc 1 reads nothing: far more
+        // than both socket buffers hold.
+        let n = 256u32;
+        let bulky = |epoch| Frame::Data {
+            seq: 0,
+            epoch,
+            msg: crate::aggregate::PhysMsg {
+                src: warp_core::LpId(0),
+                dst: warp_core::LpId(1),
+                events: vec![warp_core::Event::new(
+                    warp_core::event::EventId {
+                        sender: warp_core::ObjectId(0),
+                        serial: epoch.into(),
+                    },
+                    warp_core::ObjectId(1),
+                    VirtualTime::new(1),
+                    VirtualTime::new(2),
+                    0,
+                    vec![epoch as u8; 64 << 10],
+                )],
+            },
+        };
+        let sender = m0.sender();
+        let (sent_tx, sent) = mpsc::channel();
+        thread::spawn(move || {
+            for epoch in 0..n {
+                sender.send(1, bulky(epoch));
+            }
+            sent_tx.send(()).unwrap();
+        });
+        sent.recv_timeout(Duration::from_secs(10))
+            .expect("a send blocked on a peer that is not reading");
+        let link = m0.out.links[1].as_ref().unwrap();
+        assert!(
+            !lock(&link.tx).backlog.is_empty(),
+            "the burst fit the socket buffers: nothing exercised the backlog"
+        );
+
+        // Proc 0's ticks flush the backlog, proc 1's read it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut got = Vec::new();
+        while got.len() < n as usize {
+            assert!(
+                Instant::now() < deadline,
+                "{} of {n} frames arrived",
+                got.len()
+            );
+            m0.tick();
+            m1.tick();
+            while let Some(ev) = m1.try_recv() {
+                match ev {
+                    MeshEvent::Frame {
+                        frame: Frame::Data { epoch, msg, .. },
+                        ..
+                    } => {
+                        assert_eq!(msg.events[0].payload, vec![epoch as u8; 64 << 10]);
+                        got.push(epoch);
+                    }
+                    other => panic!("expected Data, got {other:?}"),
+                }
+            }
+        }
+        assert_eq!(
+            got,
+            (0..n).collect::<Vec<_>>(),
+            "every frame once, in order"
+        );
+        shutdown_pair(m0, m1);
+    }
+
+    /// Names of this process's threads.
+    #[cfg(target_os = "linux")]
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn pumped_links_spawn_no_threads() {
+        // Only this test and `three_proc_mesh_routes_every_pair` build a
+        // link between procs 1 and 2, and both pump it.
+        let meshes = cluster(3);
+        let names = thread_names();
+        assert!(
+            names.iter().any(|n| n == "mesh-r2-0"),
+            "a coordinator link keeps its reader thread: {names:?}"
+        );
+        for pumped in ["mesh-r1-2", "mesh-r2-1"] {
+            assert!(
+                !names.iter().any(|n| n == pumped),
+                "a pumped link has a reader thread: {names:?}"
+            );
+        }
+        assert!(
+            !names.iter().any(|n| n
+                .strip_prefix("mesh-")
+                .is_some_and(|kind| kind.starts_with('w'))),
+            "a link has a writer thread: {names:?}"
+        );
+        for m in meshes {
+            thread::spawn(move || m.shutdown());
+        }
     }
 
     #[test]
@@ -1368,48 +1720,58 @@ mod tests {
 
     #[test]
     fn duplicated_data_frames_are_deduplicated_in_order() {
-        let mut cfg0 = fast_cfg(0, 2);
-        cfg0.faults = Some(FaultPlan::new().with(
-            0,
-            1,
-            FaultKind::Duplicate(Selector::Every { every: 1, phase: 0 }),
-        ));
-        let (m0, m1) = pair_with(cfg0, fast_cfg(1, 2));
-        for epoch in 0..4 {
-            m0.send(1, data(epoch));
+        for pumped in [false, true] {
+            let mut cfg0 = fast_cfg(0, 2);
+            cfg0.faults = Some(FaultPlan::new().with(
+                0,
+                1,
+                FaultKind::Duplicate(Selector::Every { every: 1, phase: 0 }),
+            ));
+            let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, relay(pumped));
+            for epoch in 0..4 {
+                m0.send(1, data(epoch));
+            }
+            m0.send(1, token(77));
+            assert_eq!(recv_data_epochs(&m1, 4), vec![0, 1, 2, 3]);
+            // The token right behind the duplicates proves nothing extra
+            // was delivered in between.
+            assert_eq!(expect_frame(&m1), (0, token(77)));
+            shutdown_pair(m0, m1);
         }
-        m0.send(1, token(77));
-        assert_eq!(recv_data_epochs(&m1, 4), vec![0, 1, 2, 3]);
-        // The token right behind the duplicates proves nothing extra was
-        // delivered in between.
-        assert_eq!(expect_frame(&m1), (0, token(77)));
-        m0.shutdown();
-        m1.shutdown();
     }
 
     #[test]
     fn delayed_data_frames_are_reordered_back() {
-        let mut cfg0 = fast_cfg(0, 2);
-        cfg0.faults = Some(FaultPlan::new().with(
-            0,
-            1,
-            FaultKind::Delay {
-                sel: Selector::At(0),
-                hold: 2,
-            },
-        ));
-        let (m0, m1) = pair_with(cfg0, fast_cfg(1, 2));
-        // Frame 0 is held until frame 2 ships: wire order 1,2,0,3.
-        for epoch in 0..4 {
-            m0.send(1, data(epoch));
+        for pumped in [false, true] {
+            let mut cfg0 = fast_cfg(0, 2);
+            cfg0.faults = Some(FaultPlan::new().with(
+                0,
+                1,
+                FaultKind::Delay {
+                    sel: Selector::At(0),
+                    hold: 2,
+                },
+            ));
+            let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, relay(pumped));
+            // Frame 0 is held until frame 2 ships: wire order 1,2,0,3.
+            for epoch in 0..4 {
+                m0.send(1, data(epoch));
+            }
+            assert_eq!(recv_data_epochs(&m1, 4), vec![0, 1, 2, 3]);
+            shutdown_pair(m0, m1);
         }
-        assert_eq!(recv_data_epochs(&m1, 4), vec![0, 1, 2, 3]);
-        m0.shutdown();
-        m1.shutdown();
     }
 
     #[test]
     fn inbound_hook_sees_each_data_frame_once_in_order() {
+        // A hooked link is pumped: by its owner's ticks alone, then also
+        // by another thread racing them, as a worker's LP threads do.
+        for racing in [false, true] {
+            hook_delivers_each_data_frame_once_in_order(racing);
+        }
+    }
+
+    fn hook_delivers_each_data_frame_once_in_order(racing: bool) {
         let mut cfg0 = fast_cfg(0, 2);
         cfg0.faults = Some(
             FaultPlan::new()
@@ -1433,7 +1795,17 @@ mod tests {
             seen_tx.send(frame.clone()).unwrap();
             (!matches!(frame, Frame::Data { .. })).then_some(frame)
         });
-        let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), Some(hook));
+        let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, Some(hook));
+        let stop = Arc::new(AtomicBool::new(false));
+        let racer = racing.then(|| {
+            let (pumps, stop) = (m1.sender(), Arc::clone(&stop));
+            thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    pumps.pump();
+                    thread::yield_now();
+                }
+            })
+        });
         for epoch in 0..6 {
             m0.send(1, data(epoch));
         }
@@ -1462,36 +1834,45 @@ mod tests {
         );
         assert_eq!(offered.last(), Some(&token(77)), "offered: {offered:?}");
         assert_eq!(offered.len(), 7, "only data and the token: {offered:?}");
+        stop.store(true, Ordering::Relaxed);
+        if let Some(racer) = racer {
+            racer.join().unwrap();
+        }
         m1.shutdown();
     }
 
     #[test]
     fn dropped_data_frame_surfaces_as_unclean_loss() {
-        let mut cfg0 = fast_cfg(0, 2);
-        cfg0.faults = Some(FaultPlan::new().with(0, 1, FaultKind::Drop(Selector::At(1))));
-        let (m0, m1) = pair_with(cfg0, fast_cfg(1, 2));
-        for epoch in 0..3 {
-            m0.send(1, data(epoch));
+        for pumped in [false, true] {
+            let mut cfg0 = fast_cfg(0, 2);
+            cfg0.faults = Some(FaultPlan::new().with(0, 1, FaultKind::Drop(Selector::At(1))));
+            let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, relay(pumped));
+            for epoch in 0..3 {
+                m0.send(1, data(epoch));
+            }
+            assert_eq!(recv_data_epochs(&m1, 1), vec![0]);
+            let (peer, clean) = expect_down(&m1);
+            assert_eq!(peer, 0);
+            assert!(!clean, "a lost frame is an unclean link failure");
+            m0.abort();
+            m1.abort();
         }
-        assert_eq!(recv_data_epochs(&m1, 1), vec![0]);
-        let (peer, clean) = expect_down(&m1);
-        assert_eq!(peer, 0);
-        assert!(!clean, "a lost frame is an unclean link failure");
-        m0.abort();
-        m1.abort();
     }
 
     #[test]
     fn partitioned_link_goes_silent_and_trips_liveness() {
-        let mut cfg0 = fast_cfg(0, 2);
-        cfg0.faults = Some(FaultPlan::new().partition(0, 1, 0, 0));
-        let (m0, m1) = pair_with(cfg0, fast_cfg(1, 2));
-        m0.send(1, data(0)); // swallowed by the partition
-        let (peer, clean) = expect_down(&m1);
-        assert_eq!(peer, 0);
-        assert!(!clean);
-        m0.abort();
-        m1.abort();
+        for pumped in [false, true] {
+            let mut cfg0 = fast_cfg(0, 2);
+            cfg0.faults = Some(FaultPlan::new().partition(0, 1, 0, 0));
+            let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, relay(pumped));
+            m0.send(1, data(0)); // swallowed by the partition
+                                 // A pumped receiver notices the silence on its owner's ticks.
+            let (peer, clean) = expect_down(&m1);
+            assert_eq!(peer, 0);
+            assert!(!clean);
+            m0.abort();
+            m1.abort();
+        }
     }
 
     #[test]

@@ -89,8 +89,9 @@ fn qnet_two_workers_commit_the_sequential_history() {
 #[test]
 fn phold_multiple_lps_per_worker() {
     // 4 LPs over 2 workers: co-resident LPs talk over the worker's
-    // lanes, and cross-process frames land on the same lanes from the
-    // link reader, in the same run.
+    // lanes, and cross-process frames land on the same lanes from
+    // whichever of the two LP threads pumped the peer link, in the same
+    // run.
     let cfg = PholdConfig {
         n_objects: 16,
         n_lps: 4,
@@ -110,7 +111,8 @@ fn phold_multiple_lps_per_worker() {
 #[test]
 fn qnet_three_workers_commit_the_sequential_history() {
     // 6 LPs over 3 workers: every LP's inbox has three producers — its
-    // co-resident neighbour and the link readers of both peer workers.
+    // co-resident neighbour and the hooks of both peer-worker links,
+    // each pumped by either local LP thread.
     let cfg = QnetConfig {
         n_stations: 12,
         n_lps: 6,
