@@ -9,8 +9,9 @@
 //! the *same* `lp_thread` loop over the *same* SPSC lane mesh
 //! ([`warp_net::spsc`]) the threaded executive uses. A `WorkerPort`
 //! puts packets for co-resident LPs on their lanes and sends the rest
-//! as [`Frame`]s over the TCP mesh, written to the socket by the LP
-//! thread itself. Inbound, each link to a peer worker is pumped: no
+//! as [`Frame`]s over the TCP mesh, posted by the LP thread itself
+//! (written on it unless another thread is writing that link, never
+//! waiting for one). Inbound, each link to a peer worker is pumped: no
 //! thread of its own reads it; the LP threads read it between events
 //! (and the session thread on its idle ticks), and the link's hook, on
 //! a lane endpoint of its own, puts that peer's data, token and GVT
@@ -90,7 +91,9 @@
 //! (undo speculation above it, harvest the retained output frontier) —
 //! no object init, no replay of committed history. Everything else —
 //! respawned processes, migrated-in LPs — is rebuilt by replaying the
-//! committed logs through the normal kernel paths. Both paths re-ship
+//! committed logs through the normal kernel paths. Each LP thread does
+//! its own LP's rollback or replay, so the session thread keeps the peer
+//! links alive meanwhile, however long a replay takes. Both paths re-ship
 //! the regenerated frontier and must commit exactly the history the
 //! sequential golden model commits; [`ResumeStats`] in the final report
 //! counts each path and the events full rebuilds replayed. Recovery is
@@ -213,7 +216,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 use warp_balance::{Assignment, BalanceController, BalancePolicy, LpLoad};
 use warp_core::stats::{CommStats, ObjectStats};
-use warp_core::{LpId, VirtualTime};
+use warp_core::VirtualTime;
 use warp_elastic::{ElasticController, ElasticPolicy, ScaleDirection, ScalePlan};
 use warp_net::tcp::{bind_loopback, InboundHook, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
 use warp_net::{lane_mesh, FaultPlan, Frame, LaneEndpoint};
@@ -2675,7 +2678,7 @@ enum Slot {
 
 /// An LP's transport inside a worker process: its endpoint in the
 /// session's SPSC lane mesh — the transport `run_threaded` uses — for
-/// co-resident LPs, a frame this thread writes to the TCP mesh,
+/// co-resident LPs, a frame this thread posts to the TCP mesh,
 /// addressed to the owning process, for everything else. Peer workers'
 /// frames reach the lane when some thread of this process pumps their
 /// links (`route_data`) — this one when its lane is empty — checkpoint
@@ -2749,7 +2752,7 @@ impl LpPort for WorkerPort {
                     // design; the LP loop never addresses it to a peer.
                     Packet::Ckpt { .. } | Packet::CkptAck(_) | Packet::Abort => return,
                 };
-                self.mesh_tx.send(proc, frame);
+                self.mesh_tx.post(proc, frame);
             }
         }
     }
@@ -2781,7 +2784,7 @@ impl LpPort for WorkerPort {
     fn note_gvt(&self, gvt: VirtualTime) {
         // Only the controller LP calls this; the coordinator paces the
         // checkpoint protocol off these notifications.
-        self.mesh_tx.send(0, Frame::Progress { gvt });
+        self.mesh_tx.post(0, Frame::Progress { gvt });
     }
     fn wants_telemetry(&self) -> bool {
         // Stream instead of accumulate: the recorder only exists when
@@ -2791,13 +2794,13 @@ impl LpPort for WorkerPort {
         true
     }
     fn stream_telemetry(&self, json: Vec<u8>) {
-        self.mesh_tx.send(0, Frame::Telemetry(json));
+        self.mesh_tx.post(0, Frame::Telemetry(json));
     }
     fn wants_load(&self) -> bool {
         self.balance
     }
     fn report_load(&self, gvt: VirtualTime, load: warp_balance::LpLoad) {
-        self.mesh_tx.send(
+        self.mesh_tx.post(
             0,
             Frame::LoadReport {
                 gvt,
@@ -2831,7 +2834,7 @@ impl LpPort for WorkerPort {
 impl Drop for WorkerPort {
     fn drop(&mut self) {
         // A loopback heartbeat: readers never surface real ones.
-        self.mesh_tx.send(self.mesh_tx.proc_id(), Frame::Heartbeat);
+        self.mesh_tx.post(self.mesh_tx.proc_id(), Frame::Heartbeat);
     }
 }
 
@@ -3159,11 +3162,15 @@ pub fn run_worker(
                     *ctl_out = out;
                 }
                 None => {
-                    eprintln!(
+                    // One write: parked siblings give up at the same
+                    // instant on a shared stderr, and `eprintln!` writes a
+                    // line in pieces that theirs can split.
+                    let line = format!(
                         "warp-worker (proc {}): rejoin grace ({} ms) expired with no \
-                         successor coordinator; exiting",
+                         successor coordinator; exiting\n",
                         init.proc_id, rejoin.grace_ms
                     );
+                    eprint!("{line}");
                     std::process::exit(4);
                 }
             }
@@ -3196,11 +3203,13 @@ fn park_for_rejoin(
     why: &str,
 ) -> Option<(Receiver<String>, ControlOut)> {
     let horizon = VirtualTime::from_ticks(floor.load(Ordering::Acquire));
-    eprintln!(
+    // One write, as for the grace expiry: siblings park at once.
+    let line = format!(
         "warp-worker (proc {}): coordinator lost ({why}); parked for rejoin \
-         (grace {} ms, horizon {horizon})",
+         (grace {} ms, horizon {horizon})\n",
         init.proc_id, rejoin.grace_ms
     );
+    eprint!("{line}");
     let start = Duration::from_millis(init.net.connect_backoff_start_ms.max(1));
     let cap = Duration::from_millis(
         init.net
@@ -3409,9 +3418,11 @@ fn run_session_as_worker(
     // Seed this worker's LPs. Fresh builds on session 0; on a resume,
     // an LP whose runtime survived the lost session rolls back in place
     // to the horizon (no init, no replay), anything else is rebuilt by
-    // replaying its committed log. Either way the regenerated frontier
-    // (sends at or beyond the horizon) ships at LP-thread boot exactly
-    // like init output would.
+    // replaying its committed log. Each LP thread does that work itself,
+    // so this thread reaches `route_inbound` — and the peer links' ticks
+    // — at once, however long a replay takes. Either way the regenerated
+    // frontier (sends at or beyond the horizon) ships at LP-thread boot
+    // exactly like init output would.
     let mut seeds: Vec<(u32, LpSeed)> = Vec::new();
     let ckpt_base = match restore {
         Some((horizon, payload)) => {
@@ -3419,23 +3430,19 @@ fn run_session_as_worker(
             let mut logs = merge_logs(&deltas).map_err(|e| format!("resume merge: {e}"))?;
             for &lp in &my_lps {
                 let log = logs.remove(&lp).unwrap_or_default();
-                let mut frontier = Vec::new();
-                let rt = match retained.remove(&lp) {
-                    Some(mut rt) => {
-                        rt.rollback_to_horizon(horizon, &mut frontier);
+                let seed = match retained.remove(&lp) {
+                    Some(rt) => {
                         resume_stats.lps_rolled_back += 1;
-                        rt
+                        LpSeed::Rollback { lp: rt, horizon }
                     }
                     None => {
-                        let mut rt = Box::new(spec.build_lp(LpId(lp)));
                         resume_stats.replayed_events +=
                             log.values().map(|evs| evs.len() as u64).sum::<u64>();
-                        rt.restore_committed(log, horizon, &mut frontier);
                         resume_stats.lps_rebuilt += 1;
-                        rt
+                        LpSeed::Replay { log, horizon }
                     }
                 };
-                seeds.push((lp, LpSeed::Restored { lp: rt, frontier }));
+                seeds.push((lp, seed));
             }
             Some(horizon)
         }
@@ -4030,5 +4037,180 @@ mod tests {
             Err(DistError::Io(_)) => {}
             other => panic!("expected an I/O error, got {other:?}"),
         }
+    }
+
+    /// Object 0 counts itself through `ticks` events, one per tick, each
+    /// taking `nap` of wall time (counted in `naps`); object 1 idles.
+    struct Napper {
+        ticks: u64,
+        nap: Duration,
+        naps: Arc<AtomicU64>,
+        count: Count,
+    }
+
+    #[derive(Clone, Debug)]
+    struct Count(u64);
+    impl warp_core::ObjectState for Count {}
+
+    impl warp_core::SimObject for Napper {
+        fn init(&mut self, ctx: &mut dyn warp_core::ExecutionContext) {
+            if ctx.me().0 == 0 {
+                ctx.send(ctx.me(), 1, 0, Vec::new());
+            }
+        }
+        fn execute(&mut self, ctx: &mut dyn warp_core::ExecutionContext, _: &warp_core::Event) {
+            if !self.nap.is_zero() {
+                std::thread::sleep(self.nap);
+                self.naps.fetch_add(1, Ordering::Relaxed);
+            }
+            self.count.0 += 1;
+            if self.count.0 < self.ticks {
+                ctx.send(ctx.me(), 1, 0, Vec::new());
+            }
+        }
+        fn snapshot(&self) -> warp_core::ErasedState {
+            warp_core::ErasedState::of(self.count.clone())
+        }
+        fn restore(&mut self, snapshot: &warp_core::ErasedState) {
+            self.count = snapshot.get::<Count>().clone();
+        }
+        fn state_bytes(&self) -> usize {
+            std::mem::size_of::<Count>()
+        }
+    }
+
+    #[test]
+    fn a_replay_longer_than_liveness_keeps_the_peer_links_alive() {
+        // Proc 1, the worker under test, owns LP 0 and is resumed with
+        // nothing retained: it must rebuild LP 0 by replaying its
+        // committed history, which takes several liveness timeouts. Procs
+        // 0 (the coordinator) and 2 (the peer worker owning LP 1) are
+        // bare meshes; neither may lose proc 1 meanwhile.
+        const TICKS: u64 = 40;
+        let nap = Duration::from_millis(25);
+        let net = NetTuning {
+            heartbeat_ms: 50,
+            liveness_ms: 250,
+            ..NetTuning::default()
+        };
+        let replay = nap * TICKS as u32;
+        let liveness = Duration::from_millis(net.liveness_ms);
+        assert!(replay > 3 * liveness);
+
+        let napper = |nap: Duration, naps: &Arc<AtomicU64>| {
+            let naps = Arc::clone(naps);
+            SimulationSpec::new(
+                warp_core::Partition::round_robin(2, 2),
+                Arc::new(move |_| {
+                    Box::new(Napper {
+                        ticks: TICKS,
+                        nap,
+                        naps: Arc::clone(&naps),
+                        count: Count(0),
+                    }) as Box<dyn warp_core::SimObject>
+                }),
+            )
+        };
+        let naps = Arc::new(AtomicU64::new(0));
+        // LP 0's whole history, committed below the horizon, as the
+        // coordinator's resume stream carries it.
+        let horizon = VirtualTime::new(TICKS + 1);
+        let payload = {
+            let spec = napper(Duration::ZERO, &naps);
+            let (mut lp, mut out) = (spec.build_lp(warp_core::LpId(0)), Vec::new());
+            lp.init(&mut out);
+            while lp.process_one(&mut out) {}
+            let objects = lp.committed_window(VirtualTime::ZERO, horizon);
+            assert_eq!(objects[0].1.len() as u64, TICKS);
+            encode_resume(&[encode_delta(
+                VirtualTime::ZERO,
+                horizon,
+                &[LpDelta { lp: 0, objects }],
+            )])
+        };
+        let spec = napper(nap, &naps);
+
+        let [l0, l1, l2] = [(); 3].map(|_| bind_loopback().unwrap());
+        let addrs = [&l0, &l1, &l2].map(|l| l.local_addr().unwrap());
+        let init = WorkerInit {
+            proc_id: 1,
+            n_procs: 3,
+            n_lps: 2,
+            session: 1,
+            peers: (0..3).map(|p| (p, addrs[p as usize].to_string())).collect(),
+            model: serde_json::Value::Null,
+            net: net.clone(),
+            connect_ms: 10_000,
+            recovery: true,
+            assignment: vec![1, 2],
+            balance: false,
+            handicap_us: 0,
+            handicap_events: 0,
+            fault: None,
+            rejoin: None,
+        };
+        let worker = std::thread::spawn(move || {
+            let assign = Assignment::from_owners(init.assignment.clone(), 2).unwrap();
+            let mut stats = ResumeStats::default();
+            let end = run_session_as_worker(
+                &init,
+                &spec,
+                &assign,
+                3,
+                1,
+                &init.peers,
+                init.connect_ms,
+                l1,
+                &mut HashMap::new(),
+                &mut stats,
+                None,
+                &Arc::new(AtomicU64::new(0)),
+            );
+            (end.unwrap(), stats)
+        });
+        let cfg = |proc_id| TcpMeshConfig {
+            session: 1,
+            heartbeat_interval: Duration::from_millis(net.heartbeat_ms),
+            liveness_timeout: liveness,
+            ..TcpMeshConfig::new(proc_id, 3)
+        };
+        let peer_cfg = cfg(2);
+        let peer = std::thread::spawn(move || {
+            TcpMesh::establish(peer_cfg, l2, &[(0, addrs[0]), (1, addrs[1])], |_| None).unwrap()
+        });
+        let coord = TcpMesh::establish(cfg(0), l0, &[], |_| None).unwrap();
+        let peer = peer.join().unwrap();
+
+        let resumed = Instant::now();
+        coord.send(
+            1,
+            Frame::ResumeChunk {
+                session: 1,
+                gvt: horizon,
+                seq: 0,
+                last: true,
+                payload,
+            },
+        );
+        while resumed.elapsed() < replay + liveness {
+            for (who, mesh) in [("coordinator", &coord), ("peer worker", &peer)] {
+                if let Some(MeshEvent::PeerDown { peer, detail, .. }) =
+                    mesh.recv_timeout(Duration::from_millis(5))
+                {
+                    panic!("the {who} lost proc {peer} during the replay: {detail}");
+                }
+            }
+        }
+        coord.send(1, Frame::Rebalance { gvt: horizon });
+        let (end, stats) = worker.join().unwrap();
+        assert!(matches!(end, WorkerSessionEnd::Rebalance));
+        assert_eq!((stats.lps_rebuilt, stats.replayed_events), (1, TICKS));
+        assert_eq!(
+            naps.load(Ordering::Relaxed),
+            TICKS,
+            "the replay ran at full speed"
+        );
+        coord.abort();
+        peer.abort();
     }
 }

@@ -75,10 +75,17 @@ pub(crate) trait LpPort {
     fn n_local(&self) -> usize;
     /// Send a packet to a global LP id. Must never block on the LP loop
     /// and must tolerate peers that already shut down. The lanes never
-    /// block; the distributed port writes a remote packet to its socket
-    /// on this thread, and what the socket refuses waits in the link's
-    /// backlog instead (`warp_net::tcp`) — without it, two LPs writing to
-    /// each other over full buffers would deadlock.
+    /// block. The distributed port posts a remote packet to the owner's
+    /// link (`MeshSender::post`): it never waits for another thread's
+    /// write, and writes on this thread only when no other thread is
+    /// writing. A peer worker's socket is non-blocking and what it
+    /// refuses waits in the link's backlog — without it, two LPs writing
+    /// to each other over full buffers would deadlock. (The port's frames
+    /// for the coordinator — `note_gvt`, `stream_telemetry`,
+    /// `report_load` — are posted too. That socket blocks, but only until
+    /// the coordinator's reader thread takes what is already in it:
+    /// checkpoints are written by the thread that sends them, never left
+    /// to an LP.)
     fn send(&self, to: usize, p: Packet);
     /// Non-blocking receive. The LP loop asks after every executed
     /// event, so with nothing inbound this must be cheap: a lane scan
@@ -285,9 +292,21 @@ struct LpThread<P: LpPort> {
 impl<P: LpPort> LpThread<P> {
     fn new(spec: SimulationSpec, port: P, seed: LpSeed, ckpt_base: Option<VirtualTime>) -> Self {
         let my_id = warp_core::LpId(port.id() as u32);
+        // A resumed LP ships the remote-destined sends its rollback or
+        // replay regenerated (at or beyond the horizon) instead of init's
+        // output.
+        let mut frontier = Vec::new();
         let (mut lp, boot_frontier) = match seed {
             LpSeed::Fresh => (spec.build_lp(my_id), None),
-            LpSeed::Restored { lp, frontier } => (*lp, Some(frontier)),
+            LpSeed::Rollback { mut lp, horizon } => {
+                lp.rollback_to_horizon(horizon, &mut frontier);
+                (*lp, Some(frontier))
+            }
+            LpSeed::Replay { log, horizon } => {
+                let mut lp = spec.build_lp(my_id);
+                lp.restore_committed(log, horizon, &mut frontier);
+                (lp, Some(frontier))
+            }
         };
         // Restored runtimes are rebuilt outside `build_lp`; re-arm recording.
         lp.set_record_control(spec.telemetry);
@@ -619,19 +638,27 @@ impl<P: LpPort> LpThread<P> {
     }
 }
 
-/// How an LP thread starts life.
+/// How an LP thread starts life. The LP thread does the work itself, so
+/// the thread that spawned it is free at once — a worker's session
+/// thread must keep its peer links alive however long a replay takes.
 pub(crate) enum LpSeed {
     /// Build the LP from the spec and run object init.
     Fresh,
-    /// Resume from a checkpoint: the LP has already been rebuilt via
-    /// `LpRuntime::restore_committed`; `frontier` holds the
-    /// remote-destined sends the replay regenerated (at or beyond the
-    /// restore horizon) which must ship instead of init's output.
-    Restored {
-        /// The restored runtime (boxed: far larger than `Fresh`).
+    /// Resume from a checkpoint with a runtime that survived the lost
+    /// session: roll it back in place to `horizon` (no init, no replay).
+    Rollback {
+        /// The retained runtime (boxed: far larger than `Fresh`).
         lp: Box<warp_core::LpRuntime>,
-        /// Remote frontier events to ship at startup.
-        frontier: Vec<Event>,
+        /// The restore horizon.
+        horizon: VirtualTime,
+    },
+    /// Resume from a checkpoint with nothing retained: build the LP and
+    /// replay its committed log (`LpRuntime::restore_committed`).
+    Replay {
+        /// Per-object committed events below `horizon`.
+        log: std::collections::HashMap<ObjectId, Vec<Event>>,
+        /// The restore horizon.
+        horizon: VirtualTime,
     },
 }
 

@@ -29,23 +29,29 @@
 //! [`crate::fault`]).
 //!
 //! Sending: no link has a thread of its own for it. A send stages the
-//! frame and writes it to the socket on the calling thread, under the
-//! link's outbound lock. Bytes a non-blocking socket refuses wait in the
-//! link's ordered backlog, which the next send or [`TcpMesh::tick`]
-//! flushes, so a sender never blocks on a peer that is not reading.
+//! frame in the link's ordered backlog, under a lock no one holds across
+//! I/O, and one thread at a time — the writer — takes the backlog to the
+//! socket on its own thread. [`MeshSender::send`] waits for its turn and
+//! writes its frame itself; [`MeshSender::post`], for threads that must
+//! never wait (a worker's LP threads), leaves its bytes to a writer
+//! already at work. So a large frame is only ever written by the thread
+//! that sent it.
 //!
 //! Receiving: what a link carries decides who reads it. A link whose
 //! owner gave it an [`InboundHook`] — a worker's link to a peer worker,
 //! whose frames go straight onto the worker's LP lanes — is *pumped*: its
 //! socket is non-blocking, no thread is spawned for it, and whoever wants
 //! its frames reads it until it would block ([`MeshSender::pump`], from
-//! the LP threads between events, and [`TcpMesh::tick`]). Every other
+//! the LP threads between events, and [`TcpMesh::tick`]); bytes its
+//! socket refuses stay in the backlog for the next send, pump or tick,
+//! so a sender never blocks on a peer that is not reading. Every other
 //! link — every link to the coordinator, on both sides — keeps one reader
-//! thread blocked on its socket; its writes may block too, but only
-//! while that peer's own reader thread drains them. Both ways of reading
-//! run the same code: every frame that leaves the sequencing, in order, is
-//! offered to the link's hook; what the hook hands back — and everything
-//! on a hook-less link — goes to the owner's event queue.
+//! thread blocked on its socket; its writes block too, but only while
+//! that peer's own reader thread drains them, and a write it takes
+//! nothing of for the liveness timeout closes the link. Both ways of
+//! reading run the same code: every frame that leaves the sequencing, in
+//! order, is offered to the link's hook; what the hook hands back — and
+//! everything on a hook-less link — goes to the owner's event queue.
 //!
 //! Liveness: whoever reads a link also does its idle duties. Once a link
 //! has sent nothing for half a heartbeat interval, its pending backlog
@@ -53,9 +59,10 @@
 //! [`Frame::Heartbeat`] goes out; a link silent for longer than the
 //! liveness timeout is declared half-open and reported as
 //! [`MeshEvent::PeerDown`] with `clean: false` — the same event an
-//! abrupt EOF (peer killed) produces. A reader thread does this on its
-//! own read timeout; the owner of pumped links calls [`TcpMesh::tick`]
-//! at least as often as it asks. Graceful shutdown sends [`Frame::Bye`]
+//! abrupt EOF (peer killed) produces. A reader thread does this after
+//! each read, or its timeout; the owner of pumped links calls
+//! [`TcpMesh::tick`] at least as often as it asks — whatever else its
+//! threads are busy with. Graceful shutdown sends [`Frame::Bye`]
 //! behind everything queued, flushes, closes the write half, and keeps
 //! draining the read half until the peer's own `Bye` arrives, so no
 //! in-flight frame is lost to teardown.
@@ -227,39 +234,129 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One connection, shared by every thread that sends on it or reads it.
 struct Link {
     /// Clone of the connection, kept so `abort` can slam it shut before
-    /// it takes either lock.
+    /// it takes any lock.
     stream: TcpStream,
-    /// The outbound half: every send stages and writes under this lock.
+    /// No thread reads this link: its owner's threads pump it, and its
+    /// socket is non-blocking.
+    pumped: bool,
+    /// The outbound half: frames are stamped, fault-injected and encoded
+    /// into its backlog under this lock, which no one holds across I/O.
     tx: Mutex<LinkTx>,
-    /// The inbound half of a pumped link (`None`: a reader thread owns
-    /// it).
-    rx: Option<Mutex<LinkIn>>,
+    /// The writer's role, and the bytes its holder took off the backlog
+    /// that the socket has not taken yet (they go out first).
+    wire: Mutex<Vec<u8>>,
+    /// The inbound half: the link's reader thread, or whoever pumps it.
+    rx: Mutex<LinkIn>,
 }
 
 impl Link {
+    /// Stage one frame, then write. `wait`: take the writer's role
+    /// first, waiting for the current writer, and write this frame
+    /// oneself; otherwise leave it to the current writer, if any.
+    fn send(&self, frame: Frame, wait: bool) {
+        let role = wait.then(|| lock(&self.wire));
+        lock(&self.tx).send(frame);
+        self.write(role);
+    }
+
+    /// Write what is staged, unless another thread is writing (see
+    /// [`Link::write`]). True when nothing is left for later.
+    fn flush(&self) -> bool {
+        self.write(None)
+    }
+
+    /// As the writer — `role`, or the role if no other thread holds it —
+    /// write until nothing is staged or the socket refuses more. Bytes a
+    /// sender staged while we wrote are ours to write too: it found the
+    /// role taken and left them to us. True when nothing is left for
+    /// later; false when the socket refused bytes or another writer has
+    /// them.
+    fn write(&self, role: Option<MutexGuard<'_, Vec<u8>>>) -> bool {
+        let mut wire = match role {
+            Some(wire) => wire,
+            None => match self.wire.try_lock() {
+                Ok(wire) => wire,
+                Err(_) => return false,
+            },
+        };
+        loop {
+            if !self.write_out(&mut wire) {
+                return false;
+            }
+            drop(wire);
+            if lock(&self.tx).backlog.is_empty() {
+                return true;
+            }
+            wire = match self.wire.try_lock() {
+                Ok(wire) => wire,
+                Err(_) => return false,
+            };
+        }
+    }
+
+    /// Write `wire`, refilling it from the backlog, until both are empty
+    /// (true) or a pumped link's socket refuses more (false; the rest
+    /// waits, in order, for the next send, pump or tick). A failed
+    /// write closes the link for sending, and its reader reports the
+    /// loss. On a blocking link that includes a write the peer took
+    /// nothing of for the whole liveness timeout: it is wedged, and a
+    /// remainder left for later would be written by whoever flushes next
+    /// — possibly a thread that must not wait.
+    fn write_out(&self, wire: &mut Vec<u8>) -> bool {
+        loop {
+            if wire.is_empty() {
+                std::mem::swap(wire, &mut lock(&self.tx).backlog);
+                if wire.is_empty() {
+                    return true;
+                }
+            }
+            match (&self.stream).write(wire) {
+                Ok(n) if n > 0 => {
+                    wire.drain(..n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if self.pumped && would_block(&e) => return false,
+                _ => {
+                    wire.clear();
+                    lock(&self.tx).fail();
+                    return true;
+                }
+            }
+        }
+    }
+
     /// Read a pumped link until its socket would block — unless another
     /// thread is reading it right now — then flush its backlog. True if
-    /// any byte arrived.
+    /// any byte arrived. A link with a reader thread is left to it.
     fn pump(&self) -> bool {
-        let Some(rx) = &self.rx else { return false };
-        let read = rx.try_lock().is_ok_and(|mut rx| rx.read_available());
-        if let Ok(mut tx) = self.tx.try_lock() {
-            tx.flush();
+        if !self.pumped {
+            return false;
         }
+        let read = self.rx.try_lock().is_ok_and(|mut rx| rx.read_available());
+        self.flush();
         read
     }
 
-    /// A pumped link's idle duties (see [`TcpMesh::tick`]); a reader
-    /// thread does them for its own link.
+    /// The link's idle duties: read a pumped link, declare the link down
+    /// once it has been silent or held a sequence gap past `liveness`,
+    /// and — once it has sent nothing for `idle` — release held frames
+    /// and heartbeat; flush. [`TcpMesh::tick`] runs them for pumped
+    /// links, a reader thread after each read of its own.
     fn tick(&self, idle: Duration, liveness: Duration) {
-        let Some(rx) = &self.rx else { return };
-        if let Ok(mut rx) = rx.try_lock() {
-            rx.read_available();
+        if let Ok(mut rx) = self.rx.try_lock() {
+            if self.pumped {
+                rx.read_available();
+            }
             rx.check(liveness);
         }
-        if let Ok(mut tx) = self.tx.try_lock() {
-            tx.tick(idle);
-        }
+        lock(&self.tx).heartbeat(idle);
+        self.flush();
+    }
+
+    /// Bytes staged and not yet written.
+    #[cfg(test)]
+    fn staged(&self) -> usize {
+        lock(&self.wire).len() + lock(&self.tx).backlog.len()
     }
 }
 
@@ -279,12 +376,31 @@ impl MeshSender {
         self.proc_id
     }
 
-    /// Send a frame to `to` on the calling thread. Self-sends loop back
-    /// locally. On a pumped link this never blocks: what the socket
-    /// refuses waits in the link's backlog. Sending to a peer whose link
-    /// already died is a silent no-op — the owner has (or will) see the
+    /// Send a frame to `to`, written on the calling thread: wait for
+    /// another thread's write on the link to finish, then write this
+    /// frame and whatever was staged behind it. For threads that may
+    /// wait — a large frame is only ever written by the thread that sent
+    /// it; a thread that must not wait uses [`post`](Self::post).
+    /// Self-sends loop back locally. Sending to a peer whose link already
+    /// died is a silent no-op — the owner has (or will) see the
     /// `PeerDown` event and must react there.
     pub fn send(&self, to: u32, frame: Frame) {
+        self.deliver(to, frame, true);
+    }
+
+    /// Like [`send`](Self::send), but never wait for another thread's
+    /// write: stage the frame and write only if no other thread is
+    /// writing the link — that one takes these bytes along. On a pumped
+    /// link the socket never blocks: what it refuses waits in the link's
+    /// backlog for the next send, pump or tick. A link with a reader
+    /// thread blocks, but only until the peer's own reader thread takes
+    /// what is already in the socket, and only small frames are ever left
+    /// to another thread to write (`send` writes its own).
+    pub fn post(&self, to: u32, frame: Frame) {
+        self.deliver(to, frame, false);
+    }
+
+    fn deliver(&self, to: u32, frame: Frame, wait: bool) {
         if to == self.proc_id {
             let _ = self.loopback.send(MeshEvent::Frame {
                 from: self.proc_id,
@@ -293,7 +409,7 @@ impl MeshSender {
             return;
         }
         if let Some(Some(link)) = self.links.get(to as usize) {
-            lock(&link.tx).send(frame);
+            link.send(frame, wait);
         }
     }
 
@@ -371,7 +487,7 @@ impl TcpMesh {
     /// link has nothing to do here.
     pub fn tick(&self) -> Duration {
         let idle = self.cfg.idle_check();
-        for link in self.out.links.iter().flatten() {
+        for link in self.out.links.iter().flatten().filter(|l| l.pumped) {
             link.tick(idle, self.cfg.liveness_timeout);
         }
         idle
@@ -410,35 +526,31 @@ impl TcpMesh {
             } else {
                 stream.set_read_timeout(Some(cfg.idle_check()))?;
                 // The peer's reader thread drains this link continuously;
-                // only a wedged peer could hold a write longer.
+                // a write it takes nothing of for this long finds it wedged.
                 stream.set_write_timeout(Some(cfg.liveness_timeout))?;
             }
             let faults = cfg.faults.as_ref();
             let tx = LinkTx::new(
-                stream.try_clone()?,
                 faults.and_then(|p| p.link(cfg.proc_id, peer, cfg.session)),
                 faults.and_then(|p| p.link_control(cfg.proc_id, peer, cfg.session)),
             );
             let mut rx = LinkIn::new(peer, stream.try_clone()?, dec, hook, event_tx.clone());
             // Frames the peer pipelined behind its Hello.
             rx.deliver();
-            let (pumped_rx, thread_rx) = if pumped {
-                (Some(Mutex::new(rx)), None)
-            } else {
-                (None, Some(rx))
-            };
             let link = Arc::new(Link {
                 stream,
+                pumped,
                 tx: Mutex::new(tx),
-                rx: pumped_rx,
+                wire: Mutex::new(Vec::new()),
+                rx: Mutex::new(rx),
             });
-            if let Some(rx) = thread_rx {
+            if !pumped {
                 let (reader_link, closing) = (Arc::clone(&link), Arc::clone(&closing));
                 let (idle, live) = (cfg.idle_check(), cfg.liveness_timeout);
                 readers.push(
                     thread::Builder::new()
                         .name(format!("mesh-r{}-{peer_id}", cfg.proc_id))
-                        .spawn(move || reader_loop(reader_link, rx, idle, live, closing))?,
+                        .spawn(move || reader_loop(reader_link, idle, live, closing))?,
                 );
             }
             links.push(Some(link));
@@ -467,9 +579,8 @@ impl TcpMesh {
         self.closing.store(true, Ordering::Relaxed);
         let deadline = Instant::now() + self.cfg.liveness_timeout;
         self.say_bye(deadline);
-        for link in self.out.links.iter().flatten() {
-            let Some(rx) = &link.rx else { continue };
-            let mut rx = lock(rx);
+        for link in self.out.links.iter().flatten().filter(|l| l.pumped) {
+            let mut rx = lock(&link.rx);
             if link.stream.set_nonblocking(false).is_err()
                 || link
                     .stream
@@ -514,9 +625,7 @@ impl TcpMesh {
             let mut pending = false;
             for link in links() {
                 link.pump();
-                let mut tx = lock(&link.tx);
-                tx.flush();
-                pending |= !tx.backlog.is_empty();
+                pending |= !link.flush();
             }
             if !pending || Instant::now() >= deadline {
                 break;
@@ -795,18 +904,17 @@ fn handshake(
     }
 }
 
-/// A link's outbound half: the write side of the connection, its
-/// backlog, data-frame sequence stamping, fault injection, and the
-/// buffer of frames a `Delay` rule is holding back.
+/// A link's outbound half: its backlog, data-frame sequence stamping,
+/// fault injection, and the buffer of frames a `Delay` rule is holding
+/// back. [`Link::write`] takes the backlog to the socket.
 struct LinkTx {
-    stream: TcpStream,
-    /// Encoded bytes the socket has not taken yet, oldest first. A send
+    /// Encoded bytes no writer has taken yet, oldest first. A send
     /// appends behind them, so frames reach the wire in send order.
     backlog: Vec<u8>,
     /// When a frame was last staged: the idle clock behind heartbeats and
     /// the release of held frames.
     last_send: Instant,
-    /// `Bye` was staged or the socket failed: nothing more is staged.
+    /// `Bye` was staged or a write failed: nothing more is staged.
     closed: bool,
     next_seq: u64,
     chaos: Option<LinkChaos>,
@@ -826,9 +934,8 @@ struct LinkTx {
 }
 
 impl LinkTx {
-    fn new(stream: TcpStream, chaos: Option<LinkChaos>, ctl_chaos: Option<LinkChaos>) -> Self {
+    fn new(chaos: Option<LinkChaos>, ctl_chaos: Option<LinkChaos>) -> Self {
         LinkTx {
-            stream,
             backlog: Vec::with_capacity(4096),
             last_send: Instant::now(),
             closed: false,
@@ -842,47 +949,30 @@ impl LinkTx {
         }
     }
 
-    /// Stage one frame behind the backlog and write what the socket
-    /// takes.
+    /// Stage one frame behind the backlog.
     fn send(&mut self, frame: Frame) {
         if self.closed {
             return;
         }
         self.stage(frame);
         self.last_send = Instant::now();
-        self.flush();
     }
 
-    /// Write the backlog until it is empty or the socket refuses more
-    /// without blocking; the rest waits, in order, for the next send or
-    /// tick. A failed socket drops everything: the link's reader reports
-    /// the dead link.
-    fn flush(&mut self) {
-        while !self.backlog.is_empty() {
-            match (&self.stream).write(&self.backlog) {
-                Ok(n) if n > 0 => {
-                    self.backlog.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if would_block(&e) => return,
-                _ => {
-                    self.closed = true;
-                    self.backlog.clear();
-                    return;
-                }
-            }
-        }
+    /// A write failed: drop everything and stage nothing more — the
+    /// link's reader reports the dead link.
+    fn fail(&mut self) {
+        self.closed = true;
+        self.backlog.clear();
     }
 
-    /// Idle duties: once nothing was staged for `idle`, release held
-    /// frames and heartbeat; flush the backlog either way.
-    fn tick(&mut self, idle: Duration) {
+    /// Once nothing was staged for `idle`, release held frames and stage
+    /// a heartbeat.
+    fn heartbeat(&mut self, idle: Duration) {
         if !self.closed && !self.partitioned && self.last_send.elapsed() >= idle {
             self.flush_held();
             Frame::Heartbeat.encode_into(&mut self.backlog);
             self.last_send = Instant::now();
         }
-        self.flush();
     }
 
     /// Stage `Bye` behind everything queued and held, and accept nothing
@@ -1229,17 +1319,12 @@ impl LinkIn {
 }
 
 /// A hook-less link's reader thread: block on the socket (the read
-/// timeout is the idle-check period), deliver, check liveness, and do
-/// the link's outbound idle duties.
-fn reader_loop(
-    link: Arc<Link>,
-    mut rx: LinkIn,
-    idle: Duration,
-    liveness: Duration,
-    closing: Arc<AtomicBool>,
-) {
+/// timeout is the idle-check period) and deliver, then do the link's
+/// idle duties ([`Link::tick`]). Nothing else takes the link's inbound
+/// half, so its lock is never contended.
+fn reader_loop(link: Arc<Link>, idle: Duration, liveness: Duration, closing: Arc<AtomicBool>) {
     let mut closing_since: Option<Instant> = None;
-    while !rx.done {
+    loop {
         // Once our side starts shutting down, drain for at most the
         // liveness budget: a peer that is not shutting down yet keeps
         // heartbeating and would otherwise pin this thread (and the
@@ -1250,11 +1335,14 @@ fn reader_loop(
                 return;
             }
         }
-        rx.read_once();
-        rx.check(liveness);
-        if let Ok(mut tx) = link.tx.try_lock() {
-            tx.tick(idle);
+        {
+            let mut rx = lock(&link.rx);
+            if rx.done {
+                return;
+            }
+            rx.read_once();
         }
+        link.tick(idle, liveness);
     }
 }
 
@@ -1562,7 +1650,11 @@ mod tests {
         let (sent_tx, sent) = mpsc::channel();
         thread::spawn(move || {
             for epoch in 0..n {
-                sender.send(1, bulky(epoch));
+                if epoch % 2 == 0 {
+                    sender.send(1, bulky(epoch));
+                } else {
+                    sender.post(1, bulky(epoch));
+                }
             }
             sent_tx.send(()).unwrap();
         });
@@ -1570,7 +1662,7 @@ mod tests {
             .expect("a send blocked on a peer that is not reading");
         let link = m0.out.links[1].as_ref().unwrap();
         assert!(
-            !lock(&link.tx).backlog.is_empty(),
+            link.staged() > 0,
             "the burst fit the socket buffers: nothing exercised the backlog"
         );
 
@@ -1606,6 +1698,64 @@ mod tests {
         shutdown_pair(m0, m1);
     }
 
+    #[test]
+    fn post_never_waits_behind_a_blocking_write() {
+        // A raw proc 1 that handshakes, then reads nothing until told to:
+        // proc 0's link to it has a reader thread and a blocking socket.
+        let listener = bind_loopback().unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (go_tx, go) = mpsc::channel::<()>();
+        let peer = thread::spawn(move || {
+            let s = TcpStream::connect(addr).unwrap();
+            let hello = Frame::Hello {
+                version: PROTO_VERSION,
+                proc_id: 1,
+                n_procs: 2,
+                session: 0,
+            };
+            (&s).write_all(&hello.encode()).unwrap();
+            go.recv().unwrap();
+            let (mut dec, mut buf, mut got) = (FrameDecoder::new(), vec![0u8; 64 << 10], vec![]);
+            while got.len() < 3 {
+                let n = (&s).read(&mut buf).unwrap();
+                assert!(n > 0, "proc 0 closed the link early");
+                dec.push(&buf[..n]);
+                while let Some(frame) = dec.next().unwrap() {
+                    if frame != Frame::Heartbeat {
+                        got.push(frame);
+                    }
+                }
+            }
+            got
+        });
+        let m0 = TcpMesh::establish(fast_cfg(0, 2), listener, &[], |_| None).unwrap();
+        // More than both socket buffers hold: this write blocks, holding
+        // the writer's role, until proc 1 reads.
+        let bulk = Frame::Telemetry(vec![7; 16 << 20]);
+        let writer = {
+            let (out, bulk) = (m0.sender(), bulk.clone());
+            thread::spawn(move || out.send(1, bulk))
+        };
+        let link = m0.out.links[1].as_ref().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while link.wire.try_lock().is_ok() {
+            assert!(Instant::now() < deadline, "the bulk send never started");
+            thread::sleep(Duration::from_millis(1));
+        }
+        m0.sender().post(1, token(5));
+        assert!(
+            !writer.is_finished(),
+            "the post returned only once the blocked write had finished"
+        );
+        go_tx.send(()).unwrap();
+        writer.join().unwrap();
+        let got = peer.join().unwrap();
+        assert!(matches!(got[0], Frame::Hello { proc_id: 0, .. }));
+        assert!(got[1] == bulk, "the bulk frame arrived first, intact");
+        assert_eq!(got[2], token(5), "the writer took the post along");
+        m0.abort();
+    }
+
     /// Names of this process's threads.
     #[cfg(target_os = "linux")]
     fn thread_names() -> Vec<String> {
@@ -1622,11 +1772,21 @@ mod tests {
         // Only this test and `three_proc_mesh_routes_every_pair` build a
         // link between procs 1 and 2, and both pump it.
         let meshes = cluster(3);
-        let names = thread_names();
-        assert!(
-            names.iter().any(|n| n == "mesh-r2-0"),
-            "a coordinator link keeps its reader thread: {names:?}"
-        );
+        // A thread names itself once it first runs: wait for the
+        // coordinator links' readers to.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let names = loop {
+            let names = thread_names();
+            let readers = ["mesh-r0-1", "mesh-r0-2", "mesh-r1-0", "mesh-r2-0"];
+            if readers.iter().all(|r| names.iter().any(|n| n == r)) {
+                break names;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "a coordinator link has no reader thread: {names:?}"
+            );
+            thread::sleep(Duration::from_millis(1));
+        };
         for pumped in ["mesh-r1-2", "mesh-r2-1"] {
             assert!(
                 !names.iter().any(|n| n == pumped),
