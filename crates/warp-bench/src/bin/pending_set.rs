@@ -108,7 +108,7 @@ impl PendingSet for InputQueue {
     }
     fn fossil(&mut self) -> u64 {
         match self.last_processed_key() {
-            Some(bound) => self.fossil_collect_before(bound),
+            Some(bound) => self.fossil_collect_before(bound).len() as u64,
             None => 0,
         }
     }

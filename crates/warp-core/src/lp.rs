@@ -340,15 +340,47 @@ impl LpRuntime {
         }
     }
 
-    /// Fossil collection under a recovery pin: committed sends landing at
-    /// or after `keep_sends_from` are retained past their generating
-    /// events' fossilization, so a later
-    /// [`rollback_to_horizon`](Self::rollback_to_horizon) can still
-    /// harvest the outgoing frontier (see
-    /// [`ObjectRuntime::fossil_collect_retaining`]).
-    pub fn fossil_collect_retaining(&mut self, gvt: VirtualTime, keep_sends_from: VirtualTime) {
+    /// Keep every object's trace digest whole across fossil collection
+    /// (see [`ObjectRuntime::set_collect_traces`]).
+    pub fn set_collect_traces(&mut self, on: bool) {
         for o in &mut self.objects {
-            o.fossil_collect_retaining(gvt, keep_sends_from);
+            o.set_collect_traces(on);
+        }
+    }
+
+    /// Arm the distributed checkpoint protocol at `h` in every object
+    /// (see [`ObjectRuntime::arm_recovery`]).
+    pub fn arm_recovery(&mut self, h: VirtualTime) {
+        for o in &mut self.objects {
+            o.arm_recovery(h);
+        }
+    }
+
+    /// Checkpoint every object at the horizon `h`, an announced GVT (see
+    /// [`ObjectRuntime::checkpoint`]), and return the LP's part laid out
+    /// as one LP of a checkpoint delta: LP id, object count, then each
+    /// object's committed events in the window. Parts of consecutive
+    /// horizons concatenate into the LP's complete committed log.
+    pub fn checkpoint(&mut self, h: VirtualTime) -> Vec<u8> {
+        // Sized exactly: a part can be megabytes.
+        let len = 8 + self
+            .objects
+            .iter()
+            .map(|o| o.checkpoint_len(h))
+            .sum::<usize>();
+        let mut w = crate::wire::PayloadWriter::with_capacity(len);
+        w.u32(self.id.0).u32(self.objects.len() as u32);
+        for o in &mut self.objects {
+            o.checkpoint(h, &mut w);
+        }
+        w.finish()
+    }
+
+    /// The checkpoint at `h` is persisted: drop every object's anchors
+    /// below it.
+    pub fn ack_checkpoint(&mut self, h: VirtualTime) {
+        for o in &mut self.objects {
+            o.ack_checkpoint(h);
         }
     }
 
@@ -358,9 +390,9 @@ impl LpRuntime {
     /// The survivor's counterpart of
     /// [`restore_committed`](Self::restore_committed): same resulting
     /// contract (committed state below the horizon, frontier re-offered)
-    /// without replaying the committed log from scratch. Requires that
-    /// fossil collection was pinned at or below `horizon` for the whole
-    /// session (see [`ObjectRuntime::rollback_to_horizon`] for the exact
+    /// without replaying the committed log from scratch. Once fossil
+    /// collection has passed `horizon`, every object must hold its anchor
+    /// (see [`ObjectRuntime::rollback_to_horizon`] for the exact
     /// preconditions).
     pub fn rollback_to_horizon(&mut self, horizon: VirtualTime, out: &mut Vec<Event>) {
         // Harvest from every object before routing: a frontier event
@@ -372,22 +404,6 @@ impl LpRuntime {
         }
         self.touch_all();
         self.route(out);
-    }
-
-    /// Per-object committed events with receive time in `[from, below)`.
-    /// With `below` at an announced GVT this is a checkpoint delta: the
-    /// events are stable everywhere and consecutive windows concatenate
-    /// into a complete committed log (see
-    /// [`ObjectRuntime::committed_window`]).
-    pub fn committed_window(
-        &self,
-        from: VirtualTime,
-        below: VirtualTime,
-    ) -> Vec<(ObjectId, Vec<Event>)> {
-        self.objects
-            .iter()
-            .map(|o| (o.id(), o.committed_window(from, below)))
-            .collect()
     }
 
     /// Rebuild a freshly constructed LP from per-object committed logs
@@ -716,14 +732,12 @@ mod tests {
         let mut lp = build_lp(part.clone(), LpId(0), defs());
         let mut out = Vec::new();
         lp.init(&mut out);
+        lp.arm_recovery(VirtualTime::ZERO);
         while lp.process_one(&mut out) {}
         let want: Vec<_> = lp.objects().iter().map(|o| o.trace_digest()).collect();
 
         let horizon = VirtualTime::new(4);
-        let logs: HashMap<_, _> = lp
-            .committed_window(VirtualTime::ZERO, horizon)
-            .into_iter()
-            .collect();
+        let logs = part_logs(&lp.checkpoint(horizon));
         assert!(logs.values().any(|l| !l.is_empty()));
         assert!(logs.values().flatten().all(|ev| ev.recv_time < horizon));
 
@@ -740,12 +754,33 @@ mod tests {
         assert_eq!(got, want, "restored run diverged from the original");
     }
 
+    /// A checkpoint part (`LpRuntime::checkpoint`) back as per-object logs.
+    fn part_logs(part: &[u8]) -> HashMap<ObjectId, Vec<Event>> {
+        let mut r = PayloadReader::new(part);
+        assert_eq!(r.u32().unwrap(), 0, "LP id");
+        let n = r.u32().unwrap();
+        let logs = (0..n)
+            .map(|_| {
+                let oid = ObjectId(r.u32().unwrap());
+                let k = r.u32().unwrap();
+                let log = (0..k)
+                    .map(|_| crate::wire::decode_event(&mut r).unwrap())
+                    .collect();
+                (oid, log)
+            })
+            .collect();
+        assert_eq!(r.remaining(), 0);
+        logs
+    }
+
     #[test]
     fn in_place_rollback_reproduces_the_run() {
         // Run a local ping-pong to completion, roll the *same* LP back in
         // place to a mid-run horizon, and let it finish again: the
         // committed trace must match the original — the survivor path and
-        // the rebuild path are interchangeable.
+        // the rebuild path are interchangeable. The horizon is anchored
+        // and fossil collection has passed it, so the rollback re-seeds
+        // from the anchor; collected traces keep the digests whole.
         let part = Arc::new(Partition::round_robin(2, 1));
         let mut lp = build_lp(
             part,
@@ -770,12 +805,18 @@ mod tests {
             ],
         );
         let mut out = Vec::new();
+        lp.set_collect_traces(true);
         lp.init(&mut out);
+        lp.arm_recovery(VirtualTime::ZERO);
         while lp.process_one(&mut out) {}
         let want: Vec<_> = lp.objects().iter().map(|o| o.trace_digest()).collect();
         let executed_full = lp.stats().executed;
 
         let horizon = VirtualTime::new(4);
+        lp.checkpoint(horizon);
+        lp.fossil_collect(horizon);
+        lp.fossil_collect(VirtualTime::new(7));
+        assert!(lp.stats().fossils_collected > 0);
         lp.rollback_to_horizon(horizon, &mut out);
         assert!(out.is_empty(), "single-LP frontier is all local");
         assert_eq!(
@@ -793,6 +834,7 @@ mod tests {
         );
         let got: Vec<_> = lp.objects().iter().map(|o| o.trace_digest()).collect();
         assert_eq!(got, want, "in-place rollback diverged from the original");
+        assert_eq!(lp.stats().net_executed(), executed_full);
     }
 
     #[test]

@@ -192,18 +192,35 @@ impl InputQueue {
         }
     }
 
-    /// Drop processed events with key strictly below `bound`; they can
-    /// never be replayed again. Returns the number reclaimed.
+    /// Remove the processed events with key strictly below `bound`, in
+    /// key order; they can never be replayed again. Whatever the caller
+    /// leaves of the returned iterator is dropped with it.
     ///
     /// The caller must derive `bound` from the key of the newest retained
     /// state snapshot at or below GVT (see
     /// [`crate::queues::state::StateQueue::fossil_bound`]): any future
     /// rollback restores to that snapshot at the earliest and replays only
     /// events after it, so everything before it is fossil.
-    pub fn fossil_collect_before(&mut self, bound: EventKey) -> u64 {
+    pub fn fossil_collect_before(&mut self, bound: EventKey) -> std::vec::Drain<'_, Event> {
         let keep = self.history.partition_point(|e| e.key() < bound);
-        self.history.drain(..keep);
-        keep as u64
+        self.history.drain(..keep)
+    }
+
+    /// The processed events received in `[from, below)`, in key order.
+    pub fn processed_between(&self, from: VirtualTime, below: VirtualTime) -> &[Event] {
+        let start = self.history.partition_point(|e| e.recv_time < from);
+        let end = self.history.partition_point(|e| e.recv_time < below);
+        &self.history[start..end.max(start)]
+    }
+
+    /// Replace the executed history with `history` (key order): an
+    /// in-place rollback re-seeding the coast-forward inputs fossil
+    /// collection already dropped. Only before
+    /// [`discard_unprocessed`](Self::discard_unprocessed), whose pending
+    /// set this leaves alone.
+    pub fn reseed_history(&mut self, history: Vec<Event>) {
+        debug_assert!(history.windows(2).all(|w| w[0].key() < w[1].key()));
+        self.history = history;
     }
 
     /// Key of the first *processed* event received at or after `at`, if
@@ -369,10 +386,29 @@ mod tests {
         for _ in 0..3 {
             q.mark_processed();
         }
-        let n = q.fossil_collect_before(ev(1, 2, 30).key());
-        assert_eq!(n, 2, "events at t=10,20 reclaimed; t=30 kept");
+        let gone: Vec<u64> = q
+            .fossil_collect_before(ev(1, 2, 30).key())
+            .map(|e| e.recv_time.ticks())
+            .collect();
+        assert_eq!(gone, vec![10, 20], "events at t=10,20 reclaimed; t=30 kept");
         assert_eq!(q.processed_len(), 1);
         assert_eq!(q.pending_len(), 1);
+    }
+
+    #[test]
+    fn processed_between_is_a_half_open_window_of_the_history() {
+        let mut q = InputQueue::new();
+        for s in 0..4 {
+            q.insert(ev(1, s, 10 * (s + 1)));
+        }
+        for _ in 0..3 {
+            q.mark_processed(); // history: t = 10, 20, 30; pending: t = 40
+        }
+        let times = |evs: &[Event]| evs.iter().map(|e| e.recv_time.ticks()).collect::<Vec<_>>();
+        let vt = VirtualTime::new;
+        assert_eq!(times(q.processed_between(vt(15), vt(30))), vec![20]);
+        assert_eq!(times(q.processed_between(vt(0), vt(100))), vec![10, 20, 30]);
+        assert!(q.processed_between(vt(30), vt(20)).is_empty());
     }
 
     #[test]
@@ -381,7 +417,7 @@ mod tests {
         q.insert(ev(1, 0, 5));
         // Unprocessed event below the bound must not be reclaimed (it
         // still has to execute; fossils are processed history only).
-        assert_eq!(q.fossil_collect_before(ev(1, 99, 100).key()), 0);
+        assert_eq!(q.fossil_collect_before(ev(1, 99, 100).key()).len(), 0);
         assert_eq!(q.pending_len(), 1);
     }
 

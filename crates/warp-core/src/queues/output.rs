@@ -13,6 +13,7 @@
 
 use crate::event::{Event, EventKey};
 use crate::queues::state::StatePos;
+use crate::time::VirtualTime;
 
 /// One sent positive message plus the key of the event whose execution
 /// sent it (`None` = sent from `init`, which can never roll back).
@@ -71,45 +72,52 @@ impl OutputQueue {
     /// from the state queue): those events can never roll back again, so
     /// their sends can never need cancellation. `init` records are always
     /// reclaimable once a bound exists. Returns the number reclaimed.
-    pub fn fossil_collect_before(&mut self, bound: EventKey) -> u64 {
-        let cut = self
-            .records
-            .partition_point(|r| r.gen.is_none_or(|g| g < bound));
-        self.records.drain(..cut);
-        cut as u64
-    }
-
-    /// Like [`fossil_collect_before`](Self::fossil_collect_before), but
-    /// additionally *retain* any old-generation record whose message is
-    /// received at or after `keep_from` — even though its generating
-    /// event is fossilized.
     ///
-    /// This is the recovery pin's view of the send history: a survivor
-    /// rolling back in place to a checkpoint horizon `h ≥ keep_from`
-    /// must re-offer every committed send that lands at or beyond `h`
-    /// (the *outgoing frontier*), including far-future sends whose
-    /// generating events were fossil-collected long ago. Plain
-    /// collection drops purely by generating key and would lose them.
-    /// Records dropped here have `recv_time < keep_from ≤` every future
-    /// resume horizon, so they can never be frontier material.
-    pub fn fossil_collect_before_retaining(
-        &mut self,
-        bound: EventKey,
-        keep_from: crate::time::VirtualTime,
-    ) -> u64 {
+    /// Records whose message lands at or after `in_flight_from` stay,
+    /// whatever generated them. The recovery protocol passes GVT: a send
+    /// still in flight past it crosses every checkpoint horizon the
+    /// protocol may yet pick, and the anchor of that horizon must find it
+    /// (see [`crossing`](Self::crossing)) — a set bounded by the events in
+    /// flight. Everyone else passes ∞.
+    pub fn fossil_collect_before(&mut self, bound: EventKey, in_flight_from: VirtualTime) -> u64 {
         let cut = self
             .records
             .partition_point(|r| r.gen.is_none_or(|g| g < bound));
+        if in_flight_from.is_infinite() {
+            self.records.drain(..cut);
+            return cut as u64;
+        }
         let before = self.records.len();
         let mut idx = 0usize;
         // `retain` is stable, so the surviving prefix keeps generation
         // order and `take_from`'s partition search stays valid.
         self.records.retain(|r| {
-            let in_prefix = idx < cut;
             idx += 1;
-            !in_prefix || r.event.recv_time >= keep_from
+            idx > cut || r.event.recv_time >= in_flight_from
         });
         (before - self.records.len()) as u64
+    }
+
+    /// Copies of the records generated below the horizon `h` whose
+    /// messages land at or after it: the outgoing frontier a rollback to
+    /// `h` must send again.
+    pub fn crossing(&self, h: VirtualTime) -> Vec<SentRecord> {
+        let below = self
+            .records
+            .partition_point(|r| r.gen.is_none_or(|g| g.recv_time < h));
+        self.records[..below]
+            .iter()
+            .filter(|r| r.event.recv_time >= h)
+            .cloned()
+            .collect()
+    }
+
+    /// Replace every record with `records` (generation order). An
+    /// in-place rollback to a horizon, once it has taken the records
+    /// generated at or above it, keeps exactly the frontier.
+    pub fn reseed(&mut self, records: Vec<SentRecord>) {
+        debug_assert!(records.windows(2).all(|w| w[0].gen <= w[1].gen));
+        self.records = records;
     }
 
     /// Retained records (diagnostics, tests).
@@ -123,7 +131,6 @@ mod tests {
     use super::*;
     use crate::event::EventId;
     use crate::ids::ObjectId;
-    use crate::time::VirtualTime;
 
     fn key(t: u64, serial: u64) -> EventKey {
         EventKey {
@@ -180,31 +187,43 @@ mod tests {
         q.record(None, ev(0, 0, 5));
         q.record(Some(key(10, 0)), ev(1, 10, 15));
         q.record(Some(key(20, 1)), ev(2, 20, 25));
-        assert_eq!(q.fossil_collect_before(key(20, 1)), 2);
+        assert_eq!(
+            q.fossil_collect_before(key(20, 1), VirtualTime::INFINITY),
+            2
+        );
         assert_eq!(q.len(), 1);
         assert_eq!(q.records()[0].event.id.serial, 2);
     }
 
     #[test]
-    fn pinned_fossil_collection_keeps_cross_horizon_sends() {
+    fn sends_in_flight_past_gvt_survive_collection_and_form_the_frontier() {
         let mut q = OutputQueue::new();
         q.record(None, ev(0, 0, 100)); // init send far into the future
-        q.record(Some(key(10, 0)), ev(1, 10, 15)); // past send, past gen
-        q.record(Some(key(10, 1)), ev(2, 10, 80)); // future send, past gen
+        q.record(Some(key(10, 0)), ev(1, 10, 15)); // landed, fossil gen
+        q.record(Some(key(10, 1)), ev(2, 10, 80)); // in flight, fossil gen
         q.record(Some(key(30, 2)), ev(3, 30, 35));
-        // Collect below key(30,2) while pinned at horizon 40: the two
-        // cross-horizon sends must survive even though their generating
-        // events fossilize; the past-landing send goes.
-        assert_eq!(
-            q.fossil_collect_before_retaining(key(30, 2), VirtualTime::new(40)),
-            1
-        );
+        // Collect below key(30,2) at GVT 40: the two sends still in
+        // flight past it survive though their generating events
+        // fossilize; the landed one goes.
+        assert_eq!(q.fossil_collect_before(key(30, 2), VirtualTime::new(40)), 1);
         let serials: Vec<u64> = q.records().iter().map(|r| r.event.id.serial).collect();
         assert_eq!(serials, vec![0, 2, 3]);
+        // They are the frontier of a later horizon; a send generated at
+        // or above the horizon is not.
+        let frontier: Vec<u64> = q
+            .crossing(VirtualTime::new(30))
+            .iter()
+            .map(|r| r.event.id.serial)
+            .collect();
+        assert_eq!(frontier, vec![0, 2]);
         // The retained records still honour take_from's ordering contract.
         let cancelled = q.take_from(key(30, 2));
         assert_eq!(cancelled.len(), 1);
         assert_eq!(cancelled[0].id.serial, 3);
+        // A rollback keeps exactly the frontier it is handed.
+        q.reseed(q.crossing(VirtualTime::new(90)));
+        assert_eq!(q.records()[0].event.id.serial, 0);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -118,13 +118,18 @@ impl StateQueue {
     /// same virtual time (lower sender/serial tie-break). The restore
     /// point for such a straggler must therefore lie strictly below GVT.
     pub fn fossil_bound(&self, gvt: VirtualTime) -> Option<EventKey> {
+        self.newest_below(gvt).and_then(|(pos, _)| pos)
+    }
+
+    /// The newest snapshot whose time is strictly below `t`, with its
+    /// position: the restore point of a rollback to the horizon `t` (a
+    /// checkpoint anchor's snapshot).
+    pub fn newest_below(&self, t: VirtualTime) -> Option<(StatePos, &ErasedState)> {
         let idx = self
             .entries
-            .partition_point(|e| e.pos.is_none_or(|p| p.recv_time < gvt));
-        match idx.checked_sub(1) {
-            None => None,
-            Some(i) => self.entries[i].pos,
-        }
+            .partition_point(|e| e.pos.is_none_or(|p| p.recv_time < t));
+        idx.checked_sub(1)
+            .map(|i| (self.entries[i].pos, &self.entries[i].state))
     }
 
     /// Drop snapshots strictly older than the snapshot tagged `bound`
@@ -217,6 +222,13 @@ mod tests {
             "only initial state below"
         );
         assert_eq!(q.fossil_bound(VirtualTime::new(1000)), Some(key(40)));
+        // The same search hands out the state too, the initial one
+        // included (where `fossil_bound` has nothing to reclaim).
+        let (pos, st) = q.newest_below(VirtualTime::new(30)).unwrap();
+        assert_eq!((pos, st.get::<S>()), (Some(key(20)), &S(20)));
+        let (pos, st) = q.newest_below(VirtualTime::ZERO).unwrap();
+        assert_eq!((pos, st.get::<S>()), (None, &S(0)));
+        assert!(StateQueue::new().newest_below(VirtualTime::ZERO).is_none());
     }
 
     #[test]

@@ -11,11 +11,13 @@ use crate::cost::CostModel;
 use crate::error::KernelError;
 use crate::event::{Event, EventId, EventKey};
 use crate::ids::ObjectId;
-use crate::object::{ExecutionContext, SimObject};
+use crate::object::{ErasedState, ExecutionContext, SimObject};
 use crate::policy::{CancellationMode, ControlChange, ControlTransition, ObjectPolicies};
-use crate::queues::{InputQueue, Inserted, OutputQueue, StateQueue};
+use crate::queues::{InputQueue, Inserted, OutputQueue, SentRecord, StatePos, StateQueue};
 use crate::stats::ObjectStats;
 use crate::time::VirtualTime;
+use crate::trace::TraceDigest;
+use crate::wire::{encode_event, encoded_event_len, PayloadWriter};
 use std::sync::OnceLock;
 
 /// Per-object debug trace to stderr, filtered by `WARP_TRACE_OBJECT`.
@@ -142,6 +144,51 @@ pub struct ObjectRuntime {
     /// events, its capacity reused so the collecting context allocates
     /// nothing per event.
     sends: Vec<SendReq>,
+    /// Trace digest of the committed events fossil collection has
+    /// dropped; `Some` only when traces are collected
+    /// ([`set_collect_traces`](Self::set_collect_traces)).
+    digest: Option<TraceDigest>,
+    /// The distributed checkpoint protocol's material; `None` unless
+    /// [`arm_recovery`](Self::arm_recovery) armed it.
+    recovery: Option<Box<Recovery>>,
+}
+
+/// What the distributed checkpoint protocol keeps of one object besides
+/// its history queues, which fossil collection trims to GVT as it does
+/// everywhere else.
+struct Recovery {
+    /// Lower end of the next checkpoint window: the last horizon this
+    /// object shipped a part for, or the restore horizon.
+    from: VirtualTime,
+    /// Committed input events received at or after `from` that fossil
+    /// collection has already dropped, oldest first, encoded as the
+    /// checkpoint delta carries them ([`encode_event`]).
+    log: PayloadWriter,
+    /// Events in `log`.
+    logged: u32,
+    /// One restore point per checkpoint horizon not yet superseded by an
+    /// acknowledged one, oldest first.
+    anchors: Vec<Anchor>,
+}
+
+/// A restore point: what an in-place
+/// [`rollback_to_horizon`](ObjectRuntime::rollback_to_horizon) to
+/// `horizon` needs once fossil collection has passed it.
+struct Anchor {
+    horizon: VirtualTime,
+    /// The newest snapshot strictly below the horizon, and its position.
+    pos: StatePos,
+    state: ErasedState,
+    /// The processed inputs from the snapshot's own event (the position
+    /// a coast-forward starts after) up to the horizon.
+    inputs: Vec<Event>,
+    /// The committed sends that cross the horizon.
+    frontier: Vec<SentRecord>,
+    /// Trace digest of the committed events before `inputs`.
+    digest: TraceDigest,
+    /// Committed events below the horizon: what
+    /// [`ObjectStats::net_executed`] reads once rolled back to it.
+    committed: u64,
 }
 
 /// Upper bound on the undrained control log. Executives drain at every
@@ -180,7 +227,17 @@ impl ObjectRuntime {
             control_log: Vec::new(),
             record_control: false,
             sends: Vec::new(),
+            digest: None,
+            recovery: None,
         }
+    }
+
+    /// Keep [`trace_digest`](Self::trace_digest) whole across fossil
+    /// collection: fold every event fossil collection drops into a
+    /// running digest. Off by default; switch it on before the first
+    /// fossil pass.
+    pub fn set_collect_traces(&mut self, on: bool) {
+        self.digest = on.then(TraceDigest::new);
     }
 
     /// This object's id.
@@ -732,21 +789,6 @@ impl ObjectRuntime {
         self.input.processed_events().to_vec()
     }
 
-    /// Copy the committed events whose receive time falls in the half-open
-    /// window `[from, below)`. With `below` at the announced GVT, every
-    /// event in the window is stable (processed everywhere, beyond any
-    /// possible rollback), so consecutive windows form an append-only log
-    /// of the object's committed past — the unit the distributed
-    /// checkpoint protocol ships to the coordinator.
-    pub fn committed_window(&self, from: VirtualTime, below: VirtualTime) -> Vec<Event> {
-        self.input
-            .processed_events()
-            .iter()
-            .filter(|ev| ev.recv_time >= from && ev.recv_time < below)
-            .cloned()
-            .collect()
-    }
-
     /// Rebuild this object's committed past by re-executing `log` (the
     /// concatenated committed windows up to some horizon) on a freshly
     /// constructed runtime. The log is already in key order and contains
@@ -770,42 +812,146 @@ impl ObjectRuntime {
         self.obj.snapshot()
     }
 
-    /// Digest of the committed (processed, not rolled back) event history.
-    /// Meaningful at termination with fossil collection disabled; used by
-    /// the golden-model equivalence tests against the sequential engine.
-    pub fn trace_digest(&self) -> crate::trace::TraceDigest {
-        let mut d = crate::trace::TraceDigest::new();
+    /// Digest of the committed (processed, not rolled back) event history
+    /// — the golden-model equivalence tests' comparison against the
+    /// sequential engine. Whole at termination when fossil collection is
+    /// off, or when traces are collected
+    /// ([`set_collect_traces`](Self::set_collect_traces)): then it
+    /// continues the fold of what fossil collection dropped over what is
+    /// still retained.
+    pub fn trace_digest(&self) -> TraceDigest {
+        let mut d = self.digest.unwrap_or_default();
         for ev in self.input.processed_events() {
             d.update(ev);
         }
         d
     }
 
-    /// Reclaim history the advancing GVT has made unreachable.
+    /// Reclaim history the advancing GVT has made unreachable. Under
+    /// recovery ([`arm_recovery`](Self::arm_recovery)) the committed
+    /// inputs it drops at or past the checkpoint window's start move
+    /// into the window's log, and sends still in flight past GVT stay
+    /// (the frontier of a horizon yet to be anchored).
     pub fn fossil_collect(&mut self, gvt: VirtualTime) {
-        if let Some(bound) = self.states.fossil_bound(gvt) {
-            let a = self.states.fossil_collect_before(bound);
-            let b = self.input.fossil_collect_before(bound);
-            let c = self.output.fossil_collect_before(bound);
-            self.stats.fossils_collected += a + b + c;
+        let Some(bound) = self.states.fossil_bound(gvt) else {
+            return;
+        };
+        let a = self.states.fossil_collect_before(bound);
+        let in_flight_from = match self.recovery {
+            Some(_) => gvt,
+            None => VirtualTime::INFINITY,
+        };
+        let c = self.output.fossil_collect_before(bound, in_flight_from);
+        let dropped = self.input.fossil_collect_before(bound);
+        let b = dropped.len() as u64;
+        for ev in dropped {
+            if let Some(d) = &mut self.digest {
+                d.update(&ev);
+            }
+            if let Some(rec) = self
+                .recovery
+                .as_deref_mut()
+                .filter(|r| ev.recv_time >= r.from)
+            {
+                encode_event(&mut rec.log, &ev);
+                rec.logged += 1;
+            }
+        }
+        self.stats.fossils_collected += a + b + c;
+    }
+
+    /// Arm the distributed checkpoint protocol at `h`: the restore
+    /// horizon, or zero on a fresh start (after `init`). From here on the
+    /// object keeps the log of its next checkpoint window, which starts
+    /// at `h`, and holds the anchor of `h` — kept from the rollback that
+    /// brought it here, or captured now from the queues.
+    pub fn arm_recovery(&mut self, h: VirtualTime) {
+        let held = self
+            .recovery
+            .as_ref()
+            .is_some_and(|r| r.from == h && r.anchors.iter().any(|a| a.horizon == h));
+        if !held {
+            let anchor = self.anchor(h);
+            self.recovery = Some(Box::new(Recovery {
+                from: h,
+                log: PayloadWriter::new(),
+                logged: 0,
+                anchors: vec![anchor],
+            }));
         }
     }
 
-    /// Fossil collection under a recovery pin: identical to
-    /// [`fossil_collect`](Self::fossil_collect) except that committed
-    /// sends landing at or after `keep_sends_from` (the pin) are retained
-    /// even once their generating events fossilize. They are the object's
-    /// *outgoing frontier* should a recovery later roll this survivor
-    /// back in place to a horizon `h ≥ keep_sends_from`; see
-    /// [`rollback_to_horizon`](Self::rollback_to_horizon).
-    pub fn fossil_collect_retaining(&mut self, gvt: VirtualTime, keep_sends_from: VirtualTime) {
-        if let Some(bound) = self.states.fossil_bound(gvt) {
-            let a = self.states.fossil_collect_before(bound);
-            let b = self.input.fossil_collect_before(bound);
-            let c = self
-                .output
-                .fossil_collect_before_retaining(bound, keep_sends_from);
-            self.stats.fossils_collected += a + b + c;
+    /// Checkpoint at the horizon `h`, an announced GVT the
+    /// protocol chose: append this object's part to `w` — its committed
+    /// events received in `[from, h)`, the log first, then those still
+    /// queued, laid out as the checkpoint delta carries them (object id,
+    /// event count, events) — and capture the anchor of `h`. The next
+    /// window starts at `h`. Call before the fossil pass at `h`, which
+    /// relies on the anchor.
+    pub fn checkpoint(&mut self, h: VirtualTime, w: &mut PayloadWriter) {
+        let anchor = self.anchor(h);
+        let rec = self
+            .recovery
+            .as_deref_mut()
+            .expect("checkpoint before arm_recovery");
+        let queued = self.input.processed_between(rec.from, h);
+        w.u32(self.id.0)
+            .u32(rec.logged + queued.len() as u32)
+            .raw(rec.log.as_bytes());
+        for ev in queued {
+            encode_event(w, ev);
+        }
+        rec.log.clear();
+        rec.logged = 0;
+        rec.from = h;
+        rec.anchors.push(anchor);
+    }
+
+    /// Bytes [`checkpoint`](Self::checkpoint) at `h` appends.
+    pub(crate) fn checkpoint_len(&self, h: VirtualTime) -> usize {
+        let rec = self
+            .recovery
+            .as_deref()
+            .expect("checkpoint before arm_recovery");
+        let queued = self.input.processed_between(rec.from, h);
+        8 + rec.log.len() + queued.iter().map(encoded_event_len).sum::<usize>()
+    }
+
+    /// The coordinator persisted the checkpoint at `h`: no recovery can
+    /// roll back below it any more, so the anchors of older horizons go.
+    pub fn ack_checkpoint(&mut self, h: VirtualTime) {
+        if let Some(rec) = &mut self.recovery {
+            rec.anchors.retain(|a| a.horizon >= h);
+        }
+    }
+
+    /// Capture the anchor of `h` from the queues, which must still hold
+    /// a snapshot below `h` and everything after it (no fossil pass past
+    /// `h` yet): one snapshot clone, the coast-forward inputs and the
+    /// crossing sends.
+    fn anchor(&self, h: VirtualTime) -> Anchor {
+        let (pos, state) = self
+            .states
+            .newest_below(h)
+            .expect("anchor: no snapshot below the horizon (fossil collection passed it?)");
+        let history = self.input.processed_events();
+        let start = pos.map_or(0, |p| history.partition_point(|e| e.key() < p));
+        let end = history.partition_point(|e| e.recv_time < h);
+        debug_assert!(pos.is_none_or(|p| history.get(start).is_some_and(|e| e.key() == p)));
+        let digest = self.digest.map_or_else(TraceDigest::new, |mut d| {
+            for ev in &history[..start] {
+                d.update(ev);
+            }
+            d
+        });
+        Anchor {
+            horizon: h,
+            pos,
+            state: state.clone(),
+            inputs: history[start..end].to_vec(),
+            frontier: self.output.crossing(h),
+            digest,
+            committed: self.stats.net_executed() - (history.len() - end) as u64,
         }
     }
 
@@ -818,10 +964,13 @@ impl ObjectRuntime {
     ///
     /// Preconditions (guaranteed by the recovery protocol): GVT reached
     /// at least `h` before the session aborted (so every event below `h`
-    /// is committed here and at every peer), and fossil collection was
-    /// pinned at or below `h` (so a restorable snapshot strictly below
-    /// `h` and the cross-horizon sends both survive — see
-    /// [`fossil_collect_retaining`](Self::fossil_collect_retaining)).
+    /// is committed here and at every peer), and, if fossil collection
+    /// passed `h`, the object holds the anchor of `h`. The queues are
+    /// truncated at `h`, then the anchor re-seeds whatever they no longer
+    /// hold: a snapshot below `h` and the inputs after it, and the sends
+    /// crossing `h`. With fossil collection off that is nothing new.
+    /// Only the anchor of `h` survives, and the next checkpoint window
+    /// starts at `h`.
     ///
     /// Held-back cancellation obligations are dropped *without* emitting
     /// anti-messages: every process discards the dead session's state and
@@ -834,6 +983,13 @@ impl ObjectRuntime {
     pub fn rollback_to_horizon(&mut self, h: VirtualTime, cost: &CostModel) -> Vec<Event> {
         self.lazy_pending.clear();
         self.monitor_pending.clear();
+        let anchor = self.recovery.as_deref_mut().and_then(|rec| {
+            rec.log.clear();
+            rec.logged = 0;
+            rec.from = h;
+            rec.anchors.retain(|a| a.horizon == h);
+            rec.anchors.pop()
+        });
         if let Some(first) = self.input.first_processed_at_or_after(h) {
             let n = self.input.unprocess_from(first);
             self.stats.rolled_back += n;
@@ -842,9 +998,29 @@ impl ObjectRuntime {
             // Speculative sends above the horizon die with the session;
             // no strategy consultation, no antis.
             let _ = self.output.take_from(first);
+            self.states.truncate_from(first);
+            if self.states.is_empty() {
+                let a = anchor
+                    .as_ref()
+                    .expect("rollback_to_horizon: fossil collection passed an unanchored horizon");
+                self.states.save(a.pos, a.state.clone());
+                self.input.reseed_history(a.inputs.clone());
+                if let Some(d) = &mut self.digest {
+                    *d = a.digest;
+                }
+            }
             self.restore_and_coast(first, cost);
         }
         self.input.discard_unprocessed();
+        if let Some(a) = anchor {
+            // Events fossil collection dropped at or past the horizon
+            // were undone too, out of the queues' sight.
+            self.stats.rolled_back += self.stats.net_executed() - a.committed;
+            self.output.reseed(a.frontier.clone());
+            if let Some(rec) = &mut self.recovery {
+                rec.anchors.push(a);
+            }
+        }
         trace!(self, "rollback_to_horizon {h}: lvt={}", self.lvt);
         self.output
             .records()
@@ -858,9 +1034,9 @@ impl ObjectRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::{ErasedState, ObjectState, RecordingContext};
+    use crate::object::{ObjectState, RecordingContext};
     use crate::policy::{FixedCancellation, FixedCheckpoint};
-    use crate::wire::{PayloadReader, PayloadWriter};
+    use crate::wire::PayloadReader;
 
     /// A test object: accumulates received values; on each event with
     /// kind 1 forwards `sum` to a fixed peer 10 ticks later.
@@ -1169,29 +1345,94 @@ mod tests {
         assert_eq!(r.stats().rolled_back, 2);
     }
 
+    /// The events of one checkpoint part, decoded from its wire layout.
+    fn part_times(part: &[u8]) -> Vec<u64> {
+        let mut rd = PayloadReader::new(part);
+        assert_eq!(rd.u32().unwrap(), 0, "object id");
+        let n = rd.u32().unwrap();
+        let times = (0..n)
+            .map(|_| {
+                crate::wire::decode_event(&mut rd)
+                    .unwrap()
+                    .recv_time
+                    .ticks()
+            })
+            .collect();
+        assert_eq!(rd.remaining(), 0);
+        times
+    }
+
     #[test]
-    fn pinned_collection_preserves_in_place_recovery_material() {
+    fn an_anchor_carries_in_place_recovery_past_fossil_collection() {
         let cost = CostModel::uniform_unit();
+        let vt = VirtualTime::new;
         let mut r = rt(CancellationMode::Aggressive, 2);
+        r.set_collect_traces(true);
         let mut out = Vec::new();
         r.init(&cost, &mut out);
+        r.arm_recovery(VirtualTime::ZERO);
         for s in 0..10u64 {
             r.deliver(incoming(9, s, 10 * (s + 1), 1), &cost, &mut out);
         }
         while r.process_next(&cost, &mut out) {}
         out.clear();
-        // GVT advanced past the pin at 60; the executive caps the fossil
-        // bound below the pin (here 59) and keeps cross-pin sends.
-        r.fossil_collect_retaining(VirtualTime::new(59), VirtualTime::new(60));
-        assert!(r.stats().fossils_collected > 0);
+        let mut want = crate::trace::TraceDigest::new();
+        for s in 0..5u64 {
+            want.update(&incoming(9, s, 10 * (s + 1), 1));
+        }
 
-        // In-place recovery to the pinned horizon must still find a
-        // restorable snapshot and the committed send landing at 60.
-        let frontier = r.rollback_to_horizon(VirtualTime::new(60), &cost);
+        // Checkpoints at 60 and 95, each before its fossil pass; the pass
+        // at 85 in between drops t=60 and t=70 into the log. No ack.
+        let mut part = PayloadWriter::new();
+        r.checkpoint(vt(60), &mut part);
+        assert_eq!(part_times(part.as_bytes()), vec![10, 20, 30, 40, 50]);
+        r.fossil_collect(vt(60));
+        r.fossil_collect(vt(85));
+        part.clear();
+        r.checkpoint(vt(95), &mut part);
+        assert_eq!(part_times(part.as_bytes()), vec![60, 70, 80, 90]);
+        r.fossil_collect(vt(95));
+        assert_eq!(r.history_sizes().0, 3, "only t=80..=100 left");
+
+        // The queues hold no snapshot below 60 any more and not the send
+        // from t=50 that lands on it: the anchor of 60 has both.
+        let frontier = r.rollback_to_horizon(vt(60), &cost);
         assert_eq!(r.stats().rolled_back, 5, "events t=60..=100 undone");
+        assert_eq!(r.stats().net_executed(), 5);
         assert_eq!(frontier.len(), 1);
-        assert_eq!(frontier[0].recv_time, VirtualTime::new(60));
-        assert_eq!(r.lvt(), VirtualTime::new(50));
+        assert_eq!(frontier[0].recv_time, vt(60));
+        assert_eq!(r.lvt(), vt(50));
+        assert_eq!(r.trace_digest(), want, "the anchor carries the digest");
+
+        // The survivor picks up where a rebuilt replica would: sum 5.
+        r.deliver(incoming(8, 0, 65, 100), &cost, &mut out);
+        while r.process_next(&cost, &mut out) {}
+        let send = out.iter().find(|e| e.recv_time == vt(75)).unwrap();
+        assert_eq!(PayloadReader::new(&send.payload).u64().unwrap(), 105);
+        // Its next window starts at the horizon.
+        part.clear();
+        r.checkpoint(vt(70), &mut part);
+        assert_eq!(part_times(part.as_bytes()), vec![65]);
+    }
+
+    #[test]
+    fn collected_traces_survive_fossil_collection() {
+        let cost = CostModel::uniform_unit();
+        let mut kept = rt(CancellationMode::Aggressive, 3);
+        let mut collected = rt(CancellationMode::Aggressive, 3);
+        collected.set_collect_traces(true);
+        let mut out = Vec::new();
+        for r in [&mut kept, &mut collected] {
+            r.init(&cost, &mut out);
+            for s in 0..12u64 {
+                r.deliver(incoming(9, s, 10 * (s + 1), s), &cost, &mut out);
+                r.process_next(&cost, &mut out);
+            }
+        }
+        collected.fossil_collect(VirtualTime::new(70));
+        collected.fossil_collect(VirtualTime::new(200));
+        assert!(collected.history_sizes().0 < kept.history_sizes().0);
+        assert_eq!(collected.trace_digest(), kept.trace_digest());
     }
 
     /// Scripted tuner: χ follows a fixed schedule, one step per invoke.

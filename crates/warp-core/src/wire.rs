@@ -31,6 +31,12 @@ impl PayloadWriter {
         }
     }
 
+    /// A writer that continues at the end of `buf`, keeping its bytes
+    /// and its capacity ([`finish`](Self::finish) hands both back).
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        PayloadWriter { buf }
+    }
+
     /// Finish and take the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -44,6 +50,16 @@ impl PayloadWriter {
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget everything written, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Write a `u8`.

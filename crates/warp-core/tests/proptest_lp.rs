@@ -216,6 +216,25 @@ fn run_with_schedule(
     drive(&mut lp, events, schedule)
 }
 
+/// A checkpoint part (`LpRuntime::checkpoint`) back as per-object logs.
+fn part_logs(part: &[u8]) -> HashMap<ObjectId, Vec<Event>> {
+    let mut r = PayloadReader::new(part);
+    r.u32().expect("LP id");
+    let n = r.u32().expect("object count");
+    let logs = (0..n)
+        .map(|_| {
+            let oid = ObjectId(r.u32().expect("object id"));
+            let k = r.u32().expect("event count");
+            let log = (0..k)
+                .map(|_| warp_core::wire::decode_event(&mut r).expect("event"))
+                .collect();
+            (oid, log)
+        })
+        .collect();
+    assert_eq!(r.remaining(), 0);
+    logs
+}
+
 /// Distinct external events with colliding timestamps.
 fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     proptest::collection::vec((1u64..40, 1u64..100), 1..14).prop_map(|specs| {
@@ -296,7 +315,10 @@ proptest! {
     /// `rollback_to_horizon` in place, `restore_committed` on a fresh LP
     /// — so the schedule index is rebuilt wholesale. Both LPs must come
     /// out with an index that agrees with their objects, and, resumed
-    /// under the interleaving, commit the baseline's histories.
+    /// under the interleaving, commit the baseline's histories. The
+    /// survivor checkpoints at the horizon and then fossil-collects at
+    /// 1–3 later GVTs, so its rollback re-seeds from the horizon's anchor
+    /// whatever the passes took.
     #[test]
     fn recovery_paths_rebuild_the_index_and_resume(
         events in arb_events(),
@@ -304,6 +326,7 @@ proptest! {
         lazy in any::<bool>(),
         chi in 1u32..6,
         horizon in 1u64..70,
+        passes in proptest::collection::vec(0u64..40, 1..4),
     ) {
         const N: usize = 5;
         let mode =
@@ -312,20 +335,28 @@ proptest! {
         let baseline = run_with_schedule(N, &events, &[], CancellationMode::Aggressive, 1);
 
         // A dead session: some interleaving, then GVT reaches the horizon
-        // (everything delivered, nothing below it pending or held back).
+        // (everything delivered, nothing below it pending or held back),
+        // a checkpoint there, and GVT moves on.
         let (before, after) = schedule.split_at(24);
         let mut survivor = build_lp(N, mode, chi);
+        survivor.set_collect_traces(true);
         survivor.init(&mut Vec::new());
+        survivor.arm_recovery(VirtualTime::ZERO);
         let mut undelivered: VecDeque<Event> = events.iter().cloned().collect();
         interleave(&mut survivor, &mut undelivered, before);
         for ev in undelivered {
             deliver(&mut survivor, ev);
         }
         quiesce(&mut survivor, horizon);
-        let logs: HashMap<_, _> = survivor
-            .committed_window(VirtualTime::ZERO, horizon)
-            .into_iter()
-            .collect();
+        let logs = part_logs(&survivor.checkpoint(horizon));
+        let mut gvts: Vec<VirtualTime> =
+            passes.iter().map(|&d| VirtualTime::new(horizon.ticks() + d)).collect();
+        gvts.sort();
+        for gvt in gvts {
+            quiesce(&mut survivor, gvt);
+            survivor.fossil_collect(gvt);
+            assert_index_agrees(&mut survivor);
+        }
 
         let mut out = Vec::new();
         survivor.rollback_to_horizon(horizon, &mut out);

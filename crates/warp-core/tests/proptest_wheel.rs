@@ -226,7 +226,7 @@ proptest! {
                     // Collect up to (not including) the newest processed
                     // event, as a GVT-bounded collection would.
                     if let Some(bound) = q.last_processed_key() {
-                        let a = q.fossil_collect_before(bound);
+                        let a = q.fossil_collect_before(bound).len() as u64;
                         let b = r.fossil_collect_before(bound);
                         prop_assert_eq!(a, b, "fossil count diverged");
                     }

@@ -50,18 +50,24 @@
 //!
 //! While a session runs (and [`RecoveryPolicy::enabled`]), the
 //! coordinator paces a **checkpoint protocol** off the `Frame::Progress`
-//! notifications the controller worker emits at each GVT round:
-//! everything committed below an announced GVT `g` is, by the GVT
-//! invariant, processed everywhere and beyond rollback, so the
-//! coordinator broadcasts `SnapshotReq{g}`, each worker extracts every
-//! object's committed events in the window since the previous
-//! checkpoint (the `snapshot` codec), and the coordinator appends the
-//! per-worker deltas to an in-memory chain once **all** workers have
-//! answered. Only then does it broadcast `SnapshotAck`, which lets the
-//! workers' fossil collectors advance past the old horizon — history a
-//! persisted checkpoint does not yet cover is pinned in memory (state
-//! and input strictly below the pin, plus the output records whose
-//! sends land at or beyond it: the raw material of an in-place resume).
+//! notifications the controller worker emits at each GVT round. It
+//! decides *when*: it sends `SnapshotReq` to the worker hosting the
+//! controller LP, which tags its next completed round, and that round's
+//! GVT `g` is the horizon. Everything received below `g` is, by the GVT
+//! invariant, processed everywhere and beyond rollback. Every LP that
+//! applies the tagged `GvtNews` ships its part — its committed events in
+//! the window since the previous horizon, partly from a log fossil
+//! collection filled, partly still queued — captures its *anchor* of
+//! `g`, and only then fossil-collects. The session thread assembles the
+//! parts into the worker's delta (the `snapshot` codec), and the
+//! coordinator appends the per-worker deltas to an in-memory chain once
+//! **all** workers have answered, checking that they name one horizon.
+//! Then it broadcasts `SnapshotAck`, which drops the anchors of older
+//! horizons. Fossil collection runs to GVT throughout, as it does
+//! everywhere else: what a worker keeps for recovery is one anchor per
+//! live horizon — a snapshot below it, the inputs from that snapshot up
+//! to it, and the committed sends crossing it, the raw material of an
+//! in-place resume — plus the log of the window it has not shipped yet.
 //!
 //! With [`RecoveryPolicy::store_dir`] set, every committed delta is
 //! also spilled to a per-worker, CRC-checked **segment file** as it
@@ -182,8 +188,8 @@
 //! worker *parks* instead: it freezes its kernel state (retaining the
 //! aborted session's runtimes for in-place rollback), dials the
 //! coordinator's re-admission point with jittered exponential backoff,
-//! and presents a [`Frame::Reattach`] carrying its identity and fossil
-//! horizon. A restarted coordinator ([`resume_coordinator`], the
+//! and presents a [`Frame::Reattach`] carrying its identity and its
+//! floor, the last checkpoint horizon acknowledged to it. A restarted coordinator ([`resume_coordinator`], the
 //! `--resume` flag of `warp-cluster`) replays the durable run journal
 //! from `store_dir`, re-adopts parked survivors over those sockets, and
 //! continues the run under a bumped session; only when the grace
@@ -194,14 +200,14 @@ use crate::report::{
     LpSummary, MigrationMove, MigrationRecord, ResumeStats, RunReport, ScaleRecord,
 };
 use crate::snapshot::{
-    compact_chain, decode_resume, encode_delta, encode_resume,
+    compact_chain, decode_resume, delta_from_parts, encode_resume,
     journal::{journal_path, load_journal, RunJournal},
     merge_logs, rekey_chains,
     store::{load_segment_prefix, segment_path, SegmentStore},
-    LpDelta, SnapshotError,
+    SnapshotError,
 };
 use crate::spec::SimulationSpec;
-use crate::threaded::{lp_thread, CkptPart, LpOutcome, LpPort, LpSeed, Packet, BATCH};
+use crate::threaded::{lp_thread, LpOutcome, LpPort, LpSeed, Packet, BATCH};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -595,6 +601,27 @@ struct WorkerReport {
     /// Resume accounting accumulated across this worker's sessions
     /// (rebuild vs. in-place rollback counts, replayed events).
     resume: ResumeStats,
+    /// The worker process's peak resident set in KiB ([`peak_rss_kb`]).
+    #[serde(default)]
+    peak_rss_kb: u64,
+}
+
+/// This process's peak resident set (`VmHWM` in `/proc/self/status`) in
+/// KiB, or 0 where the platform does not say.
+fn peak_rss_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status.lines().find_map(|l| {
+                l.strip_prefix("VmHWM:")?
+                    .trim()
+                    .strip_suffix("kB")?
+                    .trim()
+                    .parse()
+                    .ok()
+            })
+        })
+        .unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------
@@ -1009,11 +1036,44 @@ impl CkptStore {
     }
 }
 
-/// A checkpoint in flight: parts received so far, by worker.
+/// A checkpoint in flight: the parts received so far, by worker, and
+/// the horizon they name. The coordinator only asks for a checkpoint;
+/// the round the controller LP tags decides its horizon.
 struct PendingCkpt {
     ckpt: u32,
-    gvt: VirtualTime,
+    horizon: Option<VirtualTime>,
     parts: Vec<Option<Vec<u8>>>,
+}
+
+impl PendingCkpt {
+    fn new(ckpt: u32, n_workers: usize) -> Self {
+        PendingCkpt {
+            ckpt,
+            horizon: None,
+            parts: vec![None; n_workers],
+        }
+    }
+
+    /// Take worker `from`'s part, for the horizon `gvt`. Every part of
+    /// one checkpoint must name the same horizon: parts that disagree
+    /// cut the chains' windows apart, a protocol error. Returns the
+    /// horizon once every worker's part is in.
+    fn accept(
+        &mut self,
+        from: u32,
+        gvt: VirtualTime,
+        payload: Vec<u8>,
+    ) -> Result<Option<VirtualTime>, DistError> {
+        let horizon = *self.horizon.get_or_insert(gvt);
+        if gvt != horizon {
+            return Err(DistError::Protocol(format!(
+                "checkpoint {}: proc {from} answered for horizon {gvt}, another worker for {horizon}",
+                self.ckpt
+            )));
+        }
+        self.parts[from as usize - 1] = Some(payload);
+        Ok(self.parts.iter().all(Option::is_some).then_some(horizon))
+    }
 }
 
 /// The coordinator's cross-session mutable state — everything the run
@@ -1049,9 +1109,10 @@ struct CoordState {
 /// state record. Appended at every checkpoint barrier and at every
 /// membership/assignment change, so journal and segment files never
 /// drift. The journal append *is* the barrier's commit point: the
-/// `SnapshotAck` that lets workers advance their fossil floors is
-/// broadcast only after the append, so a parked worker's retained
-/// horizon can never exceed `horizon` here.
+/// `SnapshotAck` that advances the workers' floors (and drops their
+/// older anchors) is broadcast only after the append, so a parked
+/// worker's floor can never exceed `horizon` here, and every LP holds
+/// the anchor of `horizon`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct CoordJournal {
     /// Epoch of the session this record closed (the resumed coordinator
@@ -1085,8 +1146,7 @@ impl CoordState {
     /// Append one state record capturing the current control-plane
     /// state. A no-op without a journal. Called before every session and
     /// at every checkpoint barrier — always *before* the `SnapshotAck`
-    /// broadcast, so the journal is never behind any worker's fossil
-    /// floor.
+    /// broadcast, so the journal is never behind any worker's floor.
     fn journal_append(&mut self, admit_addr: &str) -> Result<(), DistError> {
         let Some(journal) = self.journal.as_mut() else {
             return Ok(());
@@ -1775,8 +1835,8 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
                     let (sess, _, h) = wp.reattach.take().expect("reattach entry");
                     if h > horizon {
                         // Impossible under the ack-after-journal
-                        // ordering (a worker's fossil floor never leads
-                        // the journal); defensively treat the worker as
+                        // ordering (a worker's floor never leads the
+                        // journal); defensively treat the worker as
                         // untrusted and rebuild its slot fresh.
                         eprintln!(
                             "coordinator: parked worker {w} claims horizon {h} past the \
@@ -2062,6 +2122,14 @@ fn coordinate(
     let mut closed = vec![false; n_workers];
     let mut pending: Option<PendingCkpt> = None;
     let mut last_ckpt_started = Instant::now() - Duration::from_secs(3600);
+    // Ask for a checkpoint: only the worker hosting the controller LP
+    // hears of it, and the GVT round that LP tags sets the horizon.
+    let request_ckpt = |st: &mut CoordState| {
+        let ckpt = st.store.next_ckpt;
+        st.store.next_ckpt += 1;
+        mesh.send(st.assign.proc_of(0), Frame::SnapshotReq { ckpt });
+        PendingCkpt::new(ckpt, n_workers)
+    };
     // The cluster-level configuration loop. A fresh controller per
     // session doubles as the cooldown after a migration or recovery;
     // the per-run migration cap carries across sessions via the
@@ -2200,20 +2268,9 @@ fn coordinate(
                             }
                         },
                     }
-                } else if let Some(gvt) =
-                    best_gvt.filter(|g| g.is_finite() && *g > st.store.horizon)
-                {
-                    let ckpt = st.store.next_ckpt;
-                    st.store.next_ckpt += 1;
+                } else if best_gvt.is_some_and(|g| g.is_finite() && g > st.store.horizon) {
                     last_ckpt_started = Instant::now();
-                    pending = Some(PendingCkpt {
-                        ckpt,
-                        gvt,
-                        parts: (0..n_workers).map(|_| None).collect(),
-                    });
-                    for w in 1..=n_workers as u32 {
-                        mesh.send(w, Frame::SnapshotReq { ckpt, gvt });
-                    }
+                    pending = Some(request_ckpt(st));
                     p.barrier_fired = true;
                 } else if st.store.horizon > VirtualTime::ZERO {
                     // The horizon already sits at the frontier; there is
@@ -2267,17 +2324,8 @@ fn coordinate(
                         && last_ckpt_started.elapsed()
                             >= Duration::from_millis(cfg.recovery.ckpt_min_interval_ms);
                     if due {
-                        let ckpt = st.store.next_ckpt;
-                        st.store.next_ckpt += 1;
                         last_ckpt_started = Instant::now();
-                        pending = Some(PendingCkpt {
-                            ckpt,
-                            gvt,
-                            parts: (0..n_workers).map(|_| None).collect(),
-                        });
-                        for w in 1..=n_workers as u32 {
-                            mesh.send(w, Frame::SnapshotReq { ckpt, gvt });
-                        }
+                        pending = Some(request_ckpt(st));
                     }
                 }
                 Frame::LoadReport {
@@ -2350,72 +2398,71 @@ fn coordinate(
                     }
                 }
                 Frame::Snapshot { ckpt, gvt, payload } => {
-                    let matches = pending.as_ref().is_some_and(|p| p.ckpt == ckpt);
-                    if matches {
-                        let p = pending.as_mut().unwrap();
-                        p.parts[from as usize - 1] = Some(payload);
-                        if p.parts.iter().all(Option::is_some) {
-                            let done = pending.take().unwrap();
-                            for (w, part) in done.parts.into_iter().enumerate() {
-                                let part = part.unwrap();
-                                // Spill before the in-memory append: a
-                                // checkpoint is only durable once every
-                                // part reached its segment file.
-                                if let Some(seg) = st.store.segments.as_mut() {
-                                    seg.append(w as u32 + 1, &part).map_err(|e| {
-                                        DistError::Io(io::Error::other(format!(
-                                            "checkpoint store append: {e}"
-                                        )))
-                                    })?;
-                                }
-                                st.store.chains[w].push(part);
-                            }
-                            st.store.horizon = done.gvt;
-                            // Deltas below the new horizon are superseded
-                            // once the chain is deep enough: merge them so
-                            // neither memory nor a future resume pays for
-                            // dead intermediate windows.
-                            if cfg.recovery.compact_after > 0
-                                && st
-                                    .store
-                                    .chains
-                                    .iter()
-                                    .any(|c| c.len() >= cfg.recovery.compact_after.max(2) as usize)
-                            {
-                                st.store.compact().map_err(|e| {
-                                    DistError::Protocol(format!("checkpoint compaction: {e}"))
-                                })?;
-                            }
-                            // The journal append is the barrier's commit
-                            // point: only after the control-plane record
-                            // is durable may workers learn the horizon
-                            // advanced and unpin fossils below it. A
-                            // crash before this line makes the barrier
-                            // never have happened — resume truncates the
-                            // segment appends above the journaled depth.
-                            st.barriers += 1;
-                            st.journal_append(&admit_addr)?;
-                            for w in 1..=n_workers as u32 {
-                                mesh.send(
-                                    w,
-                                    Frame::SnapshotAck {
-                                        ckpt: done.ckpt,
-                                        gvt: done.gvt,
-                                    },
-                                );
-                            }
-                            // Test hook: die like a killed coordinator
-                            // — no goodbye — *between* barriers, after
-                            // this one committed and acked. Exact
-                            // equality, so a resumed coordinator that
-                            // inherits the env var (journal restores
-                            // `barriers` at N) never re-crashes.
-                            if st.crash_after == Some(st.barriers) {
-                                std::process::abort();
-                            }
+                    // A part of an abandoned checkpoint is stale traffic.
+                    let Some(p) = pending.as_mut().filter(|p| p.ckpt == ckpt) else {
+                        continue;
+                    };
+                    let Some(horizon) = p.accept(from, gvt, payload)? else {
+                        continue;
+                    };
+                    let done = pending.take().unwrap();
+                    for (w, part) in done.parts.into_iter().enumerate() {
+                        let part = part.unwrap();
+                        // Spill before the in-memory append: a
+                        // checkpoint is only durable once every
+                        // part reached its segment file.
+                        if let Some(seg) = st.store.segments.as_mut() {
+                            seg.append(w as u32 + 1, &part).map_err(|e| {
+                                DistError::Io(io::Error::other(format!(
+                                    "checkpoint store append: {e}"
+                                )))
+                            })?;
                         }
+                        st.store.chains[w].push(part);
                     }
-                    let _ = gvt;
+                    st.store.horizon = horizon;
+                    // Deltas below the new horizon are superseded
+                    // once the chain is deep enough: merge them so
+                    // neither memory nor a future resume pays for
+                    // dead intermediate windows.
+                    if cfg.recovery.compact_after > 0
+                        && st
+                            .store
+                            .chains
+                            .iter()
+                            .any(|c| c.len() >= cfg.recovery.compact_after.max(2) as usize)
+                    {
+                        st.store.compact().map_err(|e| {
+                            DistError::Protocol(format!("checkpoint compaction: {e}"))
+                        })?;
+                    }
+                    // The journal append is the barrier's commit
+                    // point: only after the control-plane record
+                    // is durable may workers learn the horizon
+                    // advanced and drop the anchors below it. A
+                    // crash before this line makes the barrier
+                    // never have happened — resume truncates the
+                    // segment appends above the journaled depth.
+                    st.barriers += 1;
+                    st.journal_append(&admit_addr)?;
+                    for w in 1..=n_workers as u32 {
+                        mesh.send(
+                            w,
+                            Frame::SnapshotAck {
+                                ckpt: done.ckpt,
+                                gvt: horizon,
+                            },
+                        );
+                    }
+                    // Test hook: die like a killed coordinator
+                    // — no goodbye — *between* barriers, after
+                    // this one committed and acked. Exact
+                    // equality, so a resumed coordinator that
+                    // inherits the env var (journal restores
+                    // `barriers` at N) never re-crashes.
+                    if st.crash_after == Some(st.barriers) {
+                        std::process::abort();
+                    }
                 }
                 Frame::DrainAck { .. } => {
                     // The scale-in retiree confirms it aborted its LPs
@@ -2540,6 +2587,7 @@ fn merge_reports(
         resume.merge(&r.resume);
     }
     let gvt_rounds = reports.iter().map(|r| r.gvt_rounds).max().unwrap_or(0);
+    let worker_peak_rss_kb = reports.iter().map(|r| r.peak_rss_kb).collect();
     let mut per_lp: Vec<LpSummary> = reports.into_iter().flat_map(|r| r.per_lp).collect();
     per_lp.sort_by_key(|s| s.lp);
 
@@ -2571,6 +2619,7 @@ fn merge_reports(
         migrations,
         scales,
         telemetry,
+        worker_peak_rss_kb,
         resume,
     }
 }
@@ -2744,13 +2793,15 @@ impl LpPort for WorkerPort {
                         dst_lp: to as u32,
                         token,
                     },
-                    Packet::GvtNews(gvt) => Frame::GvtNews {
+                    Packet::GvtNews { gvt, ckpt } => Frame::GvtNews {
                         dst_lp: to as u32,
                         gvt,
+                        ckpt,
                     },
-                    // Checkpoint and abort traffic is process-local by
-                    // design; the LP loop never addresses it to a peer.
-                    Packet::Ckpt { .. } | Packet::CkptAck(_) | Packet::Abort => return,
+                    // Checkpoint requests, acks and aborts are
+                    // process-local by design; the LP loop never
+                    // addresses them to a peer.
+                    Packet::CkptReq(_) | Packet::CkptAck(_) | Packet::Abort => return,
                 };
                 self.mesh_tx.post(proc, frame);
             }
@@ -2785,6 +2836,20 @@ impl LpPort for WorkerPort {
         // Only the controller LP calls this; the coordinator paces the
         // checkpoint protocol off these notifications.
         self.mesh_tx.post(0, Frame::Progress { gvt });
+    }
+    /// A loopback `Snapshot` carrying this LP's part: the session
+    /// thread collects the worker's parts and assembles its delta, off
+    /// the LP threads (`route_inbound`).
+    fn ship_part(&self, ckpt: u32, gvt: VirtualTime, part: Vec<u8>) {
+        let me = self.mesh_tx.proc_id();
+        self.mesh_tx.post(
+            me,
+            Frame::Snapshot {
+                ckpt,
+                gvt,
+                payload: part,
+            },
+        );
     }
     fn wants_telemetry(&self) -> bool {
         // Stream instead of accumulate: the recorder only exists when
@@ -3068,11 +3133,12 @@ pub fn run_worker(
     // participation is ever valid (the seeding path clears the map).
     let mut retained: HashMap<u32, Box<warp_core::LpRuntime>> = HashMap::new();
     let mut resume_stats = ResumeStats::default();
-    // The fossil floor: the last barrier horizon the coordinator
-    // acknowledged (`SnapshotAck`). Local fossil collection never
-    // advances past it, so a parked worker can always roll its retained
-    // runtimes back to any horizon a successor coordinator replays from
-    // the journal — this is the `horizon` a `Reattach` reports.
+    // The floor: the last barrier horizon the coordinator acknowledged
+    // (`SnapshotAck`). Every LP holds the anchor of it and of every later
+    // horizon it shipped a part for, so a parked worker can roll its
+    // retained runtimes back to any horizon a successor coordinator
+    // replays from the journal — this is the `horizon` a `Reattach`
+    // reports.
     let floor = Arc::new(AtomicU64::new(0));
 
     loop {
@@ -3187,8 +3253,8 @@ pub fn run_worker(
 
 /// A parked worker's rejoin loop: dial the coordinator's re-admission
 /// point with jittered exponential backoff, presenting a
-/// [`Frame::Reattach`] that names this worker and the fossil horizon it
-/// can roll back to, until either a successor coordinator accepts the
+/// [`Frame::Reattach`] that names this worker and the acknowledged
+/// horizon it can roll back to, until either a successor coordinator accepts the
 /// stream or the grace deadline passes. The admission file (when
 /// configured) is re-read on every attempt, because a restarted
 /// coordinator may re-open admission on a different port.
@@ -3481,6 +3547,7 @@ fn run_session_as_worker(
     let end = route_inbound(
         &mesh,
         &session_lane,
+        &slot_of,
         n_local,
         ckpt_base.unwrap_or(VirtualTime::ZERO),
         floor,
@@ -3497,6 +3564,7 @@ fn run_session_as_worker(
                 gvt_rounds: outcomes.iter().map(|o| o.gvt_rounds).max().unwrap_or(0),
                 per_lp: outcomes.into_iter().map(|o| o.summary).collect(),
                 resume: resume_stats.clone(),
+                peak_rss_kb: peak_rss_kb(),
             };
             let bytes = serde_json::to_vec(&report).map_err(|e| format!("report encode: {e}"))?;
             mesh.send(0, Frame::Report(bytes));
@@ -3539,7 +3607,7 @@ fn route_data(lane: &LaneEndpoint<Packet>, slot_of: &[Slot], frame: Frame) -> Op
     let (lp, p) = match frame {
         Frame::Data { msg, epoch, .. } => (msg.dst.0, Packet::Data { msg, epoch }),
         Frame::Token { dst_lp, token } => (dst_lp, Packet::Token(token)),
-        Frame::GvtNews { dst_lp, gvt } => (dst_lp, Packet::GvtNews(gvt)),
+        Frame::GvtNews { dst_lp, gvt, ckpt } => (dst_lp, Packet::GvtNews { gvt, ckpt }),
         other => return Some(other),
     };
     if let Some(&Slot::Lane(to)) = slot_of.get(lp as usize) {
@@ -3548,17 +3616,21 @@ fn route_data(lane: &LaneEndpoint<Packet>, slot_of: &[Slot], frame: Frame) -> Op
     None
 }
 
-/// The session thread's loop: fan the coordinator's checkpoint protocol
-/// out to the local LPs through this thread's `lane`, and count their
-/// exit wakes until all `n_local` have stopped (`Finished`). Between
-/// events it does the peer links' idle duties (`TcpMesh::tick`:
-/// liveness, gap expiry, heartbeats) as often as the mesh asks. LP
-/// traffic never comes here: whoever pumps a peer link delivers it
-/// (`route_data`). A peer loss, a protocol violation, a migration or a
-/// retirement aborts every local LP and ends the session at once.
+/// The session thread's loop. It turns the coordinator's checkpoint
+/// frames into packets for the local LPs through this thread's `lane` —
+/// a request to the controller LP (LP 0), an ack to every LP — collects
+/// the LPs' parts of a tagged round into the worker's one delta, and
+/// counts the LPs' exit wakes until all `n_local` have stopped
+/// (`Finished`). Between events it does the peer links' idle duties
+/// (`TcpMesh::tick`: liveness, gap expiry, heartbeats) as often as the
+/// mesh asks. LP traffic never comes here: whoever pumps a peer link
+/// delivers it (`route_data`). A peer loss, a protocol violation, a
+/// migration or a retirement aborts every local LP and ends the session
+/// at once.
 fn route_inbound(
     mesh: &TcpMesh,
     lane: &LaneEndpoint<Packet>,
+    slot_of: &[Slot],
     n_local: usize,
     mut ckpt_from: VirtualTime,
     floor: &AtomicU64,
@@ -3568,28 +3640,49 @@ fn route_inbound(
             lane.send(to, p());
         }
     };
+    let violation = |detail: String| {
+        eprintln!(
+            "warp-worker (proc {}): protocol violation: {detail}",
+            mesh.proc_id()
+        );
+        fan_local(&|| Packet::Abort);
+        WorkerSessionEnd::PeerLost(detail)
+    };
+    let controller = match slot_of.first() {
+        Some(&Slot::Lane(lane)) => Some(lane),
+        _ => None,
+    };
+    // The parts of the checkpoint under way. The coordinator asks for
+    // the next one only once this one is complete everywhere, so its
+    // parts never mix with another's.
+    let mut parts: Vec<Vec<u8>> = Vec::with_capacity(n_local);
     let mut handle = |from: u32, frame: Frame| -> Option<WorkerSessionEnd> {
         match frame {
-            Frame::SnapshotReq { ckpt, gvt } => {
-                let (tx, rx) = mpsc::channel::<CkptPart>();
-                fan_local(&|| Packet::Ckpt {
-                    ckpt,
-                    gvt,
-                    reply: tx.clone(),
-                });
-                drop(tx);
-                let from_vt = ckpt_from;
-                ckpt_from = ckpt_from.max(gvt);
-                let out = mesh.sender();
-                std::thread::spawn(move || {
-                    collect_ckpt(rx, out, ckpt, from_vt, gvt, n_local);
-                });
+            Frame::SnapshotReq { ckpt } => match controller {
+                Some(lp0) => lane.send(lp0, Packet::CkptReq(ckpt)),
+                None => {
+                    return Some(violation(format!(
+                        "SnapshotReq from proc {from}, but LP 0 is not here"
+                    )))
+                }
+            },
+            // An LP's part, looped back by its port: assembled here, so
+            // no LP thread copies or writes the worker's delta.
+            Frame::Snapshot { ckpt, gvt, payload } if from == mesh.proc_id() => {
+                parts.push(payload);
+                if parts.len() == n_local {
+                    let payload = delta_from_parts(ckpt_from, gvt, &parts);
+                    parts.clear();
+                    ckpt_from = gvt;
+                    mesh.send(0, Frame::Snapshot { ckpt, gvt, payload });
+                }
             }
             Frame::SnapshotAck { gvt, .. } => {
                 // The coordinator journals the barrier *before* this
-                // ack, so advancing the fossil floor here keeps the
-                // invariant a `Reattach` relies on: floor ≤ every
-                // horizon a successor coordinator can replay.
+                // ack, so advancing the floor here keeps the invariant a
+                // `Reattach` relies on: floor ≤ every horizon a
+                // successor coordinator can replay, whose anchors every
+                // LP still holds.
                 floor.fetch_max(gvt.ticks(), Ordering::AcqRel);
                 fan_local(&|| Packet::CkptAck(gvt));
             }
@@ -3605,15 +3698,7 @@ fn route_inbound(
                 fan_local(&|| Packet::Abort);
                 return Some(WorkerSessionEnd::Retire { gvt });
             }
-            other => {
-                let detail = format!("unexpected {other:?} from proc {from}");
-                eprintln!(
-                    "warp-worker (proc {}): protocol violation: {detail}",
-                    mesh.proc_id()
-                );
-                fan_local(&|| Packet::Abort);
-                return Some(WorkerSessionEnd::PeerLost(detail));
-            }
+            other => return Some(violation(format!("unexpected {other:?} from proc {from}"))),
         }
         None
     };
@@ -3654,36 +3739,6 @@ fn route_inbound(
         }
     }
     WorkerSessionEnd::Finished
-}
-
-/// Gather one checkpoint's parts from the local LP threads and, when
-/// complete, ship the encoded delta to the coordinator. An LP that
-/// already shut down never answers: the request, reply sender included,
-/// sits in its lane until the session drops the lane mesh, and the
-/// collector then returns with the checkpoint incomplete — the
-/// coordinator simply never commits it, and the session is over anyway.
-fn collect_ckpt(
-    rx: Receiver<CkptPart>,
-    out: MeshSender,
-    ckpt: u32,
-    from: VirtualTime,
-    gvt: VirtualTime,
-    n_local: usize,
-) {
-    let mut parts: Vec<CkptPart> = rx.iter().filter(|p| p.ckpt == ckpt).collect();
-    if parts.len() != n_local {
-        return;
-    }
-    parts.sort_by_key(|p| p.lp);
-    let deltas: Vec<LpDelta> = parts
-        .into_iter()
-        .map(|p| LpDelta {
-            lp: p.lp,
-            objects: p.objects,
-        })
-        .collect();
-    let payload = encode_delta(from, gvt, &deltas);
-    out.send(0, Frame::Snapshot { ckpt, gvt, payload });
 }
 
 #[cfg(test)]
@@ -4026,6 +4081,22 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_parts_must_agree_on_the_horizon() {
+        let vt = VirtualTime::new;
+        let mut p = PendingCkpt::new(4, 2);
+        assert!(matches!(p.accept(2, vt(9), vec![2]), Ok(None)));
+        assert!(matches!(p.accept(1, vt(9), vec![1]), Ok(Some(h)) if h == vt(9)));
+        assert_eq!(p.parts, vec![Some(vec![1]), Some(vec![2])]);
+
+        let mut p = PendingCkpt::new(5, 2);
+        assert!(matches!(p.accept(1, vt(9), vec![1]), Ok(None)));
+        match p.accept(2, vt(8), vec![2]) {
+            Err(DistError::Protocol(m)) => assert!(m.contains("horizon"), "{m}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn missing_worker_binary_is_a_clean_error() {
         let cfg = DistConfig::new(
             1,
@@ -4119,14 +4190,10 @@ mod tests {
             let spec = napper(Duration::ZERO, &naps);
             let (mut lp, mut out) = (spec.build_lp(warp_core::LpId(0)), Vec::new());
             lp.init(&mut out);
+            lp.arm_recovery(VirtualTime::ZERO);
             while lp.process_one(&mut out) {}
-            let objects = lp.committed_window(VirtualTime::ZERO, horizon);
-            assert_eq!(objects[0].1.len() as u64, TICKS);
-            encode_resume(&[encode_delta(
-                VirtualTime::ZERO,
-                horizon,
-                &[LpDelta { lp: 0, objects }],
-            )])
+            let part = lp.checkpoint(horizon);
+            encode_resume(&[delta_from_parts(VirtualTime::ZERO, horizon, &[part])])
         };
         let spec = napper(nap, &naps);
 

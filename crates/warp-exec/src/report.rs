@@ -186,6 +186,11 @@ pub struct RunReport {
     /// trajectory (`None` unless the spec enabled telemetry).
     #[serde(default)]
     pub telemetry: Option<TelemetryReport>,
+    /// Peak resident set of each worker process that reported, in KiB
+    /// (`VmHWM`; 0 where the platform does not say), in worker order.
+    /// Empty outside the distributed executive.
+    #[serde(default)]
+    pub worker_peak_rss_kb: Vec<u64>,
     /// Resume and checkpoint-store accounting (all zero outside the
     /// distributed executive). Kept last so legacy reports parse.
     #[serde(default)]
@@ -285,6 +290,20 @@ impl RunReport {
         )
     }
 
+    /// Every reporting worker's peak resident set on one line, or `None`
+    /// outside the distributed executive.
+    pub fn worker_rss_line(&self) -> Option<String> {
+        if self.worker_peak_rss_kb.is_empty() {
+            return None;
+        }
+        let mb: Vec<String> = self
+            .worker_peak_rss_kb
+            .iter()
+            .map(|&kb| format!("{:.1}", kb as f64 / 1024.0))
+            .collect();
+        Some(format!("workers: peak RSS {} MB", mb.join(" / ")))
+    }
+
     /// One-line human summary.
     pub fn summary_line(&self) -> String {
         format!(
@@ -328,6 +347,7 @@ mod tests {
             migrations: Vec::new(),
             scales: Vec::new(),
             telemetry: None,
+            worker_peak_rss_kb: Vec::new(),
             resume: ResumeStats::default(),
             per_lp: vec![LpSummary {
                 lp: 0,
@@ -426,6 +446,25 @@ mod tests {
         assert!(json.contains("\"executive\":\"virtual\""));
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.committed_events, 1000);
+    }
+
+    #[test]
+    fn worker_rss_rides_the_report_and_defaults_for_legacy_reports() {
+        let mut r = report();
+        assert_eq!(r.worker_rss_line(), None, "no workers, no line");
+        r.worker_peak_rss_kb = vec![20_480, 31_232];
+        assert_eq!(
+            r.worker_rss_line().as_deref(),
+            Some("workers: peak RSS 20.0 / 30.5 MB")
+        );
+        let json = serde_json::to_string(&r).unwrap();
+        let back: RunReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.worker_peak_rss_kb, r.worker_peak_rss_kb);
+        let cut = json.find(",\"worker_peak_rss_kb\"").expect("serialized");
+        let end = json[cut + 1..].find(",\"resume\"").unwrap() + cut + 1;
+        let legacy = format!("{}{}", &json[..cut], &json[end..]);
+        let old: RunReport = serde_json::from_str(&legacy).unwrap();
+        assert!(old.worker_peak_rss_kb.is_empty());
     }
 
     #[test]

@@ -208,6 +208,7 @@ pub fn run_sequential(spec: &SimulationSpec) -> RunReport {
         migrations: Vec::new(),
         scales: Vec::new(),
         telemetry: None,
+        worker_peak_rss_kb: Vec::new(),
         resume: Default::default(),
     }
 }

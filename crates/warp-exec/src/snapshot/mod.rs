@@ -135,38 +135,52 @@ fn truncated(context: &'static str, e: impl fmt::Display) -> SnapshotError {
 /// Encode one worker's checkpoint delta (all its LPs) plus the window
 /// bounds into a `Frame::Snapshot` payload.
 pub(crate) fn encode_delta(from: VirtualTime, below: VirtualTime, lps: &[LpDelta]) -> Vec<u8> {
-    // Exact size up front: the Pod event envelope is fixed-width, so
-    // the whole delta is one allocation + bounds-checked copies.
-    let total: usize = 20
-        + lps
-            .iter()
-            .map(|d| {
-                8 + d
-                    .objects
-                    .iter()
-                    .map(|(_, evs)| {
-                        8 + evs
-                            .iter()
-                            .map(warp_core::wire::encoded_event_len)
-                            .sum::<usize>()
-                    })
-                    .sum::<usize>()
-            })
-            .sum::<usize>();
+    let parts: Vec<Vec<u8>> = lps.iter().map(encode_lp).collect();
+    delta_from_parts(from, below, &parts)
+}
+
+/// One LP of a delta: LP id, object count, then per object its id,
+/// event count and events — the layout `LpRuntime::checkpoint` gives a
+/// live LP's part.
+fn encode_lp(d: &LpDelta) -> Vec<u8> {
+    // Exact size up front: the Pod event envelope is fixed-width.
+    let total = 8 + d
+        .objects
+        .iter()
+        .map(|(_, evs)| {
+            8 + evs
+                .iter()
+                .map(warp_core::wire::encoded_event_len)
+                .sum::<usize>()
+        })
+        .sum::<usize>();
     let mut w = PayloadWriter::with_capacity(total);
+    w.u32(d.lp);
+    w.u32(d.objects.len() as u32);
+    for (oid, events) in &d.objects {
+        w.u32(oid.0);
+        w.u32(events.len() as u32);
+        for ev in events {
+            encode_event(&mut w, ev);
+        }
+    }
+    w.finish()
+}
+
+/// Assemble a worker's delta for the window `[from, below)` from its
+/// LPs' parts, each already in the delta's per-LP layout: the parts are
+/// copied once, never decoded.
+pub(crate) fn delta_from_parts(
+    from: VirtualTime,
+    below: VirtualTime,
+    parts: &[Vec<u8>],
+) -> Vec<u8> {
+    let mut w = PayloadWriter::with_capacity(20 + parts.iter().map(Vec::len).sum::<usize>());
     write_vt(&mut w, from);
     write_vt(&mut w, below);
-    w.u32(lps.len() as u32);
-    for d in lps {
-        w.u32(d.lp);
-        w.u32(d.objects.len() as u32);
-        for (oid, events) in &d.objects {
-            w.u32(oid.0);
-            w.u32(events.len() as u32);
-            for ev in events {
-                encode_event(&mut w, ev);
-            }
-        }
+    w.u32(parts.len() as u32);
+    for part in parts {
+        w.raw(part);
     }
     w.finish()
 }

@@ -36,8 +36,9 @@ pub struct SimulationSpec {
     pub objects: ObjectFactory,
     /// Policy factory.
     pub policies: PolicyFactory,
-    /// Record per-object committed-trace digests in the report (requires
-    /// `gvt_period == None` to be meaningful).
+    /// Record per-object committed-trace digests in the report. Fossil
+    /// collection folds what it drops into each object's digest, so the
+    /// digests stay whole with any `gvt_period`.
     pub collect_traces: bool,
     /// Record runtime telemetry: per-GVT-round metric samples and the
     /// control trajectory (every χ tuner invocation, cancellation flip,
@@ -131,6 +132,7 @@ impl SimulationSpec {
             .collect();
         let mut rt = LpRuntime::new(lp, self.partition.clone(), objects, self.cost.clone());
         rt.set_record_control(self.telemetry);
+        rt.set_collect_traces(self.collect_traces);
         rt
     }
 }

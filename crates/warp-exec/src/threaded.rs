@@ -21,42 +21,26 @@ use warp_net::{lane_mesh, Aggregator, LaneEndpoint, PhysMsg};
 
 /// Traffic multiplexed over the mesh. Shared with the distributed
 /// executive, whose TCP frames carry exactly these payloads (the
-/// checkpoint and abort packets are process-local: a worker's session
-/// thread fans the corresponding frames out to its LP threads).
+/// checkpoint request and ack and the abort are process-local: a
+/// worker's session thread turns the coordinator's frames into them).
 pub(crate) enum Packet {
     /// Application events (a physical message), tagged with the sender's
     /// Mattern epoch.
     Data { msg: PhysMsg, epoch: u32 },
     /// The circulating GVT token.
     Token(warp_core::gvt::GvtToken),
-    /// A freshly computed GVT (∞ = simulation over, shut down).
-    GvtNews(VirtualTime),
-    /// Checkpoint request: copy the committed window up to `gvt` and
-    /// answer on `reply`.
-    Ckpt {
-        /// Checkpoint id (echoed in the part).
-        ckpt: u32,
-        /// The checkpoint horizon (an announced GVT).
-        gvt: VirtualTime,
-        /// Where the extracted part goes (a per-checkpoint collector).
-        reply: std::sync::mpsc::Sender<CkptPart>,
-    },
-    /// The coordinator persisted a checkpoint at `gvt`: history below it
-    /// is recoverable, the fossil pin may advance.
+    /// A freshly computed GVT (∞ = simulation over, shut down); `ckpt`
+    /// is set on the round the controller tagged for a checkpoint.
+    GvtNews { gvt: VirtualTime, ckpt: Option<u32> },
+    /// For the controller LP: tag the next completed GVT round with this
+    /// checkpoint id.
+    CkptReq(u32),
+    /// The coordinator persisted the checkpoint at this horizon: no
+    /// recovery rolls back below it any more.
     CkptAck(VirtualTime),
     /// The session failed (unclean peer loss): stop immediately and
     /// discard in-progress state — recovery restarts from a checkpoint.
     Abort,
-}
-
-/// One LP's contribution to a checkpoint.
-pub(crate) struct CkptPart {
-    /// The LP's global id.
-    pub lp: u32,
-    /// Checkpoint id this part answers.
-    pub ckpt: u32,
-    /// Per-object committed events in `[previous horizon, gvt)`.
-    pub objects: Vec<(ObjectId, Vec<Event>)>,
 }
 
 /// What an LP needs from its transport. The threaded executive plugs in
@@ -99,6 +83,11 @@ pub(crate) trait LpPort {
     /// what paces the checkpoint protocol; in-process transports ignore
     /// it.
     fn note_gvt(&self, _gvt: VirtualTime) {}
+    /// This LP's part of checkpoint `ckpt` at the horizon `gvt`
+    /// (`LpRuntime::checkpoint`). The distributed port hands it to the
+    /// worker's collector, which ships one delta per worker; only LPs
+    /// run with a checkpoint base produce parts.
+    fn ship_part(&self, _ckpt: u32, _gvt: VirtualTime, _part: Vec<u8>) {}
     /// Should telemetry batches be streamed out instead of accumulated?
     /// The distributed port says yes: the coordinator merges worker
     /// streams live (and a worker lost to a fault has still delivered
@@ -226,6 +215,7 @@ pub fn run_threaded(spec: &SimulationSpec) -> RunReport {
         migrations: Vec::new(),
         scales: Vec::new(),
         telemetry,
+        worker_peak_rss_kb: Vec::new(),
         resume: Default::default(),
     }
 }
@@ -259,24 +249,21 @@ struct LpThread<P: LpPort> {
     done: bool,
     collect_traces: bool,
     partition: std::sync::Arc<warp_core::Partition>,
-    /// `Some(frontier)` when resuming from a checkpoint: skip object
-    /// init and ship these remote-destined replay sends instead.
-    boot_frontier: Option<Vec<Event>>,
-    /// Lower end of the next checkpoint window (the last horizon this LP
-    /// contributed a part for, or the restore horizon).
-    ckpt_from: VirtualTime,
-    /// With recovery on, `Some(h)`: history at or above the last *acked*
-    /// checkpoint horizon `h` must survive fossil collection — it is the
-    /// part of the committed log no persisted checkpoint covers yet.
-    /// `None` = recovery off, GVT alone bounds collection.
-    fossil_pin: Option<VirtualTime>,
+    /// With recovery on, `Some(h)`: the lower end of the next checkpoint
+    /// window — the last horizon this LP shipped a part for, or the
+    /// restore horizon. `None` = recovery off: no log, no anchors.
+    ckpt_from: Option<VirtualTime>,
+    /// Controller only: a requested checkpoint its next completed GVT
+    /// round will be tagged with.
+    ckpt_req: Option<u32>,
     /// Set by `Packet::Abort`: the summary is garbage, discard it.
     aborted: bool,
     /// Telemetry collector (`None` unless the spec enabled it). Sampled
     /// at every GVT round; purely observational.
     recorder: Option<warp_telemetry::Recorder>,
     /// Scratch: remote-destined events the LP just surfaced, on their way
-    /// to the aggregation layer. Empty between uses, capacity reused.
+    /// to the aggregation layer — at boot, init's or a resume's. Empty
+    /// between uses, capacity reused.
     remote: Vec<Event>,
     /// Scratch: physical messages due for sending. Likewise.
     due: Vec<PhysMsg>,
@@ -292,23 +279,31 @@ struct LpThread<P: LpPort> {
 impl<P: LpPort> LpThread<P> {
     fn new(spec: SimulationSpec, port: P, seed: LpSeed, ckpt_base: Option<VirtualTime>) -> Self {
         let my_id = warp_core::LpId(port.id() as u32);
-        // A resumed LP ships the remote-destined sends its rollback or
-        // replay regenerated (at or beyond the horizon) instead of init's
-        // output.
-        let mut frontier = Vec::new();
-        let (mut lp, boot_frontier) = match seed {
-            LpSeed::Fresh => (spec.build_lp(my_id), None),
+        // The remote-destined sends to ship first: init's output, or what
+        // a resumed LP's rollback or replay regenerated (at or beyond the
+        // horizon).
+        let mut remote = Vec::new();
+        let mut lp = match seed {
+            LpSeed::Fresh => {
+                let mut lp = spec.build_lp(my_id);
+                lp.init(&mut remote);
+                lp
+            }
             LpSeed::Rollback { mut lp, horizon } => {
-                lp.rollback_to_horizon(horizon, &mut frontier);
-                (*lp, Some(frontier))
+                lp.rollback_to_horizon(horizon, &mut remote);
+                *lp
             }
             LpSeed::Replay { log, horizon } => {
                 let mut lp = spec.build_lp(my_id);
-                lp.restore_committed(log, horizon, &mut frontier);
-                (lp, Some(frontier))
+                lp.restore_committed(log, horizon, &mut remote);
+                lp
             }
         };
-        // Restored runtimes are rebuilt outside `build_lp`; re-arm recording.
+        if let Some(h) = ckpt_base {
+            lp.arm_recovery(h);
+        }
+        // A retained runtime was built in an earlier session; re-arm
+        // recording.
         lp.set_record_control(spec.telemetry);
         let mut agg = Aggregator::new(my_id, spec.aggregation.clone());
         agg.set_record_windows(spec.telemetry);
@@ -337,12 +332,11 @@ impl<P: LpPort> LpThread<P> {
             done: false,
             collect_traces: spec.collect_traces,
             partition: spec.partition.clone(),
-            boot_frontier,
-            ckpt_from: ckpt_base.unwrap_or(VirtualTime::ZERO),
-            fossil_pin: ckpt_base,
+            ckpt_from: ckpt_base,
+            ckpt_req: None,
             aborted: false,
             recorder,
-            remote: Vec::new(),
+            remote,
             due: Vec::new(),
             history_mark: 0,
         }
@@ -386,7 +380,11 @@ impl<P: LpPort> LpThread<P> {
         )
     }
 
-    fn apply_gvt(&mut self, gvt: VirtualTime) {
+    /// Apply an announced GVT. On a round tagged for checkpoint `ckpt`,
+    /// in this order: ship this LP's part, capture its anchors (both
+    /// `LpRuntime::checkpoint`), then fossil-collect — which may pass
+    /// the horizon only once it is anchored.
+    fn apply_gvt(&mut self, gvt: VirtualTime, ckpt: Option<u32>) {
         if let Some(rec) = &mut self.recorder {
             // Sample *before* fossil collection so the retained-history
             // gauge reflects the pressure the round is about to relieve.
@@ -421,20 +419,15 @@ impl<P: LpPort> LpThread<P> {
         }
         if gvt.is_infinite() {
             self.done = true;
-        } else if self.fossil {
-            match self.fossil_pin {
-                None => self.lp.fossil_collect(gvt),
-                // Keep state and input with recv ≥ pin: `fossil_bound`
-                // may resolve the pin itself to a snapshot *at* the pin,
-                // so collect strictly below it. Output records whose
-                // sends land at or beyond the pin are retained too —
-                // they are the frontier an in-place rollback to the pin
-                // must re-ship.
-                Some(pin) => {
-                    let bound = gvt.min(VirtualTime::from_ticks(pin.ticks().saturating_sub(1)));
-                    self.lp.fossil_collect_retaining(bound, pin);
-                }
-            }
+            return;
+        }
+        if let (Some(ckpt), Some(from)) = (ckpt, self.ckpt_from.as_mut()) {
+            *from = gvt;
+            let part = self.lp.checkpoint(gvt);
+            self.port.ship_part(ckpt, gvt, part);
+        }
+        if self.fossil {
+            self.lp.fossil_collect(gvt);
             self.history_mark = self.lp.history_bytes();
         }
     }
@@ -460,12 +453,17 @@ impl<P: LpPort> LpThread<P> {
         match ctrl.on_return(token) {
             Ok(gvt) => {
                 self.gvt_rounds += 1;
+                // A requested checkpoint takes the first round whose
+                // window is not empty.
+                let ckpt = self
+                    .ckpt_req
+                    .take_if(|_| gvt.is_finite() && self.ckpt_from.is_some_and(|f| gvt > f));
                 self.port.note_gvt(gvt);
                 for peer in 1..self.port.n_total() {
-                    self.port.send(peer, Packet::GvtNews(gvt));
+                    self.port.send(peer, Packet::GvtNews { gvt, ckpt });
                 }
                 self.last_round = Instant::now();
-                self.apply_gvt(gvt);
+                self.apply_gvt(gvt, ckpt);
             }
             Err(token) => self.forward_token(token),
         }
@@ -486,21 +484,12 @@ impl<P: LpPort> LpThread<P> {
                     self.forward_token(token);
                 }
             }
-            Packet::GvtNews(gvt) => self.apply_gvt(gvt),
-            Packet::Ckpt { ckpt, gvt, reply } => {
-                let objects = self.lp.committed_window(self.ckpt_from, gvt);
-                self.ckpt_from = self.ckpt_from.max(gvt);
-                let _ = reply.send(CkptPart {
-                    lp: self.port.id() as u32,
-                    ckpt,
-                    objects,
-                });
+            Packet::GvtNews { gvt, ckpt } => self.apply_gvt(gvt, ckpt),
+            Packet::CkptReq(ckpt) => {
+                debug_assert!(self.ctrl.is_some(), "checkpoint request off the controller");
+                self.ckpt_req = Some(ckpt);
             }
-            Packet::CkptAck(gvt) => {
-                if let Some(pin) = &mut self.fossil_pin {
-                    *pin = (*pin).max(gvt);
-                }
-            }
+            Packet::CkptAck(gvt) => self.lp.ack_checkpoint(gvt),
             Packet::Abort => {
                 self.aborted = true;
                 self.done = true;
@@ -511,10 +500,6 @@ impl<P: LpPort> LpThread<P> {
     fn run(mut self) -> LpOutcome {
         let debug_trace = std::env::var("WARP_DEBUG_THREADED").is_ok();
         let mut loops: u64 = 0;
-        match self.boot_frontier.take() {
-            Some(frontier) => self.remote = frontier,
-            None => self.lp.init(&mut self.remote),
-        }
         self.offer_remote();
 
         'run: while !self.done {
@@ -683,9 +668,12 @@ pub(crate) struct LpOutcome {
 /// global LP 0 hosts the GVT controller wherever it lives.
 ///
 /// `ckpt_base` arms the checkpoint protocol: `Some(h)` means recovery is
-/// on, the committed log from `h` up is not yet persisted (h = ZERO on a
-/// fresh run, the restore horizon on a resumed one), so fossil
-/// collection is pinned below `h` until `Packet::CkptAck`s advance it.
+/// on and the committed log from `h` up is not yet persisted (h = ZERO
+/// on a fresh run, the restore horizon on a resumed one). The LP then
+/// holds the anchor of `h` (`LpRuntime::arm_recovery`), ships a part and
+/// anchors the horizon at every round the controller tags, and drops
+/// anchors as `Packet::CkptAck`s come in. Fossil collection runs to GVT
+/// either way.
 pub(crate) fn lp_thread<P: LpPort>(
     spec: SimulationSpec,
     port: P,
@@ -1096,11 +1084,49 @@ mod tests {
     }
 
     #[test]
+    fn an_unacked_pin_keeps_history_bounded() {
+        // One LP whose port is scripted by hand: a GVT round after every
+        // `PER_ROUND` events, at the LP's own minimum, and never a
+        // checkpoint ack. Recovery armed at zero must not keep the history
+        // above the unacknowledged horizon: fossil collection runs to GVT.
+        const ROUNDS: usize = 40;
+        const PER_ROUND: usize = 2_000;
+        let retained = |ckpt_base: Option<VirtualTime>| {
+            let spec = looper_spec(1, 16, 4_000);
+            let lane = lane_mesh::<Packet>(1).pop().expect("one endpoint");
+            let mut lp = LpThread::new(spec, lane, LpSeed::Fresh, ckpt_base);
+            let mut peak = 0;
+            for _ in 0..ROUNDS {
+                for _ in 0..PER_ROUND {
+                    assert!(lp.lp.process_one(&mut lp.remote), "ran dry");
+                }
+                let gvt = lp.local_min();
+                lp.handle(Packet::GvtNews { gvt, ckpt: None });
+                peak = peak.max(lp.lp.history_bytes());
+            }
+            (peak, lp.lp.history_bytes())
+        };
+        let (free_peak, _) = retained(None);
+        let (pinned_peak, pinned_last) = retained(Some(VirtualTime::ZERO));
+        // What the run would keep with nothing collected: 3 records per
+        // event, each charged an `Event` at least.
+        let whole = ROUNDS * PER_ROUND * 3 * std::mem::size_of::<Event>();
+        assert!(
+            free_peak * 10 < whole,
+            "the unpinned run kept {free_peak} of {whole} bytes: too short to tell"
+        );
+        assert!(
+            pinned_peak <= 2 * free_peak,
+            "an unacked pin kept {pinned_peak} bytes (last {pinned_last}), \
+             the unpinned run {free_peak}"
+        );
+    }
+
+    #[test]
     fn local_min_covers_events_not_yet_offered() {
         let spec = looper_spec(1, 4, 10);
         let lane = lane_mesh::<Packet>(1).pop().expect("one endpoint");
         let mut lp = LpThread::new(spec, lane, LpSeed::Fresh, None);
-        lp.lp.init(&mut lp.remote);
         assert!(lp.remote.is_empty(), "loopers send to themselves");
         let next = lp.local_min();
         assert!(next.is_finite() && next > VirtualTime::from_ticks(1));

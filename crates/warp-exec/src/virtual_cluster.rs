@@ -579,6 +579,7 @@ pub fn run_virtual_inspect(
         telemetry: crate::threaded::merge_telemetry(
             recorders.into_iter().map(warp_telemetry::Recorder::finish),
         ),
+        worker_peak_rss_kb: Vec::new(),
         resume: Default::default(),
     }
 }

@@ -195,10 +195,11 @@ fn virtual_is_deterministic() {
 fn fossil_collection_preserves_results() {
     let base = relay_spec(6, 12, 3, 6, 100);
     let no_fossil = run_virtual(&base);
-    // Same run with GVT + fossil collection on: committed counts must
-    // match (trace digests are unavailable once history is reclaimed).
+    // Same run with GVT + fossil collection on: the committed histories
+    // must match (the digests fold in what fossil collection drops).
     let fossil = run_virtual(&base.clone().with_gvt_period(Some(0.02)));
     assert_eq!(no_fossil.committed_events, fossil.committed_events);
+    assert_eq!(no_fossil.trace_digests(), fossil.trace_digests());
     assert!(fossil.gvt_rounds > 0, "GVT never ran");
     assert!(fossil.kernel.fossils_collected > 0, "nothing was reclaimed");
 }
@@ -231,7 +232,7 @@ fn threaded_with_fossils_terminates_and_commits() {
     let spec = relay_spec(9, 8, 3, 4, 60);
     let seq = run_sequential(&spec);
     let tw = run_threaded(&spec.clone().with_gvt_period(Some(0.002)));
-    assert_eq!(seq.committed_events, tw.committed_events);
+    assert_same_traces(&seq, &tw);
     assert!(tw.gvt_rounds > 0);
 }
 

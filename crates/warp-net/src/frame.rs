@@ -48,9 +48,11 @@
 //! * `Progress` / `SnapshotReq` / `Snapshot` / `SnapshotAck` /
 //!   `ResumeChunk` — the checkpoint/recovery plane. Workers report
 //!   committed GVT (`Progress`); the coordinator requests a checkpoint
-//!   at a GVT (`SnapshotReq`), each worker answers with its wire-encoded committed
-//!   delta (`Snapshot`), the coordinator confirms persistence
-//!   (`SnapshotAck`, letting workers advance their fossil pin), and after
+//!   (`SnapshotReq`), the controller LP tags its next GVT round with it
+//!   (`GvtNews::ckpt`), each worker answers with its wire-encoded
+//!   committed delta up to that round's GVT (`Snapshot`), the
+//!   coordinator confirms persistence (`SnapshotAck`, letting workers
+//!   drop the restore points of older horizons), and after
 //!   a failure the accumulated checkpoint payload re-seeds each worker
 //!   for a new session epoch. It travels as a `ResumeChunk` stream (v5):
 //!   a contiguous sequence of bounded slices, so a long job's delta
@@ -81,8 +83,10 @@ use warp_core::{LpId, VirtualTime};
 /// itself to a restarted coordinator). v8: a per-link batch frame (tag
 /// 21). v9: that frame is gone again — events are aggregated once, by
 /// the LP's DyMA buffers — so a v8 peer, which could still send one, is
-/// refused at `Hello`.
-pub const PROTO_VERSION: u16 = 9;
+/// refused at `Hello`. v10: checkpoints ride the GVT news — `GvtNews`
+/// carries the checkpoint id of a tagged round, and `SnapshotReq` no
+/// longer names a horizon (the controller LP picks it).
+pub const PROTO_VERSION: u16 = 10;
 
 /// Default upper bound on a frame body. Protects the decoder from
 /// allocating gigabytes off a corrupt or malicious length prefix.
@@ -128,6 +132,10 @@ pub enum Frame {
         dst_lp: u32,
         /// The new commit horizon.
         gvt: VirtualTime,
+        /// Set on the round the controller LP tagged for a requested
+        /// checkpoint (v10): every LP checkpoints at `gvt` under this id
+        /// before it fossil-collects.
+        ckpt: Option<u32>,
     },
     /// Idle-link liveness probe.
     Heartbeat,
@@ -140,13 +148,13 @@ pub enum Frame {
         /// The GVT the worker's controller LP just announced.
         gvt: VirtualTime,
     },
-    /// Coordinator → workers: take a checkpoint of everything committed
-    /// below `gvt`.
+    /// Coordinator → the worker hosting LP 0: take a checkpoint. The
+    /// controller LP tags its next completed GVT round with `ckpt`, and
+    /// that round's GVT is the horizon (v10; before, the coordinator
+    /// named one it had already seen applied).
     SnapshotReq {
         /// Checkpoint id, monotone within a session.
         ckpt: u32,
-        /// The checkpoint horizon (an announced GVT).
-        gvt: VirtualTime,
     },
     /// Worker → coordinator: this worker's committed delta for one
     /// checkpoint (opaque `warp_core::wire` bytes; `warp-exec` owns the
@@ -154,7 +162,7 @@ pub enum Frame {
     Snapshot {
         /// Checkpoint id being answered.
         ckpt: u32,
-        /// Echo of the checkpoint horizon.
+        /// The checkpoint horizon: the GVT of the tagged round.
         gvt: VirtualTime,
         /// Wire-encoded per-LP committed windows.
         payload: Vec<u8>,
@@ -261,8 +269,8 @@ pub enum Frame {
         /// The worker's mesh process id in that session (1-based;
         /// 0 is the coordinator and never reattaches).
         worker_id: u32,
-        /// The fossil-pinned horizon the worker's retained runtimes can
-        /// roll back to (its last `SnapshotAck` GVT).
+        /// The horizon the worker's retained runtimes can roll back to
+        /// (its last `SnapshotAck` GVT, whose anchors they hold).
         horizon: VirtualTime,
     },
 }
@@ -318,8 +326,12 @@ impl std::error::Error for FrameError {}
 
 impl Frame {
     /// Encode as a complete length-prefixed frame, appended to `out`.
+    /// The body is written in place behind a length placeholder patched
+    /// at the end, so a payload is copied once, into `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = PayloadWriter::new();
+        let start = out.len();
+        let mut w = PayloadWriter::appending_to(std::mem::take(out));
+        w.u32(0);
         match self {
             Frame::Hello {
                 version,
@@ -356,9 +368,13 @@ impl Frame {
                 write_vt(&mut w, token.min);
                 w.i64(token.count);
             }
-            Frame::GvtNews { dst_lp, gvt } => {
+            Frame::GvtNews { dst_lp, gvt, ckpt } => {
                 w.u8(TAG_GVT_NEWS).u32(*dst_lp);
                 write_vt(&mut w, *gvt);
+                match ckpt {
+                    None => w.u8(0),
+                    Some(k) => w.u8(1).u32(*k),
+                };
             }
             Frame::Heartbeat => {
                 w.u8(TAG_HEARTBEAT);
@@ -373,9 +389,8 @@ impl Frame {
                 w.u8(TAG_PROGRESS);
                 write_vt(&mut w, *gvt);
             }
-            Frame::SnapshotReq { ckpt, gvt } => {
+            Frame::SnapshotReq { ckpt } => {
                 w.u8(TAG_SNAPSHOT_REQ).u32(*ckpt);
-                write_vt(&mut w, *gvt);
             }
             Frame::Snapshot { ckpt, gvt, payload } => {
                 w.u8(TAG_SNAPSHOT).u32(*ckpt);
@@ -440,9 +455,9 @@ impl Frame {
                 write_vt(&mut w, *horizon);
             }
         }
-        let body = w.finish();
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        *out = w.finish();
+        let len = (out.len() - start - 4) as u32;
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Encode as a fresh byte vector.
@@ -498,6 +513,15 @@ impl Frame {
             TAG_GVT_NEWS => Frame::GvtNews {
                 dst_lp: r.u32().map_err(mal)?,
                 gvt: read_vt(&mut r).map_err(mal)?,
+                ckpt: match r.u8().map_err(mal)? {
+                    0 => None,
+                    1 => Some(r.u32().map_err(mal)?),
+                    other => {
+                        return Err(FrameError::Malformed(format!(
+                            "GvtNews checkpoint flag must be 0 or 1, got {other}"
+                        )))
+                    }
+                },
             },
             TAG_HEARTBEAT => Frame::Heartbeat,
             TAG_REPORT => Frame::Report(r.bytes().map_err(mal)?.to_vec()),
@@ -507,7 +531,6 @@ impl Frame {
             },
             TAG_SNAPSHOT_REQ => Frame::SnapshotReq {
                 ckpt: r.u32().map_err(mal)?,
-                gvt: read_vt(&mut r).map_err(mal)?,
             },
             TAG_SNAPSHOT => Frame::Snapshot {
                 ckpt: r.u32().map_err(mal)?,
@@ -714,6 +737,12 @@ mod tests {
             Frame::GvtNews {
                 dst_lp: 1,
                 gvt: VirtualTime::INFINITY,
+                ckpt: None,
+            },
+            Frame::GvtNews {
+                dst_lp: 0,
+                gvt: VirtualTime::new(17),
+                ckpt: Some(3),
             },
             Frame::Heartbeat,
             Frame::Report(b"{\"lp\":0}".to_vec()),
@@ -721,10 +750,7 @@ mod tests {
             Frame::Progress {
                 gvt: VirtualTime::new(17),
             },
-            Frame::SnapshotReq {
-                ckpt: 3,
-                gvt: VirtualTime::new(17),
-            },
+            Frame::SnapshotReq { ckpt: 3 },
             Frame::Snapshot {
                 ckpt: 3,
                 gvt: VirtualTime::new(17),
@@ -826,6 +852,23 @@ mod tests {
         let flag_pos = raw.len() - 3 - 4 - 1;
         assert_eq!(raw[flag_pos], 0, "expected the cleared `last` flag here");
         raw[flag_pos] = 7;
+        let mut d = FrameDecoder::new();
+        d.push(&raw);
+        assert!(matches!(d.next(), Err(FrameError::Malformed(_))));
+    }
+
+    #[test]
+    fn gvt_news_bad_checkpoint_flag_is_malformed() {
+        let mut raw = Frame::GvtNews {
+            dst_lp: 1,
+            gvt: VirtualTime::new(5),
+            ckpt: None,
+        }
+        .encode();
+        // The flag is the last byte of an untagged round's body.
+        let flag = raw.len() - 1;
+        assert_eq!(raw[flag], 0);
+        raw[flag] = 2;
         let mut d = FrameDecoder::new();
         d.push(&raw);
         assert!(matches!(d.next(), Err(FrameError::Malformed(_))));

@@ -12,21 +12,21 @@ use warp_core::{Event, LpId, ObjectId, VirtualTime};
 use warp_net::frame::{Frame, FrameDecoder, PROTO_VERSION};
 use warp_net::PhysMsg;
 
-/// A peer still speaking protocol v8 must be refused at `Hello`: v8
-/// could send the per-link batch frame (tag 21), which a v9 decoder no
-/// longer parses.
+/// A peer still speaking protocol v9 must be refused at `Hello`: its
+/// `GvtNews` lacks the checkpoint tag a v10 decoder reads, and its
+/// `SnapshotReq` carries a horizon v10 no longer has.
 #[test]
-fn v8_peer_is_refused_at_hello() {
+fn v9_peer_is_refused_at_hello() {
     use std::io::Write;
     use warp_net::{bind_loopback, TcpMesh, TcpMeshConfig};
 
-    const { assert!(PROTO_VERSION >= 9, "tag 21 was retired in v9") };
+    const { assert!(PROTO_VERSION >= 10, "GvtNews gained its tag in v10") };
     let listener = bind_loopback().unwrap();
     let addr = listener.local_addr().unwrap();
-    let v8 = std::thread::spawn(move || {
+    let v9 = std::thread::spawn(move || {
         let s = std::net::TcpStream::connect(addr).unwrap();
         let hello = Frame::Hello {
-            version: 8,
+            version: 9,
             proc_id: 1,
             n_procs: 2,
             session: 0,
@@ -36,12 +36,12 @@ fn v8_peer_is_refused_at_hello() {
         std::thread::sleep(std::time::Duration::from_millis(500));
     });
     let err = match TcpMesh::establish(TcpMeshConfig::new(0, 2), listener, &[], |_| None) {
-        Ok(_) => panic!("establishment must fail against a v8 peer"),
+        Ok(_) => panic!("establishment must fail against a v9 peer"),
         Err(e) => e,
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("version"), "{err}");
-    v8.join().unwrap();
+    v9.join().unwrap();
 }
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -117,6 +117,15 @@ fn arb_frame() -> BoxedStrategy<Frame> {
         (any::<u32>(), any::<u64>()).prop_map(|(dst_lp, gvt)| Frame::GvtNews {
             dst_lp,
             gvt: VirtualTime::from_ticks(gvt),
+            ckpt: None,
+        }),
+        // A round the controller LP tagged for a checkpoint.
+        (any::<u32>(), any::<u64>(), any::<u32>()).prop_map(|(dst_lp, gvt, ckpt)| {
+            Frame::GvtNews {
+                dst_lp,
+                gvt: VirtualTime::from_ticks(gvt),
+                ckpt: Some(ckpt),
+            }
         }),
         Just(Frame::Heartbeat),
         proptest::collection::vec(any::<u8>(), 0..96).prop_map(Frame::Report),
@@ -124,10 +133,7 @@ fn arb_frame() -> BoxedStrategy<Frame> {
         any::<u64>().prop_map(|gvt| Frame::Progress {
             gvt: VirtualTime::from_ticks(gvt),
         }),
-        (any::<u32>(), any::<u64>()).prop_map(|(ckpt, gvt)| Frame::SnapshotReq {
-            ckpt,
-            gvt: VirtualTime::from_ticks(gvt),
-        }),
+        any::<u32>().prop_map(|ckpt| Frame::SnapshotReq { ckpt }),
         (
             any::<u32>(),
             any::<u64>(),

@@ -13,14 +13,16 @@
 //!              [--rejoin-grace MS] [--supervise]
 //! warp-cluster --resume STORE_DIR [--workers N] [--timeout SECS]
 //!              [--telemetry OUT.jsonl] [--admit-file PATH]
-//! warp-cluster stats TELEMETRY.jsonl
+//! warp-cluster stats TELEMETRY.jsonl|REPORT.json
 //! ```
 //!
 //! `--telemetry` forces telemetry on for the job and writes the merged
 //! cluster-wide record (metric samples + control-trajectory events) as
 //! JSONL; a one-line adaptation summary goes to stderr. The `stats`
 //! subcommand re-reads such a file — validating every line against the
-//! telemetry schema — and prints its summary.
+//! telemetry schema — and prints its summary. Given a report instead
+//! (what this command prints on stdout), it prints the report's summary
+//! and each worker's peak resident set.
 //!
 //! `--balance` arms the on-line load balancer (LP migration; implies
 //! recovery). `--slow PROC:MICROS[:EVENTS]` artificially caps worker
@@ -90,16 +92,23 @@ fn usage() -> ! {
          \x20                [--rejoin-grace MS] [--supervise]\n\
          \x20      warp-cluster --resume STORE_DIR [--workers N] [--timeout SECS]\n\
          \x20                [--telemetry OUT.jsonl] [--admit-file PATH]\n\
-         \x20      warp-cluster stats TELEMETRY.jsonl"
+         \x20      warp-cluster stats TELEMETRY.jsonl|REPORT.json"
     );
     std::process::exit(2);
 }
 
 /// `warp-cluster stats FILE`: parse (and thereby schema-check) a
-/// telemetry dump, print what it contains.
+/// telemetry dump or a run report, print what it contains.
 fn run_stats(path: &PathBuf) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    if let Ok(report) = serde_json::from_str::<warp_exec::RunReport>(text.trim()) {
+        println!("{}", report.summary_line());
+        if let Some(line) = report.worker_rss_line() {
+            println!("{line}");
+        }
+        return Ok(());
+    }
     let report =
         TelemetryReport::from_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     println!("{}", report.summary_line());
@@ -392,6 +401,9 @@ fn run() -> Result<(), String> {
 /// telemetry dump (plus adaptation summary) when requested.
 fn emit(report: &warp_exec::RunReport, telemetry_out: Option<&Path>) -> Result<(), String> {
     eprintln!("{}", report.summary_line());
+    if let Some(line) = report.worker_rss_line() {
+        eprintln!("{line}");
+    }
     if (!report.migrations.is_empty() || !report.scales.is_empty()) && telemetry_out.is_none() {
         // With --telemetry the adaptation summary prints below anyway.
         eprintln!("{}", report.adaptation_summary());

@@ -230,6 +230,45 @@ fn coordinator_killed_between_barriers_resumes_with_parked_survivors() {
 }
 
 #[test]
+fn fossil_on_failover_readopts_both_workers_with_zero_replay() {
+    // As above with fossil collection on: each parked worker has
+    // collected past the journaled horizon, and rolls back to it from
+    // the anchor every LP holds of it.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = unique_dir("fossils");
+    let job = ClusterJob {
+        gvt_period: Some(0.005),
+        ..failover_job(&dir, 60_000)
+    };
+    let job_path = dir.join("job.json");
+    std::fs::write(&job_path, serde_json::to_string(&job).unwrap()).unwrap();
+
+    let pids = crash_coordinator(&job_path, &dir.join("crash.stderr"), 2);
+    std::thread::sleep(Duration::from_secs(4));
+    let report = resume_coordinator(&dir, &dir.join("resume.stderr"));
+
+    assert_matches_sequential(&job, &report);
+    assert!(report.kernel.fossils_collected > 0, "nothing was collected");
+    let r = &report.resume;
+    assert_eq!(r.reattached, 2, "both parked workers re-adopted: {r:?}");
+    assert!(
+        r.lps_rolled_back >= 1,
+        "survivors roll back in place: {r:?}"
+    );
+    assert_eq!(
+        (r.lps_rebuilt, r.replayed_events),
+        (0, 0),
+        "nothing rebuilt, nothing replayed: {r:?}"
+    );
+    wait_gone(
+        &pids,
+        Instant::now() + Duration::from_secs(30),
+        "after a clean resume",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_rebuilds_a_parked_worker_that_also_died() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = unique_dir("mixed");

@@ -177,6 +177,67 @@ fn crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_back() {
     );
 }
 
+/// `job` with fossil collection on (5 ms GVT rounds): every worker
+/// collects past each checkpoint horizon long before the coordinator
+/// acknowledges it, so the committed log reaches the coordinator from
+/// the fossil-time logs and a survivor's in-place rollback re-seeds from
+/// its anchors. The digests survive fossil collection.
+fn with_fossils(job: ClusterJob) -> ClusterJob {
+    ClusterJob {
+        gvt_period: Some(0.005),
+        ..job
+    }
+}
+
+#[test]
+fn fossil_on_crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_back() {
+    let job = with_fossils(ClusterJob {
+        recovery: RecoveryPolicy {
+            resume_chunk_bytes: 200,
+            ..phold_job().recovery
+        },
+        handicaps: vec![(1, 200), (2, 200)],
+        fault: Some(FaultPlan::new().crash(2, 1, 200, 0)),
+        ..phold_job()
+    });
+    let report = run_with_faults(job);
+    assert!(report.recoveries >= 1, "the crash never fired");
+    assert!(report.kernel.fossils_collected > 0, "nothing was collected");
+    let r = &report.resume;
+    assert!(r.resume_chunks > 2, "resume was not chunked: {r:?}");
+    assert!(
+        r.lps_rolled_back >= 1,
+        "the survivor rebuilt from scratch instead of rolling back: {r:?}"
+    );
+    assert!(
+        r.lps_rebuilt >= 1,
+        "the respawned worker rebuilt nothing: {r:?}"
+    );
+    assert!(r.replayed_events > 0, "rebuilt LPs replayed nothing: {r:?}");
+}
+
+#[test]
+fn fossil_on_link_partition_recovers_with_every_process_surviving() {
+    let job = with_fossils(ClusterJob {
+        net: NetTuning {
+            heartbeat_ms: 100,
+            liveness_ms: 1000,
+            ..NetTuning::default()
+        },
+        handicaps: vec![(1, 100), (2, 100)],
+        fault: Some(FaultPlan::new().partition(2, 1, 150, 0)),
+        ..phold_job()
+    });
+    let report = run_with_faults(job);
+    assert!(report.recoveries >= 1, "the partition never fired");
+    assert!(report.kernel.fossils_collected > 0, "nothing was collected");
+    assert!(
+        report.resume.lps_rolled_back >= 1,
+        "both workers survive, so their LPs roll back in place: {:?}",
+        report.resume
+    );
+}
+
 #[test]
 fn checkpoint_store_spills_compacts_and_reloads_cleanly() {
     // With a store directory configured, every committed checkpoint

@@ -183,6 +183,32 @@ proptest! {
     }
 }
 
+/// Sequential ≡ threaded with fossil collection on: traces are folded
+/// into the digests as fossil collection drops them, so the comparison
+/// covers the whole committed history.
+#[test]
+fn threaded_with_fossil_collection_commits_the_sequential_history() {
+    let spec = PholdConfig {
+        n_objects: 16,
+        population_per_object: 2,
+        ..PholdConfig::new(1500, 23)
+    }
+    .spec()
+    .with_gvt_period(Some(0.002))
+    .with_traces()
+    .with_policies(Arc::new(|_| {
+        ObjectPolicies::new(
+            Box::new(FixedCancellation(CancellationMode::Lazy)),
+            Box::new(FixedCheckpoint::new(3)),
+        )
+    }));
+    let seq = run_sequential(&spec);
+    let tw = run_threaded(&spec);
+    assert!(tw.kernel.fossils_collected > 0, "nothing was collected");
+    assert_eq!(seq.committed_events, tw.committed_events);
+    assert_eq!(seq.trace_digests(), tw.trace_digests());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12,
