@@ -419,17 +419,6 @@ pub struct DistConfig {
     /// On-line load-balancing policy. Enabling it requires
     /// `recovery.enabled` — migration rides the checkpoint machinery.
     pub balance: BalancePolicy,
-    /// Artificial per-worker slowdowns for balance experiments: each
-    /// `(proc_id, gap_us)` pair caps that worker process at one executed
-    /// event per `gap_us` microseconds. Empty = full speed everywhere.
-    pub handicaps: Vec<(u32, u64)>,
-    /// Optional budget on each handicap: `(proc_id, n_events)` pairs
-    /// bounding how many executed events the matching slowdown paces
-    /// before the worker runs at full speed again — cumulative across
-    /// sessions, so a recovery or scale never re-arms a spent handicap.
-    /// Models a *transient* skew (the scale-in half of an elastic
-    /// experiment needs the pressure to go away again).
-    pub handicap_events: Vec<(u32, u64)>,
     /// Elastic-membership policy: grow/shrink the worker set between
     /// `min_workers` and `max_workers` off the same load stream the
     /// balancer reads. Enabling it requires `recovery.enabled`.
@@ -438,8 +427,9 @@ pub struct DistConfig {
     /// address to this file once it is bound, so external `--join`
     /// workers (and tests) can find it.
     pub admit_file: Option<PathBuf>,
-    /// Deterministic fault plan injected into every process's mesh
-    /// (`None` = healthy links).
+    /// Deterministic fault plan: link faults injected into every
+    /// process's mesh, plus slowed and crashing processes (`None` =
+    /// a healthy run).
     pub fault: Option<FaultPlan>,
 }
 
@@ -455,8 +445,6 @@ impl DistConfig {
             net: NetTuning::default(),
             recovery: RecoveryPolicy::default(),
             balance: BalancePolicy::default(),
-            handicaps: Vec::new(),
-            handicap_events: Vec::new(),
             elastic: ElasticPolicy::default(),
             admit_file: None,
             fault: None,
@@ -537,16 +525,8 @@ pub struct WorkerInit {
     /// Whether the load balancer is armed (workers then stream one
     /// [`Frame::LoadReport`] per LP at each GVT round).
     pub balance: bool,
-    /// Artificial slowdown: minimum microseconds between executed events
-    /// across this whole worker process (0 = full speed). Test/benchmark
-    /// knob for balance experiments.
-    pub handicap_us: u64,
-    /// Budget on the slowdown: pace only the first this-many executed
-    /// events, then run at full speed (0 = unlimited). Counted once per
-    /// process across all its sessions — a transient-skew knob for
-    /// elastic experiments.
-    pub handicap_events: u64,
-    /// Deterministic fault plan for this process's mesh links.
+    /// Deterministic fault plan: the mesh applies its link rules; the
+    /// worker looks up its own `Slow` and `CrashWorker` entries.
     pub fault: Option<FaultPlan>,
     /// Park-and-rejoin instructions: present when the run keeps a
     /// durable journal and [`RecoveryPolicy::rejoin_grace_ms`] is set.
@@ -683,12 +663,15 @@ fn spawn_line_reader<R: Read + Send + 'static>(src: R) -> Receiver<Result<String
 }
 
 impl WorkerProc {
-    fn spawn(bin: &PathBuf) -> io::Result<WorkerProc> {
+    /// Spawn the worker binary for slot `proc_id`; its OS pid is named on
+    /// stderr as `WORKER_PID <proc_id> <pid>`.
+    fn spawn(bin: &PathBuf, proc_id: u32) -> io::Result<WorkerProc> {
         let mut child = Command::new(bin)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()?;
+        eprintln!("WORKER_PID {proc_id} {}", child.id());
         let stdout = child.stdout.take().expect("worker stdout piped");
         Ok(WorkerProc {
             lines: spawn_line_reader(stdout),
@@ -714,14 +697,6 @@ impl WorkerProc {
 
     fn is_remote(&self) -> bool {
         matches!(self.ctl, Ctl::Remote(_))
-    }
-
-    /// OS pid for diagnostics (0 for a joined remote).
-    fn pid(&self) -> u32 {
-        match &self.ctl {
-            Ctl::Child(c) => c.id(),
-            Ctl::Remote(_) => 0,
-        }
     }
 
     /// Wait for a clean exit after the final report: a child must exit
@@ -1098,11 +1073,9 @@ struct CoordState {
     /// The open run journal (`None` without a durable store).
     journal: Option<RunJournal>,
     /// Checkpoint barriers completed across the whole run, every
-    /// coordinator incarnation included — the unit the
-    /// `WARP_COORD_TEST_CRASH=barriers:N` hook counts.
+    /// coordinator incarnation included — the unit a
+    /// [`warp_net::ProcFault::CrashCoordinator`] counts.
     barriers: u64,
-    /// The test-crash hook's barrier count ([`crash_hook`]).
-    crash_after: Option<u64>,
 }
 
 /// One durable control-plane record: the JSON payload of a run-journal
@@ -1181,29 +1154,18 @@ impl CoordState {
     }
 }
 
-/// The coordinator's test-crash hook: abort right after this many
-/// checkpoint barriers have committed (journal appended, acks
-/// broadcast) — between barriers, the survivable window. Set by the env
-/// var `WARP_COORD_TEST_CRASH=barriers:N` and by
-/// [`FaultPlan::coordinator_crash_after`]; the earlier count wins. The
-/// count is cumulative across coordinator incarnations, so a resumed
-/// coordinator inheriting the env var does not re-crash: the journal
-/// restores the count at or past the trigger, and only exact equality
-/// fires. Any other env value is refused before a worker exists.
-fn crash_hook(fault: Option<&FaultPlan>, env: Option<&str>) -> Result<Option<u64>, DistError> {
-    let from_env = env
-        .map(|v| {
-            v.strip_prefix("barriers:")
-                .and_then(|n| n.parse().ok())
-                .ok_or_else(|| {
-                    DistError::InvalidConfig(format!(
-                        "WARP_COORD_TEST_CRASH={v:?}: the only form is barriers:N"
-                    ))
-                })
-        })
-        .transpose()?;
-    let from_plan = fault.and_then(FaultPlan::coordinator_crash_after);
-    Ok(from_env.into_iter().chain(from_plan).min())
+/// Refuse a fault plan that names a proc the run can never hold, before
+/// any worker exists. The ceiling is the elastic maximum when scaling is
+/// on (a fault may name a proc only a scale-out creates), else
+/// `n_workers`.
+fn validate_fault(cfg: &DistConfig, n_workers: u32) -> Result<(), DistError> {
+    let max_procs = if cfg.elastic.enabled {
+        cfg.elastic.max_workers.max(n_workers)
+    } else {
+        n_workers
+    };
+    let valid = cfg.fault.as_ref().map_or(Ok(()), |f| f.validate(max_procs));
+    valid.map_err(DistError::InvalidConfig)
 }
 
 /// Stage and run a distributed simulation, returning the merged report.
@@ -1241,19 +1203,7 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
             cfg.n_workers, cfg.elastic.min_workers, cfg.elastic.max_workers
         )));
     }
-    // A handicap may name any proc the cluster can ever grow to hold.
-    let max_procs = if cfg.elastic.enabled {
-        cfg.elastic.max_workers.max(cfg.n_workers)
-    } else {
-        cfg.n_workers
-    };
-    for &(proc_id, _) in cfg.handicaps.iter().chain(&cfg.handicap_events) {
-        if proc_id == 0 || proc_id > max_procs {
-            return Err(DistError::InvalidConfig(format!(
-                "handicap names proc {proc_id}, outside 1..={max_procs}"
-            )));
-        }
-    }
+    validate_fault(cfg, cfg.n_workers)?;
     if cfg.recovery.store_dir.is_some() && !cfg.recovery.enabled {
         return Err(DistError::InvalidConfig(
             "recovery.store_dir set but recovery is disabled: the store would never see a checkpoint"
@@ -1267,10 +1217,6 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
                 .into(),
         ));
     }
-    let crash_after = crash_hook(
-        cfg.fault.as_ref(),
-        std::env::var("WARP_COORD_TEST_CRASH").ok().as_deref(),
-    )?;
     // Open the durable store (and its run journal) before any worker
     // exists, so a bad directory fails the run without orphaning
     // processes.
@@ -1284,7 +1230,6 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
         }
         None => (None, None),
     };
-    let announce = std::env::var_os("WARP_ANNOUNCE_WORKERS").is_some();
     // The admission point outlives every session: a `--join` worker may
     // dial in long before pressure warrants adopting it, and a parked
     // worker dials it with `Reattach` after a coordinator restart.
@@ -1298,13 +1243,8 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
 
     let mut workers: Vec<WorkerProc> = Vec::new();
     for i in 0..cfg.n_workers {
-        match WorkerProc::spawn(&cfg.worker_bin) {
-            Ok(w) => {
-                if announce {
-                    eprintln!("WORKER_PID {} {}", i + 1, w.pid());
-                }
-                workers.push(w);
-            }
+        match WorkerProc::spawn(&cfg.worker_bin, i + 1) {
+            Ok(w) => workers.push(w),
             Err(e) => {
                 kill_all(&mut workers);
                 return Err(DistError::Io(e));
@@ -1333,9 +1273,8 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
         probation: None,
         journal,
         barriers: 0,
-        crash_after,
     };
-    run_cluster(cfg, workers, admission, deadline, start, announce, &mut st)
+    run_cluster(cfg, workers, admission, deadline, start, &mut st)
 }
 
 /// The coordinator's session loop, shared by a fresh [`run_coordinator`]
@@ -1350,7 +1289,6 @@ fn run_cluster(
     admission: Option<Arc<Admission>>,
     deadline: Instant,
     start: Instant,
-    announce: bool,
     st: &mut CoordState,
 ) -> Result<RunReport, DistError> {
     let admit_addr = admission
@@ -1449,7 +1387,7 @@ fn run_cluster(
                         .collect(),
                 });
                 st.assign = next;
-                if let Err(e) = regroup(cfg, &mut workers, deadline, announce) {
+                if let Err(e) = regroup(cfg, &mut workers, deadline) {
                     kill_all(&mut workers);
                     return Err(e);
                 }
@@ -1467,7 +1405,7 @@ fn run_cluster(
                         // newcomer runs its first session on probation.
                         let newcomer = match admission.as_ref().and_then(|a| a.take_joiner()) {
                             Some(w) => w,
-                            None => match WorkerProc::spawn(&cfg.worker_bin) {
+                            None => match WorkerProc::spawn(&cfg.worker_bin, plan.to_workers) {
                                 Ok(w) => w,
                                 Err(e) => {
                                     kill_all(&mut workers);
@@ -1475,9 +1413,6 @@ fn run_cluster(
                                 }
                             },
                         };
-                        if announce {
-                            eprintln!("WORKER_PID {} {}", plan.to_workers, newcomer.pid());
-                        }
                         workers.push(newcomer);
                         st.probation = Some((plan.to_workers, st.assign.clone(), plan.pressure));
                     }
@@ -1545,7 +1480,7 @@ fn run_cluster(
                         .collect(),
                 });
                 st.assign = next;
-                if let Err(e) = regroup(cfg, &mut workers, deadline, announce) {
+                if let Err(e) = regroup(cfg, &mut workers, deadline) {
                     kill_all(&mut workers);
                     return Err(e);
                 }
@@ -1611,7 +1546,7 @@ fn run_cluster(
                     st.assign = pre_assign;
                     st.recoveries += 1;
                     st.session += 1;
-                    if let Err(e) = regroup(cfg, &mut workers, deadline, announce) {
+                    if let Err(e) = regroup(cfg, &mut workers, deadline) {
                         kill_all(&mut workers);
                         return Err(e);
                     }
@@ -1630,7 +1565,7 @@ fn run_cluster(
                 }
                 st.recoveries += 1;
                 st.session += 1;
-                if let Err(e) = regroup(cfg, &mut workers, deadline, announce) {
+                if let Err(e) = regroup(cfg, &mut workers, deadline) {
                     kill_all(&mut workers);
                     return Err(e);
                 }
@@ -1657,13 +1592,8 @@ fn run_cluster(
                 kill_all(&mut workers);
                 workers.clear();
                 for i in 0..n_restart {
-                    match WorkerProc::spawn(&cfg.worker_bin) {
-                        Ok(w) => {
-                            if announce {
-                                eprintln!("WORKER_PID {} {}", i + 1, w.pid());
-                            }
-                            workers.push(w);
-                        }
+                    match WorkerProc::spawn(&cfg.worker_bin, i as u32 + 1) {
+                        Ok(w) => workers.push(w),
                         Err(e) => {
                             kill_all(&mut workers);
                             return Err(DistError::Io(e));
@@ -1711,10 +1641,6 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
             "resume requires recovery: the journal is part of the checkpoint machinery".into(),
         ));
     }
-    let crash_after = crash_hook(
-        cfg.fault.as_ref(),
-        std::env::var("WARP_COORD_TEST_CRASH").ok().as_deref(),
-    )?;
     let path = journal_path(store_dir);
     let contents = load_journal(&path).map_err(|e| {
         DistError::InvalidConfig(format!("run journal at {}: {e}", store_dir.display()))
@@ -1746,6 +1672,7 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         )));
     }
     let n_workers = rec.n_workers;
+    validate_fault(cfg, n_workers)?;
 
     // Rebuild the delta chains from the segment files, truncating each
     // to its journaled depth: the journal append is the barrier commit
@@ -1815,7 +1742,6 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         None
     };
 
-    let announce = std::env::var_os("WARP_ANNOUNCE_WORKERS").is_some();
     let horizon = VirtualTime::from_ticks(rec.horizon);
 
     // Re-adoption window: give parked survivors a bounded chance to
@@ -1858,13 +1784,8 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
     for (i, slot) in adopted.into_iter().enumerate() {
         match slot {
             Some(w) => workers.push(w),
-            None => match WorkerProc::spawn(&cfg.worker_bin) {
-                Ok(w) => {
-                    if announce {
-                        eprintln!("WORKER_PID {} {}", i + 1, w.pid());
-                    }
-                    workers.push(w);
-                }
+            None => match WorkerProc::spawn(&cfg.worker_bin, i as u32 + 1) {
+                Ok(w) => workers.push(w),
                 Err(e) => {
                     kill_all(&mut workers);
                     return Err(DistError::Io(e));
@@ -1922,9 +1843,8 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         probation: None,
         journal: Some(journal),
         barriers: rec.barriers,
-        crash_after,
     };
-    run_cluster(cfg, workers, admission, deadline, start, announce, &mut st)
+    run_cluster(cfg, workers, admission, deadline, start, &mut st)
 }
 
 /// One coordinator session: distribute addresses and session lines,
@@ -1978,18 +1898,6 @@ fn run_session_as_coordinator(
                 recovery: cfg.recovery.enabled,
                 assignment: st.assign.owners().to_vec(),
                 balance: cfg.balance.enabled || cfg.elastic.enabled,
-                handicap_us: cfg
-                    .handicaps
-                    .iter()
-                    .find(|(p, _)| *p == proc_id)
-                    .map(|(_, us)| *us)
-                    .unwrap_or(0),
-                handicap_events: cfg
-                    .handicap_events
-                    .iter()
-                    .find(|(p, _)| *p == proc_id)
-                    .map(|(_, n)| *n)
-                    .unwrap_or(0),
                 fault: cfg.fault.clone(),
                 rejoin: rejoin.clone(),
             })
@@ -2454,13 +2362,17 @@ fn coordinate(
                             },
                         );
                     }
-                    // Test hook: die like a killed coordinator
-                    // — no goodbye — *between* barriers, after
-                    // this one committed and acked. Exact
-                    // equality, so a resumed coordinator that
-                    // inherits the env var (journal restores
+                    // Die like a killed coordinator — no goodbye
+                    // — *between* barriers, after this one
+                    // committed and acked. Exact equality, so a
+                    // resumed coordinator that inherits the plan
+                    // from the journaled job (which restores
                     // `barriers` at N) never re-crashes.
-                    if st.crash_after == Some(st.barriers) {
+                    if cfg
+                        .fault
+                        .as_ref()
+                        .is_some_and(|f| f.crashes_coordinator(st.barriers))
+                    {
                         std::process::abort();
                     }
                 }
@@ -2523,7 +2435,6 @@ fn regroup(
     cfg: &DistConfig,
     workers: &mut [WorkerProc],
     deadline: Instant,
-    announce: bool,
 ) -> Result<(), DistError> {
     for (i, w) in workers.iter_mut().enumerate() {
         let proc_id = i as u32 + 1;
@@ -2535,10 +2446,7 @@ fn regroup(
                 Ctl::Remote(_) => false,
             };
             if reaped {
-                let mut respawned = WorkerProc::spawn(&cfg.worker_bin)?;
-                if announce {
-                    eprintln!("WORKER_PID {} {}", proc_id, respawned.pid());
-                }
+                let mut respawned = WorkerProc::spawn(&cfg.worker_bin, proc_id)?;
                 std::mem::swap(w, &mut respawned);
                 break;
             }
@@ -2656,16 +2564,16 @@ fn kill_all(children: &mut [WorkerProc]) {
 // Worker
 // ---------------------------------------------------------------------
 
-/// Process-wide execution rate limiter: enforces a minimum gap between
-/// executed events across *all* of a worker's LP threads, so a handicap
-/// models a genuinely slow machine — moving LPs off it really does
-/// raise cluster throughput. Checkpoint replay during a restore is not
-/// throttled (the port's `throttle` hook only fires in the batch loop).
+/// Process-wide execution rate limiter for a [`warp_net::ProcFault::Slow`]:
+/// a minimum gap between executed events across *all* of a worker's LP
+/// threads, so a slowed worker models a genuinely slow machine. Replay
+/// during a restore is not throttled (the port's `throttle` hook only
+/// fires in the batch loop).
 ///
-/// An optional **event budget** makes the handicap transient: only the
+/// An optional **event budget** makes the slowdown transient: only the
 /// first `n` paced events sleep, then the worker runs at full speed.
 /// The counter lives in the worker's session loop, not the session, so
-/// a recovery or an elastic scale never re-arms a spent handicap —
+/// a recovery or an elastic scale never re-arms a spent slowdown —
 /// exactly what a scale-out-then-back-in experiment needs.
 struct EventThrottle {
     gap: Duration,
@@ -2689,7 +2597,7 @@ impl EventThrottle {
             let mut cur = budget.load(Ordering::Relaxed);
             loop {
                 if cur == 0 {
-                    return; // handicap spent: full speed from here on
+                    return; // slowdown spent: full speed from here on
                 }
                 match budget.compare_exchange_weak(
                     cur,
@@ -3125,8 +3033,11 @@ pub fn run_worker(
     let mut listener = Some(listener);
     // One throttle for the process's whole life: its event budget must
     // not re-arm when a recovery or scale starts a new session.
-    let throttle = (init.handicap_us > 0)
-        .then(|| Arc::new(EventThrottle::new(init.handicap_us, init.handicap_events)));
+    let throttle = init
+        .fault
+        .as_ref()
+        .and_then(|f| f.slowdown(init.proc_id))
+        .map(|(gap_us, events)| Arc::new(EventThrottle::new(gap_us, events)));
     // Runtimes handed back by aborted sessions, keyed by LP: a survivor
     // re-seeds these by in-place rollback to the resume horizon instead
     // of rebuilding from committed logs. Only the immediately preceding
@@ -3394,24 +3305,14 @@ fn run_session_as_worker(
     })
     .map_err(|e| format!("mesh establishment: {e}"))?;
 
-    // Test hook: die like a killed worker — no Bye, no report — right
-    // after joining the mesh, so failure-detection and recovery paths
-    // can be exercised end-to-end with the real binary.
-    if std::env::var_os("WARP_WORKER_TEST_CRASH").is_some() {
+    // A planned `CrashWorker`: die like a killed worker — no Bye, no
+    // report — right after joining the mesh, before any resume seeds it.
+    if init
+        .fault
+        .as_ref()
+        .is_some_and(|f| f.crashes_worker(init.proc_id))
+    {
         std::process::exit(9);
-    }
-    // Test hook for the elastic eviction path: a *newly admitted*
-    // worker (fresh spawn into a non-zero session) whose proc id
-    // matches the value dies right after joining its first mesh — mid
-    // scale-out, before it is seeded. Value-keyed so that respawned
-    // survivors in the same test run never match.
-    if let Some(v) = std::env::var_os("WARP_JOIN_TEST_CRASH") {
-        if session == init.session
-            && init.session > 0
-            && v.to_string_lossy() == init.proc_id.to_string()
-        {
-            std::process::exit(9);
-        }
     }
 
     // Session > 0: wait for the coordinator's resume stream (other
@@ -3781,9 +3682,7 @@ mod tests {
             recovery: true,
             assignment: vec![1, 1, 1, 2, 2, 1, 2, 2],
             balance: true,
-            handicap_us: 250,
-            handicap_events: 5_000,
-            fault: Some(FaultPlan::new().crash(2, 1, 100, 0)),
+            fault: Some(FaultPlan::new().crash(2, 1, 100, 0).slow(2, 250, 5_000)),
             rejoin: Some(RejoinSpec {
                 grace_ms: 15_000,
                 admit_addr: "127.0.0.1:7".into(),
@@ -3801,9 +3700,9 @@ mod tests {
         assert!(back.recovery);
         assert_eq!(back.assignment, init.assignment);
         assert!(back.balance);
-        assert_eq!(back.handicap_us, 250);
-        assert_eq!(back.handicap_events, 5_000);
-        assert!(back.fault.is_some());
+        let fault = back.fault.expect("fault plan survives the round trip");
+        assert_eq!(fault.slowdown(2), Some((250, 5_000)));
+        assert_eq!(fault, init.fault.unwrap());
         let rejoin = back.rejoin.expect("rejoin spec survives the round trip");
         assert_eq!(rejoin.grace_ms, 15_000);
         assert_eq!(rejoin.admit_addr, "127.0.0.1:7");
@@ -3827,8 +3726,6 @@ mod tests {
             recovery: true,
             assignment: vec![1; 4],
             balance: false,
-            handicap_us: 0,
-            handicap_events: 0,
             fault: None,
             rejoin: None,
         })
@@ -3923,8 +3820,8 @@ mod tests {
     #[test]
     fn elastic_widens_the_legal_handicap_range() {
         // Proc 3 does not exist at start, but the cluster may grow to
-        // hold it — a handicap naming it must pass validation (and the
-        // run then fails on the missing binary, not the handicap).
+        // hold it — a slowdown naming it must pass validation (and the
+        // run then fails on the missing binary, not the fault plan).
         let mut cfg = DistConfig::new(
             2,
             PathBuf::from("/nonexistent/warp-worker"),
@@ -3933,8 +3830,7 @@ mod tests {
         );
         cfg.elastic.enabled = true;
         cfg.elastic.max_workers = 3;
-        cfg.handicaps.push((3, 500));
-        cfg.handicap_events.push((3, 1000));
+        cfg.fault = Some(FaultPlan::new().slow(3, 500, 1000));
         match run_coordinator(&cfg) {
             Err(DistError::Io(_)) => {}
             other => panic!("expected an I/O error, got {other:?}"),
@@ -3965,9 +3861,9 @@ mod tests {
             serde_json::json!(null),
             4,
         );
-        cfg.handicaps.push((3, 500));
+        cfg.fault = Some(FaultPlan::new().slow(3, 500, 0));
         match run_coordinator(&cfg) {
-            Err(DistError::InvalidConfig(m)) => assert!(m.contains("handicap"), "{m}"),
+            Err(DistError::InvalidConfig(m)) => assert!(m.contains("proc 3, outside 1..=2"), "{m}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
@@ -4055,29 +3951,6 @@ mod tests {
             ..NetTuning::default()
         };
         assert_eq!(t.orphan_wait(), Duration::from_millis(1_500));
-    }
-
-    #[test]
-    fn crash_hook_parses_barrier_forms_and_refuses_the_rest() {
-        assert_eq!(crash_hook(None, None).unwrap(), None);
-        assert_eq!(crash_hook(None, Some("barriers:3")).unwrap(), Some(3));
-        let plan = FaultPlan::new().crash_coordinator_after(5);
-        assert_eq!(crash_hook(Some(&plan), None).unwrap(), Some(5));
-        // Two barrier counts merge to the earlier trigger.
-        assert_eq!(
-            crash_hook(Some(&plan), Some("barriers:2")).unwrap(),
-            Some(2)
-        );
-        assert_eq!(
-            crash_hook(Some(&plan), Some("barriers:9")).unwrap(),
-            Some(5)
-        );
-        for bad in ["1", "now", "barriers:nope", "barriers:"] {
-            match crash_hook(Some(&plan), Some(bad)) {
-                Err(DistError::InvalidConfig(m)) => assert!(m.contains("barriers:N"), "{m}"),
-                other => panic!("{bad:?}: expected InvalidConfig, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -4211,8 +4084,6 @@ mod tests {
             recovery: true,
             assignment: vec![1, 2],
             balance: false,
-            handicap_us: 0,
-            handicap_events: 0,
             fault: None,
             rejoin: None,
         };

@@ -33,6 +33,12 @@
 //! in the recovered one — a crash rule without a session filter would
 //! re-kill the respawned worker forever.
 //!
+//! A plan also holds *process* faults ([`ProcFault`]): a slowed worker,
+//! a worker that dies on joining a session's mesh, a coordinator that
+//! dies after a checkpoint barrier. The mesh never reads them; the
+//! distributed executive does, so every fault a run injects is named in
+//! one value.
+//!
 //! [`Frame::Data`]: crate::frame::Frame::Data
 
 use serde::{Deserialize, Serialize};
@@ -151,12 +157,52 @@ pub struct FaultRule {
     pub kind: FaultKind,
 }
 
+/// A fault on a whole process rather than on one link. Worker procs are
+/// numbered from 1, as in the mesh; the coordinator is process 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ProcFault {
+    /// Cap worker `proc` at one executed event per `gap_us` microseconds
+    /// across all its LP threads, for its first `events` executed events
+    /// (0 = unlimited). The budget counts once per process, across all
+    /// its sessions, so a recovery or a scale never re-arms a spent
+    /// slowdown. Replay during a restore is never paced.
+    Slow {
+        /// Worker process id.
+        proc: u32,
+        /// Minimum gap between executed events, microseconds.
+        gap_us: u64,
+        /// Paced events before full speed returns (0 = unlimited).
+        #[serde(default)]
+        events: u64,
+    },
+    /// Worker `proc` exits with status 9 — no `Bye`, no report — right
+    /// after joining the mesh of every session it joins.
+    CrashWorker {
+        /// Worker process id.
+        proc: u32,
+    },
+    /// The coordinator aborts — no goodbye, like `kill -9` — right after
+    /// its `barriers`-th checkpoint barrier has committed (journal
+    /// appended, acks broadcast). The count is the run's, journaled
+    /// across coordinator incarnations, and only exact equality fires:
+    /// a coordinator resumed from the journal inherits this entry with
+    /// the count already at `barriers`, and its next barrier is past it.
+    CrashCoordinator {
+        /// Committed barriers before the abort.
+        barriers: u64,
+    },
+}
+
 /// A complete, seeded fault schedule for a run.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// The rules; order is irrelevant except for [`LinkChaos::fate`]'s
     /// severity precedence.
     pub rules: Vec<FaultRule>,
+    /// Process faults, read by the distributed executive (the mesh
+    /// ignores them).
+    #[serde(default)]
+    pub procs: Vec<ProcFault>,
 }
 
 impl FaultPlan {
@@ -165,9 +211,95 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// True when no rule exists at all.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+    /// Check the plan against a cluster that can hold at most
+    /// `max_procs` workers: every process fault names a worker in
+    /// `1..=max_procs`, no worker has two `Slow` entries, no `Slow` has
+    /// a zero gap, no `CrashCoordinator` a zero count (neither would
+    /// ever act), and no link rule names a process's link to itself
+    /// (which carries no frames).
+    pub fn validate(&self, max_procs: u32) -> Result<(), String> {
+        if let Some(r) = self.rules.iter().find(|r| r.from == r.to) {
+            return Err(format!(
+                "fault rule on {0} → {0} shapes no link: a process sends nothing to itself \
+                 (a coordinator crash is a CrashCoordinator entry in `procs`)",
+                r.from
+            ));
+        }
+        let mut slowed = Vec::new();
+        for fault in &self.procs {
+            let proc = match *fault {
+                ProcFault::Slow { proc, gap_us, .. } => {
+                    if slowed.contains(&proc) {
+                        return Err(format!("fault plan slows proc {proc} twice"));
+                    }
+                    if gap_us == 0 {
+                        return Err(format!("fault plan slows proc {proc} by a zero gap"));
+                    }
+                    slowed.push(proc);
+                    proc
+                }
+                ProcFault::CrashWorker { proc } => proc,
+                ProcFault::CrashCoordinator { barriers: 0 } => {
+                    return Err("CrashCoordinator after 0 barriers never fires".into())
+                }
+                ProcFault::CrashCoordinator { .. } => continue,
+            };
+            if proc == 0 || proc > max_procs {
+                return Err(format!(
+                    "fault plan names proc {proc}, outside 1..={max_procs}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Worker `proc`'s slowdown as `(gap_us, events)`, if the plan has one.
+    pub fn slowdown(&self, proc: u32) -> Option<(u64, u64)> {
+        self.procs.iter().find_map(|f| match *f {
+            ProcFault::Slow {
+                proc: p,
+                gap_us,
+                events,
+            } if p == proc => Some((gap_us, events)),
+            _ => None,
+        })
+    }
+
+    /// Does worker `proc` crash on joining a session's mesh?
+    pub fn crashes_worker(&self, proc: u32) -> bool {
+        self.procs.contains(&ProcFault::CrashWorker { proc })
+    }
+
+    /// Does the coordinator abort once `barriers` barriers have committed?
+    pub fn crashes_coordinator(&self, barriers: u64) -> bool {
+        self.procs
+            .contains(&ProcFault::CrashCoordinator { barriers })
+    }
+
+    /// Convenience: cap worker `proc` at one executed event per `gap_us`
+    /// microseconds, for its first `events` executed events (0 =
+    /// unlimited).
+    pub fn slow(mut self, proc: u32, gap_us: u64, events: u64) -> Self {
+        self.procs.push(ProcFault::Slow {
+            proc,
+            gap_us,
+            events,
+        });
+        self
+    }
+
+    /// Convenience: worker `proc` exits right after joining the mesh of
+    /// every session it joins.
+    pub fn crash_worker(mut self, proc: u32) -> Self {
+        self.procs.push(ProcFault::CrashWorker { proc });
+        self
+    }
+
+    /// Convenience: the coordinator aborts right after its `barriers`-th
+    /// committed checkpoint barrier.
+    pub fn crash_coordinator(mut self, barriers: u64) -> Self {
+        self.procs.push(ProcFault::CrashCoordinator { barriers });
+        self
     }
 
     /// Convenience: crash `from` when it sends its `after`-th data frame
@@ -181,41 +313,6 @@ impl FaultPlan {
             kind: FaultKind::Crash { after },
         });
         self
-    }
-
-    /// Convenience: abort the *coordinator* after it has completed
-    /// `after` checkpoint barriers (persisted snapshots, `SnapshotAck`
-    /// broadcast and journal record included — the crash lands *between*
-    /// barriers, the exact window fail-over must survive). Encoded as a
-    /// `Crash` rule on the self-link `0 → 0`, a link that carries no
-    /// data frames, so the rule is inert for the ordinary sender-side
-    /// chaos machinery; the coordinator scans for it at startup via
-    /// [`FaultPlan::coordinator_crash_after`]. Unpinned to a session on
-    /// purpose — the barrier counter, not the session epoch, is what
-    /// arms it — but a *resumed* coordinator starts a fresh counter, so
-    /// pair this with a resume-side guard (the executive clears the
-    /// plan's self-rule on `--resume`) when re-triggering is unwanted.
-    pub fn crash_coordinator_after(mut self, after: u64) -> Self {
-        self.rules.push(FaultRule {
-            from: 0,
-            to: 0,
-            session: None,
-            scope: FaultScope::Data,
-            kind: FaultKind::Crash { after },
-        });
-        self
-    }
-
-    /// The barrier count armed by [`FaultPlan::crash_coordinator_after`],
-    /// if any rule carries one (the smallest wins when several do).
-    pub fn coordinator_crash_after(&self) -> Option<u64> {
-        self.rules
-            .iter()
-            .filter_map(|r| match (r.from, r.to, r.kind) {
-                (0, 0, FaultKind::Crash { after }) => Some(after),
-                _ => None,
-            })
-            .min()
     }
 
     /// Convenience: partition the directed link `from → to` starting at
@@ -559,25 +656,70 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_crash_rule_is_inert_on_real_links_but_scannable() {
+    fn proc_faults_round_trip_through_json_and_shape_no_link() {
         let plan = FaultPlan::new()
-            .crash_coordinator_after(3)
-            .crash_coordinator_after(7)
-            .crash(2, 1, 10, 0);
-        assert_eq!(plan.coordinator_crash_after(), Some(3), "smallest wins");
-        assert!(
-            plan.link(0, 1, 0).is_none() && plan.link(1, 0, 0).is_none(),
-            "the self-link rule must not shape any real link"
-        );
-        assert!(FaultPlan::new().coordinator_crash_after().is_none());
-        let ordinary = FaultPlan::new().crash(2, 0, 40, 0);
-        assert!(
-            ordinary.coordinator_crash_after().is_none(),
-            "a worker-side crash rule is not a coordinator crash"
-        );
+            .crash(2, 1, 10, 0)
+            .slow(1, 400, 5_000)
+            .crash_worker(3)
+            .crash_coordinator(3);
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.coordinator_crash_after(), Some(3));
+        assert_eq!(back, plan);
+        assert!(
+            plan.link(0, 1, 0).is_none() && plan.link(1, 0, 0).is_none(),
+            "process faults must not shape any link"
+        );
+
+        assert_eq!(plan.slowdown(1), Some((400, 5_000)));
+        assert_eq!(plan.slowdown(2), None);
+        assert!(plan.crashes_worker(3) && !plan.crashes_worker(1));
+        assert!(plan.crashes_coordinator(3), "fires at exactly its count");
+        assert!(!plan.crashes_coordinator(2) && !plan.crashes_coordinator(4));
+
+        // Hand-written entries may leave out the defaulted fields.
+        let short: FaultPlan = serde_json::from_str(
+            r#"{"rules":[],"procs":[{"Slow":{"proc":1,"gap_us":200}},{"CrashWorker":{"proc":2}}]}"#,
+        )
+        .unwrap();
+        assert_eq!(short.slowdown(1), Some((200, 0)));
+        assert!(short.crashes_worker(2));
+    }
+
+    #[test]
+    fn validation_refuses_what_would_silently_misfire() {
+        let base = || FaultPlan::new().crash(2, 1, 10, 0);
+        assert!(base().slow(1, 100, 0).slow(2, 100, 0).validate(2).is_ok());
+        assert!(base().crash_coordinator(1).validate(1).is_ok());
+
+        let self_link = FaultPlan::new().with(0, 0, FaultKind::Crash { after: 3 });
+        let err = self_link.validate(2).unwrap_err();
+        assert!(
+            err.contains("0 → 0") && err.contains("CrashCoordinator"),
+            "{err}"
+        );
+
+        let err = base()
+            .slow(1, 100, 0)
+            .slow(1, 100, 0)
+            .validate(2)
+            .unwrap_err();
+        assert!(err.contains("slows proc 1 twice"), "{err}");
+
+        let err = base().slow(1, 0, 0).validate(2).unwrap_err();
+        assert!(err.contains("zero gap"), "{err}");
+
+        let err = base().crash_coordinator(0).validate(2).unwrap_err();
+        assert!(err.contains("never fires"), "{err}");
+
+        for proc in [0, 3] {
+            for plan in [base().slow(proc, 100, 0), base().crash_worker(proc)] {
+                let err = plan.validate(2).unwrap_err();
+                assert!(
+                    err.contains(&format!("proc {proc}, outside 1..=2")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -601,9 +743,10 @@ mod tests {
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
         // Pre-scope plans (no `scope` field) must still parse, as data
-        // scope — old job files stay valid.
+        // scope — old job files stay valid — and with no process faults.
         let legacy = r#"{"rules":[{"from":1,"to":2,"kind":{"Drop":{"At":5}}}]}"#;
         let plan: FaultPlan = serde_json::from_str(legacy).unwrap();
         assert_eq!(plan.rules[0].scope, FaultScope::Data);
+        assert!(plan.procs.is_empty());
     }
 }

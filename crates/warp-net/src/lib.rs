@@ -39,7 +39,7 @@ pub mod spsc;
 pub mod tcp;
 
 pub use aggregate::{Aggregator, PhysMsg};
-pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope, Selector};
+pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope, ProcFault, Selector};
 pub use frame::{Frame, FrameDecoder, FrameError, PROTO_VERSION};
 pub use policy::AggregationConfig;
 pub use spsc::{lane_mesh, LaneEndpoint};

@@ -29,7 +29,9 @@
 //! `PROC` at one executed event per `MICROS` microseconds — a
 //! reproducible "slow machine" for balance experiments. The optional
 //! `:EVENTS` suffix makes the slowdown transient: it lapses after that
-//! many events, so elastic experiments can watch a skew subside.
+//! many events, so elastic experiments can watch a skew subside. The
+//! flag adds a `Slow` entry to the job's `fault.procs`; a job file that
+//! still uses the retired `handicaps` lists is refused.
 //!
 //! `--elastic` arms elastic membership (grow/shrink the worker set
 //! mid-run; implies recovery). `--min-workers`/`--max-workers` bound
@@ -71,9 +73,9 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use warp_exec::distributed::{resume_coordinator, run_coordinator};
-use warp_net::AggregationConfig;
+use warp_net::{AggregationConfig, FaultPlan};
 use warp_telemetry::TelemetryReport;
-use warped_online::cluster::{dist_config, resume_job, ClusterJob};
+use warped_online::cluster::{dist_config, parse_job, resume_job, ClusterJob};
 
 /// SAAW clamps behind `--agg-window`, in wall seconds.
 /// `AggregationConfig::saaw`'s ×100 upper clamp suits modeled time; on
@@ -141,8 +143,7 @@ fn run() -> Result<(), String> {
     let mut min_workers: Option<u32> = None;
     let mut max_workers: Option<u32> = None;
     let mut admit_file: Option<PathBuf> = None;
-    let mut handicaps: Vec<(u32, u64)> = Vec::new();
-    let mut handicap_events: Vec<(u32, u64)> = Vec::new();
+    let mut slow = FaultPlan::new();
     let mut store_dir: Option<String> = None;
     let mut max_frame_bytes: Option<u64> = None;
     let mut resume_chunk_bytes: Option<u64> = None;
@@ -258,16 +259,9 @@ fn run() -> Result<(), String> {
                 let spec = argv.next().unwrap_or_else(|| usage());
                 let (proc_id, rest) = spec.split_once(':').unwrap_or_else(|| usage());
                 let proc_id: u32 = proc_id.parse().ok().unwrap_or_else(|| usage());
-                let (gap, events) = match rest.split_once(':') {
-                    Some((gap, events)) => (gap, Some(events)),
-                    None => (rest, None),
-                };
-                let gap: u64 = gap.parse().ok().unwrap_or_else(|| usage());
-                handicaps.push((proc_id, gap));
-                if let Some(events) = events {
-                    let events: u64 = events.parse().ok().unwrap_or_else(|| usage());
-                    handicap_events.push((proc_id, events));
-                }
+                let (gap, events) = rest.split_once(':').unwrap_or((rest, "0"));
+                let parse = |n: &str| n.parse().ok().unwrap_or_else(|| usage());
+                slow = slow.slow(proc_id, parse(gap), parse(events));
                 job_flags.push("--slow");
             }
             "--help" | "-h" => usage(),
@@ -319,8 +313,7 @@ fn run() -> Result<(), String> {
             buf
         }
     };
-    let mut job: ClusterJob =
-        serde_json::from_str(&job_json).map_err(|e| format!("undecodable ClusterJob: {e}"))?;
+    let mut job = parse_job(&job_json)?;
     if telemetry_out.is_some() {
         job.telemetry = true;
     }
@@ -369,8 +362,10 @@ fn run() -> Result<(), String> {
         job.recovery.rejoin_grace_ms = ms;
         job.recovery.enabled = true;
     }
-    job.handicaps.extend(handicaps);
-    job.handicap_events.extend(handicap_events);
+    if !slow.procs.is_empty() {
+        let plan = job.fault.get_or_insert_with(FaultPlan::new);
+        plan.procs.extend(slow.procs);
+    }
 
     if supervise {
         let Some(dir) = job.recovery.store_dir.clone() else {

@@ -38,6 +38,7 @@ exit codes:
      or a peer was lost with recovery disabled
   4  rejoin grace expired — the worker parked after losing its
      coordinator, but no successor adopted it in time
+  9  a CrashWorker entry in the job's fault plan fired
 ";
 
 fn main() {

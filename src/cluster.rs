@@ -84,19 +84,9 @@ pub struct ClusterJob {
     /// mid-run (needs `recovery.enabled`).
     #[serde(default)]
     pub elastic: ElasticPolicy,
-    /// Artificial per-worker slowdowns, `(proc_id, gap_us)` pairs: that
-    /// worker executes at most one event per `gap_us` microseconds.
-    /// Benchmark/chaos knob for balance experiments.
-    #[serde(default)]
-    pub handicaps: Vec<(u32, u64)>,
-    /// Like `handicaps`, but transient: `(proc_id, events)` caps how
-    /// many events the slowdown applies to before the worker runs at
-    /// full speed again. `0` = unlimited. Lets scale-out experiments
-    /// inject a skew that later subsides, exercising scale-in too.
-    #[serde(default)]
-    pub handicap_events: Vec<(u32, u64)>,
-    /// Deterministic fault plan to inject into the mesh (`None` =
-    /// healthy links); mostly for chaos tests.
+    /// Deterministic fault plan (`None` = a healthy run): link faults
+    /// for the mesh, plus slowed workers (the skew balance and elastic
+    /// experiments need) and crashing workers or coordinator.
     #[serde(default)]
     pub fault: Option<FaultPlan>,
 }
@@ -114,8 +104,6 @@ impl ClusterJob {
             recovery: RecoveryPolicy::default(),
             balance: BalancePolicy::default(),
             elastic: ElasticPolicy::default(),
-            handicaps: Vec::new(),
-            handicap_events: Vec::new(),
             fault: None,
         }
     }
@@ -176,8 +164,6 @@ pub fn dist_config(
         recovery: job.recovery.clone(),
         balance: job.balance.clone(),
         elastic: job.elastic.clone(),
-        handicaps: job.handicaps.clone(),
-        handicap_events: job.handicap_events.clone(),
         fault: job.fault.clone(),
         admit_file: None,
     })
@@ -193,8 +179,25 @@ pub fn dist_config(
 /// continued.
 pub fn resume_job(store_dir: &std::path::Path) -> Result<ClusterJob, DistError> {
     let json = warp_exec::journal_job_json(store_dir)?;
-    serde_json::from_str(&json)
-        .map_err(|e| DistError::Protocol(format!("journaled job is undecodable: {e}")))
+    parse_job(&json).map_err(|e| DistError::InvalidConfig(format!("journaled job: {e}")))
+}
+
+/// Decode a job file (or a journaled job). The slow-worker lists that
+/// preceded `fault.procs` are refused, not ignored: a job that still
+/// carries one would otherwise run with no skew at all, and a balance
+/// or elastic experiment would pass or fail for the wrong reason.
+pub fn parse_job(json: &str) -> Result<ClusterJob, String> {
+    let value: serde_json::Value =
+        serde_json::from_str(json).map_err(|e| format!("undecodable ClusterJob: {e}"))?;
+    for key in ["handicaps", "handicap_events"] {
+        if value.get(key).is_some() {
+            return Err(format!(
+                "`{key}` is retired: slow a worker with a `Slow` entry in `fault.procs` \
+                 (or --slow PROC:MICROS[:EVENTS])"
+            ));
+        }
+    }
+    serde_json::from_value(value).map_err(|e| format!("undecodable ClusterJob: {e}"))
 }
 
 /// The coordinator side: run `job` across `n_workers` worker processes
@@ -246,6 +249,25 @@ mod tests {
         };
         let spec = spec_from_model_json(&serde_json::to_value(&job).unwrap()).unwrap();
         assert_eq!(spec.aggregation, saaw);
+    }
+
+    #[test]
+    fn job_files_carry_proc_faults_and_refuse_the_retired_slow_lists() {
+        let mut job = ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None);
+        job.fault = Some(FaultPlan::new().slow(1, 200, 0).crash_coordinator(2));
+        let json = serde_json::to_string(&job).unwrap();
+        let back = parse_job(&json).unwrap();
+        assert_eq!(back.fault, job.fault);
+
+        for retired in ["handicaps", "handicap_events"] {
+            let old = json.replacen('{', &format!(r#"{{"{retired}":[[1,200]],"#), 1);
+            let err = parse_job(&old).unwrap_err();
+            assert!(
+                err.contains(retired) && err.contains("fault.procs") && err.contains("--slow"),
+                "{err}"
+            );
+        }
+        assert!(parse_job("{").unwrap_err().contains("undecodable"));
     }
 
     #[test]

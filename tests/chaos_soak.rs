@@ -91,14 +91,13 @@ fn newcomer_crash_during_scale_out_falls_back_without_divergence() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The worst moment for a worker to die: a freshly admitted newcomer
     // crashes in its very first session, while it is the only process
-    // holding its block of LPs live. `WARP_JOIN_TEST_CRASH=3` makes the
-    // admitted proc 3 exit(9) right after seeding (no other test in
-    // this binary ever runs a proc 3, and respawned survivors never
-    // match the hook). The coordinator must evict the probationer, fall
-    // back to the pre-scale membership — the checkpoint chains are
-    // lossless under rekeying, so nothing is lost — record a "fallback"
-    // ScaleRecord, and still commit the sequential history.
-    std::env::set_var("WARP_JOIN_TEST_CRASH", "3");
+    // holding its block of LPs live. A `CrashWorker` entry for proc 3 —
+    // a proc only the scale-out creates — makes the admitted newcomer
+    // exit(9) right after joining the mesh, before it is seeded. The
+    // coordinator must evict the probationer, fall back to the pre-scale
+    // membership — the checkpoint chains are lossless under rekeying, so
+    // nothing is lost — record a "fallback" ScaleRecord, and still
+    // commit the sequential history.
     let job = ClusterJob {
         elastic: ElasticPolicy {
             enabled: true,
@@ -111,16 +110,15 @@ fn newcomer_crash_during_scale_out_falls_back_without_divergence() {
             max_scales: 1,
             spawn: true,
         },
-        handicaps: vec![(1, 800)],
+        fault: Some(FaultPlan::new().slow(1, 800, 0).crash_worker(3)),
         ..phold_job(220, 2, 0)
     };
-    let dist = run_distributed_job(&job, 2, worker_bin(), Duration::from_secs(120));
-    std::env::remove_var("WARP_JOIN_TEST_CRASH");
-    let dist = dist.expect("run with a crashing newcomer failed");
+    let dist = run_distributed_job(&job, 2, worker_bin(), Duration::from_secs(120))
+        .expect("run with a crashing newcomer failed");
 
     assert!(
         dist.scales.iter().any(|s| s.direction == "out"),
-        "the skew never triggered a scale-out; the crash hook was never exercised: {}",
+        "the skew never triggered a scale-out; the newcomer crash was never exercised: {}",
         dist.adaptation_summary()
     );
     let fb = dist

@@ -1,6 +1,6 @@
 //! On-line load balancing (LP migration) across worker processes.
 //!
-//! A worker handicapped with a per-event execution gap models the
+//! A worker slowed to a per-event execution gap models the
 //! paper's heterogeneous cluster: the balancer must notice the skewed
 //! LVT leads, wait out its hysteresis, and migrate LPs off the slow
 //! machine — all without perturbing the committed history (every run
@@ -11,6 +11,7 @@ use std::time::Duration;
 use warp_balance::BalancePolicy;
 use warp_exec::distributed::RecoveryPolicy;
 use warp_exec::run_sequential;
+use warp_net::FaultPlan;
 use warp_telemetry::Param;
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
 use warped_online::models::PholdConfig;
@@ -86,7 +87,7 @@ fn slowed_worker_triggers_migration_and_commits_the_sequential_history() {
             min_lps: 1,
             max_migrations: 3,
         },
-        handicaps: vec![(3, 400)],
+        fault: Some(FaultPlan::new().slow(3, 400, 0)),
         telemetry: true,
         ..phold_job()
     };
@@ -103,7 +104,7 @@ fn slowed_worker_triggers_migration_and_commits_the_sequential_history() {
     // "off worker 3" (e.g. a lead wobble blaming another worker for one
     // round), so asserting on each move is flaky. What must hold is the
     // *net* effect: replaying every recorded move over the seed
-    // assignment leaves the handicapped worker with strictly fewer LPs
+    // assignment leaves the slowed worker with strictly fewer LPs
     // than it started with.
     let seed = warp_balance::Assignment::contiguous(6, 3).unwrap();
     let initial = seed.lps_of(3).len();
@@ -121,7 +122,7 @@ fn slowed_worker_triggers_migration_and_commits_the_sequential_history() {
     let finl = owners.iter().filter(|&&w| w == 3).count();
     assert!(
         finl < initial,
-        "the handicapped worker did not shed load on net: \
+        "the slowed worker did not shed load on net: \
          {initial} LPs before, {finl} after ({})",
         dist.adaptation_summary()
     );
@@ -141,7 +142,7 @@ fn slowed_worker_triggers_migration_and_commits_the_sequential_history() {
 #[test]
 fn balanced_cluster_never_migrates_inside_the_dead_zone() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // No handicap and a wide dead zone: whatever lead jitter the run
+    // No slowdown and a wide dead zone: whatever lead jitter the run
     // produces must stay inside the hysteresis, so the assignment never
     // moves even though the balancer is armed.
     let job = ClusterJob {
@@ -170,7 +171,7 @@ fn balanced_cluster_never_migrates_inside_the_dead_zone() {
 fn migration_recovers_throughput_lost_to_a_slow_worker() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The paper's payoff metric: committed events per second with the
-    // balancer on vs. off, same handicapped cluster. The margin is kept
+    // balancer on vs. off, same slowed cluster. The margin is kept
     // modest (10%) because CI machines are noisy; the real effect (the
     // slow worker drops from 2 LPs to 1) is closer to 2x.
     let slow = |balance: bool| ClusterJob {
@@ -183,17 +184,17 @@ fn migration_recovers_throughput_lost_to_a_slow_worker() {
             min_lps: 1,
             max_migrations: 3,
         },
-        handicaps: vec![(3, 500)],
+        fault: Some(FaultPlan::new().slow(3, 500, 0)),
         ..phold_job()
     };
 
     let static_run = run_distributed_job(&slow(false), 3, worker_bin(), Duration::from_secs(120))
-        .expect("static (handicapped) run failed");
+        .expect("static (slowed) run failed");
     assert_matches_sequential(&slow(false), &static_run);
     assert!(static_run.migrations.is_empty());
 
     let balanced_run = run_distributed_job(&slow(true), 3, worker_bin(), Duration::from_secs(120))
-        .expect("balanced (handicapped) run failed");
+        .expect("balanced (slowed) run failed");
     assert_matches_sequential(&slow(true), &balanced_run);
     assert!(
         !balanced_run.migrations.is_empty(),

@@ -164,7 +164,7 @@ fn slowed_worker_under_aggregation_migrates_and_matches_sequential() {
             min_lps: 1,
             max_migrations: 3,
         },
-        handicaps: vec![(3, 400)],
+        fault: Some(FaultPlan::new().slow(3, 400, 0)),
         ..ClusterJob::new(ModelSpec::Phold(cfg), None)
     };
     let dist = run_job(&job, 3);

@@ -1,10 +1,10 @@
 //! Elastic cluster membership: growing and shrinking the worker set
 //! mid-run under the closed-loop autoscaler.
 //!
-//! A handicapped worker models the paper's overloaded machine: the
-//! elastic controller must watch the optimism-front pressure leave the
-//! dead zone, survive its patience rounds, and admit a fresh worker at
-//! a checkpoint barrier — then, once a *transient* handicap lapses and
+//! A slowed worker models the paper's overloaded machine: the elastic
+//! controller must watch the optimism-front pressure leave the dead
+//! zone, survive its patience rounds, and admit a fresh worker at a
+//! checkpoint barrier — then, once a *transient* slowdown lapses and
 //! the pressure collapses, drain the extra worker back out. Every run
 //! is digest-checked against the sequential golden model: membership
 //! changes must never perturb the committed history.
@@ -14,6 +14,7 @@ use std::time::Duration;
 use warp_elastic::ElasticPolicy;
 use warp_exec::distributed::{run_coordinator, RecoveryPolicy};
 use warp_exec::run_sequential;
+use warp_net::FaultPlan;
 use warp_telemetry::Param;
 use warped_online::cluster::{dist_config, run_distributed_job, ClusterJob, ModelSpec};
 use warped_online::models::PholdConfig;
@@ -96,7 +97,7 @@ fn skewed_cluster_scales_out_and_commits_the_sequential_history() {
     // byte-identical to the sequential run.
     let job = ClusterJob {
         elastic: elastic_policy(),
-        handicaps: vec![(1, 800)],
+        fault: Some(FaultPlan::new().slow(1, 800, 0)),
         telemetry: true,
         ..phold_job(220)
     };
@@ -147,7 +148,7 @@ fn skewed_cluster_scales_out_and_commits_the_sequential_history() {
 #[test]
 fn transient_skew_scales_out_then_back_in() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // The handicap lapses after 5_000 events (~2 wall seconds of skew —
+    // The slowdown lapses after 5_000 events (~2 wall seconds of skew —
     // worker 1's total share of this job is ~8k events, so the budget
     // *always* depletes, in every build profile). The budget counts
     // executed events, rolled-back ones included; after the scale-out
@@ -162,8 +163,7 @@ fn transient_skew_scales_out_then_back_in() {
     // match the sequential model.
     let job = ClusterJob {
         elastic: elastic_policy(),
-        handicaps: vec![(1, 400)],
-        handicap_events: vec![(1, 5_000)],
+        fault: Some(FaultPlan::new().slow(1, 400, 5_000)),
         telemetry: true,
         ..phold_job(1200)
     };
@@ -212,7 +212,7 @@ fn parked_join_worker_is_adopted_when_pressure_mounts() {
             spawn: false,
             ..elastic_policy()
         },
-        handicaps: vec![(1, 800)],
+        fault: Some(FaultPlan::new().slow(1, 800, 0)),
         ..phold_job(220)
     };
     let mut cfg =

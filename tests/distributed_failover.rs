@@ -1,7 +1,8 @@
 //! End-to-end coordinator fail-over: the coordinator is killed between
-//! two checkpoint barriers (`WARP_COORD_TEST_CRASH=barriers:N` — an
-//! `abort()`, indistinguishable from `kill -9`), its workers park
-//! instead of dying, and `warp-cluster --resume STORE_DIR` replays the
+//! two checkpoint barriers (a `CrashCoordinator` entry in the job's
+//! fault plan — an `abort()`, indistinguishable from `kill -9`), its
+//! workers park instead of dying, and `warp-cluster --resume STORE_DIR`
+//! (or `--supervise`, which runs that restart itself) replays the
 //! durable run journal, re-adopts the parked survivors through the
 //! `Reattach` handshake, and finishes the run with a committed history
 //! byte-identical to the sequential golden model.
@@ -16,6 +17,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use warp_exec::distributed::{NetTuning, RecoveryPolicy};
 use warp_exec::{run_sequential, RunReport};
+use warp_net::FaultPlan;
 use warped_online::cluster::{ClusterJob, ModelSpec};
 use warped_online::models::PholdConfig;
 
@@ -55,8 +57,18 @@ fn failover_job(store_dir: &Path, grace_ms: u64) -> ClusterJob {
             rejoin_grace_ms: grace_ms,
             ..RecoveryPolicy::default()
         },
-        handicaps: vec![(1, 200), (2, 200)],
+        fault: Some(FaultPlan::new().slow(1, 200, 0).slow(2, 200, 0)),
         ..ClusterJob::new(ModelSpec::Phold(cfg), None)
+    }
+}
+
+/// `job` whose coordinator aborts right after its `barriers`-th
+/// committed checkpoint barrier.
+fn crashing(job: &ClusterJob, barriers: u64) -> ClusterJob {
+    let fault = job.fault.clone().unwrap_or_default();
+    ClusterJob {
+        fault: Some(fault.crash_coordinator(barriers)),
+        ..job.clone()
     }
 }
 
@@ -74,18 +86,22 @@ fn unique_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Run the coordinator until the barrier-counted crash hook kills it;
-/// return the worker pids it announced. Worker stderr is inherited from
-/// the coordinator, so `stderr_log` keeps collecting the *workers'*
-/// park/reattach messages long after the coordinator is gone.
-fn crash_coordinator(job_path: &Path, stderr_log: &Path, barriers: u32) -> Vec<u32> {
+/// Run `job` under a coordinator that aborts after `barriers` committed
+/// barriers; return the worker pids it named. Worker stderr is inherited
+/// from the coordinator, so `stderr_log` keeps collecting the *workers'*
+/// park/reattach messages long after the coordinator is gone. The
+/// journaled job carries the crash entry too; a resumed coordinator
+/// starts with the journaled barrier count already at `barriers` and so
+/// never fires it again.
+fn crash_coordinator(job: &ClusterJob, dir: &Path, stderr_log: &Path, barriers: u64) -> Vec<u32> {
+    let job_path = dir.join("job.json");
+    let job = serde_json::to_string(&crashing(job, barriers)).unwrap();
+    std::fs::write(&job_path, job).unwrap();
     let log = std::fs::File::create(stderr_log).expect("create stderr log");
     let status = Command::new(env!("CARGO_BIN_EXE_warp-cluster"))
-        .arg(job_path)
+        .arg(&job_path)
         .args(["--workers", "2", "--timeout", "120"])
         .env("WARP_WORKER_BIN", worker_bin())
-        .env("WARP_COORD_TEST_CRASH", format!("barriers:{barriers}"))
-        .env("WARP_ANNOUNCE_WORKERS", "1")
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(log)
@@ -168,11 +184,9 @@ fn coordinator_killed_between_barriers_resumes_with_parked_survivors() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = unique_dir("survivors");
     let job = failover_job(&dir, 60_000);
-    let job_path = dir.join("job.json");
-    std::fs::write(&job_path, serde_json::to_string(&job).unwrap()).unwrap();
 
     let crash_log = dir.join("crash.stderr");
-    let pids = crash_coordinator(&job_path, &crash_log, 2);
+    let pids = crash_coordinator(&job, &dir, &crash_log, 2);
     for &pid in &pids {
         assert!(
             alive(pid),
@@ -240,10 +254,8 @@ fn fossil_on_failover_readopts_both_workers_with_zero_replay() {
         gvt_period: Some(0.005),
         ..failover_job(&dir, 60_000)
     };
-    let job_path = dir.join("job.json");
-    std::fs::write(&job_path, serde_json::to_string(&job).unwrap()).unwrap();
 
-    let pids = crash_coordinator(&job_path, &dir.join("crash.stderr"), 2);
+    let pids = crash_coordinator(&job, &dir, &dir.join("crash.stderr"), 2);
     std::thread::sleep(Duration::from_secs(4));
     let report = resume_coordinator(&dir, &dir.join("resume.stderr"));
 
@@ -273,10 +285,8 @@ fn resume_rebuilds_a_parked_worker_that_also_died() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = unique_dir("mixed");
     let job = failover_job(&dir, 60_000);
-    let job_path = dir.join("job.json");
-    std::fs::write(&job_path, serde_json::to_string(&job).unwrap()).unwrap();
 
-    let pids = crash_coordinator(&job_path, &dir.join("crash.stderr"), 2);
+    let pids = crash_coordinator(&job, &dir, &dir.join("crash.stderr"), 2);
     // The double fault: one parked worker is killed too, so the resumed
     // coordinator must mix re-adoption (survivor, rollback in place)
     // with a respawn (rebuilt slot, replayed history).
@@ -321,11 +331,9 @@ fn parked_workers_give_up_when_the_rejoin_grace_expires() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = unique_dir("expiry");
     let job = failover_job(&dir, 3_000);
-    let job_path = dir.join("job.json");
-    std::fs::write(&job_path, serde_json::to_string(&job).unwrap()).unwrap();
 
     let crash_log = dir.join("crash.stderr");
-    let pids = crash_coordinator(&job_path, &crash_log, 1);
+    let pids = crash_coordinator(&job, &dir, &crash_log, 1);
     // No resume ever comes: the grace (3 s) must expire and both parked
     // workers must exit on their own — exit code 4, observable here as
     // the expiry message on their inherited stderr just before exiting.
@@ -343,5 +351,51 @@ fn parked_workers_give_up_when_the_rejoin_grace_expires() {
         worker_log.contains("rejoin grace (3000 ms) expired"),
         "workers never reported grace expiry: {worker_log}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn supervised_coordinator_resumes_once_and_never_crashes_again() {
+    // `--supervise` runs the coordinator as a child and restarts it with
+    // `--resume` after an unclean exit. The restarted coordinator reads
+    // the job — crash entry included — from the journal; the barrier
+    // count it inherits is already at the trigger, so it finishes the
+    // run instead of dying again.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = unique_dir("supervise");
+    let job = failover_job(&dir, 60_000);
+    let job_path = dir.join("input.json");
+    let crashing_job = serde_json::to_string(&crashing(&job, 2)).unwrap();
+    std::fs::write(&job_path, crashing_job).unwrap();
+
+    let log_path = dir.join("supervise.stderr");
+    let log = std::fs::File::create(&log_path).expect("create stderr log");
+    let out = Command::new(env!("CARGO_BIN_EXE_warp-cluster"))
+        .arg(&job_path)
+        .args(["--supervise", "--workers", "2", "--timeout", "120"])
+        .env("WARP_WORKER_BIN", worker_bin())
+        .stdin(Stdio::null())
+        .stderr(log)
+        .output()
+        .expect("spawn warp-cluster --supervise");
+    let stderr = std::fs::read_to_string(&log_path).unwrap_or_default();
+    assert!(
+        out.status.success(),
+        "--supervise failed ({}): {stderr}",
+        out.status
+    );
+    assert_eq!(
+        stderr.matches("resuming from").count(),
+        1,
+        "expected exactly one restart: {stderr}"
+    );
+    let report: RunReport = serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim())
+        .expect("the supervised run printed an undecodable report");
+    assert_eq!(
+        report.resume.reattached, 2,
+        "both parked workers should have been re-adopted: {:?}",
+        report.resume
+    );
+    assert_matches_sequential(&job, &report);
     let _ = std::fs::remove_dir_all(&dir);
 }

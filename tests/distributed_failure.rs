@@ -1,11 +1,10 @@
 //! Failure behavior of the distributed executive: losing a worker
 //! mid-run must produce a prompt, descriptive error on the coordinator
-//! — never a hang. Kept in its own test binary because the crash hook
-//! is a process-global environment variable inherited by every worker
-//! this process spawns.
+//! — never a hang.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use warp_net::FaultPlan;
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
 use warped_online::exec::distributed::DistError;
 use warped_online::models::SmmpConfig;
@@ -18,14 +17,14 @@ fn worker_bin() -> PathBuf {
 
 #[test]
 fn killed_worker_is_a_clean_error_not_a_hang() {
-    // The hook makes every worker die abruptly (no Bye, no report)
-    // right after joining the mesh — what `kill -9` looks like to the
+    // Every worker dies abruptly (no Bye, no report) right after joining
+    // the mesh, in every session — what `kill -9` looks like to the
     // coordinator's failure detector.
-    std::env::set_var("WARP_WORKER_TEST_CRASH", "1");
     let started = Instant::now();
     let result = run_distributed_job(
         &ClusterJob {
             collect_traces: true,
+            fault: Some(FaultPlan::new().crash_worker(1).crash_worker(2)),
             ..ClusterJob::new(ModelSpec::Smmp(SmmpConfig::small(40, 3)), None)
         },
         2,

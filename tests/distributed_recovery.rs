@@ -4,8 +4,7 @@
 //! *exactly* the history the sequential golden model commits, with the
 //! recovery count recorded in the merged report.
 //!
-//! Kept separate from `distributed_digest.rs` (fault-free baseline) and
-//! `distributed_failure.rs` (its crash hook is a process-global env var).
+//! Kept separate from `distributed_digest.rs` (fault-free baseline).
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -136,15 +135,19 @@ fn crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_back() {
     // while the respawned worker 2 rebuilds its LPs from the chain —
     // and the committed history must still match the golden model.
     // Full speed, the 200th frame beats the first 5 ms GVT round and
-    // the chain is still empty when the crash lands; the handicap
+    // the chain is still empty when the crash lands; the slowdown
     // stretches the pre-crash window across many checkpoint commits.
     let job = ClusterJob {
         recovery: RecoveryPolicy {
             resume_chunk_bytes: 200,
             ..phold_job().recovery
         },
-        handicaps: vec![(1, 200), (2, 200)],
-        fault: Some(FaultPlan::new().crash(2, 1, 200, 0)),
+        fault: Some(
+            FaultPlan::new()
+                .crash(2, 1, 200, 0)
+                .slow(1, 200, 0)
+                .slow(2, 200, 0),
+        ),
         ..phold_job()
     };
     let report = run_with_faults(job);
@@ -196,8 +199,12 @@ fn fossil_on_crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_bac
             resume_chunk_bytes: 200,
             ..phold_job().recovery
         },
-        handicaps: vec![(1, 200), (2, 200)],
-        fault: Some(FaultPlan::new().crash(2, 1, 200, 0)),
+        fault: Some(
+            FaultPlan::new()
+                .crash(2, 1, 200, 0)
+                .slow(1, 200, 0)
+                .slow(2, 200, 0),
+        ),
         ..phold_job()
     });
     let report = run_with_faults(job);
@@ -224,8 +231,12 @@ fn fossil_on_link_partition_recovers_with_every_process_surviving() {
             liveness_ms: 1000,
             ..NetTuning::default()
         },
-        handicaps: vec![(1, 100), (2, 100)],
-        fault: Some(FaultPlan::new().partition(2, 1, 150, 0)),
+        fault: Some(
+            FaultPlan::new()
+                .partition(2, 1, 150, 0)
+                .slow(1, 100, 0)
+                .slow(2, 100, 0),
+        ),
         ..phold_job()
     });
     let report = run_with_faults(job);
@@ -302,46 +313,44 @@ fn workers_exit_on_their_own_when_the_coordinator_dies() {
     use std::process::Command;
     use std::time::Instant;
 
-    let job = ClusterJob {
-        net: NetTuning {
-            heartbeat_ms: 100,
-            liveness_ms: 1000,
-            ..NetTuning::default()
-        },
-        ..phold_job()
-    };
     let job_path =
         std::env::temp_dir().join(format!("warp-orphan-job-{}.json", std::process::id()));
-    let mut f = std::fs::File::create(&job_path).expect("create job file");
-    f.write_all(serde_json::to_string(&job).unwrap().as_bytes())
-        .expect("write job file");
-    drop(f);
-
-    let coordinator = |hook: &str| {
+    let coordinator = |fault: FaultPlan| {
+        let job = ClusterJob {
+            net: NetTuning {
+                heartbeat_ms: 100,
+                liveness_ms: 1000,
+                ..NetTuning::default()
+            },
+            fault: Some(fault),
+            ..phold_job()
+        };
+        let mut f = std::fs::File::create(&job_path).expect("create job file");
+        f.write_all(serde_json::to_string(&job).unwrap().as_bytes())
+            .expect("write job file");
+        drop(f);
         Command::new(env!("CARGO_BIN_EXE_warp-cluster"))
             .arg(&job_path)
             .arg("--workers")
             .arg("2")
             .env("WARP_WORKER_BIN", worker_bin())
-            .env("WARP_COORD_TEST_CRASH", hook)
-            .env("WARP_ANNOUNCE_WORKERS", "1")
             .stdin(std::process::Stdio::null())
             .output()
             .expect("spawn warp-cluster")
     };
-    // The hook's only form is `barriers:N`; anything else is a config
-    // error before a single worker exists.
-    let refused = coordinator("1");
+    // A plan naming a proc the run never holds is a config error before
+    // a single worker exists.
+    let refused = coordinator(FaultPlan::new().crash_worker(3));
     let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(!refused.status.success());
-    assert!(stderr.contains("barriers:N"), "{stderr}");
+    assert!(stderr.contains("proc 3, outside 1..=2"), "{stderr}");
     assert!(!stderr.contains("WORKER_PID"), "{stderr}");
 
-    // `barriers:1` makes the coordinator abort() right after its first
-    // checkpoint barrier — with `ckpt_min_interval_ms` 0, the first GVT
-    // progress report starts it — a kill -9 as far as the workers can
-    // tell.
-    let out = coordinator("barriers:1");
+    // `CrashCoordinator { barriers: 1 }` makes the coordinator abort()
+    // right after its first checkpoint barrier — with
+    // `ckpt_min_interval_ms` 0, the first GVT progress report starts it
+    // — a kill -9 as far as the workers can tell.
+    let out = coordinator(FaultPlan::new().crash_coordinator(1));
     let _ = std::fs::remove_file(&job_path);
     assert!(
         !out.status.success(),

@@ -8,7 +8,7 @@
 //! workload honors. Second, the reason SERVE exists: a diurnal burst
 //! wave with hot-tenant skew must make the balance controller migrate
 //! an LP and the elastic controller scale the cluster out and back in
-//! — from *modeled* load alone, with no `--slow` handicap anywhere —
+//! — from *modeled* load alone, with no slowed worker anywhere —
 //! while the committed trace still matches the sequential run exactly.
 
 use std::path::PathBuf;
@@ -134,7 +134,7 @@ fn serve_worker_crash_recovers_and_commits_the_sequential_history() {
 #[test]
 fn diurnal_wave_drives_migration_and_scaling_without_handicaps() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // The tentpole scenario: no handicaps anywhere. Before the wave the
+    // The tentpole scenario: no slowed worker anywhere. Before the wave the
     // load is near-uniform; at 150ms of virtual time a 4× burst with
     // hot-tenant skew concentrates traffic on the low-numbered
     // stations — which the contiguous assignment puts on worker 1. The
