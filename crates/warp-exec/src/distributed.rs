@@ -4,7 +4,7 @@
 //! plane) plus `n_workers` **worker** processes, each owning a set of
 //! the simulation's LPs (contiguous blocks at start; arbitrary after a
 //! migration — the explicit [`warp_balance::Assignment`] map travels in
-//! every [`WorkerInit`]/[`SessionLine`]). Every process joins a full
+//! every [`SessionLine`]). Every process joins a full
 //! TCP mesh ([`warp_net::tcp`]); inside a worker, each of its LPs runs
 //! the *same* `lp_thread` loop over the *same* SPSC lane mesh
 //! ([`warp_net::spsc`]) the threaded executive uses. A `WorkerPort`
@@ -30,11 +30,15 @@
 //!    binary with piped stdio.
 //! 2. Each worker binds its own ephemeral listener and prints a single
 //!    `LISTEN <addr>` line on stdout.
-//! 3. The coordinator sends each worker one line of JSON
-//!    ([`WorkerInit`]) on stdin: mesh coordinates, every peer's address,
-//!    and an *opaque* model description — `warp-exec` never learns how
-//!    to build models; the worker binary supplies a closure that turns
-//!    the model JSON into a [`SimulationSpec`].
+//! 3. The coordinator sends each worker two lines of JSON on stdin,
+//!    back to back: a [`WorkerInit`] with what is fixed for the
+//!    process's life (its proc id, the tuning, the policies, and an
+//!    *opaque* model description — `warp-exec` never learns how to
+//!    build models; the worker binary supplies a closure that turns the
+//!    model JSON into a [`SimulationSpec`]), then the first
+//!    [`SessionLine`]: the session epoch, every peer's address and the
+//!    LP→worker owner map. Every later session starts with a
+//!    [`SessionLine`] alone.
 //! 4. Everyone establishes the TCP mesh (workers dial lower ids, accept
 //!    higher ones) and the simulation runs.
 //! 5. Each worker serializes its per-LP summaries into a
@@ -83,9 +87,9 @@
 //! liveness timeout, or an unrecoverable sequence gap), every survivor
 //! aborts its LP threads, re-binds a fresh listener, re-announces
 //! `LISTEN` on stdout, and waits on stdin; the coordinator reaps dead
-//! workers, respawns them, distributes the new peer list (a new-session
-//! [`WorkerInit`] to respawned processes, a [`SessionLine`] to
-//! survivors), re-establishes the mesh under the bumped epoch, and
+//! workers, respawns them, distributes the new peer list (a
+//! [`SessionLine`] to everyone, after a [`WorkerInit`] to respawned
+//! processes), re-establishes the mesh under the bumped epoch, and
 //! **streams** every worker its delta chain as an ordered
 //! [`Frame::ResumeChunk`] sequence — chunked at
 //! [`RecoveryPolicy::resume_chunk_bytes`] and reassembled by the worker,
@@ -149,8 +153,15 @@
 //! for its patience window, the coordinator drives a **scale
 //! transition** through the identical barrier-checkpoint machinery a
 //! migration uses: one extra checkpoint so the chains cover everything
-//! committed, then the session ends on purpose under the internal
-//! `SessionEnd::Scale` reason (never charged to the recovery budget).
+//! committed, then the session ends on purpose (never charged to the
+//! recovery budget).
+//!
+//! Every session that ends short of the finish — a migration, a scale
+//! either way, a probation fallback, a crash recovery — ends in one
+//! regroup step: the membership change (the only part that differs by
+//! kind), the chains re-keyed to the next assignment, the segment files
+//! resized and rewritten, one record and its control events, and a
+//! bumped session.
 //!
 //! *Scale-out* admits a fresh worker into the successor session: the
 //! coordinator either spawns another copy of the worker binary
@@ -494,34 +505,24 @@ impl From<io::Error> for DistError {
     }
 }
 
-/// The first line of JSON a worker reads on stdin. Like [`SessionLine`],
-/// every field is required (`null` spells an absent option): the
-/// coordinator writes them all, and a peer of another build would be
-/// refused at the mesh `Hello` anyway.
+/// The first line of JSON a worker reads on stdin: what is fixed for the
+/// process's whole life. The [`SessionLine`] of its first session
+/// follows at once. Like that line, every field is required (`null`
+/// spells an absent option): the coordinator writes them all, and a peer
+/// of another build would be refused at the mesh `Hello` anyway.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorkerInit {
     /// This worker's mesh process id (1-based; 0 is the coordinator).
     pub proc_id: u32,
-    /// Total mesh size (workers + coordinator).
-    pub n_procs: u32,
-    /// Total LP count (drives the LP→process assignment).
+    /// Total LP count; every session's owner map must cover exactly
+    /// this many.
     pub n_lps: u32,
-    /// Session epoch to establish under (0 = fresh run; > 0 means this
-    /// process was spawned into a recovery and must await the resume
-    /// stream).
-    pub session: u32,
-    /// Every process's listen address, as `(proc_id, addr)` pairs.
-    pub peers: Vec<(u32, String)>,
     /// Opaque model description for the worker's spec builder.
     pub model: serde_json::Value,
     /// Transport tuning (identical on every process).
     pub net: NetTuning,
-    /// Mesh establishment budget, milliseconds.
-    pub connect_ms: u64,
     /// Whether the checkpoint/recovery protocol is armed.
     pub recovery: bool,
-    /// Explicit LP→worker owner map (`assignment[lp]` = owning proc id).
-    pub assignment: Vec<u32>,
     /// Whether the load balancer is armed (workers then stream one
     /// [`Frame::LoadReport`] per LP at each GVT round).
     pub balance: bool,
@@ -554,23 +555,42 @@ pub struct RejoinSpec {
     pub admit_file: Option<String>,
 }
 
-/// A later line of JSON a *surviving* worker reads on stdin when the
-/// coordinator starts a recovery: the new session epoch and the new
-/// peer list (respawned workers live at fresh addresses).
+/// The line of JSON that starts every worker session, the first
+/// included: the session epoch, who is in the mesh and where, and who
+/// owns which LP.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SessionLine {
-    /// The bumped session epoch.
+    /// Session epoch to establish under (0 = the fresh start; any later
+    /// session awaits the coordinator's resume stream).
     pub session: u32,
-    /// Every process's listen address for the new session.
+    /// Every process's listen address, as `(proc_id, addr)` pairs.
     pub peers: Vec<(u32, String)>,
     /// Mesh establishment budget, milliseconds.
     pub connect_ms: u64,
-    /// The LP→worker owner map for the new session: the migrated
-    /// placement after a [`Frame::Rebalance`].
+    /// The LP→worker owner map (`assignment[lp]` = owning proc id): the
+    /// migrated placement after a [`Frame::Rebalance`].
     pub assignment: Vec<u32>,
-    /// Total mesh size for the new session: the grown or shrunk cluster
-    /// shape after an elastic scale.
+    /// Total mesh size (workers + coordinator): the grown or shrunk
+    /// cluster shape after an elastic scale.
     pub n_procs: u32,
+}
+
+impl SessionLine {
+    /// The session's owner map, refused unless it covers exactly `n_lps`
+    /// LPs over this session's workers.
+    fn owners(&self, n_lps: u32) -> Result<Assignment, String> {
+        let assign =
+            Assignment::from_owners(self.assignment.clone(), self.n_procs.saturating_sub(1))
+                .map_err(|e| format!("session {} assignment: {e}", self.session))?;
+        if assign.n_lps() != n_lps {
+            return Err(format!(
+                "session {} assignment covers {} LPs but the model has {n_lps}",
+                self.session,
+                assign.n_lps()
+            ));
+        }
+        Ok(assign)
+    }
 }
 
 /// A worker's end-of-run payload (travels as `Frame::Report` bytes).
@@ -624,12 +644,11 @@ enum Ctl {
 /// `LISTEN` line from survivors, long after bootstrap.
 struct WorkerProc {
     ctl: Ctl,
-    lines: Receiver<Result<String, String>>,
-    /// Next control line must be a full [`WorkerInit`] (fresh spawn or
-    /// admission) vs. a [`SessionLine`] (survivor of a previous session).
+    lines: Receiver<String>,
+    /// Not yet sent its [`WorkerInit`] (a fresh spawn or admission): the
+    /// next session's [`SessionLine`] goes right behind one.
     fresh: bool,
-    /// A `LISTEN` address consumed early (while sorting survivors from
-    /// corpses) and not yet used for a session.
+    /// The `LISTEN` address [`await_listen`] collected for the next session.
     pending_listen: Option<String>,
     /// Set when this process dialed in with [`Frame::Reattach`] rather
     /// than [`Frame::Join`]: `(session, worker_id, retained_horizon)` of
@@ -637,32 +656,17 @@ struct WorkerProc {
     reattach: Option<(u32, u32, VirtualTime)>,
 }
 
-/// Feed lines from any byte stream into a channel; the channel closing
-/// means EOF (the worker is gone).
-fn spawn_line_reader<R: Read + Send + 'static>(src: R) -> Receiver<Result<String, String>> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut reader = BufReader::new(src);
-        loop {
-            let mut line = String::new();
-            match reader.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) => {
-                    if tx.send(Ok(line.trim().to_string())).is_err() {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(Err(format!("control read failed: {e}")));
-                    break;
-                }
-            }
-        }
-    });
-    rx
-}
-
 impl WorkerProc {
+    fn new(ctl: Ctl, lines: impl Read + Send + 'static) -> WorkerProc {
+        WorkerProc {
+            lines: spawn_line_reader(lines),
+            ctl,
+            fresh: true,
+            pending_listen: None,
+            reattach: None,
+        }
+    }
+
     /// Spawn the worker binary for slot `proc_id`; its OS pid is named on
     /// stderr as `WORKER_PID <proc_id> <pid>`.
     fn spawn(bin: &PathBuf, proc_id: u32) -> io::Result<WorkerProc> {
@@ -673,26 +677,14 @@ impl WorkerProc {
             .spawn()?;
         eprintln!("WORKER_PID {proc_id} {}", child.id());
         let stdout = child.stdout.take().expect("worker stdout piped");
-        Ok(WorkerProc {
-            lines: spawn_line_reader(stdout),
-            ctl: Ctl::Child(child),
-            fresh: true,
-            pending_listen: None,
-            reattach: None,
-        })
+        Ok(WorkerProc::new(Ctl::Child(child), stdout))
     }
 
     /// Adopt a worker that dialed the admission listener (its
     /// [`Frame::Join`] handshake already consumed by the acceptor).
     fn from_stream(stream: TcpStream) -> io::Result<WorkerProc> {
         let read_half = stream.try_clone()?;
-        Ok(WorkerProc {
-            lines: spawn_line_reader(read_half),
-            ctl: Ctl::Remote(stream),
-            fresh: true,
-            pending_listen: None,
-            reattach: None,
-        })
+        Ok(WorkerProc::new(Ctl::Remote(stream), read_half))
     }
 
     fn is_remote(&self) -> bool {
@@ -741,33 +733,6 @@ impl WorkerProc {
         }
     }
 
-    /// Wait for the worker's `LISTEN <addr>` announcement.
-    fn expect_listen(&mut self, proc_id: u32, deadline: Instant) -> Result<String, DistError> {
-        if let Some(addr) = self.pending_listen.take() {
-            return Ok(addr);
-        }
-        match self
-            .lines
-            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-        {
-            Ok(Ok(line)) => line
-                .strip_prefix("LISTEN ")
-                .map(|a| a.trim().to_string())
-                .ok_or_else(|| DistError::Worker {
-                    proc_id,
-                    detail: format!("expected a LISTEN line on stdout, got {line:?}"),
-                }),
-            Ok(Err(detail)) => Err(DistError::Worker { proc_id, detail }),
-            Err(RecvTimeoutError::Disconnected) => Err(DistError::Worker {
-                proc_id,
-                detail: "exited before announcing its listen address".into(),
-            }),
-            Err(RecvTimeoutError::Timeout) => Err(DistError::Timeout(format!(
-                "worker (proc {proc_id}) never announced its listen address"
-            ))),
-        }
-    }
-
     fn send_line(&mut self, proc_id: u32, line: &str) -> Result<(), DistError> {
         let sink: &mut dyn Write = match &mut self.ctl {
             Ctl::Child(c) => c.stdin.as_mut().expect("worker stdin piped"),
@@ -793,51 +758,44 @@ struct Admission {
 }
 
 impl Admission {
-    /// Bind the listener, start the acceptor thread, and publish the
-    /// address to `admit_file` when asked.
-    fn start(admit_file: Option<&Path>) -> Result<Arc<Admission>, DistError> {
-        let listener = bind_loopback()?;
-        Admission::run(listener, admit_file)
-    }
-
-    /// Resume variant: re-bind the *journaled* admission address, so
-    /// parked workers holding the old [`RejoinSpec`] find the restarted
-    /// coordinator without any rendezvous file. The old socket may
-    /// linger in TIME_WAIT briefly, so the bind is retried within
-    /// `budget`. Falls back to an ephemeral port when the address never
-    /// frees up — callers publish the fallback via the admit file, the
-    /// parked workers' second line of discovery.
-    fn resume(
-        addr: &str,
-        budget: Duration,
-        admit_file: Option<&Path>,
-    ) -> Result<Arc<Admission>, DistError> {
-        let until = Instant::now() + budget;
-        let listener = loop {
-            match std::net::TcpListener::bind(addr) {
-                Ok(l) => break l,
-                Err(_) if Instant::now() < until => {
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                Err(e) => {
-                    eprintln!(
-                        "coordinator: could not re-bind admission point {addr} ({e}); \
-                         falling back to an ephemeral port"
-                    );
-                    break bind_loopback()?;
+    /// Open the run's admission point, start its acceptor thread, and
+    /// publish the address to `cfg.admit_file` when asked. A resumed run
+    /// re-binds the journaled address, so parked workers holding the old
+    /// [`RejoinSpec`] find the restarted coordinator without any
+    /// rendezvous file; the old socket may linger in TIME_WAIT briefly,
+    /// so the bind is retried for a few seconds, then falls back to an
+    /// ephemeral port — the admit file, the parked workers' second line
+    /// of discovery, publishes it. Otherwise a point opens when the run
+    /// admits `--join` workers or parks them. It outlives every session:
+    /// a `--join` worker may dial in long before pressure warrants
+    /// adopting it.
+    fn open(cfg: &DistConfig, journaled_addr: &str) -> Result<Option<Arc<Admission>>, DistError> {
+        let listener = if !journaled_addr.is_empty() {
+            let until = Instant::now() + Duration::from_secs(5);
+            loop {
+                match std::net::TcpListener::bind(journaled_addr) {
+                    Ok(l) => break l,
+                    Err(_) if Instant::now() < until => {
+                        std::thread::sleep(Duration::from_millis(100));
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "coordinator: could not re-bind admission point {journaled_addr} \
+                             ({e}); falling back to an ephemeral port"
+                        );
+                        break bind_loopback()?;
+                    }
                 }
             }
+        } else if cfg.elastic.enabled || cfg.recovery.rejoin_grace_ms > 0 {
+            bind_loopback()?
+        } else {
+            return Ok(None);
         };
-        Admission::run(listener, admit_file)
-    }
-
-    fn run(
-        listener: std::net::TcpListener,
-        admit_file: Option<&Path>,
-    ) -> Result<Arc<Admission>, DistError> {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?.to_string();
-        if let Some(path) = admit_file {
+        eprintln!("coordinator: admission point at {addr}");
+        if let Some(path) = &cfg.admit_file {
             std::fs::write(path, format!("{addr}\n"))?;
         }
         let admission = Arc::new(Admission {
@@ -860,7 +818,7 @@ impl Admission {
                 Err(_) => return,
             }
         });
-        Ok(admission)
+        Ok(Some(admission))
     }
 
     fn joiners_waiting(&self) -> bool {
@@ -936,21 +894,38 @@ fn admit(mut stream: TcpStream) -> Option<WorkerProc> {
 enum SessionEnd {
     /// Every worker reported and said goodbye.
     Finished(Vec<WorkerReport>),
-    /// A worker was lost uncleanly; the session is unrecoverable but the
-    /// run may not be.
+    /// The session ended short of the finish; the cluster regroups
+    /// ([`CoordState::regroup`]) and runs another.
+    Regroup(Regroup),
+}
+
+/// Why a session ended short of the finish. Every cause takes the same
+/// regroup step; they differ only in the membership change.
+enum Regroup {
+    /// The load balancer moves LPs between the current workers.
+    Migrate(warp_balance::Rebalance),
+    /// The elastic controller adds a worker or retires one (the highest
+    /// numbered, which has already answered [`Frame::DrainAck`]).
+    Scale(ScalePlan),
+    /// A worker was lost uncleanly. The newcomer of the last scale-out,
+    /// still on probation, is evicted (a fallback); anyone else is
+    /// recovered (a crash recovery).
     Lost { peer: u32, detail: String },
-    /// The load balancer ended the session on purpose: the cluster
-    /// regroups under `next` with the chains re-keyed to the new owners.
-    Rebalance {
-        next: Assignment,
-        moves: Vec<warp_balance::Move>,
-        imbalance: f64,
-    },
-    /// The elastic controller ended the session on purpose: the cluster
-    /// regroups with one worker more (`ScaleDirection::Out`) or fewer
-    /// (`ScaleDirection::In`) under the plan's grown/shrunk assignment.
-    /// On scale-in the retiree has already answered [`Frame::DrainAck`].
-    Scale { plan: ScalePlan },
+}
+
+/// What a regroup does to the worker processes: the one part of the
+/// step that needs them, carried out by the session loop.
+#[derive(Debug, PartialEq)]
+enum Membership {
+    /// The same workers (migration, crash recovery: dead ones are
+    /// respawned by [`await_listen`]).
+    Keep,
+    /// Adopt a parked `--join` worker, or spawn one, as this proc id.
+    Admit(u32),
+    /// The drained retiree with this proc id exits cleanly.
+    Retire(u32),
+    /// The newcomer on probation (the last worker) is killed.
+    Evict,
 }
 
 /// Checkpoint chains and horizon: everything the coordinator must keep
@@ -989,25 +964,18 @@ impl CkptStore {
         Ok(())
     }
 
-    /// Mirror the in-memory chains to the segment files wholesale —
-    /// after migration re-keying has moved LPs between chains.
-    fn rewrite_segments(&mut self) -> Result<(), SnapshotError> {
+    /// Mirror the in-memory chains to the segment files wholesale: grow
+    /// or shrink the roster to the chains' worker count (fresh files
+    /// appear, retired files are deleted), then rewrite every file — after
+    /// re-keying has moved LPs between chains, or a resume truncated them.
+    fn resize_segments(&mut self) -> Result<(), SnapshotError> {
         if let Some(seg) = self.segments.as_mut() {
+            seg.resize(self.chains.len() as u32)?;
             for (w, chain) in self.chains.iter().enumerate() {
                 seg.rewrite(w as u32 + 1, chain)?;
             }
         }
         Ok(())
-    }
-
-    /// After an elastic scale: grow or shrink the durable store's
-    /// segment roster to the new worker count (fresh files appear,
-    /// retired files are deleted), then mirror the re-keyed chains.
-    fn resize_segments(&mut self, n_workers: u32) -> Result<(), SnapshotError> {
-        if let Some(seg) = self.segments.as_mut() {
-            seg.resize(n_workers)?;
-        }
-        self.rewrite_segments()
     }
 }
 
@@ -1152,20 +1120,239 @@ impl CoordState {
             .append_state(&payload)
             .map_err(|e| DistError::Io(io::Error::other(format!("run journal append: {e}"))))
     }
+
+    /// Merge a batch of streamed telemetry or control events into the
+    /// run's trajectory.
+    fn merge_telemetry(&mut self, batch: TelemetryReport) {
+        match &mut self.telemetry {
+            Some(t) => t.merge(batch),
+            None => self.telemetry = Some(batch),
+        }
+    }
+
+    /// Whether `proc_id` is the newcomer of the last scale-out, still on
+    /// probation.
+    fn on_probation(&self, proc_id: u32) -> bool {
+        self.probation
+            .as_ref()
+            .is_some_and(|(p, _, _)| *p == proc_id)
+    }
+
+    /// The regroup step of every session that ends short of the finish,
+    /// in one order for every kind:
+    ///
+    /// 1. the membership change, the only part that differs by kind: none
+    ///    for a migration, a newcomer on probation for a scale-out, the
+    ///    retiree's exit for a scale-in, the newcomer's eviction and one
+    ///    recovery for a fallback, one recovery for a crash;
+    /// 2. the chains re-keyed to the next assignment (skipped when it is
+    ///    unchanged);
+    /// 3. the segment files resized and rewritten to match;
+    /// 4. one record and its control events;
+    /// 5. the session bumped.
+    ///
+    /// Touches no process and no socket: the returned [`Membership`] is
+    /// what the session loop carries out on the workers. A crash past the
+    /// recovery budget (or with recovery off) ends the run instead.
+    fn regroup(
+        &mut self,
+        cause: Regroup,
+        recovery: &RecoveryPolicy,
+    ) -> Result<Membership, DistError> {
+        let gvt = (self.store.horizon > VirtualTime::ZERO).then(|| self.store.horizon.ticks());
+        let event = |param, old, new, sampled_o| ControlEvent {
+            gvt,
+            lp: 0,
+            object: 0,
+            lvt: None,
+            param,
+            old,
+            new,
+            sampled_o,
+        };
+        // Only a scale-out puts a newcomer on probation; only another
+        // worker's loss leaves one there.
+        let probation = self.probation.take();
+        let (membership, next, events) = match cause {
+            Regroup::Migrate(plan) => {
+                let events = plan
+                    .moves
+                    .iter()
+                    .map(|m| ControlEvent {
+                        lp: m.lp,
+                        object: m.lp,
+                        ..event(
+                            Param::Assignment,
+                            m.from as f64,
+                            m.to as f64,
+                            plan.imbalance,
+                        )
+                    })
+                    .collect();
+                self.migrations.push(MigrationRecord {
+                    gvt,
+                    imbalance: plan.imbalance,
+                    moves: record_moves(&plan.moves),
+                });
+                (Membership::Keep, Some(plan.assignment), events)
+            }
+            Regroup::Scale(plan) => {
+                let (membership, direction) = match plan.direction {
+                    ScaleDirection::Out => {
+                        self.probation =
+                            Some((plan.to_workers, self.assign.clone(), plan.pressure));
+                        (Membership::Admit(plan.to_workers), "out")
+                    }
+                    ScaleDirection::In => (Membership::Retire(plan.from_workers), "in"),
+                };
+                self.scales.push(ScaleRecord {
+                    gvt,
+                    direction: direction.into(),
+                    from_workers: plan.from_workers,
+                    to_workers: plan.to_workers,
+                    pressure: plan.pressure,
+                    moves: record_moves(&plan.moves),
+                });
+                let events = vec![event(
+                    Param::ClusterSize,
+                    plan.from_workers as f64,
+                    plan.to_workers as f64,
+                    plan.pressure,
+                )];
+                (membership, Some(plan.assignment), events)
+            }
+            Regroup::Lost { peer, detail } => match probation {
+                // A newcomer that dies on probation is evicted, not
+                // recovered: fall back to the pre-scale membership (the
+                // chains re-key back losslessly) so one bad admission
+                // cannot wedge the cluster.
+                Some((newbie, pre_assign, _)) if newbie == peer => {
+                    eprintln!(
+                        "warp-coordinator: evicting probation worker {newbie} ({detail}); \
+                         falling back to {} workers",
+                        pre_assign.n_workers()
+                    );
+                    self.recoveries += 1;
+                    self.scales.push(ScaleRecord {
+                        gvt,
+                        direction: "fallback".into(),
+                        from_workers: newbie,
+                        to_workers: pre_assign.n_workers(),
+                        pressure: -1.0,
+                        moves: Vec::new(),
+                    });
+                    let events = vec![event(
+                        Param::ClusterSize,
+                        newbie as f64,
+                        pre_assign.n_workers() as f64,
+                        -1.0,
+                    )];
+                    (Membership::Evict, Some(pre_assign), events)
+                }
+                probation => {
+                    if !recovery.enabled || self.recoveries >= recovery.max_recoveries as u64 {
+                        return Err(DistError::Worker {
+                            proc_id: peer,
+                            detail: if recovery.enabled {
+                                format!(
+                                    "{detail} (recovery budget of {} exhausted)",
+                                    self.recoveries
+                                )
+                            } else {
+                                detail
+                            },
+                        });
+                    }
+                    self.probation = probation;
+                    self.recoveries += 1;
+                    (Membership::Keep, None, Vec::new())
+                }
+            },
+        };
+        if let Some(next) = next {
+            self.store.chains =
+                rekey_chains(&self.store.chains, next.n_workers(), |lp| next.proc_of(lp)).map_err(
+                    |e| DistError::Protocol(format!("re-keying checkpoint chains: {e}")),
+                )?;
+            // The durable store must mirror the re-keyed ownership, or
+            // its segments would replay LPs to the wrong workers.
+            self.store.resize_segments().map_err(|e| {
+                DistError::Io(io::Error::other(format!("checkpoint store rewrite: {e}")))
+            })?;
+            self.assign = next;
+        }
+        if !events.is_empty() {
+            self.merge_telemetry(TelemetryReport {
+                events,
+                ..TelemetryReport::default()
+            });
+        }
+        self.session += 1;
+        Ok(membership)
+    }
 }
 
-/// Refuse a fault plan that names a proc the run can never hold, before
-/// any worker exists. The ceiling is the elastic maximum when scaling is
-/// on (a fault may name a proc only a scale-out creates), else
-/// `n_workers`.
-fn validate_fault(cfg: &DistConfig, n_workers: u32) -> Result<(), DistError> {
+fn record_moves(moves: &[warp_balance::Move]) -> Vec<MigrationMove> {
+    moves
+        .iter()
+        .map(|m| MigrationMove {
+            lp: m.lp,
+            from: m.from,
+            to: m.to,
+        })
+        .collect()
+}
+
+/// Refuse a configuration that cannot be staged, before any worker
+/// exists. A fresh run checks it against its starting worker count, a
+/// resume against the journaled one.
+fn validate_config(cfg: &DistConfig, n_workers: u32) -> Result<(), DistError> {
+    let invalid = |m: &str| Err(DistError::InvalidConfig(m.into()));
+    cfg.net.validate().map_err(DistError::InvalidConfig)?;
+    cfg.balance.validate().map_err(DistError::InvalidConfig)?;
+    cfg.elastic.validate().map_err(DistError::InvalidConfig)?;
+    if cfg.balance.enabled && !cfg.recovery.enabled {
+        return invalid(
+            "load balancing requires recovery: migration rides the checkpoint/resume machinery",
+        );
+    }
+    if cfg.elastic.enabled && !cfg.recovery.enabled {
+        return invalid(
+            "elastic membership requires recovery: scaling rides the checkpoint/resume machinery",
+        );
+    }
+    if cfg.elastic.enabled
+        && (n_workers < cfg.elastic.min_workers || n_workers > cfg.elastic.max_workers)
+    {
+        return Err(DistError::InvalidConfig(format!(
+            "initial worker count {n_workers} outside the elastic bounds {}..={}",
+            cfg.elastic.min_workers, cfg.elastic.max_workers
+        )));
+    }
+    // A fault may name a proc only a scale-out creates, up to the
+    // elastic maximum.
     let max_procs = if cfg.elastic.enabled {
         cfg.elastic.max_workers.max(n_workers)
     } else {
         n_workers
     };
-    let valid = cfg.fault.as_ref().map_or(Ok(()), |f| f.validate(max_procs));
-    valid.map_err(DistError::InvalidConfig)
+    if let Some(fault) = &cfg.fault {
+        fault
+            .validate(max_procs)
+            .map_err(DistError::InvalidConfig)?;
+    }
+    if cfg.recovery.store_dir.is_some() && !cfg.recovery.enabled {
+        return invalid(
+            "recovery.store_dir set but recovery is disabled: the store would never see a checkpoint",
+        );
+    }
+    if cfg.recovery.rejoin_grace_ms > 0 && cfg.recovery.store_dir.is_none() {
+        return invalid(
+            "recovery.rejoin_grace_ms set without store_dir: a resumed coordinator \
+             needs the run journal to reconcile parked workers",
+        );
+    }
+    Ok(())
 }
 
 /// Stage and run a distributed simulation, returning the merged report.
@@ -1177,46 +1364,9 @@ fn validate_fault(cfg: &DistConfig, n_workers: u32) -> Result<(), DistError> {
 /// bounds the whole run, recoveries included.
 pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
     let start = Instant::now();
-    let deadline = start + cfg.timeout;
     let assign =
         Assignment::contiguous(cfg.n_lps, cfg.n_workers).map_err(DistError::InvalidConfig)?;
-    cfg.net.validate().map_err(DistError::InvalidConfig)?;
-    cfg.balance.validate().map_err(DistError::InvalidConfig)?;
-    cfg.elastic.validate().map_err(DistError::InvalidConfig)?;
-    if cfg.balance.enabled && !cfg.recovery.enabled {
-        return Err(DistError::InvalidConfig(
-            "load balancing requires recovery: migration rides the checkpoint/resume machinery"
-                .into(),
-        ));
-    }
-    if cfg.elastic.enabled && !cfg.recovery.enabled {
-        return Err(DistError::InvalidConfig(
-            "elastic membership requires recovery: scaling rides the checkpoint/resume machinery"
-                .into(),
-        ));
-    }
-    if cfg.elastic.enabled
-        && (cfg.n_workers < cfg.elastic.min_workers || cfg.n_workers > cfg.elastic.max_workers)
-    {
-        return Err(DistError::InvalidConfig(format!(
-            "initial worker count {} outside the elastic bounds {}..={}",
-            cfg.n_workers, cfg.elastic.min_workers, cfg.elastic.max_workers
-        )));
-    }
-    validate_fault(cfg, cfg.n_workers)?;
-    if cfg.recovery.store_dir.is_some() && !cfg.recovery.enabled {
-        return Err(DistError::InvalidConfig(
-            "recovery.store_dir set but recovery is disabled: the store would never see a checkpoint"
-                .into(),
-        ));
-    }
-    if cfg.recovery.rejoin_grace_ms > 0 && cfg.recovery.store_dir.is_none() {
-        return Err(DistError::InvalidConfig(
-            "recovery.rejoin_grace_ms set without store_dir: a resumed coordinator \
-             needs the run journal to reconcile parked workers"
-                .into(),
-        ));
-    }
+    validate_config(cfg, cfg.n_workers)?;
     // Open the durable store (and its run journal) before any worker
     // exists, so a bad directory fails the run without orphaning
     // processes.
@@ -1230,29 +1380,7 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
         }
         None => (None, None),
     };
-    // The admission point outlives every session: a `--join` worker may
-    // dial in long before pressure warrants adopting it, and a parked
-    // worker dials it with `Reattach` after a coordinator restart.
-    let admission = if cfg.elastic.enabled || cfg.recovery.rejoin_grace_ms > 0 {
-        let a = Admission::start(cfg.admit_file.as_deref())?;
-        eprintln!("coordinator: admission point at {}", a.addr);
-        Some(a)
-    } else {
-        None
-    };
-
-    let mut workers: Vec<WorkerProc> = Vec::new();
-    for i in 0..cfg.n_workers {
-        match WorkerProc::spawn(&cfg.worker_bin, i + 1) {
-            Ok(w) => workers.push(w),
-            Err(e) => {
-                kill_all(&mut workers);
-                return Err(DistError::Io(e));
-            }
-        }
-    }
-
-    let mut st = CoordState {
+    let st = CoordState {
         assign,
         store: CkptStore {
             chains: (0..cfg.n_workers).map(|_| Vec::new()).collect(),
@@ -1274,335 +1402,149 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
         journal,
         barriers: 0,
     };
-    run_cluster(cfg, workers, admission, deadline, start, &mut st)
+    let admission = Admission::open(cfg, "")?;
+    let spawn_all = (0..cfg.n_workers).map(|_| None).collect();
+    run_cluster(cfg, start, st, admission, spawn_all)
 }
 
-/// The coordinator's session loop, shared by a fresh [`run_coordinator`]
-/// and a journal-driven [`resume_coordinator`]: run sessions until every
-/// worker reports, absorbing planned reconfigurations (rebalance, scale)
-/// and unplanned losses (recovery) along the way. Appends a journal
-/// record before each session so the durable control plane always
-/// matches the segment files the session is about to extend.
+/// The coordinator's run, shared by a fresh [`run_coordinator`] and a
+/// journal-driven [`resume_coordinator`]: `adopted` holds the workers
+/// already in hand, by slot; every other slot is spawned. Whatever ends
+/// the run in an error, every worker is killed here.
 fn run_cluster(
     cfg: &DistConfig,
-    mut workers: Vec<WorkerProc>,
-    admission: Option<Arc<Admission>>,
-    deadline: Instant,
     start: Instant,
-    st: &mut CoordState,
+    mut st: CoordState,
+    admission: Option<Arc<Admission>>,
+    adopted: Vec<Option<WorkerProc>>,
 ) -> Result<RunReport, DistError> {
-    let admit_addr = admission
-        .as_ref()
-        .map(|a| a.addr.clone())
-        .unwrap_or_default();
-    loop {
-        if let Err(e) = st.journal_append(&admit_addr) {
+    let mut workers = Vec::new();
+    let deadline = start + cfg.timeout;
+    let run = run_sessions(
+        cfg,
+        deadline,
+        admission.as_deref(),
+        &mut st,
+        adopted,
+        &mut workers,
+    );
+    let reports = match run {
+        Ok(reports) => reports,
+        Err(e) => {
             kill_all(&mut workers);
             return Err(e);
         }
-        let attempt =
-            run_session_as_coordinator(cfg, &mut workers, deadline, admission.as_deref(), st);
-        match attempt {
-            Ok(SessionEnd::Finished(reports)) => {
-                for (i, w) in workers.iter_mut().enumerate() {
-                    if let Err(e) = w.wait_success(i as u32 + 1, deadline) {
-                        kill_all(&mut workers);
-                        return Err(e);
-                    }
+    };
+    Ok(merge_reports(reports, start.elapsed().as_secs_f64(), st))
+}
+
+/// Run sessions until one finishes. Before each, [`await_listen`] collects
+/// every worker's `LISTEN` and a journal record captures the state the
+/// session starts from, so the durable control plane always matches the
+/// segment files the session is about to extend. A session that ends
+/// short of the finish takes the regroup step ([`CoordState::regroup`]),
+/// and its membership change is carried out here.
+fn run_sessions(
+    cfg: &DistConfig,
+    deadline: Instant,
+    admission: Option<&Admission>,
+    st: &mut CoordState,
+    adopted: Vec<Option<WorkerProc>>,
+    workers: &mut Vec<WorkerProc>,
+) -> Result<Vec<WorkerReport>, DistError> {
+    for (i, slot) in adopted.into_iter().enumerate() {
+        workers.push(match slot {
+            Some(w) => w,
+            None => WorkerProc::spawn(&cfg.worker_bin, i as u32 + 1)?,
+        });
+    }
+    let admit_addr = admission.map(|a| a.addr.clone()).unwrap_or_default();
+    loop {
+        let cause = match await_listen(cfg, workers, deadline) {
+            // The newcomer on probation never announced itself (a
+            // `--join` worker that closed its socket, say). No session
+            // line has gone out yet, so the survivors still wait for
+            // theirs: evicting it costs them nothing.
+            Err(DistError::Worker { proc_id, detail }) if st.on_probation(proc_id) => {
+                Regroup::Lost {
+                    peer: proc_id,
+                    detail,
                 }
-                if let Some(seg) = &st.store.segments {
-                    // `+=`, not `=`: a resumed coordinator seeds the
-                    // counter with the previous incarnations' journaled
-                    // total, and this incarnation's store counts from 0.
-                    st.store.stats.store_spilled_bytes += seg.spilled_bytes;
-                }
-                return Ok(merge_reports(
-                    reports,
-                    start.elapsed().as_secs_f64(),
-                    st.recoveries,
-                    std::mem::take(&mut st.migrations),
-                    std::mem::take(&mut st.scales),
-                    st.telemetry.take().filter(|t| !t.is_empty()),
-                    st.store.stats.clone(),
-                ));
             }
-            Ok(SessionEnd::Rebalance {
-                next,
-                moves,
-                imbalance,
-            }) => {
-                // A planned reconfiguration: not charged to the recovery
-                // budget. Re-key the stored chains so each worker's next
-                // resume stream carries exactly the LPs it now owns.
-                st.session += 1;
-                st.probation = None;
-                match rekey_chains(&st.store.chains, next.n_workers(), |lp| next.proc_of(lp)) {
-                    Ok(chains) => st.store.chains = chains,
-                    Err(e) => {
-                        kill_all(&mut workers);
-                        return Err(DistError::Protocol(format!(
-                            "re-keying checkpoint chains for migration: {e}"
-                        )));
+            Err(e) => restart_all(cfg, workers, deadline, st.recoveries, e)?,
+            Ok(()) => {
+                st.journal_append(&admit_addr)?;
+                match run_session_as_coordinator(cfg, workers, deadline, admission, st) {
+                    Ok(SessionEnd::Finished(reports)) => {
+                        for (i, w) in workers.iter_mut().enumerate() {
+                            w.wait_success(i as u32 + 1, deadline)?;
+                        }
+                        return Ok(reports);
                     }
+                    Ok(SessionEnd::Regroup(cause)) => cause,
+                    Err(e) => restart_all(cfg, workers, deadline, st.recoveries, e)?,
                 }
-                // The durable store must mirror the re-keyed ownership,
-                // or its segments would replay LPs to the wrong workers.
-                if let Err(e) = st.store.rewrite_segments() {
-                    kill_all(&mut workers);
-                    return Err(DistError::Io(io::Error::other(format!(
-                        "checkpoint store rewrite after migration: {e}"
-                    ))));
-                }
-                let gvt = (st.store.horizon > VirtualTime::ZERO).then(|| st.store.horizon.ticks());
-                let batch = TelemetryReport {
-                    events: moves
-                        .iter()
-                        .map(|m| ControlEvent {
-                            gvt,
-                            lp: m.lp,
-                            object: m.lp,
-                            lvt: None,
-                            param: Param::Assignment,
-                            old: m.from as f64,
-                            new: m.to as f64,
-                            sampled_o: imbalance,
-                        })
-                        .collect(),
-                    ..TelemetryReport::default()
+            }
+        };
+        match st.regroup(cause, &cfg.recovery)? {
+            Membership::Keep => {}
+            Membership::Admit(proc_id) => {
+                // Prefer a worker that already dialed in; spawn a fresh
+                // copy of the binary otherwise.
+                let newcomer = match admission.and_then(Admission::take_joiner) {
+                    Some(w) => w,
+                    None => WorkerProc::spawn(&cfg.worker_bin, proc_id)?,
                 };
-                match &mut st.telemetry {
-                    Some(t) => t.merge(batch),
-                    None => st.telemetry = Some(batch),
-                }
-                st.migrations.push(MigrationRecord {
-                    gvt,
-                    imbalance,
-                    moves: moves
-                        .iter()
-                        .map(|m| MigrationMove {
-                            lp: m.lp,
-                            from: m.from,
-                            to: m.to,
-                        })
-                        .collect(),
-                });
-                st.assign = next;
-                if let Err(e) = regroup(cfg, &mut workers, deadline) {
-                    kill_all(&mut workers);
-                    return Err(e);
-                }
+                workers.push(newcomer);
             }
-            Ok(SessionEnd::Scale { plan }) => {
-                // A planned capacity change: like a rebalance, never
-                // charged to the recovery budget.
-                st.session += 1;
-                st.probation = None;
-                let next = plan.assignment.clone();
-                match plan.direction {
-                    ScaleDirection::Out => {
-                        // Prefer a worker that already dialed in; spawn
-                        // a fresh copy of the binary otherwise. The
-                        // newcomer runs its first session on probation.
-                        let newcomer = match admission.as_ref().and_then(|a| a.take_joiner()) {
-                            Some(w) => w,
-                            None => match WorkerProc::spawn(&cfg.worker_bin, plan.to_workers) {
-                                Ok(w) => w,
-                                Err(e) => {
-                                    kill_all(&mut workers);
-                                    return Err(DistError::Io(e));
-                                }
-                            },
-                        };
-                        workers.push(newcomer);
-                        st.probation = Some((plan.to_workers, st.assign.clone(), plan.pressure));
-                    }
-                    ScaleDirection::In => {
-                        // The retiree already answered `DrainAck`; all
-                        // that is left is its clean exit.
-                        let mut retiree =
-                            workers.pop().expect("scale-in retires an existing worker");
-                        if let Err(e) = retiree.wait_success(plan.from_workers, deadline) {
-                            kill_all(&mut workers);
-                            return Err(e);
-                        }
-                    }
-                }
-                match rekey_chains(&st.store.chains, next.n_workers(), |lp| next.proc_of(lp)) {
-                    Ok(chains) => st.store.chains = chains,
-                    Err(e) => {
-                        kill_all(&mut workers);
-                        return Err(DistError::Protocol(format!(
-                            "re-keying checkpoint chains for scale: {e}"
-                        )));
-                    }
-                }
-                if let Err(e) = st.store.resize_segments(next.n_workers()) {
-                    kill_all(&mut workers);
-                    return Err(DistError::Io(io::Error::other(format!(
-                        "checkpoint store resize after scale: {e}"
-                    ))));
-                }
-                let gvt = (st.store.horizon > VirtualTime::ZERO).then(|| st.store.horizon.ticks());
-                let batch = TelemetryReport {
-                    events: vec![ControlEvent {
-                        gvt,
-                        lp: 0,
-                        object: 0,
-                        lvt: None,
-                        param: Param::ClusterSize,
-                        old: plan.from_workers as f64,
-                        new: plan.to_workers as f64,
-                        sampled_o: plan.pressure,
-                    }],
-                    ..TelemetryReport::default()
-                };
-                match &mut st.telemetry {
-                    Some(t) => t.merge(batch),
-                    None => st.telemetry = Some(batch),
-                }
-                st.scales.push(ScaleRecord {
-                    gvt,
-                    direction: match plan.direction {
-                        ScaleDirection::Out => "out".into(),
-                        ScaleDirection::In => "in".into(),
-                    },
-                    from_workers: plan.from_workers,
-                    to_workers: plan.to_workers,
-                    pressure: plan.pressure,
-                    moves: plan
-                        .moves
-                        .iter()
-                        .map(|m| MigrationMove {
-                            lp: m.lp,
-                            from: m.from,
-                            to: m.to,
-                        })
-                        .collect(),
-                });
-                st.assign = next;
-                if let Err(e) = regroup(cfg, &mut workers, deadline) {
-                    kill_all(&mut workers);
-                    return Err(e);
-                }
+            Membership::Retire(proc_id) => {
+                let mut retiree = workers.pop().expect("scale-in retires an existing worker");
+                retiree.wait_success(proc_id, deadline)?;
             }
-            Ok(SessionEnd::Lost { peer, detail }) => {
-                // A newcomer that dies on probation is *evicted*, not
-                // recovered: fall back to the pre-scale membership (the
-                // chains re-key back losslessly) so one bad admission
-                // cannot wedge the cluster.
-                if st.probation.as_ref().is_some_and(|(p, _, _)| *p == peer) {
-                    let (newbie, pre_assign, _) = st.probation.take().unwrap();
-                    eprintln!(
-                        "warp-coordinator: evicting probation worker {newbie} ({detail}); \
-                         falling back to {} workers",
-                        pre_assign.n_workers()
-                    );
-                    let mut evicted = workers.pop().expect("probation newcomer still listed");
-                    evicted.kill();
-                    match rekey_chains(&st.store.chains, pre_assign.n_workers(), |lp| {
-                        pre_assign.proc_of(lp)
-                    }) {
-                        Ok(chains) => st.store.chains = chains,
-                        Err(e) => {
-                            kill_all(&mut workers);
-                            return Err(DistError::Protocol(format!(
-                                "re-keying checkpoint chains for eviction: {e}"
-                            )));
-                        }
-                    }
-                    if let Err(e) = st.store.resize_segments(pre_assign.n_workers()) {
-                        kill_all(&mut workers);
-                        return Err(DistError::Io(io::Error::other(format!(
-                            "checkpoint store resize after eviction: {e}"
-                        ))));
-                    }
-                    let gvt =
-                        (st.store.horizon > VirtualTime::ZERO).then(|| st.store.horizon.ticks());
-                    let batch = TelemetryReport {
-                        events: vec![ControlEvent {
-                            gvt,
-                            lp: 0,
-                            object: 0,
-                            lvt: None,
-                            param: Param::ClusterSize,
-                            old: newbie as f64,
-                            new: pre_assign.n_workers() as f64,
-                            sampled_o: -1.0,
-                        }],
-                        ..TelemetryReport::default()
-                    };
-                    match &mut st.telemetry {
-                        Some(t) => t.merge(batch),
-                        None => st.telemetry = Some(batch),
-                    }
-                    st.scales.push(ScaleRecord {
-                        gvt,
-                        direction: "fallback".into(),
-                        from_workers: newbie,
-                        to_workers: pre_assign.n_workers(),
-                        pressure: -1.0,
-                        moves: Vec::new(),
-                    });
-                    st.assign = pre_assign;
-                    st.recoveries += 1;
-                    st.session += 1;
-                    if let Err(e) = regroup(cfg, &mut workers, deadline) {
-                        kill_all(&mut workers);
-                        return Err(e);
-                    }
-                    continue;
-                }
-                if !cfg.recovery.enabled || st.recoveries >= cfg.recovery.max_recoveries as u64 {
-                    kill_all(&mut workers);
-                    return Err(DistError::Worker {
-                        proc_id: peer,
-                        detail: if cfg.recovery.enabled {
-                            format!("{detail} (recovery budget of {} exhausted)", st.recoveries)
-                        } else {
-                            detail
-                        },
-                    });
-                }
-                st.recoveries += 1;
-                st.session += 1;
-                if let Err(e) = regroup(cfg, &mut workers, deadline) {
-                    kill_all(&mut workers);
-                    return Err(e);
-                }
-            }
-            Err(e) => {
-                // A failure *outside* the mesh (bootstrap I/O, a worker
-                // dying mid-handshake): recoverable by a full restart of
-                // every worker, state restored from the chains. A joined
-                // remote cannot be respawned from here, so its loss is
-                // final.
-                let retryable = matches!(e, DistError::Io(_) | DistError::Worker { .. })
-                    && !workers.iter().any(WorkerProc::is_remote);
-                if !cfg.recovery.enabled
-                    || !retryable
-                    || st.recoveries >= cfg.recovery.max_recoveries as u64
-                    || Instant::now() >= deadline
-                {
-                    kill_all(&mut workers);
-                    return Err(e);
-                }
-                st.recoveries += 1;
-                st.session += 1;
-                let n_restart = workers.len();
-                kill_all(&mut workers);
-                workers.clear();
-                for i in 0..n_restart {
-                    match WorkerProc::spawn(&cfg.worker_bin, i as u32 + 1) {
-                        Ok(w) => workers.push(w),
-                        Err(e) => {
-                            kill_all(&mut workers);
-                            return Err(DistError::Io(e));
-                        }
-                    }
-                }
-            }
+            Membership::Evict => workers
+                .pop()
+                .expect("the newcomer is the last worker")
+                .kill(),
         }
     }
+}
+
+/// A failure outside the mesh (bootstrap I/O, a worker dying
+/// mid-handshake) is recovered by restarting every worker, its state
+/// restored from the chains: a crash recovery as far as the regroup step
+/// is concerned. A joined remote cannot be respawned from here, so with
+/// one in the cluster the failure is final, as it is with recovery off,
+/// past the budget or past the deadline.
+fn restart_all(
+    cfg: &DistConfig,
+    workers: &mut Vec<WorkerProc>,
+    deadline: Instant,
+    recoveries: u64,
+    e: DistError,
+) -> Result<Regroup, DistError> {
+    let retryable = matches!(e, DistError::Io(_) | DistError::Worker { .. })
+        && !workers.iter().any(WorkerProc::is_remote);
+    if !cfg.recovery.enabled
+        || !retryable
+        || recoveries >= cfg.recovery.max_recoveries as u64
+        || Instant::now() >= deadline
+    {
+        return Err(e);
+    }
+    let n_restart = workers.len();
+    kill_all(workers);
+    workers.clear();
+    for i in 0..n_restart {
+        workers.push(WorkerProc::spawn(&cfg.worker_bin, i as u32 + 1)?);
+    }
+    let peer = match &e {
+        DistError::Worker { proc_id, .. } => *proc_id,
+        _ => 0,
+    };
+    Ok(Regroup::Lost {
+        peer,
+        detail: e.to_string(),
+    })
 }
 
 /// The model spec as canonical JSON — the bytes the run journal pins
@@ -1634,8 +1576,6 @@ pub fn journal_job_json(store_dir: &Path) -> Result<String, DistError> {
 /// since the run began.
 pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunReport, DistError> {
     let start = Instant::now();
-    let deadline = start + cfg.timeout;
-    cfg.net.validate().map_err(DistError::InvalidConfig)?;
     if !cfg.recovery.enabled {
         return Err(DistError::InvalidConfig(
             "resume requires recovery: the journal is part of the checkpoint machinery".into(),
@@ -1672,7 +1612,7 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         )));
     }
     let n_workers = rec.n_workers;
-    validate_fault(cfg, n_workers)?;
+    validate_config(cfg, n_workers)?;
 
     // Rebuild the delta chains from the segment files, truncating each
     // to its journaled depth: the journal append is the barrier commit
@@ -1702,47 +1642,34 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         chain.truncate(want);
         chains.push(chain);
     }
-    let mut segments = SegmentStore::reopen(store_dir, n_workers).map_err(|e| {
+    let segments = SegmentStore::reopen(store_dir, n_workers).map_err(|e| {
         DistError::InvalidConfig(format!(
             "re-opening checkpoint store at {}: {e}",
             store_dir.display()
         ))
     })?;
+    let mut stats = rec.stats.clone();
+    stats.store_spilled_bytes = rec.spilled_bytes;
+    let mut store = CkptStore {
+        chains,
+        horizon: VirtualTime::from_ticks(rec.horizon),
+        next_ckpt: rec.next_ckpt,
+        segments: Some(segments),
+        stats,
+    };
     // Excise any un-journaled tail on disk so segments and journal
     // agree byte-for-byte before new barriers append.
-    for (w, chain) in chains.iter().enumerate() {
-        segments.rewrite(w as u32 + 1, chain).map_err(|e| {
-            DistError::Io(io::Error::other(format!(
-                "truncating segment {}: {e}",
-                w + 1
-            )))
-        })?;
+    store
+        .resize_segments()
+        .map_err(|e| DistError::Io(io::Error::other(format!("truncating segments: {e}"))))?;
+    if let Some(seg) = store.segments.as_mut() {
+        seg.spilled_bytes = 0; // the rewrite is housekeeping, not new spill
     }
-    segments.spilled_bytes = 0; // the rewrite is housekeeping, not new spill
     let journal = RunJournal::reopen(&path, contents.valid_len)
         .map_err(|e| DistError::InvalidConfig(format!("re-opening run journal: {e}")))?;
 
-    // Re-open the admission point where the dead coordinator had it, so
-    // parked workers holding the old `RejoinSpec` can find us; the
-    // admit file (when configured) publishes the fallback address if
-    // the old port never frees up.
-    let admission = if !rec.admit_addr.is_empty() {
-        let a = Admission::resume(
-            &rec.admit_addr,
-            Duration::from_secs(5),
-            cfg.admit_file.as_deref(),
-        )?;
-        eprintln!("coordinator: admission point re-opened at {}", a.addr);
-        Some(a)
-    } else if cfg.elastic.enabled {
-        let a = Admission::start(cfg.admit_file.as_deref())?;
-        eprintln!("coordinator: admission point at {}", a.addr);
-        Some(a)
-    } else {
-        None
-    };
-
-    let horizon = VirtualTime::from_ticks(rec.horizon);
+    let admission = Admission::open(cfg, &rec.admit_addr)?;
+    let horizon = store.horizon;
 
     // Re-adoption window: give parked survivors a bounded chance to
     // dial in with `Reattach` before respawning their slots. Stops
@@ -1751,7 +1678,7 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
     let mut max_session = rec.session;
     if let Some(adm) = admission.as_deref() {
         let window = Duration::from_millis(cfg.net.liveness_ms * 2).max(Duration::from_secs(2));
-        let until = (Instant::now() + window).min(deadline);
+        let until = (Instant::now() + window).min(start + cfg.timeout);
         while Instant::now() < until && adopted.iter().any(Option::is_none) {
             for w in 1..=n_workers {
                 if adopted[w as usize - 1].is_some() {
@@ -1780,19 +1707,6 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         }
     }
     let reattached = adopted.iter().filter(|w| w.is_some()).count() as u64;
-    let mut workers: Vec<WorkerProc> = Vec::new();
-    for (i, slot) in adopted.into_iter().enumerate() {
-        match slot {
-            Some(w) => workers.push(w),
-            None => match WorkerProc::spawn(&cfg.worker_bin, i as u32 + 1) {
-                Ok(w) => workers.push(w),
-                Err(e) => {
-                    kill_all(&mut workers);
-                    return Err(DistError::Io(e));
-                }
-            },
-        }
-    }
     eprintln!(
         "coordinator: resumed run at session {} (horizon {horizon}): {reattached} worker(s) \
          re-adopted, {} respawned",
@@ -1804,11 +1718,20 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
     // surviving worker has seen, count it, and put it on the control
     // trajectory so the report shows the run healed itself.
     let session = max_session + 1;
-    let mut stats = rec.stats.clone();
-    stats.store_spilled_bytes = rec.spilled_bytes;
-    stats.reattached += reattached;
-    let mut telemetry = rec.telemetry.clone();
-    let batch = TelemetryReport {
+    store.stats.reattached += reattached;
+    let mut st = CoordState {
+        assign,
+        store,
+        session,
+        recoveries: rec.recoveries + 1,
+        migrations: rec.migrations,
+        scales: rec.scales,
+        telemetry: rec.telemetry,
+        probation: None,
+        journal: Some(journal),
+        barriers: rec.barriers,
+    };
+    st.merge_telemetry(TelemetryReport {
         events: vec![ControlEvent {
             gvt: (rec.horizon > 0).then_some(rec.horizon),
             lp: 0,
@@ -1820,31 +1743,8 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
             sampled_o: reattached as f64,
         }],
         ..TelemetryReport::default()
-    };
-    match &mut telemetry {
-        Some(t) => t.merge(batch),
-        None => telemetry = Some(batch),
-    }
-
-    let mut st = CoordState {
-        assign,
-        store: CkptStore {
-            chains,
-            horizon,
-            next_ckpt: rec.next_ckpt,
-            segments: Some(segments),
-            stats,
-        },
-        session,
-        recoveries: rec.recoveries + 1,
-        migrations: rec.migrations,
-        scales: rec.scales,
-        telemetry,
-        probation: None,
-        journal: Some(journal),
-        barriers: rec.barriers,
-    };
-    run_cluster(cfg, workers, admission, deadline, start, &mut st)
+    });
+    run_cluster(cfg, start, st, admission, adopted)
 }
 
 /// One coordinator session: distribute addresses and session lines,
@@ -1880,39 +1780,39 @@ fn run_session_as_coordinator(
 
     let mut peers: Vec<(u32, String)> = vec![(0, coord_addr.to_string())];
     for (i, w) in workers.iter_mut().enumerate() {
-        let proc_id = i as u32 + 1;
-        peers.push((proc_id, w.expect_listen(proc_id, deadline)?));
+        let addr = w
+            .pending_listen
+            .take()
+            .expect("regroup collected every LISTEN");
+        peers.push((i as u32 + 1, addr));
     }
+    let encode = |line: Result<String, serde_json::Error>| {
+        line.map_err(|e| DistError::Protocol(format!("control line encode: {e}")))
+    };
+    let session_line = encode(serde_json::to_string(&SessionLine {
+        session,
+        peers,
+        connect_ms: remaining_ms(deadline),
+        assignment: st.assign.owners().to_vec(),
+        n_procs,
+    }))?;
     for (i, w) in workers.iter_mut().enumerate() {
         let proc_id = i as u32 + 1;
-        let line = if w.fresh {
-            serde_json::to_string(&WorkerInit {
+        if w.fresh {
+            let init = encode(serde_json::to_string(&WorkerInit {
                 proc_id,
-                n_procs,
                 n_lps: cfg.n_lps,
-                session,
-                peers: peers.clone(),
                 model: cfg.model.clone(),
                 net: cfg.net.clone(),
-                connect_ms: remaining_ms(deadline),
                 recovery: cfg.recovery.enabled,
-                assignment: st.assign.owners().to_vec(),
                 balance: cfg.balance.enabled || cfg.elastic.enabled,
                 fault: cfg.fault.clone(),
                 rejoin: rejoin.clone(),
-            })
-        } else {
-            serde_json::to_string(&SessionLine {
-                session,
-                peers: peers.clone(),
-                connect_ms: remaining_ms(deadline),
-                assignment: st.assign.owners().to_vec(),
-                n_procs,
-            })
+            }))?;
+            w.send_line(proc_id, &init)?;
+            w.fresh = false;
         }
-        .map_err(|e| DistError::Protocol(format!("init encode: {e}")))?;
-        w.send_line(proc_id, &line)?;
-        w.fresh = false;
+        w.send_line(proc_id, &session_line)?;
     }
 
     let mesh_cfg = TcpMeshConfig {
@@ -1946,13 +1846,11 @@ fn run_session_as_coordinator(
 
     let end = coordinate(&mesh, cfg, deadline, admission, st);
     match &end {
-        // A rebalance or scale drains cleanly too: the queued
+        Ok(SessionEnd::Regroup(Regroup::Lost { .. })) | Err(_) => mesh.abort(),
+        // A planned regroup drains cleanly too: the queued
         // `Rebalance`/`Retire` frames must reach every worker before
         // the links close.
-        Ok(SessionEnd::Finished(_) | SessionEnd::Rebalance { .. } | SessionEnd::Scale { .. }) => {
-            mesh.shutdown()
-        }
-        _ => mesh.abort(),
+        Ok(_) => mesh.shutdown(),
     }
     end
 }
@@ -2013,8 +1911,9 @@ fn send_resume_chunks(
 /// A GVT-stall watchdog (armed by [`RecoveryPolicy::stall_budget_ms`])
 /// runs alongside: if the committed horizon stops advancing while
 /// reports are still outstanding, the session is declared livelocked
-/// and ends as [`SessionEnd::Lost`] — the same recovery path a crash
-/// takes, so the cluster regroups under a fresh session epoch.
+/// and ends as a lost worker ([`Regroup::Lost`]) — the same recovery
+/// path a crash takes, so the cluster regroups under a fresh session
+/// epoch.
 fn coordinate(
     mesh: &TcpMesh,
     cfg: &DistConfig,
@@ -2022,6 +1921,9 @@ fn coordinate(
     admission: Option<&Admission>,
     st: &mut CoordState,
 ) -> Result<SessionEnd, DistError> {
+    fn lost(peer: u32, detail: String) -> SessionEnd {
+        SessionEnd::Regroup(Regroup::Lost { peer, detail })
+    }
     let n_workers = st.assign.n_workers() as usize;
     let migrations_done = st.migrations.len() as u32;
     let scales_done = st.scales.len() as u32;
@@ -2066,18 +1968,10 @@ fn coordinate(
     // report from a newer round discards any incomplete older bucket.
     let mut loads: Vec<Option<LpLoad>> = vec![None; cfg.n_lps as usize];
     let mut load_gvt: Option<VirtualTime> = None;
-    // A reconfiguration a controller proposed — migration or scale —
-    // waiting on its checkpoint barrier before the session can be ended
-    // on purpose.
-    enum Transition {
-        Rebalance(warp_balance::Rebalance),
-        Scale(ScalePlan),
-    }
-    struct PlannedTransition {
-        t: Transition,
-        barrier_fired: bool,
-    }
-    let mut planned: Option<PlannedTransition> = None;
+    // A regroup a controller proposed — migration or scale — waiting on
+    // its checkpoint barrier before the session can be ended on purpose.
+    let mut planned: Option<Regroup> = None;
+    let mut barrier_fired = false;
     // A scale-in past its barrier: `Retire` went to the retiree, whose
     // `DrainAck` (or clean close) ends the session. The survivors'
     // `Rebalance` waits for it: a survivor that aborted first could
@@ -2131,60 +2025,48 @@ fn coordinate(
                     .min_by_key(|(_, g)| g.unwrap_or(VirtualTime::ZERO))
                     .map(|(i, _)| i as u32 + 1)
                     .unwrap_or(1);
-                return Ok(SessionEnd::Lost {
+                return Ok(lost(
                     peer,
-                    detail: format!(
+                    format!(
                         "GVT stalled at {} for {}ms (budget {}ms): cluster is livelocked",
                         best_gvt.map_or_else(|| "-".into(), |g| g.to_string()),
                         last_gvt_advance.elapsed().as_millis(),
                         budget.as_millis()
                     ),
-                });
+                ));
             }
         }
-        // Drive a planned transition (migration or scale): first a
+        // Drive a planned regroup (migration or scale): first a
         // checkpoint barrier so the chains cover everything committed,
         // then end the session on purpose — a broadcast `Rebalance`
         // (everyone aborts and regroups). On scale-in the retiree gets
         // `Retire` instead, and the survivors' `Rebalance` waits for its
         // `DrainAck`.
-        if let Some(p) = planned.as_mut() {
-            if pending.is_none() {
-                if p.barrier_fired {
-                    match planned.take().unwrap().t {
-                        Transition::Rebalance(plan) => {
-                            rebalance(st.store.horizon, None);
-                            return Ok(SessionEnd::Rebalance {
-                                next: plan.assignment,
-                                moves: plan.moves,
-                                imbalance: plan.imbalance,
-                            });
-                        }
-                        Transition::Scale(plan) => match plan.retired() {
-                            None => {
-                                rebalance(st.store.horizon, None);
-                                return Ok(SessionEnd::Scale { plan });
-                            }
-                            Some(retiree) => {
-                                mesh.send(
-                                    retiree,
-                                    Frame::Retire {
-                                        gvt: st.store.horizon,
-                                    },
-                                );
-                                draining = Some(plan);
-                            }
-                        },
+        if planned.is_some() && pending.is_none() {
+            if barrier_fired {
+                match planned.take().expect("checked above") {
+                    Regroup::Scale(plan) if plan.retired().is_some() => {
+                        mesh.send(
+                            plan.from_workers,
+                            Frame::Retire {
+                                gvt: st.store.horizon,
+                            },
+                        );
+                        draining = Some(plan);
                     }
-                } else if best_gvt.is_some_and(|g| g.is_finite() && g > st.store.horizon) {
-                    last_ckpt_started = Instant::now();
-                    pending = Some(request_ckpt(st));
-                    p.barrier_fired = true;
-                } else if st.store.horizon > VirtualTime::ZERO {
-                    // The horizon already sits at the frontier; there is
-                    // nothing new to capture before moving.
-                    p.barrier_fired = true;
+                    regroup => {
+                        rebalance(st.store.horizon, None);
+                        return Ok(SessionEnd::Regroup(regroup));
+                    }
                 }
+            } else if best_gvt.is_some_and(|g| g.is_finite() && g > st.store.horizon) {
+                last_ckpt_started = Instant::now();
+                pending = Some(request_ckpt(st));
+                barrier_fired = true;
+            } else if st.store.horizon > VirtualTime::ZERO {
+                // The horizon already sits at the frontier; there is
+                // nothing new to capture before moving.
+                barrier_fired = true;
             }
         }
         match mesh.recv_timeout(Duration::from_millis(50)) {
@@ -2206,10 +2088,7 @@ fn coordinate(
                     // Advisory stream; a batch that fails to parse is
                     // dropped, never fatal.
                     if let Ok(batch) = serde_json::from_slice::<TelemetryReport>(&bytes) {
-                        match &mut st.telemetry {
-                            Some(t) => t.merge(batch),
-                            None => st.telemetry = Some(batch),
-                        }
+                        st.merge_telemetry(batch);
                     }
                 }
                 Frame::Progress { gvt } => {
@@ -2290,17 +2169,10 @@ fn coordinate(
                                 .as_mut()
                                 .and_then(|e| e.observe(&st.assign, &bucket, can_add));
                             if planned.is_none() && draining.is_none() {
-                                if let Some(plan) = bal_prop {
-                                    planned = Some(PlannedTransition {
-                                        t: Transition::Rebalance(plan),
-                                        barrier_fired: false,
-                                    });
-                                } else if let Some(plan) = ela_prop {
-                                    planned = Some(PlannedTransition {
-                                        t: Transition::Scale(plan),
-                                        barrier_fired: false,
-                                    });
-                                }
+                                planned = bal_prop
+                                    .map(Regroup::Migrate)
+                                    .or_else(|| ela_prop.map(Regroup::Scale));
+                                barrier_fired = false;
                             }
                         }
                     }
@@ -2383,7 +2255,7 @@ fn coordinate(
                     // drain window is stale traffic, ignored.
                     if let Some(plan) = draining.take() {
                         rebalance(st.store.horizon, Some(plan.from_workers));
-                        return Ok(SessionEnd::Scale { plan });
+                        return Ok(SessionEnd::Regroup(Regroup::Scale(plan)));
                     }
                 }
                 other => {
@@ -2403,23 +2275,23 @@ fn coordinate(
                         // read (the frames can race); a clean close past
                         // the barrier means it drained.
                         rebalance(st.store.horizon, Some(peer));
-                        return Ok(SessionEnd::Scale { plan });
+                        return Ok(SessionEnd::Regroup(Regroup::Scale(plan)));
                     }
-                    return Ok(SessionEnd::Lost {
+                    return Ok(lost(
                         peer,
-                        detail: format!("crashed while draining for retirement: {detail}"),
-                    });
+                        format!("crashed while draining for retirement: {detail}"),
+                    ));
                 } else if clean && reports[peer as usize - 1].is_some() {
                     closed[peer as usize - 1] = true;
                 } else {
-                    return Ok(SessionEnd::Lost {
+                    return Ok(lost(
                         peer,
-                        detail: if clean {
+                        if clean {
                             "closed cleanly without sending its report".into()
                         } else {
                             detail
                         },
-                    });
+                    ));
                 }
             }
             None => {}
@@ -2427,70 +2299,71 @@ fn coordinate(
     }
 }
 
-/// After an unclean session end: sort survivors (they re-announce
-/// `LISTEN`) from corpses (reaped and respawned). Survivors keep their
-/// processes and get a [`SessionLine`]; respawns get a full
-/// [`WorkerInit`] at the bumped session.
-fn regroup(
+/// Before every session: wait until each worker has announced the
+/// listener it will join the mesh on (`LISTEN <addr>`). A survivor of the
+/// last session re-announces; a child that died in it is a crash corpse,
+/// reaped and respawned. A process that dies before its first
+/// announcement, or a joined remote whose control socket closes, is an
+/// error naming it.
+fn await_listen(
     cfg: &DistConfig,
     workers: &mut [WorkerProc],
     deadline: Instant,
 ) -> Result<(), DistError> {
     for (i, w) in workers.iter_mut().enumerate() {
         let proc_id = i as u32 + 1;
-        loop {
-            let reaped = match &mut w.ctl {
-                Ctl::Child(c) => matches!(c.try_wait(), Ok(Some(_))),
-                // A remote's death shows up as its line stream closing,
-                // handled below; there is no status to reap.
-                Ctl::Remote(_) => false,
-            };
-            if reaped {
-                let mut respawned = WorkerProc::spawn(&cfg.worker_bin, proc_id)?;
-                std::mem::swap(w, &mut respawned);
-                break;
-            }
-            match w.lines.try_recv() {
-                Ok(Ok(line)) => {
-                    if let Some(addr) = line.strip_prefix("LISTEN ") {
-                        w.pending_listen = Some(addr.trim().to_string());
-                        break;
+        while w.pending_listen.is_none() {
+            // A remote's death shows up as its line stream closing; there
+            // is no status to reap.
+            if let Ctl::Child(c) = &mut w.ctl {
+                if matches!(c.try_wait(), Ok(Some(_))) {
+                    if w.fresh {
+                        return Err(DistError::Worker {
+                            proc_id,
+                            detail: "exited before announcing its listen address".into(),
+                        });
                     }
-                    // Unrelated output; keep waiting.
+                    *w = WorkerProc::spawn(&cfg.worker_bin, proc_id)?;
+                    continue;
                 }
-                Ok(Err(detail)) => {
-                    return Err(DistError::Worker { proc_id, detail });
-                }
-                Err(mpsc::TryRecvError::Disconnected) if w.is_remote() => {
-                    // A joined worker is gone for good once its control
-                    // socket closes — there is no binary to respawn.
-                    return Err(DistError::Worker {
-                        proc_id,
-                        detail: "joined worker closed its control socket during recovery".into(),
-                    });
-                }
-                Err(mpsc::TryRecvError::Empty) | Err(mpsc::TryRecvError::Disconnected) => {}
             }
             if Instant::now() >= deadline {
                 return Err(DistError::Timeout(format!(
-                    "worker (proc {proc_id}) neither exited nor re-announced during recovery"
+                    "worker (proc {proc_id}) never announced its listen address"
                 )));
             }
-            std::thread::sleep(Duration::from_millis(5));
+            match w.lines.recv_timeout(Duration::from_millis(5)) {
+                // Anything but the announcement is unrelated output.
+                Ok(line) => {
+                    w.pending_listen = line.strip_prefix("LISTEN ").map(|a| a.trim().to_string())
+                }
+                // A joined worker is gone for good once its control
+                // socket closes — there is no binary to respawn.
+                Err(RecvTimeoutError::Disconnected) if w.is_remote() => {
+                    return Err(DistError::Worker {
+                        proc_id,
+                        detail: "joined worker closed its control socket".into(),
+                    })
+                }
+                // A child that closed its stdout is exiting: reap it next.
+                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(Duration::from_millis(5)),
+                Err(RecvTimeoutError::Timeout) => {}
+            }
         }
     }
     Ok(())
 }
 
-fn merge_reports(
-    reports: Vec<WorkerReport>,
-    wall: f64,
-    recoveries: u64,
-    migrations: Vec<MigrationRecord>,
-    scales: Vec<ScaleRecord>,
-    telemetry: Option<TelemetryReport>,
-    mut resume: ResumeStats,
-) -> RunReport {
+/// The run's report: the workers' final reports merged with what the
+/// coordinator kept across sessions.
+fn merge_reports(reports: Vec<WorkerReport>, wall: f64, st: CoordState) -> RunReport {
+    let mut resume = st.store.stats;
+    if let Some(seg) = &st.store.segments {
+        // `+=`, not `=`: a resumed coordinator seeds the counter with
+        // the previous incarnations' journaled total, and this
+        // incarnation's store counts from 0.
+        resume.store_spilled_bytes += seg.spilled_bytes;
+    }
     for r in &reports {
         resume.merge(&r.resume);
     }
@@ -2523,10 +2396,10 @@ fn merge_reports(
         kernel,
         comm,
         per_lp,
-        recoveries,
-        migrations,
-        scales,
-        telemetry,
+        recoveries: st.recoveries,
+        migrations: st.migrations,
+        scales: st.scales,
+        telemetry: st.telemetry.filter(|t| !t.is_empty()),
         worker_peak_rss_kb,
         resume,
     }
@@ -2814,7 +2687,7 @@ impl Drop for WorkerPort {
 /// The worker's control channel back to the coordinator: stdout for a
 /// spawned child, the admission socket for a `--join` worker. The line
 /// protocol on top (`LISTEN <addr>` announcements) is identical.
-pub enum ControlOut {
+enum ControlOut {
     /// Spawned child: announce on stdout.
     Stdout,
     /// Joined remote: announce on the admission stream.
@@ -2844,23 +2717,17 @@ impl ControlOut {
 /// `build` turns the coordinator's opaque model JSON into the
 /// [`SimulationSpec`] — that is the only model knowledge in the whole
 /// distributed machinery, and it lives in the binary, not this crate.
+/// `rejoin_grace_ms` is the `--rejoin-grace MS` flag of a worker binary:
+/// `None` keeps the grace the coordinator offers, `Some(0)` disables
+/// parking even when offered, `Some(ms)` replaces the offered grace (the
+/// re-admission address still comes from the coordinator's
+/// [`WorkerInit`], so the override is inert when the coordinator never
+/// offered a [`RejoinSpec`]).
 pub fn worker_main(
-    build: &dyn Fn(&serde_json::Value) -> Result<SimulationSpec, String>,
-) -> Result<(), String> {
-    worker_main_with(build, None)
-}
-
-/// [`worker_main`] with a local override for the rejoin grace: the
-/// `--rejoin-grace MS` flag of a worker binary. `Some(0)` disables
-/// parking even when the coordinator offered it; `Some(ms)` replaces
-/// the offered grace (the re-admission address still comes from the
-/// coordinator's [`WorkerInit`], so the override is inert when the
-/// coordinator never offered a [`RejoinSpec`]).
-pub fn worker_main_with(
     build: &dyn Fn(&serde_json::Value) -> Result<SimulationSpec, String>,
     rejoin_grace_ms: Option<u64>,
 ) -> Result<(), String> {
-    let ctl_rx = spawn_control_reader(io::stdin());
+    let ctl_rx = spawn_line_reader(io::stdin());
     worker_boot(build, ctl_rx, ControlOut::Stdout, rejoin_grace_ms, None)
 }
 
@@ -2870,19 +2737,11 @@ pub fn worker_main_with(
 /// the spawned-worker bootstrap protocol over the same socket. The
 /// worker idles in the coordinator's admission queue until a scale-out
 /// adopts it; if the coordinator exits first, the socket closes and the
-/// worker exits on its own like any orphan.
+/// worker exits on its own like any orphan. Unlike a spawned worker, a
+/// `--join` worker already knows an admission address — the one it is
+/// dialing — so `rejoin_grace_ms` works even when the coordinator's init
+/// carries no [`RejoinSpec`].
 pub fn join_main(
-    coordinator: &str,
-    build: &dyn Fn(&serde_json::Value) -> Result<SimulationSpec, String>,
-) -> Result<(), String> {
-    join_main_with(coordinator, build, None)
-}
-
-/// [`join_main`] with a local rejoin-grace override. Unlike a spawned
-/// worker, a `--join` worker already knows an admission address — the
-/// one it is dialing — so `--rejoin-grace MS` works even when the
-/// coordinator's init carries no [`RejoinSpec`].
-pub fn join_main_with(
     coordinator: &str,
     build: &dyn Fn(&serde_json::Value) -> Result<SimulationSpec, String>,
     rejoin_grace_ms: Option<u64>,
@@ -2899,7 +2758,7 @@ pub fn join_main_with(
     let read_half = stream
         .try_clone()
         .map_err(|e| format!("cloning admission stream: {e}"))?;
-    let ctl_rx = spawn_control_reader(read_half);
+    let ctl_rx = spawn_line_reader(read_half);
     worker_boot(
         build,
         ctl_rx,
@@ -2964,13 +2823,14 @@ fn worker_boot(
             init.n_lps
         ));
     }
-    run_worker(&init, spec, listener, ctl_rx, &mut ctl_out)
+    run_worker(&init, spec, listener, ctl_rx, ctl_out)
 }
 
-/// Read control lines on a dedicated thread. The channel closing means
-/// EOF: the coordinator is gone, and a worker without a coordinator
-/// must not linger.
-fn spawn_control_reader<R: Read + Send + 'static>(src: R) -> Receiver<String> {
+/// Read control lines on a dedicated thread, on either end of a control
+/// channel. The channel closing means EOF (or a failed read): the other
+/// end is gone — a worker without a coordinator must not linger, and a
+/// coordinator reaps or gives up on a worker.
+fn spawn_line_reader<R: Read + Send + 'static>(src: R) -> Receiver<String> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let mut lines = BufReader::new(src).lines();
@@ -3002,72 +2862,123 @@ enum WorkerSessionEnd {
     },
 }
 
-/// The worker's life after bootstrap: run mesh sessions until one
-/// finishes cleanly. On an unclean peer loss (with recovery on) the
-/// worker discards the session, re-announces a fresh listener, and
-/// waits for the coordinator's next [`SessionLine`]; without recovery
-/// it exits nonzero at once, because a Time Warp run that lost a
-/// process cannot commit a correct history.
-pub fn run_worker(
+/// What a worker process carries from one session to the next.
+struct Carried {
+    /// Runtimes handed back by aborted sessions, keyed by LP: a survivor
+    /// re-seeds these by in-place rollback to the resume horizon instead
+    /// of rebuilding from committed logs. Only the immediately preceding
+    /// participation is ever valid (the seeding path clears the map).
+    retained: HashMap<u32, Box<warp_core::LpRuntime>>,
+    /// Resume accounting across every session, for the final report.
+    resume_stats: ResumeStats,
+    /// The process's one throttle (its `Slow` fault): the event budget
+    /// must not re-arm when a recovery or scale starts a new session.
+    throttle: Option<Arc<EventThrottle>>,
+    /// The floor: the last barrier horizon the coordinator acknowledged
+    /// (`SnapshotAck`). Every LP holds the anchor of it and of every
+    /// later horizon it shipped a part for, so a parked worker can roll
+    /// its retained runtimes back to any horizon a successor coordinator
+    /// replays from the journal — this is the `horizon` a `Reattach`
+    /// reports.
+    floor: AtomicU64,
+}
+
+impl Carried {
+    fn new(init: &WorkerInit) -> Self {
+        Carried {
+            retained: HashMap::new(),
+            resume_stats: ResumeStats::default(),
+            throttle: init
+                .fault
+                .as_ref()
+                .and_then(|f| f.slowdown(init.proc_id))
+                .map(|(gap_us, events)| Arc::new(EventThrottle::new(gap_us, events))),
+            floor: AtomicU64::new(0),
+        }
+    }
+}
+
+/// The worker's life after bootstrap: run mesh sessions, each started by
+/// a [`SessionLine`], until one finishes cleanly. On an unclean peer loss
+/// (with recovery on) the worker discards the session, re-announces a
+/// fresh listener, and waits for the coordinator's next line; without
+/// recovery it exits nonzero at once, because a Time Warp run that lost
+/// a process cannot commit a correct history.
+fn run_worker(
     init: &WorkerInit,
     spec: SimulationSpec,
-    listener: std::net::TcpListener,
+    mut listener: std::net::TcpListener,
     mut ctl_rx: Receiver<String>,
-    ctl_out: &mut ControlOut,
+    mut ctl_out: ControlOut,
 ) -> Result<(), String> {
-    // Mesh size is per *session* now, not per run: elastic scales grow
-    // and shrink it via [`SessionLine::n_procs`].
-    let mut n_procs = init.n_procs;
-    let mut assign = Assignment::from_owners(init.assignment.clone(), n_procs - 1)
-        .map_err(|e| format!("assignment: {e}"))?;
-    if assign.n_lps() != init.n_lps {
-        return Err(format!(
-            "assignment covers {} LPs but the model has {}",
-            assign.n_lps(),
-            init.n_lps
-        ));
-    }
-    let mut session = init.session;
-    let mut peers = init.peers.clone();
-    let mut connect_ms = init.connect_ms;
-    let mut listener = Some(listener);
-    // One throttle for the process's whole life: its event budget must
-    // not re-arm when a recovery or scale starts a new session.
-    let throttle = init
-        .fault
-        .as_ref()
-        .and_then(|f| f.slowdown(init.proc_id))
-        .map(|(gap_us, events)| Arc::new(EventThrottle::new(gap_us, events)));
-    // Runtimes handed back by aborted sessions, keyed by LP: a survivor
-    // re-seeds these by in-place rollback to the resume horizon instead
-    // of rebuilding from committed logs. Only the immediately preceding
-    // participation is ever valid (the seeding path clears the map).
-    let mut retained: HashMap<u32, Box<warp_core::LpRuntime>> = HashMap::new();
-    let mut resume_stats = ResumeStats::default();
-    // The floor: the last barrier horizon the coordinator acknowledged
-    // (`SnapshotAck`). Every LP holds the anchor of it and of every later
-    // horizon it shipped a part for, so a parked worker can roll its
-    // retained runtimes back to any horizon a successor coordinator
-    // replays from the journal — this is the `horizon` a `Reattach`
-    // reports.
-    let floor = Arc::new(AtomicU64::new(0));
-
+    let mut carried = Carried::new(init);
+    // The last session this process joined (0 before its first), as a
+    // parked worker's `Reattach` names it.
+    let mut session = 0;
+    // The bootstrap announced the first listener before the init.
+    let mut announced = true;
     loop {
-        let lst = listener.take().expect("listener staged for this session");
-        let why = match run_session_as_worker(
-            init,
-            &spec,
-            &assign,
-            n_procs,
-            session,
-            &peers,
-            connect_ms,
-            lst,
-            &mut retained,
-            &mut resume_stats,
-            throttle.clone(),
-            &floor,
-        )? {
+        let addr = listener
+            .local_addr()
+            .map_err(|e| format!("local_addr: {e}"))?
+            .to_string();
+        // The coordinator needs time to notice, reap, and respawn; but
+        // a coordinator that died will never write again — bound the
+        // wait. With a rejoin grace the worker parks instead of dying:
+        // it keeps its retained runtimes, dials the re-admission point,
+        // and presents `Reattach` until a successor adopts it or the
+        // grace runs out. The park deadline spans the *whole* parked
+        // period — repeated failed reattach rounds share one grace, and
+        // only a delivered session line resets it (by looping back to
+        // the top with a live coordinator).
+        let wait = init.net.orphan_wait();
+        let mut park_deadline: Option<Instant> = None;
+        let sl: SessionLine = loop {
+            let heard = if std::mem::take(&mut announced) || ctl_out.announce(&addr) {
+                ctl_rx.recv_timeout(wait)
+            } else {
+                Err(RecvTimeoutError::Disconnected)
+            };
+            let why = match heard {
+                Ok(line) => {
+                    break serde_json::from_str(&line)
+                        .map_err(|e| format!("parsing session line: {e}"))?;
+                }
+                Err(RecvTimeoutError::Disconnected) => "control channel closed".to_string(),
+                Err(RecvTimeoutError::Timeout) => {
+                    format!("no recovery instructions within {wait:?}")
+                }
+            };
+            let Some(rejoin) = &init.rejoin else {
+                eprintln!(
+                    "warp-worker (proc {}): orphaned ({why}); exiting",
+                    init.proc_id
+                );
+                std::process::exit(3);
+            };
+            let deadline = *park_deadline
+                .get_or_insert_with(|| Instant::now() + Duration::from_millis(rejoin.grace_ms));
+            match park_for_rejoin(init, rejoin, deadline, session, &carried.floor, &why) {
+                Some((rx, out)) => {
+                    ctl_rx = rx;
+                    ctl_out = out;
+                }
+                None => {
+                    // One write: parked siblings give up at the same
+                    // instant on a shared stderr, and `eprintln!` writes a
+                    // line in pieces that theirs can split.
+                    let line = format!(
+                        "warp-worker (proc {}): rejoin grace ({} ms) expired with no \
+                         successor coordinator; exiting\n",
+                        init.proc_id, rejoin.grace_ms
+                    );
+                    eprint!("{line}");
+                    std::process::exit(4);
+                }
+            }
+        };
+        session = sl.session;
+        let why = match run_session_as_worker(init, &spec, &sl, listener, &mut carried)? {
             WorkerSessionEnd::Finished => return Ok(()),
             WorkerSessionEnd::Retire { .. } => {
                 eprintln!(
@@ -3092,73 +3003,7 @@ pub fn run_worker(
             "warp-worker (proc {}): session {session} {why}",
             init.proc_id
         );
-        let lst = bind_loopback().map_err(|e| format!("re-bind: {e}"))?;
-        let addr = lst
-            .local_addr()
-            .map_err(|e| format!("local_addr: {e}"))?
-            .to_string();
-        // The coordinator needs time to notice, reap, and respawn; but
-        // a coordinator that died will never write again — bound the
-        // wait. With a rejoin grace the worker parks instead of dying:
-        // it keeps its retained runtimes, dials the re-admission point,
-        // and presents `Reattach` until a successor adopts it or the
-        // grace runs out. The park deadline spans the *whole* parked
-        // period — repeated failed reattach rounds share one grace, and
-        // only a delivered session line resets it (by looping back to
-        // the top with a live coordinator).
-        let wait = init.net.orphan_wait();
-        let mut park_deadline: Option<Instant> = None;
-        let sl: SessionLine = loop {
-            let heard = if ctl_out.announce(&addr) {
-                ctl_rx.recv_timeout(wait)
-            } else {
-                Err(RecvTimeoutError::Disconnected)
-            };
-            let why = match heard {
-                Ok(line) => {
-                    break serde_json::from_str(&line)
-                        .map_err(|e| format!("parsing session line: {e}"))?;
-                }
-                Err(RecvTimeoutError::Disconnected) => "control channel closed".to_string(),
-                Err(RecvTimeoutError::Timeout) => {
-                    format!("no recovery instructions within {wait:?}")
-                }
-            };
-            let Some(rejoin) = &init.rejoin else {
-                eprintln!(
-                    "warp-worker (proc {}): orphaned ({why}); exiting",
-                    init.proc_id
-                );
-                std::process::exit(3);
-            };
-            let deadline = *park_deadline
-                .get_or_insert_with(|| Instant::now() + Duration::from_millis(rejoin.grace_ms));
-            match park_for_rejoin(init, rejoin, deadline, session, &floor, &why) {
-                Some((rx, out)) => {
-                    ctl_rx = rx;
-                    *ctl_out = out;
-                }
-                None => {
-                    // One write: parked siblings give up at the same
-                    // instant on a shared stderr, and `eprintln!` writes a
-                    // line in pieces that theirs can split.
-                    let line = format!(
-                        "warp-worker (proc {}): rejoin grace ({} ms) expired with no \
-                         successor coordinator; exiting\n",
-                        init.proc_id, rejoin.grace_ms
-                    );
-                    eprint!("{line}");
-                    std::process::exit(4);
-                }
-            }
-        };
-        session = sl.session;
-        peers = sl.peers;
-        connect_ms = sl.connect_ms;
-        n_procs = sl.n_procs;
-        assign = Assignment::from_owners(sl.assignment, n_procs - 1)
-            .map_err(|e| format!("session assignment: {e}"))?;
-        listener = Some(lst);
+        listener = bind_loopback().map_err(|e| format!("re-bind: {e}"))?;
     }
 }
 
@@ -3219,7 +3064,7 @@ fn park_for_rejoin(
                          (last session {session}, horizon {horizon})",
                         init.proc_id
                     );
-                    let rx = spawn_control_reader(read_half);
+                    let rx = spawn_line_reader(read_half);
                     return Some((rx, ControlOut::Stream(stream)));
                 }
             }
@@ -3239,23 +3084,18 @@ fn park_for_rejoin(
 /// seed the LPs (fresh on session 0, restored from the coordinator's
 /// streamed resume otherwise — in place when a retained runtime exists),
 /// run them, and either report cleanly or abort.
-#[allow(clippy::too_many_arguments)]
 fn run_session_as_worker(
     init: &WorkerInit,
     spec: &SimulationSpec,
-    assign: &Assignment,
-    n_procs: u32,
-    session: u32,
-    peers: &[(u32, String)],
-    connect_ms: u64,
+    sl: &SessionLine,
     listener: std::net::TcpListener,
-    retained: &mut HashMap<u32, Box<warp_core::LpRuntime>>,
-    resume_stats: &mut ResumeStats,
-    throttle: Option<Arc<EventThrottle>>,
-    floor: &Arc<AtomicU64>,
+    carried: &mut Carried,
 ) -> Result<WorkerSessionEnd, String> {
+    let assign = sl.owners(init.n_lps)?;
+    let (session, n_procs) = (sl.session, sl.n_procs);
     let my_lps: Vec<u32> = assign.lps_of(init.proc_id);
-    let peer_addrs: Vec<(u32, SocketAddr)> = peers
+    let peer_addrs: Vec<(u32, SocketAddr)> = sl
+        .peers
         .iter()
         .filter(|(id, _)| *id < init.proc_id)
         .map(|(id, addr)| {
@@ -3269,7 +3109,7 @@ fn run_session_as_worker(
         session,
         heartbeat_interval: Duration::from_millis(init.net.heartbeat_ms.max(10)),
         liveness_timeout: Duration::from_millis(init.net.liveness_ms.max(100)),
-        connect_timeout: Duration::from_millis(connect_ms.max(100)),
+        connect_timeout: Duration::from_millis(sl.connect_ms.max(100)),
         dial_backoff_start: Duration::from_millis(init.net.connect_backoff_start_ms.max(1)),
         dial_backoff_max: Duration::from_millis(
             init.net
@@ -3397,15 +3237,15 @@ fn run_session_as_worker(
             let mut logs = merge_logs(&deltas).map_err(|e| format!("resume merge: {e}"))?;
             for &lp in &my_lps {
                 let log = logs.remove(&lp).unwrap_or_default();
-                let seed = match retained.remove(&lp) {
+                let seed = match carried.retained.remove(&lp) {
                     Some(rt) => {
-                        resume_stats.lps_rolled_back += 1;
+                        carried.resume_stats.lps_rolled_back += 1;
                         LpSeed::Rollback { lp: rt, horizon }
                     }
                     None => {
-                        resume_stats.replayed_events +=
+                        carried.resume_stats.replayed_events +=
                             log.values().map(|evs| evs.len() as u64).sum::<u64>();
-                        resume_stats.lps_rebuilt += 1;
+                        carried.resume_stats.lps_rebuilt += 1;
                         LpSeed::Replay { log, horizon }
                     }
                 };
@@ -3423,7 +3263,7 @@ fn run_session_as_worker(
     // Anything still retained belongs to an LP that migrated away; the
     // next handback must come from *this* session or not at all — a
     // stale runtime may be missing history a newer horizon commits.
-    retained.clear();
+    carried.retained.clear();
 
     let lp_threads: Vec<_> = seeds
         .into_iter()
@@ -3438,7 +3278,7 @@ fn run_session_as_worker(
                 skip: Cell::new(0),
                 backoff: Cell::new(0),
                 balance: init.balance,
-                throttle: throttle.clone(),
+                throttle: carried.throttle.clone(),
             };
             let spec = spec.clone();
             std::thread::spawn(move || lp_thread(spec, port, seed, ckpt_base))
@@ -3451,7 +3291,7 @@ fn run_session_as_worker(
         &slot_of,
         n_local,
         ckpt_base.unwrap_or(VirtualTime::ZERO),
-        floor,
+        &carried.floor,
     );
     let mut outcomes: Vec<LpOutcome> = lp_threads
         .into_iter()
@@ -3464,7 +3304,7 @@ fn run_session_as_worker(
             let report = WorkerReport {
                 gvt_rounds: outcomes.iter().map(|o| o.gvt_rounds).max().unwrap_or(0),
                 per_lp: outcomes.into_iter().map(|o| o.summary).collect(),
-                resume: resume_stats.clone(),
+                resume: carried.resume_stats.clone(),
                 peak_rss_kb: peak_rss_kb(),
             };
             let bytes = serde_json::to_vec(&report).map_err(|e| format!("report encode: {e}"))?;
@@ -3481,7 +3321,7 @@ fn run_session_as_worker(
         }
         WorkerSessionEnd::PeerLost(_) | WorkerSessionEnd::Rebalance => {
             mesh.abort();
-            stash_retained(retained, outcomes);
+            stash_retained(&mut carried.retained, outcomes);
         }
     }
     Ok(end)
@@ -3645,6 +3485,7 @@ fn route_inbound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{decode_delta, encode_delta, LpDelta};
 
     #[test]
     fn assignment_covers_all_lps() {
@@ -3672,15 +3513,10 @@ mod tests {
     fn worker_init_round_trips_as_json() {
         let init = WorkerInit {
             proc_id: 2,
-            n_procs: 3,
             n_lps: 8,
-            session: 4,
-            peers: vec![(0, "127.0.0.1:1".into()), (1, "127.0.0.1:2".into())],
             model: serde_json::json!("opaque"),
             net: NetTuning::default(),
-            connect_ms: 10_000,
             recovery: true,
-            assignment: vec![1, 1, 1, 2, 2, 1, 2, 2],
             balance: true,
             fault: Some(FaultPlan::new().crash(2, 1, 100, 0).slow(2, 250, 5_000)),
             rejoin: Some(RejoinSpec {
@@ -3692,13 +3528,10 @@ mod tests {
         let line = serde_json::to_string(&init).unwrap();
         let back: WorkerInit = serde_json::from_str(&line).unwrap();
         assert_eq!(back.proc_id, 2);
-        assert_eq!(back.session, 4);
-        assert_eq!(back.peers.len(), 2);
-        assert_eq!(back.peers[1].1, "127.0.0.1:2");
+        assert_eq!(back.n_lps, 8);
         assert_eq!(back.model, init.model);
         assert_eq!(back.net.heartbeat_ms, 250);
         assert!(back.recovery);
-        assert_eq!(back.assignment, init.assignment);
         assert!(back.balance);
         let fault = back.fault.expect("fault plan survives the round trip");
         assert_eq!(fault.slowdown(2), Some((250, 5_000)));
@@ -3710,31 +3543,42 @@ mod tests {
     }
 
     #[test]
-    fn worker_init_without_an_assignment_is_refused() {
+    fn session_line_without_an_assignment_is_refused() {
         // The coordinator writes every field; a line that lacks one
         // comes from no build that could pass `Hello`, and a missing
         // owner map must not quietly mean "contiguous".
-        let line = serde_json::to_string(&WorkerInit {
-            proc_id: 1,
-            n_procs: 2,
-            n_lps: 4,
+        let line = serde_json::to_string(&SessionLine {
             session: 0,
             peers: vec![(0, "127.0.0.1:1".into())],
-            model: serde_json::Value::Null,
-            net: NetTuning::default(),
             connect_ms: 1000,
-            recovery: true,
             assignment: vec![1; 4],
-            balance: false,
-            fault: None,
-            rejoin: None,
+            n_procs: 2,
         })
         .unwrap();
-        serde_json::from_str::<WorkerInit>(&line).expect("the full line parses");
+        serde_json::from_str::<SessionLine>(&line).expect("the full line parses");
         let legacy = line.replace(r#""assignment":[1,1,1,1],"#, "");
         assert_ne!(legacy, line, "the owner map is gone from {legacy}");
-        let err = serde_json::from_str::<WorkerInit>(&legacy).unwrap_err();
+        let err = serde_json::from_str::<SessionLine>(&legacy).unwrap_err();
         assert!(err.to_string().contains("assignment"), "{err}");
+    }
+
+    #[test]
+    fn session_line_owner_map_must_cover_every_lp() {
+        // Every session's map is checked against the run's LP count, the
+        // first session's and every later one's alike.
+        let sl = |session, assignment: Vec<u32>| SessionLine {
+            session,
+            peers: vec![(0, "127.0.0.1:1".into())],
+            connect_ms: 1000,
+            assignment,
+            n_procs: 3,
+        };
+        let assign = sl(0, vec![1, 1, 2, 2]).owners(4).expect("a full map");
+        assert_eq!(assign.lps_of(2), vec![2, 3]);
+        let err = sl(5, vec![1, 2, 2]).owners(4).unwrap_err();
+        assert!(err.contains("session 5 assignment covers 3 LPs"), "{err}");
+        let err = sl(6, vec![1, 3, 2, 2]).owners(4).unwrap_err();
+        assert!(err.contains("session 6 assignment"), "{err}");
     }
 
     #[test]
@@ -3969,6 +3813,212 @@ mod tests {
         }
     }
 
+    /// One-delta chains over the window `[0, 10)`, one per worker of
+    /// `assign`, each holding its LPs' (empty) parts — all re-keying
+    /// reads.
+    fn chains_of(assign: &Assignment) -> Vec<Vec<Vec<u8>>> {
+        (1..=assign.n_workers())
+            .map(|w| {
+                let lps: Vec<LpDelta> = assign
+                    .lps_of(w)
+                    .into_iter()
+                    .map(|lp| LpDelta {
+                        lp,
+                        objects: Vec::new(),
+                    })
+                    .collect();
+                vec![encode_delta(VirtualTime::ZERO, VirtualTime::new(10), &lps)]
+            })
+            .collect()
+    }
+
+    /// The LPs each worker's chain holds.
+    fn chain_lps(st: &CoordState) -> Vec<Vec<u32>> {
+        let lps = |chain: &Vec<Vec<u8>>| decode_delta(&chain[0]).unwrap().2;
+        let ids = |chain| lps(chain).iter().map(|d| d.lp).collect();
+        st.store.chains.iter().map(ids).collect()
+    }
+
+    #[test]
+    fn every_regroup_kind_takes_the_same_step() {
+        // The coordinator's regroup bookkeeping on in-memory chains, with
+        // no process and no socket: each kind in turn.
+        let owners = |owners: Vec<u32>| {
+            let n = *owners.iter().max().unwrap();
+            Assignment::from_owners(owners, n).unwrap()
+        };
+        let start = owners(vec![1, 1, 2, 2]);
+        let mut st = CoordState {
+            store: CkptStore {
+                chains: chains_of(&start),
+                horizon: VirtualTime::new(10),
+                next_ckpt: 1,
+                segments: None,
+                stats: ResumeStats::default(),
+            },
+            assign: start,
+            session: 0,
+            recoveries: 0,
+            migrations: Vec::new(),
+            scales: Vec::new(),
+            telemetry: None,
+            probation: None,
+            journal: None,
+            barriers: 1,
+        };
+        let recovery = RecoveryPolicy {
+            max_recoveries: 2,
+            ..RecoveryPolicy::default()
+        };
+        let mv = |lp, from, to| warp_balance::Move { lp, from, to };
+        // The trajectory sorts by (gvt, lp), stably: a param's events at
+        // one horizon stay in the order they were appended.
+        let last_event = |st: &CoordState, param| {
+            let events = &st.telemetry.as_ref().unwrap().events;
+            let e = events.iter().rev().find(|e| e.param == param).unwrap();
+            (e.gvt, e.lp, e.old, e.new, e.sampled_o)
+        };
+        let n_events = |st: &CoordState| st.telemetry.as_ref().map_or(0, |t| t.events.len());
+        let last_scale = |st: &CoordState| {
+            let r = st.scales.last().unwrap();
+            let moved: Vec<u32> = r.moves.iter().map(|m| m.lp).collect();
+            (
+                r.direction.clone(),
+                r.gvt,
+                r.from_workers,
+                r.to_workers,
+                r.pressure,
+                moved,
+            )
+        };
+        let lost = |peer| Regroup::Lost {
+            peer,
+            detail: "gone".into(),
+        };
+
+        // Migration: LP 1 moves to worker 2.
+        let plan = warp_balance::Rebalance {
+            assignment: owners(vec![1, 2, 2, 2]),
+            moves: vec![mv(1, 1, 2)],
+            imbalance: 0.7,
+        };
+        assert_eq!(
+            st.regroup(Regroup::Migrate(plan), &recovery).unwrap(),
+            Membership::Keep
+        );
+        assert_eq!(chain_lps(&st), vec![vec![0], vec![1, 2, 3]]);
+        let rec = &st.migrations[0];
+        let moved: Vec<_> = rec.moves.iter().map(|m| (m.lp, m.from, m.to)).collect();
+        assert_eq!(
+            (rec.gvt, rec.imbalance, moved),
+            (Some(10), 0.7, vec![(1, 1, 2)])
+        );
+        assert_eq!(n_events(&st), 1, "one Assignment event per move");
+        assert_eq!(
+            last_event(&st, Param::Assignment),
+            (Some(10), 1, 1.0, 2.0, 0.7)
+        );
+        assert_eq!(
+            (st.session, st.recoveries, st.probation.is_some()),
+            (1, 0, false)
+        );
+
+        // Scale-out: worker 3 joins on probation and takes LPs 2 and 3.
+        let out = ScalePlan {
+            direction: ScaleDirection::Out,
+            from_workers: 2,
+            to_workers: 3,
+            assignment: owners(vec![1, 2, 3, 3]),
+            moves: vec![mv(2, 2, 3), mv(3, 2, 3)],
+            pressure: 0.9,
+        };
+        let membership = st.regroup(Regroup::Scale(out.clone()), &recovery).unwrap();
+        assert_eq!(membership, Membership::Admit(3));
+        assert_eq!(chain_lps(&st), vec![vec![0], vec![1], vec![2, 3]]);
+        assert_eq!(
+            last_scale(&st),
+            ("out".into(), Some(10), 2, 3, 0.9, vec![2, 3])
+        );
+        assert_eq!(
+            last_event(&st, Param::ClusterSize),
+            (Some(10), 0, 2.0, 3.0, 0.9)
+        );
+        assert_eq!((st.session, st.recoveries), (2, 0));
+        let (newbie, pre, _) = st.probation.clone().expect("the newcomer is on probation");
+        assert_eq!((newbie, pre.owners()), (3, &[1, 2, 2, 2][..]));
+
+        // Fallback: the newcomer is lost on probation; back to two
+        // workers and the pre-scale owners, one recovery charged.
+        assert_eq!(st.regroup(lost(3), &recovery).unwrap(), Membership::Evict);
+        assert_eq!(chain_lps(&st), vec![vec![0], vec![1, 2, 3]]);
+        assert_eq!(st.assign.owners(), &[1, 2, 2, 2]);
+        assert_eq!(
+            last_scale(&st),
+            ("fallback".into(), Some(10), 3, 2, -1.0, vec![])
+        );
+        assert_eq!(
+            last_event(&st, Param::ClusterSize),
+            (Some(10), 0, 3.0, 2.0, -1.0)
+        );
+        assert_eq!(
+            (st.session, st.recoveries, st.probation.is_some()),
+            (3, 1, false)
+        );
+
+        // Out again, then a crash of another worker: one recovery, same
+        // chains, no record, no event, and the newcomer stays on
+        // probation.
+        st.regroup(Regroup::Scale(out), &recovery).unwrap();
+        let (chains, events, records) = (st.store.chains.clone(), n_events(&st), st.scales.len());
+        assert_eq!(st.regroup(lost(1), &recovery).unwrap(), Membership::Keep);
+        assert_eq!(st.store.chains, chains);
+        assert_eq!(
+            (n_events(&st), st.scales.len(), st.migrations.len()),
+            (events, records, 1)
+        );
+        assert_eq!((st.session, st.recoveries), (5, 2));
+        assert_eq!(st.probation.as_ref().map(|p| p.0), Some(3));
+
+        // Scale-in: worker 3 retires and its LPs go back to worker 2.
+        let inn = ScalePlan {
+            direction: ScaleDirection::In,
+            from_workers: 3,
+            to_workers: 2,
+            assignment: owners(vec![1, 2, 2, 2]),
+            moves: vec![mv(2, 3, 2), mv(3, 3, 2)],
+            pressure: 0.1,
+        };
+        assert_eq!(
+            st.regroup(Regroup::Scale(inn), &recovery).unwrap(),
+            Membership::Retire(3)
+        );
+        assert_eq!(chain_lps(&st), vec![vec![0], vec![1, 2, 3]]);
+        assert_eq!(
+            last_scale(&st),
+            ("in".into(), Some(10), 3, 2, 0.1, vec![2, 3])
+        );
+        assert_eq!(
+            last_event(&st, Param::ClusterSize),
+            (Some(10), 0, 3.0, 2.0, 0.1)
+        );
+        assert_eq!(
+            (st.session, st.recoveries, st.probation.is_some()),
+            (6, 2, false)
+        );
+
+        // Past the budget, a crash ends the run instead.
+        match st.regroup(lost(2), &recovery) {
+            Err(DistError::Worker { proc_id: 2, detail }) => {
+                assert!(
+                    detail.contains("recovery budget of 2 exhausted"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected the budget to run out, got {other:?}"),
+        }
+        assert_eq!((st.session, st.recoveries), (6, 2));
+    }
+
     #[test]
     fn missing_worker_binary_is_a_clean_error() {
         let cfg = DistConfig::new(
@@ -4074,36 +4124,25 @@ mod tests {
         let addrs = [&l0, &l1, &l2].map(|l| l.local_addr().unwrap());
         let init = WorkerInit {
             proc_id: 1,
-            n_procs: 3,
             n_lps: 2,
-            session: 1,
-            peers: (0..3).map(|p| (p, addrs[p as usize].to_string())).collect(),
             model: serde_json::Value::Null,
             net: net.clone(),
-            connect_ms: 10_000,
             recovery: true,
-            assignment: vec![1, 2],
             balance: false,
             fault: None,
             rejoin: None,
         };
+        let sl = SessionLine {
+            session: 1,
+            peers: (0..3).map(|p| (p, addrs[p as usize].to_string())).collect(),
+            connect_ms: 10_000,
+            assignment: vec![1, 2],
+            n_procs: 3,
+        };
         let worker = std::thread::spawn(move || {
-            let assign = Assignment::from_owners(init.assignment.clone(), 2).unwrap();
-            let mut stats = ResumeStats::default();
-            let end = run_session_as_worker(
-                &init,
-                &spec,
-                &assign,
-                3,
-                1,
-                &init.peers,
-                init.connect_ms,
-                l1,
-                &mut HashMap::new(),
-                &mut stats,
-                None,
-                &Arc::new(AtomicU64::new(0)),
-            );
+            let mut carried = Carried::new(&init);
+            let end = run_session_as_worker(&init, &spec, &sl, l1, &mut carried);
+            let stats = carried.resume_stats;
             (end.unwrap(), stats)
         });
         let cfg = |proc_id| TcpMeshConfig {

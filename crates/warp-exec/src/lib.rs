@@ -30,8 +30,8 @@ pub mod threaded;
 pub mod virtual_cluster;
 
 pub use distributed::{
-    checkpoint_segment_path, journal_job_json, load_checkpoint_segment, resume_coordinator,
-    run_coordinator, worker_main, worker_main_with, DistConfig, DistError, NetTuning,
+    checkpoint_segment_path, join_main, journal_job_json, load_checkpoint_segment,
+    resume_coordinator, run_coordinator, worker_main, DistConfig, DistError, NetTuning,
     RecoveryPolicy, RejoinSpec,
 };
 pub use report::{LpSummary, ObjectSummary, ResumeStats, RunReport};

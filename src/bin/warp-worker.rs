@@ -5,8 +5,9 @@
 //! admission listener instead of speaking over stdio; the coordinator
 //! adopts the process at its next elastic scale-out (see
 //! `docs/elasticity.md`). Either way the worker announces its listen
-//! address (`LISTEN <addr>`), reads one line of init JSON, joins the
-//! TCP mesh, runs its block of LPs, reports, and exits. See
+//! address (`LISTEN <addr>`), reads one line of init JSON and then the
+//! first session's line, joins the TCP mesh, runs its block of LPs,
+//! reports, and exits. See
 //! `warp_exec::distributed` for the protocol and
 //! `warped_online::cluster` for the model vocabulary.
 //!
@@ -75,8 +76,8 @@ fn main() {
     }
     let build = &warped_online::cluster::spec_from_model_json;
     let result = match join {
-        Some(addr) => warp_exec::distributed::join_main_with(&addr, build, rejoin_grace),
-        None => warp_exec::worker_main_with(build, rejoin_grace),
+        Some(addr) => warp_exec::join_main(&addr, build, rejoin_grace),
+        None => warp_exec::worker_main(build, rejoin_grace),
     };
     if let Err(e) = result {
         eprintln!("warp-worker: {e}");

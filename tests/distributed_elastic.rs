@@ -14,7 +14,8 @@ use std::time::Duration;
 use warp_elastic::ElasticPolicy;
 use warp_exec::distributed::{run_coordinator, RecoveryPolicy};
 use warp_exec::run_sequential;
-use warp_net::FaultPlan;
+use warp_net::frame::PROTO_VERSION;
+use warp_net::{FaultPlan, Frame};
 use warp_telemetry::Param;
 use warped_online::cluster::{dist_config, run_distributed_job, ClusterJob, ModelSpec};
 use warped_online::models::PholdConfig;
@@ -280,5 +281,80 @@ fn parked_join_worker_is_adopted_when_pressure_mounts() {
     assert!(
         status.success(),
         "the joined worker exited with {status:?} instead of 0"
+    );
+}
+
+/// Poll the admit file until the coordinator publishes its admission
+/// address.
+fn await_admit_addr(admit_file: &std::path::Path) -> String {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Ok(text) = std::fs::read_to_string(admit_file) {
+            let text = text.trim().to_string();
+            if !text.is_empty() {
+                return text;
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "admission address never published"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn joiner_that_dies_before_its_first_session_falls_back() {
+    let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A `--join` newcomer that presents its `Join` handshake and then
+    // closes its socket, before it ever announces a listener. The
+    // scale-out adopts it all the same (it is the only joiner, and
+    // `spawn: false`), and its death must cost one fallback and one
+    // recovery, not the run.
+    let admit_file = std::env::temp_dir().join(format!(
+        "warp-elastic-dead-joiner-{}.addr",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&admit_file);
+
+    let job = ClusterJob {
+        elastic: ElasticPolicy {
+            spawn: false,
+            ..elastic_policy()
+        },
+        fault: Some(FaultPlan::new().slow(1, 800, 0)),
+        ..phold_job(220)
+    };
+    let mut cfg =
+        dist_config(&job, 2, worker_bin(), Duration::from_secs(120)).expect("config build failed");
+    cfg.admit_file = Some(admit_file.clone());
+
+    let joiner = {
+        let admit_file = admit_file.clone();
+        std::thread::spawn(move || {
+            let addr = await_admit_addr(&admit_file);
+            let mut stream = std::net::TcpStream::connect(addr).expect("dialing admission");
+            let hello = Frame::Join {
+                version: PROTO_VERSION,
+            };
+            std::io::Write::write_all(&mut stream, &hello.encode()).expect("join handshake");
+        })
+    };
+
+    let dist = run_coordinator(&cfg);
+    joiner.join().expect("joiner thread panicked");
+    let _ = std::fs::remove_file(&admit_file);
+    let dist = dist.expect("a joiner that died before its first session failed the run");
+
+    assert_matches_sequential(&job, &dist);
+    assert!(
+        dist.scales.iter().any(|s| s.direction == "fallback"),
+        "the dead joiner was never evicted: {}",
+        dist.adaptation_summary()
+    );
+    assert!(
+        dist.recoveries >= 1,
+        "the fallback charged no recovery: {}",
+        dist.adaptation_summary()
     );
 }
