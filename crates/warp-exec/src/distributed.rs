@@ -24,20 +24,24 @@
 //! GVT = ∞ shuts every LP down wherever it lives.
 //!
 //! Bootstrap protocol (coordinator side in [`run_coordinator`], worker
-//! side in [`worker_main`]):
+//! side in [`join_main`]):
 //!
-//! 1. The coordinator binds a loopback listener and spawns each worker
-//!    binary with piped stdio.
-//! 2. Each worker binds its own ephemeral listener and prints a single
-//!    `LISTEN <addr>` line on stdout.
-//! 3. The coordinator sends each worker two lines of JSON on stdin,
-//!    back to back: a [`WorkerInit`] with what is fixed for the
-//!    process's life (its proc id, the tuning, the policies, and an
-//!    *opaque* model description — `warp-exec` never learns how to
-//!    build models; the worker binary supplies a closure that turns the
-//!    model JSON into a [`SimulationSpec`]), then the first
-//!    [`SessionLine`]: the session epoch, every peer's address and the
-//!    LP→worker owner map. Every later session starts with a
+//! 1. The coordinator opens its admission point, a loopback listener,
+//!    and spawns each worker binary as `--join <admission address>`,
+//!    with no stdin or stdout.
+//! 2. Each worker dials the admission point and presents a
+//!    [`Frame::Join`] naming its OS pid, which pairs it with the slot
+//!    the coordinator spawned it for; that socket is its control socket
+//!    for life. It binds its own ephemeral listener and announces the
+//!    address as a [`Frame::Control`] message.
+//! 3. The coordinator sends each worker two control messages, back to
+//!    back: a [`WorkerInit`] with what is fixed for the process's life
+//!    (its proc id, the tuning, the policies, and an *opaque* model
+//!    description — `warp-exec` never learns how to build models; the
+//!    worker binary supplies a closure that turns the model JSON into a
+//!    [`SimulationSpec`]), then the first [`SessionLine`]: the session
+//!    epoch, every peer's address and the LP→worker owner map. Every
+//!    later session starts with a listen announcement and a
 //!    [`SessionLine`] alone.
 //! 4. Everyone establishes the TCP mesh (workers dial lower ids, accept
 //!    higher ones) and the simulation runs.
@@ -85,8 +89,8 @@
 //!
 //! When a peer is lost *uncleanly* (crash, half-open link past the
 //! liveness timeout, or an unrecoverable sequence gap), every survivor
-//! aborts its LP threads, re-binds a fresh listener, re-announces
-//! `LISTEN` on stdout, and waits on stdin; the coordinator reaps dead
+//! aborts its LP threads, re-binds a fresh listener, announces it on its
+//! control socket, and waits there; the coordinator reaps dead
 //! workers, respawns them, distributes the new peer list (a
 //! [`SessionLine`] to everyone, after a [`WorkerInit`] to respawned
 //! processes), re-establishes the mesh under the bumped epoch, and
@@ -136,7 +140,7 @@
 //! barrier so the chains cover everything committed, re-keys the stored
 //! delta chains under the new owner map, broadcasts [`Frame::Rebalance`]
 //! (workers abort their LP threads exactly as on a peer loss and
-//! re-announce `LISTEN`), then regroups into a new session whose
+//! announce a fresh listener), then regroups into a new session whose
 //! resume stream restores every LP on its *new* owner. Because
 //! restoration replays committed history through the normal kernel paths,
 //! the committed trace digest is unchanged by any migration. Migrations are
@@ -165,10 +169,10 @@
 //!
 //! *Scale-out* admits a fresh worker into the successor session: the
 //! coordinator either spawns another copy of the worker binary
-//! ([`ElasticPolicy::spawn`]) or adopts a process that dialed the
-//! admission listener with a [`Frame::Join`] handshake (`join_main`,
-//! the `--join` flag of a worker binary; the listener's address is
-//! published via [`DistConfig::admit_file`]). The newcomer is seeded
+//! ([`ElasticPolicy::spawn`]) or adopts a process started by hand that
+//! dialed the admission point with a [`Frame::Join`] of its own (the
+//! `--join` flag of a worker binary; the point's address is published
+//! via [`DistConfig::admit_file`]). The newcomer is seeded
 //! exactly like a respawned worker — chains re-keyed to the grown
 //! [`warp_balance::Assignment`], streamed as `ResumeChunk`s — and runs
 //! one **probation** session: if the very next session is lost blaming
@@ -191,21 +195,22 @@
 //! kernel paths, the committed trace digest is unchanged by any scale.
 //!
 //! Orphan hygiene: a worker whose coordinator dies sees either its mesh
-//! link drop or stdin close (the coordinator holds the write end) and
-//! — without a rejoin grace — exits non-zero on its own, so workers
-//! never outlive the coordinator by more than the liveness timeout plus
-//! a bounded wait ([`NetTuning::orphan_grace_ms`]) for recovery
-//! instructions. With [`RecoveryPolicy::rejoin_grace_ms`] set the
-//! worker *parks* instead: it freezes its kernel state (retaining the
-//! aborted session's runtimes for in-place rollback), dials the
-//! coordinator's re-admission point with jittered exponential backoff,
-//! and presents a [`Frame::Reattach`] carrying its identity and its
-//! floor, the last checkpoint horizon acknowledged to it. A restarted coordinator ([`resume_coordinator`], the
-//! `--resume` flag of `warp-cluster`) replays the durable run journal
-//! from `store_dir`, re-adopts parked survivors over those sockets, and
-//! continues the run under a bumped session; only when the grace
-//! expires with no successor does the parked worker give up (exit 4,
-//! distinct from the no-grace orphan exit 3).
+//! link drop or its control socket close and — without a rejoin grace
+//! — exits non-zero on its own, so workers never outlive the coordinator
+//! by more than the liveness timeout plus a bounded wait
+//! ([`NetTuning::orphan_grace_ms`]) for recovery instructions. With
+//! [`RecoveryPolicy::rejoin_grace_ms`] set the worker *parks* instead: it
+//! freezes its kernel state (retaining the aborted session's runtimes for
+//! in-place rollback), re-dials the admission point with jittered
+//! exponential backoff, and presents a [`Frame::Reattach`] carrying its
+//! identity and its floor, the last checkpoint horizon acknowledged to
+//! it. A restarted coordinator ([`resume_coordinator`], the `--resume`
+//! flag of `warp-cluster`) replays the durable run journal from
+//! `store_dir`, re-adopts parked survivors over those sockets (their
+//! control sockets from then on), and continues the run under a bumped
+//! session; only when the grace expires with no successor does the
+//! parked worker give up (exit 4, distinct from the no-grace orphan exit
+//! 3).
 
 use crate::report::{
     LpSummary, MigrationMove, MigrationRecord, ResumeStats, RunReport, ScaleRecord,
@@ -221,22 +226,21 @@ use crate::spec::SimulationSpec;
 use crate::threaded::{lp_thread, LpOutcome, LpPort, LpSeed, Packet, BATCH};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 use warp_balance::{Assignment, BalanceController, BalancePolicy, LpLoad};
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::VirtualTime;
 use warp_elastic::{ElasticController, ElasticPolicy, ScaleDirection, ScalePlan};
 use warp_net::tcp::{bind_loopback, InboundHook, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
-use warp_net::{lane_mesh, FaultPlan, Frame, LaneEndpoint};
+use warp_net::{lane_mesh, FaultPlan, Frame, FrameDecoder, LaneEndpoint, PROTO_VERSION};
 use warp_telemetry::{ControlEvent, Param, TelemetryReport};
 
 /// Transport tuning for distributed runs. All knobs that used to be
@@ -434,9 +438,8 @@ pub struct DistConfig {
     /// `min_workers` and `max_workers` off the same load stream the
     /// balancer reads. Enabling it requires `recovery.enabled`.
     pub elastic: ElasticPolicy,
-    /// With elastic membership on, write the admission listener's
-    /// address to this file once it is bound, so external `--join`
-    /// workers (and tests) can find it.
+    /// Write the admission listener's address to this file once it is
+    /// bound, so external `--join` workers (and tests) can find it.
     pub admit_file: Option<PathBuf>,
     /// Deterministic fault plan: link faults injected into every
     /// process's mesh, plus slowed and crashing processes (`None` =
@@ -535,22 +538,20 @@ pub struct WorkerInit {
     pub rejoin: Option<RejoinSpec>,
 }
 
-/// Everything a worker needs to survive its coordinator: where to dial
-/// [`Frame::Reattach`] after the control channel dies, and for how long
-/// to keep trying. Shipped inside [`WorkerInit`] when the run journal
-/// and [`RecoveryPolicy::rejoin_grace_ms`] are armed.
+/// How long a worker survives its coordinator, and where else to look
+/// for a successor. A parked worker dials [`Frame::Reattach`] first at
+/// the admission point it last reached the coordinator on — a resumed
+/// coordinator re-binds it — then at the admit file's address. Shipped
+/// inside [`WorkerInit`] when the run journal and
+/// [`RecoveryPolicy::rejoin_grace_ms`] are armed.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RejoinSpec {
     /// Parked-survival budget, milliseconds, measured from the moment
     /// the worker first loses its coordinator. Always positive.
     pub grace_ms: u64,
-    /// The admission listener's address at init time. A resumed
-    /// coordinator re-binds the same address, so parked workers dial
-    /// here first.
-    pub admit_addr: String,
     /// Optional admit-file path, re-read before every dial attempt: if
-    /// the resumed coordinator could not re-bind `admit_addr` it
-    /// publishes its fallback address here.
+    /// the resumed coordinator could not re-bind the old admission
+    /// address it publishes its fallback address here.
     #[serde(default)]
     pub admit_file: Option<String>,
 }
@@ -624,153 +625,209 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
+/// One message on a worker's control socket, carried as JSON in a
+/// [`Frame::Control`].
+#[derive(Debug, Serialize, Deserialize)]
+enum Control {
+    /// Worker → coordinator, before every session: the listener it joins
+    /// that session's mesh on.
+    Listen(String),
+    /// Coordinator → a fresh worker, once: what is fixed for its life.
+    Init(WorkerInit),
+    /// Coordinator → worker: the start of every session.
+    Session(SessionLine),
+}
+
+/// A worker's control socket, from either end: the one stream the worker
+/// dialed at the admission point, open for the process's whole life, and
+/// the decoder of what arrives on it. No thread reads it: each end reads
+/// it only where it waits anyway, under a read timeout.
+struct ControlLink {
+    stream: TcpStream,
+    dec: FrameDecoder,
+}
+
+impl ControlLink {
+    fn new(stream: TcpStream) -> ControlLink {
+        // Messages go out back to back (a handshake and an announcement,
+        // an init and a session start): Nagle would hold the second one
+        // for the first one's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        ControlLink {
+            stream,
+            dec: FrameDecoder::new(),
+        }
+    }
+
+    /// Dial the admission point at `addr` and present `hello`.
+    fn dial(addr: &str, hello: &Frame) -> io::Result<ControlLink> {
+        let mut link = ControlLink::new(TcpStream::connect(addr)?);
+        link.stream.write_all(&hello.encode())?;
+        Ok(link)
+    }
+
+    fn send(&mut self, msg: &Control) -> io::Result<()> {
+        let json = serde_json::to_vec(msg).map_err(io::Error::other)?;
+        self.stream.write_all(&Frame::Control(json).encode())
+    }
+
+    /// The next control message, waiting up to `timeout` for it (`None`
+    /// waits for ever): `Ok(None)` when none came in time. A closed
+    /// socket is an error; so is anything but a control message
+    /// (`InvalidData`).
+    fn recv(&mut self, timeout: Option<Duration>) -> io::Result<Option<Control>> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(msg) = next_control(&mut self.dec)? {
+                return Ok(Some(msg));
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
+                return Ok(None);
+            }
+            self.stream.set_read_timeout(left)?;
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.dec.push(&buf[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) if e.kind() != ErrorKind::Interrupted => return Err(e),
+                Err(_) => {}
+            }
+        }
+    }
+}
+
+/// Decode the next control message from what a control socket has
+/// delivered so far (`Ok(None)`: not all of it yet).
+fn next_control(dec: &mut FrameDecoder) -> io::Result<Option<Control>> {
+    let invalid = |m: String| io::Error::new(ErrorKind::InvalidData, m);
+    match dec.next().map_err(|e| invalid(e.to_string()))? {
+        None => Ok(None),
+        Some(Frame::Control(json)) => serde_json::from_slice(&json)
+            .map(Some)
+            .map_err(|e| invalid(format!("control message: {e}"))),
+        Some(other) => Err(invalid(format!(
+            "unexpected {other:?} on the control socket"
+        ))),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------
 
-/// How the coordinator talks to one worker's control plane: the stdio
-/// pipes of a child it spawned, or the admission socket of a process
-/// that dialed in with [`Frame::Join`]. The line protocol on top is
-/// identical either way.
-enum Ctl {
-    /// A spawned child; lines ride its piped stdio.
-    Child(Child),
-    /// A joined remote; lines ride the (cloned) admission stream.
-    Remote(TcpStream),
-}
-
-/// A worker process plus its control-line stream. The reader thread
-/// lives for the worker's whole life because recovery needs a *second*
-/// `LISTEN` line from survivors, long after bootstrap.
+/// A worker process as the coordinator holds it: the child it spawned
+/// (`None` for a process that dialed in on its own), kept only to kill
+/// and reap, and the control socket the process dialed in on.
 struct WorkerProc {
-    ctl: Ctl,
-    lines: Receiver<String>,
+    child: Option<Child>,
+    /// `None` until a spawned child's [`Frame::Join`] pairs it
+    /// ([`await_listen`]).
+    link: Option<ControlLink>,
     /// Not yet sent its [`WorkerInit`] (a fresh spawn or admission): the
     /// next session's [`SessionLine`] goes right behind one.
     fresh: bool,
-    /// The `LISTEN` address [`await_listen`] collected for the next session.
+    /// The listen address [`await_listen`] collected for the next session.
     pending_listen: Option<String>,
-    /// Set when this process dialed in with [`Frame::Reattach`] rather
-    /// than [`Frame::Join`]: `(session, worker_id, retained_horizon)` of
-    /// the parked worker awaiting re-adoption by a resumed coordinator.
-    reattach: Option<(u32, u32, VirtualTime)>,
 }
 
 impl WorkerProc {
-    fn new(ctl: Ctl, lines: impl Read + Send + 'static) -> WorkerProc {
+    /// A process that dialed in on its own: a `--join` worker (`fresh`)
+    /// or a parked survivor re-adopted after a coordinator restart.
+    fn dialed(link: ControlLink, fresh: bool) -> WorkerProc {
         WorkerProc {
-            lines: spawn_line_reader(lines),
-            ctl,
-            fresh: true,
+            child: None,
+            link: Some(link),
+            fresh,
             pending_listen: None,
-            reattach: None,
         }
     }
 
-    /// Spawn the worker binary for slot `proc_id`; its OS pid is named on
-    /// stderr as `WORKER_PID <proc_id> <pid>`.
-    fn spawn(bin: &PathBuf, proc_id: u32) -> io::Result<WorkerProc> {
-        let mut child = Command::new(bin)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        eprintln!("WORKER_PID {proc_id} {}", child.id());
-        let stdout = child.stdout.take().expect("worker stdout piped");
-        Ok(WorkerProc::new(Ctl::Child(child), stdout))
-    }
-
-    /// Adopt a worker that dialed the admission listener (its
-    /// [`Frame::Join`] handshake already consumed by the acceptor).
-    fn from_stream(stream: TcpStream) -> io::Result<WorkerProc> {
-        let read_half = stream.try_clone()?;
-        Ok(WorkerProc::new(Ctl::Remote(stream), read_half))
-    }
-
-    fn is_remote(&self) -> bool {
-        matches!(self.ctl, Ctl::Remote(_))
-    }
-
     /// Wait for a clean exit after the final report: a child must exit
-    /// 0; a joined remote counts as clean once it closes its control
-    /// socket (there is no exit status to observe across the wire).
+    /// 0; a process that dialed in counts as clean once it closes its
+    /// control socket (there is no exit status to observe across the
+    /// wire).
     fn wait_success(&mut self, proc_id: u32, deadline: Instant) -> Result<(), DistError> {
-        match &mut self.ctl {
-            Ctl::Child(c) => match c.wait() {
+        if let Some(c) = &mut self.child {
+            return match c.wait() {
                 Ok(status) if status.success() => Ok(()),
                 Ok(status) => Err(DistError::Worker {
                     proc_id,
                     detail: format!("exited with {status} after reporting"),
                 }),
                 Err(e) => Err(DistError::Io(e)),
-            },
-            Ctl::Remote(_) => loop {
-                match self
-                    .lines
-                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-                {
-                    Ok(_) => {} // stray output; keep draining
-                    Err(RecvTimeoutError::Disconnected) => return Ok(()),
-                    Err(RecvTimeoutError::Timeout) => {
-                        return Err(DistError::Timeout(format!(
-                            "joined worker (proc {proc_id}) never closed its control socket"
-                        )))
-                    }
+            };
+        }
+        let link = self.link.as_mut().expect("a dialed-in worker has its link");
+        loop {
+            match link.recv(Some(deadline.saturating_duration_since(Instant::now()))) {
+                Ok(Some(_)) => {} // a stray announcement; keep draining
+                Ok(None) => {
+                    return Err(DistError::Timeout(format!(
+                        "joined worker (proc {proc_id}) never closed its control socket"
+                    )))
                 }
-            },
+                Err(_) => return Ok(()),
+            }
         }
     }
 
+    /// Kill and reap a child; a process that dialed in on its own sees
+    /// its control socket close when this handle drops.
     fn kill(&mut self) {
-        match &mut self.ctl {
-            Ctl::Child(c) => {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-            Ctl::Remote(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
+        if let Some(c) = &mut self.child {
+            let _ = c.kill();
+            let _ = c.wait();
         }
-    }
-
-    fn send_line(&mut self, proc_id: u32, line: &str) -> Result<(), DistError> {
-        let sink: &mut dyn Write = match &mut self.ctl {
-            Ctl::Child(c) => c.stdin.as_mut().expect("worker stdin piped"),
-            Ctl::Remote(s) => s,
-        };
-        sink.write_all(line.as_bytes())
-            .and_then(|_| sink.write_all(b"\n"))
-            .and_then(|_| sink.flush())
-            .map_err(|e| DistError::Worker {
-                proc_id,
-                detail: format!("died before reading its control line: {e}"),
-            })
     }
 }
 
-/// The elastic admission point: workers started with `--join` dial this
-/// listener, present a [`Frame::Join`] handshake, and wait in `queue`
-/// until a scale-out adopts them. The acceptor thread holds only a
-/// [`Weak`] reference, so it dies with the coordinator that created it.
+/// The run's admission point, where every worker dials in: a child the
+/// coordinator spawned, a `--join` worker offering itself for a
+/// scale-out, a parked worker re-homing with [`Frame::Reattach`]. Each
+/// presents its handshake, then waits in `dialers` until the coordinator
+/// takes it. The acceptor thread holds only a [`Weak`] reference and
+/// blocks in `accept`; dropping the point dials it once, so the thread
+/// sees the coordinator is gone, drops the listener and is joined.
 struct Admission {
-    queue: Mutex<Vec<WorkerProc>>,
+    dialers: Mutex<Dialers>,
+    /// Signalled whenever a dialer joins the queue.
+    arrived: Condvar,
     addr: String,
+    acceptor: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+#[derive(Default)]
+struct Dialers {
+    /// Handshaken dialers, oldest first: the frame each presented and
+    /// its control socket.
+    waiting: Vec<(Frame, ControlLink)>,
+    /// The OS pid of every child this coordinator spawned: their `Join`s
+    /// are theirs, never a scale-out's.
+    spawned: HashSet<u32>,
+}
+
+/// Whether a handshake is an external joiner's: a `Join` from no child
+/// of this coordinator.
+fn is_joiner(hello: &Frame, spawned: &HashSet<u32>) -> bool {
+    matches!(hello, Frame::Join { pid, .. } if !spawned.contains(pid))
 }
 
 impl Admission {
     /// Open the run's admission point, start its acceptor thread, and
     /// publish the address to `cfg.admit_file` when asked. A resumed run
-    /// re-binds the journaled address, so parked workers holding the old
-    /// [`RejoinSpec`] find the restarted coordinator without any
+    /// re-binds the journaled address, so parked workers find the
+    /// restarted coordinator where they last reached it without any
     /// rendezvous file; the old socket may linger in TIME_WAIT briefly,
     /// so the bind is retried for a few seconds, then falls back to an
     /// ephemeral port — the admit file, the parked workers' second line
-    /// of discovery, publishes it. Otherwise a point opens when the run
-    /// admits `--join` workers or parks them. It outlives every session:
-    /// a `--join` worker may dial in long before pressure warrants
-    /// adopting it.
-    fn open(cfg: &DistConfig, journaled_addr: &str) -> Result<Option<Arc<Admission>>, DistError> {
-        let listener = if !journaled_addr.is_empty() {
+    /// of discovery, publishes it. It outlives every session: a `--join`
+    /// worker may dial in long before pressure warrants adopting it.
+    fn open(cfg: &DistConfig, journaled_addr: &str) -> Result<Arc<Admission>, DistError> {
+        let listener = if journaled_addr.is_empty() {
+            bind_loopback()?
+        } else {
             let until = Instant::now() + Duration::from_secs(5);
             loop {
                 match std::net::TcpListener::bind(journaled_addr) {
@@ -787,106 +844,132 @@ impl Admission {
                     }
                 }
             }
-        } else if cfg.elastic.enabled || cfg.recovery.rejoin_grace_ms > 0 {
-            bind_loopback()?
-        } else {
-            return Ok(None);
         };
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?.to_string();
         eprintln!("coordinator: admission point at {addr}");
         if let Some(path) = &cfg.admit_file {
             std::fs::write(path, format!("{addr}\n"))?;
         }
         let admission = Arc::new(Admission {
-            queue: Mutex::new(Vec::new()),
+            dialers: Mutex::default(),
+            arrived: Condvar::new(),
             addr,
+            acceptor: Mutex::default(),
         });
         let weak: Weak<Admission> = Arc::downgrade(&admission);
-        std::thread::spawn(move || loop {
-            let Some(adm) = weak.upgrade() else { return };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if let Some(w) = admit(stream) {
-                        adm.queue.lock().unwrap().push(w);
-                    }
+        let acceptor = std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { return };
+                if weak.strong_count() == 0 {
+                    return;
                 }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    drop(adm);
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(_) => return,
+                // Each handshake on a thread of its own, gone as soon as
+                // it is read: a dialer that sends nothing holds up no one.
+                let weak = weak.clone();
+                std::thread::spawn(move || {
+                    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+                    let Ok(hello) = read_handshake(&mut &stream) else {
+                        return;
+                    };
+                    let Some(adm) = weak.upgrade() else { return };
+                    let link = ControlLink::new(stream);
+                    adm.dialers.lock().unwrap().waiting.push((hello, link));
+                    adm.arrived.notify_all();
+                });
             }
         });
-        Ok(Some(admission))
+        *admission.acceptor.lock().unwrap() = Some(acceptor);
+        Ok(admission)
+    }
+
+    /// Spawn the worker binary for slot `proc_id`, pointed at this
+    /// admission point; its OS pid is named on stderr as
+    /// `WORKER_PID <proc_id> <pid>`, and the `Join` naming it takes the
+    /// slot ([`await_listen`]).
+    fn spawn(&self, bin: &Path, proc_id: u32) -> io::Result<WorkerProc> {
+        let child = Command::new(bin)
+            .arg("--join")
+            .arg(&self.addr)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit())
+            .spawn()?;
+        eprintln!("WORKER_PID {proc_id} {}", child.id());
+        self.dialers.lock().unwrap().spawned.insert(child.id());
+        Ok(WorkerProc {
+            child: Some(child),
+            link: None,
+            fresh: true,
+            pending_listen: None,
+        })
+    }
+
+    /// Take the oldest dialer whose handshake `pick` accepts, waiting up
+    /// to `timeout` for one to arrive.
+    fn take(
+        &self,
+        timeout: Duration,
+        pick: impl Fn(&Frame, &HashSet<u32>) -> bool,
+    ) -> Option<(Frame, ControlLink)> {
+        let until = Instant::now() + timeout;
+        let mut q = self.dialers.lock().unwrap();
+        loop {
+            let d = &*q;
+            if let Some(i) = d.waiting.iter().position(|(h, _)| pick(h, &d.spawned)) {
+                return Some(q.waiting.remove(i));
+            }
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            q = self.arrived.wait_timeout(q, left).unwrap().0;
+        }
     }
 
     fn joiners_waiting(&self) -> bool {
-        self.queue
-            .lock()
-            .unwrap()
-            .iter()
-            .any(|w| w.reattach.is_none())
-    }
-
-    /// Pop the oldest `Join` dialer. Skips parked `Reattach` dialers —
-    /// those belong to [`Admission::take_reattach`], never to a
-    /// scale-out.
-    fn take_joiner(&self) -> Option<WorkerProc> {
-        let mut q = self.queue.lock().unwrap();
-        let i = q.iter().position(|w| w.reattach.is_none())?;
-        Some(q.remove(i))
-    }
-
-    /// Pop the parked worker that identified itself as `worker_id` in
-    /// its `Reattach` handshake, if it has dialed in yet.
-    fn take_reattach(&self, worker_id: u32) -> Option<WorkerProc> {
-        let mut q = self.queue.lock().unwrap();
-        let i = q
-            .iter()
-            .position(|w| w.reattach.is_some_and(|(_, id, _)| id == worker_id))?;
-        Some(q.remove(i))
+        let d = self.dialers.lock().unwrap();
+        d.waiting.iter().any(|(h, _)| is_joiner(h, &d.spawned))
     }
 }
 
-/// Consume exactly one length-prefixed handshake frame from a dialing
-/// worker — reading *only* the frame's own bytes, so the line protocol
-/// that follows on the same stream is untouched — and adopt it. Two
-/// handshakes are honored: [`Frame::Join`] (an elastic newcomer, when
-/// the protocol versions match) and [`Frame::Reattach`] (a parked
-/// worker re-homing after a coordinator restart — version agreement is
-/// implied by the frame decoding at all, since the tag is new in v7).
-/// Anything else is dropped silently; the admission listener must shrug
-/// off port scanners and stale dialers.
-fn admit(mut stream: TcpStream) -> Option<WorkerProc> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf).ok()?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len == 0 || len > 64 {
-        return None; // a Join or Reattach frame is a handful of bytes
+impl Drop for Admission {
+    fn drop(&mut self) {
+        // Wake the acceptor out of `accept`: it finds no coordinator
+        // left and returns, dropping the listener.
+        let woken = TcpStream::connect(&self.addr).is_ok();
+        let acceptor = self.acceptor.get_mut().map(Option::take);
+        if let (true, Ok(Some(acceptor))) = (woken, acceptor) {
+            let _ = acceptor.join();
+        }
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).ok()?;
-    let mut dec = warp_net::frame::FrameDecoder::new();
+}
+
+/// The most a handshake frame body may declare (a `Join`'s is 7 bytes).
+const HANDSHAKE_CAP: usize = 64;
+
+/// Read exactly one handshake frame, into a [`HANDSHAKE_CAP`]-byte buffer,
+/// and accept a [`Frame::Join`] of this protocol version or a
+/// [`Frame::Reattach`] (a tag new in v7: decoding it implies a compatible
+/// peer). Anything else is an error, and the admission point drops the
+/// dialer: it must shrug off port scanners and stale dialers.
+fn read_handshake(src: &mut impl Read) -> io::Result<Frame> {
+    let refuse = |m: String| io::Error::new(ErrorKind::InvalidData, m);
+    let mut len_buf = [0u8; 4];
+    src.read_exact(&mut len_buf)?;
+    let len = u32::from_le_bytes(len_buf) as usize;
+    if len == 0 || len > HANDSHAKE_CAP {
+        return Err(refuse(format!("handshake of {len} bytes")));
+    }
+    let mut body = [0u8; HANDSHAKE_CAP];
+    src.read_exact(&mut body[..len])?;
+    let mut dec = FrameDecoder::with_limit(HANDSHAKE_CAP);
     dec.push(&len_buf);
-    dec.push(&body);
+    dec.push(&body[..len]);
     match dec.next() {
-        Ok(Some(Frame::Join { version })) if version == warp_net::frame::PROTO_VERSION => {
-            let _ = stream.set_read_timeout(None);
-            WorkerProc::from_stream(stream).ok()
-        }
-        Ok(Some(Frame::Reattach {
-            session,
-            worker_id,
-            horizon,
-        })) => {
-            let _ = stream.set_read_timeout(None);
-            let mut w = WorkerProc::from_stream(stream).ok()?;
-            w.reattach = Some((session, worker_id, horizon));
-            Some(w)
-        }
-        _ => None,
+        Ok(Some(hello @ Frame::Join { version, .. })) if version == PROTO_VERSION => Ok(hello),
+        Ok(Some(hello @ Frame::Reattach { .. })) => Ok(hello),
+        Ok(_) => Err(refuse("not a handshake frame".into())),
+        Err(e) => Err(refuse(e.to_string())),
     }
 }
 
@@ -1069,8 +1152,8 @@ struct CoordJournal {
     /// segment is truncated to this — a delta appended after the last
     /// journal record belongs to a barrier that never committed.
     chain_len: Vec<u32>,
-    /// The admission listener's address (empty when admission is off) —
-    /// a resumed coordinator re-binds it so parked workers find home.
+    /// The admission listener's address — a resumed coordinator re-binds
+    /// it (a fresh port when empty) so parked workers find home.
     admit_addr: String,
     recoveries: u64,
     barriers: u64,
@@ -1415,19 +1498,12 @@ fn run_cluster(
     cfg: &DistConfig,
     start: Instant,
     mut st: CoordState,
-    admission: Option<Arc<Admission>>,
+    admission: Arc<Admission>,
     adopted: Vec<Option<WorkerProc>>,
 ) -> Result<RunReport, DistError> {
     let mut workers = Vec::new();
     let deadline = start + cfg.timeout;
-    let run = run_sessions(
-        cfg,
-        deadline,
-        admission.as_deref(),
-        &mut st,
-        adopted,
-        &mut workers,
-    );
+    let run = run_sessions(cfg, deadline, &admission, &mut st, adopted, &mut workers);
     let reports = match run {
         Ok(reports) => reports,
         Err(e) => {
@@ -1439,7 +1515,7 @@ fn run_cluster(
 }
 
 /// Run sessions until one finishes. Before each, [`await_listen`] collects
-/// every worker's `LISTEN` and a journal record captures the state the
+/// every worker's listen address and a journal record captures the state the
 /// session starts from, so the durable control plane always matches the
 /// segment files the session is about to extend. A session that ends
 /// short of the finish takes the regroup step ([`CoordState::regroup`]),
@@ -1447,7 +1523,7 @@ fn run_cluster(
 fn run_sessions(
     cfg: &DistConfig,
     deadline: Instant,
-    admission: Option<&Admission>,
+    admission: &Admission,
     st: &mut CoordState,
     adopted: Vec<Option<WorkerProc>>,
     workers: &mut Vec<WorkerProc>,
@@ -1455,12 +1531,11 @@ fn run_sessions(
     for (i, slot) in adopted.into_iter().enumerate() {
         workers.push(match slot {
             Some(w) => w,
-            None => WorkerProc::spawn(&cfg.worker_bin, i as u32 + 1)?,
+            None => admission.spawn(&cfg.worker_bin, i as u32 + 1)?,
         });
     }
-    let admit_addr = admission.map(|a| a.addr.clone()).unwrap_or_default();
     loop {
-        let cause = match await_listen(cfg, workers, deadline) {
+        let cause = match await_listen(cfg, admission, workers, deadline) {
             // The newcomer on probation never announced itself (a
             // `--join` worker that closed its socket, say). No session
             // line has gone out yet, so the survivors still wait for
@@ -1471,9 +1546,9 @@ fn run_sessions(
                     detail,
                 }
             }
-            Err(e) => restart_all(cfg, workers, deadline, st.recoveries, e)?,
+            Err(e) => restart_all(cfg, admission, workers, deadline, st.recoveries, e)?,
             Ok(()) => {
-                st.journal_append(&admit_addr)?;
+                st.journal_append(&admission.addr)?;
                 match run_session_as_coordinator(cfg, workers, deadline, admission, st) {
                     Ok(SessionEnd::Finished(reports)) => {
                         for (i, w) in workers.iter_mut().enumerate() {
@@ -1482,7 +1557,7 @@ fn run_sessions(
                         return Ok(reports);
                     }
                     Ok(SessionEnd::Regroup(cause)) => cause,
-                    Err(e) => restart_all(cfg, workers, deadline, st.recoveries, e)?,
+                    Err(e) => restart_all(cfg, admission, workers, deadline, st.recoveries, e)?,
                 }
             }
         };
@@ -1491,9 +1566,9 @@ fn run_sessions(
             Membership::Admit(proc_id) => {
                 // Prefer a worker that already dialed in; spawn a fresh
                 // copy of the binary otherwise.
-                let newcomer = match admission.and_then(Admission::take_joiner) {
-                    Some(w) => w,
-                    None => WorkerProc::spawn(&cfg.worker_bin, proc_id)?,
+                let newcomer = match admission.take(Duration::ZERO, is_joiner) {
+                    Some((_, link)) => WorkerProc::dialed(link, true),
+                    None => admission.spawn(&cfg.worker_bin, proc_id)?,
                 };
                 workers.push(newcomer);
             }
@@ -1512,18 +1587,19 @@ fn run_sessions(
 /// A failure outside the mesh (bootstrap I/O, a worker dying
 /// mid-handshake) is recovered by restarting every worker, its state
 /// restored from the chains: a crash recovery as far as the regroup step
-/// is concerned. A joined remote cannot be respawned from here, so with
-/// one in the cluster the failure is final, as it is with recovery off,
-/// past the budget or past the deadline.
+/// is concerned. A process that dialed in on its own cannot be respawned
+/// from here, so with one in the cluster the failure is final, as it is
+/// with recovery off, past the budget or past the deadline.
 fn restart_all(
     cfg: &DistConfig,
+    admission: &Admission,
     workers: &mut Vec<WorkerProc>,
     deadline: Instant,
     recoveries: u64,
     e: DistError,
 ) -> Result<Regroup, DistError> {
     let retryable = matches!(e, DistError::Io(_) | DistError::Worker { .. })
-        && !workers.iter().any(WorkerProc::is_remote);
+        && workers.iter().all(|w| w.child.is_some());
     if !cfg.recovery.enabled
         || !retryable
         || recoveries >= cfg.recovery.max_recoveries as u64
@@ -1535,7 +1611,7 @@ fn restart_all(
     kill_all(workers);
     workers.clear();
     for i in 0..n_restart {
-        workers.push(WorkerProc::spawn(&cfg.worker_bin, i as u32 + 1)?);
+        workers.push(admission.spawn(&cfg.worker_bin, i as u32 + 1)?);
     }
     let peer = match &e {
         DistError::Worker { proc_id, .. } => *proc_id,
@@ -1676,34 +1752,37 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
     // early once every slot has reported home.
     let mut adopted: Vec<Option<WorkerProc>> = (0..n_workers).map(|_| None).collect();
     let mut max_session = rec.session;
-    if let Some(adm) = admission.as_deref() {
-        let window = Duration::from_millis(cfg.net.liveness_ms * 2).max(Duration::from_secs(2));
-        let until = (Instant::now() + window).min(start + cfg.timeout);
-        while Instant::now() < until && adopted.iter().any(Option::is_none) {
-            for w in 1..=n_workers {
-                if adopted[w as usize - 1].is_some() {
-                    continue;
-                }
-                if let Some(mut wp) = adm.take_reattach(w) {
-                    let (sess, _, h) = wp.reattach.take().expect("reattach entry");
-                    if h > horizon {
-                        // Impossible under the ack-after-journal
-                        // ordering (a worker's floor never leads the
-                        // journal); defensively treat the worker as
-                        // untrusted and rebuild its slot fresh.
-                        eprintln!(
-                            "coordinator: parked worker {w} claims horizon {h} past the \
-                             journal's {horizon}; dropping it"
-                        );
-                        wp.kill();
-                    } else {
-                        wp.fresh = false; // gets a SessionLine, rolls back in place
-                        max_session = max_session.max(sess);
-                        adopted[w as usize - 1] = Some(wp);
-                    }
-                }
-            }
-            std::thread::sleep(Duration::from_millis(25));
+    let window = Duration::from_millis(cfg.net.liveness_ms * 2).max(Duration::from_secs(2));
+    let until = (Instant::now() + window).min(start + cfg.timeout);
+    while adopted.iter().any(Option::is_none) {
+        let unclaimed = |hello: &Frame, _: &HashSet<u32>| {
+            matches!(hello, Frame::Reattach { worker_id, .. }
+                if (1..=n_workers).contains(worker_id) && adopted[*worker_id as usize - 1].is_none())
+        };
+        let left = until.saturating_duration_since(Instant::now());
+        let Some((hello, link)) = admission.take(left, unclaimed) else {
+            break;
+        };
+        let Frame::Reattach {
+            session: sess,
+            worker_id: w,
+            horizon: h,
+        } = hello
+        else {
+            unreachable!("only Reattach handshakes are taken here")
+        };
+        if h > horizon {
+            // Impossible under the ack-after-journal ordering (a
+            // worker's floor never leads the journal); defensively
+            // treat the worker as untrusted and rebuild its slot fresh.
+            eprintln!(
+                "coordinator: parked worker {w} claims horizon {h} past the \
+                 journal's {horizon}; dropping it"
+            );
+        } else {
+            // Gets a SessionLine alone, and rolls back in place.
+            max_session = max_session.max(sess);
+            adopted[w as usize - 1] = Some(WorkerProc::dialed(link, false));
         }
     }
     let reattached = adopted.iter().filter(|w| w.is_some()).count() as u64;
@@ -1754,7 +1833,7 @@ fn run_session_as_coordinator(
     cfg: &DistConfig,
     workers: &mut [WorkerProc],
     deadline: Instant,
-    admission: Option<&Admission>,
+    admission: &Admission,
     st: &mut CoordState,
 ) -> Result<SessionEnd, DistError> {
     // The mesh is sized by the *current* membership, not the starting
@@ -1763,43 +1842,41 @@ fn run_session_as_coordinator(
     let n_procs = st.assign.n_workers() + 1;
     let listener = bind_loopback()?;
     let coord_addr = listener.local_addr()?;
-    // Park-and-rejoin instructions ride every fresh worker's init line;
-    // the admission point is where a parked worker finds the resumed
-    // coordinator.
-    let rejoin = match (cfg.recovery.rejoin_grace_ms, admission) {
-        (grace_ms, Some(a)) if grace_ms > 0 => Some(RejoinSpec {
-            grace_ms,
-            admit_addr: a.addr.clone(),
-            admit_file: cfg
-                .admit_file
-                .as_ref()
-                .map(|p| p.to_string_lossy().into_owned()),
-        }),
-        _ => None,
-    };
+    // Park-and-rejoin instructions ride every fresh worker's init; a
+    // parked worker finds the resumed coordinator where it last reached
+    // this one.
+    let rejoin = (cfg.recovery.rejoin_grace_ms > 0).then(|| RejoinSpec {
+        grace_ms: cfg.recovery.rejoin_grace_ms,
+        admit_file: cfg
+            .admit_file
+            .as_ref()
+            .map(|p| p.to_string_lossy().into_owned()),
+    });
 
     let mut peers: Vec<(u32, String)> = vec![(0, coord_addr.to_string())];
     for (i, w) in workers.iter_mut().enumerate() {
         let addr = w
             .pending_listen
             .take()
-            .expect("regroup collected every LISTEN");
+            .expect("await_listen collected every listen address");
         peers.push((i as u32 + 1, addr));
     }
-    let encode = |line: Result<String, serde_json::Error>| {
-        line.map_err(|e| DistError::Protocol(format!("control line encode: {e}")))
-    };
-    let session_line = encode(serde_json::to_string(&SessionLine {
+    let session_line = Control::Session(SessionLine {
         session,
         peers,
         connect_ms: remaining_ms(deadline),
         assignment: st.assign.owners().to_vec(),
         n_procs,
-    }))?;
+    });
     for (i, w) in workers.iter_mut().enumerate() {
         let proc_id = i as u32 + 1;
+        let link = w.link.as_mut().expect("await_listen paired every worker");
+        let died = |e: io::Error| DistError::Worker {
+            proc_id,
+            detail: format!("died before reading its control message: {e}"),
+        };
         if w.fresh {
-            let init = encode(serde_json::to_string(&WorkerInit {
+            let init = Control::Init(WorkerInit {
                 proc_id,
                 n_lps: cfg.n_lps,
                 model: cfg.model.clone(),
@@ -1808,11 +1885,11 @@ fn run_session_as_coordinator(
                 balance: cfg.balance.enabled || cfg.elastic.enabled,
                 fault: cfg.fault.clone(),
                 rejoin: rejoin.clone(),
-            }))?;
-            w.send_line(proc_id, &init)?;
+            });
+            link.send(&init).map_err(died)?;
             w.fresh = false;
         }
-        w.send_line(proc_id, &session_line)?;
+        link.send(&session_line).map_err(died)?;
     }
 
     let mesh_cfg = TcpMeshConfig {
@@ -1918,7 +1995,7 @@ fn coordinate(
     mesh: &TcpMesh,
     cfg: &DistConfig,
     deadline: Instant,
-    admission: Option<&Admission>,
+    admission: &Admission,
     st: &mut CoordState,
 ) -> Result<SessionEnd, DistError> {
     fn lost(peer: u32, detail: String) -> SessionEnd {
@@ -1927,7 +2004,6 @@ fn coordinate(
     let n_workers = st.assign.n_workers() as usize;
     let migrations_done = st.migrations.len() as u32;
     let scales_done = st.scales.len() as u32;
-    let admit_addr = admission.map(|a| a.addr.clone()).unwrap_or_default();
     let mut reports: Vec<Option<WorkerReport>> = (0..n_workers).map(|_| None).collect();
     let mut closed = vec![false; n_workers];
     let mut pending: Option<PendingCkpt> = None;
@@ -2160,8 +2236,7 @@ fn coordinate(
                             // round (their filters must track the live
                             // load), but at most one transition is in
                             // flight; migration wins a tie.
-                            let can_add =
-                                cfg.elastic.spawn || admission.is_some_and(|a| a.joiners_waiting());
+                            let can_add = cfg.elastic.spawn || admission.joiners_waiting();
                             let bal_prop = balancer
                                 .as_mut()
                                 .and_then(|b| b.observe(&st.assign, &bucket));
@@ -2224,7 +2299,7 @@ fn coordinate(
                     // never have happened — resume truncates the
                     // segment appends above the journaled depth.
                     st.barriers += 1;
-                    st.journal_append(&admit_addr)?;
+                    st.journal_append(&admission.addr)?;
                     for w in 1..=n_workers as u32 {
                         mesh.send(
                             w,
@@ -2300,22 +2375,24 @@ fn coordinate(
 }
 
 /// Before every session: wait until each worker has announced the
-/// listener it will join the mesh on (`LISTEN <addr>`). A survivor of the
-/// last session re-announces; a child that died in it is a crash corpse,
-/// reaped and respawned. A process that dies before its first
-/// announcement, or a joined remote whose control socket closes, is an
+/// listener it will join the mesh on. A child first has to dial in: its
+/// `Join` names its pid and pairs it with its slot. A survivor of the last
+/// session re-announces; a child that died in it is a crash corpse, reaped
+/// and respawned. A process that dies before its first announcement, or
+/// one that dialed in on its own and whose control socket closes, is an
 /// error naming it.
 fn await_listen(
     cfg: &DistConfig,
+    admission: &Admission,
     workers: &mut [WorkerProc],
     deadline: Instant,
 ) -> Result<(), DistError> {
+    // How often a wait looks up from the socket to reap a dead child.
+    const POLL: Duration = Duration::from_millis(5);
     for (i, w) in workers.iter_mut().enumerate() {
         let proc_id = i as u32 + 1;
         while w.pending_listen.is_none() {
-            // A remote's death shows up as its line stream closing; there
-            // is no status to reap.
-            if let Ctl::Child(c) = &mut w.ctl {
+            if let Some(c) = &mut w.child {
                 if matches!(c.try_wait(), Ok(Some(_))) {
                     if w.fresh {
                         return Err(DistError::Worker {
@@ -2323,7 +2400,7 @@ fn await_listen(
                             detail: "exited before announcing its listen address".into(),
                         });
                     }
-                    *w = WorkerProc::spawn(&cfg.worker_bin, proc_id)?;
+                    *w = admission.spawn(&cfg.worker_bin, proc_id)?;
                     continue;
                 }
             }
@@ -2332,22 +2409,30 @@ fn await_listen(
                     "worker (proc {proc_id}) never announced its listen address"
                 )));
             }
-            match w.lines.recv_timeout(Duration::from_millis(5)) {
-                // Anything but the announcement is unrelated output.
-                Ok(line) => {
-                    w.pending_listen = line.strip_prefix("LISTEN ").map(|a| a.trim().to_string())
-                }
-                // A joined worker is gone for good once its control
-                // socket closes — there is no binary to respawn.
-                Err(RecvTimeoutError::Disconnected) if w.is_remote() => {
+            let Some(link) = &mut w.link else {
+                let pid = w.child.as_ref().map(Child::id);
+                let mine = |hello: &Frame, _: &HashSet<u32>| match *hello {
+                    Frame::Join { pid: p, .. } => Some(p) == pid,
+                    _ => false,
+                };
+                w.link = admission.take(POLL, mine).map(|(_, link)| link);
+                continue;
+            };
+            match link.recv(Some(POLL)) {
+                Ok(Some(Control::Listen(addr))) => w.pending_listen = Some(addr),
+                // Anything but the announcement is ignored.
+                Ok(_) => {}
+                // A process that dialed in on its own is gone for good
+                // once its control socket closes: there is no binary to
+                // respawn.
+                Err(_) if w.child.is_none() => {
                     return Err(DistError::Worker {
                         proc_id,
                         detail: "joined worker closed its control socket".into(),
                     })
                 }
-                // A child that closed its stdout is exiting: reap it next.
-                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(Duration::from_millis(5)),
-                Err(RecvTimeoutError::Timeout) => {}
+                // A child whose socket closed is exiting: reap it next.
+                Err(_) => std::thread::sleep(POLL),
             }
         }
     }
@@ -2684,134 +2769,58 @@ impl Drop for WorkerPort {
     }
 }
 
-/// The worker's control channel back to the coordinator: stdout for a
-/// spawned child, the admission socket for a `--join` worker. The line
-/// protocol on top (`LISTEN <addr>` announcements) is identical.
-enum ControlOut {
-    /// Spawned child: announce on stdout.
-    Stdout,
-    /// Joined remote: announce on the admission stream.
-    Stream(TcpStream),
-}
-
-impl ControlOut {
-    /// Send `LISTEN <addr>`; false when the channel is broken — nobody
-    /// is listening, the worker is already orphaned.
-    fn announce(&mut self, addr: &str) -> bool {
-        match self {
-            ControlOut::Stdout => {
-                let mut out = io::stdout();
-                writeln!(out, "LISTEN {addr}")
-                    .and_then(|_| out.flush())
-                    .is_ok()
-            }
-            ControlOut::Stream(s) => writeln!(s, "LISTEN {addr}").and_then(|_| s.flush()).is_ok(),
-        }
-    }
-}
-
-/// Entry point for a worker binary: speak the bootstrap protocol on
-/// stdio, then run this process's share of the simulation — across as
-/// many sessions as the coordinator asks for.
+/// Entry point for a worker binary, the `--join ADDR` of `warp-worker`:
+/// dial the coordinator's admission point at `coordinator`, present a
+/// [`Frame::Join`] naming this process, announce a listener, and run
+/// this process's share of the simulation — across as many sessions as
+/// the coordinator asks for — over that one control socket. A child the
+/// coordinator spawned is paired with its slot by the pid; any other
+/// process idles in the admission queue until a scale-out adopts it. If
+/// the coordinator exits first, the socket closes and the worker exits
+/// on its own like any orphan.
 ///
 /// `build` turns the coordinator's opaque model JSON into the
 /// [`SimulationSpec`] — that is the only model knowledge in the whole
 /// distributed machinery, and it lives in the binary, not this crate.
 /// `rejoin_grace_ms` is the `--rejoin-grace MS` flag of a worker binary:
 /// `None` keeps the grace the coordinator offers, `Some(0)` disables
-/// parking even when offered, `Some(ms)` replaces the offered grace (the
-/// re-admission address still comes from the coordinator's
-/// [`WorkerInit`], so the override is inert when the coordinator never
-/// offered a [`RejoinSpec`]).
-pub fn worker_main(
-    build: &dyn Fn(&serde_json::Value) -> Result<SimulationSpec, String>,
-    rejoin_grace_ms: Option<u64>,
-) -> Result<(), String> {
-    let ctl_rx = spawn_line_reader(io::stdin());
-    worker_boot(build, ctl_rx, ControlOut::Stdout, rejoin_grace_ms, None)
-}
-
-/// Entry point for a worker binary dialing *into* a running elastic
-/// coordinator (the `--join ADDR` path): connect to the admission
-/// listener, present a [`Frame::Join`] handshake, then speak exactly
-/// the spawned-worker bootstrap protocol over the same socket. The
-/// worker idles in the coordinator's admission queue until a scale-out
-/// adopts it; if the coordinator exits first, the socket closes and the
-/// worker exits on its own like any orphan. Unlike a spawned worker, a
-/// `--join` worker already knows an admission address — the one it is
-/// dialing — so `rejoin_grace_ms` works even when the coordinator's init
-/// carries no [`RejoinSpec`].
+/// parking even when offered, `Some(ms)` parks for `ms` whatever the
+/// coordinator offers.
 pub fn join_main(
     coordinator: &str,
     build: &dyn Fn(&serde_json::Value) -> Result<SimulationSpec, String>,
     rejoin_grace_ms: Option<u64>,
 ) -> Result<(), String> {
-    let mut stream = TcpStream::connect(coordinator)
-        .map_err(|e| format!("dialing admission listener {coordinator}: {e}"))?;
     let hello = Frame::Join {
-        version: warp_net::frame::PROTO_VERSION,
+        version: PROTO_VERSION,
+        pid: std::process::id(),
     };
-    stream
-        .write_all(&hello.encode())
-        .and_then(|_| stream.flush())
-        .map_err(|e| format!("join handshake: {e}"))?;
-    let read_half = stream
-        .try_clone()
-        .map_err(|e| format!("cloning admission stream: {e}"))?;
-    let ctl_rx = spawn_line_reader(read_half);
-    worker_boot(
-        build,
-        ctl_rx,
-        ControlOut::Stream(stream),
-        rejoin_grace_ms,
-        Some(coordinator),
-    )
-}
-
-/// Shared bootstrap past the control channel: bind, announce, read the
-/// [`WorkerInit`], build the model, run sessions.
-fn worker_boot(
-    build: &dyn Fn(&serde_json::Value) -> Result<SimulationSpec, String>,
-    ctl_rx: Receiver<String>,
-    mut ctl_out: ControlOut,
-    rejoin_grace_ms: Option<u64>,
-    join_addr: Option<&str>,
-) -> Result<(), String> {
+    let mut link = ControlLink::dial(coordinator, &hello)
+        .map_err(|e| format!("joining the coordinator at {coordinator}: {e}"))?;
     let listener = bind_loopback().map_err(|e| format!("bind: {e}"))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    if !ctl_out.announce(&addr.to_string()) {
-        // Nobody is reading our control channel: already orphaned.
-        std::process::exit(3);
-    }
-
-    let line = match ctl_rx.recv() {
-        Ok(line) => line,
-        Err(_) => {
-            eprintln!("warp-worker: coordinator closed the control channel before init; exiting");
+    let mut init = match link
+        .send(&Control::Listen(addr.to_string()))
+        .and_then(|()| link.recv(None))
+    {
+        Ok(Some(Control::Init(init))) => init,
+        Err(e) if e.kind() != ErrorKind::InvalidData => {
+            eprintln!("warp-worker: coordinator closed the control socket before init; exiting");
             std::process::exit(3);
         }
+        other => return Err(format!("expected the worker init, got {other:?}")),
     };
-    let mut init: WorkerInit =
-        serde_json::from_str(&line).map_err(|e| format!("parsing init: {e}"))?;
     match (rejoin_grace_ms, &mut init.rejoin) {
         (None, _) => {}
         (Some(0), r) => *r = None,
-        (Some(ms), Some(spec)) => spec.grace_ms = ms,
-        (Some(ms), r @ None) => {
-            if let Some(addr) = join_addr {
-                *r = Some(RejoinSpec {
-                    grace_ms: ms,
-                    admit_addr: addr.to_string(),
-                    admit_file: None,
-                });
-            } else {
-                eprintln!(
-                    "warp-worker: --rejoin-grace ignored: the coordinator offered no \
-                     re-admission point (it runs without a rejoin grace)"
-                );
-            }
+        (Some(ms), r) => {
+            r.get_or_insert(RejoinSpec {
+                grace_ms: ms,
+                admit_file: None,
+            })
+            .grace_ms = ms
         }
     }
 
@@ -2823,24 +2832,7 @@ fn worker_boot(
             init.n_lps
         ));
     }
-    run_worker(&init, spec, listener, ctl_rx, ctl_out)
-}
-
-/// Read control lines on a dedicated thread, on either end of a control
-/// channel. The channel closing means EOF (or a failed read): the other
-/// end is gone — a worker without a coordinator must not linger, and a
-/// coordinator reaps or gives up on a worker.
-fn spawn_line_reader<R: Read + Send + 'static>(src: R) -> Receiver<String> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut lines = BufReader::new(src).lines();
-        while let Some(Ok(line)) = lines.next() {
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    rx
+    run_worker(&init, spec, listener, link, coordinator.to_string())
 }
 
 /// How a worker session ended. Every cause but `Finished` aborted the
@@ -2900,16 +2892,17 @@ impl Carried {
 
 /// The worker's life after bootstrap: run mesh sessions, each started by
 /// a [`SessionLine`], until one finishes cleanly. On an unclean peer loss
-/// (with recovery on) the worker discards the session, re-announces a
-/// fresh listener, and waits for the coordinator's next line; without
+/// (with recovery on) the worker discards the session, announces a fresh
+/// listener, and waits for the coordinator's next session; without
 /// recovery it exits nonzero at once, because a Time Warp run that lost
-/// a process cannot commit a correct history.
+/// a process cannot commit a correct history. `coordinator` is the
+/// admission point `link` was dialed at.
 fn run_worker(
     init: &WorkerInit,
     spec: SimulationSpec,
     mut listener: std::net::TcpListener,
-    mut ctl_rx: Receiver<String>,
-    mut ctl_out: ControlOut,
+    mut link: ControlLink,
+    mut coordinator: String,
 ) -> Result<(), String> {
     let mut carried = Carried::new(init);
     // The last session this process joined (0 before its first), as a
@@ -2934,20 +2927,17 @@ fn run_worker(
         let wait = init.net.orphan_wait();
         let mut park_deadline: Option<Instant> = None;
         let sl: SessionLine = loop {
-            let heard = if std::mem::take(&mut announced) || ctl_out.announce(&addr) {
-                ctl_rx.recv_timeout(wait)
+            let heard = if std::mem::take(&mut announced) {
+                link.recv(Some(wait))
             } else {
-                Err(RecvTimeoutError::Disconnected)
+                link.send(&Control::Listen(addr.clone()))
+                    .and_then(|()| link.recv(Some(wait)))
             };
             let why = match heard {
-                Ok(line) => {
-                    break serde_json::from_str(&line)
-                        .map_err(|e| format!("parsing session line: {e}"))?;
-                }
-                Err(RecvTimeoutError::Disconnected) => "control channel closed".to_string(),
-                Err(RecvTimeoutError::Timeout) => {
-                    format!("no recovery instructions within {wait:?}")
-                }
+                Ok(Some(Control::Session(sl))) => break sl,
+                Ok(None) => format!("no recovery instructions within {wait:?}"),
+                Err(e) if e.kind() != ErrorKind::InvalidData => "control socket closed".into(),
+                other => return Err(format!("expected a session line, got {other:?}")),
             };
             let Some(rejoin) = &init.rejoin else {
                 eprintln!(
@@ -2958,11 +2948,9 @@ fn run_worker(
             };
             let deadline = *park_deadline
                 .get_or_insert_with(|| Instant::now() + Duration::from_millis(rejoin.grace_ms));
-            match park_for_rejoin(init, rejoin, deadline, session, &carried.floor, &why) {
-                Some((rx, out)) => {
-                    ctl_rx = rx;
-                    ctl_out = out;
-                }
+            let floor = &carried.floor;
+            match park_for_rejoin(init, rejoin, &coordinator, deadline, session, floor, &why) {
+                Some((fresh, at)) => (link, coordinator) = (fresh, at),
                 None => {
                     // One write: parked siblings give up at the same
                     // instant on a shared stderr, and `eprintln!` writes a
@@ -3007,23 +2995,26 @@ fn run_worker(
     }
 }
 
-/// A parked worker's rejoin loop: dial the coordinator's re-admission
-/// point with jittered exponential backoff, presenting a
-/// [`Frame::Reattach`] that names this worker and the acknowledged
-/// horizon it can roll back to, until either a successor coordinator accepts the
-/// stream or the grace deadline passes. The admission file (when
-/// configured) is re-read on every attempt, because a restarted
-/// coordinator may re-open admission on a different port.
+/// A parked worker's rejoin loop: dial a successor coordinator with
+/// jittered exponential backoff, presenting a [`Frame::Reattach`] that
+/// names this worker and the acknowledged horizon it can roll back to,
+/// until one accepts the stream or the grace deadline passes. Each
+/// attempt dials `last` — where this worker last reached a coordinator
+/// — and then the admit file's address (when configured), re-read every
+/// time, because a restarted coordinator that could not re-bind the old
+/// address publishes its new one there.
 ///
-/// Returns the fresh control channel on success, `None` on expiry.
+/// Returns the fresh control socket and where it was reached, `None` on
+/// expiry.
 fn park_for_rejoin(
     init: &WorkerInit,
     rejoin: &RejoinSpec,
+    last: &str,
     deadline: Instant,
     session: u32,
     floor: &AtomicU64,
     why: &str,
-) -> Option<(Receiver<String>, ControlOut)> {
+) -> Option<(ControlLink, String)> {
     let horizon = VirtualTime::from_ticks(floor.load(Ordering::Acquire));
     // One write, as for the grace expiry: siblings park at once.
     let line = format!(
@@ -3039,34 +3030,27 @@ fn park_for_rejoin(
             .max(init.net.connect_backoff_start_ms.max(1)),
     );
     let seed = (u64::from(init.proc_id) << 32) | 0xFA11;
+    let hello = Frame::Reattach {
+        session,
+        worker_id: init.proc_id,
+        horizon,
+    };
     let mut attempt = 0u32;
     while Instant::now() < deadline {
-        let addr = rejoin
+        let published = rejoin
             .admit_file
             .as_deref()
             .and_then(|p| std::fs::read_to_string(p).ok())
             .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| rejoin.admit_addr.clone());
-        if let Ok(mut stream) = TcpStream::connect(&addr) {
-            let hello = Frame::Reattach {
-                session,
-                worker_id: init.proc_id,
-                horizon,
-            };
-            let sent = stream
-                .write_all(&hello.encode())
-                .and_then(|_| stream.flush());
-            if sent.is_ok() {
-                if let Ok(read_half) = stream.try_clone() {
-                    eprintln!(
-                        "warp-worker (proc {}): reattached via {addr} \
-                         (last session {session}, horizon {horizon})",
-                        init.proc_id
-                    );
-                    let rx = spawn_line_reader(read_half);
-                    return Some((rx, ControlOut::Stream(stream)));
-                }
+            .filter(|s| !s.is_empty() && s != last);
+        for addr in std::iter::once(last.to_string()).chain(published) {
+            if let Ok(link) = ControlLink::dial(&addr, &hello) {
+                eprintln!(
+                    "warp-worker (proc {}): reattached via {addr} \
+                     (last session {session}, horizon {horizon})",
+                    init.proc_id
+                );
+                return Some((link, addr));
             }
         }
         attempt = attempt.saturating_add(1);
@@ -3486,6 +3470,146 @@ fn route_inbound(
 mod tests {
     use super::*;
     use crate::snapshot::{decode_delta, encode_delta, LpDelta};
+    use proptest::prelude::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+
+    thread_local! {
+        /// The largest single allocation this thread made since the last
+        /// [`largest_alloc`].
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    struct Tracking;
+
+    fn note(size: usize) {
+        // `try_with`: the allocator also runs while a thread's locals
+        // are being torn down.
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the tracker is a
+    // const-initialised thread-local `Cell` and never allocates.
+    unsafe impl GlobalAlloc for Tracking {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: same layout the caller vouched for.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with this layout.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Tracking = Tracking;
+
+    /// Run `f` and return the largest single allocation it made on this
+    /// thread.
+    fn largest_alloc<T>(f: impl FnOnce() -> T) -> usize {
+        LARGEST.with(|l| l.set(0));
+        drop(f());
+        LARGEST.with(Cell::get)
+    }
+
+    /// A frame-shaped byte run: a length prefix that may or may not tell
+    /// the truth, a tag that may or may not exist, and anything after it.
+    fn dialer_bytes() -> impl Strategy<Value = Vec<u8>> {
+        (
+            prop_oneof![0u32..300, any::<u32>()],
+            0u8..24,
+            proptest::collection::vec(any::<u8>(), 0..256),
+        )
+            .prop_map(|(len, tag, body)| {
+                let mut bytes = len.to_le_bytes().to_vec();
+                bytes.push(tag);
+                bytes.extend(body);
+                bytes
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 512,
+            .. ProptestConfig::default()
+        })]
+
+        /// Whatever a dialer sends, the admission handshake and the
+        /// control-socket decoder yield a message or a typed error:
+        /// never a panic, and never an allocation a claimed length asked
+        /// for (prefixes reach 4 GiB here). The handshake allocates
+        /// within what its 64-byte cap admits; the control decoder in
+        /// proportion to the bytes it was given, far below its frame cap.
+        #[test]
+        fn control_socket_decoding_is_total(
+            bytes in prop_oneof![
+                dialer_bytes(),
+                // A well-formed control frame around arbitrary JSON bytes.
+                proptest::collection::vec(any::<u8>(), 0..256)
+                    .prop_map(|json| Frame::Control(json).encode()),
+            ],
+            cut in 1usize..48,
+        ) {
+            let event = std::mem::size_of::<warp_core::Event>();
+            let largest = largest_alloc(|| read_handshake(&mut &bytes[..]));
+            prop_assert!(largest <= HANDSHAKE_CAP * event, "handshake allocated {largest} bytes");
+            let largest = largest_alloc(|| {
+                let mut dec = FrameDecoder::new();
+                for chunk in bytes.chunks(cut) {
+                    dec.push(chunk);
+                    while let Ok(Some(_)) = next_control(&mut dec) {}
+                }
+            });
+            let bound = 2 * (bytes.len() + 64) * event;
+            prop_assert!(bound < warp_net::frame::MAX_FRAME_BYTES);
+            prop_assert!(largest <= bound, "control decoder allocated {largest} bytes");
+        }
+    }
+
+    #[test]
+    fn a_silent_dialer_holds_up_no_one() {
+        // A dialer that connects and says nothing (a port scanner, or a
+        // worker stalled before its `Join`), then one whose length
+        // prefix is garbage: a real `Join` dialed after both is queued
+        // at once, and the garbage dialer is dropped.
+        let cfg = DistConfig::new(
+            1,
+            PathBuf::from("/nonexistent/warp-worker"),
+            serde_json::Value::Null,
+            2,
+        );
+        let admission = Admission::open(&cfg, "").unwrap();
+        let dial = || TcpStream::connect(&admission.addr).unwrap();
+        let _silent = dial();
+        let mut garbage = dial();
+        garbage.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        let dialed = Instant::now();
+        let hello = Frame::Join {
+            version: PROTO_VERSION,
+            pid: 0,
+        };
+        let _joiner = ControlLink::dial(&admission.addr, &hello).unwrap();
+        let taken = admission.take(Duration::from_secs(1), is_joiner);
+        assert!(
+            matches!(taken, Some((Frame::Join { pid: 0, .. }, _))),
+            "the Join was not queued within {:?}",
+            dialed.elapsed()
+        );
+        garbage
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        match garbage.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            other => panic!("the garbage dialer is still connected: {other:?}"),
+        }
+    }
 
     #[test]
     fn assignment_covers_all_lps() {
@@ -3521,7 +3645,6 @@ mod tests {
             fault: Some(FaultPlan::new().crash(2, 1, 100, 0).slow(2, 250, 5_000)),
             rejoin: Some(RejoinSpec {
                 grace_ms: 15_000,
-                admit_addr: "127.0.0.1:7".into(),
                 admit_file: None,
             }),
         };
@@ -3538,7 +3661,6 @@ mod tests {
         assert_eq!(fault, init.fault.unwrap());
         let rejoin = back.rejoin.expect("rejoin spec survives the round trip");
         assert_eq!(rejoin.grace_ms, 15_000);
-        assert_eq!(rejoin.admit_addr, "127.0.0.1:7");
         assert_eq!(rejoin.admit_file, None);
     }
 

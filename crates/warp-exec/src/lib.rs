@@ -31,8 +31,8 @@ pub mod virtual_cluster;
 
 pub use distributed::{
     checkpoint_segment_path, join_main, journal_job_json, load_checkpoint_segment,
-    resume_coordinator, run_coordinator, worker_main, DistConfig, DistError, NetTuning,
-    RecoveryPolicy, RejoinSpec,
+    resume_coordinator, run_coordinator, DistConfig, DistError, NetTuning, RecoveryPolicy,
+    RejoinSpec,
 };
 pub use report::{LpSummary, ObjectSummary, ResumeStats, RunReport};
 pub use sequential::run_sequential;

@@ -33,16 +33,17 @@
 //! * `Rebalance` — coordinator announcement that the session ends at a
 //!   checkpoint barrier so the cluster can regroup under a new LP
 //!   assignment.
-//! * `Join` / `Retire` / `DrainAck` — the elastic membership plane
-//!   (v6). `Join` is the one frame a `--join` worker sends on its
-//!   admission connection before switching to the coordinator's line
-//!   protocol; `Retire` tells a drained worker its LPs have been
+//! * `Join` / `Retire` / `DrainAck` — the membership plane (v6). `Join`
+//!   opens every worker's control socket, naming its OS pid (v11);
+//!   `Retire` tells a drained worker its LPs have been
 //!   checkpointed and re-homed so it can leave; `DrainAck` is the
 //!   retiree's confirmation, after which it exits cleanly.
 //! * `Reattach` — the failover plane (v7): a parked worker's one-frame
 //!   re-admission handshake to a restarted coordinator, announcing the
 //!   session it last ran, its mesh slot, and the checkpoint horizon its
 //!   retained runtimes can roll back to.
+//! * `Control` — every later message on a control socket (v11; opaque
+//!   JSON bytes, `warp-exec` owns the schema).
 //! * `Bye` — graceful shutdown: the peer finished sending and will close
 //!   after draining. A connection that dies *without* `Bye` is a crash.
 //! * `Progress` / `SnapshotReq` / `Snapshot` / `SnapshotAck` /
@@ -85,8 +86,10 @@ use warp_core::{LpId, VirtualTime};
 /// the LP's DyMA buffers — so a v8 peer, which could still send one, is
 /// refused at `Hello`. v10: checkpoints ride the GVT news — `GvtNews`
 /// carries the checkpoint id of a tagged round, and `SnapshotReq` no
-/// longer names a horizon (the controller LP picks it).
-pub const PROTO_VERSION: u16 = 10;
+/// longer names a horizon (the controller LP picks it). v11: one control
+/// socket per worker — `Join` names the dialer's OS pid, and the
+/// `Control` frame carries what used to be stdio lines.
+pub const PROTO_VERSION: u16 = 11;
 
 /// Default upper bound on a frame body. Protects the decoder from
 /// allocating gigabytes off a corrupt or malicious length prefix.
@@ -228,16 +231,16 @@ pub enum Frame {
         /// The checkpoint horizon the new session will resume from.
         gvt: VirtualTime,
     },
-    /// Joiner → coordinator: first (and only) frame on an admission
-    /// connection (v6). A fresh `warp-worker --join ADDR` process dials
-    /// the coordinator's admission endpoint, sends `Join`, and then
-    /// speaks the coordinator's newline control protocol over the same
-    /// stream until it is admitted into a session's successor. A
-    /// version mismatch drops the connection before any control
-    /// traffic.
+    /// Worker → coordinator: first frame on a control socket (v6), the
+    /// stream a worker dials at the coordinator's admission endpoint and
+    /// keeps for life. A version mismatch drops the connection before any
+    /// control traffic.
     Join {
         /// Joiner's [`PROTO_VERSION`].
         version: u16,
+        /// The dialer's OS process id (v11): pairs a child the
+        /// coordinator spawned with its slot.
+        pid: u32,
     },
     /// Coordinator → retiree at the scale-in checkpoint barrier (v6):
     /// everything this worker owns is persisted below `gvt` and
@@ -261,8 +264,8 @@ pub enum Frame {
     /// can rewind to; the coordinator reconciles that horizon against
     /// its journal and either re-adopts the worker in place
     /// (rollback-in-place, zero replay) or treats it as fresh. After
-    /// `Reattach` the stream switches to the coordinator's newline
-    /// control protocol, exactly like [`Frame::Join`].
+    /// `Reattach` the stream carries [`Frame::Control`] frames, exactly
+    /// like one opened with [`Frame::Join`].
     Reattach {
         /// The last session epoch the worker participated in.
         session: u32,
@@ -273,6 +276,8 @@ pub enum Frame {
         /// (its last `SnapshotAck` GVT, whose anchors they hold).
         horizon: VirtualTime,
     },
+    /// Either way on a control socket (v11): one control message.
+    Control(Vec<u8>),
 }
 
 const TAG_HELLO: u8 = 1;
@@ -296,6 +301,7 @@ const TAG_RETIRE: u8 = 18;
 const TAG_DRAIN_ACK: u8 = 19;
 const TAG_REATTACH: u8 = 20;
 // 21 is retired (the per-link batch of v8); do not reuse it.
+const TAG_CONTROL: u8 = 22;
 
 /// Why a byte stream failed to decode as frames.
 #[derive(Debug, Clone, PartialEq)]
@@ -435,8 +441,8 @@ impl Frame {
                 w.u8(TAG_REBALANCE);
                 write_vt(&mut w, *gvt);
             }
-            Frame::Join { version } => {
-                w.u8(TAG_JOIN).u16(*version);
+            Frame::Join { version, pid } => {
+                w.u8(TAG_JOIN).u16(*version).u32(*pid);
             }
             Frame::Retire { gvt } => {
                 w.u8(TAG_RETIRE);
@@ -453,6 +459,9 @@ impl Frame {
             } => {
                 w.u8(TAG_REATTACH).u32(*session).u32(*worker_id);
                 write_vt(&mut w, *horizon);
+            }
+            Frame::Control(bytes) => {
+                w.u8(TAG_CONTROL).bytes(bytes);
             }
         }
         *out = w.finish();
@@ -576,6 +585,7 @@ impl Frame {
             },
             TAG_JOIN => Frame::Join {
                 version: r.u16().map_err(mal)?,
+                pid: r.u32().map_err(mal)?,
             },
             TAG_RETIRE => Frame::Retire {
                 gvt: read_vt(&mut r).map_err(mal)?,
@@ -588,6 +598,7 @@ impl Frame {
                 worker_id: r.u32().map_err(mal)?,
                 horizon: read_vt(&mut r).map_err(mal)?,
             },
+            TAG_CONTROL => Frame::Control(r.bytes().map_err(mal)?.to_vec()),
             other => return Err(FrameError::BadTag(other)),
         };
         if r.remaining() != 0 {
@@ -781,6 +792,7 @@ mod tests {
             },
             Frame::Join {
                 version: PROTO_VERSION,
+                pid: 4242,
             },
             Frame::Retire {
                 gvt: VirtualTime::new(17),
@@ -793,6 +805,7 @@ mod tests {
                 worker_id: 2,
                 horizon: VirtualTime::new(17),
             },
+            Frame::Control(br#"{"Listen":"127.0.0.1:9"}"#.to_vec()),
         ]
     }
 

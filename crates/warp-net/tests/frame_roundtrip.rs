@@ -184,7 +184,7 @@ fn arb_frame() -> BoxedStrategy<Frame> {
         any::<u64>().prop_map(|gvt| Frame::Rebalance {
             gvt: VirtualTime::from_ticks(gvt),
         }),
-        any::<u16>().prop_map(|version| Frame::Join { version }),
+        (any::<u16>(), any::<u32>()).prop_map(|(version, pid)| Frame::Join { version, pid }),
         any::<u64>().prop_map(|gvt| Frame::Retire {
             gvt: VirtualTime::from_ticks(gvt),
         }),
@@ -200,6 +200,7 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                 horizon: VirtualTime::from_ticks(horizon),
             }
         }),
+        proptest::collection::vec(any::<u8>(), 0..96).prop_map(Frame::Control),
     ]
     .boxed()
 }

@@ -1,41 +1,42 @@
 //! Worker process of the distributed executive.
 //!
-//! Spawned by `warp_exec::distributed::run_coordinator`, never by hand
-//! — except with `--join ADDR`, which dials a running coordinator's
-//! admission listener instead of speaking over stdio; the coordinator
-//! adopts the process at its next elastic scale-out (see
-//! `docs/elasticity.md`). Either way the worker announces its listen
-//! address (`LISTEN <addr>`), reads one line of init JSON and then the
-//! first session's line, joins the TCP mesh, runs its block of LPs,
-//! reports, and exits. See
+//! Every worker starts as `warp-worker --join ADDR`: it dials the
+//! coordinator's admission point at `ADDR`, presents a `Join` naming its
+//! pid, announces its listen address, reads its init and then the first
+//! session's start, all as frames on that one control socket, joins the
+//! TCP mesh, runs its block of LPs, reports, and exits. A child spawned
+//! by `warp_exec::distributed::run_coordinator` gets `ADDR` on its
+//! command line and is paired with its slot by the pid; a process
+//! started by hand idles in the admission queue until the coordinator
+//! adopts it at an elastic scale-out (see `docs/elasticity.md`). See
 //! `warp_exec::distributed` for the protocol and
 //! `warped_online::cluster` for the model vocabulary.
 //!
 //! With a rejoin grace (offered by the coordinator's init, or forced
 //! locally with `--rejoin-grace MS`) a worker that loses its
 //! coordinator *parks* instead of exiting: it keeps its kernel state,
-//! dials the coordinator's re-admission point with jittered backoff,
-//! and presents a `Reattach` handshake so a restarted coordinator
-//! (`warp-cluster --resume`) can re-adopt it without replay. See
+//! re-dials the admission point with jittered backoff, and presents a
+//! `Reattach` handshake so a restarted coordinator (`warp-cluster
+//! --resume`) can re-adopt it without replay. See
 //! `docs/coordinator-failover.md`.
 
 const USAGE: &str = "\
-usage: warp-worker [--join COORDINATOR_ADDR] [--rejoin-grace MS]
+usage: warp-worker --join COORDINATOR_ADDR [--rejoin-grace MS]
 
 options:
-  --join ADDR        dial a running coordinator's admission listener
-                     instead of speaking the stdio bootstrap protocol
+  --join ADDR        dial the coordinator's admission point (required:
+                     every worker starts this way)
   --rejoin-grace MS  park for MS milliseconds on coordinator loss and
                      try to reattach to a restarted coordinator; 0
                      disables parking even when the coordinator offers
-                     it (overrides the grace in the init line)
+                     it (overrides the grace in the init)
   --help             print this message
 
 exit codes:
   0  clean finish, or retired by an elastic scale-in
   2  bootstrap or run error (details on stderr)
   3  orphaned — the coordinator died with no rejoin grace configured
-     (control channel closed, or no recovery instructions in time),
+     (control socket closed, or no recovery instructions in time),
      or a peer was lost with recovery disabled
   4  rejoin grace expired — the worker parked after losing its
      coordinator, but no successor adopted it in time
@@ -74,12 +75,13 @@ fn main() {
             }
         }
     }
-    let build = &warped_online::cluster::spec_from_model_json;
-    let result = match join {
-        Some(addr) => warp_exec::join_main(&addr, build, rejoin_grace),
-        None => warp_exec::worker_main(build, rejoin_grace),
+    let Some(addr) = join else {
+        eprintln!("warp-worker: --join is required");
+        eprint!("{USAGE}");
+        std::process::exit(2);
     };
-    if let Err(e) = result {
+    let build = &warped_online::cluster::spec_from_model_json;
+    if let Err(e) = warp_exec::join_main(&addr, build, rejoin_grace) {
         eprintln!("warp-worker: {e}");
         std::process::exit(2);
     }

@@ -132,7 +132,7 @@ impl ClusterJob {
 
 /// The worker side: decode a coordinator's opaque model JSON into a
 /// spec. This is the function `warp-worker` hands to
-/// [`warp_exec::worker_main`] (and [`warp_exec::join_main`]).
+/// [`warp_exec::join_main`].
 pub fn spec_from_model_json(model: &serde_json::Value) -> Result<SimulationSpec, String> {
     let job: ClusterJob = serde_json::from_value(model.clone())
         .map_err(|e| format!("undecodable ClusterJob: {e}"))?;

@@ -336,6 +336,7 @@ fn joiner_that_dies_before_its_first_session_falls_back() {
             let mut stream = std::net::TcpStream::connect(addr).expect("dialing admission");
             let hello = Frame::Join {
                 version: PROTO_VERSION,
+                pid: std::process::id(),
             };
             std::io::Write::write_all(&mut stream, &hello.encode()).expect("join handshake");
         })

@@ -304,8 +304,8 @@ fn checkpoint_store_spills_compacts_and_reloads_cleanly() {
 }
 
 /// A coordinator that dies mid-run must not leave worker processes
-/// behind: each worker notices on its own (mesh slam or closed stdio)
-/// and exits within the liveness bound.
+/// behind: each worker notices on its own (mesh slam or its control
+/// socket closing) and exits within the liveness bound.
 #[cfg(target_os = "linux")]
 #[test]
 fn workers_exit_on_their_own_when_the_coordinator_dies() {
@@ -381,5 +381,85 @@ fn workers_exit_on_their_own_when_the_coordinator_dies() {
             );
             std::thread::sleep(Duration::from_millis(100));
         }
+    }
+}
+
+/// Peak thread counts of a 2-worker run, read from `/proc/<pid>/task`
+/// while it runs. A worker holds its main (session) thread, one thread
+/// per LP and the reader of its coordinator link; the coordinator holds
+/// its main thread, the admission acceptor and one mesh reader per
+/// worker. With control lines on stdio (protocol v10) both sides also
+/// ran a control-line reader per worker: this job peaked at 5 threads
+/// in each worker and 5 in the coordinator, against 4 and 4 now.
+#[cfg(target_os = "linux")]
+#[test]
+fn each_worker_costs_the_coordinator_one_thread() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+
+    const N_WORKERS: usize = 2;
+    let n_local = phold_job().n_lps() as usize / N_WORKERS;
+    // Slowed so the run lasts long enough to be sampled throughout.
+    let job = ClusterJob {
+        fault: Some(FaultPlan::new().slow(1, 200, 0)),
+        ..phold_job()
+    };
+    let job_path =
+        std::env::temp_dir().join(format!("warp-threads-job-{}.json", std::process::id()));
+    std::fs::File::create(&job_path)
+        .and_then(|mut f| f.write_all(serde_json::to_string(&job).unwrap().as_bytes()))
+        .expect("write job file");
+    let mut coordinator = Command::new(env!("CARGO_BIN_EXE_warp-cluster"))
+        .arg(&job_path)
+        .args(["--workers", &N_WORKERS.to_string()])
+        .env("WARP_WORKER_BIN", worker_bin())
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn warp-cluster");
+    let stderr = coordinator.stderr.take().expect("stderr piped");
+    let (pid_tx, pids) = std::sync::mpsc::channel::<u32>();
+    let reader = std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            if let Some(pid) = line
+                .strip_prefix("WORKER_PID ")
+                .and_then(|rest| rest.split_whitespace().nth(1))
+                .and_then(|p| p.parse().ok())
+            {
+                let _ = pid_tx.send(pid);
+            }
+        }
+    });
+    let threads =
+        |pid: u32| std::fs::read_dir(format!("/proc/{pid}/task")).map_or(0, |tasks| tasks.count());
+    let mut coordinator_peak = 0;
+    let mut worker_peaks: Vec<(u32, usize)> = Vec::new();
+    let status = loop {
+        worker_peaks.extend(pids.try_iter().map(|pid| (pid, 0)));
+        coordinator_peak = coordinator_peak.max(threads(coordinator.id()));
+        for (pid, peak) in &mut worker_peaks {
+            *peak = (*peak).max(threads(*pid));
+        }
+        if let Some(status) = coordinator.try_wait().expect("polling warp-cluster") {
+            break status;
+        }
+        std::thread::sleep(Duration::from_micros(500));
+    };
+    let _ = std::fs::remove_file(&job_path);
+    reader.join().expect("stderr reader panicked");
+    assert!(status.success(), "warp-cluster exited with {status}");
+    assert_eq!(worker_peaks.len(), N_WORKERS, "{worker_peaks:?}");
+    assert_eq!(
+        coordinator_peak,
+        N_WORKERS + 2,
+        "coordinator: main, the acceptor and one mesh reader per worker"
+    );
+    for (pid, peak) in worker_peaks {
+        assert_eq!(
+            peak,
+            n_local + 2,
+            "worker {pid}: the session thread, {n_local} LPs and the coordinator link's reader"
+        );
     }
 }
