@@ -104,6 +104,12 @@ impl ObjectState for BigState {
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.tags.len() * 8
     }
+    fn encode(&self, w: &mut warp_core::wire::PayloadWriter) {
+        w.u64s(&self.tags);
+    }
+    fn decode(r: &mut warp_core::wire::PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(BigState { tags: r.u64s()? })
+    }
 }
 
 fn bench_state_queue(c: &mut Criterion) {

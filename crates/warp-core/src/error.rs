@@ -32,6 +32,9 @@ pub enum KernelError {
     },
     /// A configuration value was rejected.
     InvalidConfig(String),
+    /// A recovery image failed to decode or contradicts itself
+    /// ([`crate::image`]).
+    CorruptImage(String),
 }
 
 impl fmt::Display for KernelError {
@@ -52,6 +55,7 @@ impl fmt::Display for KernelError {
                 )
             }
             KernelError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            KernelError::CorruptImage(msg) => write!(f, "corrupt recovery image: {msg}"),
         }
     }
 }

@@ -26,6 +26,7 @@ pub mod error;
 pub mod event;
 pub mod gvt;
 pub mod ids;
+pub mod image;
 pub mod lp;
 pub mod object;
 pub mod partition;
@@ -42,6 +43,7 @@ pub use cost::CostModel;
 pub use error::KernelError;
 pub use event::{Event, EventId, EventKey, Sign};
 pub use ids::{LpId, NodeId, ObjectId};
+pub use image::{LpImage, ObjectImage};
 pub use lp::LpRuntime;
 pub use object::{ErasedState, ExecutionContext, ObjectState, SimObject};
 pub use partition::Partition;

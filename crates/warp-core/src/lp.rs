@@ -8,13 +8,15 @@
 //! earns its keep.
 
 use crate::cost::CostModel;
-use crate::event::Event;
-use crate::ids::{LpId, ObjectId};
+use crate::error::KernelError;
+use crate::event::{Event, EventId};
+use crate::ids::LpId;
+use crate::image::LpImage;
 use crate::partition::Partition;
 use crate::runtime::ObjectRuntime;
 use crate::stats::ObjectStats;
 use crate::time::VirtualTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One logical process: local scheduler over its objects.
@@ -232,8 +234,8 @@ impl LpRuntime {
         }
     }
 
-    /// Every object was just called into behind `route`'s back (init,
-    /// in-place rollback, replay from a committed log): rebuild the
+    /// Every object was just called into behind `route`'s back (init, a
+    /// restore from an image): rebuild the
     /// schedule index and list every slot for the next cost drain.
     fn touch_all(&mut self) {
         self.sched
@@ -348,86 +350,59 @@ impl LpRuntime {
         }
     }
 
-    /// Arm the distributed checkpoint protocol at `h` in every object
-    /// (see [`ObjectRuntime::arm_recovery`]).
-    pub fn arm_recovery(&mut self, h: VirtualTime) {
+    /// Arm the distributed checkpoint protocol in every object (see
+    /// [`ObjectRuntime::arm_recovery`]), telling each which objects live
+    /// on other LPs.
+    pub fn arm_recovery(&mut self) {
+        let remote: Arc<[bool]> = self.slot_of.iter().map(|&s| s == REMOTE).collect();
         for o in &mut self.objects {
-            o.arm_recovery(h);
+            o.arm_recovery(Arc::clone(&remote));
         }
     }
 
-    /// Checkpoint every object at the horizon `h`, an announced GVT (see
-    /// [`ObjectRuntime::checkpoint`]), and return the LP's part laid out
-    /// as one LP of a checkpoint delta: LP id, object count, then each
-    /// object's committed events in the window. Parts of consecutive
-    /// horizons concatenate into the LP's complete committed log.
-    pub fn checkpoint(&mut self, h: VirtualTime) -> Vec<u8> {
-        // Sized exactly: a part can be megabytes.
-        let len = 8 + self
+    /// The LP's image of the horizon `h`, an announced GVT: a header
+    /// naming the LP and `h`, then every object's image in slot order
+    /// (see [`crate::image`] and [`ObjectRuntime::checkpoint`]). Call
+    /// before the fossil pass at `h`.
+    pub fn checkpoint(&self, h: VirtualTime) -> Vec<u8> {
+        let mut doomed: Vec<EventId> = self
             .objects
             .iter()
-            .map(|o| o.checkpoint_len(h))
-            .sum::<usize>();
-        let mut w = crate::wire::PayloadWriter::with_capacity(len);
-        w.u32(self.id.0).u32(self.objects.len() as u32);
-        for o in &mut self.objects {
-            o.checkpoint(h, &mut w);
+            .flat_map(|o| o.held_back().map(|e| e.id))
+            .collect();
+        doomed.sort_unstable();
+        let mut w = crate::wire::PayloadWriter::new();
+        crate::image::write_lp_header(&mut w, self.id, h, self.objects.len());
+        for o in &self.objects {
+            o.checkpoint(h, &doomed, &mut w);
         }
         w.finish()
     }
 
-    /// The checkpoint at `h` is persisted: drop every object's anchors
-    /// below it.
-    pub fn ack_checkpoint(&mut self, h: VirtualTime) {
-        for o in &mut self.objects {
-            o.ack_checkpoint(h);
-        }
+    /// Decode this LP's image (see [`LpImage::decode`]); the LP's own
+    /// objects name the state type each object's bytes decode as.
+    pub fn decode_image(&self, bytes: &[u8]) -> Result<LpImage, KernelError> {
+        let protos: Vec<_> = self
+            .objects
+            .iter()
+            .map(|o| (o.id(), o.snapshot_state()))
+            .collect();
+        LpImage::decode(bytes, self.id, &protos)
     }
 
-    /// Roll every object back *in place* to the recovery horizon, then
-    /// re-deliver the LP's outgoing frontier — committed sends landing at
-    /// or beyond `horizon` — locally by insertion and remotely via `out`.
-    /// The survivor's counterpart of
-    /// [`restore_committed`](Self::restore_committed): same resulting
-    /// contract (committed state below the horizon, frontier re-offered)
-    /// without replaying the committed log from scratch. Once fossil
-    /// collection has passed `horizon`, every object must hold its anchor
-    /// (see [`ObjectRuntime::rollback_to_horizon`] for the exact
-    /// preconditions).
-    pub fn rollback_to_horizon(&mut self, horizon: VirtualTime, out: &mut Vec<Event>) {
-        // Harvest from every object before routing: a frontier event
-        // delivered into an object that has not rolled back yet would be
-        // destroyed by its own rollback.
-        for o in &mut self.objects {
-            self.fresh
-                .extend(o.rollback_to_horizon(horizon, &self.cost));
-        }
-        self.touch_all();
-        self.route(out);
-    }
-
-    /// Rebuild a freshly constructed LP from per-object committed logs
-    /// (everything below `horizon`), replaying each object's history
-    /// through the normal execution path. Init-time and replay-generated
-    /// sends below the horizon are suppressed — they are duplicates of
-    /// events already present in some object's log — while the *frontier*
-    /// (sends at or beyond the horizon, i.e. uncommitted work scheduled by
-    /// committed events) is re-delivered: locally by insertion, remotely
-    /// via `out`. Must be called instead of [`LpRuntime::init`], exactly
-    /// once, before the LP resumes processing.
-    pub fn restore_committed(
-        &mut self,
-        mut logs: HashMap<ObjectId, Vec<Event>>,
-        horizon: VirtualTime,
-        out: &mut Vec<Event>,
-    ) {
-        let mut raw = Vec::new();
-        for o in &mut self.objects {
-            o.init(&self.cost, &mut raw);
-            let log = logs.remove(&o.id()).unwrap_or_default();
-            o.replay_committed(log, &self.cost, &mut raw);
-            self.fresh
-                .extend(raw.drain(..).filter(|ev| ev.recv_time >= horizon));
+    /// Build this freshly constructed, armed
+    /// ([`arm_recovery`](Self::arm_recovery)) LP from its image, in place
+    /// of [`init`](Self::init): every object restores from its part (see
+    /// [`ObjectRuntime::restore`]), then the LP's frontier — the
+    /// committed sends that cross the horizon — is delivered again,
+    /// locally by insertion and remotely via `out`.
+    pub fn restore(&mut self, image: LpImage, out: &mut Vec<Event>) {
+        debug_assert_eq!(image.lp, self.id, "image restored into the wrong LP");
+        // Harvest every object's frontier before routing any of it: an
+        // event delivered into an object not yet restored would be
+        // wiped by its restore.
+        for (o, img) in self.objects.iter_mut().zip(image.objects) {
+            self.fresh.extend(o.restore(img, &self.cost));
         }
         self.touch_all();
         self.route(out);
@@ -499,6 +474,7 @@ impl LpRuntime {
 mod tests {
     use super::*;
     use crate::event::EventId;
+    use crate::ids::ObjectId;
     use crate::object::{ErasedState, ExecutionContext, ObjectState, SimObject};
     use crate::policy::ObjectPolicies;
     use crate::wire::{PayloadReader, PayloadWriter};
@@ -508,7 +484,14 @@ mod tests {
     struct PingState {
         bounces: u64,
     }
-    impl ObjectState for PingState {}
+    impl ObjectState for PingState {
+        fn encode(&self, w: &mut PayloadWriter) {
+            w.u64(self.bounces);
+        }
+        fn decode(r: &mut PayloadReader<'_>) -> Result<Self, KernelError> {
+            Ok(PingState { bounces: r.u64()? })
+        }
+    }
 
     struct Ping {
         peer: ObjectId,
@@ -704,10 +687,11 @@ mod tests {
     }
 
     #[test]
-    fn restore_from_committed_logs_reproduces_the_run() {
-        // Run a local ping-pong to completion, then rebuild a fresh LP
-        // from the committed window below a mid-run horizon and let it
-        // finish: the committed trace must be identical.
+    fn an_image_restore_reproduces_the_run() {
+        // Run a local ping-pong to completion with recovery armed and
+        // fossil collection to GVT, imaging a mid-run horizon just before
+        // its fossil pass. A fresh LP restored from that image and run to
+        // the end must commit the same trace.
         let part = Arc::new(Partition::round_robin(2, 1));
         let defs = || {
             vec![
@@ -730,111 +714,67 @@ mod tests {
             ]
         };
         let mut lp = build_lp(part.clone(), LpId(0), defs());
-        let mut out = Vec::new();
-        lp.init(&mut out);
-        lp.arm_recovery(VirtualTime::ZERO);
-        while lp.process_one(&mut out) {}
-        let want: Vec<_> = lp.objects().iter().map(|o| o.trace_digest()).collect();
-
-        let horizon = VirtualTime::new(4);
-        let logs = part_logs(&lp.checkpoint(horizon));
-        assert!(logs.values().any(|l| !l.is_empty()));
-        assert!(logs.values().flatten().all(|ev| ev.recv_time < horizon));
-
-        let mut fresh = build_lp(part, LpId(0), defs());
-        fresh.restore_committed(logs, horizon, &mut out);
-        assert!(out.is_empty(), "single-LP restore has no remote frontier");
-        assert_eq!(
-            fresh.next_time(),
-            horizon,
-            "frontier event at the horizon was regenerated"
-        );
-        while fresh.process_one(&mut out) {}
-        let got: Vec<_> = fresh.objects().iter().map(|o| o.trace_digest()).collect();
-        assert_eq!(got, want, "restored run diverged from the original");
-    }
-
-    /// A checkpoint part (`LpRuntime::checkpoint`) back as per-object logs.
-    fn part_logs(part: &[u8]) -> HashMap<ObjectId, Vec<Event>> {
-        let mut r = PayloadReader::new(part);
-        assert_eq!(r.u32().unwrap(), 0, "LP id");
-        let n = r.u32().unwrap();
-        let logs = (0..n)
-            .map(|_| {
-                let oid = ObjectId(r.u32().unwrap());
-                let k = r.u32().unwrap();
-                let log = (0..k)
-                    .map(|_| crate::wire::decode_event(&mut r).unwrap())
-                    .collect();
-                (oid, log)
-            })
-            .collect();
-        assert_eq!(r.remaining(), 0);
-        logs
-    }
-
-    #[test]
-    fn in_place_rollback_reproduces_the_run() {
-        // Run a local ping-pong to completion, roll the *same* LP back in
-        // place to a mid-run horizon, and let it finish again: the
-        // committed trace must match the original — the survivor path and
-        // the rebuild path are interchangeable. The horizon is anchored
-        // and fossil collection has passed it, so the rollback re-seeds
-        // from the anchor; collected traces keep the digests whole.
-        let part = Arc::new(Partition::round_robin(2, 1));
-        let mut lp = build_lp(
-            part,
-            LpId(0),
-            vec![
-                (
-                    ObjectId(0),
-                    Ping {
-                        peer: ObjectId(1),
-                        start: true,
-                        state: PingState { bounces: 0 },
-                    },
-                ),
-                (
-                    ObjectId(1),
-                    Ping {
-                        peer: ObjectId(0),
-                        start: false,
-                        state: PingState { bounces: 0 },
-                    },
-                ),
-            ],
-        );
-        let mut out = Vec::new();
         lp.set_collect_traces(true);
+        let mut out = Vec::new();
         lp.init(&mut out);
-        lp.arm_recovery(VirtualTime::ZERO);
+        lp.arm_recovery();
         while lp.process_one(&mut out) {}
         let want: Vec<_> = lp.objects().iter().map(|o| o.trace_digest()).collect();
         let executed_full = lp.stats().executed;
 
         let horizon = VirtualTime::new(4);
-        lp.checkpoint(horizon);
+        let bytes = lp.checkpoint(horizon);
         lp.fossil_collect(horizon);
-        lp.fossil_collect(VirtualTime::new(7));
         assert!(lp.stats().fossils_collected > 0);
-        lp.rollback_to_horizon(horizon, &mut out);
+
+        let mut fresh = build_lp(part, LpId(0), defs());
+        fresh.set_collect_traces(true);
+        fresh.arm_recovery();
+        let image = fresh.decode_image(&bytes).unwrap();
+        assert_eq!(image.encode(), bytes, "decode then encode is the identity");
+        fresh.restore(image, &mut out);
         assert!(out.is_empty(), "single-LP frontier is all local");
         assert_eq!(
-            lp.next_time(),
+            fresh.next_time(),
             horizon,
             "the frontier event at the horizon was re-delivered"
         );
         let mut resumed = 0;
-        while lp.process_one(&mut out) {
+        while fresh.process_one(&mut out) {
             resumed += 1;
         }
         assert!(
             (resumed as u64) < executed_full,
-            "survivor replays only the post-horizon tail"
+            "a restore runs only the post-horizon tail"
         );
-        let got: Vec<_> = lp.objects().iter().map(|o| o.trace_digest()).collect();
-        assert_eq!(got, want, "in-place rollback diverged from the original");
-        assert_eq!(lp.stats().net_executed(), executed_full);
+        let got: Vec<_> = fresh.objects().iter().map(|o| o.trace_digest()).collect();
+        assert_eq!(got, want, "restored run diverged from the original");
+        assert_eq!(fresh.stats().net_executed(), executed_full);
+    }
+
+    #[test]
+    fn an_image_of_another_lp_or_shape_is_refused() {
+        let part = Arc::new(Partition::round_robin(2, 2));
+        let ping = |peer| Ping {
+            peer: ObjectId(peer),
+            start: false,
+            state: PingState { bounces: 0 },
+        };
+        let mut lp0 = build_lp(part.clone(), LpId(0), vec![(ObjectId(0), ping(1))]);
+        let lp1 = build_lp(part, LpId(1), vec![(ObjectId(1), ping(0))]);
+        let mut out = Vec::new();
+        lp0.init(&mut out);
+        lp0.arm_recovery();
+        let bytes = lp0.checkpoint(VirtualTime::new(3));
+        assert!(lp0.decode_image(&bytes).is_ok());
+        assert!(matches!(
+            lp1.decode_image(&bytes),
+            Err(KernelError::CorruptImage(_))
+        ));
+        assert!(lp0.decode_image(&bytes[..bytes.len() - 1]).is_err());
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(lp0.decode_image(&long).is_err());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::error::KernelError;
 use crate::event::Event;
 use crate::ids::ObjectId;
 use crate::time::VirtualTime;
+use crate::wire::{PayloadReader, PayloadWriter};
 use core::fmt;
 use std::any::Any;
 
@@ -20,12 +21,27 @@ use std::any::Any;
 /// States must be `Clone` (that *is* the checkpoint operation) and report
 /// their size so the cost model can charge state saving proportionally —
 /// the trade-off at the heart of the dynamic checkpointing experiment.
+///
+/// Every state also has a canonical byte form: the distributed
+/// executive's recovery checkpoints carry each object's state as an
+/// image, and a restore decodes it on whichever worker the object lands.
+/// There is no default: a state without a codec does not compile.
 pub trait ObjectState: Clone + Send + fmt::Debug + 'static {
     /// Approximate in-memory size of the state in bytes. The default uses
     /// the shallow struct size; states owning heap storage should add it.
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
     }
+
+    /// Append the state's canonical encoding.
+    fn encode(&self, w: &mut PayloadWriter);
+
+    /// Decode a state written by [`encode`](Self::encode). Total: any
+    /// input yields a state or an error, never a panic, and allocates no
+    /// more than the input's length can justify.
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, KernelError>
+    where
+        Self: Sized;
 }
 
 trait ErasedStateOps: Send {
@@ -33,6 +49,11 @@ trait ErasedStateOps: Send {
     fn as_any(&self) -> &dyn Any;
     fn bytes(&self) -> usize;
     fn debug_fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
+    fn encode(&self, w: &mut PayloadWriter);
+    fn decode_same(
+        &self,
+        r: &mut PayloadReader<'_>,
+    ) -> Result<Box<dyn ErasedStateOps>, KernelError>;
 }
 
 impl<S: ObjectState> ErasedStateOps for S {
@@ -47,6 +68,15 @@ impl<S: ObjectState> ErasedStateOps for S {
     }
     fn debug_fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
+    }
+    fn encode(&self, w: &mut PayloadWriter) {
+        ObjectState::encode(self, w)
+    }
+    fn decode_same(
+        &self,
+        r: &mut PayloadReader<'_>,
+    ) -> Result<Box<dyn ErasedStateOps>, KernelError> {
+        Ok(Box::new(S::decode(r)?))
     }
 }
 
@@ -78,6 +108,20 @@ impl ErasedState {
     /// Size in bytes, for the cost model.
     pub fn bytes(&self) -> usize {
         self.inner.bytes()
+    }
+
+    /// Append the wrapped state's canonical encoding
+    /// ([`ObjectState::encode`]).
+    pub fn encode(&self, w: &mut PayloadWriter) {
+        self.inner.encode(w)
+    }
+
+    /// Decode a state of the same type as `self` — the object's own
+    /// snapshot names the type an image's state bytes must decode as.
+    pub fn decode_like(&self, r: &mut PayloadReader<'_>) -> Result<ErasedState, KernelError> {
+        Ok(ErasedState {
+            inner: self.inner.decode_same(r)?,
+        })
     }
 }
 
@@ -221,6 +265,15 @@ mod tests {
         fn state_bytes(&self) -> usize {
             std::mem::size_of::<Self>() + self.extra.len()
         }
+        fn encode(&self, w: &mut PayloadWriter) {
+            w.u64(self.count).bytes(&self.extra);
+        }
+        fn decode(r: &mut PayloadReader<'_>) -> Result<Self, KernelError> {
+            Ok(CounterState {
+                count: r.u64()?,
+                extra: r.bytes()?.to_vec(),
+            })
+        }
     }
 
     #[test]
@@ -238,11 +291,36 @@ mod tests {
     }
 
     #[test]
+    fn erased_state_decodes_as_its_prototype_type() {
+        let s = CounterState {
+            count: 7,
+            extra: vec![1, 2, 3],
+        };
+        let mut w = PayloadWriter::new();
+        ErasedState::of(s.clone()).encode(&mut w);
+        let bytes = w.finish();
+        let proto = ErasedState::of(CounterState {
+            count: 0,
+            extra: vec![],
+        });
+        let back = proto.decode_like(&mut PayloadReader::new(&bytes)).unwrap();
+        assert_eq!(back.get::<CounterState>(), &s);
+        assert!(proto
+            .decode_like(&mut PayloadReader::new(&bytes[..5]))
+            .is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "snapshot type")]
     fn erased_state_wrong_type_panics() {
         #[derive(Clone, Debug)]
         struct Other;
-        impl ObjectState for Other {}
+        impl ObjectState for Other {
+            fn encode(&self, _: &mut PayloadWriter) {}
+            fn decode(_: &mut PayloadReader<'_>) -> Result<Self, KernelError> {
+                Ok(Other)
+            }
+        }
         let e = ErasedState::of(CounterState {
             count: 1,
             extra: vec![],

@@ -206,40 +206,18 @@ impl InputQueue {
         self.history.drain(..keep)
     }
 
-    /// The processed events received in `[from, below)`, in key order.
-    pub fn processed_between(&self, from: VirtualTime, below: VirtualTime) -> &[Event] {
-        let start = self.history.partition_point(|e| e.recv_time < from);
-        let end = self.history.partition_point(|e| e.recv_time < below);
-        &self.history[start..end.max(start)]
-    }
-
-    /// Replace the executed history with `history` (key order): an
-    /// in-place rollback re-seeding the coast-forward inputs fossil
-    /// collection already dropped. Only before
-    /// [`discard_unprocessed`](Self::discard_unprocessed), whose pending
-    /// set this leaves alone.
+    /// Replace the executed history with `history` (key order): a restore
+    /// from a recovery image seeding the coast-forward inputs. The
+    /// pending set is left alone.
     pub fn reseed_history(&mut self, history: Vec<Event>) {
         debug_assert!(history.windows(2).all(|w| w[0].key() < w[1].key()));
         self.history = history;
     }
 
-    /// Key of the first *processed* event received at or after `at`, if
-    /// any. An in-place rollback to a resume horizon `h` un-processes
-    /// from exactly this key (or nothing, when the whole history is
-    /// below `h`).
-    pub fn first_processed_at_or_after(&self, at: VirtualTime) -> Option<EventKey> {
-        let idx = self.history.partition_point(|e| e.recv_time < at);
-        self.history.get(idx).map(|e| e.key())
-    }
-
-    /// Discard every unprocessed event and every stored orphan anti,
-    /// returning how many events were dropped. Used by the in-place
-    /// survivor restore: the dead session's in-flight traffic is
-    /// discarded cluster-wide and the frontier is re-delivered, so a
-    /// retained pending copy would collide with its re-sent twin.
-    pub fn discard_unprocessed(&mut self) -> u64 {
-        self.orphan_antis.clear();
-        self.pending.clear()
+    /// Every event held, processed (in execution order) then pending (in
+    /// no particular order).
+    pub fn events(&self) -> impl Iterator<Item = &Event> + Clone {
+        self.history.iter().chain(self.pending.iter())
     }
 
     /// All unprocessed events in key order (test/diagnostic helper —
@@ -396,22 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn processed_between_is_a_half_open_window_of_the_history() {
-        let mut q = InputQueue::new();
-        for s in 0..4 {
-            q.insert(ev(1, s, 10 * (s + 1)));
-        }
-        for _ in 0..3 {
-            q.mark_processed(); // history: t = 10, 20, 30; pending: t = 40
-        }
-        let times = |evs: &[Event]| evs.iter().map(|e| e.recv_time.ticks()).collect::<Vec<_>>();
-        let vt = VirtualTime::new;
-        assert_eq!(times(q.processed_between(vt(15), vt(30))), vec![20]);
-        assert_eq!(times(q.processed_between(vt(0), vt(100))), vec![10, 20, 30]);
-        assert!(q.processed_between(vt(30), vt(20)).is_empty());
-    }
-
-    #[test]
     fn fossil_collect_never_touches_unprocessed() {
         let mut q = InputQueue::new();
         q.insert(ev(1, 0, 5));
@@ -419,42 +381,6 @@ mod tests {
         // still has to execute; fossils are processed history only).
         assert_eq!(q.fossil_collect_before(ev(1, 99, 100).key()).len(), 0);
         assert_eq!(q.pending_len(), 1);
-    }
-
-    #[test]
-    fn first_processed_at_or_after_scans_only_history() {
-        let mut q = InputQueue::new();
-        for s in 0..4 {
-            q.insert(ev(1, s, 10 * (s + 1)));
-        }
-        for _ in 0..3 {
-            q.mark_processed(); // history: t = 10, 20, 30; pending: t = 40
-        }
-        assert_eq!(
-            q.first_processed_at_or_after(VirtualTime::new(15)),
-            Some(ev(1, 1, 20).key())
-        );
-        assert_eq!(
-            q.first_processed_at_or_after(VirtualTime::new(20)),
-            Some(ev(1, 1, 20).key())
-        );
-        // Beyond the processed history: the pending t=40 event must not
-        // be reported (it is not rollback material).
-        assert_eq!(q.first_processed_at_or_after(VirtualTime::new(31)), None);
-    }
-
-    #[test]
-    fn discard_unprocessed_clears_future_and_orphans() {
-        let mut q = InputQueue::new();
-        q.insert(ev(1, 0, 10));
-        q.mark_processed();
-        q.insert(ev(1, 1, 20));
-        q.insert(ev(2, 9, 99).to_anti()); // orphan
-        assert_eq!(q.discard_unprocessed(), 1);
-        assert_eq!(q.processed_len(), 1);
-        assert_eq!(q.pending_len(), 0);
-        // The orphan store is empty again: a fresh positive enqueues.
-        assert_eq!(q.insert(ev(2, 9, 99)), Inserted::Enqueued);
     }
 
     #[test]

@@ -29,7 +29,14 @@ pub struct SentRecord {
 #[derive(Debug, Default)]
 pub struct OutputQueue {
     records: Vec<SentRecord>,
+    /// Records at the front that the last in-flight compaction kept (see
+    /// [`fossil_collect_before`](Self::fossil_collect_before)).
+    kept: usize,
 }
+
+/// Under recovery, a fossil pass compacts the fossil prefix only once it
+/// has grown to this multiple of what the last compaction kept.
+const COMPACT_GROWTH: usize = 2;
 
 impl OutputQueue {
     /// Empty queue.
@@ -73,51 +80,63 @@ impl OutputQueue {
     /// their sends can never need cancellation. `init` records are always
     /// reclaimable once a bound exists. Returns the number reclaimed.
     ///
-    /// Records whose message lands at or after `in_flight_from` stay,
-    /// whatever generated them. The recovery protocol passes GVT: a send
-    /// still in flight past it crosses every checkpoint horizon the
-    /// protocol may yet pick, and the anchor of that horizon must find it
-    /// (see [`crossing`](Self::crossing)) — a set bounded by the events in
-    /// flight. Everyone else passes ∞.
-    pub fn fossil_collect_before(&mut self, bound: EventKey, in_flight_from: VirtualTime) -> u64 {
+    /// Under the recovery protocol, `in_flight` picks the records that
+    /// stay whatever generated them: sends to another LP still in flight
+    /// past GVT, which every later horizon's image must find (see
+    /// [`crossing`](Self::crossing)). They are a standing population, so
+    /// the fossil prefix is sifted only once it has grown to
+    /// `COMPACT_GROWTH` times what the last sift kept; what waits until
+    /// then is never cancelled (its generators are fossils).
+    pub fn fossil_collect_before(
+        &mut self,
+        bound: EventKey,
+        in_flight: Option<&dyn Fn(&Event) -> bool>,
+    ) -> u64 {
         let cut = self
             .records
             .partition_point(|r| r.gen.is_none_or(|g| g < bound));
-        if in_flight_from.is_infinite() {
+        let Some(in_flight) = in_flight else {
             self.records.drain(..cut);
+            self.kept = 0;
             return cut as u64;
+        };
+        if cut < COMPACT_GROWTH * self.kept.max(1) {
+            return 0;
         }
-        let before = self.records.len();
-        let mut idx = 0usize;
-        // `retain` is stable, so the surviving prefix keeps generation
-        // order and `take_from`'s partition search stays valid.
-        self.records.retain(|r| {
-            idx += 1;
-            idx > cut || r.event.recv_time >= in_flight_from
-        });
-        (before - self.records.len()) as u64
+        let mut kept = 0;
+        for i in 0..cut {
+            if in_flight(&self.records[i].event) {
+                self.records.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.records.drain(kept..cut);
+        self.kept = kept;
+        (cut - kept) as u64
     }
 
-    /// Copies of the records generated below the horizon `h` whose
-    /// messages land at or after it: the outgoing frontier a rollback to
-    /// `h` must send again.
-    pub fn crossing(&self, h: VirtualTime) -> Vec<SentRecord> {
+    /// The sends generated below the horizon `h` that land at or after
+    /// it: the outgoing frontier a restore at `h` sends again.
+    pub fn crossing(&self, h: VirtualTime) -> impl Iterator<Item = &Event> + Clone {
         let below = self
             .records
             .partition_point(|r| r.gen.is_none_or(|g| g.recv_time < h));
         self.records[..below]
             .iter()
-            .filter(|r| r.event.recv_time >= h)
-            .cloned()
-            .collect()
+            .map(|r| &r.event)
+            .filter(move |e| e.recv_time >= h)
     }
 
-    /// Replace every record with `records` (generation order). An
-    /// in-place rollback to a horizon, once it has taken the records
-    /// generated at or above it, keeps exactly the frontier.
-    pub fn reseed(&mut self, records: Vec<SentRecord>) {
-        debug_assert!(records.windows(2).all(|w| w[0].gen <= w[1].gen));
-        self.records = records;
+    /// Replace everything with `frontier`, sends generated below a
+    /// horizon no rollback reaches: a restore from a recovery image files
+    /// the object's sends in flight to other LPs as init's sends are
+    /// filed.
+    pub fn reseed(&mut self, frontier: Vec<Event>) {
+        self.kept = frontier.len();
+        self.records = frontier
+            .into_iter()
+            .map(|event| SentRecord { gen: None, event })
+            .collect();
     }
 
     /// Retained records (diagnostics, tests).
@@ -187,16 +206,15 @@ mod tests {
         q.record(None, ev(0, 0, 5));
         q.record(Some(key(10, 0)), ev(1, 10, 15));
         q.record(Some(key(20, 1)), ev(2, 20, 25));
-        assert_eq!(
-            q.fossil_collect_before(key(20, 1), VirtualTime::INFINITY),
-            2
-        );
+        assert_eq!(q.fossil_collect_before(key(20, 1), None), 2);
         assert_eq!(q.len(), 1);
         assert_eq!(q.records()[0].event.id.serial, 2);
     }
 
     #[test]
     fn sends_in_flight_past_gvt_survive_collection_and_form_the_frontier() {
+        let serials =
+            |it: &mut dyn Iterator<Item = &Event>| it.map(|e| e.id.serial).collect::<Vec<_>>();
         let mut q = OutputQueue::new();
         q.record(None, ev(0, 0, 100)); // init send far into the future
         q.record(Some(key(10, 0)), ev(1, 10, 15)); // landed, fossil gen
@@ -205,25 +223,36 @@ mod tests {
         // Collect below key(30,2) at GVT 40: the two sends still in
         // flight past it survive though their generating events
         // fossilize; the landed one goes.
-        assert_eq!(q.fossil_collect_before(key(30, 2), VirtualTime::new(40)), 1);
-        let serials: Vec<u64> = q.records().iter().map(|r| r.event.id.serial).collect();
-        assert_eq!(serials, vec![0, 2, 3]);
+        let in_flight = |gvt: u64| move |e: &Event| e.recv_time >= VirtualTime::new(gvt);
+        assert_eq!(q.fossil_collect_before(key(30, 2), Some(&in_flight(40))), 1);
+        let kept: Vec<u64> = q.records().iter().map(|r| r.event.id.serial).collect();
+        assert_eq!(kept, vec![0, 2, 3]);
         // They are the frontier of a later horizon; a send generated at
-        // or above the horizon is not.
-        let frontier: Vec<u64> = q
-            .crossing(VirtualTime::new(30))
-            .iter()
-            .map(|r| r.event.id.serial)
-            .collect();
-        assert_eq!(frontier, vec![0, 2]);
-        // The retained records still honour take_from's ordering contract.
+        // or above the horizon is not, nor one landing below it.
+        assert_eq!(serials(&mut q.crossing(VirtualTime::new(30))), vec![0, 2]);
+        assert_eq!(
+            serials(&mut q.crossing(VirtualTime::new(31))),
+            vec![0, 2, 3]
+        );
+        assert_eq!(serials(&mut q.crossing(VirtualTime::new(90))), vec![0]);
+        // The records left still honour take_from's ordering contract.
         let cancelled = q.take_from(key(30, 2));
         assert_eq!(cancelled.len(), 1);
         assert_eq!(cancelled[0].id.serial, 3);
-        // A rollback keeps exactly the frontier it is handed.
-        q.reseed(q.crossing(VirtualTime::new(90)));
-        assert_eq!(q.records()[0].event.id.serial, 0);
-        assert_eq!(q.len(), 1);
+        // Two survivors: the next pass leaves the prefix alone until it
+        // has doubled, then sifts it — serial 2 has landed by then.
+        q.record(Some(key(90, 3)), ev(4, 90, 95));
+        assert_eq!(q.fossil_collect_before(key(90, 3), Some(&in_flight(90))), 0);
+        assert_eq!(serials(&mut q.crossing(VirtualTime::new(91))), vec![0, 4]);
+        q.record(Some(key(95, 4)), ev(5, 95, 99));
+        q.record(Some(key(96, 5)), ev(6, 96, 97));
+        assert_eq!(q.fossil_collect_before(key(96, 5), Some(&in_flight(96))), 2);
+        let kept: Vec<u64> = q.records().iter().map(|r| r.event.id.serial).collect();
+        assert_eq!(kept, vec![0, 5, 6]);
+        // A restore keeps exactly the frontier it is handed.
+        q.reseed(vec![ev(7, 50, 120)]);
+        assert_eq!(serials(&mut q.crossing(VirtualTime::new(100))), vec![7]);
+        assert!(q.take_from(key(100, 0)).is_empty());
     }
 
     #[test]

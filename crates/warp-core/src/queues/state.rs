@@ -122,8 +122,8 @@ impl StateQueue {
     }
 
     /// The newest snapshot whose time is strictly below `t`, with its
-    /// position: the restore point of a rollback to the horizon `t` (a
-    /// checkpoint anchor's snapshot).
+    /// position: the snapshot a recovery image of the horizon `t`
+    /// carries.
     pub fn newest_below(&self, t: VirtualTime) -> Option<(StatePos, &ErasedState)> {
         let idx = self
             .entries
@@ -157,10 +157,18 @@ mod tests {
     use super::*;
     use crate::ids::ObjectId;
     use crate::object::ObjectState;
+    use crate::wire::{PayloadReader, PayloadWriter};
 
     #[derive(Clone, Debug, PartialEq)]
     struct S(u64);
-    impl ObjectState for S {}
+    impl ObjectState for S {
+        fn encode(&self, w: &mut PayloadWriter) {
+            w.u64(self.0);
+        }
+        fn decode(r: &mut PayloadReader<'_>) -> Result<Self, crate::KernelError> {
+            Ok(S(r.u64()?))
+        }
+    }
 
     fn key(t: u64) -> EventKey {
         EventKey {

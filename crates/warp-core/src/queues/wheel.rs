@@ -177,19 +177,10 @@ impl PendingWheel {
         Some(ev)
     }
 
-    /// Drop everything, returning how many events were discarded.
-    pub fn clear(&mut self) -> u64 {
-        let n = self.len;
-        if n != 0 {
-            for b in self.buckets.iter_mut() {
-                b.clear();
-            }
-            self.occ = [0; HEIGHT];
-            self.overflow.clear();
-            self.min = None;
-            self.len = 0;
-        }
-        n as u64
+    /// Every pending event, in no particular order but the same one for
+    /// the same insert and remove history.
+    pub fn iter(&self) -> impl Iterator<Item = &Event> + Clone {
+        self.buckets.iter().flatten().chain(self.overflow.values())
     }
 
     /// All pending events in key order (diagnostics / tests — O(n log n)).
@@ -423,7 +414,7 @@ mod tests {
         assert_eq!(w.min_key().unwrap().recv_time.ticks(), 20);
         w.remove(&ev(1, 1, 20).key());
         assert_eq!(w.min_key().unwrap().recv_time.ticks(), 50);
-        assert_eq!(w.clear(), 1);
+        w.pop_min();
         assert!(w.peek_min().is_none());
     }
 

@@ -11,14 +11,15 @@ use crate::cost::CostModel;
 use crate::error::KernelError;
 use crate::event::{Event, EventId, EventKey};
 use crate::ids::ObjectId;
-use crate::object::{ErasedState, ExecutionContext, SimObject};
+use crate::image::{ObjectImage, ObjectImageRef};
+use crate::object::{ExecutionContext, SimObject};
 use crate::policy::{CancellationMode, ControlChange, ControlTransition, ObjectPolicies};
-use crate::queues::{InputQueue, Inserted, OutputQueue, SentRecord, StatePos, StateQueue};
+use crate::queues::{InputQueue, Inserted, OutputQueue, StatePos, StateQueue};
 use crate::stats::ObjectStats;
 use crate::time::VirtualTime;
 use crate::trace::TraceDigest;
-use crate::wire::{encode_event, encoded_event_len, PayloadWriter};
-use std::sync::OnceLock;
+use crate::wire::PayloadWriter;
+use std::sync::{Arc, OnceLock};
 
 /// Per-object debug trace to stderr, filtered by `WARP_TRACE_OBJECT`.
 /// The arguments are only formatted once the filter has passed, and the
@@ -148,47 +149,15 @@ pub struct ObjectRuntime {
     /// dropped; `Some` only when traces are collected
     /// ([`set_collect_traces`](Self::set_collect_traces)).
     digest: Option<TraceDigest>,
-    /// The distributed checkpoint protocol's material; `None` unless
-    /// [`arm_recovery`](Self::arm_recovery) armed it.
-    recovery: Option<Box<Recovery>>,
+    /// Armed by [`arm_recovery`](Self::arm_recovery) for the distributed
+    /// checkpoint protocol: which objects, by index, live on other LPs.
+    recovery: Option<Arc<[bool]>>,
 }
 
-/// What the distributed checkpoint protocol keeps of one object besides
-/// its history queues, which fossil collection trims to GVT as it does
-/// everywhere else.
-struct Recovery {
-    /// Lower end of the next checkpoint window: the last horizon this
-    /// object shipped a part for, or the restore horizon.
-    from: VirtualTime,
-    /// Committed input events received at or after `from` that fossil
-    /// collection has already dropped, oldest first, encoded as the
-    /// checkpoint delta carries them ([`encode_event`]).
-    log: PayloadWriter,
-    /// Events in `log`.
-    logged: u32,
-    /// One restore point per checkpoint horizon not yet superseded by an
-    /// acknowledged one, oldest first.
-    anchors: Vec<Anchor>,
-}
-
-/// A restore point: what an in-place
-/// [`rollback_to_horizon`](ObjectRuntime::rollback_to_horizon) to
-/// `horizon` needs once fossil collection has passed it.
-struct Anchor {
-    horizon: VirtualTime,
-    /// The newest snapshot strictly below the horizon, and its position.
-    pos: StatePos,
-    state: ErasedState,
-    /// The processed inputs from the snapshot's own event (the position
-    /// a coast-forward starts after) up to the horizon.
-    inputs: Vec<Event>,
-    /// The committed sends that cross the horizon.
-    frontier: Vec<SentRecord>,
-    /// Trace digest of the committed events before `inputs`.
-    digest: TraceDigest,
-    /// Committed events below the horizon: what
-    /// [`ObjectStats::net_executed`] reads once rolled back to it.
-    committed: u64,
+/// Whether `id` lives on another LP, by an armed object's recovery map;
+/// an id outside the simulation (a test driver's) counts as elsewhere.
+fn elsewhere(remote: &[bool], id: ObjectId) -> bool {
+    remote.get(id.index()).copied().unwrap_or(true)
 }
 
 /// Upper bound on the undrained control log. Executives drain at every
@@ -596,6 +565,12 @@ impl ObjectRuntime {
         }
     }
 
+    /// The sends lazy cancellation holds back: rolled back, neither
+    /// regenerated nor cancelled yet.
+    pub(crate) fn held_back(&self) -> impl Iterator<Item = &Event> {
+        self.lazy_pending.iter()
+    }
+
     /// Flush every held-back message (object gone idle; nothing can
     /// regenerate them anymore).
     pub fn flush_all_pending(&mut self, cost: &CostModel, out: &mut Vec<Event>) {
@@ -675,7 +650,12 @@ impl ObjectRuntime {
         self.stats.cost_rollback += c;
         self.charge(c);
         self.states.truncate_from(key);
+        self.coast_from(pos, cost);
+    }
 
+    /// Coast forward from the restored snapshot at `pos` over the
+    /// processed inputs after it, suppressing their sends.
+    fn coast_from(&mut self, pos: StatePos, cost: &CostModel) {
         let start = self.input.replay_start(pos);
         let end = self.input.processed_len();
         for i in start..end {
@@ -789,21 +769,6 @@ impl ObjectRuntime {
         self.input.processed_events().to_vec()
     }
 
-    /// Rebuild this object's committed past by re-executing `log` (the
-    /// concatenated committed windows up to some horizon) on a freshly
-    /// constructed runtime. The log is already in key order and contains
-    /// every event the object committed, so delivery enqueues without
-    /// stragglers and processing replays deterministically. Sends the
-    /// replay regenerates land in `out` unfiltered; the caller keeps only
-    /// those at or beyond the restore horizon (the rest are duplicates of
-    /// events already present in some destination's log).
-    pub fn replay_committed(&mut self, log: Vec<Event>, cost: &CostModel, out: &mut Vec<Event>) {
-        for ev in log {
-            self.deliver(ev, cost, out);
-        }
-        while self.process_next(cost, out) {}
-    }
-
     /// Snapshot the wrapped model's *current* state — the final state
     /// when called from a post-run inspector (see
     /// `warp_exec::run_virtual_inspect`), downcastable to the model's
@@ -829,111 +794,56 @@ impl ObjectRuntime {
 
     /// Reclaim history the advancing GVT has made unreachable. Under
     /// recovery ([`arm_recovery`](Self::arm_recovery)) the committed
-    /// inputs it drops at or past the checkpoint window's start move
-    /// into the window's log, and sends still in flight past GVT stay
-    /// (the frontier of a horizon yet to be anchored).
+    /// sends to other LPs still in flight past GVT stay: they cross every
+    /// checkpoint horizon the protocol may yet pick. (A send to this LP
+    /// is in its receiver's input queue by then.)
     pub fn fossil_collect(&mut self, gvt: VirtualTime) {
         let Some(bound) = self.states.fossil_bound(gvt) else {
             return;
         };
         let a = self.states.fossil_collect_before(bound);
-        let in_flight_from = match self.recovery {
-            Some(_) => gvt,
-            None => VirtualTime::INFINITY,
+        let c = match &self.recovery {
+            Some(remote) => {
+                let in_flight = |e: &Event| e.recv_time >= gvt && elsewhere(remote, e.dst);
+                self.output.fossil_collect_before(bound, Some(&in_flight))
+            }
+            None => self.output.fossil_collect_before(bound, None),
         };
-        let c = self.output.fossil_collect_before(bound, in_flight_from);
         let dropped = self.input.fossil_collect_before(bound);
         let b = dropped.len() as u64;
-        for ev in dropped {
-            if let Some(d) = &mut self.digest {
+        if let Some(d) = &mut self.digest {
+            for ev in dropped {
                 d.update(&ev);
-            }
-            if let Some(rec) = self
-                .recovery
-                .as_deref_mut()
-                .filter(|r| ev.recv_time >= r.from)
-            {
-                encode_event(&mut rec.log, &ev);
-                rec.logged += 1;
             }
         }
         self.stats.fossils_collected += a + b + c;
     }
 
-    /// Arm the distributed checkpoint protocol at `h`: the restore
-    /// horizon, or zero on a fresh start (after `init`). From here on the
-    /// object keeps the log of its next checkpoint window, which starts
-    /// at `h`, and holds the anchor of `h` — kept from the rollback that
-    /// brought it here, or captured now from the queues.
-    pub fn arm_recovery(&mut self, h: VirtualTime) {
-        let held = self
-            .recovery
-            .as_ref()
-            .is_some_and(|r| r.from == h && r.anchors.iter().any(|a| a.horizon == h));
-        if !held {
-            let anchor = self.anchor(h);
-            self.recovery = Some(Box::new(Recovery {
-                from: h,
-                log: PayloadWriter::new(),
-                logged: 0,
-                anchors: vec![anchor],
-            }));
-        }
+    /// Arm the distributed checkpoint protocol. `remote[i]` tells
+    /// whether object `i` lives on another LP: from here on fossil
+    /// collection keeps the committed sends to those still in flight past
+    /// GVT, part of the frontier of the next horizon's image.
+    pub fn arm_recovery(&mut self, remote: Arc<[bool]>) {
+        self.recovery = Some(remote);
     }
 
-    /// Checkpoint at the horizon `h`, an announced GVT the
-    /// protocol chose: append this object's part to `w` — its committed
-    /// events received in `[from, h)`, the log first, then those still
-    /// queued, laid out as the checkpoint delta carries them (object id,
-    /// event count, events) — and capture the anchor of `h`. The next
-    /// window starts at `h`. Call before the fossil pass at `h`, which
-    /// relies on the anchor.
-    pub fn checkpoint(&mut self, h: VirtualTime, w: &mut PayloadWriter) {
-        let anchor = self.anchor(h);
-        let rec = self
-            .recovery
-            .as_deref_mut()
-            .expect("checkpoint before arm_recovery");
-        let queued = self.input.processed_between(rec.from, h);
-        w.u32(self.id.0)
-            .u32(rec.logged + queued.len() as u32)
-            .raw(rec.log.as_bytes());
-        for ev in queued {
-            encode_event(w, ev);
-        }
-        rec.log.clear();
-        rec.logged = 0;
-        rec.from = h;
-        rec.anchors.push(anchor);
-    }
-
-    /// Bytes [`checkpoint`](Self::checkpoint) at `h` appends.
-    pub(crate) fn checkpoint_len(&self, h: VirtualTime) -> usize {
-        let rec = self
+    /// Append this object's image of the horizon `h`, an announced GVT
+    /// the protocol chose (layout in [`crate::image`]). Call before the
+    /// fossil pass at `h`: the queues must still hold a snapshot below
+    /// `h` and everything processed after it. The frontier is the sends
+    /// crossing `h` this object keeps track of: its own to other LPs, and
+    /// those it received from its own LP (the sender kept no copy) except
+    /// the ones in `doomed`, sorted: sends its LP's lazy cancellation
+    /// still holds back, which may yet be cancelled.
+    pub fn checkpoint(&self, h: VirtualTime, doomed: &[EventId], w: &mut PayloadWriter) {
+        let remote = self
             .recovery
             .as_deref()
             .expect("checkpoint before arm_recovery");
-        let queued = self.input.processed_between(rec.from, h);
-        8 + rec.log.len() + queued.iter().map(encoded_event_len).sum::<usize>()
-    }
-
-    /// The coordinator persisted the checkpoint at `h`: no recovery can
-    /// roll back below it any more, so the anchors of older horizons go.
-    pub fn ack_checkpoint(&mut self, h: VirtualTime) {
-        if let Some(rec) = &mut self.recovery {
-            rec.anchors.retain(|a| a.horizon >= h);
-        }
-    }
-
-    /// Capture the anchor of `h` from the queues, which must still hold
-    /// a snapshot below `h` and everything after it (no fossil pass past
-    /// `h` yet): one snapshot clone, the coast-forward inputs and the
-    /// crossing sends.
-    fn anchor(&self, h: VirtualTime) -> Anchor {
         let (pos, state) = self
             .states
             .newest_below(h)
-            .expect("anchor: no snapshot below the horizon (fossil collection passed it?)");
+            .expect("checkpoint: no snapshot below the horizon (fossil collection passed it?)");
         let history = self.input.processed_events();
         let start = pos.map_or(0, |p| history.partition_point(|e| e.key() < p));
         let end = history.partition_point(|e| e.recv_time < h);
@@ -944,97 +854,59 @@ impl ObjectRuntime {
             }
             d
         });
-        Anchor {
-            horizon: h,
-            pos,
-            state: state.clone(),
-            inputs: history[start..end].to_vec(),
-            frontier: self.output.crossing(h),
-            digest,
+        ObjectImageRef {
+            id: self.id,
+            serial_next: self.serial_next,
             committed: self.stats.net_executed() - (history.len() - end) as u64,
+            digest,
+            pos,
+            state,
+            inputs: &history[start..end],
+            frontier: self
+                .output
+                .crossing(h)
+                .filter(|e| elsewhere(remote, e.dst))
+                .chain(self.input.events().filter(move |e| {
+                    e.send_time < h
+                        && e.recv_time >= h
+                        && !elsewhere(remote, e.id.sender)
+                        && doomed.binary_search(&e.id).is_err()
+                })),
         }
+        .encode(w);
     }
 
-    /// Roll this object back *in place* to the recovery horizon `h`,
-    /// undoing every event received at or after `h` and discarding all
-    /// unprocessed input, then return the object's outgoing frontier: its
-    /// committed sends that land at or beyond `h`. Used when a survivor
-    /// of a worker crash re-joins a resumed session without rebuilding
-    /// from its full committed log.
-    ///
-    /// Preconditions (guaranteed by the recovery protocol): GVT reached
-    /// at least `h` before the session aborted (so every event below `h`
-    /// is committed here and at every peer), and, if fossil collection
-    /// passed `h`, the object holds the anchor of `h`. The queues are
-    /// truncated at `h`, then the anchor re-seeds whatever they no longer
-    /// hold: a snapshot below `h` and the inputs after it, and the sends
-    /// crossing `h`. With fossil collection off that is nothing new.
-    /// Only the anchor of `h` survives, and the next checkpoint window
-    /// starts at `h`.
-    ///
-    /// Held-back cancellation obligations are dropped *without* emitting
-    /// anti-messages: every process discards the dead session's state and
-    /// traffic above `h`, and an owed anti-message for a send landing
-    /// below `h` would have blocked GVT from ever reaching `h`.
-    /// Discarded speculative sends vanish silently for the same reason.
-    /// Unprocessed input must be discarded (not retained) because the
-    /// resumed session re-delivers the frontier from scratch and a
-    /// retained copy would collide with the re-delivery.
-    pub fn rollback_to_horizon(&mut self, h: VirtualTime, cost: &CostModel) -> Vec<Event> {
-        self.lazy_pending.clear();
-        self.monitor_pending.clear();
-        let anchor = self.recovery.as_deref_mut().and_then(|rec| {
-            rec.log.clear();
-            rec.logged = 0;
-            rec.from = h;
-            rec.anchors.retain(|a| a.horizon == h);
-            rec.anchors.pop()
-        });
-        if let Some(first) = self.input.first_processed_at_or_after(h) {
-            let n = self.input.unprocess_from(first);
-            self.stats.rolled_back += n;
-            self.stats.cost_rollback += cost.rollback_fixed;
-            self.charge(cost.rollback_fixed);
-            // Speculative sends above the horizon die with the session;
-            // no strategy consultation, no antis.
-            let _ = self.output.take_from(first);
-            self.states.truncate_from(first);
-            if self.states.is_empty() {
-                let a = anchor
-                    .as_ref()
-                    .expect("rollback_to_horizon: fossil collection passed an unanchored horizon");
-                self.states.save(a.pos, a.state.clone());
-                self.input.reseed_history(a.inputs.clone());
-                if let Some(d) = &mut self.digest {
-                    *d = a.digest;
-                }
-            }
-            self.restore_and_coast(first, cost);
+    /// Build this armed ([`arm_recovery`](Self::arm_recovery)), freshly
+    /// built runtime from its image of a horizon, in place of
+    /// [`init`](Self::init): the snapshot and its inputs seed the queues
+    /// and the state coasts forward through the inputs, its own sends in
+    /// the frontier seed the output queue, and the digest, committed
+    /// count and send serial continue where the image left them. Returns
+    /// the frontier's events, for the caller to deliver again.
+    pub fn restore(&mut self, image: ObjectImage, cost: &CostModel) -> Vec<Event> {
+        debug_assert_eq!(image.id, self.id, "image restored into the wrong object");
+        debug_assert!(self.states.is_empty(), "restore into an initialised object");
+        let remote = self.recovery.clone().expect("restore before arm_recovery");
+        self.serial_next = image.serial_next;
+        self.stats.executed = image.committed;
+        if let Some(d) = &mut self.digest {
+            *d = image.digest;
         }
-        self.input.discard_unprocessed();
-        if let Some(a) = anchor {
-            // Events fossil collection dropped at or past the horizon
-            // were undone too, out of the queues' sight.
-            self.stats.rolled_back += self.stats.net_executed() - a.committed;
-            self.output.reseed(a.frontier.clone());
-            if let Some(rec) = &mut self.recovery {
-                rec.anchors.push(a);
-            }
-        }
-        trace!(self, "rollback_to_horizon {h}: lvt={}", self.lvt);
-        self.output
-            .records()
-            .iter()
-            .filter(|r| r.event.recv_time >= h)
-            .map(|r| r.event.clone())
-            .collect()
+        self.obj.restore(&image.state);
+        self.states.save(image.pos, image.state);
+        self.input.reseed_history(image.inputs);
+        let sent = image.frontier.iter().filter(|e| elsewhere(&remote, e.dst));
+        self.output.reseed(sent.cloned().collect());
+        self.coast_from(image.pos, cost);
+        trace!(self, "restored: lvt={}", self.lvt);
+        image.frontier
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::{ObjectState, RecordingContext};
+    use crate::object::{ErasedState, ObjectState, RecordingContext};
     use crate::policy::{FixedCancellation, FixedCheckpoint};
     use crate::wire::PayloadReader;
 
@@ -1044,7 +916,14 @@ mod tests {
     struct AccState {
         sum: u64,
     }
-    impl ObjectState for AccState {}
+    impl ObjectState for AccState {
+        fn encode(&self, w: &mut PayloadWriter) {
+            w.u64(self.sum);
+        }
+        fn decode(r: &mut PayloadReader<'_>) -> Result<Self, crate::KernelError> {
+            Ok(AccState { sum: r.u64()? })
+        }
+    }
 
     struct Acc {
         peer: ObjectId,
@@ -1285,92 +1164,32 @@ mod tests {
         assert!(r.stats().straggler_rollbacks == 1);
     }
 
-    #[test]
-    fn rollback_to_horizon_undoes_speculation_and_harvests_frontier() {
-        let cost = CostModel::uniform_unit();
-        let mut r = rt(CancellationMode::Lazy, 1);
-        let mut out = Vec::new();
-        r.init(&cost, &mut out);
-        for (s, t, v) in [(0u64, 10u64, 5u64), (1, 30, 7), (2, 50, 11)] {
-            r.deliver(incoming(9, s, t, v), &cost, &mut out);
-        }
-        while r.process_next(&cost, &mut out) {}
-        // One event still unprocessed at abort time.
-        r.deliver(incoming(9, 3, 70, 13), &cost, &mut out);
-        out.clear();
-
-        // Roll back in place to horizon 40: t=10/t=30 stay committed,
-        // t=50 is undone, the unprocessed t=70 is discarded.
-        let frontier = r.rollback_to_horizon(VirtualTime::new(40), &cost);
-        assert_eq!(r.lvt(), VirtualTime::new(30));
-        assert_eq!(r.stats().rolled_back, 1);
-        let hist = r.committed_history();
-        assert_eq!(hist.len(), 2);
-        assert!(hist.iter().all(|e| e.recv_time < VirtualTime::new(40)));
-        // The committed send from t=30 lands at 40 — frontier material.
-        // The t=10 send (recv 20) is history; the t=50 send died silently.
-        assert_eq!(frontier.len(), 1);
-        assert_eq!(frontier[0].recv_time, VirtualTime::new(40));
-        let mut rd = PayloadReader::new(&frontier[0].payload);
-        assert_eq!(rd.u64().unwrap(), 12);
-        assert!(out.is_empty(), "no anti-messages for the dead session");
-
-        // The resumed session delivers fresh traffic; the survivor picks
-        // up exactly where a rebuilt replica would: sum is 5 + 7 = 12.
-        r.deliver(incoming(8, 0, 45, 100), &cost, &mut out);
-        while r.process_next(&cost, &mut out) {}
-        let send = out
-            .iter()
-            .find(|e| !e.is_anti() && e.recv_time == VirtualTime::new(55))
-            .unwrap();
-        let mut rd = PayloadReader::new(&send.payload);
-        assert_eq!(rd.u64().unwrap(), 112);
+    /// The recovery map of `rt`'s object 0: everyone else — its peer,
+    /// object 1, and the test senders 8 and 9 — lives on another LP.
+    fn remote_peer() -> Arc<[bool]> {
+        (0..10).map(|i| i != 0).collect()
     }
 
-    #[test]
-    fn rollback_to_horizon_zero_rewinds_to_init() {
-        let cost = CostModel::uniform_unit();
-        let mut r = rt(CancellationMode::Aggressive, 1);
-        let mut out = Vec::new();
-        r.init(&cost, &mut out);
-        for (s, t, v) in [(0u64, 10u64, 5u64), (1, 30, 7)] {
-            r.deliver(incoming(9, s, t, v), &cost, &mut out);
-        }
-        while r.process_next(&cost, &mut out) {}
-        out.clear();
-        let frontier = r.rollback_to_horizon(VirtualTime::ZERO, &cost);
-        assert_eq!(r.lvt(), VirtualTime::ZERO);
-        assert!(r.committed_history().is_empty());
-        assert!(frontier.is_empty(), "init sent nothing");
-        assert_eq!(r.stats().rolled_back, 2);
-    }
-
-    /// The events of one checkpoint part, decoded from its wire layout.
-    fn part_times(part: &[u8]) -> Vec<u64> {
-        let mut rd = PayloadReader::new(part);
-        assert_eq!(rd.u32().unwrap(), 0, "object id");
-        let n = rd.u32().unwrap();
-        let times = (0..n)
-            .map(|_| {
-                crate::wire::decode_event(&mut rd)
-                    .unwrap()
-                    .recv_time
-                    .ticks()
-            })
-            .collect();
+    /// Object 0's image of `h`, decoded.
+    fn image_of(r: &ObjectRuntime, h: VirtualTime) -> ObjectImage {
+        let mut w = PayloadWriter::new();
+        r.checkpoint(h, &[], &mut w);
+        let bytes = w.finish();
+        let mut rd = PayloadReader::new(&bytes);
+        let img = ObjectImage::decode(&mut rd, ObjectId(0), h, &r.snapshot_state()).unwrap();
         assert_eq!(rd.remaining(), 0);
-        times
+        img
     }
 
     #[test]
-    fn an_anchor_carries_in_place_recovery_past_fossil_collection() {
+    fn an_image_carries_a_restore_past_fossil_collection() {
         let cost = CostModel::uniform_unit();
         let vt = VirtualTime::new;
         let mut r = rt(CancellationMode::Aggressive, 2);
         r.set_collect_traces(true);
         let mut out = Vec::new();
         r.init(&cost, &mut out);
-        r.arm_recovery(VirtualTime::ZERO);
+        r.arm_recovery(remote_peer());
         for s in 0..10u64 {
             r.deliver(incoming(9, s, 10 * (s + 1), 1), &cost, &mut out);
         }
@@ -1381,38 +1200,58 @@ mod tests {
             want.update(&incoming(9, s, 10 * (s + 1), 1));
         }
 
-        // Checkpoints at 60 and 95, each before its fossil pass; the pass
-        // at 85 in between drops t=60 and t=70 into the log. No ack.
-        let mut part = PayloadWriter::new();
-        r.checkpoint(vt(60), &mut part);
-        assert_eq!(part_times(part.as_bytes()), vec![10, 20, 30, 40, 50]);
+        // The image of 60, taken before its fossil pass: the snapshot
+        // after t=40 (χ = 2), the inputs t=40 and t=50 it coasts through,
+        // and the send from t=50 that lands on 60.
+        let img = image_of(&r, vt(60));
+        assert_eq!(img.pos.map(|k| k.recv_time), Some(vt(40)));
+        let times: Vec<u64> = img.inputs.iter().map(|e| e.recv_time.ticks()).collect();
+        assert_eq!(times, vec![40, 50]);
+        assert_eq!(img.frontier.len(), 1);
+        assert_eq!(img.frontier[0].recv_time, vt(60));
+        assert_eq!(img.committed, 5);
         r.fossil_collect(vt(60));
-        r.fossil_collect(vt(85));
-        part.clear();
-        r.checkpoint(vt(95), &mut part);
-        assert_eq!(part_times(part.as_bytes()), vec![60, 70, 80, 90]);
         r.fossil_collect(vt(95));
-        assert_eq!(r.history_sizes().0, 3, "only t=80..=100 left");
+        assert!(r.history_sizes().0 < 10);
 
-        // The queues hold no snapshot below 60 any more and not the send
-        // from t=50 that lands on it: the anchor of 60 has both.
-        let frontier = r.rollback_to_horizon(vt(60), &cost);
-        assert_eq!(r.stats().rolled_back, 5, "events t=60..=100 undone");
-        assert_eq!(r.stats().net_executed(), 5);
+        // A fresh object restored from it: committed t=10..=50, sum 5,
+        // the frontier handed back, the digest whole.
+        let mut fresh = rt(CancellationMode::Aggressive, 2);
+        fresh.set_collect_traces(true);
+        fresh.arm_recovery(remote_peer());
+        let frontier = fresh.restore(img, &cost);
         assert_eq!(frontier.len(), 1);
         assert_eq!(frontier[0].recv_time, vt(60));
-        assert_eq!(r.lvt(), vt(50));
-        assert_eq!(r.trace_digest(), want, "the anchor carries the digest");
-
-        // The survivor picks up where a rebuilt replica would: sum 5.
-        r.deliver(incoming(8, 0, 65, 100), &cost, &mut out);
-        while r.process_next(&cost, &mut out) {}
+        assert_eq!(PayloadReader::new(&frontier[0].payload).u64().unwrap(), 5);
+        assert_eq!(fresh.lvt(), vt(50));
+        assert_eq!(fresh.stats().net_executed(), 5);
+        assert_eq!(fresh.trace_digest(), want, "the image carries the digest");
+        fresh.deliver(incoming(8, 0, 65, 100), &cost, &mut out);
+        while fresh.process_next(&cost, &mut out) {}
         let send = out.iter().find(|e| e.recv_time == vt(75)).unwrap();
         assert_eq!(PayloadReader::new(&send.payload).u64().unwrap(), 105);
-        // Its next window starts at the horizon.
-        part.clear();
-        r.checkpoint(vt(70), &mut part);
-        assert_eq!(part_times(part.as_bytes()), vec![65]);
+        // It never reuses a serial the original used.
+        assert!(send.id.serial >= r.serial_next);
+    }
+
+    #[test]
+    fn an_image_of_zero_is_the_post_init_state() {
+        let cost = CostModel::uniform_unit();
+        let mut r = rt(CancellationMode::Aggressive, 1);
+        let mut out = Vec::new();
+        r.init(&cost, &mut out);
+        r.arm_recovery(remote_peer());
+        for (s, t, v) in [(0u64, 10u64, 5u64), (1, 30, 7)] {
+            r.deliver(incoming(9, s, t, v), &cost, &mut out);
+        }
+        while r.process_next(&cost, &mut out) {}
+        let img = image_of(&r, VirtualTime::ZERO);
+        assert_eq!((img.pos, img.inputs.len(), img.committed), (None, 0, 0));
+        let mut fresh = rt(CancellationMode::Aggressive, 1);
+        fresh.arm_recovery(remote_peer());
+        assert!(fresh.restore(img, &cost).is_empty(), "init sent nothing");
+        assert_eq!(fresh.lvt(), VirtualTime::ZERO);
+        assert!(fresh.committed_history().is_empty());
     }
 
     #[test]

@@ -65,6 +65,16 @@ impl TraceDigest {
     pub fn count(&self) -> u64 {
         self.count
     }
+
+    /// A digest resumed from its [`value`](Self::value) and
+    /// [`count`](Self::count): a recovery image carries both, and the
+    /// fold continues where it stopped.
+    pub fn resume(value: u64, count: u64) -> Self {
+        TraceDigest {
+            state: value,
+            count,
+        }
+    }
 }
 
 #[cfg(test)]

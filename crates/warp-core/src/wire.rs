@@ -57,11 +57,6 @@ impl PayloadWriter {
         &self.buf
     }
 
-    /// Forget everything written, keeping the buffer's capacity.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
     /// Write a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -114,6 +109,21 @@ impl PayloadWriter {
     /// Write raw bytes with no length prefix (fixed-layout records).
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
+        self
+    }
+
+    /// Write a `bool` as one byte (0 or 1).
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.u8(v as u8)
+    }
+
+    /// Write a length-prefixed `u64` sequence.
+    pub fn u64s(&mut self, v: &[u64]) -> &mut Self {
+        self.u32(v.len() as u32);
+        self.buf.reserve(v.len() * 8);
+        for x in v {
+            self.u64(*x);
+        }
         self
     }
 
@@ -191,6 +201,40 @@ impl<'a> PayloadReader<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], KernelError> {
         let n = self.u32()? as usize;
         self.take(n)
+    }
+
+    /// Read a `bool` written by [`PayloadWriter::bool`]; any byte but 0
+    /// or 1 is an error.
+    pub fn bool(&mut self) -> Result<bool, KernelError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(KernelError::InvalidConfig(format!(
+                "invalid bool byte {other:#x} on the wire"
+            ))),
+        }
+    }
+
+    /// Read an item count (a `u32`) and refuse one whose items, each at
+    /// least `min_item_bytes` long, the remaining input cannot hold. A
+    /// decoder that sizes an allocation by the count then never
+    /// allocates more than its input justifies.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, KernelError> {
+        let n = self.u32()? as usize;
+        let needed = n.saturating_mul(min_item_bytes.max(1));
+        if needed > self.remaining() {
+            return Err(KernelError::PayloadUnderrun {
+                wanted: needed,
+                available: self.remaining(),
+            });
+        }
+        Ok(n)
+    }
+
+    /// Read a sequence written by [`PayloadWriter::u64s`].
+    pub fn u64s(&mut self) -> Result<Vec<u64>, KernelError> {
+        let n = self.count(8)?;
+        (0..n).map(|_| self.u64()).collect()
     }
 }
 

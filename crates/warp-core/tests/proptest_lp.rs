@@ -5,7 +5,7 @@
 //! harder than any well-behaved executive would.
 
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use warp_core::event::{Event, EventId};
 use warp_core::object::{ErasedState, ExecutionContext, ObjectState, SimObject};
@@ -20,7 +20,14 @@ use warp_core::{CostModel, LpId, LpRuntime, ObjectId, Partition, VirtualTime};
 struct SumState {
     sum: u64,
 }
-impl ObjectState for SumState {}
+impl ObjectState for SumState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.sum);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(SumState { sum: r.u64()? })
+    }
+}
 
 struct Chain {
     next: Option<ObjectId>,
@@ -216,25 +223,6 @@ fn run_with_schedule(
     drive(&mut lp, events, schedule)
 }
 
-/// A checkpoint part (`LpRuntime::checkpoint`) back as per-object logs.
-fn part_logs(part: &[u8]) -> HashMap<ObjectId, Vec<Event>> {
-    let mut r = PayloadReader::new(part);
-    r.u32().expect("LP id");
-    let n = r.u32().expect("object count");
-    let logs = (0..n)
-        .map(|_| {
-            let oid = ObjectId(r.u32().expect("object id"));
-            let k = r.u32().expect("event count");
-            let log = (0..k)
-                .map(|_| warp_core::wire::decode_event(&mut r).expect("event"))
-                .collect();
-            (oid, log)
-        })
-        .collect();
-    assert_eq!(r.remaining(), 0);
-    logs
-}
-
 /// Distinct external events with colliding timestamps.
 fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     proptest::collection::vec((1u64..40, 1u64..100), 1..14).prop_map(|specs| {
@@ -311,16 +299,14 @@ proptest! {
         }
     }
 
-    /// The recovery paths reset every object behind the router's back —
-    /// `rollback_to_horizon` in place, `restore_committed` on a fresh LP
-    /// — so the schedule index is rebuilt wholesale. Both LPs must come
-    /// out with an index that agrees with their objects, and, resumed
-    /// under the interleaving, commit the baseline's histories. The
-    /// survivor checkpoints at the horizon and then fossil-collects at
-    /// 1–3 later GVTs, so its rollback re-seeds from the horizon's anchor
-    /// whatever the passes took.
+    /// A restore from an image resets every object behind the router's
+    /// back, so the schedule index is rebuilt wholesale. The restored LP
+    /// must come out with an index that agrees with its objects and,
+    /// resumed under the interleaving, commit the baseline's histories.
+    /// The dead session images the horizon and then fossil-collects at
+    /// 1–3 later GVTs; the image must not depend on what they took.
     #[test]
-    fn recovery_paths_rebuild_the_index_and_resume(
+    fn an_image_restore_rebuilds_the_index_and_resumes(
         events in arb_events(),
         schedule in proptest::collection::vec(any::<bool>(), 64),
         lazy in any::<bool>(),
@@ -341,14 +327,14 @@ proptest! {
         let mut survivor = build_lp(N, mode, chi);
         survivor.set_collect_traces(true);
         survivor.init(&mut Vec::new());
-        survivor.arm_recovery(VirtualTime::ZERO);
+        survivor.arm_recovery();
         let mut undelivered: VecDeque<Event> = events.iter().cloned().collect();
         interleave(&mut survivor, &mut undelivered, before);
         for ev in undelivered {
             deliver(&mut survivor, ev);
         }
         quiesce(&mut survivor, horizon);
-        let logs = part_logs(&survivor.checkpoint(horizon));
+        let image = survivor.checkpoint(horizon);
         let mut gvts: Vec<VirtualTime> =
             passes.iter().map(|&d| VirtualTime::new(horizon.ticks() + d)).collect();
         gvts.sort();
@@ -359,19 +345,20 @@ proptest! {
         }
 
         let mut out = Vec::new();
-        survivor.rollback_to_horizon(horizon, &mut out);
-        let mut rebuilt = build_lp(N, mode, chi);
-        rebuilt.restore_committed(logs, horizon, &mut out);
+        let mut restored = build_lp(N, mode, chi);
+        restored.set_collect_traces(true);
+        restored.arm_recovery();
+        let decoded = restored.decode_image(&image).expect("an image decodes");
+        prop_assert_eq!(&decoded.encode(), &image);
+        restored.restore(decoded, &mut out);
         prop_assert!(out.is_empty());
 
         // The resumed session re-delivers what the dead one had in
         // flight at or above the horizon: here, the external events.
         let resent: Vec<Event> =
             events.iter().filter(|ev| ev.recv_time >= horizon).cloned().collect();
-        for lp in [&mut survivor, &mut rebuilt] {
-            assert_index_agrees(lp);
-            prop_assert!(lp.next_time() >= horizon);
-            prop_assert_eq!(&drive(lp, &resent, after), &baseline);
-        }
+        assert_index_agrees(&mut restored);
+        prop_assert!(restored.next_time() >= horizon);
+        prop_assert_eq!(&drive(&mut restored, &resent, after), &baseline);
     }
 }

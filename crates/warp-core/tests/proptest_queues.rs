@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use warp_core::event::{Event, EventId, EventKey};
 use warp_core::object::{ErasedState, ObjectState};
 use warp_core::queues::{InputQueue, Inserted, StateQueue};
+use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{ObjectId, VirtualTime};
 
 fn ev(sender: u32, serial: u64, rt: u64) -> Event {
@@ -140,7 +141,14 @@ proptest! {
 
 #[derive(Clone, Debug, PartialEq)]
 struct S(u64);
-impl ObjectState for S {}
+impl ObjectState for S {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.0);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(S(r.u64()?))
+    }
+}
 
 fn key_at(t: u64) -> EventKey {
     EventKey {
@@ -220,6 +228,12 @@ struct Blob(usize);
 impl ObjectState for Blob {
     fn state_bytes(&self) -> usize {
         self.0
+    }
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.0 as u64);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(Blob(r.u64()? as usize))
     }
 }
 

@@ -13,7 +13,14 @@ use warp_core::{CostModel, ObjectId, ObjectRuntime, VirtualTime};
 struct AccState {
     sum: u64,
 }
-impl ObjectState for AccState {}
+impl ObjectState for AccState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.sum);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(AccState { sum: r.u64()? })
+    }
+}
 
 struct Acc {
     peer: ObjectId,

@@ -63,29 +63,22 @@
 //! controller LP, which tags its next completed round, and that round's
 //! GVT `g` is the horizon. Everything received below `g` is, by the GVT
 //! invariant, processed everywhere and beyond rollback. Every LP that
-//! applies the tagged `GvtNews` ships its part — its committed events in
-//! the window since the previous horizon, partly from a log fossil
-//! collection filled, partly still queued — captures its *anchor* of
-//! `g`, and only then fossil-collects. The session thread assembles the
-//! parts into the worker's delta (the `snapshot` codec), and the
-//! coordinator appends the per-worker deltas to an in-memory chain once
-//! **all** workers have answered, checking that they name one horizon.
-//! Then it broadcasts `SnapshotAck`, which drops the anchors of older
-//! horizons. Fossil collection runs to GVT throughout, as it does
-//! everywhere else: what a worker keeps for recovery is one anchor per
-//! live horizon — a snapshot below it, the inputs from that snapshot up
-//! to it, and the committed sends crossing it, the raw material of an
-//! in-place resume — plus the log of the window it has not shipped yet.
+//! applies the tagged `GvtNews` ships its *image* of `g` — the newest
+//! state snapshot below `g` with the ≤ χ inputs after it, the committed
+//! sends crossing `g`, and the digest and committed count at `g` (the
+//! `snapshot` codec, built on [`warp_core::image`]) — and only then
+//! fossil-collects. The session thread assembles its LPs' images into the
+//! worker's image set, and once **all** workers have answered, naming one
+//! horizon, the coordinator replaces every LP's image with the new one.
+//! Nothing accumulates: the images follow the model's size, not the
+//! run's length, and a worker keeps nothing for recovery once its image
+//! has shipped. Fossil collection runs to GVT throughout, as it does
+//! everywhere else.
 //!
-//! With [`RecoveryPolicy::store_dir`] set, every committed delta is
-//! also spilled to a per-worker, CRC-checked **segment file** as it
-//! arrives — a durable shadow of the chains (format in
-//! `docs/recovery-store.md`, read back via
-//! [`load_checkpoint_segment`]). [`RecoveryPolicy::compact_after`]
-//! bounds chain depth: once any chain reaches it, every worker's chain
-//! is merged into a single delta spanning the full committed range —
-//! uniformly, so migration re-keying keeps seeing identical windows —
-//! and the segments are atomically rewritten.
+//! With [`RecoveryPolicy::store_dir`] set, the latest image set is also
+//! written to a CRC-checked **segment file**, replaced whole at each
+//! committed barrier — a durable shadow of the images (format in
+//! `docs/recovery-store.md`, read back via [`load_checkpoint_segment`]).
 //!
 //! When a peer is lost *uncleanly* (crash, half-open link past the
 //! liveness timeout, or an unrecoverable sequence gap), every survivor
@@ -94,26 +87,21 @@
 //! workers, respawns them, distributes the new peer list (a
 //! [`SessionLine`] to everyone, after a [`WorkerInit`] to respawned
 //! processes), re-establishes the mesh under the bumped epoch, and
-//! **streams** every worker its delta chain as an ordered
+//! **streams** every worker the images of the LPs it owns as an ordered
 //! [`Frame::ResumeChunk`] sequence — chunked at
 //! [`RecoveryPolicy::resume_chunk_bytes`] and reassembled by the worker,
 //! so a resume payload is never bounded by the transport's frame cap
-//! ([`NetTuning::max_frame_bytes`]). How a worker re-seeds each LP then
-//! depends on what it still holds: a **survivor** whose LP thread was
-//! aborted hands its live runtime back to the session loop, and the next
-//! resume rolls that runtime back *in place* to the checkpoint horizon
-//! (undo speculation above it, harvest the retained output frontier) —
-//! no object init, no replay of committed history. Everything else —
-//! respawned processes, migrated-in LPs — is rebuilt by replaying the
-//! committed logs through the normal kernel paths. Each LP thread does
-//! its own LP's rollback or replay, so the session thread keeps the peer
-//! links alive meanwhile, however long a replay takes. Both paths re-ship
-//! the regenerated frontier and must commit exactly the history the
-//! sequential golden model commits; [`ResumeStats`] in the final report
-//! counts each path and the events full rebuilds replayed. Recovery is
-//! bounded by [`RecoveryPolicy::max_recoveries`]; past that (or with
-//! recovery disabled) a lost worker is a clean [`DistError::Worker`],
-//! never a hang.
+//! ([`NetTuning::max_frame_bytes`]). Every LP then restores the same way,
+//! whatever happened to the process that held it: its LP thread builds
+//! the LP from the spec and loads its image (`LpRuntime::restore`), which
+//! coasts through at most χ inputs and sends the frontier again. The
+//! session thread keeps the peer links alive meanwhile. The restored
+//! run must commit exactly the history the sequential golden model
+//! commits; [`ResumeStats`] in the final report counts the images loaded
+//! and the image bytes shipped. Recovery is bounded by
+//! [`RecoveryPolicy::max_recoveries`]; past that (or with recovery
+//! disabled) a lost worker is a clean [`DistError::Worker`], never a
+//! hang.
 //!
 //! Two observational channels ride on the same mesh. Workers with
 //! telemetry enabled piggyback periodic [`Frame::Telemetry`] batches
@@ -137,13 +125,13 @@
 //! assignment. When the controller (after its dead-zone/patience
 //! hysteresis) proposes a new assignment, migration reuses the recovery
 //! machinery wholesale: the coordinator drives one extra checkpoint
-//! barrier so the chains cover everything committed, re-keys the stored
-//! delta chains under the new owner map, broadcasts [`Frame::Rebalance`]
-//! (workers abort their LP threads exactly as on a peer loss and
-//! announce a fresh listener), then regroups into a new session whose
-//! resume stream restores every LP on its *new* owner. Because
-//! restoration replays committed history through the normal kernel paths,
-//! the committed trace digest is unchanged by any migration. Migrations are
+//! barrier so the images cover everything committed, broadcasts
+//! [`Frame::Rebalance`] (workers abort their LP threads exactly as on a
+//! peer loss and announce a fresh listener), then regroups into a new
+//! session whose resume stream sends every LP's image to its *new*
+//! owner. An image is per LP, so moving one is a matter of addressing;
+//! and because a restore commits exactly what the image holds, the
+//! committed trace digest is unchanged by any migration. Migrations are
 //! recorded as [`MigrationRecord`]s in the final report and as
 //! `Param::Assignment` control events in the telemetry trajectory.
 //!
@@ -156,15 +144,14 @@
 //! (the spread of LVT leads) stays outside the controller's dead zone
 //! for its patience window, the coordinator drives a **scale
 //! transition** through the identical barrier-checkpoint machinery a
-//! migration uses: one extra checkpoint so the chains cover everything
+//! migration uses: one extra checkpoint so the images cover everything
 //! committed, then the session ends on purpose (never charged to the
 //! recovery budget).
 //!
 //! Every session that ends short of the finish — a migration, a scale
 //! either way, a probation fallback, a crash recovery — ends in one
 //! regroup step: the membership change (the only part that differs by
-//! kind), the chains re-keyed to the next assignment, the segment files
-//! resized and rewritten, one record and its control events, and a
+//! kind), the next assignment, one record and its control events, and a
 //! bumped session.
 //!
 //! *Scale-out* admits a fresh worker into the successor session: the
@@ -173,13 +160,12 @@
 //! dialed the admission point with a [`Frame::Join`] of its own (the
 //! `--join` flag of a worker binary; the point's address is published
 //! via [`DistConfig::admit_file`]). The newcomer is seeded
-//! exactly like a respawned worker — chains re-keyed to the grown
-//! [`warp_balance::Assignment`], streamed as `ResumeChunk`s — and runs
-//! one **probation** session: if the very next session is lost blaming
-//! the newcomer, the coordinator *evicts* it and falls back to the
-//! pre-scale membership (chains re-keyed back, recorded as a
-//! `"fallback"` [`ScaleRecord`]) rather than burning recoveries on a
-//! bad admission.
+//! exactly like a respawned worker — the images of the LPs the grown
+//! [`warp_balance::Assignment`] gives it, streamed as `ResumeChunk`s —
+//! and runs one **probation** session: if the very next session is lost
+//! blaming the newcomer, the coordinator *evicts* it and falls back to
+//! the pre-scale membership (recorded as a `"fallback"`
+//! [`ScaleRecord`]) rather than burning recoveries on a bad admission.
 //!
 //! *Scale-in* retires the highest-numbered worker: after the barrier
 //! checkpoint, the coordinator sends the retiree [`Frame::Retire`]; the
@@ -187,12 +173,12 @@
 //! cleanly, and **exits 0**. Only then (on the ack, or on the retiree's
 //! clean close) do the survivors get [`Frame::Rebalance`] — a survivor
 //! aborting earlier could reach the retiree as a lost peer before its
-//! `Retire` did — and the retiree's LPs restore on them from the
-//! re-keyed chains.
+//! `Retire` did — and the retiree's LPs restore on them from their
+//! images.
 //! Every transition lands in the report as a [`ScaleRecord`] and in the
 //! telemetry trajectory as a `Param::ClusterSize` control event, and
-//! because restoration replays committed history through the normal
-//! kernel paths, the committed trace digest is unchanged by any scale.
+//! because a restore commits exactly what the images hold, the committed
+//! trace digest is unchanged by any scale.
 //!
 //! Orphan hygiene: a worker whose coordinator dies sees either its mesh
 //! link drop or its control socket close and — without a rejoin grace
@@ -200,11 +186,9 @@
 //! by more than the liveness timeout plus a bounded wait
 //! ([`NetTuning::orphan_grace_ms`]) for recovery instructions. With
 //! [`RecoveryPolicy::rejoin_grace_ms`] set the worker *parks* instead: it
-//! freezes its kernel state (retaining the aborted session's runtimes for
-//! in-place rollback), re-dials the admission point with jittered
-//! exponential backoff, and presents a [`Frame::Reattach`] carrying its
-//! identity and its floor, the last checkpoint horizon acknowledged to
-//! it. A restarted coordinator ([`resume_coordinator`], the `--resume`
+//! re-dials the admission point with jittered exponential backoff and
+//! presents a [`Frame::Reattach`] carrying its identity. A restarted
+//! coordinator ([`resume_coordinator`], the `--resume`
 //! flag of `warp-cluster`) replays the durable run journal from
 //! `store_dir`, re-adopts parked survivors over those sockets (their
 //! control sockets from then on), and continues the run under a bumped
@@ -216,11 +200,9 @@ use crate::report::{
     LpSummary, MigrationMove, MigrationRecord, ResumeStats, RunReport, ScaleRecord,
 };
 use crate::snapshot::{
-    compact_chain, decode_resume, delta_from_parts, encode_resume,
+    decode_image_set, encode_image_set,
     journal::{journal_path, load_journal, RunJournal},
-    merge_logs, rekey_chains,
-    store::{load_segment_prefix, segment_path, SegmentStore},
-    SnapshotError,
+    store::{load_segment, segment_path, SegmentStore},
 };
 use crate::spec::SimulationSpec;
 use crate::threaded::{lp_thread, LpOutcome, LpPort, LpSeed, Packet, BATCH};
@@ -366,18 +348,12 @@ pub struct RecoveryPolicy {
     /// liveness detector can never see. 0 disables the watchdog.
     #[serde(default)]
     pub stall_budget_ms: u64,
-    /// Directory for the durable checkpoint store: committed delta
-    /// chains are spilled to per-worker segment files as each checkpoint
-    /// completes (see `docs/recovery-store.md` for the format). `None`
-    /// keeps the chains in coordinator memory only.
+    /// Directory for the durable checkpoint store: the latest image set
+    /// is written to a segment file as each checkpoint completes (see
+    /// `docs/recovery-store.md` for the format). `None` keeps the images
+    /// in coordinator memory only.
     #[serde(default)]
     pub store_dir: Option<String>,
-    /// Compact each worker's delta chain into a single merged delta
-    /// whenever its depth reaches this many checkpoints (0 = never).
-    /// Compaction runs uniformly across all workers, preserving the
-    /// identical-window invariant migration re-keying relies on.
-    #[serde(default)]
-    pub compact_after: u32,
     /// Payload bytes per [`Frame::ResumeChunk`] when streaming a resume
     /// (0 = 1 MiB). Always clamped below the transport's frame cap, so
     /// a resume is never bounded by [`NetTuning::max_frame_bytes`].
@@ -403,7 +379,6 @@ impl Default for RecoveryPolicy {
             ckpt_min_interval_ms: 100,
             stall_budget_ms: 0,
             store_dir: None,
-            compact_after: 0,
             resume_chunk_bytes: 0,
             rejoin_grace_ms: 0,
         }
@@ -1011,54 +986,83 @@ enum Membership {
     Evict,
 }
 
-/// Checkpoint chains and horizon: everything the coordinator must keep
+/// Checkpoint images and horizon: everything the coordinator must keep
 /// across sessions to restore the cluster.
 struct CkptStore {
-    /// Per-worker ordered delta payloads (index = proc_id - 1).
-    chains: Vec<Vec<Vec<u8>>>,
+    /// Every LP's image of `horizon`, by LP id; empty before the first
+    /// checkpoint commits (a resume then starts every LP fresh).
+    images: Vec<Vec<u8>>,
     /// The horizon of the last *complete* checkpoint.
     horizon: VirtualTime,
     /// Monotone checkpoint id across the whole run.
     next_ckpt: u32,
-    /// Durable spill of the chains: one segment file per worker,
-    /// appended as checkpoints commit (`None` = in-memory only).
+    /// Durable copy of the images: one segment file, replaced at each
+    /// committed barrier (`None` = in-memory only).
     segments: Option<SegmentStore>,
     /// Coordinator-side resume/store accounting for the run report.
     stats: ResumeStats,
 }
 
 impl CkptStore {
-    /// Collapse every worker's chain into one delta spanning the full
-    /// committed range, mirroring the rewrite to the segment files.
-    /// Applied uniformly across workers: `rekey_chains` relies on every
-    /// chain carrying identical windows at identical depths.
-    fn compact(&mut self) -> Result<(), SnapshotError> {
-        for w in 0..self.chains.len() {
-            if self.chains[w].len() < 2 {
-                continue;
-            }
-            let merged = compact_chain(&self.chains[w])?;
-            self.chains[w] = vec![merged];
-            if let Some(seg) = self.segments.as_mut() {
-                seg.rewrite(w as u32 + 1, &self.chains[w])?;
+    /// Commit checkpoint `done` of `horizon`: every worker's image set,
+    /// checked to hold the image of each LP it owns under `assign` and
+    /// nothing else, replaces the stored images — in the segment file
+    /// first, when there is one.
+    fn commit(
+        &mut self,
+        horizon: VirtualTime,
+        parts: Vec<Vec<u8>>,
+        assign: &Assignment,
+    ) -> Result<(), DistError> {
+        let mut images: Vec<Option<Vec<u8>>> = vec![None; assign.n_lps() as usize];
+        for (w, part) in parts.into_iter().enumerate() {
+            let proc_id = w as u32 + 1;
+            self.stats.ckpt_bytes += part.len() as u64;
+            let (h, set) = decode_image_set(&part)
+                .map_err(|e| DistError::Protocol(format!("checkpoint from proc {proc_id}: {e}")))?;
+            for (lp, image) in set {
+                let mine = (lp < assign.n_lps()) && assign.proc_of(lp) == proc_id;
+                if h != horizon || !mine || images[lp as usize].is_some() {
+                    return Err(DistError::Protocol(format!(
+                        "checkpoint from proc {proc_id}: an image of LP {lp} at {h} \
+                         does not belong in the checkpoint of {horizon}"
+                    )));
+                }
+                images[lp as usize] = Some(image);
             }
         }
-        self.stats.compactions += 1;
+        let images = images
+            .into_iter()
+            .enumerate()
+            .map(|(lp, image)| {
+                image.ok_or_else(|| {
+                    DistError::Protocol(format!("checkpoint of {horizon} misses LP {lp}"))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some(seg) = self.segments.as_mut() {
+            seg.replace(horizon, &images).map_err(|e| {
+                DistError::Io(io::Error::other(format!("checkpoint store write: {e}")))
+            })?;
+        }
+        self.images = images;
+        self.horizon = horizon;
         Ok(())
     }
 
-    /// Mirror the in-memory chains to the segment files wholesale: grow
-    /// or shrink the roster to the chains' worker count (fresh files
-    /// appear, retired files are deleted), then rewrite every file — after
-    /// re-keying has moved LPs between chains, or a resume truncated them.
-    fn resize_segments(&mut self) -> Result<(), SnapshotError> {
-        if let Some(seg) = self.segments.as_mut() {
-            seg.resize(self.chains.len() as u32)?;
-            for (w, chain) in self.chains.iter().enumerate() {
-                seg.rewrite(w as u32 + 1, chain)?;
-            }
-        }
-        Ok(())
+    /// The image set worker `proc_id` resumes from under `assign`: the
+    /// images of the LPs it owns (none before the first checkpoint).
+    fn resume_payload(&self, assign: &Assignment, proc_id: u32) -> Vec<u8> {
+        let mine: Vec<&Vec<u8>> = if self.images.is_empty() {
+            Vec::new()
+        } else {
+            assign
+                .lps_of(proc_id)
+                .into_iter()
+                .map(|lp| &self.images[lp as usize])
+                .collect()
+        };
+        encode_image_set(self.horizon, &mine)
     }
 }
 
@@ -1081,9 +1085,9 @@ impl PendingCkpt {
     }
 
     /// Take worker `from`'s part, for the horizon `gvt`. Every part of
-    /// one checkpoint must name the same horizon: parts that disagree
-    /// cut the chains' windows apart, a protocol error. Returns the
-    /// horizon once every worker's part is in.
+    /// one checkpoint must name the same horizon: images of different
+    /// horizons do not make one consistent cut, a protocol error.
+    /// Returns the horizon once every worker's part is in.
     fn accept(
         &mut self,
         from: u32,
@@ -1130,13 +1134,11 @@ struct CoordState {
 }
 
 /// One durable control-plane record: the JSON payload of a run-journal
-/// state record. Appended at every checkpoint barrier and at every
-/// membership/assignment change, so journal and segment files never
-/// drift. The journal append *is* the barrier's commit point: the
-/// `SnapshotAck` that advances the workers' floors (and drops their
-/// older anchors) is broadcast only after the append, so a parked
-/// worker's floor can never exceed `horizon` here, and every LP holds
-/// the anchor of `horizon`.
+/// state record. Appended at every checkpoint barrier, right after the
+/// segment file took the barrier's images, and at every
+/// membership/assignment change. A crash between the two leaves the
+/// segment one barrier ahead; a resume trusts the segment's horizon,
+/// which is as committed as the journal's.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct CoordJournal {
     /// Epoch of the session this record closed (the resumed coordinator
@@ -1148,10 +1150,6 @@ struct CoordJournal {
     /// The LP→worker owner map at append time.
     owners: Vec<u32>,
     n_workers: u32,
-    /// Per-worker committed delta-chain depth. On resume, each on-disk
-    /// segment is truncated to this — a delta appended after the last
-    /// journal record belongs to a barrier that never committed.
-    chain_len: Vec<u32>,
     /// The admission listener's address — a resumed coordinator re-binds
     /// it (a fresh port when empty) so parked workers find home.
     admit_addr: String,
@@ -1169,8 +1167,7 @@ struct CoordJournal {
 impl CoordState {
     /// Append one state record capturing the current control-plane
     /// state. A no-op without a journal. Called before every session and
-    /// at every checkpoint barrier — always *before* the `SnapshotAck`
-    /// broadcast, so the journal is never behind any worker's floor.
+    /// at every checkpoint barrier.
     fn journal_append(&mut self, admit_addr: &str) -> Result<(), DistError> {
         let Some(journal) = self.journal.as_mut() else {
             return Ok(());
@@ -1187,7 +1184,6 @@ impl CoordState {
             horizon: self.store.horizon.ticks(),
             owners: self.assign.owners().to_vec(),
             n_workers: self.assign.n_workers(),
-            chain_len: self.store.chains.iter().map(|c| c.len() as u32).collect(),
             admit_addr: admit_addr.to_string(),
             recoveries: self.recoveries,
             barriers: self.barriers,
@@ -1228,11 +1224,10 @@ impl CoordState {
     ///    for a migration, a newcomer on probation for a scale-out, the
     ///    retiree's exit for a scale-in, the newcomer's eviction and one
     ///    recovery for a fallback, one recovery for a crash;
-    /// 2. the chains re-keyed to the next assignment (skipped when it is
-    ///    unchanged);
-    /// 3. the segment files resized and rewritten to match;
-    /// 4. one record and its control events;
-    /// 5. the session bumped.
+    /// 2. the next assignment (unchanged for a crash), which decides
+    ///    where each LP's image goes at the resume;
+    /// 3. one record and its control events;
+    /// 4. the session bumped.
     ///
     /// Touches no process and no socket: the returned [`Membership`] is
     /// what the session loop carries out on the workers. A crash past the
@@ -1306,9 +1301,8 @@ impl CoordState {
             }
             Regroup::Lost { peer, detail } => match probation {
                 // A newcomer that dies on probation is evicted, not
-                // recovered: fall back to the pre-scale membership (the
-                // chains re-key back losslessly) so one bad admission
-                // cannot wedge the cluster.
+                // recovered: fall back to the pre-scale membership so one
+                // bad admission cannot wedge the cluster.
                 Some((newbie, pre_assign, _)) if newbie == peer => {
                     eprintln!(
                         "warp-coordinator: evicting probation worker {newbie} ({detail}); \
@@ -1353,15 +1347,6 @@ impl CoordState {
             },
         };
         if let Some(next) = next {
-            self.store.chains =
-                rekey_chains(&self.store.chains, next.n_workers(), |lp| next.proc_of(lp)).map_err(
-                    |e| DistError::Protocol(format!("re-keying checkpoint chains: {e}")),
-                )?;
-            // The durable store must mirror the re-keyed ownership, or
-            // its segments would replay LPs to the wrong workers.
-            self.store.resize_segments().map_err(|e| {
-                DistError::Io(io::Error::other(format!("checkpoint store rewrite: {e}")))
-            })?;
             self.assign = next;
         }
         if !events.is_empty() {
@@ -1455,7 +1440,7 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
     // processes.
     let (segments, journal) = match &cfg.recovery.store_dir {
         Some(dir) => {
-            let seg = SegmentStore::create(Path::new(dir), cfg.n_workers)
+            let seg = SegmentStore::create(Path::new(dir))
                 .map_err(|e| DistError::InvalidConfig(format!("checkpoint store at {dir}: {e}")))?;
             let jrn = RunJournal::create(Path::new(dir), &model_json(cfg)?)
                 .map_err(|e| DistError::InvalidConfig(format!("run journal at {dir}: {e}")))?;
@@ -1466,7 +1451,7 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
     let st = CoordState {
         assign,
         store: CkptStore {
-            chains: (0..cfg.n_workers).map(|_| Vec::new()).collect(),
+            images: Vec::new(),
             horizon: VirtualTime::ZERO,
             next_ckpt: 0,
             segments,
@@ -1586,7 +1571,7 @@ fn run_sessions(
 
 /// A failure outside the mesh (bootstrap I/O, a worker dying
 /// mid-handshake) is recovered by restarting every worker, its state
-/// restored from the chains: a crash recovery as far as the regroup step
+/// restored from the images: a crash recovery as far as the regroup step
 /// is concerned. A process that dialed in on its own cannot be respawned
 /// from here, so with one in the cluster the failure is final, as it is
 /// with recovery off, past the budget or past the deadline.
@@ -1640,8 +1625,8 @@ pub fn journal_job_json(store_dir: &Path) -> Result<String, DistError> {
 }
 
 /// Resume an interrupted distributed run from its durable store:
-/// replay the run journal, truncate the checkpoint segments to the last
-/// journaled barrier, re-open the admission point at its old address,
+/// replay the run journal, load the latest images from the checkpoint
+/// segment, re-open the admission point at its old address,
 /// re-adopt parked workers via their [`Frame::Reattach`] handshakes
 /// (respawning fresh processes for any that never dial in), bump the
 /// session, and continue the run to completion.
@@ -1690,57 +1675,33 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
     let n_workers = rec.n_workers;
     validate_config(cfg, n_workers)?;
 
-    // Rebuild the delta chains from the segment files, truncating each
-    // to its journaled depth: the journal append is the barrier commit
-    // point, so any delta past that depth belongs to a barrier that
-    // never happened. A chain *shorter* than journaled means a
-    // compaction rewrite raced the crash inside the barrier's critical
-    // section — the one narrow window this store cannot survive.
-    let mut chains: Vec<Vec<Vec<u8>>> = Vec::with_capacity(n_workers as usize);
-    for w in 1..=n_workers {
-        let (seg_worker, mut chain, _dropped) = load_segment_prefix(&segment_path(store_dir, w))
-            .map_err(|e| {
-                DistError::InvalidConfig(format!("checkpoint segment for worker {w}: {e}"))
-            })?;
-        if seg_worker != w {
-            return Err(DistError::InvalidConfig(format!(
-                "segment file for worker {w} carries worker id {seg_worker}"
-            )));
-        }
-        let want = rec.chain_len.get(w as usize - 1).copied().unwrap_or(0) as usize;
-        if chain.len() < want {
-            return Err(DistError::InvalidConfig(format!(
-                "checkpoint segment for worker {w} holds {} deltas, the journal expects \
-                 {want}: a compaction raced the crash, restart the run fresh",
-                chain.len()
-            )));
-        }
-        chain.truncate(want);
-        chains.push(chain);
-    }
-    let segments = SegmentStore::reopen(store_dir, n_workers).map_err(|e| {
-        DistError::InvalidConfig(format!(
-            "re-opening checkpoint store at {}: {e}",
-            store_dir.display()
-        ))
+    // The segment holds the images of the last barrier that reached it.
+    // The journal append follows the segment write, so the segment is
+    // never behind the journal; one ahead (a crash between the two)
+    // is a committed barrier all the same.
+    let seg_path = segment_path(store_dir);
+    let (horizon, images) = load_segment(&seg_path).map_err(|e| {
+        DistError::InvalidConfig(format!("checkpoint segment {}: {e}", seg_path.display()))
     })?;
+    let journaled = VirtualTime::from_ticks(rec.horizon);
+    if horizon < journaled || !(images.is_empty() || images.len() == cfg.n_lps as usize) {
+        return Err(DistError::InvalidConfig(format!(
+            "checkpoint segment {} holds {} images of horizon {horizon}, the journal \
+             expects {} of horizon {journaled}",
+            seg_path.display(),
+            images.len(),
+            cfg.n_lps
+        )));
+    }
     let mut stats = rec.stats.clone();
     stats.store_spilled_bytes = rec.spilled_bytes;
     let mut store = CkptStore {
-        chains,
-        horizon: VirtualTime::from_ticks(rec.horizon),
+        images,
+        horizon,
         next_ckpt: rec.next_ckpt,
-        segments: Some(segments),
+        segments: Some(SegmentStore::open(store_dir)),
         stats,
     };
-    // Excise any un-journaled tail on disk so segments and journal
-    // agree byte-for-byte before new barriers append.
-    store
-        .resize_segments()
-        .map_err(|e| DistError::Io(io::Error::other(format!("truncating segments: {e}"))))?;
-    if let Some(seg) = store.segments.as_mut() {
-        seg.spilled_bytes = 0; // the rewrite is housekeeping, not new spill
-    }
     let journal = RunJournal::reopen(&path, contents.valid_len)
         .map_err(|e| DistError::InvalidConfig(format!("re-opening run journal: {e}")))?;
 
@@ -1766,24 +1727,13 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         let Frame::Reattach {
             session: sess,
             worker_id: w,
-            horizon: h,
         } = hello
         else {
             unreachable!("only Reattach handshakes are taken here")
         };
-        if h > horizon {
-            // Impossible under the ack-after-journal ordering (a
-            // worker's floor never leads the journal); defensively
-            // treat the worker as untrusted and rebuild its slot fresh.
-            eprintln!(
-                "coordinator: parked worker {w} claims horizon {h} past the \
-                 journal's {horizon}; dropping it"
-            );
-        } else {
-            // Gets a SessionLine alone, and rolls back in place.
-            max_session = max_session.max(sess);
-            adopted[w as usize - 1] = Some(WorkerProc::dialed(link, false));
-        }
+        // Gets a SessionLine alone, and loads its images like everyone.
+        max_session = max_session.max(sess);
+        adopted[w as usize - 1] = Some(WorkerProc::dialed(link, false));
     }
     let reattached = adopted.iter().filter(|w| w.is_some()).count() as u64;
     eprintln!(
@@ -1909,12 +1859,12 @@ fn run_session_as_coordinator(
     let mesh = TcpMesh::establish(mesh_cfg, listener, &[], |_| None)?;
 
     if session > 0 {
-        // Stream each worker's chain as a ResumeChunk sequence: the
-        // resume payload is unbounded (it grows with the committed
-        // history), so it must never have to fit one frame.
+        // Stream each worker the images of its LPs as a ResumeChunk
+        // sequence: a large model's images must never have to fit one
+        // frame.
         let chunk = resume_chunk_len(&cfg.recovery, &cfg.net);
         for w in 1..n_procs {
-            let payload = encode_resume(&st.store.chains[w as usize - 1]);
+            let payload = st.store.resume_payload(&st.assign, w);
             st.store.stats.resume_bytes += payload.len() as u64;
             st.store.stats.resume_chunks +=
                 send_resume_chunks(&mesh, w, session, st.store.horizon, &payload, chunk);
@@ -2113,7 +2063,7 @@ fn coordinate(
             }
         }
         // Drive a planned regroup (migration or scale): first a
-        // checkpoint barrier so the chains cover everything committed,
+        // checkpoint barrier so the images cover everything committed,
         // then end the session on purpose — a broadcast `Rebalance`
         // (everyone aborts and regroups). On scale-in the retiree gets
         // `Retire` instead, and the survivors' `Rebalance` waits for its
@@ -2261,57 +2211,15 @@ fn coordinate(
                         continue;
                     };
                     let done = pending.take().unwrap();
-                    for (w, part) in done.parts.into_iter().enumerate() {
-                        let part = part.unwrap();
-                        // Spill before the in-memory append: a
-                        // checkpoint is only durable once every
-                        // part reached its segment file.
-                        if let Some(seg) = st.store.segments.as_mut() {
-                            seg.append(w as u32 + 1, &part).map_err(|e| {
-                                DistError::Io(io::Error::other(format!(
-                                    "checkpoint store append: {e}"
-                                )))
-                            })?;
-                        }
-                        st.store.chains[w].push(part);
-                    }
-                    st.store.horizon = horizon;
-                    // Deltas below the new horizon are superseded
-                    // once the chain is deep enough: merge them so
-                    // neither memory nor a future resume pays for
-                    // dead intermediate windows.
-                    if cfg.recovery.compact_after > 0
-                        && st
-                            .store
-                            .chains
-                            .iter()
-                            .any(|c| c.len() >= cfg.recovery.compact_after.max(2) as usize)
-                    {
-                        st.store.compact().map_err(|e| {
-                            DistError::Protocol(format!("checkpoint compaction: {e}"))
-                        })?;
-                    }
-                    // The journal append is the barrier's commit
-                    // point: only after the control-plane record
-                    // is durable may workers learn the horizon
-                    // advanced and drop the anchors below it. A
-                    // crash before this line makes the barrier
-                    // never have happened — resume truncates the
-                    // segment appends above the journaled depth.
+                    let parts = done.parts.into_iter().map(Option::unwrap).collect();
+                    // Every LP's image is replaced, the segment file's
+                    // first; then the journal records the barrier.
+                    st.store.commit(horizon, parts, &st.assign)?;
                     st.barriers += 1;
                     st.journal_append(&admission.addr)?;
-                    for w in 1..=n_workers as u32 {
-                        mesh.send(
-                            w,
-                            Frame::SnapshotAck {
-                                ckpt: done.ckpt,
-                                gvt: horizon,
-                            },
-                        );
-                    }
                     // Die like a killed coordinator — no goodbye
                     // — *between* barriers, after this one
-                    // committed and acked. Exact equality, so a
+                    // committed. Exact equality, so a
                     // resumed coordinator that inherits the plan
                     // from the journaled job (which restores
                     // `barriers` at N) never re-crashes.
@@ -2490,20 +2398,19 @@ fn merge_reports(reports: Vec<WorkerReport>, wall: f64, st: CoordState) -> RunRe
     }
 }
 
-/// Path of worker `worker`'s (1-based) segment file inside a checkpoint
-/// store directory (`worker-<n>.seg`) — the layout
-/// [`RecoveryPolicy::store_dir`] writes.
-pub fn checkpoint_segment_path(dir: &Path, worker: u32) -> PathBuf {
-    crate::snapshot::store::segment_path(dir, worker)
+/// Path of the segment file inside a checkpoint store directory
+/// (`images.seg`) — the layout [`RecoveryPolicy::store_dir`] writes.
+pub fn checkpoint_segment_path(dir: &Path) -> PathBuf {
+    segment_path(dir)
 }
 
-/// Read back one worker's on-disk checkpoint segment: the 1-based
-/// worker id recorded in its header, plus the ordered delta chain. For
-/// audit tooling and tests; a truncated, corrupted, or foreign file is
-/// a typed error (formatted), never a silently shorter chain. The
-/// format is documented in `docs/recovery-store.md`.
-pub fn load_checkpoint_segment(path: &Path) -> Result<(u32, Vec<Vec<u8>>), String> {
-    crate::snapshot::store::load_segment(path).map_err(|e| e.to_string())
+/// Read back the on-disk checkpoint segment: the horizon recorded in its
+/// header, plus every LP's image of it. For audit tooling and tests; a
+/// truncated, corrupted, or foreign file is a typed error (formatted),
+/// never a silently shorter set. The format is documented in
+/// `docs/recovery-store.md`.
+pub fn load_checkpoint_segment(path: &Path) -> Result<(VirtualTime, Vec<Vec<u8>>), String> {
+    load_segment(path).map_err(|e| e.to_string())
 }
 
 fn remaining_ms(deadline: Instant) -> u64 {
@@ -2664,10 +2571,10 @@ impl LpPort for WorkerPort {
                         gvt,
                         ckpt,
                     },
-                    // Checkpoint requests, acks and aborts are
-                    // process-local by design; the LP loop never
-                    // addresses them to a peer.
-                    Packet::CkptReq(_) | Packet::CkptAck(_) | Packet::Abort => return,
+                    // Checkpoint requests and aborts are process-local
+                    // by design; the LP loop never addresses them to a
+                    // peer.
+                    Packet::CkptReq(_) | Packet::Abort => return,
                 };
                 self.mesh_tx.post(proc, frame);
             }
@@ -2703,9 +2610,9 @@ impl LpPort for WorkerPort {
         // checkpoint protocol off these notifications.
         self.mesh_tx.post(0, Frame::Progress { gvt });
     }
-    /// A loopback `Snapshot` carrying this LP's part: the session
-    /// thread collects the worker's parts and assembles its delta, off
-    /// the LP threads (`route_inbound`).
+    /// A loopback `Snapshot` carrying this LP's image: the session
+    /// thread collects the worker's images and assembles its image set,
+    /// off the LP threads (`route_inbound`).
     fn ship_part(&self, ckpt: u32, gvt: VirtualTime, part: Vec<u8>) {
         let me = self.mesh_tx.proc_id();
         self.mesh_tx.post(
@@ -2846,8 +2753,8 @@ enum WorkerSessionEnd {
     /// awaiting the new session's assignment and resume stream.
     Rebalance,
     /// The coordinator retired this worker in a scale-in: its LPs are
-    /// drained to the survivors via the checkpoint chains, `DrainAck`
-    /// is sent, and the process exits 0.
+    /// drained to the survivors via their images, `DrainAck` is sent,
+    /// and the process exits 0.
     Retire {
         /// The barrier horizon announced in the `Retire` frame.
         gvt: VirtualTime,
@@ -2856,36 +2763,22 @@ enum WorkerSessionEnd {
 
 /// What a worker process carries from one session to the next.
 struct Carried {
-    /// Runtimes handed back by aborted sessions, keyed by LP: a survivor
-    /// re-seeds these by in-place rollback to the resume horizon instead
-    /// of rebuilding from committed logs. Only the immediately preceding
-    /// participation is ever valid (the seeding path clears the map).
-    retained: HashMap<u32, Box<warp_core::LpRuntime>>,
     /// Resume accounting across every session, for the final report.
     resume_stats: ResumeStats,
     /// The process's one throttle (its `Slow` fault): the event budget
     /// must not re-arm when a recovery or scale starts a new session.
     throttle: Option<Arc<EventThrottle>>,
-    /// The floor: the last barrier horizon the coordinator acknowledged
-    /// (`SnapshotAck`). Every LP holds the anchor of it and of every
-    /// later horizon it shipped a part for, so a parked worker can roll
-    /// its retained runtimes back to any horizon a successor coordinator
-    /// replays from the journal — this is the `horizon` a `Reattach`
-    /// reports.
-    floor: AtomicU64,
 }
 
 impl Carried {
     fn new(init: &WorkerInit) -> Self {
         Carried {
-            retained: HashMap::new(),
             resume_stats: ResumeStats::default(),
             throttle: init
                 .fault
                 .as_ref()
                 .and_then(|f| f.slowdown(init.proc_id))
                 .map(|(gap_us, events)| Arc::new(EventThrottle::new(gap_us, events))),
-            floor: AtomicU64::new(0),
         }
     }
 }
@@ -2918,9 +2811,8 @@ fn run_worker(
         // The coordinator needs time to notice, reap, and respawn; but
         // a coordinator that died will never write again — bound the
         // wait. With a rejoin grace the worker parks instead of dying:
-        // it keeps its retained runtimes, dials the re-admission point,
-        // and presents `Reattach` until a successor adopts it or the
-        // grace runs out. The park deadline spans the *whole* parked
+        // it dials the re-admission point and presents `Reattach` until
+        // a successor adopts it or the grace runs out. The park deadline spans the *whole* parked
         // period — repeated failed reattach rounds share one grace, and
         // only a delivered session line resets it (by looping back to
         // the top with a live coordinator).
@@ -2948,8 +2840,7 @@ fn run_worker(
             };
             let deadline = *park_deadline
                 .get_or_insert_with(|| Instant::now() + Duration::from_millis(rejoin.grace_ms));
-            let floor = &carried.floor;
-            match park_for_rejoin(init, rejoin, &coordinator, deadline, session, floor, &why) {
+            match park_for_rejoin(init, rejoin, &coordinator, deadline, session, &why) {
                 Some((fresh, at)) => (link, coordinator) = (fresh, at),
                 None => {
                     // One write: parked siblings give up at the same
@@ -2997,8 +2888,8 @@ fn run_worker(
 
 /// A parked worker's rejoin loop: dial a successor coordinator with
 /// jittered exponential backoff, presenting a [`Frame::Reattach`] that
-/// names this worker and the acknowledged horizon it can roll back to,
-/// until one accepts the stream or the grace deadline passes. Each
+/// names this worker, until one accepts the stream or the grace deadline
+/// passes. Each
 /// attempt dials `last` — where this worker last reached a coordinator
 /// — and then the admit file's address (when configured), re-read every
 /// time, because a restarted coordinator that could not re-bind the old
@@ -3012,14 +2903,12 @@ fn park_for_rejoin(
     last: &str,
     deadline: Instant,
     session: u32,
-    floor: &AtomicU64,
     why: &str,
 ) -> Option<(ControlLink, String)> {
-    let horizon = VirtualTime::from_ticks(floor.load(Ordering::Acquire));
     // One write, as for the grace expiry: siblings park at once.
     let line = format!(
         "warp-worker (proc {}): coordinator lost ({why}); parked for rejoin \
-         (grace {} ms, horizon {horizon})\n",
+         (grace {} ms)\n",
         init.proc_id, rejoin.grace_ms
     );
     eprint!("{line}");
@@ -3033,7 +2922,6 @@ fn park_for_rejoin(
     let hello = Frame::Reattach {
         session,
         worker_id: init.proc_id,
-        horizon,
     };
     let mut attempt = 0u32;
     while Instant::now() < deadline {
@@ -3046,8 +2934,7 @@ fn park_for_rejoin(
         for addr in std::iter::once(last.to_string()).chain(published) {
             if let Ok(link) = ControlLink::dial(&addr, &hello) {
                 eprintln!(
-                    "warp-worker (proc {}): reattached via {addr} \
-                     (last session {session}, horizon {horizon})",
+                    "warp-worker (proc {}): reattached via {addr} (last session {session})",
                     init.proc_id
                 );
                 return Some((link, addr));
@@ -3065,9 +2952,9 @@ fn park_for_rejoin(
 }
 
 /// One worker session: establish the mesh under the session epoch,
-/// seed the LPs (fresh on session 0, restored from the coordinator's
-/// streamed resume otherwise — in place when a retained runtime exists),
-/// run them, and either report cleanly or abort.
+/// seed the LPs (fresh on session 0, or before any checkpoint; from
+/// their images in the coordinator's streamed resume otherwise), run
+/// them, and either report cleanly or abort.
 fn run_session_as_worker(
     init: &WorkerInit,
     spec: &SimulationSpec,
@@ -3206,48 +3093,41 @@ fn run_session_as_worker(
         None
     };
 
-    // Seed this worker's LPs. Fresh builds on session 0; on a resume,
-    // an LP whose runtime survived the lost session rolls back in place
-    // to the horizon (no init, no replay), anything else is rebuilt by
-    // replaying its committed log. Each LP thread does that work itself,
-    // so this thread reaches `route_inbound` — and the peer links' ticks
-    // — at once, however long a replay takes. Either way the regenerated
-    // frontier (sends at or beyond the horizon) ships at LP-thread boot
-    // exactly like init output would.
-    let mut seeds: Vec<(u32, LpSeed)> = Vec::new();
-    let ckpt_base = match restore {
+    // Seed this worker's LPs: fresh on session 0 and on a resume that
+    // precedes the first checkpoint (an empty image set), from their
+    // images otherwise. Each LP thread loads its own image, so this
+    // thread reaches `route_inbound` — and the peer links' ticks — at
+    // once. The restored frontier (sends at or beyond the horizon) ships
+    // at LP-thread boot exactly like init output would.
+    let (ckpt_base, mut images) = match restore {
         Some((horizon, payload)) => {
-            let deltas = decode_resume(&payload).map_err(|e| format!("resume decode: {e}"))?;
-            let mut logs = merge_logs(&deltas).map_err(|e| format!("resume merge: {e}"))?;
-            for &lp in &my_lps {
-                let log = logs.remove(&lp).unwrap_or_default();
-                let seed = match carried.retained.remove(&lp) {
-                    Some(rt) => {
-                        carried.resume_stats.lps_rolled_back += 1;
-                        LpSeed::Rollback { lp: rt, horizon }
-                    }
-                    None => {
-                        carried.resume_stats.replayed_events +=
-                            log.values().map(|evs| evs.len() as u64).sum::<u64>();
-                        carried.resume_stats.lps_rebuilt += 1;
-                        LpSeed::Replay { log, horizon }
-                    }
-                };
-                seeds.push((lp, seed));
+            let (h, set) = decode_image_set(&payload).map_err(|e| format!("resume: {e}"))?;
+            if h != horizon || !(set.is_empty() || set.len() == my_lps.len()) {
+                return Err(format!(
+                    "resume of horizon {horizon} carries {} images of horizon {h} for {} LPs",
+                    set.len(),
+                    my_lps.len()
+                ));
             }
-            Some(horizon)
+            (
+                Some(horizon),
+                set.into_iter().collect::<HashMap<u32, Vec<u8>>>(),
+            )
         }
-        None => {
-            for &lp in &my_lps {
-                seeds.push((lp, LpSeed::Fresh));
-            }
-            init.recovery.then_some(VirtualTime::ZERO)
-        }
+        None => (init.recovery.then_some(VirtualTime::ZERO), HashMap::new()),
     };
-    // Anything still retained belongs to an LP that migrated away; the
-    // next handback must come from *this* session or not at all — a
-    // stale runtime may be missing history a newer horizon commits.
-    carried.retained.clear();
+    let mut seeds: Vec<(u32, LpSeed)> = Vec::with_capacity(my_lps.len());
+    for &lp in &my_lps {
+        let seed = match images.remove(&lp) {
+            Some(image) => {
+                carried.resume_stats.images_loaded += 1;
+                LpSeed::Image(image)
+            }
+            None if images.is_empty() => LpSeed::Fresh,
+            None => return Err(format!("resume carries no image of LP {lp}")),
+        };
+        seeds.push((lp, seed));
+    }
 
     let lp_threads: Vec<_> = seeds
         .into_iter()
@@ -3269,14 +3149,7 @@ fn run_session_as_worker(
         })
         .collect();
 
-    let end = route_inbound(
-        &mesh,
-        &session_lane,
-        &slot_of,
-        n_local,
-        ckpt_base.unwrap_or(VirtualTime::ZERO),
-        &carried.floor,
-    );
+    let end = route_inbound(&mesh, &session_lane, &slot_of, n_local);
     let mut outcomes: Vec<LpOutcome> = lp_threads
         .into_iter()
         .map(|h| h.join().expect("LP thread panicked"))
@@ -3297,31 +3170,15 @@ fn run_session_as_worker(
         }
         WorkerSessionEnd::Retire { gvt } => {
             // Everything this worker owns below the barrier horizon is
-            // already in the coordinator's chains; speculation above it
+            // already in the coordinator's images; speculation above it
             // is discarded like any aborted session. Confirm the drain,
             // flush it with a clean close, and let the caller exit 0.
             mesh.send(0, Frame::DrainAck { gvt });
             mesh.shutdown();
         }
-        WorkerSessionEnd::PeerLost(_) | WorkerSessionEnd::Rebalance => {
-            mesh.abort();
-            stash_retained(&mut carried.retained, outcomes);
-        }
+        WorkerSessionEnd::PeerLost(_) | WorkerSessionEnd::Rebalance => mesh.abort(),
     }
     Ok(end)
-}
-
-/// Keep the runtimes aborted LP threads handed back, keyed by LP, for
-/// the next session's in-place rollback.
-fn stash_retained(
-    retained: &mut HashMap<u32, Box<warp_core::LpRuntime>>,
-    outcomes: Vec<LpOutcome>,
-) {
-    for mut o in outcomes {
-        if let Some(rt) = o.runtime.take() {
-            retained.insert(o.summary.lp, rt);
-        }
-    }
 }
 
 /// A peer worker's link hook, on whichever thread pumps the link: put a
@@ -3342,9 +3199,9 @@ fn route_data(lane: &LaneEndpoint<Packet>, slot_of: &[Slot], frame: Frame) -> Op
 }
 
 /// The session thread's loop. It turns the coordinator's checkpoint
-/// frames into packets for the local LPs through this thread's `lane` —
-/// a request to the controller LP (LP 0), an ack to every LP — collects
-/// the LPs' parts of a tagged round into the worker's one delta, and
+/// request into a packet for the controller LP (LP 0) through this
+/// thread's `lane`, collects the LPs' images of a tagged round into the
+/// worker's one image set, and
 /// counts the LPs' exit wakes until all `n_local` have stopped
 /// (`Finished`). Between events it does the peer links' idle duties
 /// (`TcpMesh::tick`: liveness, gap expiry, heartbeats) as often as the
@@ -3357,8 +3214,6 @@ fn route_inbound(
     lane: &LaneEndpoint<Packet>,
     slot_of: &[Slot],
     n_local: usize,
-    mut ckpt_from: VirtualTime,
-    floor: &AtomicU64,
 ) -> WorkerSessionEnd {
     let fan_local = |p: &dyn Fn() -> Packet| {
         for to in 0..n_local {
@@ -3377,9 +3232,9 @@ fn route_inbound(
         Some(&Slot::Lane(lane)) => Some(lane),
         _ => None,
     };
-    // The parts of the checkpoint under way. The coordinator asks for
+    // The images of the checkpoint under way. The coordinator asks for
     // the next one only once this one is complete everywhere, so its
-    // parts never mix with another's.
+    // images never mix with another's.
     let mut parts: Vec<Vec<u8>> = Vec::with_capacity(n_local);
     let mut handle = |from: u32, frame: Frame| -> Option<WorkerSessionEnd> {
         match frame {
@@ -3391,25 +3246,15 @@ fn route_inbound(
                     )))
                 }
             },
-            // An LP's part, looped back by its port: assembled here, so
-            // no LP thread copies or writes the worker's delta.
+            // An LP's image, looped back by its port: assembled here, so
+            // no LP thread copies or writes the worker's image set.
             Frame::Snapshot { ckpt, gvt, payload } if from == mesh.proc_id() => {
                 parts.push(payload);
                 if parts.len() == n_local {
-                    let payload = delta_from_parts(ckpt_from, gvt, &parts);
+                    let payload = encode_image_set(gvt, &parts);
                     parts.clear();
-                    ckpt_from = gvt;
                     mesh.send(0, Frame::Snapshot { ckpt, gvt, payload });
                 }
-            }
-            Frame::SnapshotAck { gvt, .. } => {
-                // The coordinator journals the barrier *before* this
-                // ack, so advancing the floor here keeps the invariant a
-                // `Reattach` relies on: floor ≤ every horizon a
-                // successor coordinator can replay, whose anchors every
-                // LP still holds.
-                floor.fetch_max(gvt.ticks(), Ordering::AcqRel);
-                fan_local(&|| Packet::CkptAck(gvt));
             }
             // A planned session end: abort the LP threads exactly as on
             // a peer loss, but report it as a migration.
@@ -3469,7 +3314,6 @@ fn route_inbound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{decode_delta, encode_delta, LpDelta};
     use proptest::prelude::*;
     use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -3569,6 +3413,107 @@ mod tests {
             let bound = 2 * (bytes.len() + 64) * event;
             prop_assert!(bound < warp_net::frame::MAX_FRAME_BYTES);
             prop_assert!(largest <= bound, "control decoder allocated {largest} bytes");
+        }
+    }
+
+    /// LP 0 of a napper run with χ = 3, imaged at a mid-run horizon just
+    /// as a worker images it: a snapshot, the inputs after it, and the
+    /// send crossing the horizon.
+    fn napper_image() -> (warp_core::LpRuntime, Vec<u8>) {
+        let spec = napper_spec(40, Duration::ZERO, &Arc::new(AtomicU64::new(0)), 3);
+        let (mut lp, mut out) = (spec.build_lp(warp_core::LpId(0)), Vec::new());
+        lp.init(&mut out);
+        lp.arm_recovery();
+        for _ in 0..20 {
+            lp.process_one(&mut out);
+        }
+        let image = lp.checkpoint(VirtualTime::new(18));
+        (spec.build_lp(warp_core::LpId(0)), image)
+    }
+
+    #[test]
+    fn an_image_decodes_to_what_it_encodes() {
+        let (fresh, image) = napper_image();
+        let decoded = crate::snapshot::decode_lp_image(&fresh, &image).unwrap();
+        let o = &decoded.objects[0];
+        let times: Vec<u64> = o.inputs.iter().map(|e| e.recv_time.ticks()).collect();
+        assert_eq!(
+            times,
+            vec![15, 16, 17],
+            "χ = 3: the snapshot's own event, then the rest"
+        );
+        assert_eq!(o.frontier.len(), 1, "the tick that lands on 18");
+        assert_eq!(decoded.encode(), image);
+        let lp1 = other_lp(&fresh);
+        assert!(crate::snapshot::decode_lp_image(&lp1, &image).is_err());
+    }
+
+    /// A fresh build of the LP that is not `lp`, in the napper spec.
+    fn other_lp(lp: &warp_core::LpRuntime) -> warp_core::LpRuntime {
+        let spec = napper_spec(40, Duration::ZERO, &Arc::default(), 3);
+        spec.build_lp(warp_core::LpId(1 - lp.id().0))
+    }
+
+    /// A segment file's bytes around `images` of horizon `h`, each
+    /// record with its true CRC.
+    fn segment_bytes(h: u64, images: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = b"WSEG".to_vec();
+        bytes.extend_from_slice(&crate::snapshot::store::SEG_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&h.to_le_bytes());
+        for image in images {
+            bytes.extend_from_slice(&(image.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crate::snapshot::store::crc32(image).to_le_bytes());
+            bytes.extend_from_slice(image);
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 512,
+            .. ProptestConfig::default()
+        })]
+
+        /// The image decoder and the segment loader are total: arbitrary
+        /// bytes, or a real image with bytes flipped, cut or appended —
+        /// bare, in an image set, or in a segment file with true CRCs —
+        /// and a segment file itself flipped and torn give a value or a
+        /// typed `SnapshotError`, never a panic. No
+        /// single allocation exceeds a small multiple of the input,
+        /// whatever the counts and lengths inside claim.
+        #[test]
+        fn image_and_segment_decoding_is_total(
+            junk in proptest::collection::vec(any::<u8>(), 0..512),
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+            cut in any::<usize>(),
+        ) {
+            let (lp, image) = napper_image();
+            let mut mutated = image.clone();
+            for (at, x) in &flips {
+                let i = at % mutated.len();
+                mutated[i] ^= x;
+            }
+            mutated.truncate(cut % (mutated.len() + 1));
+            mutated.extend_from_slice(&junk[..cut % (junk.len() + 1)]);
+            let set = encode_image_set(VirtualTime::new(18), &[&mutated]);
+            let segment = segment_bytes(18, &[&image, &junk]);
+            // The same segment torn and bit-flipped, as a crash or a bad
+            // disk leaves it.
+            let mut torn = segment.clone();
+            for (at, x) in &flips {
+                let i = at % torn.len();
+                torn[i] ^= x;
+            }
+            torn.truncate(cut % (torn.len() + 1));
+            for bytes in [&junk[..], &mutated[..], &set[..], &segment[..], &torn[..]] {
+                let largest = largest_alloc(|| {
+                    let _ = crate::snapshot::decode_lp_image(&lp, bytes);
+                    let _ = decode_image_set(bytes);
+                    let _ = crate::snapshot::store::parse_segment(bytes);
+                });
+                let bound = 256 + 8 * bytes.len();
+                prop_assert!(largest <= bound, "{} input bytes, one allocation of {largest}", bytes.len());
+            }
         }
     }
 
@@ -3901,7 +3846,6 @@ mod tests {
             r#"{"enabled":true,"max_recoveries":3,"ckpt_min_interval_ms":100,"stall_budget_ms":0}"#;
         let p: RecoveryPolicy = serde_json::from_str(raw).unwrap();
         assert_eq!(p.store_dir, None);
-        assert_eq!(p.compact_after, 0);
         assert_eq!(p.resume_chunk_bytes, 0);
         assert_eq!(p.rejoin_grace_ms, 0, "pre-failover policy = no parking");
         let raw = r#"{"heartbeat_ms":250,"liveness_ms":3000,"connect_backoff_start_ms":20,"connect_backoff_max_ms":500}"#;
@@ -3935,35 +3879,32 @@ mod tests {
         }
     }
 
-    /// One-delta chains over the window `[0, 10)`, one per worker of
-    /// `assign`, each holding its LPs' (empty) parts — all re-keying
-    /// reads.
-    fn chains_of(assign: &Assignment) -> Vec<Vec<Vec<u8>>> {
-        (1..=assign.n_workers())
-            .map(|w| {
-                let lps: Vec<LpDelta> = assign
-                    .lps_of(w)
-                    .into_iter()
-                    .map(|lp| LpDelta {
-                        lp,
-                        objects: Vec::new(),
-                    })
-                    .collect();
-                vec![encode_delta(VirtualTime::ZERO, VirtualTime::new(10), &lps)]
+    /// Images of horizon 10 for `n` LPs: a header over an empty body,
+    /// all the coordinator's bookkeeping reads.
+    fn images_of(n: u32) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|lp| {
+                let mut w = warp_core::wire::PayloadWriter::new();
+                w.u32(lp).u64(10);
+                w.finish()
             })
             .collect()
     }
 
-    /// The LPs each worker's chain holds.
-    fn chain_lps(st: &CoordState) -> Vec<Vec<u32>> {
-        let lps = |chain: &Vec<Vec<u8>>| decode_delta(&chain[0]).unwrap().2;
-        let ids = |chain| lps(chain).iter().map(|d| d.lp).collect();
-        st.store.chains.iter().map(ids).collect()
+    /// The LPs whose images each worker's resume carries.
+    fn resume_lps(st: &CoordState) -> Vec<Vec<u32>> {
+        (1..=st.assign.n_workers())
+            .map(|w| {
+                let (h, set) = decode_image_set(&st.store.resume_payload(&st.assign, w)).unwrap();
+                assert_eq!(h, VirtualTime::new(10));
+                set.into_iter().map(|(lp, _)| lp).collect()
+            })
+            .collect()
     }
 
     #[test]
     fn every_regroup_kind_takes_the_same_step() {
-        // The coordinator's regroup bookkeeping on in-memory chains, with
+        // The coordinator's regroup bookkeeping on in-memory images, with
         // no process and no socket: each kind in turn.
         let owners = |owners: Vec<u32>| {
             let n = *owners.iter().max().unwrap();
@@ -3972,7 +3913,7 @@ mod tests {
         let start = owners(vec![1, 1, 2, 2]);
         let mut st = CoordState {
             store: CkptStore {
-                chains: chains_of(&start),
+                images: images_of(4),
                 horizon: VirtualTime::new(10),
                 next_ckpt: 1,
                 segments: None,
@@ -4028,7 +3969,7 @@ mod tests {
             st.regroup(Regroup::Migrate(plan), &recovery).unwrap(),
             Membership::Keep
         );
-        assert_eq!(chain_lps(&st), vec![vec![0], vec![1, 2, 3]]);
+        assert_eq!(resume_lps(&st), vec![vec![0], vec![1, 2, 3]]);
         let rec = &st.migrations[0];
         let moved: Vec<_> = rec.moves.iter().map(|m| (m.lp, m.from, m.to)).collect();
         assert_eq!(
@@ -4056,7 +3997,7 @@ mod tests {
         };
         let membership = st.regroup(Regroup::Scale(out.clone()), &recovery).unwrap();
         assert_eq!(membership, Membership::Admit(3));
-        assert_eq!(chain_lps(&st), vec![vec![0], vec![1], vec![2, 3]]);
+        assert_eq!(resume_lps(&st), vec![vec![0], vec![1], vec![2, 3]]);
         assert_eq!(
             last_scale(&st),
             ("out".into(), Some(10), 2, 3, 0.9, vec![2, 3])
@@ -4072,7 +4013,7 @@ mod tests {
         // Fallback: the newcomer is lost on probation; back to two
         // workers and the pre-scale owners, one recovery charged.
         assert_eq!(st.regroup(lost(3), &recovery).unwrap(), Membership::Evict);
-        assert_eq!(chain_lps(&st), vec![vec![0], vec![1, 2, 3]]);
+        assert_eq!(resume_lps(&st), vec![vec![0], vec![1, 2, 3]]);
         assert_eq!(st.assign.owners(), &[1, 2, 2, 2]);
         assert_eq!(
             last_scale(&st),
@@ -4088,12 +4029,12 @@ mod tests {
         );
 
         // Out again, then a crash of another worker: one recovery, same
-        // chains, no record, no event, and the newcomer stays on
+        // owners, no record, no event, and the newcomer stays on
         // probation.
         st.regroup(Regroup::Scale(out), &recovery).unwrap();
-        let (chains, events, records) = (st.store.chains.clone(), n_events(&st), st.scales.len());
+        let (placed, events, records) = (resume_lps(&st), n_events(&st), st.scales.len());
         assert_eq!(st.regroup(lost(1), &recovery).unwrap(), Membership::Keep);
-        assert_eq!(st.store.chains, chains);
+        assert_eq!(resume_lps(&st), placed);
         assert_eq!(
             (n_events(&st), st.scales.len(), st.migrations.len()),
             (events, records, 1)
@@ -4114,7 +4055,7 @@ mod tests {
             st.regroup(Regroup::Scale(inn), &recovery).unwrap(),
             Membership::Retire(3)
         );
-        assert_eq!(chain_lps(&st), vec![vec![0], vec![1, 2, 3]]);
+        assert_eq!(resume_lps(&st), vec![vec![0], vec![1, 2, 3]]);
         assert_eq!(
             last_scale(&st),
             ("in".into(), Some(10), 3, 2, 0.1, vec![2, 3])
@@ -4166,7 +4107,16 @@ mod tests {
 
     #[derive(Clone, Debug)]
     struct Count(u64);
-    impl warp_core::ObjectState for Count {}
+    impl warp_core::ObjectState for Count {
+        fn encode(&self, w: &mut warp_core::wire::PayloadWriter) {
+            w.u64(self.0);
+        }
+        fn decode(
+            r: &mut warp_core::wire::PayloadReader<'_>,
+        ) -> Result<Self, warp_core::KernelError> {
+            Ok(Count(r.u64()?))
+        }
+    }
 
     impl warp_core::SimObject for Napper {
         fn init(&mut self, ctx: &mut dyn warp_core::ExecutionContext) {
@@ -4195,13 +4145,40 @@ mod tests {
         }
     }
 
+    /// Two objects on two LPs: object 0 counts itself through `ticks`
+    /// events, each napping `nap`; object 1 idles. State saved every
+    /// `chi` events.
+    fn napper_spec(ticks: u64, nap: Duration, naps: &Arc<AtomicU64>, chi: u32) -> SimulationSpec {
+        let naps = Arc::clone(naps);
+        SimulationSpec::new(
+            warp_core::Partition::round_robin(2, 2),
+            Arc::new(move |_| {
+                Box::new(Napper {
+                    ticks,
+                    nap,
+                    naps: Arc::clone(&naps),
+                    count: Count(0),
+                }) as Box<dyn warp_core::SimObject>
+            }),
+        )
+        .with_policies(Arc::new(move |_| {
+            warp_core::ObjectPolicies::new(
+                Box::new(warp_core::FixedCancellation(
+                    warp_core::CancellationMode::Aggressive,
+                )),
+                Box::new(warp_core::FixedCheckpoint::new(chi)),
+            )
+        }))
+    }
+
     #[test]
-    fn a_replay_longer_than_liveness_keeps_the_peer_links_alive() {
-        // Proc 1, the worker under test, owns LP 0 and is resumed with
-        // nothing retained: it must rebuild LP 0 by replaying its
-        // committed history, which takes several liveness timeouts. Procs
-        // 0 (the coordinator) and 2 (the peer worker owning LP 1) are
-        // bare meshes; neither may lose proc 1 meanwhile.
+    fn a_restore_longer_than_liveness_keeps_the_peer_links_alive() {
+        // Proc 1, the worker under test, owns LP 0 and is resumed from
+        // LP 0's image. With χ above the run's length the image holds the
+        // post-init snapshot and every input, so the restore coasts
+        // through all of them, which takes several liveness timeouts.
+        // Procs 0 (the coordinator) and 2 (the peer worker owning LP 1)
+        // are bare meshes; neither may lose proc 1 meanwhile.
         const TICKS: u64 = 40;
         let nap = Duration::from_millis(25);
         let net = NetTuning {
@@ -4209,36 +4186,22 @@ mod tests {
             liveness_ms: 250,
             ..NetTuning::default()
         };
-        let replay = nap * TICKS as u32;
+        let coast = nap * TICKS as u32;
         let liveness = Duration::from_millis(net.liveness_ms);
-        assert!(replay > 3 * liveness);
+        assert!(coast > 3 * liveness);
 
-        let napper = |nap: Duration, naps: &Arc<AtomicU64>| {
-            let naps = Arc::clone(naps);
-            SimulationSpec::new(
-                warp_core::Partition::round_robin(2, 2),
-                Arc::new(move |_| {
-                    Box::new(Napper {
-                        ticks: TICKS,
-                        nap,
-                        naps: Arc::clone(&naps),
-                        count: Count(0),
-                    }) as Box<dyn warp_core::SimObject>
-                }),
-            )
-        };
+        let napper = |nap, naps: &Arc<AtomicU64>| napper_spec(TICKS, nap, naps, 4 * TICKS as u32);
         let naps = Arc::new(AtomicU64::new(0));
-        // LP 0's whole history, committed below the horizon, as the
+        // LP 0's image of a horizon past its whole history, as the
         // coordinator's resume stream carries it.
         let horizon = VirtualTime::new(TICKS + 1);
         let payload = {
             let spec = napper(Duration::ZERO, &naps);
             let (mut lp, mut out) = (spec.build_lp(warp_core::LpId(0)), Vec::new());
             lp.init(&mut out);
-            lp.arm_recovery(VirtualTime::ZERO);
+            lp.arm_recovery();
             while lp.process_one(&mut out) {}
-            let part = lp.checkpoint(horizon);
-            encode_resume(&[delta_from_parts(VirtualTime::ZERO, horizon, &[part])])
+            encode_image_set(horizon, &[lp.checkpoint(horizon)])
         };
         let spec = napper(nap, &naps);
 
@@ -4291,23 +4254,23 @@ mod tests {
                 payload,
             },
         );
-        while resumed.elapsed() < replay + liveness {
+        while resumed.elapsed() < coast + liveness {
             for (who, mesh) in [("coordinator", &coord), ("peer worker", &peer)] {
                 if let Some(MeshEvent::PeerDown { peer, detail, .. }) =
                     mesh.recv_timeout(Duration::from_millis(5))
                 {
-                    panic!("the {who} lost proc {peer} during the replay: {detail}");
+                    panic!("the {who} lost proc {peer} during the restore: {detail}");
                 }
             }
         }
         coord.send(1, Frame::Rebalance { gvt: horizon });
         let (end, stats) = worker.join().unwrap();
         assert!(matches!(end, WorkerSessionEnd::Rebalance));
-        assert_eq!((stats.lps_rebuilt, stats.replayed_events), (1, TICKS));
+        assert_eq!(stats.images_loaded, 1);
         assert_eq!(
             naps.load(Ordering::Relaxed),
             TICKS,
-            "the replay ran at full speed"
+            "the restore coasted through every input at full speed"
         );
         coord.abort();
         peer.abort();

@@ -107,22 +107,19 @@ pub struct ResumeStats {
     /// across all recoveries (before chunking overhead).
     pub resume_bytes: u64,
     /// `ResumeChunk` frames sent. More than one per worker per recovery
-    /// means a chain outgrew the configured chunk size.
+    /// means a worker's images outgrew the configured chunk size.
     pub resume_chunks: u64,
-    /// Delta-chain compactions the checkpoint store performed.
-    pub compactions: u64,
-    /// Delta bytes written to the on-disk segment store (appends and
-    /// compaction/migration rewrites; 0 when the store is off).
+    /// Image bytes the workers shipped to the coordinator, over every
+    /// committed checkpoint.
+    #[serde(default)]
+    pub ckpt_bytes: u64,
+    /// Image bytes written to the on-disk segment store (0 when the
+    /// store is off).
     pub store_spilled_bytes: u64,
-    /// LPs re-seeded by a full rebuild: object init plus replay of every
-    /// committed event below the restore horizon.
-    pub lps_rebuilt: u64,
-    /// LPs recovered by in-place incremental rollback on a surviving
-    /// worker — no replay of committed history at all.
-    pub lps_rolled_back: u64,
-    /// Committed events replayed during full rebuilds: the work the
-    /// incremental path avoids.
-    pub replayed_events: u64,
+    /// LPs a resume built from their images — on a survivor, a
+    /// respawned worker, a migration target or a newcomer alike.
+    #[serde(default)]
+    pub images_loaded: u64,
     /// Parked workers a restarted coordinator re-adopted via the
     /// protocol `Reattach` handshake instead of respawning.
     #[serde(default)]
@@ -134,11 +131,9 @@ impl ResumeStats {
     pub fn merge(&mut self, other: &ResumeStats) {
         self.resume_bytes += other.resume_bytes;
         self.resume_chunks += other.resume_chunks;
-        self.compactions += other.compactions;
+        self.ckpt_bytes += other.ckpt_bytes;
         self.store_spilled_bytes += other.store_spilled_bytes;
-        self.lps_rebuilt += other.lps_rebuilt;
-        self.lps_rolled_back += other.lps_rolled_back;
-        self.replayed_events += other.replayed_events;
+        self.images_loaded += other.images_loaded;
         self.reattached += other.reattached;
     }
 }
@@ -302,6 +297,25 @@ impl RunReport {
             .map(|&kb| format!("{:.1}", kb as f64 / 1024.0))
             .collect();
         Some(format!("workers: peak RSS {} MB", mb.join(" / ")))
+    }
+
+    /// The recovery checkpoints' cost on one line: image bytes shipped,
+    /// images a resume loaded, bytes it streamed; `None` when no
+    /// checkpoint ran.
+    pub fn checkpoint_line(&self) -> Option<String> {
+        let r = &self.resume;
+        if r.ckpt_bytes == 0 && r.images_loaded == 0 {
+            return None;
+        }
+        let mb = |b: u64| b as f64 / (1024.0 * 1024.0);
+        Some(format!(
+            "checkpoints: {:.2} MB of images shipped, {} images loaded, \
+             {:.2} MB resumed in {} chunks",
+            mb(r.ckpt_bytes),
+            r.images_loaded,
+            mb(r.resume_bytes),
+            r.resume_chunks
+        ))
     }
 
     /// One-line human summary.
@@ -472,7 +486,7 @@ mod tests {
         let mut r = report();
         r.resume.resume_bytes = 1 << 20;
         r.resume.resume_chunks = 17;
-        r.resume.lps_rolled_back = 3;
+        r.resume.images_loaded = 3;
         let json = serde_json::to_string(&r).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.resume, r.resume);
@@ -489,6 +503,6 @@ mod tests {
         sum.merge(&r.resume);
         sum.merge(&r.resume);
         assert_eq!(sum.resume_chunks, 34);
-        assert_eq!(sum.lps_rolled_back, 6);
+        assert_eq!(sum.images_loaded, 6);
     }
 }

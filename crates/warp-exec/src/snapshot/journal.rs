@@ -1,13 +1,13 @@
 //! The coordinator's durable run journal — the control-plane WAL that
 //! makes a run survive its own coordinator.
 //!
-//! The checkpoint segments (see [`super::store`]) persist the *data*
-//! plane: each worker's committed delta chain. They are useless without
-//! the control-plane facts the coordinator carries in memory — which
-//! session the cluster is on, which worker owns which LP, how many
-//! checkpoints are on disk, what the run has already accumulated in
+//! The checkpoint segment (see [`super::store`]) persists the *data*
+//! plane: every LP's latest image. It is useless without the
+//! control-plane facts the coordinator carries in memory — which session
+//! the cluster is on, which worker owns which LP, which horizon was last
+//! committed, what the run has already accumulated in
 //! recoveries/migrations/scales. The journal WALs exactly those facts
-//! into `run.journal` next to the segments, one record per checkpoint
+//! into `run.journal` next to the segment, one record per checkpoint
 //! barrier (and per membership/assignment change), so a fresh
 //! `warp-cluster --resume STORE_DIR` process can replay the journal and
 //! continue the run as if the dead coordinator had merely blinked.
@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Record framing and CRC discipline are identical to the segment
-//! files. The job spec itself is the first record, which makes
+//! file's. The job spec itself is the first record, which makes
 //! `--resume` self-contained: no job file is needed (or consulted) on
 //! restart, and the header's spec hash pins the journal to that exact
 //! spec — a journal pointed at by the wrong `--store-dir` fails with a
@@ -28,8 +28,7 @@
 //!
 //! State records are opaque JSON owned by the executive (the
 //! `CoordJournal` struct in `distributed`); the journal layer only
-//! guarantees integrity and ordering. Loading distinguishes, exactly
-//! like the segment loader, a *torn tail* (crash mid-append: the intact
+//! guarantees integrity and ordering. Loading distinguishes a *torn tail* (crash mid-append: the intact
 //! prefix is the truth, the final partial record is dropped and
 //! reported) from mid-file corruption ([`SnapshotError::BadCrc`] /
 //! [`SnapshotError::Truncated`] — the journal cannot be trusted).
@@ -99,9 +98,8 @@ impl RunJournal {
     }
 
     /// Append one executive-owned state record and flush it to the OS.
-    /// Called at each checkpoint barrier *before* the `SnapshotAck`
-    /// broadcast: workers only unpin fossils for history the journal
-    /// already covers, mirroring the segment-store ordering.
+    /// Called at each checkpoint barrier, right after the segment file
+    /// took the barrier's images.
     pub(crate) fn append_state(&mut self, payload: &[u8]) -> Result<(), SnapshotError> {
         self.write_record(payload)?;
         self.appended += 1;

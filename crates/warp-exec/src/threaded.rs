@@ -16,13 +16,13 @@ use crate::spec::SimulationSpec;
 use std::time::{Duration, Instant};
 use warp_core::gvt::{GvtController, MatternAgent};
 use warp_core::stats::{CommStats, ObjectStats};
-use warp_core::{Event, ObjectId, VirtualTime};
+use warp_core::{Event, VirtualTime};
 use warp_net::{lane_mesh, Aggregator, LaneEndpoint, PhysMsg};
 
 /// Traffic multiplexed over the mesh. Shared with the distributed
 /// executive, whose TCP frames carry exactly these payloads (the
-/// checkpoint request and ack and the abort are process-local: a
-/// worker's session thread turns the coordinator's frames into them).
+/// checkpoint request and the abort are process-local: a worker's
+/// session thread turns the coordinator's frames into them).
 pub(crate) enum Packet {
     /// Application events (a physical message), tagged with the sender's
     /// Mattern epoch.
@@ -35,9 +35,6 @@ pub(crate) enum Packet {
     /// For the controller LP: tag the next completed GVT round with this
     /// checkpoint id.
     CkptReq(u32),
-    /// The coordinator persisted the checkpoint at this horizon: no
-    /// recovery rolls back below it any more.
-    CkptAck(VirtualTime),
     /// The session failed (unclean peer loss): stop immediately and
     /// discard in-progress state — recovery restarts from a checkpoint.
     Abort,
@@ -83,10 +80,10 @@ pub(crate) trait LpPort {
     /// what paces the checkpoint protocol; in-process transports ignore
     /// it.
     fn note_gvt(&self, _gvt: VirtualTime) {}
-    /// This LP's part of checkpoint `ckpt` at the horizon `gvt`
+    /// This LP's image of checkpoint `ckpt`'s horizon `gvt`
     /// (`LpRuntime::checkpoint`). The distributed port hands it to the
-    /// worker's collector, which ships one delta per worker; only LPs
-    /// run with a checkpoint base produce parts.
+    /// worker's session thread, which ships one image set per worker;
+    /// only LPs run with a checkpoint base produce images.
     fn ship_part(&self, _ckpt: u32, _gvt: VirtualTime, _part: Vec<u8>) {}
     /// Should telemetry batches be streamed out instead of accumulated?
     /// The distributed port says yes: the coordinator merges worker
@@ -256,8 +253,6 @@ struct LpThread<P: LpPort> {
     /// Controller only: a requested checkpoint its next completed GVT
     /// round will be tagged with.
     ckpt_req: Option<u32>,
-    /// Set by `Packet::Abort`: the summary is garbage, discard it.
-    aborted: bool,
     /// Telemetry collector (`None` unless the spec enabled it). Sampled
     /// at every GVT round; purely observational.
     recorder: Option<warp_telemetry::Recorder>,
@@ -279,32 +274,21 @@ struct LpThread<P: LpPort> {
 impl<P: LpPort> LpThread<P> {
     fn new(spec: SimulationSpec, port: P, seed: LpSeed, ckpt_base: Option<VirtualTime>) -> Self {
         let my_id = warp_core::LpId(port.id() as u32);
-        // The remote-destined sends to ship first: init's output, or what
-        // a resumed LP's rollback or replay regenerated (at or beyond the
-        // horizon).
+        // The remote-destined sends to ship first: init's output, or a
+        // restored LP's frontier.
         let mut remote = Vec::new();
-        let mut lp = match seed {
-            LpSeed::Fresh => {
-                let mut lp = spec.build_lp(my_id);
-                lp.init(&mut remote);
-                lp
-            }
-            LpSeed::Rollback { mut lp, horizon } => {
-                lp.rollback_to_horizon(horizon, &mut remote);
-                *lp
-            }
-            LpSeed::Replay { log, horizon } => {
-                let mut lp = spec.build_lp(my_id);
-                lp.restore_committed(log, horizon, &mut remote);
-                lp
-            }
-        };
-        if let Some(h) = ckpt_base {
-            lp.arm_recovery(h);
+        let mut lp = spec.build_lp(my_id);
+        if ckpt_base.is_some() {
+            lp.arm_recovery();
         }
-        // A retained runtime was built in an earlier session; re-arm
-        // recording.
-        lp.set_record_control(spec.telemetry);
+        match seed {
+            LpSeed::Fresh => lp.init(&mut remote),
+            LpSeed::Image(bytes) => {
+                let image = crate::snapshot::decode_lp_image(&lp, &bytes)
+                    .unwrap_or_else(|e| panic!("{my_id}: resume image: {e}"));
+                lp.restore(image, &mut remote);
+            }
+        }
         let mut agg = Aggregator::new(my_id, spec.aggregation.clone());
         agg.set_record_windows(spec.telemetry);
         let recorder = spec
@@ -334,7 +318,6 @@ impl<P: LpPort> LpThread<P> {
             partition: spec.partition.clone(),
             ckpt_from: ckpt_base,
             ckpt_req: None,
-            aborted: false,
             recorder,
             remote,
             due: Vec::new(),
@@ -381,9 +364,8 @@ impl<P: LpPort> LpThread<P> {
     }
 
     /// Apply an announced GVT. On a round tagged for checkpoint `ckpt`,
-    /// in this order: ship this LP's part, capture its anchors (both
-    /// `LpRuntime::checkpoint`), then fossil-collect — which may pass
-    /// the horizon only once it is anchored.
+    /// ship this LP's image of the horizon (`LpRuntime::checkpoint`)
+    /// before the fossil pass, which takes what the image is made of.
     fn apply_gvt(&mut self, gvt: VirtualTime, ckpt: Option<u32>) {
         if let Some(rec) = &mut self.recorder {
             // Sample *before* fossil collection so the retained-history
@@ -489,11 +471,7 @@ impl<P: LpPort> LpThread<P> {
                 debug_assert!(self.ctrl.is_some(), "checkpoint request off the controller");
                 self.ckpt_req = Some(ckpt);
             }
-            Packet::CkptAck(gvt) => self.lp.ack_checkpoint(gvt),
-            Packet::Abort => {
-                self.aborted = true;
-                self.done = true;
-            }
+            Packet::Abort => self.done = true,
         }
     }
 
@@ -614,37 +592,19 @@ impl<P: LpPort> LpThread<P> {
             },
             gvt_rounds: self.gvt_rounds,
             telemetry,
-            runtime: if self.aborted {
-                Some(Box::new(self.lp))
-            } else {
-                None
-            },
         }
     }
 }
 
 /// How an LP thread starts life. The LP thread does the work itself, so
 /// the thread that spawned it is free at once — a worker's session
-/// thread must keep its peer links alive however long a replay takes.
+/// thread must keep its peer links alive meanwhile.
 pub(crate) enum LpSeed {
     /// Build the LP from the spec and run object init.
     Fresh,
-    /// Resume from a checkpoint with a runtime that survived the lost
-    /// session: roll it back in place to `horizon` (no init, no replay).
-    Rollback {
-        /// The retained runtime (boxed: far larger than `Fresh`).
-        lp: Box<warp_core::LpRuntime>,
-        /// The restore horizon.
-        horizon: VirtualTime,
-    },
-    /// Resume from a checkpoint with nothing retained: build the LP and
-    /// replay its committed log (`LpRuntime::restore_committed`).
-    Replay {
-        /// Per-object committed events below `horizon`.
-        log: std::collections::HashMap<ObjectId, Vec<Event>>,
-        /// The restore horizon.
-        horizon: VirtualTime,
-    },
+    /// Resume from a checkpoint: build the LP from the spec and restore
+    /// it from its image (`LpRuntime::restore`).
+    Image(Vec<u8>),
 }
 
 /// What an LP thread hands back when it stops.
@@ -656,10 +616,6 @@ pub(crate) struct LpOutcome {
     /// Accumulated telemetry (`None` when disabled or when the port
     /// streamed batches out instead).
     pub telemetry: Option<warp_telemetry::TelemetryReport>,
-    /// The runtime itself, handed back on abort so a surviving worker
-    /// can roll it back in place at the next resume instead of
-    /// rebuilding from committed logs (`None` on clean completion).
-    pub runtime: Option<Box<warp_core::LpRuntime>>,
 }
 
 /// Drive one LP to completion over any transport. Shared by the
@@ -668,12 +624,10 @@ pub(crate) struct LpOutcome {
 /// global LP 0 hosts the GVT controller wherever it lives.
 ///
 /// `ckpt_base` arms the checkpoint protocol: `Some(h)` means recovery is
-/// on and the committed log from `h` up is not yet persisted (h = ZERO
-/// on a fresh run, the restore horizon on a resumed one). The LP then
-/// holds the anchor of `h` (`LpRuntime::arm_recovery`), ships a part and
-/// anchors the horizon at every round the controller tags, and drops
-/// anchors as `Packet::CkptAck`s come in. Fossil collection runs to GVT
-/// either way.
+/// on and `h` is the last horizon persisted (ZERO on a fresh run, the
+/// restore horizon on a resumed one). The LP then ships its image at
+/// every later round the controller tags (`LpRuntime::checkpoint`).
+/// Fossil collection runs to GVT either way.
 pub(crate) fn lp_thread<P: LpPort>(
     spec: SimulationSpec,
     port: P,
@@ -691,7 +645,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::Arc;
     use warp_core::wire::{PayloadReader, PayloadWriter};
-    use warp_core::{ErasedState, ExecutionContext, ObjectState, Partition, SimObject};
+    use warp_core::{ErasedState, ExecutionContext, ObjectId, ObjectState, Partition, SimObject};
     use warp_net::AggregationConfig;
 
     /// Two kinds of job, each hopping until its hop count runs out. `OWN`
@@ -702,7 +656,14 @@ mod tests {
     /// behind whatever the `OWN` jobs have let the receiver run ahead to.
     #[derive(Clone, Debug)]
     struct Hops(u64);
-    impl ObjectState for Hops {}
+    impl ObjectState for Hops {
+        fn encode(&self, w: &mut PayloadWriter) {
+            w.u64(self.0);
+        }
+        fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+            Ok(Hops(r.u64()?))
+        }
+    }
 
     struct Looper {
         own: u32,
@@ -974,7 +935,11 @@ mod tests {
                     }
                 }
                 Script::Inject { every, .. } if now.is_multiple_of(*every) => {
-                    let noop = Packet::CkptAck(VirtualTime::ZERO);
+                    // A stale GVT announcement: nothing to do.
+                    let noop = Packet::GvtNews {
+                        gvt: VirtualTime::ZERO,
+                        ckpt: None,
+                    };
                     self.held.borrow_mut().push_back((now, noop));
                 }
                 Script::ShipsPerEvent { produced } => {
@@ -1084,11 +1049,11 @@ mod tests {
     }
 
     #[test]
-    fn an_unacked_pin_keeps_history_bounded() {
+    fn armed_recovery_keeps_history_bounded() {
         // One LP whose port is scripted by hand: a GVT round after every
         // `PER_ROUND` events, at the LP's own minimum, and never a
-        // checkpoint ack. Recovery armed at zero must not keep the history
-        // above the unacknowledged horizon: fossil collection runs to GVT.
+        // checkpoint. Recovery armed at zero must not keep the history
+        // above that horizon: fossil collection runs to GVT.
         const ROUNDS: usize = 40;
         const PER_ROUND: usize = 2_000;
         let retained = |ckpt_base: Option<VirtualTime>| {
@@ -1107,18 +1072,18 @@ mod tests {
             (peak, lp.lp.history_bytes())
         };
         let (free_peak, _) = retained(None);
-        let (pinned_peak, pinned_last) = retained(Some(VirtualTime::ZERO));
+        let (armed_peak, armed_last) = retained(Some(VirtualTime::ZERO));
         // What the run would keep with nothing collected: 3 records per
         // event, each charged an `Event` at least.
         let whole = ROUNDS * PER_ROUND * 3 * std::mem::size_of::<Event>();
         assert!(
             free_peak * 10 < whole,
-            "the unpinned run kept {free_peak} of {whole} bytes: too short to tell"
+            "the unarmed run kept {free_peak} of {whole} bytes: too short to tell"
         );
         assert!(
-            pinned_peak <= 2 * free_peak,
-            "an unacked pin kept {pinned_peak} bytes (last {pinned_last}), \
-             the unpinned run {free_peak}"
+            armed_peak <= 2 * free_peak,
+            "armed recovery kept {armed_peak} bytes (last {armed_last}), \
+             the unarmed run {free_peak}"
         );
     }
 

@@ -22,7 +22,18 @@ struct RelayState {
     rng: SimRng,
     received: u64,
 }
-impl ObjectState for RelayState {}
+impl ObjectState for RelayState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u64(self.received);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(RelayState {
+            rng: SimRng::decode(r)?,
+            received: r.u64()?,
+        })
+    }
+}
 
 struct Relay {
     me: u32,

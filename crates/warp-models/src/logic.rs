@@ -254,7 +254,19 @@ struct DriverState {
     level: bool,
     emitted: u64,
 }
-impl ObjectState for DriverState {}
+impl ObjectState for DriverState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.bool(self.level).u64(self.emitted);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(DriverState {
+            rng: SimRng::decode(r)?,
+            level: r.bool()?,
+            emitted: r.u64()?,
+        })
+    }
+}
 
 struct Driver {
     me: u32,
@@ -314,6 +326,21 @@ struct GateState {
 impl ObjectState for GateState {
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.inputs.len()
+    }
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u32(self.inputs.len() as u32);
+        for &i in &self.inputs {
+            w.bool(i);
+        }
+        w.bool(self.output);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        let n = r.count(1)?;
+        let inputs = (0..n).map(|_| r.bool()).collect::<Result<_, _>>()?;
+        Ok(GateState {
+            inputs,
+            output: r.bool()?,
+        })
     }
 }
 

@@ -82,7 +82,18 @@ struct PholdState {
     rng: SimRng,
     hops_seen: u64,
 }
-impl ObjectState for PholdState {}
+impl ObjectState for PholdState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u64(self.hops_seen);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(PholdState {
+            rng: SimRng::decode(r)?,
+            hops_seen: r.u64()?,
+        })
+    }
+}
 
 struct Phold {
     cfg: PholdConfig,

@@ -96,7 +96,19 @@ struct StationState {
     busy_until: u64,
     served: u64,
 }
-impl ObjectState for StationState {}
+impl ObjectState for StationState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u64(self.busy_until).u64(self.served);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(StationState {
+            rng: SimRng::decode(r)?,
+            busy_until: r.u64()?,
+            served: r.u64()?,
+        })
+    }
+}
 
 struct Station {
     cfg: QnetConfig,

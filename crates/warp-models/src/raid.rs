@@ -259,7 +259,22 @@ struct SourceState {
     completed: u64,
     total_latency: u64,
 }
-impl ObjectState for SourceState {}
+impl ObjectState for SourceState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u64(self.issued)
+            .u64(self.completed)
+            .u64(self.total_latency);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(SourceState {
+            rng: SimRng::decode(r)?,
+            issued: r.u64()?,
+            completed: r.u64()?,
+            total_latency: r.u64()?,
+        })
+    }
+}
 
 struct Source {
     cfg: RaidConfig,
@@ -338,7 +353,17 @@ struct ForkState {
     next_tag: u64,
     dispatched: u64,
 }
-impl ObjectState for ForkState {}
+impl ObjectState for ForkState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.next_tag).u64(self.dispatched);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(ForkState {
+            next_tag: r.u64()?,
+            dispatched: r.u64()?,
+        })
+    }
+}
 
 struct Fork {
     cfg: RaidConfig,
@@ -415,6 +440,18 @@ struct DiskState {
 impl ObjectState for DiskState {
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.track_cache.len() * std::mem::size_of::<u64>()
+    }
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.served)
+            .u64(self.sectors_read)
+            .u64s(&self.track_cache);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(DiskState {
+            served: r.u64()?,
+            sectors_read: r.u64()?,
+            track_cache: r.u64s()?,
+        })
     }
 }
 

@@ -475,7 +475,20 @@ struct SourceState {
     accepted: u64,
     candidates: u64,
 }
-impl ObjectState for SourceState {}
+impl ObjectState for SourceState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u64(self.t).u64(self.accepted).u64(self.candidates);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(SourceState {
+            rng: SimRng::decode(r)?,
+            t: r.u64()?,
+            accepted: r.u64()?,
+            candidates: r.u64()?,
+        })
+    }
+}
 
 impl SourceState {
     fn fresh(cfg: &ServeConfig, me: u32) -> Self {
@@ -606,7 +619,14 @@ impl SimObject for Source {
 struct RouterState {
     routed: u64,
 }
-impl ObjectState for RouterState {}
+impl ObjectState for RouterState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.routed);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(RouterState { routed: r.u64()? })
+    }
+}
 
 struct Router {
     cfg: ServeConfig,
@@ -682,7 +702,54 @@ pub struct StationState {
     /// Decode-step self-events executed.
     pub ticks: u64,
 }
-impl ObjectState for StationState {}
+impl ObjectState for StationState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u32(self.queue.len() as u32);
+        for q in &self.queue {
+            w.u64(q.user).u32(q.tenant).u64(q.t0);
+        }
+        w.bool(self.batch_pending).u64(self.busy_until);
+        w.u32(self.kv.len() as u32);
+        for t in &self.kv {
+            w.u32(*t);
+        }
+        w.u64(self.served)
+            .u64(self.requeued)
+            .u64(self.evictions)
+            .u64(self.batches)
+            .u64(self.ticks);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        let rng = SimRng::decode(r)?;
+        let n = r.count(20)?;
+        let queue = (0..n)
+            .map(|_| {
+                Ok(Req {
+                    user: r.u64()?,
+                    tenant: r.u32()?,
+                    t0: r.u64()?,
+                })
+            })
+            .collect::<Result<_, warp_core::KernelError>>()?;
+        let batch_pending = r.bool()?;
+        let busy_until = r.u64()?;
+        let n = r.count(4)?;
+        let kv = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
+        Ok(StationState {
+            rng,
+            queue,
+            batch_pending,
+            busy_until,
+            kv,
+            served: r.u64()?,
+            requeued: r.u64()?,
+            evictions: r.u64()?,
+            batches: r.u64()?,
+            ticks: r.u64()?,
+        })
+    }
+}
 
 impl StationState {
     fn fresh(cfg: &ServeConfig, me: u32) -> Self {
@@ -875,7 +942,28 @@ pub struct SinkState {
     /// `buckets[i]` counts latencies with `floor(log2(us)) == i`.
     pub buckets: [u64; 24],
 }
-impl ObjectState for SinkState {}
+impl ObjectState for SinkState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.done)
+            .u64(self.sum_latency_us)
+            .u64(self.max_latency_us);
+        for b in self.buckets {
+            w.u64(b);
+        }
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        let mut s = SinkState {
+            done: r.u64()?,
+            sum_latency_us: r.u64()?,
+            max_latency_us: r.u64()?,
+            buckets: [0; 24],
+        };
+        for b in &mut s.buckets {
+            *b = r.u64()?;
+        }
+        Ok(s)
+    }
+}
 
 impl SinkState {
     /// Record one completion.

@@ -279,7 +279,22 @@ struct CpuState {
     satisfied: u64,
     total_latency: u64,
 }
-impl ObjectState for CpuState {}
+impl ObjectState for CpuState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u64(self.issued)
+            .u64(self.satisfied)
+            .u64(self.total_latency);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(CpuState {
+            rng: SimRng::decode(r)?,
+            issued: r.u64()?,
+            satisfied: r.u64()?,
+            total_latency: r.u64()?,
+        })
+    }
+}
 
 struct Cpu {
     cfg: SmmpConfig,
@@ -358,6 +373,18 @@ impl ObjectState for CacheState {
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.tags.len() * std::mem::size_of::<u64>()
     }
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u64s(&self.tags).u64(self.hits).u64(self.misses);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(CacheState {
+            rng: SimRng::decode(r)?,
+            tags: r.u64s()?,
+            hits: r.u64()?,
+            misses: r.u64()?,
+        })
+    }
 }
 
 struct Cache {
@@ -427,7 +454,16 @@ impl SimObject for Cache {
 struct CtrlState {
     forwarded: u64,
 }
-impl ObjectState for CtrlState {}
+impl ObjectState for CtrlState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.forwarded);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(CtrlState {
+            forwarded: r.u64()?,
+        })
+    }
+}
 
 struct Controller {
     cfg: SmmpConfig,
@@ -474,6 +510,15 @@ struct BankState {
 impl ObjectState for BankState {
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.rows.len() * std::mem::size_of::<u64>()
+    }
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.served).u64s(&self.rows);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warp_core::KernelError> {
+        Ok(BankState {
+            served: r.u64()?,
+            rows: r.u64s()?,
+        })
     }
 }
 

@@ -40,24 +40,20 @@
 //!   retiree's confirmation, after which it exits cleanly.
 //! * `Reattach` — the failover plane (v7): a parked worker's one-frame
 //!   re-admission handshake to a restarted coordinator, announcing the
-//!   session it last ran, its mesh slot, and the checkpoint horizon its
-//!   retained runtimes can roll back to.
+//!   session it last ran and its mesh slot.
 //! * `Control` — every later message on a control socket (v11; opaque
 //!   JSON bytes, `warp-exec` owns the schema).
 //! * `Bye` — graceful shutdown: the peer finished sending and will close
 //!   after draining. A connection that dies *without* `Bye` is a crash.
-//! * `Progress` / `SnapshotReq` / `Snapshot` / `SnapshotAck` /
-//!   `ResumeChunk` — the checkpoint/recovery plane. Workers report
-//!   committed GVT (`Progress`); the coordinator requests a checkpoint
-//!   (`SnapshotReq`), the controller LP tags its next GVT round with it
-//!   (`GvtNews::ckpt`), each worker answers with its wire-encoded
-//!   committed delta up to that round's GVT (`Snapshot`), the
-//!   coordinator confirms persistence (`SnapshotAck`, letting workers
-//!   drop the restore points of older horizons), and after
-//!   a failure the accumulated checkpoint payload re-seeds each worker
-//!   for a new session epoch. It travels as a `ResumeChunk` stream (v5):
-//!   a contiguous sequence of bounded slices, so a long job's delta
-//!   chain is never limited by the frame-size cap.
+//! * `Progress` / `SnapshotReq` / `Snapshot` / `ResumeChunk` — the
+//!   checkpoint/recovery plane. Workers report committed GVT
+//!   (`Progress`); the coordinator requests a checkpoint (`SnapshotReq`),
+//!   the controller LP tags its next GVT round with it (`GvtNews::ckpt`),
+//!   and each worker answers with its LPs' images of that round's GVT
+//!   (`Snapshot`). After a failure the latest images re-seed each worker
+//!   for a new session epoch. They travel as a `ResumeChunk` stream (v5):
+//!   a contiguous sequence of bounded slices, so a large model's images
+//!   are never limited by the frame-size cap.
 //!
 //! `Hello` additionally carries a *session epoch*: recovery re-establishes
 //! the mesh under an incremented session, so connection attempts left over
@@ -88,8 +84,10 @@ use warp_core::{LpId, VirtualTime};
 /// carries the checkpoint id of a tagged round, and `SnapshotReq` no
 /// longer names a horizon (the controller LP picks it). v11: one control
 /// socket per worker — `Join` names the dialer's OS pid, and the
-/// `Control` frame carries what used to be stdio lines.
-pub const PROTO_VERSION: u16 = 11;
+/// `Control` frame carries what used to be stdio lines. v12: checkpoints
+/// are images, so a worker keeps no restore point to acknowledge:
+/// `SnapshotAck` (tag 11) is gone and `Reattach` names no horizon.
+pub const PROTO_VERSION: u16 = 12;
 
 /// Default upper bound on a frame body. Protects the decoder from
 /// allocating gigabytes off a corrupt or malicious length prefix.
@@ -159,34 +157,25 @@ pub enum Frame {
         /// Checkpoint id, monotone within a session.
         ckpt: u32,
     },
-    /// Worker → coordinator: this worker's committed delta for one
-    /// checkpoint (opaque `warp_core::wire` bytes; `warp-exec` owns the
-    /// schema).
+    /// Worker → coordinator: this worker's LPs' images of one
+    /// checkpoint's horizon (opaque `warp_core::wire` bytes; `warp-exec`
+    /// owns the schema).
     Snapshot {
         /// Checkpoint id being answered.
         ckpt: u32,
         /// The checkpoint horizon: the GVT of the tagged round.
         gvt: VirtualTime,
-        /// Wire-encoded per-LP committed windows.
+        /// The worker's image set.
         payload: Vec<u8>,
-    },
-    /// Coordinator → workers: checkpoint `ckpt` is persisted everywhere;
-    /// history below `gvt` may be fossil-collected.
-    SnapshotAck {
-        /// Checkpoint id now stable.
-        ckpt: u32,
-        /// The persisted horizon.
-        gvt: VirtualTime,
     },
     /// Coordinator → worker at the start of a recovery session: one
     /// slice of the streamed resume payload (protocol v5) the worker
-    /// rebuilds from before resuming at `gvt`. The coordinator splits
-    /// the encoded checkpoint chain (schema owned by `warp-exec`) at a
+    /// restores from before resuming at `gvt`. The coordinator splits
+    /// the images of the worker's LPs (schema owned by `warp-exec`) at a
     /// configurable chunk size and sends the pieces in `seq` order over
     /// the same FIFO link; the worker concatenates payloads until `last`
     /// and then decodes the whole. This keeps individual frames far
-    /// below the frame-size cap no matter how long the delta chain has
-    /// grown.
+    /// below the frame-size cap however large a model's images are.
     ResumeChunk {
         /// The session epoch this resume belongs to.
         session: u32,
@@ -196,7 +185,7 @@ pub enum Frame {
         seq: u32,
         /// True on the final chunk of the stream.
         last: bool,
-        /// This chunk's slice of the concatenated checkpoint deltas.
+        /// This chunk's slice of the encoded images.
         payload: Vec<u8>,
     },
     /// Worker → coordinator: a streamed observability batch (opaque to
@@ -259,22 +248,17 @@ pub enum Frame {
     /// Parked worker → restarted coordinator: first (and only) frame on
     /// a re-admission connection (v7). A worker that lost its
     /// coordinator but holds a rejoin grace dials the admission
-    /// endpoint, announces which session it last ran, which mesh slot
-    /// it occupied, and the checkpoint horizon its retained runtimes
-    /// can rewind to; the coordinator reconciles that horizon against
-    /// its journal and either re-adopts the worker in place
-    /// (rollback-in-place, zero replay) or treats it as fresh. After
-    /// `Reattach` the stream carries [`Frame::Control`] frames, exactly
-    /// like one opened with [`Frame::Join`].
+    /// endpoint and announces which session it last ran and which mesh
+    /// slot it occupied; the coordinator re-adopts it into that slot
+    /// instead of spawning a replacement. After `Reattach` the stream
+    /// carries [`Frame::Control`] frames, exactly like one opened with
+    /// [`Frame::Join`].
     Reattach {
         /// The last session epoch the worker participated in.
         session: u32,
         /// The worker's mesh process id in that session (1-based;
         /// 0 is the coordinator and never reattaches).
         worker_id: u32,
-        /// The horizon the worker's retained runtimes can roll back to
-        /// (its last `SnapshotAck` GVT, whose anchors they hold).
-        horizon: VirtualTime,
     },
     /// Either way on a control socket (v11): one control message.
     Control(Vec<u8>),
@@ -290,7 +274,7 @@ const TAG_BYE: u8 = 7;
 const TAG_PROGRESS: u8 = 8;
 const TAG_SNAPSHOT_REQ: u8 = 9;
 const TAG_SNAPSHOT: u8 = 10;
-const TAG_SNAPSHOT_ACK: u8 = 11;
+// 11 is retired (`SnapshotAck`, before v12); do not reuse it.
 // 12 is retired (the monolithic `Resume`); do not reuse it.
 const TAG_TELEMETRY: u8 = 13;
 const TAG_LOAD_REPORT: u8 = 14;
@@ -403,10 +387,6 @@ impl Frame {
                 write_vt(&mut w, *gvt);
                 w.bytes(payload);
             }
-            Frame::SnapshotAck { ckpt, gvt } => {
-                w.u8(TAG_SNAPSHOT_ACK).u32(*ckpt);
-                write_vt(&mut w, *gvt);
-            }
             Frame::ResumeChunk {
                 session,
                 gvt,
@@ -452,13 +432,8 @@ impl Frame {
                 w.u8(TAG_DRAIN_ACK);
                 write_vt(&mut w, *gvt);
             }
-            Frame::Reattach {
-                session,
-                worker_id,
-                horizon,
-            } => {
+            Frame::Reattach { session, worker_id } => {
                 w.u8(TAG_REATTACH).u32(*session).u32(*worker_id);
-                write_vt(&mut w, *horizon);
             }
             Frame::Control(bytes) => {
                 w.u8(TAG_CONTROL).bytes(bytes);
@@ -546,10 +521,6 @@ impl Frame {
                 gvt: read_vt(&mut r).map_err(mal)?,
                 payload: r.bytes().map_err(mal)?.to_vec(),
             },
-            TAG_SNAPSHOT_ACK => Frame::SnapshotAck {
-                ckpt: r.u32().map_err(mal)?,
-                gvt: read_vt(&mut r).map_err(mal)?,
-            },
             TAG_RESUME_CHUNK => {
                 let session = r.u32().map_err(mal)?;
                 let gvt = read_vt(&mut r).map_err(mal)?;
@@ -596,7 +567,6 @@ impl Frame {
             TAG_REATTACH => Frame::Reattach {
                 session: r.u32().map_err(mal)?,
                 worker_id: r.u32().map_err(mal)?,
-                horizon: read_vt(&mut r).map_err(mal)?,
             },
             TAG_CONTROL => Frame::Control(r.bytes().map_err(mal)?.to_vec()),
             other => return Err(FrameError::BadTag(other)),
@@ -767,10 +737,6 @@ mod tests {
                 gvt: VirtualTime::new(17),
                 payload: vec![0xAA; 9],
             },
-            Frame::SnapshotAck {
-                ckpt: 3,
-                gvt: VirtualTime::new(17),
-            },
             Frame::ResumeChunk {
                 session: 2,
                 gvt: VirtualTime::new(17),
@@ -803,7 +769,6 @@ mod tests {
             Frame::Reattach {
                 session: 3,
                 worker_id: 2,
-                horizon: VirtualTime::new(17),
             },
             Frame::Control(br#"{"Listen":"127.0.0.1:9"}"#.to_vec()),
         ]

@@ -705,59 +705,29 @@ fn establish_links(
         )));
     }
 
-    // Accept every higher-id peer on the listener meanwhile.
-    let mut accepted = 0usize;
+    // Accept every higher-id peer meanwhile, on a thread that blocks in
+    // `accept`: nothing polls. If the deadline passes first, this thread
+    // dials the listener once to wake it, and the acceptor, finding the
+    // deadline gone, gives up.
     let expect_accepts = n - cfg.proc_id as usize - 1;
-    listener.set_nonblocking(true)?;
-    while accepted < expect_accepts {
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!(
-                    "proc {}: only {accepted}/{expect_accepts} peers connected in time",
-                    cfg.proc_id
-                ),
-            ));
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                // Bound each accepted handshake separately: a zombie
-                // connection from a dead session that never writes
-                // must not pin the whole establishment.
-                let hs_deadline =
-                    deadline.min(Instant::now() + cfg.liveness_timeout.max(ACCEPT_HS_FLOOR));
-                let (id, session, dec) = match handshake(&stream, cfg, hs_deadline) {
-                    Ok(hs) => hs,
-                    // Version/topology mismatches and garbage are a
-                    // fatal build-skew signal...
-                    Err(e) if e.kind() == io::ErrorKind::InvalidData => return Err(e),
-                    // ...but a connection that stalls or dies mid-
-                    // handshake is just a stale dialer: keep accepting.
-                    Err(_) => continue,
-                };
-                if session != cfg.session {
-                    // A dial left over from a dead session; reject the
-                    // connection, not the establishment.
-                    continue;
-                }
-                if id <= cfg.proc_id || id as usize >= n {
-                    return Err(proto_err(format!(
-                        "accepted a connection claiming proc id {id}, expected one of {}..{}",
-                        cfg.proc_id + 1,
-                        n
-                    )));
-                }
-                if links[id as usize].is_some() {
-                    return Err(proto_err(format!("proc {id} connected twice")));
-                }
-                links[id as usize] = Some((stream, dec));
-                accepted += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
+    if expect_accepts > 0 {
+        let addr = listener.local_addr()?;
+        let (tx, rx) = mpsc::channel();
+        let acceptor = {
+            let cfg = cfg.clone();
+            thread::spawn(move || {
+                let _ = tx.send(accept_links(&cfg, &listener, deadline, expect_accepts));
+            })
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        let accepted = rx.recv_timeout(left).or_else(|_| {
+            let _ = TcpStream::connect(addr);
+            rx.recv()
+        });
+        let _ = acceptor.join();
+        let accepted = accepted.map_err(|_| proto_err("acceptor thread panicked".into()))??;
+        for (id, stream, dec) in accepted {
+            links[id as usize] = Some((stream, dec));
         }
     }
 
@@ -766,6 +736,65 @@ fn establish_links(
             .join()
             .map_err(|_| proto_err("dialer thread panicked".into()))??;
         links[peer as usize] = Some((stream, dec));
+    }
+    Ok(links)
+}
+
+/// The acceptor of [`establish_links`]: accept `expect` higher-id peers
+/// on the blocking `listener`, each handshake bounded on its own, and
+/// give up once `deadline` has passed (the caller wakes a blocked
+/// `accept` with a connection of its own at the deadline).
+fn accept_links(
+    cfg: &TcpMeshConfig,
+    listener: &TcpListener,
+    deadline: Instant,
+    expect: usize,
+) -> io::Result<Vec<(u32, TcpStream, FrameDecoder)>> {
+    let n = cfg.n_procs as usize;
+    let mut links: Vec<(u32, TcpStream, FrameDecoder)> = Vec::with_capacity(expect);
+    listener.set_nonblocking(false)?;
+    while links.len() < expect {
+        let (stream, _) = listener.accept()?;
+        if Instant::now() >= deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!(
+                    "proc {}: only {}/{expect} peers connected in time",
+                    cfg.proc_id,
+                    links.len()
+                ),
+            ));
+        }
+        stream.set_nonblocking(false)?;
+        // Bound each accepted handshake separately: a zombie connection
+        // from a dead session that never writes must not pin the whole
+        // establishment.
+        let hs_deadline = deadline.min(Instant::now() + cfg.liveness_timeout.max(ACCEPT_HS_FLOOR));
+        let (id, session, dec) = match handshake(&stream, cfg, hs_deadline) {
+            Ok(hs) => hs,
+            // Version/topology mismatches and garbage are a fatal
+            // build-skew signal...
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => return Err(e),
+            // ...but a connection that stalls or dies mid-handshake is
+            // just a stale dialer: keep accepting.
+            Err(_) => continue,
+        };
+        if session != cfg.session {
+            // A dial left over from a dead session; reject the
+            // connection, not the establishment.
+            continue;
+        }
+        if id <= cfg.proc_id || id as usize >= n {
+            return Err(proto_err(format!(
+                "accepted a connection claiming proc id {id}, expected one of {}..{}",
+                cfg.proc_id + 1,
+                n
+            )));
+        }
+        if links.iter().any(|(p, ..)| *p == id) {
+            return Err(proto_err(format!("proc {id} connected twice")));
+        }
+        links.push((id, stream, dec));
     }
     Ok(links)
 }
@@ -2068,5 +2097,37 @@ mod tests {
         m0.shutdown();
         m1.shutdown();
         zombie.join().unwrap();
+    }
+
+    #[test]
+    fn a_blocked_accept_wakes_at_the_deadline() {
+        // Proc 0 waits for a proc 1 that never dials, then for one that
+        // connects and never says a word: each establishment fails as a
+        // timeout at its deadline, not before and not long after.
+        let cfg = TcpMeshConfig {
+            connect_timeout: Duration::from_millis(300),
+            ..fast_cfg(0, 2)
+        };
+        let start = Instant::now();
+        let err = TcpMesh::establish(cfg.clone(), bind_loopback().unwrap(), &[], |_| None)
+            .err()
+            .expect("nobody dialed");
+        let took = start.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(err.to_string().contains("0/1 peers"), "{err}");
+        assert!(
+            took >= Duration::from_millis(300) && took < Duration::from_secs(3),
+            "{took:?}"
+        );
+
+        let listener = bind_loopback().unwrap();
+        let silent = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let start = Instant::now();
+        let err = TcpMesh::establish(cfg, listener, &[], |_| None)
+            .err()
+            .expect("the only dialer said nothing");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(start.elapsed() < Duration::from_secs(3));
+        drop(silent);
     }
 }

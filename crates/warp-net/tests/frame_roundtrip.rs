@@ -144,10 +144,6 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                 gvt: VirtualTime::from_ticks(gvt),
                 payload,
             }),
-        (any::<u32>(), any::<u64>()).prop_map(|(ckpt, gvt)| Frame::SnapshotAck {
-            ckpt,
-            gvt: VirtualTime::from_ticks(gvt),
-        }),
         (
             any::<u32>(),
             any::<u64>(),
@@ -191,15 +187,8 @@ fn arb_frame() -> BoxedStrategy<Frame> {
         any::<u64>().prop_map(|gvt| Frame::DrainAck {
             gvt: VirtualTime::from_ticks(gvt),
         }),
-        (any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(session, worker_id, horizon)| {
-            Frame::Reattach {
-                session,
-                worker_id,
-                // from_ticks: ∞ is legitimate (a worker that never saw
-                // a checkpoint reattaches with an unbounded horizon).
-                horizon: VirtualTime::from_ticks(horizon),
-            }
-        }),
+        (any::<u32>(), any::<u32>())
+            .prop_map(|(session, worker_id)| Frame::Reattach { session, worker_id }),
         proptest::collection::vec(any::<u8>(), 0..96).prop_map(Frame::Control),
     ]
     .boxed()

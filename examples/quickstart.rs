@@ -17,13 +17,25 @@ use warped_online::core::{
 use warped_online::exec::{run_sequential, run_threaded, run_virtual, SimulationSpec};
 
 /// Everything that must survive a rollback lives in the state — including
-/// the RNG, so a rolled-back object replays identical random draws.
+/// the RNG, so a rolled-back object replays identical random draws. Its
+/// byte form is what a distributed run's recovery checkpoints carry.
 #[derive(Clone, Debug)]
 struct PlayerState {
     rng: SimRng,
     bounces: u64,
 }
-impl ObjectState for PlayerState {}
+impl ObjectState for PlayerState {
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.rng.encode(w);
+        w.u64(self.bounces);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, warped_online::core::KernelError> {
+        Ok(PlayerState {
+            rng: SimRng::decode(r)?,
+            bounces: r.u64()?,
+        })
+    }
+}
 
 struct Player {
     me: u32,

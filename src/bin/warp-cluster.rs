@@ -39,8 +39,8 @@
 //! listener's address to `PATH` so external `warp-worker --join`
 //! processes can dial in (see `docs/elasticity.md`).
 //!
-//! `--store-dir DIR` spills committed checkpoint delta chains to
-//! per-worker segment files under `DIR` (implies recovery; see
+//! `--store-dir DIR` keeps every LP's latest checkpoint image in
+//! `DIR/images.seg`, replaced at each barrier (implies recovery; see
 //! `docs/recovery-store.md`). `--max-frame-bytes N` caps every frame
 //! the mesh accepts; `--resume-chunk-bytes N` sets the payload size of
 //! the streamed resume chunks (both override the job's `net`/`recovery`
@@ -106,7 +106,10 @@ fn run_stats(path: &PathBuf) -> Result<(), String> {
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     if let Ok(report) = serde_json::from_str::<warp_exec::RunReport>(text.trim()) {
         println!("{}", report.summary_line());
-        if let Some(line) = report.worker_rss_line() {
+        for line in [report.worker_rss_line(), report.checkpoint_line()]
+            .into_iter()
+            .flatten()
+        {
             println!("{line}");
         }
         return Ok(());
@@ -396,7 +399,10 @@ fn run() -> Result<(), String> {
 /// telemetry dump (plus adaptation summary) when requested.
 fn emit(report: &warp_exec::RunReport, telemetry_out: Option<&Path>) -> Result<(), String> {
     eprintln!("{}", report.summary_line());
-    if let Some(line) = report.worker_rss_line() {
+    for line in [report.worker_rss_line(), report.checkpoint_line()]
+        .into_iter()
+        .flatten()
+    {
         eprintln!("{line}");
     }
     if (!report.migrations.is_empty() || !report.scales.is_empty()) && telemetry_out.is_none() {

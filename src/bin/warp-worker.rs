@@ -14,11 +14,11 @@
 //!
 //! With a rejoin grace (offered by the coordinator's init, or forced
 //! locally with `--rejoin-grace MS`) a worker that loses its
-//! coordinator *parks* instead of exiting: it keeps its kernel state,
-//! re-dials the admission point with jittered backoff, and presents a
-//! `Reattach` handshake so a restarted coordinator (`warp-cluster
-//! --resume`) can re-adopt it without replay. See
-//! `docs/coordinator-failover.md`.
+//! coordinator *parks* instead of exiting: it re-dials the admission
+//! point with jittered backoff and presents a `Reattach` handshake so a
+//! restarted coordinator (`warp-cluster --resume`) can re-adopt it
+//! without a process start; its LPs then load their images like
+//! everyone's. See `docs/coordinator-failover.md`.
 
 const USAGE: &str = "\
 usage: warp-worker --join COORDINATOR_ADDR [--rejoin-grace MS]

@@ -185,7 +185,9 @@ pub fn resume_job(store_dir: &std::path::Path) -> Result<ClusterJob, DistError> 
 /// Decode a job file (or a journaled job). The slow-worker lists that
 /// preceded `fault.procs` are refused, not ignored: a job that still
 /// carries one would otherwise run with no skew at all, and a balance
-/// or elastic experiment would pass or fail for the wrong reason.
+/// or elastic experiment would pass or fail for the wrong reason. So is
+/// `recovery.compact_after`: checkpoints are images now, replaced at
+/// each barrier, and there is no history left to compact.
 pub fn parse_job(json: &str) -> Result<ClusterJob, String> {
     let value: serde_json::Value =
         serde_json::from_str(json).map_err(|e| format!("undecodable ClusterJob: {e}"))?;
@@ -196,6 +198,16 @@ pub fn parse_job(json: &str) -> Result<ClusterJob, String> {
                  (or --slow PROC:MICROS[:EVENTS])"
             ));
         }
+    }
+    if value
+        .get("recovery")
+        .is_some_and(|r| r.get("compact_after").is_some())
+    {
+        return Err(
+            "`recovery.compact_after` is retired: checkpoints are per-LP images, \
+             replaced at each barrier, so there is no history left to compact"
+                .into(),
+        );
     }
     serde_json::from_value(value).map_err(|e| format!("undecodable ClusterJob: {e}"))
 }
@@ -268,6 +280,20 @@ mod tests {
             );
         }
         assert!(parse_job("{").unwrap_err().contains("undecodable"));
+    }
+
+    #[test]
+    fn job_files_refuse_the_retired_compaction_knob() {
+        let job = ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None);
+        let json = serde_json::to_string(&job).unwrap();
+        assert!(parse_job(&json).is_ok());
+        let old = json.replacen(r#""recovery":{"#, r#""recovery":{"compact_after":3,"#, 1);
+        assert_ne!(old, json, "the job carries a recovery policy");
+        let err = parse_job(&old).unwrap_err();
+        assert!(
+            err.contains("compact_after") && err.contains("images"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -210,17 +210,9 @@ fn coordinator_killed_between_barriers_resumes_with_parked_survivors() {
         r.reattached, 2,
         "both parked workers should have been re-adopted, not respawned: {r:?}"
     );
-    assert!(
-        r.lps_rolled_back >= 1,
-        "parked survivors must roll back in place: {r:?}"
-    );
     assert_eq!(
-        r.lps_rebuilt, 0,
-        "no slot was respawned, so nothing should have been rebuilt: {r:?}"
-    );
-    assert_eq!(
-        r.replayed_events, 0,
-        "in-place rollback must not replay committed history: {r:?}"
+        r.images_loaded, 4,
+        "the parked survivors resume every LP from its image, once: {r:?}"
     );
 
     // The re-adopted workers finish with the resumed run and exit on
@@ -246,8 +238,8 @@ fn coordinator_killed_between_barriers_resumes_with_parked_survivors() {
 #[test]
 fn fossil_on_failover_readopts_both_workers_with_zero_replay() {
     // As above with fossil collection on: each parked worker has
-    // collected past the journaled horizon, and rolls back to it from
-    // the anchor every LP holds of it.
+    // collected past the journaled horizon, and resumes from the images
+    // the coordinator holds of it.
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = unique_dir("fossils");
     let job = ClusterJob {
@@ -263,14 +255,9 @@ fn fossil_on_failover_readopts_both_workers_with_zero_replay() {
     assert!(report.kernel.fossils_collected > 0, "nothing was collected");
     let r = &report.resume;
     assert_eq!(r.reattached, 2, "both parked workers re-adopted: {r:?}");
-    assert!(
-        r.lps_rolled_back >= 1,
-        "survivors roll back in place: {r:?}"
-    );
     assert_eq!(
-        (r.lps_rebuilt, r.replayed_events),
-        (0, 0),
-        "nothing rebuilt, nothing replayed: {r:?}"
+        r.images_loaded, 4,
+        "every LP loads its image once, nothing replayed: {r:?}"
     );
     wait_gone(
         &pids,
@@ -288,8 +275,8 @@ fn resume_rebuilds_a_parked_worker_that_also_died() {
 
     let pids = crash_coordinator(&job, &dir, &dir.join("crash.stderr"), 2);
     // The double fault: one parked worker is killed too, so the resumed
-    // coordinator must mix re-adoption (survivor, rollback in place)
-    // with a respawn (rebuilt slot, replayed history).
+    // coordinator must mix re-adoption with a respawn; both load their
+    // LPs' images the same way.
     let killed = Command::new("kill")
         .args(["-9", &pids[1].to_string()])
         .status()
@@ -306,17 +293,9 @@ fn resume_rebuilds_a_parked_worker_that_also_died() {
         r.reattached, 1,
         "exactly the surviving parked worker should reattach: {r:?}"
     );
-    assert!(
-        r.lps_rolled_back >= 1,
-        "the survivor must roll back in place: {r:?}"
-    );
-    assert!(
-        r.lps_rebuilt >= 1,
-        "the dead slot must be rebuilt from the journaled chains: {r:?}"
-    );
-    assert!(
-        r.replayed_events > 0,
-        "a rebuilt slot replays committed history: {r:?}"
+    assert_eq!(
+        r.images_loaded, 4,
+        "the survivor and the respawned slot each load their LPs' images: {r:?}"
     );
     wait_gone(
         &pids,

@@ -131,12 +131,12 @@ fn crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_back() {
     // Same crash as above, but with a tiny resume-chunk size so the
     // checkpoint chain cannot possibly travel as one frame: the resume
     // must arrive as an ordered ResumeChunk stream. Worker 1 survives
-    // the session, so its LPs must be rolled back in place (no replay)
-    // while the respawned worker 2 rebuilds its LPs from the chain —
-    // and the committed history must still match the golden model.
-    // Full speed, the 200th frame beats the first 5 ms GVT round and
-    // the chain is still empty when the crash lands; the slowdown
-    // stretches the pre-crash window across many checkpoint commits.
+    // the session and the respawned worker 2 does not, and both load
+    // their LPs' images the same way — and the committed history must
+    // still match the golden model. Full speed, the 200th frame beats
+    // the first 5 ms GVT round and no image exists when the crash
+    // lands; the slowdown stretches the pre-crash window across many
+    // checkpoint commits.
     let job = ClusterJob {
         recovery: RecoveryPolicy {
             resume_chunk_bytes: 200,
@@ -162,29 +162,19 @@ fn crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_back() {
     );
     assert!(
         r.resume_bytes > 200,
-        "checkpoint chain smaller than one chunk — nothing streamed: {r:?}"
+        "images smaller than one chunk — nothing streamed: {r:?}"
     );
     assert!(
-        r.lps_rolled_back >= 1,
-        "the survivor rebuilt from scratch instead of rolling back: {r:?}"
+        r.images_loaded >= 4,
+        "the survivor and the respawned worker load all four LPs' images: {r:?}"
     );
-    assert!(
-        r.lps_rebuilt >= 1,
-        "the respawned worker never rebuilt an LP: {r:?}"
-    );
-    // The incremental path is observably cheaper: every replayed event
-    // was charged to a rebuilt LP, none to a rolled-back one.
-    assert!(
-        r.replayed_events > 0,
-        "rebuilt LPs should have replayed committed history: {r:?}"
-    );
+    assert!(r.ckpt_bytes > 0, "no image reached the coordinator: {r:?}");
 }
 
 /// `job` with fossil collection on (5 ms GVT rounds): every worker
-/// collects past each checkpoint horizon long before the coordinator
-/// acknowledges it, so the committed log reaches the coordinator from
-/// the fossil-time logs and a survivor's in-place rollback re-seeds from
-/// its anchors. The digests survive fossil collection.
+/// collects past each checkpoint horizon right after imaging it, so a
+/// resume has nothing but the images to go on. The digests survive
+/// fossil collection.
 fn with_fossils(job: ClusterJob) -> ClusterJob {
     ClusterJob {
         gvt_period: Some(0.005),
@@ -213,14 +203,9 @@ fn fossil_on_crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_bac
     let r = &report.resume;
     assert!(r.resume_chunks > 2, "resume was not chunked: {r:?}");
     assert!(
-        r.lps_rolled_back >= 1,
-        "the survivor rebuilt from scratch instead of rolling back: {r:?}"
+        r.images_loaded >= 4,
+        "the survivor and the respawned worker load all four LPs' images: {r:?}"
     );
-    assert!(
-        r.lps_rebuilt >= 1,
-        "the respawned worker rebuilt nothing: {r:?}"
-    );
-    assert!(r.replayed_events > 0, "rebuilt LPs replayed nothing: {r:?}");
 }
 
 #[test]
@@ -243,20 +228,20 @@ fn fossil_on_link_partition_recovers_with_every_process_surviving() {
     assert!(report.recoveries >= 1, "the partition never fired");
     assert!(report.kernel.fossils_collected > 0, "nothing was collected");
     assert!(
-        report.resume.lps_rolled_back >= 1,
-        "both workers survive, so their LPs roll back in place: {:?}",
+        report.resume.images_loaded >= 4,
+        "both workers survive, and every LP resumes from its image: {:?}",
         report.resume
     );
 }
 
 #[test]
-fn checkpoint_store_spills_compacts_and_reloads_cleanly() {
-    // With a store directory configured, every committed checkpoint
-    // delta must be spilled to the per-worker segment files as it
-    // arrives, superseded deltas compacted away, and recovery must
-    // still commit the sequential history (the resume is served from
-    // the compacted chains). Afterwards the segments must load back
-    // with the right worker ids and CRC-clean records.
+fn checkpoint_store_replaces_images_and_reloads_cleanly() {
+    // With a store directory configured, every committed checkpoint's
+    // images must replace the segment file's, and recovery must still
+    // commit the sequential history (the resume is served from the
+    // images). Afterwards the segment must load back CRC-clean with one
+    // image per LP, of the last horizon: the file holds state, not
+    // history, and does not grow with the run.
     let dir = std::env::temp_dir().join(format!(
         "warp-ckpt-store-{}-{:x}",
         std::process::id(),
@@ -269,12 +254,12 @@ fn checkpoint_store_spills_compacts_and_reloads_cleanly() {
     let job = ClusterJob {
         recovery: RecoveryPolicy {
             store_dir: Some(dir.to_string_lossy().into_owned()),
-            compact_after: 3,
             ..phold_job().recovery
         },
         fault: Some(FaultPlan::new().crash(2, 1, 200, 0)),
         ..phold_job()
     };
+    let n_lps = job.n_lps() as usize;
     let report = run_with_faults(job);
     assert!(
         report.recoveries >= 1,
@@ -285,21 +270,15 @@ fn checkpoint_store_spills_compacts_and_reloads_cleanly() {
         "no checkpoint bytes reached the store: {:?}",
         report.resume
     );
-    assert!(
-        report.resume.compactions >= 1,
-        "chains of >= 3 deltas were never compacted: {:?}",
-        report.resume
+    let path = warp_exec::checkpoint_segment_path(&dir);
+    let (horizon, images) = warp_exec::load_checkpoint_segment(&path)
+        .unwrap_or_else(|e| panic!("segment unreadable: {e}"));
+    assert!(horizon.ticks() > 0, "no checkpoint reached the segment");
+    assert_eq!(
+        images.len(),
+        n_lps,
+        "one image per LP, replaced, not appended"
     );
-    for worker in 1..=2u32 {
-        let path = warp_exec::checkpoint_segment_path(&dir, worker);
-        let (id, chain) = warp_exec::load_checkpoint_segment(&path)
-            .unwrap_or_else(|e| panic!("segment for worker {worker} unreadable: {e}"));
-        assert_eq!(id, worker, "segment header names the wrong worker");
-        assert!(
-            !chain.is_empty(),
-            "worker {worker} spilled bytes but its chain read back empty"
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
