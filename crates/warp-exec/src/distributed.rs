@@ -75,10 +75,12 @@
 //! has shipped. Fossil collection runs to GVT throughout, as it does
 //! everywhere else.
 //!
-//! With [`RecoveryPolicy::store_dir`] set, the latest image set is also
-//! written to a CRC-checked **segment file**, replaced whole at each
-//! committed barrier — a durable shadow of the images (format in
-//! `docs/recovery-store.md`, read back via [`load_checkpoint_segment`]).
+//! With [`RecoveryPolicy::store_dir`] set, the job, the coordinator's
+//! control-plane state and the latest image set are also written to one
+//! CRC-checked **segment file**, replaced whole before every session and
+//! at each committed barrier — a durable shadow of the run (format in
+//! `docs/recovery-store.md`, images read back via
+//! [`load_checkpoint_segment`]).
 //!
 //! When a peer is lost *uncleanly* (crash, half-open link past the
 //! liveness timeout, or an unrecoverable sequence gap), every survivor
@@ -189,8 +191,8 @@
 //! re-dials the admission point with jittered exponential backoff and
 //! presents a [`Frame::Reattach`] carrying its identity. A restarted
 //! coordinator ([`resume_coordinator`], the `--resume`
-//! flag of `warp-cluster`) replays the durable run journal from
-//! `store_dir`, re-adopts parked survivors over those sockets (their
+//! flag of `warp-cluster`) loads the segment file from `store_dir`,
+//! re-adopts parked survivors over those sockets (their
 //! control sockets from then on), and continues the run under a bumped
 //! session; only when the grace expires with no successor does the
 //! parked worker give up (exit 4, distinct from the no-grace orphan exit
@@ -201,8 +203,8 @@ use crate::report::{
 };
 use crate::snapshot::{
     decode_image_set, encode_image_set,
-    journal::{journal_path, load_journal, RunJournal},
-    store::{load_segment, segment_path, SegmentStore},
+    store::{load_segment, segment_path, Segment, SegmentStore},
+    SnapshotError,
 };
 use crate::spec::SimulationSpec;
 use crate::threaded::{lp_thread, LpOutcome, LpPort, LpSeed, Packet, BATCH};
@@ -348,10 +350,11 @@ pub struct RecoveryPolicy {
     /// liveness detector can never see. 0 disables the watchdog.
     #[serde(default)]
     pub stall_budget_ms: u64,
-    /// Directory for the durable checkpoint store: the latest image set
-    /// is written to a segment file as each checkpoint completes (see
-    /// `docs/recovery-store.md` for the format). `None` keeps the images
-    /// in coordinator memory only.
+    /// Directory for the durable checkpoint store: one segment file
+    /// holding the job, the coordinator's state and the latest image
+    /// set, replaced before every session and as each checkpoint
+    /// completes (see `docs/recovery-store.md` for the format). `None`
+    /// keeps all of it in coordinator memory only.
     #[serde(default)]
     pub store_dir: Option<String>,
     /// Payload bytes per [`Frame::ResumeChunk`] when streaming a resume
@@ -365,8 +368,8 @@ pub struct RecoveryPolicy {
     /// giving up and exiting. 0 disables park-and-rejoin: coordinator
     /// loss orphans the worker after the plain orphan wait (the
     /// pre-failover behavior). Requires `store_dir` — a resumed
-    /// coordinator reconciles parked workers against the durable run
-    /// journal.
+    /// coordinator reconciles parked workers against the state stored
+    /// there.
     #[serde(default)]
     pub rejoin_grace_ms: u64,
 }
@@ -508,7 +511,7 @@ pub struct WorkerInit {
     /// worker looks up its own `Slow` and `CrashWorker` entries.
     pub fault: Option<FaultPlan>,
     /// Park-and-rejoin instructions: present when the run keeps a
-    /// durable journal and [`RecoveryPolicy::rejoin_grace_ms`] is set.
+    /// durable store and [`RecoveryPolicy::rejoin_grace_ms`] is set.
     /// `None` = coordinator loss orphans this worker.
     pub rejoin: Option<RejoinSpec>,
 }
@@ -517,7 +520,7 @@ pub struct WorkerInit {
 /// for a successor. A parked worker dials [`Frame::Reattach`] first at
 /// the admission point it last reached the coordinator on — a resumed
 /// coordinator re-binds it — then at the admit file's address. Shipped
-/// inside [`WorkerInit`] when the run journal and
+/// inside [`WorkerInit`] when the durable store and
 /// [`RecoveryPolicy::rejoin_grace_ms`] are armed.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RejoinSpec {
@@ -792,27 +795,27 @@ fn is_joiner(hello: &Frame, spawned: &HashSet<u32>) -> bool {
 impl Admission {
     /// Open the run's admission point, start its acceptor thread, and
     /// publish the address to `cfg.admit_file` when asked. A resumed run
-    /// re-binds the journaled address, so parked workers find the
+    /// re-binds the stored address, so parked workers find the
     /// restarted coordinator where they last reached it without any
     /// rendezvous file; the old socket may linger in TIME_WAIT briefly,
     /// so the bind is retried for a few seconds, then falls back to an
     /// ephemeral port — the admit file, the parked workers' second line
     /// of discovery, publishes it. It outlives every session: a `--join`
     /// worker may dial in long before pressure warrants adopting it.
-    fn open(cfg: &DistConfig, journaled_addr: &str) -> Result<Arc<Admission>, DistError> {
-        let listener = if journaled_addr.is_empty() {
+    fn open(cfg: &DistConfig, stored_addr: &str) -> Result<Arc<Admission>, DistError> {
+        let listener = if stored_addr.is_empty() {
             bind_loopback()?
         } else {
             let until = Instant::now() + Duration::from_secs(5);
             loop {
-                match std::net::TcpListener::bind(journaled_addr) {
+                match std::net::TcpListener::bind(stored_addr) {
                     Ok(l) => break l,
                     Err(_) if Instant::now() < until => {
                         std::thread::sleep(Duration::from_millis(100));
                     }
                     Err(e) => {
                         eprintln!(
-                            "coordinator: could not re-bind admission point {journaled_addr} \
+                            "coordinator: could not re-bind admission point {stored_addr} \
                              ({e}); falling back to an ephemeral port"
                         );
                         break bind_loopback()?;
@@ -996,9 +999,9 @@ struct CkptStore {
     horizon: VirtualTime,
     /// Monotone checkpoint id across the whole run.
     next_ckpt: u32,
-    /// Durable copy of the images: one segment file, replaced at each
-    /// committed barrier (`None` = in-memory only).
-    segments: Option<SegmentStore>,
+    /// Durable copy of the run: one segment file, replaced by
+    /// [`CoordState::persist`] (`None` = in-memory only).
+    segment: Option<SegmentStore>,
     /// Coordinator-side resume/store accounting for the run report.
     stats: ResumeStats,
 }
@@ -1006,8 +1009,7 @@ struct CkptStore {
 impl CkptStore {
     /// Commit checkpoint `done` of `horizon`: every worker's image set,
     /// checked to hold the image of each LP it owns under `assign` and
-    /// nothing else, replaces the stored images — in the segment file
-    /// first, when there is one.
+    /// nothing else, replaces the stored images.
     fn commit(
         &mut self,
         horizon: VirtualTime,
@@ -1040,11 +1042,6 @@ impl CkptStore {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        if let Some(seg) = self.segments.as_mut() {
-            seg.replace(horizon, &images).map_err(|e| {
-                DistError::Io(io::Error::other(format!("checkpoint store write: {e}")))
-            })?;
-        }
         self.images = images;
         self.horizon = horizon;
         Ok(())
@@ -1106,11 +1103,10 @@ impl PendingCkpt {
     }
 }
 
-/// The coordinator's cross-session mutable state — everything the run
-/// journal persists, plus the open journal itself. A fresh
-/// [`run_coordinator`] builds it from the config; a restarted
-/// [`resume_coordinator`] rebuilds it from the journal; both then drive
-/// the same session loop ([`run_cluster`]).
+/// The coordinator's cross-session mutable state — everything the
+/// segment file persists. A fresh [`run_coordinator`] builds it from the
+/// config; a restarted [`resume_coordinator`] rebuilds it from the
+/// segment file; both then drive the same session loop ([`run_cluster`]).
 struct CoordState {
     assign: Assignment,
     store: CkptStore,
@@ -1121,33 +1117,27 @@ struct CoordState {
     telemetry: Option<TelemetryReport>,
     /// A newcomer admitted by the last scale-out, on probation for one
     /// session: `(proc_id, pre-scale assignment, pressure)`. Never
-    /// journaled — a coordinator outage ends the probation session
+    /// stored — a coordinator outage ends the probation session
     /// anyway, and the fallback assignment is reconstructible from the
-    /// journaled one.
+    /// stored one.
     probation: Option<(u32, Assignment, f64)>,
-    /// The open run journal (`None` without a durable store).
-    journal: Option<RunJournal>,
     /// Checkpoint barriers completed across the whole run, every
     /// coordinator incarnation included — the unit a
     /// [`warp_net::ProcFault::CrashCoordinator`] counts.
     barriers: u64,
 }
 
-/// One durable control-plane record: the JSON payload of a run-journal
-/// state record. Appended at every checkpoint barrier, right after the
-/// segment file took the barrier's images, and at every
-/// membership/assignment change. A crash between the two leaves the
-/// segment one barrier ahead; a resume trusts the segment's horizon,
-/// which is as committed as the journal's.
+/// The coordinator's control-plane state: the JSON payload of the
+/// segment file's state record, written with the images it goes with
+/// before every session and at every checkpoint barrier. The horizon is
+/// the segment header's.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct CoordJournal {
     /// Epoch of the session this record closed (the resumed coordinator
     /// continues at `session + 1`).
     session: u32,
     next_ckpt: u32,
-    /// Committed checkpoint horizon, in ticks.
-    horizon: u64,
-    /// The LP→worker owner map at append time.
+    /// The LP→worker owner map at write time.
     owners: Vec<u32>,
     n_workers: u32,
     /// The admission listener's address — a resumed coordinator re-binds
@@ -1157,31 +1147,32 @@ struct CoordJournal {
     barriers: u64,
     migrations: Vec<MigrationRecord>,
     scales: Vec<ScaleRecord>,
-    /// Coordinator-side store accounting, including the spilled-byte
-    /// total of prior incarnations.
+    /// Coordinator-side store accounting, every incarnation's.
     stats: ResumeStats,
-    spilled_bytes: u64,
     telemetry: Option<TelemetryReport>,
 }
 
+impl CoordJournal {
+    /// Decode a stored state record.
+    fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        serde_json::from_slice(bytes)
+            .map_err(|e| SnapshotError::Corrupt(format!("state record: {e}")))
+    }
+}
+
 impl CoordState {
-    /// Append one state record capturing the current control-plane
-    /// state. A no-op without a journal. Called before every session and
-    /// at every checkpoint barrier.
-    fn journal_append(&mut self, admit_addr: &str) -> Result<(), DistError> {
-        let Some(journal) = self.journal.as_mut() else {
+    /// Replace the segment file with the current control-plane state and
+    /// images. A no-op without a durable store. Called before every
+    /// session and at every checkpoint barrier.
+    fn persist(&mut self, admit_addr: &str) -> Result<(), DistError> {
+        let Some(segment) = &self.store.segment else {
             return Ok(());
         };
-        let spilled = self
-            .store
-            .segments
-            .as_ref()
-            .map(|s| s.spilled_bytes)
-            .unwrap_or(0);
+        let images = &self.store.images;
+        self.store.stats.store_spilled_bytes += images.iter().map(|i| i.len() as u64).sum::<u64>();
         let rec = CoordJournal {
             session: self.session,
             next_ckpt: self.store.next_ckpt,
-            horizon: self.store.horizon.ticks(),
             owners: self.assign.owners().to_vec(),
             n_workers: self.assign.n_workers(),
             admit_addr: admit_addr.to_string(),
@@ -1190,14 +1181,13 @@ impl CoordState {
             migrations: self.migrations.clone(),
             scales: self.scales.clone(),
             stats: self.store.stats.clone(),
-            spilled_bytes: spilled,
             telemetry: self.telemetry.clone(),
         };
-        let payload = serde_json::to_vec(&rec)
-            .map_err(|e| DistError::Protocol(format!("encoding journal record: {e}")))?;
-        journal
-            .append_state(&payload)
-            .map_err(|e| DistError::Io(io::Error::other(format!("run journal append: {e}"))))
+        let state = serde_json::to_vec(&rec)
+            .map_err(|e| DistError::Protocol(format!("encoding the coordinator state: {e}")))?;
+        segment
+            .replace(self.store.horizon, Some(&state), images)
+            .map_err(|e| DistError::Io(io::Error::other(format!("checkpoint store write: {e}"))))
     }
 
     /// Merge a batch of streamed telemetry or control events into the
@@ -1373,7 +1363,7 @@ fn record_moves(moves: &[warp_balance::Move]) -> Vec<MigrationMove> {
 
 /// Refuse a configuration that cannot be staged, before any worker
 /// exists. A fresh run checks it against its starting worker count, a
-/// resume against the journaled one.
+/// resume against the stored one.
 fn validate_config(cfg: &DistConfig, n_workers: u32) -> Result<(), DistError> {
     let invalid = |m: &str| Err(DistError::InvalidConfig(m.into()));
     cfg.net.validate().map_err(DistError::InvalidConfig)?;
@@ -1417,7 +1407,7 @@ fn validate_config(cfg: &DistConfig, n_workers: u32) -> Result<(), DistError> {
     if cfg.recovery.rejoin_grace_ms > 0 && cfg.recovery.store_dir.is_none() {
         return invalid(
             "recovery.rejoin_grace_ms set without store_dir: a resumed coordinator \
-             needs the run journal to reconcile parked workers",
+             needs the stored state to reconcile parked workers",
         );
     }
     Ok(())
@@ -1435,18 +1425,14 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
     let assign =
         Assignment::contiguous(cfg.n_lps, cfg.n_workers).map_err(DistError::InvalidConfig)?;
     validate_config(cfg, cfg.n_workers)?;
-    // Open the durable store (and its run journal) before any worker
-    // exists, so a bad directory fails the run without orphaning
-    // processes.
-    let (segments, journal) = match &cfg.recovery.store_dir {
-        Some(dir) => {
-            let seg = SegmentStore::create(Path::new(dir))
-                .map_err(|e| DistError::InvalidConfig(format!("checkpoint store at {dir}: {e}")))?;
-            let jrn = RunJournal::create(Path::new(dir), &model_json(cfg)?)
-                .map_err(|e| DistError::InvalidConfig(format!("run journal at {dir}: {e}")))?;
-            (Some(seg), Some(jrn))
-        }
-        None => (None, None),
+    // Open the durable store before any worker exists, so a bad
+    // directory fails the run without orphaning processes.
+    let segment = match &cfg.recovery.store_dir {
+        Some(dir) => Some(
+            SegmentStore::create(Path::new(dir), model_json(cfg)?)
+                .map_err(|e| DistError::InvalidConfig(format!("checkpoint store at {dir}: {e}")))?,
+        ),
+        None => None,
     };
     let st = CoordState {
         assign,
@@ -1454,7 +1440,7 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
             images: Vec::new(),
             horizon: VirtualTime::ZERO,
             next_ckpt: 0,
-            segments,
+            segment,
             stats: ResumeStats::default(),
         },
         session: 0,
@@ -1467,7 +1453,6 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
         // work.
         telemetry: None,
         probation: None,
-        journal,
         barriers: 0,
     };
     let admission = Admission::open(cfg, "")?;
@@ -1476,9 +1461,10 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
 }
 
 /// The coordinator's run, shared by a fresh [`run_coordinator`] and a
-/// journal-driven [`resume_coordinator`]: `adopted` holds the workers
-/// already in hand, by slot; every other slot is spawned. Whatever ends
-/// the run in an error, every worker is killed here.
+/// [`resume_coordinator`] that starts from the segment file: `adopted`
+/// holds the workers already in hand, by slot; every other slot is
+/// spawned. Whatever ends the run in an error, every worker is killed
+/// here.
 fn run_cluster(
     cfg: &DistConfig,
     start: Instant,
@@ -1500,11 +1486,10 @@ fn run_cluster(
 }
 
 /// Run sessions until one finishes. Before each, [`await_listen`] collects
-/// every worker's listen address and a journal record captures the state the
-/// session starts from, so the durable control plane always matches the
-/// segment files the session is about to extend. A session that ends
-/// short of the finish takes the regroup step ([`CoordState::regroup`]),
-/// and its membership change is carried out here.
+/// every worker's listen address and the segment file takes the state
+/// the session starts from. A session that ends short of the finish
+/// takes the regroup step ([`CoordState::regroup`]), and its membership
+/// change is carried out here.
 fn run_sessions(
     cfg: &DistConfig,
     deadline: Instant,
@@ -1533,7 +1518,7 @@ fn run_sessions(
             }
             Err(e) => restart_all(cfg, admission, workers, deadline, st.recoveries, e)?,
             Ok(()) => {
-                st.journal_append(&admission.addr)?;
+                st.persist(&admission.addr)?;
                 match run_session_as_coordinator(cfg, workers, deadline, admission, st) {
                     Ok(SessionEnd::Finished(reports)) => {
                         for (i, w) in workers.iter_mut().enumerate() {
@@ -1608,102 +1593,87 @@ fn restart_all(
     })
 }
 
-/// The model spec as canonical JSON — the bytes the run journal pins
-/// with its spec hash.
+/// The model spec as canonical JSON — the segment file's job record.
 fn model_json(cfg: &DistConfig) -> Result<String, DistError> {
     serde_json::to_string(&cfg.model)
         .map_err(|e| DistError::Protocol(format!("encoding model spec: {e}")))
 }
 
-/// The job spec a run journal was created with, verbatim — what a
+/// The job a store's segment file was created with, verbatim — what a
 /// self-contained `--resume STORE_DIR` parses instead of a job file.
-pub fn journal_job_json(store_dir: &Path) -> Result<String, DistError> {
-    let contents = load_journal(&journal_path(store_dir)).map_err(|e| {
-        DistError::InvalidConfig(format!("run journal at {}: {e}", store_dir.display()))
-    })?;
-    Ok(contents.job_json)
+pub fn stored_job_json(store_dir: &Path) -> Result<String, DistError> {
+    Ok(load_store(store_dir)?.job)
 }
 
-/// Resume an interrupted distributed run from its durable store:
-/// replay the run journal, load the latest images from the checkpoint
-/// segment, re-open the admission point at its old address,
+/// Read the segment file of a store directory.
+fn load_store(store_dir: &Path) -> Result<Segment, DistError> {
+    let path = segment_path(store_dir);
+    load_segment(&path)
+        .map_err(|e| DistError::InvalidConfig(format!("checkpoint store {}: {e}", path.display())))
+}
+
+/// Resume an interrupted distributed run from its durable store: load
+/// the coordinator's state and the latest images from the segment file,
+/// re-open the admission point at its old address,
 /// re-adopt parked workers via their [`Frame::Reattach`] handshakes
 /// (respawning fresh processes for any that never dial in), bump the
 /// session, and continue the run to completion.
 ///
-/// `cfg` must describe the same job the journal was created with (the
-/// spec hash is cross-checked); `cfg.n_workers` is ignored in favor of
-/// the journaled membership, which elastic scaling may have changed
-/// since the run began.
+/// `cfg` must describe the same job the store was created with (its job
+/// record is compared verbatim); `cfg.n_workers` is ignored in favor of
+/// the stored membership, which elastic scaling may have changed since
+/// the run began.
 pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunReport, DistError> {
     let start = Instant::now();
     if !cfg.recovery.enabled {
         return Err(DistError::InvalidConfig(
-            "resume requires recovery: the journal is part of the checkpoint machinery".into(),
+            "resume requires recovery: the store is part of the checkpoint machinery".into(),
         ));
     }
-    let path = journal_path(store_dir);
-    let contents = load_journal(&path).map_err(|e| {
-        DistError::InvalidConfig(format!("run journal at {}: {e}", store_dir.display()))
-    })?;
-    if crate::snapshot::journal::spec_hash(&model_json(cfg)?)
-        != crate::snapshot::journal::spec_hash(&contents.job_json)
-    {
+    let seg = load_store(store_dir)?;
+    let job = model_json(cfg)?;
+    if seg.job != job {
         return Err(DistError::InvalidConfig(format!(
-            "job spec does not match the journal at {}: resuming it would continue a \
+            "job spec does not match the store at {}: resuming it would continue a \
              different run",
             store_dir.display()
         )));
     }
-    let Some(state_bytes) = contents.states.last() else {
-        // The coordinator died before journaling any control-plane
-        // state: nothing durable exists beyond the spec, so resuming
-        // degenerates to a fresh start (which re-creates the store).
+    let Some(state) = seg.state else {
+        // The coordinator died before its first session: nothing durable
+        // exists beyond the job, so resuming degenerates to a fresh start
+        // (which re-creates the store).
         return run_coordinator(cfg);
     };
-    let rec: CoordJournal = serde_json::from_slice(state_bytes)
-        .map_err(|e| DistError::InvalidConfig(format!("decoding the last journal record: {e}")))?;
+    let rec = CoordJournal::decode(&state).map_err(|e| {
+        DistError::InvalidConfig(format!("checkpoint store {}: {e}", store_dir.display()))
+    })?;
     let assign = Assignment::from_owners(rec.owners.clone(), rec.n_workers)
-        .map_err(|e| DistError::InvalidConfig(format!("journaled assignment: {e}")))?;
+        .map_err(|e| DistError::InvalidConfig(format!("stored assignment: {e}")))?;
     if assign.n_lps() != cfg.n_lps {
         return Err(DistError::InvalidConfig(format!(
-            "journaled assignment covers {} LPs, the spec builds {}",
+            "stored assignment covers {} LPs, the spec builds {}",
             assign.n_lps(),
             cfg.n_lps
         )));
     }
     let n_workers = rec.n_workers;
     validate_config(cfg, n_workers)?;
-
-    // The segment holds the images of the last barrier that reached it.
-    // The journal append follows the segment write, so the segment is
-    // never behind the journal; one ahead (a crash between the two)
-    // is a committed barrier all the same.
-    let seg_path = segment_path(store_dir);
-    let (horizon, images) = load_segment(&seg_path).map_err(|e| {
-        DistError::InvalidConfig(format!("checkpoint segment {}: {e}", seg_path.display()))
-    })?;
-    let journaled = VirtualTime::from_ticks(rec.horizon);
-    if horizon < journaled || !(images.is_empty() || images.len() == cfg.n_lps as usize) {
+    if !(seg.images.is_empty() || seg.images.len() == cfg.n_lps as usize) {
         return Err(DistError::InvalidConfig(format!(
-            "checkpoint segment {} holds {} images of horizon {horizon}, the journal \
-             expects {} of horizon {journaled}",
-            seg_path.display(),
-            images.len(),
+            "checkpoint store {} holds {} images, the spec builds {} LPs",
+            store_dir.display(),
+            seg.images.len(),
             cfg.n_lps
         )));
     }
-    let mut stats = rec.stats.clone();
-    stats.store_spilled_bytes = rec.spilled_bytes;
     let mut store = CkptStore {
-        images,
-        horizon,
+        images: seg.images,
+        horizon: seg.horizon,
         next_ckpt: rec.next_ckpt,
-        segments: Some(SegmentStore::open(store_dir)),
-        stats,
+        segment: Some(SegmentStore::open(store_dir, job)),
+        stats: rec.stats,
     };
-    let journal = RunJournal::reopen(&path, contents.valid_len)
-        .map_err(|e| DistError::InvalidConfig(format!("re-opening run journal: {e}")))?;
 
     let admission = Admission::open(cfg, &rec.admit_addr)?;
     let horizon = store.horizon;
@@ -1757,12 +1727,11 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         scales: rec.scales,
         telemetry: rec.telemetry,
         probation: None,
-        journal: Some(journal),
         barriers: rec.barriers,
     };
     st.merge_telemetry(TelemetryReport {
         events: vec![ControlEvent {
-            gvt: (rec.horizon > 0).then_some(rec.horizon),
+            gvt: (horizon > VirtualTime::ZERO).then_some(horizon.ticks()),
             lp: 0,
             object: 0,
             lvt: None,
@@ -2212,16 +2181,16 @@ fn coordinate(
                     };
                     let done = pending.take().unwrap();
                     let parts = done.parts.into_iter().map(Option::unwrap).collect();
-                    // Every LP's image is replaced, the segment file's
-                    // first; then the journal records the barrier.
+                    // Every LP's image is replaced, then the segment
+                    // file takes them with the barrier count.
                     st.store.commit(horizon, parts, &st.assign)?;
                     st.barriers += 1;
-                    st.journal_append(&admission.addr)?;
+                    st.persist(&admission.addr)?;
                     // Die like a killed coordinator — no goodbye
                     // — *between* barriers, after this one
                     // committed. Exact equality, so a
                     // resumed coordinator that inherits the plan
-                    // from the journaled job (which restores
+                    // from the stored job (which restores
                     // `barriers` at N) never re-crashes.
                     if cfg
                         .fault
@@ -2351,12 +2320,6 @@ fn await_listen(
 /// coordinator kept across sessions.
 fn merge_reports(reports: Vec<WorkerReport>, wall: f64, st: CoordState) -> RunReport {
     let mut resume = st.store.stats;
-    if let Some(seg) = &st.store.segments {
-        // `+=`, not `=`: a resumed coordinator seeds the counter with
-        // the previous incarnations' journaled total, and this
-        // incarnation's store counts from 0.
-        resume.store_spilled_bytes += seg.spilled_bytes;
-    }
     for r in &reports {
         resume.merge(&r.resume);
     }
@@ -2410,7 +2373,8 @@ pub fn checkpoint_segment_path(dir: &Path) -> PathBuf {
 /// never a silently shorter set. The format is documented in
 /// `docs/recovery-store.md`.
 pub fn load_checkpoint_segment(path: &Path) -> Result<(VirtualTime, Vec<Vec<u8>>), String> {
-    load_segment(path).map_err(|e| e.to_string())
+    let seg = load_segment(path).map_err(|e| e.to_string())?;
+    Ok((seg.horizon, seg.images))
 }
 
 fn remaining_ms(deadline: Instant) -> u64 {
@@ -3454,18 +3418,36 @@ mod tests {
         spec.build_lp(warp_core::LpId(1 - lp.id().0))
     }
 
-    /// A segment file's bytes around `images` of horizon `h`, each
-    /// record with its true CRC.
-    fn segment_bytes(h: u64, images: &[&[u8]]) -> Vec<u8> {
+    /// A segment file's bytes around `records` (job, state, images) of
+    /// horizon `h`, each record with its true CRC.
+    fn segment_bytes(h: u64, records: &[&[u8]]) -> Vec<u8> {
         let mut bytes = b"WSEG".to_vec();
         bytes.extend_from_slice(&crate::snapshot::store::SEG_VERSION.to_le_bytes());
         bytes.extend_from_slice(&h.to_le_bytes());
-        for image in images {
-            bytes.extend_from_slice(&(image.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crate::snapshot::store::crc32(image).to_le_bytes());
-            bytes.extend_from_slice(image);
+        for record in records {
+            bytes.extend_from_slice(&(record.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crate::snapshot::store::crc32(record).to_le_bytes());
+            bytes.extend_from_slice(record);
         }
         bytes
+    }
+
+    /// A coordinator state record as a two-worker run stores it.
+    fn state_record() -> Vec<u8> {
+        let rec = CoordJournal {
+            session: 2,
+            next_ckpt: 5,
+            owners: vec![1, 1, 2, 2],
+            n_workers: 2,
+            admit_addr: "127.0.0.1:4000".into(),
+            recoveries: 1,
+            barriers: 4,
+            migrations: Vec::new(),
+            scales: Vec::new(),
+            stats: ResumeStats::default(),
+            telemetry: None,
+        };
+        serde_json::to_vec(&rec).unwrap()
     }
 
     proptest! {
@@ -3474,13 +3456,14 @@ mod tests {
             .. ProptestConfig::default()
         })]
 
-        /// The image decoder and the segment loader are total: arbitrary
-        /// bytes, or a real image with bytes flipped, cut or appended —
-        /// bare, in an image set, or in a segment file with true CRCs —
-        /// and a segment file itself flipped and torn give a value or a
-        /// typed `SnapshotError`, never a panic. No
-        /// single allocation exceeds a small multiple of the input,
-        /// whatever the counts and lengths inside claim.
+        /// The image decoder, the segment loader and the state decoder
+        /// are total: arbitrary bytes, or a real image or state record
+        /// with bytes flipped, cut or appended — bare, in an image set,
+        /// or in a segment file with true CRCs — a segment file itself
+        /// flipped and torn, one whose job record is arbitrary bytes and
+        /// one of version 2 give a value or a typed `SnapshotError`,
+        /// never a panic. No single allocation exceeds a small multiple
+        /// of the input, whatever the counts and lengths inside claim.
         #[test]
         fn image_and_segment_decoding_is_total(
             junk in proptest::collection::vec(any::<u8>(), 0..512),
@@ -3496,7 +3479,13 @@ mod tests {
             mutated.truncate(cut % (mutated.len() + 1));
             mutated.extend_from_slice(&junk[..cut % (junk.len() + 1)]);
             let set = encode_image_set(VirtualTime::new(18), &[&mutated]);
-            let segment = segment_bytes(18, &[&image, &junk]);
+            let mut state = state_record();
+            for (at, x) in &flips {
+                let i = at % state.len();
+                state[i] ^= x;
+            }
+            state.truncate(cut % (state.len() + 1));
+            let segment = segment_bytes(18, &[b"{}", &state, &image, &junk]);
             // The same segment torn and bit-flipped, as a crash or a bad
             // disk leaves it.
             let mut torn = segment.clone();
@@ -3505,15 +3494,37 @@ mod tests {
                 torn[i] ^= x;
             }
             torn.truncate(cut % (torn.len() + 1));
-            for bytes in [&junk[..], &mutated[..], &set[..], &segment[..], &torn[..]] {
+            // A job record of arbitrary bytes, and the same file as a
+            // version-2 store wrote it.
+            let foreign_job = segment_bytes(18, &[&junk, &state_record()]);
+            let mut v2 = segment.clone();
+            v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+            let inputs = [&junk[..], &mutated[..], &state[..], &set[..], &segment[..], &torn[..], &foreign_job[..], &v2[..]];
+            for bytes in inputs {
                 let largest = largest_alloc(|| {
                     let _ = crate::snapshot::decode_lp_image(&lp, bytes);
                     let _ = decode_image_set(bytes);
-                    let _ = crate::snapshot::store::parse_segment(bytes);
+                    let _ = CoordJournal::decode(bytes);
+                    if let Ok(seg) = crate::snapshot::store::parse_segment(bytes) {
+                        let _ = CoordJournal::decode(&seg.state.unwrap_or_default());
+                    }
                 });
                 let bound = 256 + 8 * bytes.len();
                 prop_assert!(largest <= bound, "{} input bytes, one allocation of {largest}", bytes.len());
             }
+            prop_assert!(CoordJournal::decode(&state_record()).is_ok());
+            let parsed = crate::snapshot::store::parse_segment(&segment).unwrap();
+            prop_assert_eq!(parsed.state.as_deref(), Some(&state[..]));
+            prop_assert_eq!(
+                crate::snapshot::store::parse_segment(&foreign_job).map(|s| s.job),
+                String::from_utf8(junk.clone()).map_err(|e| SnapshotError::Corrupt(
+                    format!("the job record is not UTF-8: {e}")
+                ))
+            );
+            prop_assert_eq!(
+                crate::snapshot::store::parse_segment(&v2),
+                Err(SnapshotError::Version { found: 2 })
+            );
         }
     }
 
@@ -3916,7 +3927,7 @@ mod tests {
                 images: images_of(4),
                 horizon: VirtualTime::new(10),
                 next_ckpt: 1,
-                segments: None,
+                segment: None,
                 stats: ResumeStats::default(),
             },
             assign: start,
@@ -3926,7 +3937,6 @@ mod tests {
             scales: Vec::new(),
             telemetry: None,
             probation: None,
-            journal: None,
             barriers: 1,
         };
         let recovery = RecoveryPolicy {

@@ -30,9 +30,8 @@ pub mod threaded;
 pub mod virtual_cluster;
 
 pub use distributed::{
-    checkpoint_segment_path, join_main, journal_job_json, load_checkpoint_segment,
-    resume_coordinator, run_coordinator, DistConfig, DistError, NetTuning, RecoveryPolicy,
-    RejoinSpec,
+    checkpoint_segment_path, join_main, load_checkpoint_segment, resume_coordinator,
+    run_coordinator, stored_job_json, DistConfig, DistError, NetTuning, RecoveryPolicy, RejoinSpec,
 };
 pub use report::{LpSummary, ObjectSummary, ResumeStats, RunReport};
 pub use sequential::run_sequential;

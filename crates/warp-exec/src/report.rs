@@ -113,8 +113,8 @@ pub struct ResumeStats {
     /// committed checkpoint.
     #[serde(default)]
     pub ckpt_bytes: u64,
-    /// Image bytes written to the on-disk segment store (0 when the
-    /// store is off).
+    /// Image bytes written to the on-disk segment file, by every
+    /// coordinator incarnation of the run (0 when the store is off).
     pub store_spilled_bytes: u64,
     /// LPs a resume built from their images — on a survivor, a
     /// respawned worker, a migration target or a newcomer alike.

@@ -19,15 +19,15 @@
 //!
 //! Each LP image starts with its LP id and horizon, so the set's records
 //! need no key of their own. The [`store`] submodule adds the durable
-//! face of the same data: the latest image set in one CRC-checked
-//! segment file, replaced at each barrier.
+//! face of the same data: the job, the coordinator's state and the
+//! latest image set in one CRC-checked segment file, replaced at each
+//! barrier.
 //!
 //! Decoding is total. Malformed input surfaces as a typed
 //! [`SnapshotError`] rather than a panic, and no decoder allocates more
 //! than its input's length justifies, so callers (and tests) can tell a
 //! truncated payload from a corrupted one from a failing disk.
 
-pub(crate) mod journal;
 pub(crate) mod store;
 
 use std::fmt;
@@ -68,15 +68,11 @@ pub(crate) enum SnapshotError {
         /// Checksum recomputed over the record's payload.
         computed: u32,
     },
-    /// The run journal's recorded job-spec hash disagrees with the job
-    /// spec it carries (or the one the caller is trying to resume with)
-    /// — the journal belongs to a different run configuration and
-    /// resuming from it would replay the wrong control-plane history.
-    SpecHashMismatch {
-        /// Hash recorded in the journal header.
-        stored: u32,
-        /// Hash recomputed over the job spec.
-        computed: u32,
+    /// A segment file of another format version: written by an older
+    /// build, it cannot be resumed by this one.
+    Version {
+        /// The version its header names.
+        found: u32,
     },
     /// Filesystem failure underneath the durable store.
     Io(String),
@@ -101,10 +97,10 @@ impl fmt::Display for SnapshotError {
                 "segment record {record} failed its CRC check \
                  (stored {stored:#010x}, computed {computed:#010x})"
             ),
-            SnapshotError::SpecHashMismatch { stored, computed } => write!(
+            SnapshotError::Version { found } => write!(
                 f,
-                "run journal belongs to a different job spec \
-                 (journal {stored:#010x}, spec {computed:#010x})"
+                "segment version {found}, this build reads {}",
+                store::SEG_VERSION
             ),
             SnapshotError::Io(detail) => write!(f, "checkpoint store I/O: {detail}"),
         }

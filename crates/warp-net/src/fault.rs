@@ -182,11 +182,12 @@ pub enum ProcFault {
         proc: u32,
     },
     /// The coordinator aborts — no goodbye, like `kill -9` — right after
-    /// its `barriers`-th checkpoint barrier has committed (journal
-    /// appended, acks broadcast). The count is the run's, journaled
-    /// across coordinator incarnations, and only exact equality fires:
-    /// a coordinator resumed from the journal inherits this entry with
-    /// the count already at `barriers`, and its next barrier is past it.
+    /// its `barriers`-th checkpoint barrier has committed (its images
+    /// and the coordinator's state written to the durable store). The
+    /// count is the run's, stored across coordinator incarnations, and
+    /// only exact equality fires: a coordinator resumed from the store
+    /// inherits this entry with the count already at `barriers`, and
+    /// its next barrier is past it.
     CrashCoordinator {
         /// Committed barriers before the abort.
         barriers: u64,

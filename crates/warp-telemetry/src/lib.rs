@@ -90,7 +90,7 @@ pub enum Param {
     /// for a recovery fallback). Recorded by the coordinator.
     ClusterSize,
     /// Coordinator fail-over: a restarted coordinator resumed the run
-    /// from its durable journal (`old`/`new` are the session epochs
+    /// from its durable store (`old`/`new` are the session epochs
     /// before and after the outage; `lp`/`object` are 0; `sampled_o` is
     /// the number of parked workers re-adopted via `Reattach`). Recorded
     /// by the resumed coordinator.

@@ -39,8 +39,9 @@
 //! listener's address to `PATH` so external `warp-worker --join`
 //! processes can dial in (see `docs/elasticity.md`).
 //!
-//! `--store-dir DIR` keeps every LP's latest checkpoint image in
-//! `DIR/images.seg`, replaced at each barrier (implies recovery; see
+//! `--store-dir DIR` keeps the job, the coordinator's state and every
+//! LP's latest checkpoint image in one file, `DIR/images.seg`, replaced
+//! before every session and at each barrier (implies recovery; see
 //! `docs/recovery-store.md`). `--max-frame-bytes N` caps every frame
 //! the mesh accepts; `--resume-chunk-bytes N` sets the payload size of
 //! the streamed resume chunks (both override the job's `net`/`recovery`
@@ -53,12 +54,13 @@
 //! `docs/data-plane.md`).
 //!
 //! `--rejoin-grace MS` arms coordinator fail-over (implies recovery;
-//! needs `--store-dir`): the coordinator journals its control-plane
-//! state at every checkpoint barrier, and workers that lose it *park*
-//! for `MS` milliseconds instead of exiting, dialing the re-admission
-//! point until a restarted coordinator adopts them. `--resume
-//! STORE_DIR` is that restart: it replays the journal under
-//! `STORE_DIR` (the job itself is journaled — no JOB.json needed),
+//! needs `--store-dir`): `DIR/images.seg` then also holds the job and
+//! the coordinator's control-plane state, all replaced together before
+//! every session and at every checkpoint barrier, and workers that lose
+//! the coordinator *park* for `MS` milliseconds instead of exiting,
+//! dialing the re-admission point until a restarted coordinator adopts
+//! them. `--resume STORE_DIR` is that restart: it loads
+//! `STORE_DIR/images.seg` (the job is in it — no JOB.json needed),
 //! re-adopts parked workers via the `Reattach` handshake, respawns the
 //! rest, and continues the run. `--supervise` automates the loop: the
 //! coordinator runs as a child process, and every unclean exit is
@@ -69,7 +71,7 @@
 //! The worker binary is taken from `WARP_WORKER_BIN`, falling back to a
 //! `warp-worker` sibling of this executable.
 
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use warp_exec::distributed::{resume_coordinator, run_coordinator};
@@ -156,8 +158,8 @@ fn run() -> Result<(), String> {
     let mut rejoin_grace: Option<u64> = None;
     let mut supervise = false;
     // Flags that shape the job itself: refused together with --resume,
-    // which must continue the journaled job verbatim (the executive
-    // hashes the job against the journal header and rejects drift).
+    // which must continue the stored job verbatim (the executive
+    // compares the job with the store's and rejects drift).
     let mut job_flags: Vec<&'static str> = Vec::new();
 
     let mut argv = std::env::args().skip(1).peekable();
@@ -288,13 +290,11 @@ fn run() -> Result<(), String> {
         if let Some(f) = job_flags.first() {
             return Err(format!(
                 "{f} cannot be combined with --resume: a resumed run continues the \
-                 journaled job verbatim (the executive refuses a job that drifted)"
+                 stored job verbatim (the executive refuses a job that drifted)"
             ));
         }
         if job_file.is_some() {
-            return Err(
-                "--resume reads the job from the journal; drop the JOB.json argument".into(),
-            );
+            return Err("--resume reads the job from the store; drop the JOB.json argument".into());
         }
         let job = resume_job(dir).map_err(|e| e.to_string())?;
         let mut cfg =
@@ -374,7 +374,7 @@ fn run() -> Result<(), String> {
         let Some(dir) = job.recovery.store_dir.clone() else {
             return Err(
                 "--supervise needs a durable store: add --store-dir DIR (restarts resume \
-                 from its run journal)"
+                 from its images.seg)"
                     .into(),
             );
         };
@@ -427,11 +427,12 @@ fn emit(report: &warp_exec::RunReport, telemetry_out: Option<&Path>) -> Result<(
 
 /// `--supervise`: run the coordinator as a child process and restart it
 /// with `--resume` after every unclean exit, until the run finishes or
-/// the job's recovery budget is spent. The fully-shaped job is staged
-/// into the store directory so restarts never depend on the original
-/// JOB.json or the shaping flags; the child inherits stdio, so the
-/// surviving attempt's report lands on stdout exactly like an
-/// unsupervised run.
+/// the job's recovery budget is spent. The first attempt reads the
+/// fully-shaped job on its stdin, from an unlinked file, so the store
+/// directory holds nothing but the store; restarts read it from the
+/// store, never from the original JOB.json or the shaping flags. The
+/// child inherits stdout and stderr, so the surviving attempt's report
+/// lands on stdout exactly like an unsupervised run.
 fn supervise_loop(
     store_dir: &str,
     job: &ClusterJob,
@@ -446,14 +447,25 @@ fn supervise_loop(
     let staged = Path::new(store_dir).join("job.json");
     let staged_json =
         serde_json::to_string_pretty(job).map_err(|e| format!("encoding job: {e}"))?;
-    std::fs::write(&staged, staged_json)
+    let mut job_file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&staged)
+        .and_then(|mut f| {
+            f.write_all(staged_json.as_bytes())?;
+            f.seek(SeekFrom::Start(0))?;
+            std::fs::remove_file(&staged)?;
+            Ok(Some(f))
+        })
         .map_err(|e| format!("staging {}: {e}", staged.display()))?;
     let budget = job.recovery.max_recoveries;
     let mut attempts = 0u32;
     loop {
         let mut cmd = std::process::Command::new(&me);
-        if attempts == 0 {
-            cmd.arg(&staged);
+        if let Some(f) = job_file.take() {
+            cmd.stdin(f);
         } else {
             cmd.arg("--resume").arg(store_dir);
         }
@@ -478,9 +490,9 @@ fn supervise_loop(
                  ({budget}) spent"
             ));
         }
-        if !Path::new(store_dir).join("run.journal").exists() {
+        if !warp_exec::checkpoint_segment_path(Path::new(store_dir)).exists() {
             return Err(format!(
-                "supervised coordinator exited ({status}) before journaling anything; \
+                "supervised coordinator exited ({status}) before writing its store; \
                  nothing to resume"
             ));
         }

@@ -169,20 +169,19 @@ pub fn dist_config(
     })
 }
 
-/// Recover the [`ClusterJob`] a durable run journal was created for:
-/// the journal's job record *is* the serialized job (the coordinator
+/// Recover the [`ClusterJob`] a durable store was created for: the
+/// segment file's job record *is* the serialized job (the coordinator
 /// ships the whole job as its opaque model JSON), so resuming a run
 /// needs nothing beyond its store directory. The returned job feeds
 /// [`dist_config`] and then [`warp_exec::resume_coordinator`]; the
-/// executive re-hashes the job against the journal header, so a job
-/// edited between crash and resume is refused rather than silently
-/// continued.
+/// executive compares the job with the stored one, so a job edited
+/// between crash and resume is refused rather than silently continued.
 pub fn resume_job(store_dir: &std::path::Path) -> Result<ClusterJob, DistError> {
-    let json = warp_exec::journal_job_json(store_dir)?;
-    parse_job(&json).map_err(|e| DistError::InvalidConfig(format!("journaled job: {e}")))
+    let json = warp_exec::stored_job_json(store_dir)?;
+    parse_job(&json).map_err(|e| DistError::InvalidConfig(format!("stored job: {e}")))
 }
 
-/// Decode a job file (or a journaled job). The slow-worker lists that
+/// Decode a job file (or a stored job). The slow-worker lists that
 /// preceded `fault.procs` are refused, not ignored: a job that still
 /// carries one would otherwise run with no skew at all, and a balance
 /// or elastic experiment would pass or fail for the wrong reason. So is

@@ -2,8 +2,8 @@
 //! two checkpoint barriers (a `CrashCoordinator` entry in the job's
 //! fault plan — an `abort()`, indistinguishable from `kill -9`), its
 //! workers park instead of dying, and `warp-cluster --resume STORE_DIR`
-//! (or `--supervise`, which runs that restart itself) replays the
-//! durable run journal, re-adopts the parked survivors through the
+//! (or `--supervise`, which runs that restart itself) loads the
+//! coordinator's state from the store's one file, re-adopts the parked survivors through the
 //! `Reattach` handshake, and finishes the run with a committed history
 //! byte-identical to the sequential golden model.
 //!
@@ -90,8 +90,8 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// barriers; return the worker pids it named. Worker stderr is inherited
 /// from the coordinator, so `stderr_log` keeps collecting the *workers'*
 /// park/reattach messages long after the coordinator is gone. The
-/// journaled job carries the crash entry too; a resumed coordinator
-/// starts with the journaled barrier count already at `barriers` and so
+/// stored job carries the crash entry too; a resumed coordinator
+/// starts with the stored barrier count already at `barriers` and so
 /// never fires it again.
 fn crash_coordinator(job: &ClusterJob, dir: &Path, stderr_log: &Path, barriers: u64) -> Vec<u32> {
     let job_path = dir.join("job.json");
@@ -183,7 +183,8 @@ fn assert_matches_sequential(job: &ClusterJob, dist: &RunReport) {
 fn coordinator_killed_between_barriers_resumes_with_parked_survivors() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = unique_dir("survivors");
-    let job = failover_job(&dir, 60_000);
+    let store = dir.join("store");
+    let job = failover_job(&store, 60_000);
 
     let crash_log = dir.join("crash.stderr");
     let pids = crash_coordinator(&job, &dir, &crash_log, 2);
@@ -198,12 +199,21 @@ fn coordinator_killed_between_barriers_resumes_with_parked_survivors() {
     // parked dial loop; their backoff re-dials land well inside the
     // resumed coordinator's reattach window.
     std::thread::sleep(Duration::from_secs(4));
-    let report = resume_coordinator(&dir, &dir.join("resume.stderr"));
+    let report = resume_coordinator(&store, &dir.join("resume.stderr"));
 
     assert_matches_sequential(&job, &report);
     assert!(
         report.recoveries >= 1,
         "the outage must be counted as a recovery: {report:?}"
+    );
+    let stored: Vec<_> = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(
+        stored,
+        ["images.seg"],
+        "the store is one file, across a crash and a resume"
     );
     let r = &report.resume;
     assert_eq!(
@@ -238,7 +248,7 @@ fn coordinator_killed_between_barriers_resumes_with_parked_survivors() {
 #[test]
 fn fossil_on_failover_readopts_both_workers_with_zero_replay() {
     // As above with fossil collection on: each parked worker has
-    // collected past the journaled horizon, and resumes from the images
+    // collected past the stored horizon, and resumes from the images
     // the coordinator holds of it.
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = unique_dir("fossils");
@@ -337,7 +347,7 @@ fn parked_workers_give_up_when_the_rejoin_grace_expires() {
 fn supervised_coordinator_resumes_once_and_never_crashes_again() {
     // `--supervise` runs the coordinator as a child and restarts it with
     // `--resume` after an unclean exit. The restarted coordinator reads
-    // the job — crash entry included — from the journal; the barrier
+    // the job — crash entry included — from the store; the barrier
     // count it inherits is already at the trigger, so it finishes the
     // run instead of dying again.
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
