@@ -183,20 +183,14 @@
 //! trace digest is unchanged by any scale.
 //!
 //! Orphan hygiene: a worker whose coordinator dies sees either its mesh
-//! link drop or its control socket close and — without a rejoin grace
-//! — exits non-zero on its own, so workers never outlive the coordinator
-//! by more than the liveness timeout plus a bounded wait
-//! ([`NetTuning::orphan_grace_ms`]) for recovery instructions. With
-//! [`RecoveryPolicy::rejoin_grace_ms`] set the worker *parks* instead: it
-//! re-dials the admission point with jittered exponential backoff and
-//! presents a [`Frame::Reattach`] carrying its identity. A restarted
-//! coordinator ([`resume_coordinator`], the `--resume`
-//! flag of `warp-cluster`) loads the segment file from `store_dir`,
-//! re-adopts parked survivors over those sockets (their
-//! control sockets from then on), and continues the run under a bumped
-//! session; only when the grace expires with no successor does the
-//! parked worker give up (exit 4, distinct from the no-grace orphan exit
-//! 3).
+//! link drop or its control socket close and exits 3 on its own, so
+//! workers never outlive the coordinator by more than the liveness
+//! timeout plus a bounded wait for recovery instructions
+//! (`max(10 × liveness, 30 s)`). A restarted coordinator
+//! ([`resume_coordinator`], the `--resume` flag of `warp-cluster`) loads
+//! the segment file from `store_dir`, spawns every worker slot afresh and
+//! continues the run under a bumped session; each LP restores from its
+//! image exactly as after any other recovery.
 
 use crate::report::{
     LpSummary, MigrationMove, MigrationRecord, ResumeStats, RunReport, ScaleRecord,
@@ -250,13 +244,6 @@ pub struct NetTuning {
     /// ([`warp_net::frame::MAX_FRAME_BYTES`]).
     #[serde(default)]
     pub max_frame_bytes: u64,
-    /// How long an orphaned worker waits for recovery instructions on
-    /// its control channel before exiting (milliseconds). 0 = the legacy
-    /// derivation `max(liveness_ms * 10, 30s)`. Also the wait between a
-    /// parked worker's successful reattach and the coordinator's
-    /// follow-up `SessionLine`.
-    #[serde(default)]
-    pub orphan_grace_ms: u64,
 }
 
 impl Default for NetTuning {
@@ -267,7 +254,6 @@ impl Default for NetTuning {
             connect_backoff_start_ms: 20,
             connect_backoff_max_ms: 500,
             max_frame_bytes: 0,
-            orphan_grace_ms: 0,
         }
     }
 }
@@ -322,11 +308,7 @@ impl NetTuning {
     /// How long an orphaned worker waits for recovery instructions
     /// before giving up.
     fn orphan_wait(&self) -> Duration {
-        if self.orphan_grace_ms == 0 {
-            Duration::from_millis(self.liveness_ms * 10).max(Duration::from_secs(30))
-        } else {
-            Duration::from_millis(self.orphan_grace_ms)
-        }
+        Duration::from_millis(self.liveness_ms * 10).max(Duration::from_secs(30))
     }
 }
 
@@ -362,16 +344,6 @@ pub struct RecoveryPolicy {
     /// a resume is never bounded by [`NetTuning::max_frame_bytes`].
     #[serde(default)]
     pub resume_chunk_bytes: u64,
-    /// How long (milliseconds) a worker that loses its *coordinator*
-    /// survives in a parked state, retaining its LP runtimes and
-    /// re-dialing the admission point with [`Frame::Reattach`], before
-    /// giving up and exiting. 0 disables park-and-rejoin: coordinator
-    /// loss orphans the worker after the plain orphan wait (the
-    /// pre-failover behavior). Requires `store_dir` — a resumed
-    /// coordinator reconciles parked workers against the state stored
-    /// there.
-    #[serde(default)]
-    pub rejoin_grace_ms: u64,
 }
 
 impl Default for RecoveryPolicy {
@@ -383,7 +355,6 @@ impl Default for RecoveryPolicy {
             stall_budget_ms: 0,
             store_dir: None,
             resume_chunk_bytes: 0,
-            rejoin_grace_ms: 0,
         }
     }
 }
@@ -486,11 +457,12 @@ impl From<io::Error> for DistError {
     }
 }
 
-/// The first line of JSON a worker reads on stdin: what is fixed for the
-/// process's whole life. The [`SessionLine`] of its first session
-/// follows at once. Like that line, every field is required (`null`
-/// spells an absent option): the coordinator writes them all, and a peer
-/// of another build would be refused at the mesh `Hello` anyway.
+/// The first control message a worker reads on its control socket: what
+/// is fixed for the process's whole life. The [`SessionLine`] of its
+/// first session follows at once. Like that line, every field is
+/// required (`null` spells an absent option): the coordinator writes them
+/// all, and a peer of another build would be refused at the mesh `Hello`
+/// anyway.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorkerInit {
     /// This worker's mesh process id (1-based; 0 is the coordinator).
@@ -510,28 +482,6 @@ pub struct WorkerInit {
     /// Deterministic fault plan: the mesh applies its link rules; the
     /// worker looks up its own `Slow` and `CrashWorker` entries.
     pub fault: Option<FaultPlan>,
-    /// Park-and-rejoin instructions: present when the run keeps a
-    /// durable store and [`RecoveryPolicy::rejoin_grace_ms`] is set.
-    /// `None` = coordinator loss orphans this worker.
-    pub rejoin: Option<RejoinSpec>,
-}
-
-/// How long a worker survives its coordinator, and where else to look
-/// for a successor. A parked worker dials [`Frame::Reattach`] first at
-/// the admission point it last reached the coordinator on — a resumed
-/// coordinator re-binds it — then at the admit file's address. Shipped
-/// inside [`WorkerInit`] when the durable store and
-/// [`RecoveryPolicy::rejoin_grace_ms`] are armed.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RejoinSpec {
-    /// Parked-survival budget, milliseconds, measured from the moment
-    /// the worker first loses its coordinator. Always positive.
-    pub grace_ms: u64,
-    /// Optional admit-file path, re-read before every dial attempt: if
-    /// the resumed coordinator could not re-bind the old admission
-    /// address it publishes its fallback address here.
-    #[serde(default)]
-    pub admit_file: Option<String>,
 }
 
 /// The line of JSON that starts every worker session, the first
@@ -577,8 +527,8 @@ impl SessionLine {
 struct WorkerReport {
     gvt_rounds: u64,
     per_lp: Vec<LpSummary>,
-    /// Resume accounting accumulated across this worker's sessions
-    /// (rebuild vs. in-place rollback counts, replayed events).
+    /// Resume accounting accumulated across this worker's sessions (the
+    /// LPs it built from their images).
     resume: ResumeStats,
     /// The worker process's peak resident set in KiB ([`peak_rss_kb`]).
     #[serde(default)]
@@ -711,13 +661,13 @@ struct WorkerProc {
 }
 
 impl WorkerProc {
-    /// A process that dialed in on its own: a `--join` worker (`fresh`)
-    /// or a parked survivor re-adopted after a coordinator restart.
-    fn dialed(link: ControlLink, fresh: bool) -> WorkerProc {
+    /// A `--join` worker that dialed in on its own, adopted at a
+    /// scale-out.
+    fn dialed(link: ControlLink) -> WorkerProc {
         WorkerProc {
             child: None,
             link: Some(link),
-            fresh,
+            fresh: true,
             pending_listen: None,
         }
     }
@@ -762,12 +712,12 @@ impl WorkerProc {
 }
 
 /// The run's admission point, where every worker dials in: a child the
-/// coordinator spawned, a `--join` worker offering itself for a
-/// scale-out, a parked worker re-homing with [`Frame::Reattach`]. Each
-/// presents its handshake, then waits in `dialers` until the coordinator
-/// takes it. The acceptor thread holds only a [`Weak`] reference and
-/// blocks in `accept`; dropping the point dials it once, so the thread
-/// sees the coordinator is gone, drops the listener and is joined.
+/// coordinator spawned, or a `--join` worker offering itself for a
+/// scale-out. Each presents its handshake, then waits in `dialers` until
+/// the coordinator takes it. The acceptor thread holds only a [`Weak`]
+/// reference and blocks in `accept`; dropping the point dials it once,
+/// so the thread sees the coordinator is gone, drops the listener and is
+/// joined.
 struct Admission {
     dialers: Mutex<Dialers>,
     /// Signalled whenever a dialer joins the queue.
@@ -793,36 +743,12 @@ fn is_joiner(hello: &Frame, spawned: &HashSet<u32>) -> bool {
 }
 
 impl Admission {
-    /// Open the run's admission point, start its acceptor thread, and
-    /// publish the address to `cfg.admit_file` when asked. A resumed run
-    /// re-binds the stored address, so parked workers find the
-    /// restarted coordinator where they last reached it without any
-    /// rendezvous file; the old socket may linger in TIME_WAIT briefly,
-    /// so the bind is retried for a few seconds, then falls back to an
-    /// ephemeral port — the admit file, the parked workers' second line
-    /// of discovery, publishes it. It outlives every session: a `--join`
-    /// worker may dial in long before pressure warrants adopting it.
-    fn open(cfg: &DistConfig, stored_addr: &str) -> Result<Arc<Admission>, DistError> {
-        let listener = if stored_addr.is_empty() {
-            bind_loopback()?
-        } else {
-            let until = Instant::now() + Duration::from_secs(5);
-            loop {
-                match std::net::TcpListener::bind(stored_addr) {
-                    Ok(l) => break l,
-                    Err(_) if Instant::now() < until => {
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "coordinator: could not re-bind admission point {stored_addr} \
-                             ({e}); falling back to an ephemeral port"
-                        );
-                        break bind_loopback()?;
-                    }
-                }
-            }
-        };
+    /// Open the run's admission point on an ephemeral port, start its
+    /// acceptor thread, and publish the address to `cfg.admit_file` when
+    /// asked. It outlives every session: a `--join` worker may dial in
+    /// long before pressure warrants adopting it.
+    fn open(cfg: &DistConfig) -> Result<Arc<Admission>, DistError> {
+        let listener = bind_loopback()?;
         let addr = listener.local_addr()?.to_string();
         eprintln!("coordinator: admission point at {addr}");
         if let Some(path) = &cfg.admit_file {
@@ -926,10 +852,9 @@ impl Drop for Admission {
 const HANDSHAKE_CAP: usize = 64;
 
 /// Read exactly one handshake frame, into a [`HANDSHAKE_CAP`]-byte buffer,
-/// and accept a [`Frame::Join`] of this protocol version or a
-/// [`Frame::Reattach`] (a tag new in v7: decoding it implies a compatible
-/// peer). Anything else is an error, and the admission point drops the
-/// dialer: it must shrug off port scanners and stale dialers.
+/// and accept a [`Frame::Join`] of this protocol version. Anything else
+/// is an error, and the admission point drops the dialer: it must shrug
+/// off port scanners and stale dialers.
 fn read_handshake(src: &mut impl Read) -> io::Result<Frame> {
     let refuse = |m: String| io::Error::new(ErrorKind::InvalidData, m);
     let mut len_buf = [0u8; 4];
@@ -945,7 +870,6 @@ fn read_handshake(src: &mut impl Read) -> io::Result<Frame> {
     dec.push(&body[..len]);
     match dec.next() {
         Ok(Some(hello @ Frame::Join { version, .. })) if version == PROTO_VERSION => Ok(hello),
-        Ok(Some(hello @ Frame::Reattach { .. })) => Ok(hello),
         Ok(_) => Err(refuse("not a handshake frame".into())),
         Err(e) => Err(refuse(e.to_string())),
     }
@@ -981,7 +905,7 @@ enum Membership {
     /// The same workers (migration, crash recovery: dead ones are
     /// respawned by [`await_listen`]).
     Keep,
-    /// Adopt a parked `--join` worker, or spawn one, as this proc id.
+    /// Adopt a waiting `--join` worker, or spawn one, as this proc id.
     Admit(u32),
     /// The drained retiree with this proc id exits cleanly.
     Retire(u32),
@@ -1140,9 +1064,6 @@ struct CoordJournal {
     /// The LP→worker owner map at write time.
     owners: Vec<u32>,
     n_workers: u32,
-    /// The admission listener's address — a resumed coordinator re-binds
-    /// it (a fresh port when empty) so parked workers find home.
-    admit_addr: String,
     recoveries: u64,
     barriers: u64,
     migrations: Vec<MigrationRecord>,
@@ -1164,7 +1085,7 @@ impl CoordState {
     /// Replace the segment file with the current control-plane state and
     /// images. A no-op without a durable store. Called before every
     /// session and at every checkpoint barrier.
-    fn persist(&mut self, admit_addr: &str) -> Result<(), DistError> {
+    fn persist(&mut self) -> Result<(), DistError> {
         let Some(segment) = &self.store.segment else {
             return Ok(());
         };
@@ -1175,7 +1096,6 @@ impl CoordState {
             next_ckpt: self.store.next_ckpt,
             owners: self.assign.owners().to_vec(),
             n_workers: self.assign.n_workers(),
-            admit_addr: admit_addr.to_string(),
             recoveries: self.recoveries,
             barriers: self.barriers,
             migrations: self.migrations.clone(),
@@ -1404,12 +1324,6 @@ fn validate_config(cfg: &DistConfig, n_workers: u32) -> Result<(), DistError> {
             "recovery.store_dir set but recovery is disabled: the store would never see a checkpoint",
         );
     }
-    if cfg.recovery.rejoin_grace_ms > 0 && cfg.recovery.store_dir.is_none() {
-        return invalid(
-            "recovery.rejoin_grace_ms set without store_dir: a resumed coordinator \
-             needs the stored state to reconcile parked workers",
-        );
-    }
     Ok(())
 }
 
@@ -1455,26 +1369,23 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
         probation: None,
         barriers: 0,
     };
-    let admission = Admission::open(cfg, "")?;
-    let spawn_all = (0..cfg.n_workers).map(|_| None).collect();
-    run_cluster(cfg, start, st, admission, spawn_all)
+    run_cluster(cfg, start, st)
 }
 
 /// The coordinator's run, shared by a fresh [`run_coordinator`] and a
-/// [`resume_coordinator`] that starts from the segment file: `adopted`
-/// holds the workers already in hand, by slot; every other slot is
-/// spawned. Whatever ends the run in an error, every worker is killed
+/// [`resume_coordinator`] that starts from the segment file: open the
+/// admission point and spawn every worker slot of the current
+/// membership. Whatever ends the run in an error, every worker is killed
 /// here.
 fn run_cluster(
     cfg: &DistConfig,
     start: Instant,
     mut st: CoordState,
-    admission: Arc<Admission>,
-    adopted: Vec<Option<WorkerProc>>,
 ) -> Result<RunReport, DistError> {
+    let admission = Admission::open(cfg)?;
     let mut workers = Vec::new();
     let deadline = start + cfg.timeout;
-    let run = run_sessions(cfg, deadline, &admission, &mut st, adopted, &mut workers);
+    let run = run_sessions(cfg, deadline, &admission, &mut st, &mut workers);
     let reports = match run {
         Ok(reports) => reports,
         Err(e) => {
@@ -1495,14 +1406,10 @@ fn run_sessions(
     deadline: Instant,
     admission: &Admission,
     st: &mut CoordState,
-    adopted: Vec<Option<WorkerProc>>,
     workers: &mut Vec<WorkerProc>,
 ) -> Result<Vec<WorkerReport>, DistError> {
-    for (i, slot) in adopted.into_iter().enumerate() {
-        workers.push(match slot {
-            Some(w) => w,
-            None => admission.spawn(&cfg.worker_bin, i as u32 + 1)?,
-        });
+    for proc_id in 1..=st.assign.n_workers() {
+        workers.push(admission.spawn(&cfg.worker_bin, proc_id)?);
     }
     loop {
         let cause = match await_listen(cfg, admission, workers, deadline) {
@@ -1518,7 +1425,7 @@ fn run_sessions(
             }
             Err(e) => restart_all(cfg, admission, workers, deadline, st.recoveries, e)?,
             Ok(()) => {
-                st.persist(&admission.addr)?;
+                st.persist()?;
                 match run_session_as_coordinator(cfg, workers, deadline, admission, st) {
                     Ok(SessionEnd::Finished(reports)) => {
                         for (i, w) in workers.iter_mut().enumerate() {
@@ -1537,7 +1444,7 @@ fn run_sessions(
                 // Prefer a worker that already dialed in; spawn a fresh
                 // copy of the binary otherwise.
                 let newcomer = match admission.take(Duration::ZERO, is_joiner) {
-                    Some((_, link)) => WorkerProc::dialed(link, true),
+                    Some((_, link)) => WorkerProc::dialed(link),
                     None => admission.spawn(&cfg.worker_bin, proc_id)?,
                 };
                 workers.push(newcomer);
@@ -1614,10 +1521,10 @@ fn load_store(store_dir: &Path) -> Result<Segment, DistError> {
 
 /// Resume an interrupted distributed run from its durable store: load
 /// the coordinator's state and the latest images from the segment file,
-/// re-open the admission point at its old address,
-/// re-adopt parked workers via their [`Frame::Reattach`] handshakes
-/// (respawning fresh processes for any that never dial in), bump the
-/// session, and continue the run to completion.
+/// spawn every worker slot afresh, bump the session, and continue the run
+/// to completion. Each LP restores from its image, as after any other
+/// recovery; the dead coordinator's workers are orphans and exit on
+/// their own.
 ///
 /// `cfg` must describe the same job the store was created with (its job
 /// record is compared verbatim); `cfg.n_workers` is ignored in favor of
@@ -1667,57 +1574,24 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
             cfg.n_lps
         )));
     }
-    let mut store = CkptStore {
+    let store = CkptStore {
         images: seg.images,
         horizon: seg.horizon,
         next_ckpt: rec.next_ckpt,
         segment: Some(SegmentStore::open(store_dir, job)),
         stats: rec.stats,
     };
-
-    let admission = Admission::open(cfg, &rec.admit_addr)?;
     let horizon = store.horizon;
-
-    // Re-adoption window: give parked survivors a bounded chance to
-    // dial in with `Reattach` before respawning their slots. Stops
-    // early once every slot has reported home.
-    let mut adopted: Vec<Option<WorkerProc>> = (0..n_workers).map(|_| None).collect();
-    let mut max_session = rec.session;
-    let window = Duration::from_millis(cfg.net.liveness_ms * 2).max(Duration::from_secs(2));
-    let until = (Instant::now() + window).min(start + cfg.timeout);
-    while adopted.iter().any(Option::is_none) {
-        let unclaimed = |hello: &Frame, _: &HashSet<u32>| {
-            matches!(hello, Frame::Reattach { worker_id, .. }
-                if (1..=n_workers).contains(worker_id) && adopted[*worker_id as usize - 1].is_none())
-        };
-        let left = until.saturating_duration_since(Instant::now());
-        let Some((hello, link)) = admission.take(left, unclaimed) else {
-            break;
-        };
-        let Frame::Reattach {
-            session: sess,
-            worker_id: w,
-        } = hello
-        else {
-            unreachable!("only Reattach handshakes are taken here")
-        };
-        // Gets a SessionLine alone, and loads its images like everyone.
-        max_session = max_session.max(sess);
-        adopted[w as usize - 1] = Some(WorkerProc::dialed(link, false));
-    }
-    let reattached = adopted.iter().filter(|w| w.is_some()).count() as u64;
     eprintln!(
-        "coordinator: resumed run at session {} (horizon {horizon}): {reattached} worker(s) \
-         re-adopted, {} respawned",
-        rec.session,
-        n_workers as u64 - reattached
+        "coordinator: resumed run at session {} (horizon {horizon}): spawning {n_workers} \
+         worker(s)",
+        rec.session
     );
 
-    // The outage is a recovery: bump the session past anything any
-    // surviving worker has seen, count it, and put it on the control
-    // trajectory so the report shows the run healed itself.
-    let session = max_session + 1;
-    store.stats.reattached += reattached;
+    // The outage is a recovery: bump the session, count it, and put it
+    // on the control trajectory so the report shows the run healed
+    // itself.
+    let session = rec.session + 1;
     let mut st = CoordState {
         assign,
         store,
@@ -1738,11 +1612,11 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
             param: Param::Coordinator,
             old: rec.session as f64,
             new: session as f64,
-            sampled_o: reattached as f64,
+            sampled_o: n_workers as f64,
         }],
         ..TelemetryReport::default()
     });
-    run_cluster(cfg, start, st, admission, adopted)
+    run_cluster(cfg, start, st)
 }
 
 /// One coordinator session: distribute addresses and session lines,
@@ -1761,16 +1635,6 @@ fn run_session_as_coordinator(
     let n_procs = st.assign.n_workers() + 1;
     let listener = bind_loopback()?;
     let coord_addr = listener.local_addr()?;
-    // Park-and-rejoin instructions ride every fresh worker's init; a
-    // parked worker finds the resumed coordinator where it last reached
-    // this one.
-    let rejoin = (cfg.recovery.rejoin_grace_ms > 0).then(|| RejoinSpec {
-        grace_ms: cfg.recovery.rejoin_grace_ms,
-        admit_file: cfg
-            .admit_file
-            .as_ref()
-            .map(|p| p.to_string_lossy().into_owned()),
-    });
 
     let mut peers: Vec<(u32, String)> = vec![(0, coord_addr.to_string())];
     for (i, w) in workers.iter_mut().enumerate() {
@@ -1803,7 +1667,6 @@ fn run_session_as_coordinator(
                 recovery: cfg.recovery.enabled,
                 balance: cfg.balance.enabled || cfg.elastic.enabled,
                 fault: cfg.fault.clone(),
-                rejoin: rejoin.clone(),
             });
             link.send(&init).map_err(died)?;
             w.fresh = false;
@@ -2185,7 +2048,7 @@ fn coordinate(
                     // file takes them with the barrier count.
                     st.store.commit(horizon, parts, &st.assign)?;
                     st.barriers += 1;
-                    st.persist(&admission.addr)?;
+                    st.persist()?;
                     // Die like a killed coordinator — no goodbye
                     // — *between* barriers, after this one
                     // committed. Exact equality, so a
@@ -2653,14 +2516,9 @@ impl Drop for WorkerPort {
 /// `build` turns the coordinator's opaque model JSON into the
 /// [`SimulationSpec`] — that is the only model knowledge in the whole
 /// distributed machinery, and it lives in the binary, not this crate.
-/// `rejoin_grace_ms` is the `--rejoin-grace MS` flag of a worker binary:
-/// `None` keeps the grace the coordinator offers, `Some(0)` disables
-/// parking even when offered, `Some(ms)` parks for `ms` whatever the
-/// coordinator offers.
 pub fn join_main(
     coordinator: &str,
     build: &dyn Fn(&serde_json::Value) -> Result<SimulationSpec, String>,
-    rejoin_grace_ms: Option<u64>,
 ) -> Result<(), String> {
     let hello = Frame::Join {
         version: PROTO_VERSION,
@@ -2672,7 +2530,7 @@ pub fn join_main(
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    let mut init = match link
+    let init = match link
         .send(&Control::Listen(addr.to_string()))
         .and_then(|()| link.recv(None))
     {
@@ -2683,17 +2541,6 @@ pub fn join_main(
         }
         other => return Err(format!("expected the worker init, got {other:?}")),
     };
-    match (rejoin_grace_ms, &mut init.rejoin) {
-        (None, _) => {}
-        (Some(0), r) => *r = None,
-        (Some(ms), r) => {
-            r.get_or_insert(RejoinSpec {
-                grace_ms: ms,
-                admit_file: None,
-            })
-            .grace_ms = ms
-        }
-    }
 
     let spec = build(&init.model)?;
     let n_lps = spec.partition.n_lps() as u32;
@@ -2703,7 +2550,7 @@ pub fn join_main(
             init.n_lps
         ));
     }
-    run_worker(&init, spec, listener, link, coordinator.to_string())
+    run_worker(&init, spec, listener, link)
 }
 
 /// How a worker session ended. Every cause but `Finished` aborted the
@@ -2752,19 +2599,16 @@ impl Carried {
 /// (with recovery on) the worker discards the session, announces a fresh
 /// listener, and waits for the coordinator's next session; without
 /// recovery it exits nonzero at once, because a Time Warp run that lost
-/// a process cannot commit a correct history. `coordinator` is the
-/// admission point `link` was dialed at.
+/// a process cannot commit a correct history. A worker whose coordinator
+/// is gone is an orphan and exits 3: a resumed coordinator spawns its
+/// slot afresh.
 fn run_worker(
     init: &WorkerInit,
     spec: SimulationSpec,
     mut listener: std::net::TcpListener,
     mut link: ControlLink,
-    mut coordinator: String,
 ) -> Result<(), String> {
     let mut carried = Carried::new(init);
-    // The last session this process joined (0 before its first), as a
-    // parked worker's `Reattach` names it.
-    let mut session = 0;
     // The bootstrap announced the first listener before the init.
     let mut announced = true;
     loop {
@@ -2774,53 +2618,34 @@ fn run_worker(
             .to_string();
         // The coordinator needs time to notice, reap, and respawn; but
         // a coordinator that died will never write again — bound the
-        // wait. With a rejoin grace the worker parks instead of dying:
-        // it dials the re-admission point and presents `Reattach` until
-        // a successor adopts it or the grace runs out. The park deadline spans the *whole* parked
-        // period — repeated failed reattach rounds share one grace, and
-        // only a delivered session line resets it (by looping back to
-        // the top with a live coordinator).
+        // wait.
         let wait = init.net.orphan_wait();
-        let mut park_deadline: Option<Instant> = None;
-        let sl: SessionLine = loop {
-            let heard = if std::mem::take(&mut announced) {
-                link.recv(Some(wait))
-            } else {
-                link.send(&Control::Listen(addr.clone()))
-                    .and_then(|()| link.recv(Some(wait)))
-            };
-            let why = match heard {
-                Ok(Some(Control::Session(sl))) => break sl,
-                Ok(None) => format!("no recovery instructions within {wait:?}"),
-                Err(e) if e.kind() != ErrorKind::InvalidData => "control socket closed".into(),
-                other => return Err(format!("expected a session line, got {other:?}")),
-            };
-            let Some(rejoin) = &init.rejoin else {
-                eprintln!(
-                    "warp-worker (proc {}): orphaned ({why}); exiting",
+        let heard = if std::mem::take(&mut announced) {
+            link.recv(Some(wait))
+        } else {
+            link.send(&Control::Listen(addr))
+                .and_then(|()| link.recv(Some(wait)))
+        };
+        let sl = match heard {
+            Ok(Some(Control::Session(sl))) => sl,
+            other => {
+                let why = match other {
+                    Ok(None) => format!("no recovery instructions within {wait:?}"),
+                    Err(e) if e.kind() != ErrorKind::InvalidData => "control socket closed".into(),
+                    other => return Err(format!("expected a session line, got {other:?}")),
+                };
+                // One write: a dead coordinator's orphans exit at the same
+                // instant on a shared stderr, and `eprintln!` writes a
+                // line in pieces that a sibling's can split.
+                let line = format!(
+                    "warp-worker (proc {}): orphaned ({why}); exiting\n",
                     init.proc_id
                 );
+                eprint!("{line}");
                 std::process::exit(3);
-            };
-            let deadline = *park_deadline
-                .get_or_insert_with(|| Instant::now() + Duration::from_millis(rejoin.grace_ms));
-            match park_for_rejoin(init, rejoin, &coordinator, deadline, session, &why) {
-                Some((fresh, at)) => (link, coordinator) = (fresh, at),
-                None => {
-                    // One write: parked siblings give up at the same
-                    // instant on a shared stderr, and `eprintln!` writes a
-                    // line in pieces that theirs can split.
-                    let line = format!(
-                        "warp-worker (proc {}): rejoin grace ({} ms) expired with no \
-                         successor coordinator; exiting\n",
-                        init.proc_id, rejoin.grace_ms
-                    );
-                    eprint!("{line}");
-                    std::process::exit(4);
-                }
             }
         };
-        session = sl.session;
+        let session = sl.session;
         let why = match run_session_as_worker(init, &spec, &sl, listener, &mut carried)? {
             WorkerSessionEnd::Finished => return Ok(()),
             WorkerSessionEnd::Retire { .. } => {
@@ -2848,71 +2673,6 @@ fn run_worker(
         );
         listener = bind_loopback().map_err(|e| format!("re-bind: {e}"))?;
     }
-}
-
-/// A parked worker's rejoin loop: dial a successor coordinator with
-/// jittered exponential backoff, presenting a [`Frame::Reattach`] that
-/// names this worker, until one accepts the stream or the grace deadline
-/// passes. Each
-/// attempt dials `last` — where this worker last reached a coordinator
-/// — and then the admit file's address (when configured), re-read every
-/// time, because a restarted coordinator that could not re-bind the old
-/// address publishes its new one there.
-///
-/// Returns the fresh control socket and where it was reached, `None` on
-/// expiry.
-fn park_for_rejoin(
-    init: &WorkerInit,
-    rejoin: &RejoinSpec,
-    last: &str,
-    deadline: Instant,
-    session: u32,
-    why: &str,
-) -> Option<(ControlLink, String)> {
-    // One write, as for the grace expiry: siblings park at once.
-    let line = format!(
-        "warp-worker (proc {}): coordinator lost ({why}); parked for rejoin \
-         (grace {} ms)\n",
-        init.proc_id, rejoin.grace_ms
-    );
-    eprint!("{line}");
-    let start = Duration::from_millis(init.net.connect_backoff_start_ms.max(1));
-    let cap = Duration::from_millis(
-        init.net
-            .connect_backoff_max_ms
-            .max(init.net.connect_backoff_start_ms.max(1)),
-    );
-    let seed = (u64::from(init.proc_id) << 32) | 0xFA11;
-    let hello = Frame::Reattach {
-        session,
-        worker_id: init.proc_id,
-    };
-    let mut attempt = 0u32;
-    while Instant::now() < deadline {
-        let published = rejoin
-            .admit_file
-            .as_deref()
-            .and_then(|p| std::fs::read_to_string(p).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty() && s != last);
-        for addr in std::iter::once(last.to_string()).chain(published) {
-            if let Ok(link) = ControlLink::dial(&addr, &hello) {
-                eprintln!(
-                    "warp-worker (proc {}): reattached via {addr} (last session {session})",
-                    init.proc_id
-                );
-                return Some((link, addr));
-            }
-        }
-        attempt = attempt.saturating_add(1);
-        let pause = warp_net::tcp::jittered_backoff(start, cap, attempt, seed);
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            break;
-        }
-        std::thread::sleep(pause.min(left));
-    }
-    None
 }
 
 /// One worker session: establish the mesh under the session epoch,
@@ -3439,7 +3199,6 @@ mod tests {
             next_ckpt: 5,
             owners: vec![1, 1, 2, 2],
             n_workers: 2,
-            admit_addr: "127.0.0.1:4000".into(),
             recoveries: 1,
             barriers: 4,
             migrations: Vec::new(),
@@ -3531,20 +3290,29 @@ mod tests {
     #[test]
     fn a_silent_dialer_holds_up_no_one() {
         // A dialer that connects and says nothing (a port scanner, or a
-        // worker stalled before its `Join`), then one whose length
-        // prefix is garbage: a real `Join` dialed after both is queued
-        // at once, and the garbage dialer is dropped.
+        // worker stalled before its `Join`), one whose length prefix is
+        // garbage, and a parked worker of protocol v12 presenting its
+        // re-admission handshake (the retired tag 20, then its last
+        // session and slot): a real `Join` dialed after all three is
+        // queued at once, and the other two are dropped.
         let cfg = DistConfig::new(
             1,
             PathBuf::from("/nonexistent/warp-worker"),
             serde_json::Value::Null,
             2,
         );
-        let admission = Admission::open(&cfg, "").unwrap();
+        let admission = Admission::open(&cfg).unwrap();
         let dial = || TcpStream::connect(&admission.addr).unwrap();
         let _silent = dial();
         let mut garbage = dial();
         garbage.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        let mut retired = 9u32.to_le_bytes().to_vec();
+        retired.push(20);
+        retired.extend_from_slice(&3u32.to_le_bytes());
+        retired.extend_from_slice(&1u32.to_le_bytes());
+        assert!(read_handshake(&mut &retired[..]).is_err());
+        let mut parked = dial();
+        parked.write_all(&retired).unwrap();
         let dialed = Instant::now();
         let hello = Frame::Join {
             version: PROTO_VERSION,
@@ -3557,13 +3325,15 @@ mod tests {
             "the Join was not queued within {:?}",
             dialed.elapsed()
         );
-        garbage
-            .set_read_timeout(Some(Duration::from_secs(1)))
-            .unwrap();
-        match garbage.read(&mut [0u8; 1]) {
-            Ok(0) => {}
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
-            other => panic!("the garbage dialer is still connected: {other:?}"),
+        for (who, mut dialer) in [("garbage", garbage), ("parked", parked)] {
+            dialer
+                .set_read_timeout(Some(Duration::from_secs(1)))
+                .unwrap();
+            match dialer.read(&mut [0u8; 1]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+                other => panic!("the {who} dialer is still connected: {other:?}"),
+            }
         }
     }
 
@@ -3599,10 +3369,6 @@ mod tests {
             recovery: true,
             balance: true,
             fault: Some(FaultPlan::new().crash(2, 1, 100, 0).slow(2, 250, 5_000)),
-            rejoin: Some(RejoinSpec {
-                grace_ms: 15_000,
-                admit_file: None,
-            }),
         };
         let line = serde_json::to_string(&init).unwrap();
         let back: WorkerInit = serde_json::from_str(&line).unwrap();
@@ -3615,9 +3381,6 @@ mod tests {
         let fault = back.fault.expect("fault plan survives the round trip");
         assert_eq!(fault.slowdown(2), Some((250, 5_000)));
         assert_eq!(fault, init.fault.unwrap());
-        let rejoin = back.rejoin.expect("rejoin spec survives the round trip");
-        assert_eq!(rejoin.grace_ms, 15_000);
-        assert_eq!(rejoin.admit_file, None);
     }
 
     #[test]
@@ -3858,20 +3621,17 @@ mod tests {
         let p: RecoveryPolicy = serde_json::from_str(raw).unwrap();
         assert_eq!(p.store_dir, None);
         assert_eq!(p.resume_chunk_bytes, 0);
-        assert_eq!(p.rejoin_grace_ms, 0, "pre-failover policy = no parking");
         let raw = r#"{"heartbeat_ms":250,"liveness_ms":3000,"connect_backoff_start_ms":20,"connect_backoff_max_ms":500}"#;
         let t: NetTuning = serde_json::from_str(raw).unwrap();
         assert_eq!(t.max_frame_bytes, 0);
         assert_eq!(t.frame_cap(), warp_net::frame::MAX_FRAME_BYTES);
-        assert_eq!(t.orphan_grace_ms, 0);
-        // The unset orphan grace keeps the historical liveness-derived
-        // wait; an explicit grace overrides it exactly.
+        // An orphan waits ten liveness timeouts, and never under 30 s.
         assert_eq!(t.orphan_wait(), Duration::from_secs(30));
         let t = NetTuning {
-            orphan_grace_ms: 1_500,
+            liveness_ms: 5_000,
             ..NetTuning::default()
         };
-        assert_eq!(t.orphan_wait(), Duration::from_millis(1_500));
+        assert_eq!(t.orphan_wait(), Duration::from_secs(50));
     }
 
     #[test]
@@ -4225,7 +3985,6 @@ mod tests {
             recovery: true,
             balance: false,
             fault: None,
-            rejoin: None,
         };
         let sl = SessionLine {
             session: 1,

@@ -31,7 +31,7 @@ pub mod virtual_cluster;
 
 pub use distributed::{
     checkpoint_segment_path, join_main, load_checkpoint_segment, resume_coordinator,
-    run_coordinator, stored_job_json, DistConfig, DistError, NetTuning, RecoveryPolicy, RejoinSpec,
+    run_coordinator, stored_job_json, DistConfig, DistError, NetTuning, RecoveryPolicy,
 };
 pub use report::{LpSummary, ObjectSummary, ResumeStats, RunReport};
 pub use sequential::run_sequential;

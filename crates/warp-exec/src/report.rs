@@ -120,10 +120,6 @@ pub struct ResumeStats {
     /// respawned worker, a migration target or a newcomer alike.
     #[serde(default)]
     pub images_loaded: u64,
-    /// Parked workers a restarted coordinator re-adopted via the
-    /// protocol `Reattach` handshake instead of respawning.
-    #[serde(default)]
-    pub reattached: u64,
 }
 
 impl ResumeStats {
@@ -134,7 +130,6 @@ impl ResumeStats {
         self.ckpt_bytes += other.ckpt_bytes;
         self.store_spilled_bytes += other.store_spilled_bytes;
         self.images_loaded += other.images_loaded;
-        self.reattached += other.reattached;
     }
 }
 

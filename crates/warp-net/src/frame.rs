@@ -38,9 +38,6 @@
 //!   `Retire` tells a drained worker its LPs have been
 //!   checkpointed and re-homed so it can leave; `DrainAck` is the
 //!   retiree's confirmation, after which it exits cleanly.
-//! * `Reattach` — the failover plane (v7): a parked worker's one-frame
-//!   re-admission handshake to a restarted coordinator, announcing the
-//!   session it last ran and its mesh slot.
 //! * `Control` — every later message on a control socket (v11; opaque
 //!   JSON bytes, `warp-exec` owns the schema).
 //! * `Bye` — graceful shutdown: the peer finished sending and will close
@@ -76,18 +73,21 @@ use warp_core::{LpId, VirtualTime};
 /// v4: the load-balance plane (`LoadReport`, `Rebalance`). v5: the
 /// chunked `ResumeChunk` stream replacing monolithic `Resume` payloads.
 /// v6: the elastic membership plane (`Join`, `Retire`, `DrainAck`).
-/// v7: the failover plane (`Reattach` — a parked worker re-admitting
-/// itself to a restarted coordinator). v8: a per-link batch frame (tag
-/// 21). v9: that frame is gone again — events are aggregated once, by
-/// the LP's DyMA buffers — so a v8 peer, which could still send one, is
-/// refused at `Hello`. v10: checkpoints ride the GVT news — `GvtNews`
+/// v7: the failover plane (tag 20, a parked worker's handshake
+/// re-admitting itself to a restarted coordinator). v8: a per-link
+/// batch frame (tag 21). v9: that frame is gone again — events are
+/// aggregated once, by the LP's DyMA buffers — so a v8 peer, which could
+/// still send one, is refused at `Hello`. v10: checkpoints ride the GVT news — `GvtNews`
 /// carries the checkpoint id of a tagged round, and `SnapshotReq` no
 /// longer names a horizon (the controller LP picks it). v11: one control
 /// socket per worker — `Join` names the dialer's OS pid, and the
 /// `Control` frame carries what used to be stdio lines. v12: checkpoints
 /// are images, so a worker keeps no restore point to acknowledge:
-/// `SnapshotAck` (tag 11) is gone and `Reattach` names no horizon.
-pub const PROTO_VERSION: u16 = 12;
+/// `SnapshotAck` (tag 11) is gone and the re-admission handshake names
+/// no horizon. v13: a resumed coordinator spawns every worker afresh, so
+/// no worker re-admits itself: tag 20 is gone, and a v12 worker that
+/// presents it is dropped at the admission point.
+pub const PROTO_VERSION: u16 = 13;
 
 /// Default upper bound on a frame body. Protects the decoder from
 /// allocating gigabytes off a corrupt or malicious length prefix.
@@ -245,21 +245,6 @@ pub enum Frame {
         /// Echo of the drain horizon.
         gvt: VirtualTime,
     },
-    /// Parked worker → restarted coordinator: first (and only) frame on
-    /// a re-admission connection (v7). A worker that lost its
-    /// coordinator but holds a rejoin grace dials the admission
-    /// endpoint and announces which session it last ran and which mesh
-    /// slot it occupied; the coordinator re-adopts it into that slot
-    /// instead of spawning a replacement. After `Reattach` the stream
-    /// carries [`Frame::Control`] frames, exactly like one opened with
-    /// [`Frame::Join`].
-    Reattach {
-        /// The last session epoch the worker participated in.
-        session: u32,
-        /// The worker's mesh process id in that session (1-based;
-        /// 0 is the coordinator and never reattaches).
-        worker_id: u32,
-    },
     /// Either way on a control socket (v11): one control message.
     Control(Vec<u8>),
 }
@@ -283,7 +268,8 @@ const TAG_RESUME_CHUNK: u8 = 16;
 const TAG_JOIN: u8 = 17;
 const TAG_RETIRE: u8 = 18;
 const TAG_DRAIN_ACK: u8 = 19;
-const TAG_REATTACH: u8 = 20;
+// 20 is retired (the parked worker's re-admission, v7 to v12); do not
+// reuse it.
 // 21 is retired (the per-link batch of v8); do not reuse it.
 const TAG_CONTROL: u8 = 22;
 
@@ -432,9 +418,6 @@ impl Frame {
                 w.u8(TAG_DRAIN_ACK);
                 write_vt(&mut w, *gvt);
             }
-            Frame::Reattach { session, worker_id } => {
-                w.u8(TAG_REATTACH).u32(*session).u32(*worker_id);
-            }
             Frame::Control(bytes) => {
                 w.u8(TAG_CONTROL).bytes(bytes);
             }
@@ -563,10 +546,6 @@ impl Frame {
             },
             TAG_DRAIN_ACK => Frame::DrainAck {
                 gvt: read_vt(&mut r).map_err(mal)?,
-            },
-            TAG_REATTACH => Frame::Reattach {
-                session: r.u32().map_err(mal)?,
-                worker_id: r.u32().map_err(mal)?,
             },
             TAG_CONTROL => Frame::Control(r.bytes().map_err(mal)?.to_vec()),
             other => return Err(FrameError::BadTag(other)),
@@ -766,10 +745,6 @@ mod tests {
             Frame::DrainAck {
                 gvt: VirtualTime::new(17),
             },
-            Frame::Reattach {
-                session: 3,
-                worker_id: 2,
-            },
             Frame::Control(br#"{"Listen":"127.0.0.1:9"}"#.to_vec()),
         ]
     }
@@ -868,9 +843,9 @@ mod tests {
         let mut d = FrameDecoder::new();
         d.push(&raw);
         assert_eq!(d.next(), Err(FrameError::BadTag(0xEE)));
-        // The retired tags (monolithic `Resume`, the v8 per-link batch)
-        // are just more bad tags.
-        for tag in [12, 21] {
+        // The retired tags (checkpoint ack, monolithic `Resume`, parked
+        // re-admission, the v8 per-link batch) are just more bad tags.
+        for tag in [11, 12, 20, 21] {
             assert_eq!(Frame::decode_body(&[tag]), Err(FrameError::BadTag(tag)));
         }
     }

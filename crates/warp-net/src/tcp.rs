@@ -809,9 +809,9 @@ fn proto_err(msg: String) -> io::Error {
 /// given dialer backs off identically on every run (reproducible
 /// tests), while distinct dialers — distinct seeds — spread out across
 /// the band instead of retrying in lock-step. That spread is what keeps
-/// a mass rejoin after a coordinator restart from thundering-herding
-/// the freshly re-bound admission listener.
-pub fn jittered_backoff(start: Duration, max: Duration, attempt: u32, seed: u64) -> Duration {
+/// a whole cluster re-dialing after a recovery from thundering-herding
+/// one listener.
+fn jittered_backoff(start: Duration, max: Duration, attempt: u32, seed: u64) -> Duration {
     let exp = start.saturating_mul(1u32 << attempt.min(16)).min(max);
     let half = exp / 2;
     let span = exp.saturating_sub(half).as_nanos() as u64;

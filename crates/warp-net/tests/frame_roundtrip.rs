@@ -187,8 +187,6 @@ fn arb_frame() -> BoxedStrategy<Frame> {
         any::<u64>().prop_map(|gvt| Frame::DrainAck {
             gvt: VirtualTime::from_ticks(gvt),
         }),
-        (any::<u32>(), any::<u32>())
-            .prop_map(|(session, worker_id)| Frame::Reattach { session, worker_id }),
         proptest::collection::vec(any::<u8>(), 0..96).prop_map(Frame::Control),
     ]
     .boxed()

@@ -92,7 +92,7 @@ pub enum Param {
     /// Coordinator fail-over: a restarted coordinator resumed the run
     /// from its durable store (`old`/`new` are the session epochs
     /// before and after the outage; `lp`/`object` are 0; `sampled_o` is
-    /// the number of parked workers re-adopted via `Reattach`). Recorded
+    /// the number of workers the resumed coordinator spawned). Recorded
     /// by the resumed coordinator.
     Coordinator,
 }

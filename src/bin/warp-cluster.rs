@@ -9,8 +9,7 @@
 //!              [--balance] [--slow PROC:MICROS[:EVENTS]] [--store-dir DIR]
 //!              [--elastic] [--min-workers N] [--max-workers N] [--admit-file PATH]
 //!              [--max-frame-bytes N] [--resume-chunk-bytes N]
-//!              [--agg-window US] [--agg-fixed]
-//!              [--rejoin-grace MS] [--supervise]
+//!              [--agg-window US] [--agg-fixed] [--supervise]
 //! warp-cluster --resume STORE_DIR [--workers N] [--timeout SECS]
 //!              [--telemetry OUT.jsonl] [--admit-file PATH]
 //! warp-cluster stats TELEMETRY.jsonl|REPORT.json
@@ -53,19 +52,14 @@
 //! unless `--agg-fixed` pins it (FAW); `0` turns aggregation off (see
 //! `docs/data-plane.md`).
 //!
-//! `--rejoin-grace MS` arms coordinator fail-over (implies recovery;
-//! needs `--store-dir`): `DIR/images.seg` then also holds the job and
-//! the coordinator's control-plane state, all replaced together before
-//! every session and at every checkpoint barrier, and workers that lose
-//! the coordinator *park* for `MS` milliseconds instead of exiting,
-//! dialing the re-admission point until a restarted coordinator adopts
-//! them. `--resume STORE_DIR` is that restart: it loads
-//! `STORE_DIR/images.seg` (the job is in it — no JOB.json needed),
-//! re-adopts parked workers via the `Reattach` handshake, respawns the
-//! rest, and continues the run. `--supervise` automates the loop: the
-//! coordinator runs as a child process, and every unclean exit is
-//! restarted with `--resume` until the job's recovery budget
-//! (`recovery.max_recoveries`) is spent. See
+//! Coordinator fail-over rides the store: `--resume STORE_DIR` restarts
+//! a run whose coordinator died. It loads `STORE_DIR/images.seg` (the
+//! job is in it — no JOB.json needed), spawns every worker slot afresh,
+//! restores each LP from its image, and continues the run; the dead
+//! coordinator's workers exit on their own. `--supervise` (needs
+//! `--store-dir`) automates the loop: the coordinator runs as a child
+//! process, and every unclean exit is restarted with `--resume` until
+//! the job's recovery budget (`recovery.max_recoveries`) is spent. See
 //! `docs/coordinator-failover.md`.
 //!
 //! The worker binary is taken from `WARP_WORKER_BIN`, falling back to a
@@ -77,7 +71,7 @@ use std::time::Duration;
 use warp_exec::distributed::{resume_coordinator, run_coordinator};
 use warp_net::{AggregationConfig, FaultPlan};
 use warp_telemetry::TelemetryReport;
-use warped_online::cluster::{dist_config, parse_job, resume_job, ClusterJob};
+use warped_online::cluster::{dist_config, parse_job, resume_config, ClusterJob};
 
 /// SAAW clamps behind `--agg-window`, in wall seconds.
 /// `AggregationConfig::saaw`'s ×100 upper clamp suits modeled time; on
@@ -92,8 +86,7 @@ fn usage() -> ! {
          \x20                [--balance] [--slow PROC:MICROS[:EVENTS]] [--store-dir DIR]\n\
          \x20                [--elastic] [--min-workers N] [--max-workers N] [--admit-file PATH]\n\
          \x20                [--max-frame-bytes N] [--resume-chunk-bytes N]\n\
-         \x20                [--agg-window US] [--agg-fixed]\n\
-         \x20                [--rejoin-grace MS] [--supervise]\n\
+         \x20                [--agg-window US] [--agg-fixed] [--supervise]\n\
          \x20      warp-cluster --resume STORE_DIR [--workers N] [--timeout SECS]\n\
          \x20                [--telemetry OUT.jsonl] [--admit-file PATH]\n\
          \x20      warp-cluster stats TELEMETRY.jsonl|REPORT.json"
@@ -155,7 +148,6 @@ fn run() -> Result<(), String> {
     let mut agg_window: Option<u64> = None;
     let mut agg_fixed = false;
     let mut resume: Option<PathBuf> = None;
-    let mut rejoin_grace: Option<u64> = None;
     let mut supervise = false;
     // Flags that shape the job itself: refused together with --resume,
     // which must continue the stored job verbatim (the executive
@@ -248,14 +240,6 @@ fn run() -> Result<(), String> {
                 agg_fixed = true;
                 job_flags.push("--agg-fixed");
             }
-            "--rejoin-grace" => {
-                rejoin_grace = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-                job_flags.push("--rejoin-grace");
-            }
             "--resume" => {
                 resume = Some(argv.next().map(PathBuf::from).unwrap_or_else(|| usage()));
             }
@@ -296,9 +280,8 @@ fn run() -> Result<(), String> {
         if job_file.is_some() {
             return Err("--resume reads the job from the store; drop the JOB.json argument".into());
         }
-        let job = resume_job(dir).map_err(|e| e.to_string())?;
         let mut cfg =
-            dist_config(&job, n_workers, worker_bin()?, timeout).map_err(|e| e.to_string())?;
+            resume_config(dir, n_workers, worker_bin()?, timeout).map_err(|e| e.to_string())?;
         cfg.admit_file = admit_file;
         let report = resume_coordinator(&cfg, dir).map_err(|e| e.to_string())?;
         return emit(&report, telemetry_out.as_deref());
@@ -360,10 +343,6 @@ fn run() -> Result<(), String> {
         }
         None if agg_fixed => return Err("--agg-fixed pins the window --agg-window sets".into()),
         None => {}
-    }
-    if let Some(ms) = rejoin_grace {
-        job.recovery.rejoin_grace_ms = ms;
-        job.recovery.enabled = true;
     }
     if !slow.procs.is_empty() {
         let plan = job.fault.get_or_insert_with(FaultPlan::new);

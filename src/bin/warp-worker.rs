@@ -12,40 +12,30 @@
 //! `warp_exec::distributed` for the protocol and
 //! `warped_online::cluster` for the model vocabulary.
 //!
-//! With a rejoin grace (offered by the coordinator's init, or forced
-//! locally with `--rejoin-grace MS`) a worker that loses its
-//! coordinator *parks* instead of exiting: it re-dials the admission
-//! point with jittered backoff and presents a `Reattach` handshake so a
-//! restarted coordinator (`warp-cluster --resume`) can re-adopt it
-//! without a process start; its LPs then load their images like
-//! everyone's. See `docs/coordinator-failover.md`.
+//! A worker that loses its coordinator is an orphan and exits 3 on its
+//! own. A restarted coordinator (`warp-cluster --resume`) spawns a new
+//! worker for every slot, and each LP loads its image there. See
+//! `docs/coordinator-failover.md`.
 
 const USAGE: &str = "\
-usage: warp-worker --join COORDINATOR_ADDR [--rejoin-grace MS]
+usage: warp-worker --join COORDINATOR_ADDR
 
 options:
-  --join ADDR        dial the coordinator's admission point (required:
-                     every worker starts this way)
-  --rejoin-grace MS  park for MS milliseconds on coordinator loss and
-                     try to reattach to a restarted coordinator; 0
-                     disables parking even when the coordinator offers
-                     it (overrides the grace in the init)
-  --help             print this message
+  --join ADDR  dial the coordinator's admission point (required: every
+               worker starts this way)
+  --help       print this message
 
 exit codes:
   0  clean finish, or retired by an elastic scale-in
   2  bootstrap or run error (details on stderr)
-  3  orphaned — the coordinator died with no rejoin grace configured
-     (control socket closed, or no recovery instructions in time),
-     or a peer was lost with recovery disabled
-  4  rejoin grace expired — the worker parked after losing its
-     coordinator, but no successor adopted it in time
+  3  orphaned — the coordinator died (control socket closed, or no
+     recovery instructions in time), or a peer was lost with recovery
+     disabled
   9  a CrashWorker entry in the job's fault plan fired
 ";
 
 fn main() {
     let mut join: Option<String> = None;
-    let mut rejoin_grace: Option<u64> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -55,14 +45,6 @@ fn main() {
                     eprint!("{USAGE}");
                     std::process::exit(2);
                 }));
-            }
-            "--rejoin-grace" => {
-                let ms = argv.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("warp-worker: --rejoin-grace needs a millisecond count");
-                    eprint!("{USAGE}");
-                    std::process::exit(2);
-                });
-                rejoin_grace = Some(ms);
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -81,7 +63,7 @@ fn main() {
         std::process::exit(2);
     };
     let build = &warped_online::cluster::spec_from_model_json;
-    if let Err(e) = warp_exec::join_main(&addr, build, rejoin_grace) {
+    if let Err(e) = warp_exec::join_main(&addr, build) {
         eprintln!("warp-worker: {e}");
         std::process::exit(2);
     }

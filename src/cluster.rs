@@ -169,24 +169,60 @@ pub fn dist_config(
     })
 }
 
-/// Recover the [`ClusterJob`] a durable store was created for: the
-/// segment file's job record *is* the serialized job (the coordinator
-/// ships the whole job as its opaque model JSON), so resuming a run
-/// needs nothing beyond its store directory. The returned job feeds
-/// [`dist_config`] and then [`warp_exec::resume_coordinator`]; the
-/// executive compares the job with the stored one, so a job edited
-/// between crash and resume is refused rather than silently continued.
-pub fn resume_job(store_dir: &std::path::Path) -> Result<ClusterJob, DistError> {
+/// The executive config that continues the run a durable store was
+/// created for, for [`warp_exec::resume_coordinator`]. The segment
+/// file's job record *is* the serialized job (the coordinator ships the
+/// whole job as its opaque model JSON), so resuming a run needs nothing
+/// beyond its store directory. The record goes out again verbatim as
+/// the model: the executive compares the two byte for byte (a job
+/// edited between crash and resume is refused rather than silently
+/// continued), and a record an older build wrote may hold a retired key
+/// at its default, which this build would not write back.
+pub fn resume_config(
+    store_dir: &std::path::Path,
+    n_workers: u32,
+    worker_bin: std::path::PathBuf,
+    timeout: std::time::Duration,
+) -> Result<DistConfig, DistError> {
     let json = warp_exec::stored_job_json(store_dir)?;
-    parse_job(&json).map_err(|e| DistError::InvalidConfig(format!("stored job: {e}")))
+    let stored = |e: String| DistError::InvalidConfig(format!("stored job: {e}"));
+    let job = parse_job(&json).map_err(stored)?;
+    let mut cfg = dist_config(&job, n_workers, worker_bin, timeout)?;
+    cfg.model = serde_json::from_str(&json).map_err(|e| stored(e.to_string()))?;
+    Ok(cfg)
 }
+
+/// Keys a job may no longer set, with the reason: `(section, key, why)`.
+/// A build that still had one wrote 0 there by default, which is what a
+/// run does now anyway, so a 0 loads (and a store such a build wrote
+/// still resumes); any other value is refused, not ignored.
+const RETIRED_KEYS: [(&str, &str, &str); 3] = [
+    (
+        "recovery",
+        "compact_after",
+        "checkpoints are per-LP images, replaced at each barrier, so there is no history \
+         left to compact",
+    ),
+    (
+        "recovery",
+        "rejoin_grace_ms",
+        "workers no longer park when the coordinator dies: a resume respawns every worker \
+         and restores its LPs from their images",
+    ),
+    (
+        "net",
+        "orphan_grace_ms",
+        "an orphaned worker waits max(10 x liveness_ms, 30 s) for recovery instructions, \
+         then exits",
+    ),
+];
 
 /// Decode a job file (or a stored job). The slow-worker lists that
 /// preceded `fault.procs` are refused, not ignored: a job that still
 /// carries one would otherwise run with no skew at all, and a balance
 /// or elastic experiment would pass or fail for the wrong reason. So is
-/// `recovery.compact_after`: checkpoints are images now, replaced at
-/// each barrier, and there is no history left to compact.
+/// a retired knob (checkpoint compaction, the rejoin and the orphan
+/// grace) set to anything but 0.
 pub fn parse_job(json: &str) -> Result<ClusterJob, String> {
     let value: serde_json::Value =
         serde_json::from_str(json).map_err(|e| format!("undecodable ClusterJob: {e}"))?;
@@ -198,15 +234,11 @@ pub fn parse_job(json: &str) -> Result<ClusterJob, String> {
             ));
         }
     }
-    if value
-        .get("recovery")
-        .is_some_and(|r| r.get("compact_after").is_some())
-    {
-        return Err(
-            "`recovery.compact_after` is retired: checkpoints are per-LP images, \
-             replaced at each barrier, so there is no history left to compact"
-                .into(),
-        );
+    for (section, key, why) in RETIRED_KEYS {
+        let set = value.get(section).and_then(|s| s.get(key));
+        if set.is_some_and(|v| v.as_u64() != Some(0)) {
+            return Err(format!("`{section}.{key}` is retired: {why}"));
+        }
     }
     serde_json::from_value(value).map_err(|e| format!("undecodable ClusterJob: {e}"))
 }
@@ -286,13 +318,18 @@ mod tests {
         let job = ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None);
         let json = serde_json::to_string(&job).unwrap();
         assert!(parse_job(&json).is_ok());
-        let old = json.replacen(r#""recovery":{"#, r#""recovery":{"compact_after":3,"#, 1);
-        assert_ne!(old, json, "the job carries a recovery policy");
-        let err = parse_job(&old).unwrap_err();
-        assert!(
-            err.contains("compact_after") && err.contains("images"),
-            "{err}"
-        );
+        // The compaction knob, the rejoin grace and the orphan grace:
+        // refused when set, loaded at the 0 the builds that had them
+        // wrote by default.
+        for (section, key, _) in RETIRED_KEYS {
+            let at = format!(r#""{section}":{{"#);
+            let with = |v: u64| json.replacen(&at, &format!(r#"{at}"{key}":{v},"#), 1);
+            assert_ne!(with(3), json, "the job carries a {section} section");
+            let err = parse_job(&with(3)).unwrap_err();
+            assert!(err.contains(key) && err.contains("retired"), "{err}");
+            assert!(section == "net" || err.contains("images"), "{err}");
+            assert!(parse_job(&with(0)).is_ok(), "{key}: 0");
+        }
     }
 
     #[test]

@@ -286,7 +286,7 @@ fn parked_join_worker_is_adopted_when_pressure_mounts() {
 
 /// Poll the admit file until the coordinator publishes its admission
 /// address.
-fn await_admit_addr(admit_file: &std::path::Path) -> String {
+fn await_admission_address(admit_file: &std::path::Path) -> String {
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         if let Ok(text) = std::fs::read_to_string(admit_file) {
@@ -332,7 +332,7 @@ fn joiner_that_dies_before_its_first_session_falls_back() {
     let joiner = {
         let admit_file = admit_file.clone();
         std::thread::spawn(move || {
-            let addr = await_admit_addr(&admit_file);
+            let addr = await_admission_address(&admit_file);
             let mut stream = std::net::TcpStream::connect(addr).expect("dialing admission");
             let hello = Frame::Join {
                 version: PROTO_VERSION,
