@@ -28,7 +28,7 @@
 //! executive applies it exactly like a rebalance — checkpoint barrier,
 //! session regroup — except the membership changes across the epoch:
 //! a newcomer is spawned/admitted and seeded from the checkpoint
-//! store, or the retiree drains and exits. This crate is pure policy;
+//! store, or the retiree is told to leave and exits. This crate is pure policy;
 //! it owns no transport, process, or checkpoint state.
 
 use serde::{Deserialize, Serialize};
@@ -36,7 +36,8 @@ use warp_balance::{Assignment, LpLoad, Move};
 
 /// Knobs for the elastic membership loop. Defaults leave it disabled
 /// and, when enabled, damp it harder than the balance loop: a scale
-/// costs a process spawn (or a drain) on top of the checkpoint barrier.
+/// costs a process spawn (or a retirement) on top of the checkpoint
+/// barrier.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ElasticPolicy {
     /// Master switch. Off by default: scaling reuses the checkpoint
@@ -60,7 +61,7 @@ pub struct ElasticPolicy {
     /// warms up (leads are transient right after a resume replay).
     pub warmup_rounds: u32,
     /// Total membership changes allowed per run (each costs a barrier,
-    /// a regroup, and a spawn or drain).
+    /// a regroup, and a spawn or retirement).
     pub max_scales: u32,
     /// Allow the coordinator to spawn fresh worker processes on scale
     /// out. When false the controller only proposes scale-out while a
@@ -121,7 +122,8 @@ impl ElasticPolicy {
 pub enum ScaleDirection {
     /// Add one worker (`from_workers + 1`).
     Out,
-    /// Retire the highest-numbered worker (`from_workers - 1`).
+    /// Retire the highest-numbered worker (`from_workers - 1`), so the
+    /// surviving proc ids stay contiguous.
     In,
 }
 
@@ -142,17 +144,6 @@ pub struct ScalePlan {
     pub moves: Vec<Move>,
     /// The pressure index at the firing round.
     pub pressure: f64,
-}
-
-impl ScalePlan {
-    /// The proc id being drained, on scale-in. Always the
-    /// highest-numbered worker so surviving proc ids stay contiguous.
-    pub fn retired(&self) -> Option<u32> {
-        match self.direction {
-            ScaleDirection::Out => None,
-            ScaleDirection::In => Some(self.from_workers),
-        }
-    }
 }
 
 /// EWMA smoothing factor, matching `warp-balance` (GVT rounds are
@@ -262,8 +253,8 @@ impl ElasticController {
 
     /// Grow by one: give the newcomer its fair share
     /// (`n_lps / (n + 1)`, at least 1) of LPs, drawn from the most
-    /// pressured (lowest-lead) workers first, never draining a donor
-    /// below one LP.
+    /// pressured (lowest-lead) workers first, never leaving a donor
+    /// with fewer than one LP.
     fn plan_out(&self, assign: &Assignment, lead: &[f64], pressure: f64) -> Option<ScalePlan> {
         let n = assign.n_workers();
         let newcomer = n + 1;
@@ -436,7 +427,6 @@ mod tests {
         assert_eq!(plan.direction, ScaleDirection::Out);
         assert_eq!((plan.from_workers, plan.to_workers), (2, 3));
         assert!(plan.pressure >= 0.6);
-        assert_eq!(plan.retired(), None);
         // The newcomer gets its fair share and every move targets it.
         assert_eq!(plan.moves.len(), 2); // 6 / 3
         for mv in &plan.moves {
@@ -465,7 +455,6 @@ mod tests {
             .expect("fires on patience");
         assert_eq!(plan.direction, ScaleDirection::In);
         assert_eq!((plan.from_workers, plan.to_workers), (3, 2));
-        assert_eq!(plan.retired(), Some(3));
         // Every LP of the retiree is re-homed on a survivor.
         let retired_lps = assign.lps_of(3);
         assert_eq!(plan.moves.len(), retired_lps.len());

@@ -127,12 +127,12 @@
 //! assignment. When the controller (after its dead-zone/patience
 //! hysteresis) proposes a new assignment, migration reuses the recovery
 //! machinery wholesale: the coordinator drives one extra checkpoint
-//! barrier so the images cover everything committed, broadcasts
-//! [`Frame::Rebalance`] (workers abort their LP threads exactly as on a
-//! peer loss and announce a fresh listener), then regroups into a new
-//! session whose resume stream sends every LP's image to its *new*
-//! owner. An image is per LP, so moving one is a matter of addressing;
-//! and because a restore commits exactly what the image holds, the
+//! barrier so the images cover everything committed, then drops its mesh
+//! links without `Bye` (every worker sees proc 0 go, aborts its LP
+//! threads exactly as on any peer loss and announces a fresh listener),
+//! and regroups into a new session whose resume stream sends every LP's
+//! image to its *new* owner. An image is per LP, so moving one is a
+//! matter of addressing; and because a restore commits exactly what the image holds, the
 //! committed trace digest is unchanged by any migration. Migrations are
 //! recorded as [`MigrationRecord`]s in the final report and as
 //! `Param::Assignment` control events in the telemetry trajectory.
@@ -151,10 +151,11 @@
 //! recovery budget).
 //!
 //! Every session that ends short of the finish — a migration, a scale
-//! either way, a probation fallback, a crash recovery — ends in one
-//! regroup step: the membership change (the only part that differs by
-//! kind), the next assignment, one record and its control events, and a
-//! bumped session.
+//! either way, a probation fallback, a crash recovery — ends one way:
+//! the coordinator drops the mesh, and the workers regroup as after a
+//! loss. Then comes one regroup step: the membership change (the only
+//! part that differs by kind), the next assignment, one record and its
+//! control events, and a bumped session.
 //!
 //! *Scale-out* admits a fresh worker into the successor session: the
 //! coordinator either spawns another copy of the worker binary
@@ -169,14 +170,12 @@
 //! the pre-scale membership (recorded as a `"fallback"`
 //! [`ScaleRecord`]) rather than burning recoveries on a bad admission.
 //!
-//! *Scale-in* retires the highest-numbered worker: after the barrier
-//! checkpoint, the coordinator sends the retiree [`Frame::Retire`]; the
-//! retiree aborts its LP threads, answers [`Frame::DrainAck`], closes
-//! cleanly, and **exits 0**. Only then (on the ack, or on the retiree's
-//! clean close) do the survivors get [`Frame::Rebalance`] — a survivor
-//! aborting earlier could reach the retiree as a lost peer before its
-//! `Retire` did — and the retiree's LPs restore on them from their
-//! images.
+//! *Scale-in* retires the highest-numbered worker. Leaving is a
+//! membership event, not a data-plane exchange: the session ends at the
+//! barrier like any other, and at the regroup the retiree, back on its
+//! control socket like everyone else, is told to leave there
+//! (`Control::Retire`) and **exits 0**. Its LPs restore on the survivors
+//! from their images.
 //! Every transition lands in the report as a [`ScaleRecord`] and in the
 //! telemetry trajectory as a `Param::ClusterSize` control event, and
 //! because a restore commits exactly what the images hold, the committed
@@ -497,7 +496,7 @@ pub struct SessionLine {
     /// Mesh establishment budget, milliseconds.
     pub connect_ms: u64,
     /// The LP→worker owner map (`assignment[lp]` = owning proc id): the
-    /// migrated placement after a [`Frame::Rebalance`].
+    /// migrated placement after a migration.
     pub assignment: Vec<u32>,
     /// Total mesh size (workers + coordinator): the grown or shrunk
     /// cluster shape after an elastic scale.
@@ -564,6 +563,9 @@ enum Control {
     Init(WorkerInit),
     /// Coordinator → worker: the start of every session.
     Session(SessionLine),
+    /// Coordinator → a scale-in retiree, at the regroup instead of its
+    /// next session: leave, and exit 0.
+    Retire,
 }
 
 /// A worker's control socket, from either end: the one stream the worker
@@ -672,8 +674,8 @@ impl WorkerProc {
         }
     }
 
-    /// Wait for a clean exit after the final report: a child must exit
-    /// 0; a process that dialed in counts as clean once it closes its
+    /// Wait for a clean exit after the final report, or after a
+    /// scale-in's notice to leave: a child must exit 0; a process that dialed in counts as clean once it closes its
     /// control socket (there is no exit status to observe across the
     /// wire).
     fn wait_success(&mut self, proc_id: u32, deadline: Instant) -> Result<(), DistError> {
@@ -682,7 +684,7 @@ impl WorkerProc {
                 Ok(status) if status.success() => Ok(()),
                 Ok(status) => Err(DistError::Worker {
                     proc_id,
-                    detail: format!("exited with {status} after reporting"),
+                    detail: format!("exited with {status} instead of 0"),
                 }),
                 Err(e) => Err(DistError::Io(e)),
             };
@@ -690,7 +692,7 @@ impl WorkerProc {
         let link = self.link.as_mut().expect("a dialed-in worker has its link");
         loop {
             match link.recv(Some(deadline.saturating_duration_since(Instant::now()))) {
-                Ok(Some(_)) => {} // a stray announcement; keep draining
+                Ok(Some(_)) => {} // a stray announcement; keep reading
                 Ok(None) => {
                     return Err(DistError::Timeout(format!(
                         "joined worker (proc {proc_id}) never closed its control socket"
@@ -890,7 +892,7 @@ enum Regroup {
     /// The load balancer moves LPs between the current workers.
     Migrate(warp_balance::Rebalance),
     /// The elastic controller adds a worker or retires one (the highest
-    /// numbered, which has already answered [`Frame::DrainAck`]).
+    /// numbered).
     Scale(ScalePlan),
     /// A worker was lost uncleanly. The newcomer of the last scale-out,
     /// still on probation, is evicted (a fallback); anyone else is
@@ -907,7 +909,7 @@ enum Membership {
     Keep,
     /// Adopt a waiting `--join` worker, or spawn one, as this proc id.
     Admit(u32),
-    /// The drained retiree with this proc id exits cleanly.
+    /// The retiree with this proc id is told to leave, and exits 0.
     Retire(u32),
     /// The newcomer on probation (the last worker) is killed.
     Evict,
@@ -1451,6 +1453,12 @@ fn run_sessions(
             }
             Membership::Retire(proc_id) => {
                 let mut retiree = workers.pop().expect("scale-in retires an existing worker");
+                // The notice waits on its control socket until its session
+                // has ended like everyone's; a retiree that finished on
+                // its own has exited 0 already.
+                if let Some(link) = &mut retiree.link {
+                    let _ = link.send(&Control::Retire);
+                }
                 retiree.wait_success(proc_id, deadline)?;
             }
             Membership::Evict => workers
@@ -1704,12 +1712,12 @@ fn run_session_as_coordinator(
     }
 
     let end = coordinate(&mesh, cfg, deadline, admission, st);
+    // Only a finished session says `Bye`. Any other end drops the links:
+    // every worker sees proc 0 go uncleanly, aborts its LPs and announces
+    // a fresh listener, as after any loss.
     match &end {
-        Ok(SessionEnd::Regroup(Regroup::Lost { .. })) | Err(_) => mesh.abort(),
-        // A planned regroup drains cleanly too: the queued
-        // `Rebalance`/`Retire` frames must reach every worker before
-        // the links close.
-        Ok(_) => mesh.shutdown(),
+        Ok(SessionEnd::Finished(_)) => mesh.shutdown(),
+        _ => mesh.abort(),
     }
     end
 }
@@ -1830,18 +1838,6 @@ fn coordinate(
     // its checkpoint barrier before the session can be ended on purpose.
     let mut planned: Option<Regroup> = None;
     let mut barrier_fired = false;
-    // A scale-in past its barrier: `Retire` went to the retiree, whose
-    // `DrainAck` (or clean close) ends the session. The survivors'
-    // `Rebalance` waits for it: a survivor that aborted first could
-    // reach the retiree as a lost peer before its `Retire` does.
-    let mut draining: Option<ScalePlan> = None;
-    // Ends the session for every worker but `except` (a retiree that
-    // drained already): each aborts its LP threads and regroups.
-    let rebalance = |gvt: VirtualTime, except: Option<u32>| {
-        for w in (1..=n_workers as u32).filter(|&w| Some(w) != except) {
-            mesh.send(w, Frame::Rebalance { gvt });
-        }
-    };
     let stall_budget = (cfg.recovery.enabled && cfg.recovery.stall_budget_ms > 0)
         .then(|| Duration::from_millis(cfg.recovery.stall_budget_ms));
     let mut last_gvt_advance = Instant::now();
@@ -1871,11 +1867,8 @@ fn coordinate(
         if let Some(budget) = stall_budget {
             // Only while reports are outstanding: after the last report
             // the run is winding down and GVT has nowhere left to go.
-            // A drain window is excluded too — the cluster stalls there
-            // by design, and the retiree's ack or loss resolves it.
-            let stalled = reports.iter().any(Option::is_none)
-                && draining.is_none()
-                && last_gvt_advance.elapsed() >= budget;
+            let stalled =
+                reports.iter().any(Option::is_none) && last_gvt_advance.elapsed() >= budget;
             if stalled {
                 let peer = worker_gvt
                     .iter()
@@ -1896,27 +1889,11 @@ fn coordinate(
         }
         // Drive a planned regroup (migration or scale): first a
         // checkpoint barrier so the images cover everything committed,
-        // then end the session on purpose — a broadcast `Rebalance`
-        // (everyone aborts and regroups). On scale-in the retiree gets
-        // `Retire` instead, and the survivors' `Rebalance` waits for its
-        // `DrainAck`.
+        // then end the session on purpose, the way every early end goes
+        // (`run_session_as_coordinator` drops the mesh).
         if planned.is_some() && pending.is_none() {
             if barrier_fired {
-                match planned.take().expect("checked above") {
-                    Regroup::Scale(plan) if plan.retired().is_some() => {
-                        mesh.send(
-                            plan.from_workers,
-                            Frame::Retire {
-                                gvt: st.store.horizon,
-                            },
-                        );
-                        draining = Some(plan);
-                    }
-                    regroup => {
-                        rebalance(st.store.horizon, None);
-                        return Ok(SessionEnd::Regroup(regroup));
-                    }
-                }
+                return Ok(SessionEnd::Regroup(planned.take().expect("checked above")));
             } else if best_gvt.is_some_and(|g| g.is_finite() && g > st.store.horizon) {
                 last_ckpt_started = Instant::now();
                 pending = Some(request_ckpt(st));
@@ -1965,7 +1942,6 @@ fn coordinate(
                         && gvt.is_finite()
                         && gvt > st.store.horizon
                         && pending.is_none()
-                        && draining.is_none()
                         && last_ckpt_started.elapsed()
                             >= Duration::from_millis(cfg.recovery.ckpt_min_interval_ms);
                     if due {
@@ -2025,7 +2001,7 @@ fn coordinate(
                             let ela_prop = elastic
                                 .as_mut()
                                 .and_then(|e| e.observe(&st.assign, &bucket, can_add));
-                            if planned.is_none() && draining.is_none() {
+                            if planned.is_none() {
                                 planned = bal_prop
                                     .map(Regroup::Migrate)
                                     .or_else(|| ela_prop.map(Regroup::Scale));
@@ -2063,16 +2039,6 @@ fn coordinate(
                         std::process::abort();
                     }
                 }
-                Frame::DrainAck { .. } => {
-                    // The scale-in retiree confirms it aborted its LPs
-                    // and is about to close cleanly and exit; the
-                    // survivors may regroup now. A stray ack outside a
-                    // drain window is stale traffic, ignored.
-                    if let Some(plan) = draining.take() {
-                        rebalance(st.store.horizon, Some(plan.from_workers));
-                        return Ok(SessionEnd::Regroup(Regroup::Scale(plan)));
-                    }
-                }
                 other => {
                     return Err(DistError::Protocol(format!(
                         "coordinator received unexpected {other:?} from proc {from}"
@@ -2084,19 +2050,7 @@ fn coordinate(
                 clean,
                 detail,
             }) => {
-                if let Some(plan) = draining.take_if(|p| p.retired() == Some(peer)) {
-                    if clean {
-                        // The retiree closed cleanly before its ack was
-                        // read (the frames can race); a clean close past
-                        // the barrier means it drained.
-                        rebalance(st.store.horizon, Some(peer));
-                        return Ok(SessionEnd::Regroup(Regroup::Scale(plan)));
-                    }
-                    return Ok(lost(
-                        peer,
-                        format!("crashed while draining for retirement: {detail}"),
-                    ));
-                } else if clean && reports[peer as usize - 1].is_some() {
+                if clean && reports[peer as usize - 1].is_some() {
                     closed[peer as usize - 1] = true;
                 } else {
                     return Ok(lost(
@@ -2553,23 +2507,23 @@ pub fn join_main(
     run_worker(&init, spec, listener, link)
 }
 
-/// How a worker session ended. Every cause but `Finished` aborted the
-/// local LP threads.
+/// How a worker session ended.
 enum WorkerSessionEnd {
     /// GVT reached ∞; the report is sent and the mesh closed cleanly.
     Finished,
-    /// A peer was lost; LP state is discarded, awaiting recovery.
+    /// A peer — the coordinator, when it ends a session early for a
+    /// regroup — went uncleanly, or a frame broke the protocol: the local
+    /// LP threads are aborted and their state discarded. Says why.
     PeerLost(String),
-    /// The coordinator announced a migration; LP state is discarded,
-    /// awaiting the new session's assignment and resume stream.
-    Rebalance,
-    /// The coordinator retired this worker in a scale-in: its LPs are
-    /// drained to the survivors via their images, `DrainAck` is sent,
-    /// and the process exits 0.
-    Retire {
-        /// The barrier horizon announced in the `Retire` frame.
-        gvt: VirtualTime,
-    },
+}
+
+/// Why a session ended with `peer` gone uncleanly, for the worker's log.
+fn lost_peer(peer: u32, detail: &str) -> String {
+    if peer == 0 {
+        format!("ended by the coordinator ({detail})")
+    } else {
+        format!("lost proc {peer} ({detail})")
+    }
 }
 
 /// What a worker process carries from one session to the next.
@@ -2595,13 +2549,15 @@ impl Carried {
 }
 
 /// The worker's life after bootstrap: run mesh sessions, each started by
-/// a [`SessionLine`], until one finishes cleanly. On an unclean peer loss
-/// (with recovery on) the worker discards the session, announces a fresh
-/// listener, and waits for the coordinator's next session; without
-/// recovery it exits nonzero at once, because a Time Warp run that lost
-/// a process cannot commit a correct history. A worker whose coordinator
-/// is gone is an orphan and exits 3: a resumed coordinator spawns its
-/// slot afresh.
+/// a [`SessionLine`], until one finishes cleanly or a scale-in retires
+/// this worker. On an unclean peer loss (the coordinator ends every
+/// session that stops short of the finish that way) with recovery on,
+/// the worker discards the session, announces a fresh listener, and
+/// waits for the coordinator's next session line or its notice to
+/// leave; without recovery it exits nonzero at once, because a Time Warp run
+/// that lost a process cannot commit a correct history. A worker whose
+/// coordinator is gone is an orphan and exits 3: a resumed coordinator
+/// spawns its slot afresh.
 fn run_worker(
     init: &WorkerInit,
     spec: SimulationSpec,
@@ -2628,6 +2584,13 @@ fn run_worker(
         };
         let sl = match heard {
             Ok(Some(Control::Session(sl))) => sl,
+            Ok(Some(Control::Retire)) => {
+                eprintln!(
+                    "warp-worker (proc {}): retired by scale-in; exiting",
+                    init.proc_id
+                );
+                return Ok(());
+            }
             other => {
                 let why = match other {
                     Ok(None) => format!("no recovery instructions within {wait:?}"),
@@ -2646,29 +2609,20 @@ fn run_worker(
             }
         };
         let session = sl.session;
-        let why = match run_session_as_worker(init, &spec, &sl, listener, &mut carried)? {
-            WorkerSessionEnd::Finished => return Ok(()),
-            WorkerSessionEnd::Retire { .. } => {
-                eprintln!(
-                    "warp-worker (proc {}): retired by scale-in at session {session}; exiting",
-                    init.proc_id
-                );
-                return Ok(());
-            }
-            WorkerSessionEnd::PeerLost(detail) => {
-                if !init.recovery {
-                    eprintln!(
-                        "warp-worker (proc {}): session {session} lost a peer ({detail}); exiting",
-                        init.proc_id
-                    );
-                    std::process::exit(3);
-                }
-                format!("lost a peer ({detail}); awaiting recovery")
-            }
-            WorkerSessionEnd::Rebalance => "ended for LP migration; awaiting new assignment".into(),
+        let WorkerSessionEnd::PeerLost(why) =
+            run_session_as_worker(init, &spec, &sl, listener, &mut carried)?
+        else {
+            return Ok(());
         };
+        if !init.recovery {
+            eprintln!(
+                "warp-worker (proc {}): session {session} {why}; exiting",
+                init.proc_id
+            );
+            std::process::exit(3);
+        }
         eprintln!(
-            "warp-worker (proc {}): session {session} {why}",
+            "warp-worker (proc {}): session {session} {why}; awaiting the next session",
             init.proc_id
         );
         listener = bind_loopback().map_err(|e| format!("re-bind: {e}"))?;
@@ -2803,12 +2757,12 @@ fn run_session_as_worker(
                     )));
                 }
                 Some(MeshEvent::PeerDown {
+                    peer,
                     clean: false,
                     detail,
-                    ..
                 }) => {
                     mesh.abort();
-                    return Ok(WorkerSessionEnd::PeerLost(detail));
+                    return Ok(WorkerSessionEnd::PeerLost(lost_peer(peer, &detail)));
                 }
                 Some(MeshEvent::PeerDown { .. }) | None => {}
             }
@@ -2892,15 +2846,7 @@ fn run_session_as_worker(
             mesh.send(0, Frame::Report(bytes));
             mesh.shutdown();
         }
-        WorkerSessionEnd::Retire { gvt } => {
-            // Everything this worker owns below the barrier horizon is
-            // already in the coordinator's images; speculation above it
-            // is discarded like any aborted session. Confirm the drain,
-            // flush it with a clean close, and let the caller exit 0.
-            mesh.send(0, Frame::DrainAck { gvt });
-            mesh.shutdown();
-        }
-        WorkerSessionEnd::PeerLost(_) | WorkerSessionEnd::Rebalance => mesh.abort(),
+        WorkerSessionEnd::PeerLost(_) => mesh.abort(),
     }
     Ok(end)
 }
@@ -2930,9 +2876,9 @@ fn route_data(lane: &LaneEndpoint<Packet>, slot_of: &[Slot], frame: Frame) -> Op
 /// (`Finished`). Between events it does the peer links' idle duties
 /// (`TcpMesh::tick`: liveness, gap expiry, heartbeats) as often as the
 /// mesh asks. LP traffic never comes here: whoever pumps a peer link
-/// delivers it (`route_data`). A peer loss, a protocol violation, a
-/// migration or a retirement aborts every local LP and ends the session
-/// at once.
+/// delivers it (`route_data`). A peer loss (the coordinator's, at a
+/// regroup, included) or a protocol violation aborts every local LP and
+/// ends the session at once.
 fn route_inbound(
     mesh: &TcpMesh,
     lane: &LaneEndpoint<Packet>,
@@ -2945,12 +2891,8 @@ fn route_inbound(
         }
     };
     let violation = |detail: String| {
-        eprintln!(
-            "warp-worker (proc {}): protocol violation: {detail}",
-            mesh.proc_id()
-        );
         fan_local(&|| Packet::Abort);
-        WorkerSessionEnd::PeerLost(detail)
+        WorkerSessionEnd::PeerLost(format!("protocol violation: {detail}"))
     };
     let controller = match slot_of.first() {
         Some(&Slot::Lane(lane)) => Some(lane),
@@ -2980,18 +2922,6 @@ fn route_inbound(
                     mesh.send(0, Frame::Snapshot { ckpt, gvt, payload });
                 }
             }
-            // A planned session end: abort the LP threads exactly as on
-            // a peer loss, but report it as a migration.
-            Frame::Rebalance { .. } => {
-                fan_local(&|| Packet::Abort);
-                return Some(WorkerSessionEnd::Rebalance);
-            }
-            // A planned *final* session end for this process: abort the
-            // LP threads, then drain and exit.
-            Frame::Retire { gvt } => {
-                fan_local(&|| Packet::Abort);
-                return Some(WorkerSessionEnd::Retire { gvt });
-            }
             other => return Some(violation(format!("unexpected {other:?} from proc {from}"))),
         }
         None
@@ -3018,12 +2948,8 @@ fn route_inbound(
                 clean: false,
                 detail,
             } => {
-                eprintln!(
-                    "warp-worker (proc {}): lost proc {peer} ({detail}); discarding session",
-                    mesh.proc_id()
-                );
                 fan_local(&|| Packet::Abort);
-                return WorkerSessionEnd::PeerLost(detail);
+                return WorkerSessionEnd::PeerLost(lost_peer(peer, &detail));
             }
             // Clean goodbyes while LPs still run mean the peer finished
             // its share after GVT = ∞; the link's hook put the ∞ news on
@@ -4032,16 +3958,23 @@ mod tests {
                 }
             }
         }
-        coord.send(1, Frame::Rebalance { gvt: horizon });
+        // The coordinator ends the session the one way it ends any
+        // session early: it drops its links.
+        coord.abort();
         let (end, stats) = worker.join().unwrap();
-        assert!(matches!(end, WorkerSessionEnd::Rebalance));
+        let WorkerSessionEnd::PeerLost(why) = end else {
+            panic!("the session finished instead of ending as a loss");
+        };
+        assert!(
+            why.starts_with("ended by the coordinator"),
+            "the session must end as the coordinator's loss: {why}"
+        );
         assert_eq!(stats.images_loaded, 1);
         assert_eq!(
             naps.load(Ordering::Relaxed),
             TICKS,
             "the restore coasted through every input at full speed"
         );
-        coord.abort();
         peer.abort();
     }
 }

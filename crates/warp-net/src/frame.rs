@@ -30,18 +30,16 @@
 //! * `LoadReport` — one LP's cumulative progress counters at a GVT round
 //!   (same advisory contract as `Telemetry`); the coordinator's balance
 //!   controller samples these to decide LP migrations.
-//! * `Rebalance` — coordinator announcement that the session ends at a
-//!   checkpoint barrier so the cluster can regroup under a new LP
-//!   assignment.
-//! * `Join` / `Retire` / `DrainAck` — the membership plane (v6). `Join`
-//!   opens every worker's control socket, naming its OS pid (v11);
-//!   `Retire` tells a drained worker its LPs have been
-//!   checkpointed and re-homed so it can leave; `DrainAck` is the
-//!   retiree's confirmation, after which it exits cleanly.
+//! * `Join` — opens every worker's control socket, naming its OS pid
+//!   (v11).
 //! * `Control` — every later message on a control socket (v11; opaque
-//!   JSON bytes, `warp-exec` owns the schema).
+//!   JSON bytes, `warp-exec` owns the schema), a scale-in retiree's
+//!   notice to leave included. No frame ends a session early: the
+//!   coordinator drops its mesh links without `Bye`, and every worker
+//!   treats that as the loss it is (v14).
 //! * `Bye` — graceful shutdown: the peer finished sending and will close
-//!   after draining. A connection that dies *without* `Bye` is a crash.
+//!   once the other side's `Bye` is read. A connection that dies
+//!   *without* `Bye` is a crash.
 //! * `Progress` / `SnapshotReq` / `Snapshot` / `ResumeChunk` — the
 //!   checkpoint/recovery plane. Workers report committed GVT
 //!   (`Progress`); the coordinator requests a checkpoint (`SnapshotReq`),
@@ -86,8 +84,12 @@ use warp_core::{LpId, VirtualTime};
 /// `SnapshotAck` (tag 11) is gone and the re-admission handshake names
 /// no horizon. v13: a resumed coordinator spawns every worker afresh, so
 /// no worker re-admits itself: tag 20 is gone, and a v12 worker that
-/// presents it is dropped at the admission point.
-pub const PROTO_VERSION: u16 = 13;
+/// presents it is dropped at the admission point. v14: every session
+/// that stops short of the finish ends by the coordinator dropping its
+/// links, and a scale-in retiree is told to leave on its control
+/// socket: `Rebalance`, `Retire` and `DrainAck` (tags 15, 18, 19) are
+/// gone.
+pub const PROTO_VERSION: u16 = 14;
 
 /// Default upper bound on a frame body. Protects the decoder from
 /// allocating gigabytes off a corrupt or malicious length prefix.
@@ -212,14 +214,6 @@ pub enum Frame {
         /// the committed horizon.
         lvt_lead: u64,
     },
-    /// Coordinator → workers: end this session cleanly at the checkpoint
-    /// barrier so the cluster can regroup under a new LP assignment.
-    /// Workers treat it like a planned recovery: abort local LP threads,
-    /// re-announce, and await the next session's resume stream.
-    Rebalance {
-        /// The checkpoint horizon the new session will resume from.
-        gvt: VirtualTime,
-    },
     /// Worker → coordinator: first frame on a control socket (v6), the
     /// stream a worker dials at the coordinator's admission endpoint and
     /// keeps for life. A version mismatch drops the connection before any
@@ -230,20 +224,6 @@ pub enum Frame {
         /// The dialer's OS process id (v11): pairs a child the
         /// coordinator spawned with its slot.
         pid: u32,
-    },
-    /// Coordinator → retiree at the scale-in checkpoint barrier (v6):
-    /// everything this worker owns is persisted below `gvt` and
-    /// re-homed on the survivors; abort local LP threads, acknowledge
-    /// with [`Frame::DrainAck`], and exit cleanly.
-    Retire {
-        /// The checkpoint horizon the shrunk cluster resumes from.
-        gvt: VirtualTime,
-    },
-    /// Retiree → coordinator (v6): the drain is complete; this is the
-    /// retiree's last frame before a graceful shutdown.
-    DrainAck {
-        /// Echo of the drain horizon.
-        gvt: VirtualTime,
     },
     /// Either way on a control socket (v11): one control message.
     Control(Vec<u8>),
@@ -263,11 +243,12 @@ const TAG_SNAPSHOT: u8 = 10;
 // 12 is retired (the monolithic `Resume`); do not reuse it.
 const TAG_TELEMETRY: u8 = 13;
 const TAG_LOAD_REPORT: u8 = 14;
-const TAG_REBALANCE: u8 = 15;
+// 15 is retired (the migration's session end, before v14); do not
+// reuse it.
 const TAG_RESUME_CHUNK: u8 = 16;
 const TAG_JOIN: u8 = 17;
-const TAG_RETIRE: u8 = 18;
-const TAG_DRAIN_ACK: u8 = 19;
+// 18 and 19 are retired (the scale-in retiree's notice and its answer,
+// before v14); do not reuse them.
 // 20 is retired (the parked worker's re-admission, v7 to v12); do not
 // reuse it.
 // 21 is retired (the per-link batch of v8); do not reuse it.
@@ -403,20 +384,8 @@ impl Frame {
                     .u64(*retained)
                     .u64(*lvt_lead);
             }
-            Frame::Rebalance { gvt } => {
-                w.u8(TAG_REBALANCE);
-                write_vt(&mut w, *gvt);
-            }
             Frame::Join { version, pid } => {
                 w.u8(TAG_JOIN).u16(*version).u32(*pid);
-            }
-            Frame::Retire { gvt } => {
-                w.u8(TAG_RETIRE);
-                write_vt(&mut w, *gvt);
-            }
-            Frame::DrainAck { gvt } => {
-                w.u8(TAG_DRAIN_ACK);
-                write_vt(&mut w, *gvt);
             }
             Frame::Control(bytes) => {
                 w.u8(TAG_CONTROL).bytes(bytes);
@@ -534,18 +503,9 @@ impl Frame {
                 retained: r.u64().map_err(mal)?,
                 lvt_lead: r.u64().map_err(mal)?,
             },
-            TAG_REBALANCE => Frame::Rebalance {
-                gvt: read_vt(&mut r).map_err(mal)?,
-            },
             TAG_JOIN => Frame::Join {
                 version: r.u16().map_err(mal)?,
                 pid: r.u32().map_err(mal)?,
-            },
-            TAG_RETIRE => Frame::Retire {
-                gvt: read_vt(&mut r).map_err(mal)?,
-            },
-            TAG_DRAIN_ACK => Frame::DrainAck {
-                gvt: read_vt(&mut r).map_err(mal)?,
             },
             TAG_CONTROL => Frame::Control(r.bytes().map_err(mal)?.to_vec()),
             other => return Err(FrameError::BadTag(other)),
@@ -732,18 +692,9 @@ mod tests {
                 retained: 96,
                 lvt_lead: 33,
             },
-            Frame::Rebalance {
-                gvt: VirtualTime::new(17),
-            },
             Frame::Join {
                 version: PROTO_VERSION,
                 pid: 4242,
-            },
-            Frame::Retire {
-                gvt: VirtualTime::new(17),
-            },
-            Frame::DrainAck {
-                gvt: VirtualTime::new(17),
             },
             Frame::Control(br#"{"Listen":"127.0.0.1:9"}"#.to_vec()),
         ]
@@ -843,9 +794,11 @@ mod tests {
         let mut d = FrameDecoder::new();
         d.push(&raw);
         assert_eq!(d.next(), Err(FrameError::BadTag(0xEE)));
-        // The retired tags (checkpoint ack, monolithic `Resume`, parked
-        // re-admission, the v8 per-link batch) are just more bad tags.
-        for tag in [11, 12, 20, 21] {
+        // The retired tags (checkpoint ack, monolithic `Resume`, the
+        // migration's session end, the retiree's notice and answer,
+        // parked re-admission, the v8 per-link batch) are just more bad
+        // tags.
+        for tag in [11, 12, 15, 18, 19, 20, 21] {
             assert_eq!(Frame::decode_body(&[tag]), Err(FrameError::BadTag(tag)));
         }
     }

@@ -64,7 +64,7 @@
 //! [`TcpMesh::tick`] at least as often as it asks — whatever else its
 //! threads are busy with. Graceful shutdown sends [`Frame::Bye`]
 //! behind everything queued, flushes, closes the write half, and keeps
-//! draining the read half until the peer's own `Bye` arrives, so no
+//! reading the read half until the peer's own `Bye` arrives, so no
 //! in-flight frame is lost to teardown.
 
 use crate::fault::{DataFate, FaultPlan, LinkChaos};

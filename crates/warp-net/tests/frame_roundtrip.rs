@@ -177,16 +177,7 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                     lvt_lead,
                 }
             }),
-        any::<u64>().prop_map(|gvt| Frame::Rebalance {
-            gvt: VirtualTime::from_ticks(gvt),
-        }),
         (any::<u16>(), any::<u32>()).prop_map(|(version, pid)| Frame::Join { version, pid }),
-        any::<u64>().prop_map(|gvt| Frame::Retire {
-            gvt: VirtualTime::from_ticks(gvt),
-        }),
-        any::<u64>().prop_map(|gvt| Frame::DrainAck {
-            gvt: VirtualTime::from_ticks(gvt),
-        }),
         proptest::collection::vec(any::<u8>(), 0..96).prop_map(Frame::Control),
     ]
     .boxed()

@@ -359,3 +359,45 @@ fn joiner_that_dies_before_its_first_session_falls_back() {
         dist.adaptation_summary()
     );
 }
+
+#[test]
+fn scale_in_retires_the_highest_worker_and_commits_the_sequential_history() {
+    let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // No skew and no way to grow (`spawn: false`, no joiner, and an
+    // unreachable scale-out threshold), but a scale-in threshold almost
+    // every round sits under: after its one warm-up round the controller
+    // retires worker 3 at the first barrier it can, and may do so once.
+    // The retiree must exit 0 (the run fails otherwise) and its LPs
+    // must restore on the survivors without perturbing the history.
+    let job = ClusterJob {
+        elastic: ElasticPolicy {
+            enabled: true,
+            min_workers: 2,
+            max_workers: 3,
+            scale_out_pressure: 1.0,
+            scale_in_pressure: 0.99,
+            patience: 1,
+            warmup_rounds: 1,
+            max_scales: 1,
+            spawn: false,
+        },
+        ..phold_job(400)
+    };
+    let dist = run_distributed_job(&job, 3, worker_bin(), Duration::from_secs(120))
+        .expect("a run with a scale-in failed");
+
+    assert_matches_sequential(&job, &dist);
+    assert_eq!(
+        dist.scales.len(),
+        1,
+        "expected exactly one scale: {}",
+        dist.adaptation_summary()
+    );
+    let inn = &dist.scales[0];
+    assert_eq!(inn.direction, "in", "{}", dist.adaptation_summary());
+    assert_eq!((inn.from_workers, inn.to_workers), (3, 2));
+    assert!(
+        inn.moves.iter().all(|m| m.from == 3),
+        "scale-in moves must all leave the retired worker"
+    );
+}
