@@ -32,8 +32,8 @@ pub struct GvtToken {
 
 /// Per-LP agent state for the token algorithm.
 ///
-/// At any instant at most two message epochs are live — the old one,
-/// still in flight, and the current one — but a message of the *new* epoch can arrive
+/// At any instant at most two message epochs are live — the draining old
+/// one and the current one — but a message of the *new* epoch can arrive
 /// before this agent's own first token visit of the round (its sender was
 /// visited earlier). Receive counters are therefore keyed by the actual
 /// epoch number, never recycled by parity: zeroing a "new" slot at the
@@ -410,7 +410,7 @@ mod tests {
     fn delayed_old_epoch_arrival_after_newer_recycle_is_tolerated() {
         // Regression: a receiver holding a stale slot gets an *early*
         // epoch-4 message (recycling the stalest slot) and then a
-        // *delayed* epoch-3 message — still legitimately in flight while
+        // *delayed* epoch-3 message — still legitimately draining while
         // round 4 circulates. Recycling the drained epoch-2 slot for it
         // must not trip the liveness assertion: epoch 2 is dead because
         // epoch 4 exists, even though 2 + 2 > 3.

@@ -42,7 +42,7 @@ pub struct LpRuntime {
     /// Slots called into since the last [`take_cost`](Self::take_cost):
     /// the only objects whose cost accumulator can be non-zero. `dirty[i]`
     /// ⇔ `i` is listed in `touched`, so the list never outgrows the
-    /// object count however long an executive goes without taking it.
+    /// object count however long an executive goes without draining.
     touched: Vec<u32>,
     dirty: Vec<bool>,
 }

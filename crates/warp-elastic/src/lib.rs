@@ -36,8 +36,7 @@ use warp_balance::{Assignment, LpLoad, Move};
 
 /// Knobs for the elastic membership loop. Defaults leave it disabled
 /// and, when enabled, damp it harder than the balance loop: a scale
-/// costs a process spawn (or a retirement) on top of the checkpoint
-/// barrier.
+/// costs a process spawn (or a drain) on top of the checkpoint barrier.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ElasticPolicy {
     /// Master switch. Off by default: scaling reuses the checkpoint
@@ -61,7 +60,7 @@ pub struct ElasticPolicy {
     /// warms up (leads are transient right after a resume replay).
     pub warmup_rounds: u32,
     /// Total membership changes allowed per run (each costs a barrier,
-    /// a regroup, and a spawn or retirement).
+    /// a regroup, and a spawn or drain).
     pub max_scales: u32,
     /// Allow the coordinator to spawn fresh worker processes on scale
     /// out. When false the controller only proposes scale-out while a
@@ -253,8 +252,8 @@ impl ElasticController {
 
     /// Grow by one: give the newcomer its fair share
     /// (`n_lps / (n + 1)`, at least 1) of LPs, drawn from the most
-    /// pressured (lowest-lead) workers first, never leaving a donor
-    /// with fewer than one LP.
+    /// pressured (lowest-lead) workers first, never draining a donor
+    /// below one LP.
     fn plan_out(&self, assign: &Assignment, lead: &[f64], pressure: f64) -> Option<ScalePlan> {
         let n = assign.n_workers();
         let newcomer = n + 1;

@@ -674,32 +674,37 @@ impl WorkerProc {
         }
     }
 
-    /// Wait for a clean exit after the final report, or after a
-    /// scale-in's notice to leave: a child must exit 0; a process that dialed in counts as clean once it closes its
-    /// control socket (there is no exit status to observe across the
-    /// wire).
+    /// Wait, until `deadline`, for a clean exit after the final report or
+    /// after a scale-in's notice to leave: the control socket closes, and
+    /// a child must then have exited 0; a process that dialed in counts
+    /// as clean once its socket closes (there is no exit status to
+    /// observe across the wire).
     fn wait_success(&mut self, proc_id: u32, deadline: Instant) -> Result<(), DistError> {
-        if let Some(c) = &mut self.child {
-            return match c.wait() {
-                Ok(status) if status.success() => Ok(()),
-                Ok(status) => Err(DistError::Worker {
-                    proc_id,
-                    detail: format!("exited with {status} instead of 0"),
-                }),
-                Err(e) => Err(DistError::Io(e)),
-            };
-        }
-        let link = self.link.as_mut().expect("a dialed-in worker has its link");
-        loop {
-            match link.recv(Some(deadline.saturating_duration_since(Instant::now()))) {
-                Ok(Some(_)) => {} // a stray announcement; keep reading
-                Ok(None) => {
-                    return Err(DistError::Timeout(format!(
-                        "joined worker (proc {proc_id}) never closed its control socket"
-                    )))
+        if let Some(link) = &mut self.link {
+            loop {
+                match link.recv(Some(deadline.saturating_duration_since(Instant::now()))) {
+                    Ok(Some(_)) => {} // a stray announcement; keep draining
+                    Ok(None) => {
+                        return Err(DistError::Timeout(format!(
+                            "worker (proc {proc_id}) never closed its control socket"
+                        )))
+                    }
+                    Err(_) => break,
                 }
-                Err(_) => return Ok(()),
             }
+        }
+        // A child whose control socket closed is exiting: reaping it
+        // waits no longer than that.
+        let Some(c) = &mut self.child else {
+            return Ok(());
+        };
+        match c.wait() {
+            Ok(status) if status.success() => Ok(()),
+            Ok(status) => Err(DistError::Worker {
+                proc_id,
+                detail: format!("exited with {status} instead of 0"),
+            }),
+            Err(e) => Err(DistError::Io(e)),
         }
     }
 
@@ -1454,12 +1459,17 @@ fn run_sessions(
             Membership::Retire(proc_id) => {
                 let mut retiree = workers.pop().expect("scale-in retires an existing worker");
                 // The notice waits on its control socket until its session
-                // has ended like everyone's; a retiree that finished on
-                // its own has exited 0 already.
+                // has ended like everyone's. Everything it owned is in the
+                // images already, so a retiree that does not leave cleanly
+                // (it crashed, or hangs) costs the run nothing: it is
+                // killed.
                 if let Some(link) = &mut retiree.link {
                     let _ = link.send(&Control::Retire);
                 }
-                retiree.wait_success(proc_id, deadline)?;
+                if let Err(e) = retiree.wait_success(proc_id, deadline) {
+                    eprintln!("warp-coordinator: retiree (proc {proc_id}) did not leave cleanly ({e}); killing it");
+                    retiree.kill();
+                }
             }
             Membership::Evict => workers
                 .pop()
@@ -3211,6 +3221,51 @@ mod tests {
                 Err(SnapshotError::Version { found: 2 })
             );
         }
+    }
+
+    #[test]
+    fn waiting_for_a_worker_to_leave_ends_at_the_deadline() {
+        // A child is waited on through its control socket: one that hangs
+        // with the socket open is given up at the deadline, and one that
+        // closes it and exits nonzero is a failure naming it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let pair = || {
+            let far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            (ControlLink::new(listener.accept().unwrap().0), far)
+        };
+        let child = |script: &str| {
+            Command::new("sh")
+                .args(["-c", script])
+                .spawn()
+                .expect("spawn sh")
+        };
+
+        let (link, _held_open) = pair();
+        let mut hung = WorkerProc {
+            child: Some(child("sleep 30")),
+            link: Some(link),
+            fresh: false,
+            pending_listen: None,
+        };
+        let t0 = Instant::now();
+        let waited = hung.wait_success(3, t0 + Duration::from_millis(200));
+        assert!(matches!(waited, Err(DistError::Timeout(_))), "{waited:?}");
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        hung.kill();
+
+        let (link, far) = pair();
+        drop(far);
+        let mut crashed = WorkerProc {
+            child: Some(child("exit 9")),
+            link: Some(link),
+            fresh: false,
+            pending_listen: None,
+        };
+        let waited = crashed.wait_success(3, Instant::now() + Duration::from_secs(5));
+        assert!(
+            matches!(waited, Err(DistError::Worker { proc_id: 3, .. })),
+            "{waited:?}"
+        );
     }
 
     #[test]

@@ -64,7 +64,7 @@
 //! [`TcpMesh::tick`] at least as often as it asks — whatever else its
 //! threads are busy with. Graceful shutdown sends [`Frame::Bye`]
 //! behind everything queued, flushes, closes the write half, and keeps
-//! reading the read half until the peer's own `Bye` arrives, so no
+//! draining the read half until the peer's own `Bye` arrives, so no
 //! in-flight frame is lost to teardown.
 
 use crate::fault::{DataFate, FaultPlan, LinkChaos};
@@ -596,8 +596,11 @@ impl TcpMesh {
         self.join_readers();
     }
 
-    /// Abrupt teardown for tests and fatal-error paths: slam every
-    /// socket shut with no `Bye`. Peers observe an unclean close.
+    /// Abrupt teardown: slam every socket shut with no `Bye`, so peers
+    /// observe an unclean close. It is how the coordinator ends any
+    /// session short of the finish (each worker takes it as proc 0's
+    /// loss and regroups), and how fatal-error paths and tests tear a
+    /// mesh down.
     pub fn abort(self) {
         self.closing.store(true, Ordering::Relaxed);
         // Sockets first, locks never: a thread blocked writing or
