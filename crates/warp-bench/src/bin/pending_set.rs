@@ -1,7 +1,8 @@
-//! `pending_set OUT.json` — pending-set microbench: the timing-wheel
+//! `pending_set OUT.json` — pending-set microbench: the heap-backed
 //! [`InputQueue`] against a faithful replica of the legacy sorted-`Vec` +
-//! cursor queue it replaced, on an identical deterministic
-//! insert/pop/rollback/fossil mix at 1k and 100k pending events.
+//! cursor queue, on an identical deterministic
+//! insert/pop/annihilate/rollback/fossil mix at 1k, 4k and 100k pending
+//! events.
 //!
 //! Both queues consume the same LCG-scripted operation stream, so their
 //! processed-key checksums must agree — the run aborts if the two
@@ -14,19 +15,20 @@
 
 use std::time::Instant;
 use warp_core::event::{Event, EventId, EventKey};
-use warp_core::queues::InputQueue;
+use warp_core::queues::{InputQueue, Inserted};
 use warp_core::{ObjectId, VirtualTime};
 
-/// Pending-set sizes swept (the acceptance sizes of the hot-path work).
-const SIZES: [usize; 2] = [1_000, 100_000];
-/// Virtual-time spread of fresh insertions past the LVT; 2^14 ticks
-/// spans several wheel levels and occasionally lands in the overflow
-/// map, so every placement path is on the measured profile.
+/// Pending-set sizes swept: the small sets of three workloads, the
+/// 4 096 per object of `phold-dense`, and a far larger one.
+const SIZES: [usize; 3] = [1_000, 4_096, 100_000];
+/// Virtual-time spread of fresh insertions past the LVT.
 const HORIZON: u64 = 1 << 14;
+/// Recent insertions the annihilate op picks its victims from.
+const RECENT: usize = 64;
 /// Deepest rollback issued by the mix, in executed events.
 const MAX_ROLLBACK: usize = 32;
 
-/// The pre-wheel pending set, replicated verbatim from the old
+/// The first pending set, replicated verbatim from the old
 /// `warp-core` input queue: one `Vec<Event>` sorted by [`EventKey`] with
 /// a cursor splitting executed history from the pending future. Insert
 /// is a binary search plus `Vec::insert` memmove over everything later;
@@ -83,6 +85,9 @@ trait PendingSet {
     /// Pop the minimum pending event; returns its recv tick.
     fn pop(&mut self) -> u64;
     fn processed_key_at(&self, i: usize) -> EventKey;
+    fn last_processed_key(&self) -> Option<EventKey>;
+    /// Cancel a pending event by key (the anti-message path).
+    fn annihilate(&mut self, ev: &Event);
     fn rollback_to(&mut self, key: EventKey) -> u64;
     fn fossil(&mut self) -> u64;
 }
@@ -102,6 +107,17 @@ impl PendingSet for InputQueue {
     }
     fn processed_key_at(&self, i: usize) -> EventKey {
         self.processed_at(i).key()
+    }
+    fn last_processed_key(&self) -> Option<EventKey> {
+        self.last_processed_key()
+    }
+    fn annihilate(&mut self, ev: &Event) {
+        let out = self.insert(ev.to_anti());
+        assert_eq!(
+            out,
+            Inserted::Annihilated,
+            "annihilated a non-pending event"
+        );
     }
     fn rollback_to(&mut self, key: EventKey) -> u64 {
         self.unprocess_from(key)
@@ -129,6 +145,18 @@ impl PendingSet for LegacyQueue {
     }
     fn processed_key_at(&self, i: usize) -> EventKey {
         self.processed_at(i).key()
+    }
+    fn last_processed_key(&self) -> Option<EventKey> {
+        self.processed.checked_sub(1).map(|i| self.events[i].key())
+    }
+    fn annihilate(&mut self, ev: &Event) {
+        let key = ev.key();
+        let pos = self.processed + self.events[self.processed..].partition_point(|e| e.key() < key);
+        assert!(
+            self.events.get(pos).is_some_and(|e| e.key() == key),
+            "annihilated a non-pending event"
+        );
+        self.events.remove(pos);
     }
     fn rollback_to(&mut self, key: EventKey) -> u64 {
         self.unprocess_from(key)
@@ -182,9 +210,11 @@ struct MixResult {
 }
 
 /// Prefill `size` pending events (sorted bulk load, off the clock), then
-/// run `ops` scripted operations of the steady-state mix: ~44% insert,
-/// ~44% pop, 6% rollback (up to [`MAX_ROLLBACK`] deep), 6% fossil
-/// collect, with guards that keep the pending population near `size`.
+/// run `ops` scripted operations of the steady-state mix: 7/16 insert,
+/// 6/16 pop, 1/16 annihilate one of the last [`RECENT`] insertions by
+/// key if it is still pending, 1/16 rollback (up to [`MAX_ROLLBACK`]
+/// deep), 1/16 fossil collect, with guards that keep the pending
+/// population near `size`.
 fn run_mix<Q: PendingSet>(q: &mut Q, size: usize, ops: u64, seed: u64) -> MixResult {
     let mut rng = Lcg(seed);
     let mut serial = 0u64;
@@ -199,6 +229,8 @@ fn run_mix<Q: PendingSet>(q: &mut Q, size: usize, ops: u64, seed: u64) -> MixRes
         q.insert(e);
     }
 
+    // `(serial, recv tick)` of recent insertions; serial 0 is a free slot.
+    let mut recent = [(0u64, 0u64); RECENT];
     let mut lvt = 0u64; // recv tick of the newest executed event
     let mut checksum = 0u64;
     let start = Instant::now();
@@ -218,13 +250,26 @@ fn run_mix<Q: PendingSet>(q: &mut Q, size: usize, ops: u64, seed: u64) -> MixRes
                 // Always at/after LVT: stragglers are exercised by the
                 // explicit rollback op, not by accidental causality
                 // violations in the driver.
-                q.insert(ev(serial, lvt + 1 + (r >> 4) % HORIZON));
+                let rt = lvt + 1 + (r >> 4) % HORIZON;
+                recent[serial as usize % RECENT] = (serial, rt);
+                q.insert(ev(serial, rt));
             }
-            7..=13 => {
+            7..=12 => {
                 if q.pending_len() > 0 {
                     let t = q.pop();
                     lvt = t;
                     checksum = checksum.wrapping_mul(31).wrapping_add(t);
+                }
+            }
+            13 => {
+                let slot = &mut recent[(r >> 4) as usize % RECENT];
+                let victim = ev(slot.0, slot.1);
+                // Skip victims already annihilated or executed (an
+                // executed one may be gone to fossil collection, so an
+                // empty history proves nothing).
+                if slot.0 != 0 && q.last_processed_key().is_some_and(|k| k < victim.key()) {
+                    q.annihilate(&victim);
+                    *slot = (0, 0);
                 }
             }
             14 => {
@@ -254,7 +299,9 @@ fn main() {
         std::process::exit(2);
     };
     let seed = 11u64;
-    println!("== BENCH pending_set — insert/pop/rollback mix, wheel vs legacy sorted Vec ==");
+    println!(
+        "== BENCH pending_set — insert/pop/annihilate/rollback mix, heap vs legacy sorted Vec =="
+    );
     let mut sizes_json: Vec<(String, serde_json::Value)> = Vec::new();
     let mut speedup_at_max = 0.0f64;
     for size in SIZES {
@@ -267,24 +314,24 @@ fn main() {
         } else {
             2_000_000
         };
-        let mut wheel = InputQueue::new();
-        let w = run_mix(&mut wheel, size, ops, seed);
+        let mut heap = InputQueue::new();
+        let h = run_mix(&mut heap, size, ops, seed);
         let mut legacy = LegacyQueue::default();
         let l = run_mix(&mut legacy, size, ops, seed);
         assert_eq!(
-            w.checksum, l.checksum,
-            "wheel and legacy executed different schedules at size {size}"
+            h.checksum, l.checksum,
+            "heap and legacy executed different schedules at size {size}"
         );
-        let speedup = w.ops_per_second / l.ops_per_second;
+        let speedup = h.ops_per_second / l.ops_per_second;
         println!(
-            "  {size:>7} pending: wheel {:>12.0} ops/s  legacy {:>12.0} ops/s  ({speedup:.2}x)",
-            w.ops_per_second, l.ops_per_second
+            "  {size:>7} pending: heap {:>12.0} ops/s  legacy {:>12.0} ops/s  ({speedup:.2}x)",
+            h.ops_per_second, l.ops_per_second
         );
         sizes_json.push((
             size.to_string(),
             serde_json::json!({
-                "ops": w.ops,
-                "wheel_ops_per_second": w.ops_per_second,
+                "ops": h.ops,
+                "heap_ops_per_second": h.ops_per_second,
                 "legacy_ops_per_second": l.ops_per_second,
                 "speedup": speedup,
             }),
@@ -295,7 +342,7 @@ fn main() {
         "id": "pending_set",
         "seed": seed,
         "horizon_ticks": HORIZON,
-        "mix": "7/16 insert, 7/16 pop, 1/16 rollback(<=32), 1/16 fossil",
+        "mix": "7/16 insert, 6/16 pop, 1/16 annihilate, 1/16 rollback(<=32), 1/16 fossil",
         "sizes": serde_json::Value::Map(sizes_json),
         "speedup_at_100k": speedup_at_max,
     });

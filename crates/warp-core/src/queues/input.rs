@@ -1,7 +1,7 @@
 //! The input queue: every event received by a simulation object, split
 //! into an executed *history* (a key-ordered `Vec`, append-only at the
 //! tail, drained at the front by fossil collection) and an unprocessed
-//! *pending set* (a hierarchical timing wheel, [`super::wheel`]).
+//! *pending set* (a 4-ary min-heap, [`super::pending`]).
 //!
 //! The queue is where optimism meets causality: an arriving positive event
 //! keyed before the newest history entry is a *straggler* (the object
@@ -15,7 +15,7 @@
 //! fossil scans it always had. See `docs/hot-path.md`.
 
 use crate::event::{Event, EventKey, Sign};
-use crate::queues::wheel::PendingWheel;
+use crate::queues::pending::PendingHeap;
 use crate::time::VirtualTime;
 use std::collections::HashSet;
 
@@ -39,14 +39,14 @@ pub enum Inserted {
     OrphanStored,
 }
 
-/// Executed history + pending timing wheel.
+/// Executed history + pending heap.
 #[derive(Debug, Default)]
 pub struct InputQueue {
     /// Executed events in key order. Fossil collection drains the
     /// front; rollback moves the tail back into `pending`.
     history: Vec<Event>,
     /// Unprocessed events, minimum-key first.
-    pending: PendingWheel,
+    pending: PendingHeap,
     /// Anti-messages whose positives have not arrived yet.
     orphan_antis: HashSet<crate::event::EventId>,
 }
@@ -89,8 +89,7 @@ impl InputQueue {
 
     /// Receive time of the next unprocessed event
     /// ([`VirtualTime::INFINITY`] when idle) — the object's contribution
-    /// to GVT alongside its LVT. One load: the wheel caches its minimum's
-    /// key, which embeds the receive time, so the event is not visited.
+    /// to GVT alongside its LVT: the receive time of the heap's root.
     pub fn next_time(&self) -> VirtualTime {
         self.pending
             .min_key()
@@ -124,7 +123,8 @@ impl InputQueue {
     pub fn insert(&mut self, ev: Event) -> Inserted {
         match ev.sign {
             Sign::Positive => {
-                if self.orphan_antis.remove(&ev.id) {
+                // Orphans are rare: skip hashing the id when there are none.
+                if !self.orphan_antis.is_empty() && self.orphan_antis.remove(&ev.id) {
                     return Inserted::Annihilated;
                 }
                 let key = ev.key();
@@ -166,8 +166,6 @@ impl InputQueue {
     pub fn unprocess_from(&mut self, key: EventKey) -> u64 {
         let first = self.history.partition_point(|e| e.key() < key);
         let n = self.history.len() - first;
-        // Re-insert in increasing key order so at most the first insert
-        // rebases the wheel's origin backwards.
         for ev in self.history.drain(first..) {
             self.pending.insert(ev);
         }

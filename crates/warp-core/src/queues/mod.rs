@@ -3,10 +3,10 @@
 
 pub mod input;
 pub mod output;
+pub mod pending;
 pub mod state;
-pub mod wheel;
 
 pub use input::{InputQueue, Inserted};
 pub use output::{OutputQueue, SentRecord};
+pub use pending::PendingHeap;
 pub use state::{StatePos, StateQueue};
-pub use wheel::PendingWheel;

@@ -1,11 +1,11 @@
-//! Property-based equivalence: the timing-wheel-backed [`InputQueue`]
+//! Property-based equivalence: the heap-backed [`InputQueue`]
 //! against a naive sorted-`Vec` reference model, under arbitrary
 //! interleavings of insert / annihilate / process / rollback / fossil.
 //!
 //! The reference implements the queue contract the straightforward way
 //! (two sorted `Vec`s, binary searches everywhere); the real queue
-//! implements it with the hierarchical wheel of
-//! `warp_core::queues::wheel`. Every observable — the [`Inserted`]
+//! implements it with the 4-ary heap of
+//! `warp_core::queues::pending`. Every observable — the [`Inserted`]
 //! classification, processed order, pending contents, `next_time`,
 //! rollback counts — must match after every operation.
 
@@ -147,14 +147,14 @@ proptest! {
 
     /// Arbitrary interleavings of insert / annihilate / process /
     /// rollback / fossil produce identical observable state on the
-    /// wheel-backed queue and the sorted-`Vec` reference.
+    /// heap-backed queue and the sorted-`Vec` reference.
     #[test]
-    fn wheel_queue_matches_reference_model(
-        pool in proptest::collection::vec((0u32..4, 0u64..96), 4..48),
-        raw_ops in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..96),
+    fn heap_queue_matches_reference_model(
+        pool in proptest::collection::vec((0u32..4, 0u64..96), 4..200),
+        prefill in 0usize..160,
+        raw_ops in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..128),
     ) {
-        // Unique identities; times deliberately collide and span
-        // several wheel windows when scaled.
+        // Unique identities; times deliberately collide.
         let pool: Vec<Event> = pool
             .into_iter()
             .enumerate()
@@ -166,6 +166,18 @@ proptest! {
         let mut r = RefQueue::default();
         let mut next_pool = 0usize;
         let mut delivered: Vec<Event> = Vec::new();
+
+        // Deliver a prefix of the pool up front, so pending sets pass
+        // 4^3 = 64 events: partial last levels and sifts across several
+        // levels of the heap.
+        for e in &pool[..prefill.min(pool.len())] {
+            next_pool += 1;
+            delivered.push(e.clone());
+            let a = q.insert(e.clone());
+            let b = r.insert(e.clone());
+            prop_assert_eq!(&a, &b, "prefill classification diverged");
+        }
+        check_equal(&q, &r)?;
 
         // The queue contract (and the LP runtime) requires an immediate
         // rollback on a straggler classification before anything else
@@ -246,10 +258,10 @@ proptest! {
     }
 
     /// Straggler classification is exactly "keyed before the newest
-    /// executed event", regardless of how the wheel has cascaded.
+    /// executed event", however deep the heap is.
     #[test]
     fn straggler_detection_matches_reference(
-        pool in proptest::collection::vec((0u32..4, 0u64..64), 8..32),
+        pool in proptest::collection::vec((0u32..4, 0u64..64), 8..160),
         split in any::<u16>(),
     ) {
         let pool: Vec<Event> = pool

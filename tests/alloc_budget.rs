@@ -2,9 +2,9 @@
 //!
 //! Executing one event may allocate what the model and the history
 //! queues need — the payload of the event it sends, the output queue's
-//! copy of that event, the state snapshot at χ = 1, a timing-wheel bucket
-//! regrown now and then — and nothing else: no scratch `Vec` per call,
-//! no diagnostic string. The count is taken by a
+//! copy of that event, the state snapshot at χ = 1 — and nothing else:
+//! no scratch `Vec` per call, no diagnostic string, no pending-set
+//! regrowth. The count is taken by a
 //! counting global allocator on the test's own thread, after a warm-up
 //! that lets every reused buffer reach its working capacity, so it
 //! repeats exactly and does not depend on timing.
@@ -99,17 +99,12 @@ fn an_executed_event_allocates_payload_output_copy_and_snapshot_only() {
     // snapshot. A fourth would be kernel overhead — a per-call scratch
     // buffer, or a diagnostic formatted for nobody (debug builds compile
     // the object trace in; with `WARP_TRACE_OBJECT` unset it must stay
-    // silent and free).
-    //
-    // The quarter on top is the timing wheel: a cascade frees the bucket
-    // it empties and the next lap regrows it, ≈0.14 allocations per event
-    // at this population. Letting the buckets keep or trade their buffers
-    // removes it and doubles `peak_rss_mb` on `qnet-storm`, so it stays
-    // (`docs/hot-path.md`).
+    // silent and free). The pending heap is one `Vec` that reached its
+    // working capacity in the warm-up.
     assert_eq!(lp.stats().executed, (WARM_UP + MEASURED) as u64);
-    let ceiling = (3 * MEASURED + MEASURED / 4) as u64;
+    let ceiling = (3 * MEASURED) as u64;
     assert!(
         allocs <= ceiling,
-        "{allocs} allocations over {MEASURED} events: the budget is 3.25 per event ({ceiling})"
+        "{allocs} allocations over {MEASURED} events: the budget is 3 per event ({ceiling})"
     );
 }
