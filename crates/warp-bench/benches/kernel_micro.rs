@@ -101,7 +101,7 @@ struct BigState {
     tags: Vec<u64>,
 }
 impl ObjectState for BigState {
-    fn state_bytes(&self) -> usize {
+    fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.tags.len() * 8
     }
     fn encode(&self, w: &mut warp_core::wire::PayloadWriter) {
@@ -119,7 +119,7 @@ fn bench_state_queue(c: &mut Criterion) {
             let state = BigState {
                 tags: vec![7; lines],
             };
-            b.iter(|| black_box(ErasedState::of(state.clone()).bytes()));
+            b.iter(|| black_box(ErasedState::copy_of(&state).bytes()));
         });
     }
     g.bench_function("save_restore_cycle", |b| {
@@ -127,10 +127,10 @@ fn bench_state_queue(c: &mut Criterion) {
         b.iter_batched(
             StateQueue::new,
             |mut q| {
-                q.save(None, ErasedState::of(state.clone()));
+                q.save(None, &state);
                 for t in 1..50u64 {
                     let key = ev(0, t, t * 10).key();
-                    q.save(Some(key), ErasedState::of(state.clone()));
+                    q.save(Some(key), &state);
                 }
                 let probe = ev(9, 999, 333).key();
                 black_box(q.restore_before(probe).is_some())

@@ -9,6 +9,7 @@
 
 use crate::ids::ObjectId;
 use crate::time::VirtualTime;
+use core::fmt;
 use serde::{Deserialize, Serialize};
 
 /// Sign of a message: ordinary event or its cancelling anti-message.
@@ -65,7 +66,7 @@ pub struct EventKey {
 }
 
 /// A time-stamped event message.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Unique send identity; shared between a positive and its anti twin.
     pub id: EventId,
@@ -84,7 +85,7 @@ pub struct Event {
     /// its positive twin's tag so both occupy the same key.
     pub content_tag: u64,
     /// Canonical payload bytes (see [`crate::wire`]).
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 /// Fixed per-event envelope size in bytes, used by the communication cost
@@ -100,8 +101,9 @@ impl Event {
         send_time: VirtualTime,
         recv_time: VirtualTime,
         kind: u16,
-        payload: Vec<u8>,
+        payload: impl Into<Payload>,
     ) -> Event {
+        let payload = payload.into();
         let content_tag = Event::tag_for(kind, &payload);
         Event {
             id,
@@ -156,7 +158,7 @@ impl Event {
             kind: self.kind,
             // The twin must land on the positive's exact key.
             content_tag: self.content_tag,
-            payload: Vec::new(),
+            payload: Payload::new(),
         }
     }
 
@@ -176,6 +178,164 @@ impl Event {
             && self.recv_time == other.recv_time
             && self.kind == other.kind
             && self.payload == other.payload
+    }
+}
+
+/// Payload bytes a [`Payload`] holds in place, without a heap block:
+/// enough for every message of the benchmark models (SMMP's 28-byte
+/// token is the largest), and what keeps an [`Event`] within 80 bytes.
+pub const INLINE_PAYLOAD_BYTES: usize = 30;
+
+/// An event's payload: up to [`INLINE_PAYLOAD_BYTES`] bytes stored in
+/// place, longer ones on the heap. Sending, copying into the output
+/// queue and decoding a short payload off the wire therefore allocate
+/// nothing. It reads as a `[u8]` ([`Deref`](core::ops::Deref)); equality
+/// is byte equality, whichever way the bytes are stored.
+#[derive(Clone)]
+pub struct Payload(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        buf: [u8; INLINE_PAYLOAD_BYTES],
+    },
+    Heap(Vec<u8>),
+}
+
+impl Payload {
+    /// The empty payload.
+    pub const fn new() -> Self {
+        Payload(Repr::Inline {
+            len: 0,
+            buf: [0; INLINE_PAYLOAD_BYTES],
+        })
+    }
+
+    /// An empty payload with room for `n` bytes: in place up to
+    /// [`INLINE_PAYLOAD_BYTES`], else a heap block of that capacity.
+    #[inline]
+    pub fn with_capacity(n: usize) -> Self {
+        if n <= INLINE_PAYLOAD_BYTES {
+            Payload::new()
+        } else {
+            Payload(Repr::Heap(Vec::with_capacity(n)))
+        }
+    }
+
+    /// A payload that keeps `buf`'s heap block, whatever its length, so
+    /// [`into_vec`](Self::into_vec) hands the same block back.
+    pub(crate) fn on_heap(buf: Vec<u8>) -> Self {
+        Payload(Repr::Heap(buf))
+    }
+
+    /// Whether the bytes are stored in place (no heap block).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+
+    /// Append `bytes`, moving to the heap once the total outgrows the
+    /// inline buffer.
+    #[inline]
+    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        if let Repr::Inline { len, buf } = &mut self.0 {
+            let n = *len as usize;
+            if let Some(dst) = buf.get_mut(n..n + bytes.len()) {
+                dst.copy_from_slice(bytes);
+                *len += bytes.len() as u8;
+                return;
+            }
+            self.spill(bytes.len());
+        }
+        if let Repr::Heap(v) = &mut self.0 {
+            v.extend_from_slice(bytes);
+        }
+    }
+
+    /// Make room for `n` more bytes.
+    pub fn reserve(&mut self, n: usize) {
+        match &mut self.0 {
+            Repr::Heap(v) => v.reserve(n),
+            Repr::Inline { len, .. } => {
+                if *len as usize + n > INLINE_PAYLOAD_BYTES {
+                    self.spill(n);
+                }
+            }
+        }
+    }
+
+    /// Move the inline bytes to a heap block with room for `more` bytes
+    /// after them.
+    #[cold]
+    fn spill(&mut self, more: usize) {
+        let mut v = Vec::with_capacity((self.len() + more).max(2 * INLINE_PAYLOAD_BYTES));
+        v.extend_from_slice(self);
+        self.0 = Repr::Heap(v);
+    }
+
+    /// The bytes as a `Vec`: the heap block itself when there is one.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self.0 {
+            Repr::Inline { len, buf } => buf[..len as usize].to_vec(),
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::new()
+    }
+}
+
+impl core::ops::Deref for Payload {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl From<&[u8]> for Payload {
+    fn from(bytes: &[u8]) -> Self {
+        let mut p = Payload::with_capacity(bytes.len());
+        p.extend_from_slice(bytes);
+        p
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    /// Short vectors are copied in place (and their block freed); longer
+    /// ones are kept as they are.
+    fn from(v: Vec<u8>) -> Self {
+        if v.len() <= INLINE_PAYLOAD_BYTES {
+            Payload::from(&v[..])
+        } else {
+            Payload(Repr::Heap(v))
+        }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl PartialEq<Vec<u8>> for Payload {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -224,13 +384,35 @@ mod tests {
         let e1 = ev(2, 7, 3, 4, 9);
         let mut e2 = ev(2, 99, 3, 5, 9); // different serial and send time
         assert!(e1.same_content(&e2));
-        e2.payload = vec![9];
+        e2.payload = vec![9].into();
         assert!(!e1.same_content(&e2));
         let mut e3 = ev(2, 7, 4, 4, 9); // different destination
         assert!(!e1.same_content(&e3));
         e3.dst = ObjectId(3);
         e3.recv_time = VirtualTime::new(10);
         assert!(!e1.same_content(&e3));
+    }
+
+    #[test]
+    fn an_event_with_its_payload_in_place_fits_80_bytes() {
+        assert_eq!(std::mem::size_of::<Payload>(), INLINE_PAYLOAD_BYTES + 2);
+        assert!(std::mem::size_of::<Event>() <= 80);
+    }
+
+    #[test]
+    fn payloads_of_30_bytes_stay_in_place_and_31_spill() {
+        assert_eq!(INLINE_PAYLOAD_BYTES, 30);
+        let short = Payload::from(&[7u8; INLINE_PAYLOAD_BYTES][..]);
+        assert!(short.is_inline());
+        let long = Payload::from(&[7u8; INLINE_PAYLOAD_BYTES + 1][..]);
+        assert!(!long.is_inline());
+        // Growing across the boundary spills and keeps every byte.
+        let mut grown = short.clone();
+        grown.extend_from_slice(&[7]);
+        assert!(!grown.is_inline());
+        assert_eq!(grown, long);
+        assert_eq!(grown.into_vec(), vec![7u8; INLINE_PAYLOAD_BYTES + 1]);
+        assert!(Payload::from(vec![1; INLINE_PAYLOAD_BYTES]).is_inline());
     }
 
     #[test]

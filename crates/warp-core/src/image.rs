@@ -19,7 +19,7 @@
 use crate::error::KernelError;
 use crate::event::{Event, EventKey, Sign};
 use crate::ids::{LpId, ObjectId};
-use crate::object::ErasedState;
+use crate::object::{DynState, ErasedState};
 use crate::queues::state::StatePos;
 use crate::time::VirtualTime;
 use crate::trace::TraceDigest;
@@ -84,7 +84,7 @@ impl<'a, F: Iterator<Item = &'a Event> + Clone> ObjectImageRef<'a, F> {
             .u64(self.digest.count());
         write_pos(w, self.pos);
         let mut state = PayloadWriter::new();
-        self.state.encode(&mut state);
+        self.state.encode_state(&mut state);
         w.bytes(state.as_bytes());
         w.u32(self.inputs.len() as u32);
         for ev in self.inputs {
@@ -143,13 +143,13 @@ impl ObjectImage {
         .encode(w)
     }
 
-    /// Decode object `id`'s image of `horizon`. `proto` is a snapshot of
-    /// the object's own state type, which the state bytes must decode as.
+    /// Decode object `id`'s image of `horizon`. `proto` is a state of
+    /// the object's own type, which the state bytes must decode as.
     pub fn decode(
         r: &mut PayloadReader<'_>,
         id: ObjectId,
         horizon: VirtualTime,
-        proto: &ErasedState,
+        proto: &dyn DynState,
     ) -> Result<Self, KernelError> {
         let got = ObjectId(r.u32()?);
         if got != id {
@@ -235,15 +235,15 @@ impl LpImage {
         for o in &self.objects {
             o.encode(&mut w);
         }
-        w.finish()
+        w.finish().into_vec()
     }
 
     /// Decode LP `lp`'s image. `protos` gives each of the LP's objects,
-    /// in slot order, with a snapshot of its state type.
+    /// in slot order, with a state of its type.
     pub fn decode(
         bytes: &[u8],
         lp: LpId,
-        protos: &[(ObjectId, ErasedState)],
+        protos: &[(ObjectId, &dyn DynState)],
     ) -> Result<Self, KernelError> {
         let mut r = PayloadReader::new(bytes);
         let got = LpId(r.u32()?);
@@ -263,7 +263,7 @@ impl LpImage {
         }
         let objects = protos
             .iter()
-            .map(|(id, proto)| ObjectImage::decode(&mut r, *id, horizon, proto))
+            .map(|&(id, proto)| ObjectImage::decode(&mut r, id, horizon, proto))
             .collect::<Result<Vec<_>, _>>()?;
         if r.remaining() != 0 {
             return Err(corrupt(format!("{lp}: image has trailing bytes")));

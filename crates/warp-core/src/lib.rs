@@ -41,11 +41,11 @@ pub mod wire;
 
 pub use cost::CostModel;
 pub use error::KernelError;
-pub use event::{Event, EventId, EventKey, Sign};
+pub use event::{Event, EventId, EventKey, Payload, Sign};
 pub use ids::{LpId, NodeId, ObjectId};
 pub use image::{LpImage, ObjectImage};
 pub use lp::LpRuntime;
-pub use object::{ErasedState, ExecutionContext, ObjectState, SimObject};
+pub use object::{DynState, ErasedState, ExecutionContext, ObjectState, SimObject};
 pub use partition::Partition;
 pub use policy::{
     CancellationMode, CancellationSelector, CheckpointTuner, ControlChange, ControlTransition,

@@ -376,17 +376,13 @@ impl LpRuntime {
         for o in &self.objects {
             o.checkpoint(h, &doomed, &mut w);
         }
-        w.finish()
+        w.finish().into_vec()
     }
 
     /// Decode this LP's image (see [`LpImage::decode`]); the LP's own
     /// objects name the state type each object's bytes decode as.
     pub fn decode_image(&self, bytes: &[u8]) -> Result<LpImage, KernelError> {
-        let protos: Vec<_> = self
-            .objects
-            .iter()
-            .map(|o| (o.id(), o.snapshot_state()))
-            .collect();
+        let protos: Vec<_> = self.objects.iter().map(|o| (o.id(), o.state())).collect();
         LpImage::decode(bytes, self.id, &protos)
     }
 
@@ -475,7 +471,7 @@ mod tests {
     use super::*;
     use crate::event::EventId;
     use crate::ids::ObjectId;
-    use crate::object::{ErasedState, ExecutionContext, ObjectState, SimObject};
+    use crate::object::{DynState, ExecutionContext, ObjectState, SimObject};
     use crate::policy::ObjectPolicies;
     use crate::wire::{PayloadReader, PayloadWriter};
 
@@ -517,14 +513,11 @@ mod tests {
                 ctx.send(self.peer, 1, 0, w.finish());
             }
         }
-        fn snapshot(&self) -> ErasedState {
-            ErasedState::of(self.state.clone())
+        fn state(&self) -> &dyn DynState {
+            &self.state
         }
-        fn restore(&mut self, snapshot: &ErasedState) {
-            self.state = snapshot.get::<PingState>().clone();
-        }
-        fn state_bytes(&self) -> usize {
-            std::mem::size_of::<PingState>()
+        fn state_mut(&mut self) -> &mut dyn DynState {
+            &mut self.state
         }
     }
 

@@ -9,7 +9,7 @@
 //! configured, statically or on-line, outside the model code.
 
 use crate::error::KernelError;
-use crate::event::Event;
+use crate::event::{Event, Payload};
 use crate::ids::ObjectId;
 use crate::time::VirtualTime;
 use crate::wire::{PayloadReader, PayloadWriter};
@@ -21,15 +21,19 @@ use std::any::Any;
 /// States must be `Clone` (that *is* the checkpoint operation) and report
 /// their size so the cost model can charge state saving proportionally —
 /// the trade-off at the heart of the dynamic checkpointing experiment.
+/// The kernel saves and restores with [`Clone::clone_from`] into storage
+/// it recycles, so a state owning heap storage should implement
+/// `clone_from` field by field: the derived one reallocates every buffer.
 ///
 /// Every state also has a canonical byte form: the distributed
 /// executive's recovery checkpoints carry each object's state as an
 /// image, and a restore decodes it on whichever worker the object lands.
 /// There is no default: a state without a codec does not compile.
 pub trait ObjectState: Clone + Send + fmt::Debug + 'static {
-    /// Approximate in-memory size of the state in bytes. The default uses
-    /// the shallow struct size; states owning heap storage should add it.
-    fn state_bytes(&self) -> usize {
+    /// Approximate in-memory size of the state in bytes: the cost model
+    /// charges saving and restoring it by this. The default uses the
+    /// shallow struct size; states owning heap storage should add it.
+    fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
     }
 
@@ -44,98 +48,102 @@ pub trait ObjectState: Clone + Send + fmt::Debug + 'static {
         Self: Sized;
 }
 
-trait ErasedStateOps: Send {
-    fn clone_box(&self) -> Box<dyn ErasedStateOps>;
+/// The object-safe face of [`ObjectState`], implemented for every
+/// state: what [`SimObject::state`] hands the kernel, so one LP can host
+/// objects of different state types (RAID's sources, forks and disks,
+/// say) behind one state queue type.
+pub trait DynState: Send + 'static {
+    /// A boxed copy.
+    fn boxed_clone(&self) -> Box<dyn DynState>;
+    /// Overwrite `self` with a copy of `source` by
+    /// [`Clone::clone_from`], reusing `self`'s storage. Panics if the
+    /// two are of different types — a model bug.
+    fn assign_from(&mut self, source: &dyn DynState);
+    /// The state as `Any`, for downcasts.
     fn as_any(&self) -> &dyn Any;
+    /// [`ObjectState::size_bytes`].
     fn bytes(&self) -> usize;
-    fn debug_fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
-    fn encode(&self, w: &mut PayloadWriter);
-    fn decode_same(
-        &self,
-        r: &mut PayloadReader<'_>,
-    ) -> Result<Box<dyn ErasedStateOps>, KernelError>;
+    /// [`ObjectState::encode`].
+    fn encode_state(&self, w: &mut PayloadWriter);
+    /// Decode a state of `self`'s type: an object's own state names the
+    /// type an image's state bytes must decode as.
+    fn decode_like(&self, r: &mut PayloadReader<'_>) -> Result<ErasedState, KernelError>;
+    /// [`fmt::Debug`] of the state.
+    fn fmt_state(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
 }
 
-impl<S: ObjectState> ErasedStateOps for S {
-    fn clone_box(&self) -> Box<dyn ErasedStateOps> {
+impl<S: ObjectState> DynState for S {
+    fn boxed_clone(&self) -> Box<dyn DynState> {
         Box::new(self.clone())
+    }
+    fn assign_from(&mut self, source: &dyn DynState) {
+        self.clone_from(source.get::<S>());
     }
     fn as_any(&self) -> &dyn Any {
         self
     }
     fn bytes(&self) -> usize {
-        self.state_bytes()
+        self.size_bytes()
     }
-    fn debug_fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn encode_state(&self, w: &mut PayloadWriter) {
+        self.encode(w)
+    }
+    fn decode_like(&self, r: &mut PayloadReader<'_>) -> Result<ErasedState, KernelError> {
+        Ok(ErasedState::of(S::decode(r)?))
+    }
+    fn fmt_state(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
-    }
-    fn encode(&self, w: &mut PayloadWriter) {
-        ObjectState::encode(self, w)
-    }
-    fn decode_same(
-        &self,
-        r: &mut PayloadReader<'_>,
-    ) -> Result<Box<dyn ErasedStateOps>, KernelError> {
-        Ok(Box::new(S::decode(r)?))
     }
 }
 
-/// A type-erased state snapshot held in the kernel's state queue.
-///
-/// Erasure lets one LP host heterogeneous objects (RAID's sources, forks
-/// and disks, say) behind a single queue type.
-pub struct ErasedState {
-    inner: Box<dyn ErasedStateOps>,
+impl dyn DynState {
+    /// The typed state. Panics if `S` is not the stored type — that is
+    /// a model bug (an object restoring someone else's state).
+    pub fn get<S: ObjectState>(&self) -> &S {
+        self.as_any()
+            .downcast_ref::<S>()
+            .expect("DynState::get: state type does not match the object's state type")
+    }
 }
+
+/// An owned, type-erased state: a snapshot in the kernel's state queue,
+/// or the state a recovery image carries. It reads as a [`DynState`].
+pub struct ErasedState(Box<dyn DynState>);
 
 impl ErasedState {
     /// Wrap a typed state.
     pub fn of<S: ObjectState>(state: S) -> Self {
-        ErasedState {
-            inner: Box::new(state),
-        }
+        ErasedState(Box::new(state))
     }
 
-    /// Recover the typed state. Panics if `S` is not the stored type —
-    /// that is a model bug (an object restoring someone else's state).
-    pub fn get<S: ObjectState>(&self) -> &S {
-        self.inner
-            .as_any()
-            .downcast_ref::<S>()
-            .expect("ErasedState::get: snapshot type does not match the object's state type")
+    /// A copy of `state`.
+    pub fn copy_of(state: &dyn DynState) -> Self {
+        ErasedState(state.boxed_clone())
     }
+}
 
-    /// Size in bytes, for the cost model.
-    pub fn bytes(&self) -> usize {
-        self.inner.bytes()
+impl core::ops::Deref for ErasedState {
+    type Target = dyn DynState;
+    fn deref(&self) -> &(dyn DynState + 'static) {
+        &*self.0
     }
+}
 
-    /// Append the wrapped state's canonical encoding
-    /// ([`ObjectState::encode`]).
-    pub fn encode(&self, w: &mut PayloadWriter) {
-        self.inner.encode(w)
-    }
-
-    /// Decode a state of the same type as `self` — the object's own
-    /// snapshot names the type an image's state bytes must decode as.
-    pub fn decode_like(&self, r: &mut PayloadReader<'_>) -> Result<ErasedState, KernelError> {
-        Ok(ErasedState {
-            inner: self.inner.decode_same(r)?,
-        })
+impl core::ops::DerefMut for ErasedState {
+    fn deref_mut(&mut self) -> &mut (dyn DynState + 'static) {
+        &mut *self.0
     }
 }
 
 impl Clone for ErasedState {
     fn clone(&self) -> Self {
-        ErasedState {
-            inner: self.inner.clone_box(),
-        }
+        ErasedState(self.0.boxed_clone())
     }
 }
 
 impl fmt::Debug for ErasedState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.debug_fmt(f)
+        self.0.fmt_state(f)
     }
 }
 
@@ -156,7 +164,7 @@ pub trait ExecutionContext {
     /// event order the optimistic kernel (and the sequential golden model)
     /// relies on. Panics on misuse — that is a model bug, not a runtime
     /// condition.
-    fn send(&mut self, dst: ObjectId, delay: u64, kind: u16, payload: Vec<u8>) {
+    fn send(&mut self, dst: ObjectId, delay: u64, kind: u16, payload: Payload) {
         let t = self.now().after(delay.max(1));
         self.try_send_at(dst, t, kind, payload)
             .expect("ExecutionContext::send: kernel rejected send");
@@ -173,7 +181,7 @@ pub trait ExecutionContext {
         dst: ObjectId,
         at: VirtualTime,
         kind: u16,
-        payload: Vec<u8>,
+        payload: Payload,
     ) -> Result<(), KernelError>;
 }
 
@@ -194,14 +202,14 @@ pub trait SimObject: Send {
     /// [`crate::rng::SimRng`].)
     fn execute(&mut self, ctx: &mut dyn ExecutionContext, event: &Event);
 
-    /// Snapshot the object's mutable state for the state queue.
-    fn snapshot(&self) -> ErasedState;
+    /// The object's mutable state: everything a rollback must undo. The
+    /// kernel copies it into its state queue after every χ-th event, and
+    /// into recovery images; both usually read `&self.state`.
+    fn state(&self) -> &dyn DynState;
 
-    /// Restore the object's mutable state from a snapshot taken earlier.
-    fn restore(&mut self, snapshot: &ErasedState);
-
-    /// Current state size in bytes (cost-model input for state saving).
-    fn state_bytes(&self) -> usize;
+    /// The same state, for the kernel to overwrite when it restores a
+    /// snapshot (rollback) or an image (recovery).
+    fn state_mut(&mut self) -> &mut dyn DynState;
 }
 
 /// Convenience: collect sends without a kernel, for unit-testing model
@@ -213,7 +221,7 @@ pub struct RecordingContext {
     /// Virtual time reported by `now()`.
     pub now: VirtualTime,
     /// Sends captured as `(dst, at, kind, payload)` tuples.
-    pub sent: Vec<(ObjectId, VirtualTime, u16, Vec<u8>)>,
+    pub sent: Vec<(ObjectId, VirtualTime, u16, Payload)>,
 }
 
 impl RecordingContext {
@@ -239,7 +247,7 @@ impl ExecutionContext for RecordingContext {
         dst: ObjectId,
         at: VirtualTime,
         kind: u16,
-        payload: Vec<u8>,
+        payload: Payload,
     ) -> Result<(), KernelError> {
         if at <= self.now {
             return Err(KernelError::SendIntoPast {
@@ -262,7 +270,7 @@ mod tests {
         extra: Vec<u8>,
     }
     impl ObjectState for CounterState {
-        fn state_bytes(&self) -> usize {
+        fn size_bytes(&self) -> usize {
             std::mem::size_of::<Self>() + self.extra.len()
         }
         fn encode(&self, w: &mut PayloadWriter) {
@@ -288,6 +296,13 @@ mod tests {
         let c = e.clone();
         assert_eq!(c.get::<CounterState>(), &s);
         assert!(format!("{e:?}").contains("42"));
+        // Assigning through the erasure overwrites the target.
+        let mut target = ErasedState::copy_of(&CounterState {
+            count: 0,
+            extra: vec![9; 10],
+        });
+        target.assign_from(&s);
+        assert_eq!(target.get::<CounterState>(), &s);
     }
 
     #[test]
@@ -297,7 +312,7 @@ mod tests {
             extra: vec![1, 2, 3],
         };
         let mut w = PayloadWriter::new();
-        ErasedState::of(s.clone()).encode(&mut w);
+        ErasedState::of(s.clone()).encode_state(&mut w);
         let bytes = w.finish();
         let proto = ErasedState::of(CounterState {
             count: 0,
@@ -311,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "snapshot type")]
+    #[should_panic(expected = "state type")]
     fn erased_state_wrong_type_panics() {
         #[derive(Clone, Debug)]
         struct Other;
@@ -331,7 +346,7 @@ mod tests {
     #[test]
     fn recording_context_captures_sends() {
         let mut ctx = RecordingContext::new(ObjectId(1), VirtualTime::new(10));
-        ctx.send(ObjectId(2), 5, 7, vec![1]);
+        ctx.send(ObjectId(2), 5, 7, vec![1].into());
         assert_eq!(ctx.sent.len(), 1);
         let (dst, at, kind, payload) = &ctx.sent[0];
         assert_eq!(*dst, ObjectId(2));
@@ -343,7 +358,7 @@ mod tests {
     #[test]
     fn recording_context_rejects_past() {
         let mut ctx = RecordingContext::new(ObjectId(1), VirtualTime::new(10));
-        let err = ctx.try_send_at(ObjectId(2), VirtualTime::new(10), 0, vec![]);
+        let err = ctx.try_send_at(ObjectId(2), VirtualTime::new(10), 0, Payload::new());
         assert!(matches!(err, Err(KernelError::SendIntoPast { .. })));
     }
 }

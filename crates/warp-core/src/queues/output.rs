@@ -65,14 +65,15 @@ impl OutputQueue {
         self.records.push(SentRecord { gen, event });
     }
 
-    /// Remove and return every message generated by events with key
-    /// `>= key` — the erroneous sends undone by a rollback to `key`.
-    /// Messages from `init` (`gen == None`) are never affected.
-    pub fn take_from(&mut self, key: EventKey) -> Vec<Event> {
+    /// Remove every message generated by events with key `>= key` — the
+    /// erroneous sends undone by a rollback to `key` — and append them to
+    /// `into`, a buffer the caller reuses. Messages from `init`
+    /// (`gen == None`) are never affected.
+    pub fn take_from(&mut self, key: EventKey, into: &mut Vec<Event>) {
         let idx = self
             .records
             .partition_point(|r| r.gen.is_none_or(|g| g < key));
-        self.records.drain(idx..).map(|r| r.event).collect()
+        into.extend(self.records.drain(idx..).map(|r| r.event));
     }
 
     /// Drop records generated strictly before `bound` (the fossil bound
@@ -160,6 +161,12 @@ mod tests {
         }
     }
 
+    fn taken(q: &mut OutputQueue, key: EventKey) -> Vec<Event> {
+        let mut cancelled = Vec::new();
+        q.take_from(key, &mut cancelled);
+        cancelled
+    }
+
     fn ev(serial: u64, st: u64, rt: u64) -> Event {
         Event::new(
             EventId {
@@ -184,7 +191,7 @@ mod tests {
         // Roll back to the event key(10,1): its sends and later ones are
         // erroneous; the coast event key(10,0) at the same virtual time
         // keeps its send.
-        let cancelled = q.take_from(key(10, 1));
+        let cancelled = taken(&mut q, key(10, 1));
         assert_eq!(cancelled.len(), 2);
         assert_eq!(cancelled[0].id.serial, 2);
         assert_eq!(cancelled[1].id.serial, 3);
@@ -195,7 +202,7 @@ mod tests {
     fn init_sends_never_cancelled() {
         let mut q = OutputQueue::new();
         q.record(None, ev(0, 0, 5));
-        let cancelled = q.take_from(key(0, 0));
+        let cancelled = taken(&mut q, key(0, 0));
         assert!(cancelled.is_empty());
         assert_eq!(q.len(), 1);
     }
@@ -236,7 +243,7 @@ mod tests {
         );
         assert_eq!(serials(&mut q.crossing(VirtualTime::new(90))), vec![0]);
         // The records left still honour take_from's ordering contract.
-        let cancelled = q.take_from(key(30, 2));
+        let cancelled = taken(&mut q, key(30, 2));
         assert_eq!(cancelled.len(), 1);
         assert_eq!(cancelled[0].id.serial, 3);
         // Two survivors: the next pass leaves the prefix alone until it
@@ -252,14 +259,14 @@ mod tests {
         // A restore keeps exactly the frontier it is handed.
         q.reseed(vec![ev(7, 50, 120)]);
         assert_eq!(serials(&mut q.crossing(VirtualTime::new(100))), vec![7]);
-        assert!(q.take_from(key(100, 0)).is_empty());
+        assert!(taken(&mut q, key(100, 0)).is_empty());
     }
 
     #[test]
     fn record_after_rollback_reuses_positions() {
         let mut q = OutputQueue::new();
         q.record(Some(key(10, 0)), ev(1, 10, 15));
-        let _ = q.take_from(key(10, 0));
+        let _ = taken(&mut q, key(10, 0));
         // Re-execution records at the same generation again — legal
         // because the queue was truncated first.
         q.record(Some(key(10, 0)), ev(5, 10, 15));

@@ -5,9 +5,13 @@
 //! intermediate events (coast-forward). The queue is tagged by the key of
 //! the event after which each snapshot was taken; the pre-simulation
 //! initial state is tagged `None` and ordered before everything.
+//!
+//! Saving allocates nothing in the steady state: a save copies the live
+//! state by `clone_from` into a snapshot the queue discarded earlier —
+//! at a rollback, or at the last fossil pass.
 
 use crate::event::EventKey;
-use crate::object::ErasedState;
+use crate::object::{DynState, ErasedState};
 use crate::time::VirtualTime;
 
 /// Position tag of a snapshot: `None` = before any event (initial state),
@@ -29,6 +33,9 @@ pub struct StateQueue {
     entries: Vec<Entry>,
     /// Running sum of the entries' `bytes`.
     retained_bytes: usize,
+    /// Discarded snapshots that [`save`](Self::save) overwrites before it
+    /// allocates a new one, oldest first (saves take from the back).
+    spares: Vec<ErasedState>,
 }
 
 impl StateQueue {
@@ -62,26 +69,42 @@ impl StateQueue {
         self.retained_bytes
     }
 
-    /// Drop `entries[range]`, keeping the byte counter in step.
+    /// Bytes a retained snapshot costs besides the state itself: its
+    /// entry (position, size and the state's box pointer).
+    pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
+
+    /// Move `entries[range]` to the spares, keeping the byte counter in
+    /// step.
     fn discard(&mut self, range: impl std::ops::RangeBounds<usize>) {
         for e in self.entries.drain(range) {
             self.retained_bytes -= e.bytes;
+            self.spares.push(e.state);
         }
     }
 
-    /// Append a snapshot taken at `pos`. Positions must arrive in
-    /// increasing order (the kernel saves as it executes forward; a
-    /// rollback truncates before re-saving).
-    pub fn save(&mut self, pos: StatePos, state: ErasedState) {
+    /// Append a copy of `live`, the state after the event at `pos`, and
+    /// return its size in bytes. Positions must arrive in increasing
+    /// order (the kernel saves as it executes forward; a rollback
+    /// truncates before re-saving). The copy overwrites a spare when
+    /// there is one.
+    pub fn save(&mut self, pos: StatePos, live: &dyn DynState) -> usize {
         debug_assert!(
             self.entries.last().is_none_or(|last| last.pos < pos),
             "state saved out of order: {:?} after {:?}",
             pos,
             self.entries.last().map(|e| e.pos)
         );
+        let state = match self.spares.pop() {
+            Some(mut spare) => {
+                spare.assign_from(live);
+                spare
+            }
+            None => ErasedState::copy_of(live),
+        };
         let bytes = state.bytes();
         self.retained_bytes += bytes;
         self.entries.push(Entry { pos, bytes, state });
+        bytes
     }
 
     /// Find the newest snapshot strictly before `key`, for a rollback
@@ -135,6 +158,12 @@ impl StateQueue {
     /// Drop snapshots strictly older than the snapshot tagged `bound`
     /// (which is retained, becoming the restore point of last resort).
     /// Returns how many were reclaimed.
+    ///
+    /// The reclaimed snapshots become spares. Of the older spares still
+    /// unused, the pass keeps (newest first) no more than it reclaims and
+    /// drops the rest: a round that saves more than the one before it
+    /// still finds spares, and after the pass they number at most twice
+    /// its reclaim.
     pub fn fossil_collect_before(&mut self, bound: EventKey) -> u64 {
         // Index of the first snapshot at or after `bound`; everything
         // before it is reclaimable. Keep at least one snapshot regardless.
@@ -142,6 +171,8 @@ impl StateQueue {
             .entries
             .partition_point(|e| e.pos.is_none_or(|p| p < bound))
             .min(self.entries.len().saturating_sub(1));
+        let stale = self.spares.len().saturating_sub(cut);
+        self.spares.drain(..stale);
         self.discard(..cut);
         cut as u64
     }
@@ -181,9 +212,9 @@ mod tests {
 
     fn filled() -> StateQueue {
         let mut q = StateQueue::new();
-        q.save(None, ErasedState::of(S(0)));
+        q.save(None, &S(0));
         for t in [10, 20, 30, 40] {
-            q.save(Some(key(t)), ErasedState::of(S(t)));
+            q.save(Some(key(t)), &S(t));
         }
         q
     }
@@ -211,7 +242,7 @@ mod tests {
         assert_eq!(q.truncate_from(key(25)), 2);
         assert_eq!(q.positions(), vec![None, Some(key(10)), Some(key(20))]);
         // Saving again after the rollback point is in order.
-        q.save(Some(key(26)), ErasedState::of(S(26)));
+        q.save(Some(key(26)), &S(26));
         assert_eq!(q.len(), 4);
     }
 
@@ -253,9 +284,53 @@ mod tests {
     #[test]
     fn fossil_collect_never_empties_queue() {
         let mut q = StateQueue::new();
-        q.save(None, ErasedState::of(S(0)));
+        q.save(None, &S(0));
         assert_eq!(q.fossil_collect_before(key(100)), 0);
         assert_eq!(q.len(), 1);
+    }
+
+    /// Address of the `i`-th retained snapshot's state.
+    fn addr(q: &StateQueue, i: usize) -> *const u8 {
+        (q.entries[i].state.as_any() as *const dyn std::any::Any).cast()
+    }
+
+    #[test]
+    fn a_recycled_snapshot_is_never_one_still_retained() {
+        let mut q = filled();
+        let undone: Vec<_> = (3..5).map(|i| addr(&q, i)).collect();
+        q.truncate_from(key(25));
+        assert_eq!(q.spares.len(), 2);
+        let kept: Vec<_> = (0..3).map(|i| addr(&q, i)).collect();
+        for t in [26, 27, 28] {
+            q.save(Some(key(t)), &S(t));
+        }
+        // The two undone snapshots were overwritten in place, the third
+        // save allocated; no retained snapshot was touched.
+        let resaved: Vec<_> = (3..6).map(|i| addr(&q, i)).collect();
+        assert!(undone.iter().all(|a| resaved.contains(a)));
+        assert!(resaved.iter().all(|a| !kept.contains(a)));
+        assert_eq!(q.spares.len(), 0);
+        let states: Vec<u64> = (0..6).map(|i| q.entries[i].state.get::<S>().0).collect();
+        assert_eq!(states, vec![0, 10, 20, 26, 27, 28]);
+        assert_eq!(q.retained_bytes(), q.bytes());
+    }
+
+    #[test]
+    fn a_fossil_pass_drops_the_spares_the_previous_pass_left_unused() {
+        let mut q = filled();
+        assert_eq!(q.fossil_collect_before(key(40)), 4);
+        assert_eq!(q.spares.len(), 4);
+        q.save(Some(key(50)), &S(50));
+        q.save(Some(key(60)), &S(60));
+        assert_eq!(q.spares.len(), 2);
+        // This pass reclaims one: it keeps one of the two spares the
+        // last pass left unused, and drops the other.
+        assert_eq!(q.fossil_collect_before(key(50)), 1);
+        assert_eq!(q.spares.len(), 2);
+        // A pass that reclaims nothing drops every spare left over.
+        assert_eq!(q.fossil_collect_before(key(50)), 0);
+        assert_eq!(q.spares.len(), 0);
+        assert_eq!(q.positions(), vec![Some(key(50)), Some(key(60))]);
     }
 
     #[test]
@@ -270,7 +345,7 @@ mod tests {
         assert_eq!(q.retained_bytes(), q.bytes());
         q.truncate_from(key(25));
         assert_eq!(q.retained_bytes(), 3 * std::mem::size_of::<S>());
-        q.save(Some(key(26)), ErasedState::of(S(26)));
+        q.save(Some(key(26)), &S(26));
         q.fossil_collect_before(key(20));
         assert_eq!(q.retained_bytes(), 2 * std::mem::size_of::<S>());
         assert_eq!(q.retained_bytes(), q.bytes());

@@ -9,12 +9,12 @@
 
 use crate::cost::CostModel;
 use crate::error::KernelError;
-use crate::event::{Event, EventId, EventKey};
+use crate::event::{Event, EventId, EventKey, Payload};
 use crate::ids::ObjectId;
 use crate::image::{ObjectImage, ObjectImageRef};
-use crate::object::{ExecutionContext, SimObject};
+use crate::object::{DynState, ExecutionContext, SimObject};
 use crate::policy::{CancellationMode, ControlChange, ControlTransition, ObjectPolicies};
-use crate::queues::{InputQueue, Inserted, OutputQueue, StatePos, StateQueue};
+use crate::queues::{InputQueue, Inserted, OutputQueue, SentRecord, StatePos, StateQueue};
 use crate::stats::ObjectStats;
 use crate::time::VirtualTime;
 use crate::trace::TraceDigest;
@@ -39,7 +39,7 @@ struct SendReq {
     dst: ObjectId,
     at: VirtualTime,
     kind: u16,
-    payload: Vec<u8>,
+    payload: Payload,
 }
 
 /// Execution context that collects sends (normal execution).
@@ -61,7 +61,7 @@ impl ExecutionContext for CollectCtx {
         dst: ObjectId,
         at: VirtualTime,
         kind: u16,
-        payload: Vec<u8>,
+        payload: Payload,
     ) -> Result<(), KernelError> {
         if at <= self.now {
             return Err(KernelError::SendIntoPast {
@@ -98,7 +98,7 @@ impl ExecutionContext for DiscardCtx {
         _dst: ObjectId,
         at: VirtualTime,
         _kind: u16,
-        _payload: Vec<u8>,
+        _payload: Payload,
     ) -> Result<(), KernelError> {
         if at <= self.now {
             return Err(KernelError::SendIntoPast {
@@ -145,6 +145,8 @@ pub struct ObjectRuntime {
     /// events, its capacity reused so the collecting context allocates
     /// nothing per event.
     sends: Vec<SendReq>,
+    /// Scratch for the sends a rollback cancels, reused the same way.
+    cancelled: Vec<Event>,
     /// Trace digest of the committed events fossil collection has
     /// dropped; `Some` only when traces are collected
     /// ([`set_collect_traces`](Self::set_collect_traces)).
@@ -166,11 +168,15 @@ fn elsewhere(remote: &[bool], id: ObjectId) -> bool {
 /// run. Oldest entries are kept, newest dropped.
 const CONTROL_LOG_CAP: usize = 1 << 16;
 
-/// Flat per-record estimate behind [`ObjectRuntime::history_bytes`]: an
-/// `Event` plus a small heap block (its payload, or a snapshot's box).
-/// Exact sizes would cost a walk over the queues; the executives only
-/// compare growth against a budget of megabytes.
-const HISTORY_RECORD_BYTES: usize = std::mem::size_of::<Event>() + 32;
+/// Record sizes behind [`ObjectRuntime::history_bytes`]: an executed
+/// input is an `Event`, an output record an `Event` and its generating
+/// key, a snapshot a [`StateQueue::ENTRY_BYTES`] entry plus its state. A
+/// payload of up to [`crate::event::INLINE_PAYLOAD_BYTES`] bytes lives
+/// inside its `Event`; longer ones are not counted, since the executives
+/// only compare growth against a budget of megabytes and finding them
+/// would cost a walk over the queues.
+const INPUT_RECORD_BYTES: usize = std::mem::size_of::<Event>();
+const OUTPUT_RECORD_BYTES: usize = std::mem::size_of::<SentRecord>();
 
 impl ObjectRuntime {
     /// Wrap a simulation object with its per-object policies.
@@ -196,6 +202,7 @@ impl ObjectRuntime {
             control_log: Vec::new(),
             record_control: false,
             sends: Vec::new(),
+            cancelled: Vec::new(),
             digest: None,
             recovery: None,
         }
@@ -293,14 +300,16 @@ impl ObjectRuntime {
         (self.input.len(), self.output.len(), self.states.len())
     }
 
-    /// Estimated bytes of retained history, O(1): a flat
-    /// `HISTORY_RECORD_BYTES` per executed input event, output record
-    /// and snapshot entry, plus the snapshots' own bytes from the state
-    /// queue's running counter. Pending input is not history — no GVT
-    /// advance reclaims it.
+    /// Estimated bytes of retained history, O(1): each executed input
+    /// event, output record and snapshot entry at its record's size,
+    /// plus the snapshots' own bytes from the state queue's running
+    /// counter. Pending input is not history — no
+    /// GVT advance reclaims it.
     pub fn history_bytes(&self) -> usize {
-        let records = self.input.processed_len() + self.output.len() + self.states.len();
-        records * HISTORY_RECORD_BYTES + self.states.retained_bytes()
+        self.input.processed_len() * INPUT_RECORD_BYTES
+            + self.output.len() * OUTPUT_RECORD_BYTES
+            + self.states.len() * StateQueue::ENTRY_BYTES
+            + self.states.retained_bytes()
     }
 
     #[inline]
@@ -339,9 +348,7 @@ impl ObjectRuntime {
             self.transmit(None, req, out);
         }
 
-        let snap = self.obj.snapshot();
-        let bytes = snap.bytes();
-        self.states.save(None, snap);
+        let bytes = self.states.save(None, self.obj.state());
         self.stats.states_saved += 1;
         let c = cost.state_save_cost(bytes);
         self.stats.cost_state_saving += c;
@@ -427,9 +434,7 @@ impl ObjectRuntime {
     }
 
     fn save_state(&mut self, key: EventKey, cost: &CostModel) {
-        let snap = self.obj.snapshot();
-        let bytes = snap.bytes();
-        self.states.save(Some(key), snap);
+        let bytes = self.states.save(Some(key), self.obj.state());
         self.stats.states_saved += 1;
         let c = cost.state_save_cost(bytes);
         self.stats.cost_state_saving += c;
@@ -597,11 +602,12 @@ impl ObjectRuntime {
         self.charge(cost.rollback_fixed);
 
         // Dispose of erroneous sends per the active strategy.
-        let cancelled = self.output.take_from(key);
+        let mut cancelled = std::mem::take(&mut self.cancelled);
+        self.output.take_from(key, &mut cancelled);
         match self.policies.cancellation.mode() {
             CancellationMode::Aggressive => {
                 let monitoring = self.policies.cancellation.monitoring();
-                for ev in cancelled {
+                for ev in cancelled.drain(..) {
                     trace!(
                         self,
                         "rollback({key:?}): AGGR anti {:?} recv={}",
@@ -624,9 +630,10 @@ impl ObjectRuntime {
                         ev.recv_time
                     );
                 }
-                self.lazy_pending.extend(cancelled);
+                self.lazy_pending.append(&mut cancelled);
             }
         }
+        self.cancelled = cancelled;
 
         self.restore_and_coast(key, cost);
     }
@@ -637,14 +644,12 @@ impl ObjectRuntime {
     /// the snapshot and `key`, suppressing their sends. The input queue
     /// must already be un-processed back to `key`.
     fn restore_and_coast(&mut self, key: EventKey, cost: &CostModel) {
-        let (pos, restored_bytes) = {
-            let (pos, snap) = self
-                .states
-                .restore_before(key)
-                .expect("rollback: no restorable state snapshot (fossil bug?)");
-            self.obj.restore(snap);
-            (pos, snap.bytes())
-        };
+        let (pos, snap) = self
+            .states
+            .restore_before(key)
+            .expect("rollback: no restorable state snapshot (fossil bug?)");
+        self.obj.state_mut().assign_from(&**snap);
+        let restored_bytes = snap.bytes();
         self.stats.states_restored += 1;
         let c = cost.state_restore_cost(restored_bytes);
         self.stats.cost_rollback += c;
@@ -769,12 +774,11 @@ impl ObjectRuntime {
         self.input.processed_events().to_vec()
     }
 
-    /// Snapshot the wrapped model's *current* state — the final state
-    /// when called from a post-run inspector (see
-    /// `warp_exec::run_virtual_inspect`), downcastable to the model's
-    /// state type.
-    pub fn snapshot_state(&self) -> crate::object::ErasedState {
-        self.obj.snapshot()
+    /// The wrapped model's *current* state — the final state when read
+    /// by a post-run inspector (see `warp_exec::run_virtual_inspect`);
+    /// [`DynState`]'s `get` downcasts it to the model's state type.
+    pub fn state(&self) -> &dyn DynState {
+        self.obj.state()
     }
 
     /// Digest of the committed (processed, not rolled back) event history
@@ -892,8 +896,8 @@ impl ObjectRuntime {
         if let Some(d) = &mut self.digest {
             *d = image.digest;
         }
-        self.obj.restore(&image.state);
-        self.states.save(image.pos, image.state);
+        self.obj.state_mut().assign_from(&*image.state);
+        self.states.save(image.pos, &*image.state);
         self.input.reseed_history(image.inputs);
         let sent = image.frontier.iter().filter(|e| elsewhere(&remote, e.dst));
         self.output.reseed(sent.cloned().collect());
@@ -906,7 +910,7 @@ impl ObjectRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::{ErasedState, ObjectState, RecordingContext};
+    use crate::object::{ObjectState, RecordingContext};
     use crate::policy::{FixedCancellation, FixedCheckpoint};
     use crate::wire::PayloadReader;
 
@@ -941,14 +945,11 @@ mod tests {
                 ctx.send(self.peer, 10, 1, w.finish());
             }
         }
-        fn snapshot(&self) -> ErasedState {
-            ErasedState::of(self.state.clone())
+        fn state(&self) -> &dyn DynState {
+            &self.state
         }
-        fn restore(&mut self, snapshot: &ErasedState) {
-            self.state = snapshot.get::<AccState>().clone();
-        }
-        fn state_bytes(&self) -> usize {
-            std::mem::size_of::<AccState>()
+        fn state_mut(&mut self) -> &mut dyn DynState {
+            &mut self.state
         }
     }
 
@@ -966,7 +967,7 @@ mod tests {
         )
     }
 
-    fn payload(v: u64) -> Vec<u8> {
+    fn payload(v: u64) -> Payload {
         let mut w = PayloadWriter::new();
         w.u64(v);
         w.finish()
@@ -1176,7 +1177,7 @@ mod tests {
         r.checkpoint(h, &[], &mut w);
         let bytes = w.finish();
         let mut rd = PayloadReader::new(&bytes);
-        let img = ObjectImage::decode(&mut rd, ObjectId(0), h, &r.snapshot_state()).unwrap();
+        let img = ObjectImage::decode(&mut rd, ObjectId(0), h, r.state()).unwrap();
         assert_eq!(rd.remaining(), 0);
         img
     }

@@ -8,37 +8,45 @@
 //! pulling in a serialization framework on the hot path.
 
 use crate::error::KernelError;
-use crate::event::{Event, EventId, Sign};
+use crate::event::{Event, EventId, Payload, Sign};
 use crate::ids::ObjectId;
 use crate::time::VirtualTime;
 
-/// Append-only canonical encoder.
+/// Append-only canonical encoder. It writes into a [`Payload`], so a
+/// message of up to [`crate::event::INLINE_PAYLOAD_BYTES`] bytes is
+/// encoded without touching the heap.
 #[derive(Debug, Default, Clone)]
 pub struct PayloadWriter {
-    buf: Vec<u8>,
+    buf: Payload,
 }
 
 impl PayloadWriter {
     /// New empty writer.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// New writer with pre-reserved capacity.
+    #[inline]
     pub fn with_capacity(n: usize) -> Self {
         PayloadWriter {
-            buf: Vec::with_capacity(n),
+            buf: Payload::with_capacity(n),
         }
     }
 
     /// A writer that continues at the end of `buf`, keeping its bytes
-    /// and its capacity ([`finish`](Self::finish) hands both back).
+    /// and its capacity ([`finish`](Self::finish) hands both back, and
+    /// [`Payload::into_vec`] the block itself).
     pub fn appending_to(buf: Vec<u8>) -> Self {
-        PayloadWriter { buf }
+        PayloadWriter {
+            buf: Payload::on_heap(buf),
+        }
     }
 
     /// Finish and take the encoded bytes.
-    pub fn finish(self) -> Vec<u8> {
+    #[inline]
+    pub fn finish(self) -> Payload {
         self.buf
     }
 
@@ -58,30 +66,35 @@ impl PayloadWriter {
     }
 
     /// Write a `u8`.
+    #[inline]
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
+        self.buf.extend_from_slice(&[v]);
         self
     }
 
     /// Write a `u16` (little-endian).
+    #[inline]
     pub fn u16(&mut self, v: u16) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Write a `u32` (little-endian).
+    #[inline]
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Write a `u64` (little-endian).
+    #[inline]
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Write an `i64` (little-endian, two's complement).
+    #[inline]
     pub fn i64(&mut self, v: i64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
@@ -89,6 +102,7 @@ impl PayloadWriter {
 
     /// Write an `f64` as its IEEE-754 bit pattern. NaNs are canonicalized
     /// so logically-equal payloads stay byte-equal.
+    #[inline]
     pub fn f64(&mut self, v: f64) -> &mut Self {
         let bits = if v.is_nan() {
             f64::NAN.to_bits()
@@ -100,6 +114,7 @@ impl PayloadWriter {
     }
 
     /// Write a length-prefixed byte slice.
+    #[inline]
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
@@ -107,12 +122,14 @@ impl PayloadWriter {
     }
 
     /// Write raw bytes with no length prefix (fixed-layout records).
+    #[inline]
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
         self
     }
 
     /// Write a `bool` as one byte (0 or 1).
+    #[inline]
     pub fn bool(&mut self, v: bool) -> &mut Self {
         self.u8(v as u8)
     }
@@ -322,7 +339,7 @@ pub fn decode_event(r: &mut PayloadReader<'_>) -> Result<Event, KernelError> {
         }
     };
     let len = le_u32(h, 43) as usize;
-    let payload = r.take(len)?.to_vec();
+    let payload = Payload::from(r.take(len)?);
     Ok(Event {
         id: EventId {
             sender: ObjectId(le_u32(h, 0)),
@@ -475,7 +492,7 @@ mod tests {
             sign: Sign::Anti,
             kind: 0x5152,
             content_tag: 0x6162_6364_6566_6768,
-            payload: vec![0xAA, 0xBB],
+            payload: vec![0xAA, 0xBB].into(),
         };
         let mut w = PayloadWriter::new();
         encode_event(&mut w, &e);
@@ -510,7 +527,7 @@ mod tests {
         );
         let mut w = PayloadWriter::new();
         encode_event(&mut w, &e);
-        let mut buf = w.finish();
+        let mut buf = w.finish().into_vec();
         buf[32] = 7; // the sign byte: 4+8+4+8+8 = 32 bytes in
         let mut r = PayloadReader::new(&buf);
         assert!(matches!(

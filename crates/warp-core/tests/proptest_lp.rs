@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use warp_core::event::{Event, EventId};
-use warp_core::object::{ErasedState, ExecutionContext, ObjectState, SimObject};
+use warp_core::object::{DynState, ExecutionContext, ObjectState, SimObject};
 use warp_core::policy::{CancellationMode, FixedCancellation, FixedCheckpoint, ObjectPolicies};
 use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{CostModel, LpId, LpRuntime, ObjectId, Partition, VirtualTime};
@@ -44,14 +44,11 @@ impl SimObject for Chain {
             ctx.send(next, 7, 1, w.finish());
         }
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<SumState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<SumState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 

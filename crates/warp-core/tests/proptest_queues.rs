@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use warp_core::event::{Event, EventId, EventKey};
-use warp_core::object::{ErasedState, ObjectState};
+use warp_core::object::ObjectState;
 use warp_core::queues::{InputQueue, Inserted, StateQueue};
 use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{ObjectId, VirtualTime};
@@ -170,9 +170,9 @@ proptest! {
     ) {
         let times: Vec<u64> = times.into_iter().collect();
         let mut q = StateQueue::new();
-        q.save(None, ErasedState::of(S(0)));
+        q.save(None, &S(0));
         for &t in &times {
-            q.save(Some(key_at(t)), ErasedState::of(S(t)));
+            q.save(Some(key_at(t)), &S(t));
         }
 
         let reference = |p: u64| -> u64 {
@@ -205,9 +205,9 @@ proptest! {
     ) {
         let times: Vec<u64> = times.into_iter().collect();
         let mut q = StateQueue::new();
-        q.save(None, ErasedState::of(S(0)));
+        q.save(None, &S(0));
         for &t in &times {
-            q.save(Some(key_at(t)), ErasedState::of(S(t)));
+            q.save(Some(key_at(t)), &S(t));
         }
         q.truncate_from(key_at(cut));
         // All retained positions are strictly below the cut.
@@ -215,7 +215,7 @@ proptest! {
             prop_assert!(pos < key_at(cut));
         }
         // Saving at the cut position is legal again.
-        q.save(Some(key_at(cut)), ErasedState::of(S(cut)));
+        q.save(Some(key_at(cut)), &S(cut));
         let (pos, _) = q.restore_before(key_at(cut + 1)).unwrap();
         prop_assert_eq!(pos, Some(key_at(cut)));
     }
@@ -226,7 +226,7 @@ proptest! {
 #[derive(Clone, Debug)]
 struct Blob(usize);
 impl ObjectState for Blob {
-    fn state_bytes(&self) -> usize {
+    fn size_bytes(&self) -> usize {
         self.0
     }
     fn encode(&self, w: &mut PayloadWriter) {
@@ -245,7 +245,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..4, 1u64..40), 1..80),
     ) {
         let mut q = StateQueue::new();
-        q.save(None, ErasedState::of(Blob(11)));
+        q.save(None, &Blob(11));
         // Time of the newest retained snapshot (0 = the initial one).
         let mut newest = 0u64;
         for (op, x) in ops {
@@ -253,7 +253,7 @@ proptest! {
                 // Saves outnumber the rest, as in a run.
                 0 | 1 => {
                     newest += x;
-                    q.save(Some(key_at(newest)), ErasedState::of(Blob(x as usize * 17)));
+                    q.save(Some(key_at(newest)), &Blob(x as usize * 17));
                 }
                 2 => {
                     let cut = newest.saturating_sub(x).max(1);

@@ -2,8 +2,8 @@
 //! strategy switches with pending obligations, aggressive-mode passive
 //! monitoring, and out-of-order delivery.
 
-use warp_core::event::{Event, EventId};
-use warp_core::object::{ErasedState, ExecutionContext, ObjectState, SimObject};
+use warp_core::event::{Event, EventId, Payload};
+use warp_core::object::{DynState, ExecutionContext, ObjectState, SimObject};
 use warp_core::policy::{CancellationMode, CancellationSelector, FixedCheckpoint, ObjectPolicies};
 use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{CostModel, ObjectId, ObjectRuntime, VirtualTime};
@@ -37,14 +37,11 @@ impl SimObject for Acc {
             ctx.send(self.peer, 10, 1, w.finish());
         }
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<AccState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<AccState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -93,7 +90,7 @@ fn runtime(selector: Scripted) -> ObjectRuntime {
     )
 }
 
-fn payload(v: u64) -> Vec<u8> {
+fn payload(v: u64) -> Payload {
     let mut w = PayloadWriter::new();
     w.u64(v);
     w.finish()
@@ -224,22 +221,19 @@ fn self_messages_round_trip() {
     }
     impl SimObject for SelfTimer {
         fn init(&mut self, ctx: &mut dyn ExecutionContext) {
-            ctx.send(ctx.me(), 5, 0, Vec::new());
+            ctx.send(ctx.me(), 5, 0, Payload::new());
         }
         fn execute(&mut self, ctx: &mut dyn ExecutionContext, _ev: &Event) {
             self.state.sum += 1;
             if self.state.sum < self.limit {
-                ctx.send(ctx.me(), 5, 0, Vec::new());
+                ctx.send(ctx.me(), 5, 0, Payload::new());
             }
         }
-        fn snapshot(&self) -> ErasedState {
-            ErasedState::of(self.state.clone())
+        fn state(&self) -> &dyn DynState {
+            &self.state
         }
-        fn restore(&mut self, snapshot: &ErasedState) {
-            self.state = snapshot.get::<AccState>().clone();
-        }
-        fn state_bytes(&self) -> usize {
-            std::mem::size_of::<AccState>()
+        fn state_mut(&mut self) -> &mut dyn DynState {
+            &mut self.state
         }
     }
     let cost = CostModel::uniform_unit();

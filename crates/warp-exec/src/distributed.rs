@@ -3638,7 +3638,7 @@ mod tests {
             .map(|lp| {
                 let mut w = warp_core::wire::PayloadWriter::new();
                 w.u32(lp).u64(10);
-                w.finish()
+                w.finish().into_vec()
             })
             .collect()
     }
@@ -3872,7 +3872,7 @@ mod tests {
     impl warp_core::SimObject for Napper {
         fn init(&mut self, ctx: &mut dyn warp_core::ExecutionContext) {
             if ctx.me().0 == 0 {
-                ctx.send(ctx.me(), 1, 0, Vec::new());
+                ctx.send(ctx.me(), 1, 0, warp_core::Payload::new());
             }
         }
         fn execute(&mut self, ctx: &mut dyn warp_core::ExecutionContext, _: &warp_core::Event) {
@@ -3882,17 +3882,14 @@ mod tests {
             }
             self.count.0 += 1;
             if self.count.0 < self.ticks {
-                ctx.send(ctx.me(), 1, 0, Vec::new());
+                ctx.send(ctx.me(), 1, 0, warp_core::Payload::new());
             }
         }
-        fn snapshot(&self) -> warp_core::ErasedState {
-            warp_core::ErasedState::of(self.count.clone())
+        fn state(&self) -> &dyn warp_core::DynState {
+            &self.count
         }
-        fn restore(&mut self, snapshot: &warp_core::ErasedState) {
-            self.count = snapshot.get::<Count>().clone();
-        }
-        fn state_bytes(&self) -> usize {
-            std::mem::size_of::<Count>()
+        fn state_mut(&mut self) -> &mut dyn warp_core::DynState {
+            &mut self.count
         }
     }
 

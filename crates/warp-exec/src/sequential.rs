@@ -16,13 +16,14 @@ use std::time::Instant;
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::trace::TraceDigest;
 use warp_core::{
-    Event, EventId, EventKey, ExecutionContext, KernelError, ObjectId, SimObject, VirtualTime,
+    Event, EventId, EventKey, ExecutionContext, KernelError, ObjectId, Payload, SimObject,
+    VirtualTime,
 };
 
 struct SeqCtx {
     me: ObjectId,
     now: VirtualTime,
-    sends: Vec<(ObjectId, VirtualTime, u16, Vec<u8>)>,
+    sends: Vec<(ObjectId, VirtualTime, u16, Payload)>,
 }
 
 impl ExecutionContext for SeqCtx {
@@ -37,7 +38,7 @@ impl ExecutionContext for SeqCtx {
         dst: ObjectId,
         at: VirtualTime,
         kind: u16,
-        payload: Vec<u8>,
+        payload: Payload,
     ) -> Result<(), KernelError> {
         if at <= self.now {
             return Err(KernelError::SendIntoPast {
@@ -86,8 +87,8 @@ pub fn run_sequential(spec: &SimulationSpec) -> RunReport {
                       serials: &mut Vec<u64>,
                       me: ObjectId,
                       send_time: VirtualTime,
-                      sends: Vec<(ObjectId, VirtualTime, u16, Vec<u8>)>| {
-        for (dst, at, kind, payload) in sends {
+                      sends: &mut Vec<(ObjectId, VirtualTime, u16, Payload)>| {
+        for (dst, at, kind, payload) in sends.drain(..) {
             let serial = serials[me.index()];
             serials[me.index()] += 1;
             heap.push(HeapEntry(Event::new(
@@ -110,13 +111,21 @@ pub fn run_sequential(spec: &SimulationSpec) -> RunReport {
             sends: Vec::new(),
         };
         obj.init(&mut ctx);
-        push_sends(&mut heap, &mut serials, me, VirtualTime::ZERO, ctx.sends);
+        push_sends(
+            &mut heap,
+            &mut serials,
+            me,
+            VirtualTime::ZERO,
+            &mut ctx.sends,
+        );
     }
 
     // Main loop: strict global key order.
     let dump_name = std::env::var("WARP_DUMP_HISTORY").ok();
     let mut last_key: Option<EventKey> = None;
     let mut total: u64 = 0;
+    // One send buffer for the whole run, its capacity reused.
+    let mut sends = Vec::new();
     while let Some(HeapEntry(ev)) = heap.pop() {
         if let Some(name) = &dump_name {
             if objects[ev.dst.index()].name() == *name {
@@ -135,13 +144,20 @@ pub fn run_sequential(spec: &SimulationSpec) -> RunReport {
         let mut ctx = SeqCtx {
             me: ev.dst,
             now: ev.recv_time,
-            sends: Vec::new(),
+            sends,
         };
         objects[i].execute(&mut ctx, &ev);
         digests[i].update(&ev);
         executed[i] += 1;
         total += 1;
-        push_sends(&mut heap, &mut serials, ev.dst, ev.recv_time, ctx.sends);
+        push_sends(
+            &mut heap,
+            &mut serials,
+            ev.dst,
+            ev.recv_time,
+            &mut ctx.sends,
+        );
+        sends = ctx.sends;
     }
 
     let wall = start.elapsed().as_secs_f64();

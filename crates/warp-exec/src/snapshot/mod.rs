@@ -132,7 +132,7 @@ pub(crate) fn encode_image_set<I: AsRef<[u8]>>(horizon: VirtualTime, images: &[I
     for image in images {
         w.bytes(image.as_ref());
     }
-    w.finish()
+    w.finish().into_vec()
 }
 
 /// A decoded image set: its horizon and `(lp, image)` per LP.
@@ -190,7 +190,7 @@ mod tests {
     fn image(lp: u32, h: u64, body: &[u8]) -> Vec<u8> {
         let mut w = PayloadWriter::new();
         w.u32(lp).u64(h).raw(body);
-        w.finish()
+        w.finish().into_vec()
     }
 
     #[test]

@@ -645,7 +645,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::Arc;
     use warp_core::wire::{PayloadReader, PayloadWriter};
-    use warp_core::{ErasedState, ExecutionContext, ObjectId, ObjectState, Partition, SimObject};
+    use warp_core::{DynState, ExecutionContext, ObjectId, ObjectState, Partition, SimObject};
     use warp_net::AggregationConfig;
 
     /// Two kinds of job, each hopping until its hop count runs out. `OWN`
@@ -709,14 +709,11 @@ mod tests {
             let left = PayloadReader::new(&ev.payload).u32().expect("hop count");
             self.hop(ctx, ev.kind, left);
         }
-        fn snapshot(&self) -> ErasedState {
-            ErasedState::of(self.state.clone())
+        fn state(&self) -> &dyn DynState {
+            &self.state
         }
-        fn restore(&mut self, snapshot: &ErasedState) {
-            self.state = snapshot.get::<Hops>().clone();
-        }
-        fn state_bytes(&self) -> usize {
-            std::mem::size_of::<Hops>()
+        fn state_mut(&mut self) -> &mut dyn DynState {
+            &mut self.state
         }
     }
 

@@ -9,7 +9,7 @@ use warp_core::policy::{CancellationMode, FixedCancellation, FixedCheckpoint, Ob
 use warp_core::rng::SimRng;
 use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{
-    CostModel, ErasedState, Event, ExecutionContext, ObjectId, ObjectState, Partition, SimObject,
+    CostModel, DynState, Event, ExecutionContext, ObjectId, ObjectState, Partition, SimObject,
 };
 use warp_exec::{run_sequential, run_threaded, run_virtual, SimulationSpec};
 use warp_net::AggregationConfig;
@@ -73,14 +73,11 @@ impl SimObject for Relay {
             .expect("relay payload");
         self.forward(ctx, ttl);
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<RelayState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<RelayState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 

@@ -17,13 +17,15 @@
 //!
 //! Virtual time is in gate-delay units (≈ nanoseconds).
 
+use crate::util::clone_field_wise;
 use crate::util::spread;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use warp_core::rng::SimRng;
 use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{
-    ErasedState, Event, ExecutionContext, LpId, NodeId, ObjectId, ObjectState, Partition, SimObject,
+    DynState, Event, ExecutionContext, LpId, NodeId, ObjectId, ObjectState, Partition, Payload,
+    SimObject,
 };
 use warp_exec::SimulationSpec;
 
@@ -206,7 +208,7 @@ impl Netlist {
     }
 }
 
-fn encode_signal(pin: u8, value: bool) -> Vec<u8> {
+fn encode_signal(pin: u8, value: bool) -> Payload {
     let mut w = PayloadWriter::with_capacity(2);
     w.u8(pin).u8(value as u8);
     w.finish()
@@ -280,7 +282,7 @@ impl Driver {
             return;
         }
         let gap = self.state.rng.exp_ticks(self.spec.mean_period);
-        ctx.send(ctx.me(), gap, K_STIM, Vec::new());
+        ctx.send(ctx.me(), gap, K_STIM, Payload::new());
     }
 }
 
@@ -305,26 +307,24 @@ impl SimObject for Driver {
         }
         self.schedule(ctx);
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<DriverState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<DriverState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
 // ---------------------------------------------------------------- Gate --
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct GateState {
     inputs: Vec<bool>,
     output: bool,
 }
+clone_field_wise!(GateState: inputs, output);
 impl ObjectState for GateState {
-    fn state_bytes(&self) -> usize {
+    fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.inputs.len()
     }
     fn encode(&self, w: &mut PayloadWriter) {
@@ -372,14 +372,11 @@ impl SimObject for Gate {
             }
         }
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<GateState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        self.state.state_bytes()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -681,7 +678,7 @@ mod adder_tests {
         for lp in lps {
             for o in lp.objects() {
                 if o.id().0 == id {
-                    return o.snapshot_state().get::<GateState>().output;
+                    return o.state().get::<GateState>().output;
                 }
             }
         }

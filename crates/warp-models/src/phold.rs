@@ -11,9 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use warp_core::rng::SimRng;
 use warp_core::wire::{PayloadReader, PayloadWriter};
-use warp_core::{
-    ErasedState, Event, ExecutionContext, ObjectId, ObjectState, Partition, SimObject,
-};
+use warp_core::{DynState, Event, ExecutionContext, ObjectId, ObjectState, Partition, SimObject};
 use warp_exec::SimulationSpec;
 
 /// The circulating job message.
@@ -137,14 +135,11 @@ impl SimObject for Phold {
         let ttl = PayloadReader::new(&ev.payload).u32().expect("phold ttl");
         self.hop(ctx, ttl);
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<PholdState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<PholdState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 

@@ -19,9 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use warp_core::rng::SimRng;
 use warp_core::wire::{PayloadReader, PayloadWriter};
-use warp_core::{
-    ErasedState, Event, ExecutionContext, ObjectId, ObjectState, Partition, SimObject,
-};
+use warp_core::{DynState, Event, ExecutionContext, ObjectId, ObjectState, Partition, SimObject};
 use warp_exec::SimulationSpec;
 
 /// A job arriving at a station.
@@ -155,14 +153,11 @@ impl SimObject for Station {
         let ttl = PayloadReader::new(&ev.payload).u32().expect("qnet ttl");
         self.serve(ctx, ttl);
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<StationState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<StationState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 

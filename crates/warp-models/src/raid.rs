@@ -25,13 +25,15 @@
 //! internally — a fork co-located with its sources would never roll
 //! back, hiding exactly the effect Figure 6 measures).
 
+use crate::util::clone_field_wise;
 use crate::util::spread;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use warp_core::rng::SimRng;
 use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{
-    ErasedState, Event, ExecutionContext, LpId, NodeId, ObjectId, ObjectState, Partition, SimObject,
+    DynState, Event, ExecutionContext, LpId, NodeId, ObjectId, ObjectState, Partition, Payload,
+    SimObject,
 };
 use warp_exec::SimulationSpec;
 
@@ -184,7 +186,7 @@ pub struct DiskRequest {
 
 impl DiskRequest {
     /// Canonical encoding.
-    pub fn encode(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Payload {
         let mut w = PayloadWriter::with_capacity(48);
         w.u32(self.source)
             .u64(self.serial)
@@ -292,7 +294,7 @@ impl Source {
             return;
         }
         let gap = self.state.rng.exp_ticks(self.cfg.inter_request_us);
-        ctx.send(ctx.me(), gap, K_TICK, Vec::new());
+        ctx.send(ctx.me(), gap, K_TICK, Payload::new());
     }
 
     fn issue(&mut self, ctx: &mut dyn ExecutionContext) {
@@ -333,14 +335,11 @@ impl SimObject for Source {
             other => panic!("source received unexpected kind {other}"),
         }
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<SourceState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<SourceState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -415,20 +414,17 @@ impl SimObject for Fork {
             req.encode(),
         );
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<ForkState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<ForkState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
 // ---------------------------------------------------------------- Disk --
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct DiskState {
     served: u64,
     sectors_read: u64,
@@ -437,8 +433,9 @@ struct DiskState {
     /// disks' pure-function (lazy-friendly) behaviour.
     track_cache: Vec<u64>,
 }
+clone_field_wise!(DiskState: served, sectors_read, track_cache);
 impl ObjectState for DiskState {
-    fn state_bytes(&self) -> usize {
+    fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.track_cache.len() * std::mem::size_of::<u64>()
     }
     fn encode(&self, w: &mut PayloadWriter) {
@@ -490,14 +487,11 @@ impl SimObject for Disk {
         let t = self.service_us(&req);
         ctx.send(ObjectId(req.source), t, K_DRESP, ev.payload.clone());
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<DiskState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        self.state.state_bytes()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 

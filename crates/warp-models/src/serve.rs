@@ -42,13 +42,14 @@
 //! burst concentrates on low-numbered LPs — the ones the contiguous
 //! worker assignment gives to worker 1.
 
+use crate::util::clone_field_wise;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use warp_core::rng::SimRng;
 use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{
-    ErasedState, Event, ExecutionContext, LpId, NodeId, ObjectId, ObjectState, Partition,
+    DynState, Event, ExecutionContext, LpId, NodeId, ObjectId, ObjectState, Partition, Payload,
     SimObject, VirtualTime,
 };
 use warp_exec::SimulationSpec;
@@ -572,7 +573,7 @@ impl Source {
                 ObjectId(self.me),
                 VirtualTime::new(c),
                 K_CANDIDATE,
-                Vec::new(),
+                Payload::new(),
             )
             .expect("serve candidate schedule");
         }
@@ -602,14 +603,11 @@ impl SimObject for Source {
         }
         self.schedule_next(ctx);
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<SourceState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<SourceState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -658,14 +656,11 @@ impl SimObject for Router {
             w.finish(),
         );
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<RouterState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<RouterState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -681,7 +676,7 @@ struct Req {
 /// Station rollback state — the queue, the KV cache, and the server
 /// occupancy are all time-warped, so a straggler reshapes batching,
 /// admission and every subsequent departure.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct StationState {
     rng: SimRng,
     queue: VecDeque<Req>,
@@ -702,6 +697,10 @@ pub struct StationState {
     /// Decode-step self-events executed.
     pub ticks: u64,
 }
+clone_field_wise!(
+    StationState: rng, queue, batch_pending, busy_until, kv, served, requeued, evictions, batches,
+    ticks
+);
 impl ObjectState for StationState {
     fn encode(&self, w: &mut PayloadWriter) {
         self.rng.encode(w);
@@ -858,8 +857,13 @@ impl Station {
         for k in 1..steps {
             let at = (start + dur * k / steps).max(prev + 1);
             prev = at;
-            ctx.try_send_at(ObjectId(self.me), VirtualTime::new(at), K_TICK, Vec::new())
-                .expect("serve decode tick");
+            ctx.try_send_at(
+                ObjectId(self.me),
+                VirtualTime::new(at),
+                K_TICK,
+                Payload::new(),
+            )
+            .expect("serve decode tick");
         }
         for req in &batch {
             let sink = self.cfg.sink_id(req.user as usize % self.cfg.n_sinks);
@@ -879,7 +883,7 @@ impl Station {
                 ObjectId(self.me),
                 VirtualTime::new(now + self.cfg.batch_window_us.max(1)),
                 K_BATCH,
-                Vec::new(),
+                Payload::new(),
             )
             .expect("serve next window");
         }
@@ -904,8 +908,13 @@ impl SimObject for Station {
                 if !self.state.batch_pending {
                     self.state.batch_pending = true;
                     let at = ctx.now().ticks() + self.cfg.batch_window_us.max(1);
-                    ctx.try_send_at(ObjectId(self.me), VirtualTime::new(at), K_BATCH, Vec::new())
-                        .expect("serve window open");
+                    ctx.try_send_at(
+                        ObjectId(self.me),
+                        VirtualTime::new(at),
+                        K_BATCH,
+                        Payload::new(),
+                    )
+                    .expect("serve window open");
                 }
             }
             K_BATCH => self.close_batch(ctx),
@@ -913,16 +922,11 @@ impl SimObject for Station {
             k => panic!("serve station got unexpected kind {k}"),
         }
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<StationState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<StationState>()
-            + self.state.queue.len() * std::mem::size_of::<Req>()
-            + self.state.kv.len() * std::mem::size_of::<u32>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -1003,14 +1007,11 @@ impl SimObject for Sink {
         let t0 = r.u64().expect("serve done t0");
         self.state.record(ctx.now().ticks().saturating_sub(t0));
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<SinkState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<SinkState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -1204,7 +1205,7 @@ mod tests {
             for lp in lps {
                 for o in lp.objects() {
                     if o.id().0 >= cfg.sink_id(0) {
-                        done += o.snapshot_state().get::<SinkState>().done;
+                        done += o.state().get::<SinkState>().done;
                     }
                 }
             }

@@ -28,13 +28,15 @@
 //! LPs (address-interleaved) — the cross-LP skew that generates
 //! stragglers at controllers and banks.
 
+use crate::util::clone_field_wise;
 use crate::util::spread;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use warp_core::rng::SimRng;
 use warp_core::wire::{PayloadReader, PayloadWriter};
 use warp_core::{
-    ErasedState, Event, ExecutionContext, LpId, NodeId, ObjectId, ObjectState, Partition, SimObject,
+    DynState, Event, ExecutionContext, LpId, NodeId, ObjectId, ObjectState, Partition, Payload,
+    SimObject,
 };
 use warp_exec::SimulationSpec;
 
@@ -205,7 +207,7 @@ pub struct Token {
 
 impl Token {
     /// Canonical encoding.
-    pub fn encode(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Payload {
         let mut w = PayloadWriter::with_capacity(28);
         w.u32(self.creator)
             .u64(self.serial)
@@ -322,7 +324,7 @@ impl Cpu {
             .expect("cpu request send");
         if self.cfg.open_loop {
             // Pre-schedule the next test vector regardless of responses.
-            ctx.try_send_at(ctx.me(), at, K_TICK, Vec::new())
+            ctx.try_send_at(ctx.me(), at, K_TICK, Payload::new())
                 .expect("cpu tick send");
         }
     }
@@ -349,28 +351,26 @@ impl SimObject for Cpu {
             other => panic!("cpu received unexpected kind {other}"),
         }
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<CpuState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<CpuState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
 // -------------------------------------------------------------- Cache --
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct CacheState {
     rng: SimRng,
     tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
+clone_field_wise!(CacheState: rng, tags, hits, misses);
 impl ObjectState for CacheState {
-    fn state_bytes(&self) -> usize {
+    fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.tags.len() * std::mem::size_of::<u64>()
     }
     fn encode(&self, w: &mut PayloadWriter) {
@@ -437,14 +437,11 @@ impl SimObject for Cache {
             other => panic!("cache received unexpected kind {other}"),
         }
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<CacheState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        self.state.state_bytes()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -486,20 +483,17 @@ impl SimObject for Controller {
         let bank = self.me * per + local;
         ctx.send(self.cfg.bank_id(bank), 2, K_BANK, ev.payload.clone());
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<CtrlState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<CtrlState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
 // --------------------------------------------------------------- Bank --
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct BankState {
     served: u64,
     /// Open-row tags (DRAM row buffer): checkpointable bulk updated per
@@ -507,8 +501,9 @@ struct BankState {
     /// bank services remain pure functions of their requests.
     rows: Vec<u64>,
 }
+clone_field_wise!(BankState: served, rows);
 impl ObjectState for BankState {
-    fn state_bytes(&self) -> usize {
+    fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.rows.len() * std::mem::size_of::<u64>()
     }
     fn encode(&self, w: &mut PayloadWriter) {
@@ -543,14 +538,11 @@ impl SimObject for Bank {
         let cache = self.cfg.cache_id(token.creator as usize);
         ctx.send(cache, self.cfg.memory_ns, K_FILL, ev.payload.clone());
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<BankState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        self.state.state_bytes()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 
@@ -711,9 +703,9 @@ mod tests {
         );
         let mut a = RecordingContext::new(cfg.bank_id(0), ev.recv_time);
         bank.execute(&mut a, &ev);
-        let snap = bank.snapshot();
+        let snap = warp_core::ErasedState::copy_of(bank.state());
         let mut b = RecordingContext::new(cfg.bank_id(0), ev.recv_time);
-        bank.restore(&snap);
+        bank.state_mut().assign_from(&*snap);
         bank.execute(&mut b, &ev);
         // Note: second execution re-runs from post-first-event state; the
         // *sends* are still identical because service is stateless.

@@ -10,6 +10,25 @@ pub fn spread(x: u64, shift: u32) -> u64 {
     z ^ (z >> 32)
 }
 
+/// `Clone` for a state that owns heap storage, field by field, with a
+/// `clone_from` that reuses every field's buffers. The kernel saves and
+/// restores states by `clone_from` into storage it recycles; the derived
+/// `clone_from` is `*self = source.clone()`, which reallocates them all.
+/// Every field must be listed (the struct literal in `clone` checks it).
+macro_rules! clone_field_wise {
+    ($ty:ident: $($field:ident),+ $(,)?) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                $ty { $($field: self.$field.clone()),+ }
+            }
+            fn clone_from(&mut self, source: &Self) {
+                $(self.$field.clone_from(&source.$field);)+
+            }
+        }
+    };
+}
+pub(crate) use clone_field_wise;
+
 #[cfg(test)]
 mod tests {
     use super::*;

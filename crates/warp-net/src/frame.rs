@@ -391,7 +391,7 @@ impl Frame {
                 w.u8(TAG_CONTROL).bytes(bytes);
             }
         }
-        *out = w.finish();
+        *out = w.finish().into_vec();
         let len = (out.len() - start - 4) as u32;
         out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     }

@@ -12,13 +12,16 @@ use std::sync::Arc;
 use warped_online::core::rng::SimRng;
 use warped_online::core::wire::{PayloadReader, PayloadWriter};
 use warped_online::core::{
-    CostModel, ErasedState, Event, ExecutionContext, ObjectId, ObjectState, Partition, SimObject,
+    CostModel, DynState, Event, ExecutionContext, ObjectId, ObjectState, Partition, SimObject,
 };
 use warped_online::exec::{run_sequential, run_threaded, run_virtual, SimulationSpec};
 
 /// Everything that must survive a rollback lives in the state — including
 /// the RNG, so a rolled-back object replays identical random draws. Its
-/// byte form is what a distributed run's recovery checkpoints carry.
+/// byte form is what a distributed run's recovery checkpoints carry. The
+/// kernel saves it by `clone_from` into snapshots it recycles; a state
+/// owning a `Vec` would implement `Clone` field by field so that reuses
+/// the buffer.
 #[derive(Clone, Debug)]
 struct PlayerState {
     rng: SimRng,
@@ -50,6 +53,7 @@ impl Player {
             return;
         }
         let delay = self.state.rng.exp_ticks(25.0);
+        // A 4-byte payload: stored inside the event, no heap block.
         let mut w = PayloadWriter::new();
         w.u32(ttl - 1);
         ctx.send(self.peer, delay, 0, w.finish());
@@ -70,14 +74,12 @@ impl SimObject for Player {
         let ttl = PayloadReader::new(&ev.payload).u32().expect("ttl");
         self.hit(ctx, ttl);
     }
-    fn snapshot(&self) -> ErasedState {
-        ErasedState::of(self.state.clone())
+    // The one state the kernel saves, restores and images.
+    fn state(&self) -> &dyn DynState {
+        &self.state
     }
-    fn restore(&mut self, snapshot: &ErasedState) {
-        self.state = snapshot.get::<PlayerState>().clone();
-    }
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<PlayerState>()
+    fn state_mut(&mut self) -> &mut dyn DynState {
+        &mut self.state
     }
 }
 

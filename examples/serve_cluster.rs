@@ -122,8 +122,7 @@ fn demo() {
             for o in lp.objects() {
                 let i = o.id().0;
                 if i >= cfg.sink_id(0) {
-                    let snap = o.snapshot_state();
-                    let s = snap.get::<SinkState>();
+                    let s = o.state().get::<SinkState>();
                     sink.done += s.done;
                     sink.sum_latency_us += s.sum_latency_us;
                     sink.max_latency_us = sink.max_latency_us.max(s.max_latency_us);
@@ -131,8 +130,7 @@ fn demo() {
                         *b += v;
                     }
                 } else if i >= cfg.station_id(0) {
-                    let snap = o.snapshot_state();
-                    let s = snap.get::<StationState>();
+                    let s = o.state().get::<StationState>();
                     served += s.served;
                     requeued += s.requeued;
                     evictions += s.evictions;
