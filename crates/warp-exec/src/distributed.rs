@@ -2367,9 +2367,15 @@ impl LpPort for WorkerPort {
                     // peer.
                     Packet::CkptReq(_) | Packet::Abort => return,
                 };
-                self.mesh_tx.post(proc, frame);
+                match &frame {
+                    Frame::Data { msg, .. } if stages(msg) => self.mesh_tx.stage(proc, frame),
+                    _ => self.mesh_tx.post(proc, frame),
+                }
             }
         }
+    }
+    fn flush(&self) {
+        self.mesh_tx.flush();
     }
     /// The lanes first; when they are empty, the peer links — unless
     /// the backoff says to skip this check. An empty non-blocking read is
@@ -2458,6 +2464,14 @@ impl LpPort for WorkerPort {
     fn yield_core(&self) {
         std::thread::yield_now();
     }
+}
+
+/// Whether an LP's data message for a peer worker is staged for the
+/// pass's flush rather than posted at once: unless it carries an
+/// anti-message. A cancellation that waits out the pass lets the peer
+/// speculate further on what it cancels.
+fn stages(msg: &warp_net::PhysMsg) -> bool {
+    !msg.events.iter().any(warp_core::Event::is_anti)
 }
 
 impl Drop for WorkerPort {

@@ -56,18 +56,25 @@ pub(crate) trait LpPort {
     fn n_local(&self) -> usize;
     /// Send a packet to a global LP id. Must never block on the LP loop
     /// and must tolerate peers that already shut down. The lanes never
-    /// block. The distributed port posts a remote packet to the owner's
-    /// link (`MeshSender::post`): it never waits for another thread's
-    /// write, and writes on this thread only when no other thread is
-    /// writing. A peer worker's socket is non-blocking and what it
-    /// refuses waits in the link's backlog — without it, two LPs writing
-    /// to each other over full buffers would deadlock. (The port's frames
-    /// for the coordinator — `note_gvt`, `stream_telemetry`,
-    /// `report_load` — are posted too. That socket blocks, but only until
-    /// the coordinator's reader thread takes what is already in it:
-    /// checkpoints are written by the thread that sends them, never left
-    /// to an LP.)
+    /// block. The distributed port stages a remote data packet in the
+    /// owner's link (`MeshSender::stage`) for [`flush`](Self::flush) to
+    /// write, and posts every other remote packet (`MeshSender::post`),
+    /// which writes the staged ones ahead of it: a post never waits for
+    /// another thread's write, and writes on this thread only when no
+    /// other thread is writing. A peer worker's socket is non-blocking
+    /// and what it refuses waits in the link's backlog — without it, two
+    /// LPs writing to each other over full buffers would deadlock. (The
+    /// port's frames for the coordinator — `note_gvt`,
+    /// `stream_telemetry`, `report_load` — are posted too. That socket
+    /// blocks, but only until the coordinator's reader thread takes what
+    /// is already in it: checkpoints are written by the thread that sends
+    /// them, never left to an LP.)
     fn send(&self, to: usize, p: Packet);
+    /// Write what [`send`](Self::send) left staged. Called once per pass
+    /// of the LP loop, after the pass's sends and before the loop yields
+    /// its core or parks, so no LP waits on a peer over frames it never
+    /// wrote. The lanes stage nothing.
+    fn flush(&self) {}
     /// Non-blocking receive. The LP loop asks after every executed
     /// event, so with nothing inbound this must be cheap: a lane scan
     /// is; the distributed port's read of its peer links is a syscall,
@@ -523,7 +530,8 @@ impl<P: LpPort> LpThread<P> {
                 self.offer_remote();
             }
 
-            // 2. Aggregation deadlines (wall clock); idle lazy flushes.
+            // 2. Aggregation deadlines (wall clock); idle lazy flushes;
+            //    the pass's sends written out.
             let now = self.start.elapsed().as_secs_f64();
             self.agg.poll(now, &mut self.due);
             self.ship();
@@ -531,6 +539,7 @@ impl<P: LpPort> LpThread<P> {
                 self.lp.flush_idle(&mut self.remote);
                 self.offer_remote();
             }
+            self.port.flush();
             if !idle {
                 self.port.yield_core();
             }
@@ -819,6 +828,11 @@ mod tests {
         /// Panic when an event has run while the sends of an earlier one
         /// had not reached `send`.
         ShipsPerEvent { produced: Arc<AtomicU64> },
+        /// Count data packets handed to `send` as staged until `flush`,
+        /// as the distributed port stages them. Panic when the loop
+        /// yields its core or parks over a staged packet; count the parks
+        /// with a data packet sent since the previous one.
+        Staged { parks: Arc<AtomicU64> },
     }
 
     struct Probe {
@@ -837,6 +851,10 @@ mod tests {
         /// `produced` as of the previous event.
         shipped: Cell<u64>,
         produced_before: Cell<u64>,
+        /// `Staged`: data packets sent since the last `flush`, and
+        /// whether any was sent since the last park.
+        staged: Cell<u64>,
+        sent: Cell<bool>,
     }
 
     impl Probe {
@@ -850,6 +868,20 @@ mod tests {
                 held: RefCell::new(VecDeque::new()),
                 shipped: Cell::new(0),
                 produced_before: Cell::new(0),
+                staged: Cell::new(0),
+                sent: Cell::new(false),
+            }
+        }
+
+        /// `Staged`: the loop is about to leave the core to others.
+        fn assert_written(&self, when: &str) {
+            if matches!(self.script, Script::Staged { .. }) {
+                assert_eq!(
+                    self.staged.get(),
+                    0,
+                    "LP {} {when} over staged packets",
+                    self.lane.id()
+                );
             }
         }
 
@@ -890,7 +922,14 @@ mod tests {
                 Packet::Token(_) => self.tokens.set(self.tokens.get() + 1),
                 _ => {}
             }
+            if matches!(p, Packet::Data { .. }) {
+                self.staged.set(self.staged.get() + 1);
+                self.sent.set(true);
+            }
             self.lane.send(to, p);
+        }
+        fn flush(&self) {
+            self.staged.set(0);
         }
         fn try_recv(&self) -> Option<Packet> {
             let hold_tokens = matches!(self.script, Script::TokensMidPass { .. });
@@ -909,6 +948,10 @@ mod tests {
             }
         }
         fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
+            self.assert_written("parked");
+            if let Script::Staged { parks } = &self.script {
+                parks.fetch_add(self.sent.replace(false) as u64, Relaxed);
+            }
             // About to park: nothing may stay held.
             self.take_held()
                 .or_else(|| self.try_recv())
@@ -954,6 +997,7 @@ mod tests {
             }
         }
         fn yield_core(&self) {
+            self.assert_written("yielded its core");
             self.in_pass.set(0);
             if let Script::CrawlingPeer { core_offers, .. } = &self.script {
                 if self.lane.id() == 0 {
@@ -1131,6 +1175,27 @@ mod tests {
             released.load(Relaxed) >= 10,
             "only {} tokens were handled mid-pass",
             released.load(Relaxed)
+        );
+    }
+
+    #[test]
+    fn a_pass_writes_its_links_before_it_parks() {
+        // Only crossing jobs: every event sends to the other LP, which
+        // runs dry and parks until the answer comes. A packet the port
+        // staged and the loop never flushed would leave both waiting.
+        let spec = hop_spec(2, (0, 4, 300), Default::default())
+            .with_gvt_period(None)
+            .with_traces();
+        let parks = Arc::new(AtomicU64::new(0));
+        let outcomes = run_on(&spec, |lane| {
+            let parks = parks.clone();
+            Probe::new(lane, Script::Staged { parks })
+        });
+        assert_sequential(&spec, &outcomes);
+        assert!(
+            parks.load(Relaxed) >= 10,
+            "only {} parks followed a send",
+            parks.load(Relaxed)
         );
     }
 

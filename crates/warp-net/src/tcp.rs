@@ -33,18 +33,22 @@
 //! I/O, and one thread at a time — the writer — takes the backlog to the
 //! socket on its own thread. [`MeshSender::send`] waits for its turn and
 //! writes its frame itself; [`MeshSender::post`], for threads that must
-//! never wait (a worker's LP threads), leaves its bytes to a writer
-//! already at work. So a large frame is only ever written by the thread
-//! that sent it.
+//! never wait, leaves its bytes to a writer already at work. So a large
+//! frame is only ever written by the thread that sent it.
+//! [`MeshSender::stage`] writes nothing at all: a worker's LP threads
+//! stage their data frames and [`MeshSender::flush`] once per pass of
+//! the LP loop, so a pass costs each peer link one write, not one per
+//! frame; any send, post, pump or tick on the link writes them too.
 //!
 //! Receiving: what a link carries decides who reads it. A link whose
 //! owner gave it an [`InboundHook`] — a worker's link to a peer worker,
 //! whose frames go straight onto the worker's LP lanes — is *pumped*: its
 //! socket is non-blocking, no thread is spawned for it, and whoever wants
-//! its frames reads it until it would block ([`MeshSender::pump`], from
-//! the LP threads between events, and [`TcpMesh::tick`]); bytes its
-//! socket refuses stay in the backlog for the next send, pump or tick,
-//! so a sender never blocks on a peer that is not reading. Every other
+//! its frames reads what it holds — until it would block or a read
+//! comes back short ([`MeshSender::pump`], from the LP threads between
+//! events, and [`TcpMesh::tick`]); bytes its socket refuses stay in the
+//! backlog for the next send, pump or tick, so a sender never blocks on
+//! a peer that is not reading. Every other
 //! link — every link to the coordinator, on both sides — keeps one reader
 //! thread blocked on its socket; its writes block too, but only while
 //! that peer's own reader thread drains them, and a write it takes
@@ -255,8 +259,14 @@ impl Link {
     /// oneself; otherwise leave it to the current writer, if any.
     fn send(&self, frame: Frame, wait: bool) {
         let role = wait.then(|| lock(&self.wire));
-        lock(&self.tx).send(frame);
+        self.stage(frame);
         self.write(role);
+    }
+
+    /// Stage one frame behind the backlog and write nothing: the next
+    /// send, flush, pump or tick on the link takes it along.
+    fn stage(&self, frame: Frame) {
+        lock(&self.tx).send(frame);
     }
 
     /// Write what is staged, unless another thread is writing (see
@@ -325,8 +335,8 @@ impl Link {
         }
     }
 
-    /// Read a pumped link until its socket would block — unless another
-    /// thread is reading it right now — then flush its backlog. True if
+    /// Read what a pumped link's socket holds — unless another thread
+    /// is reading it right now — then flush its backlog. True if
     /// any byte arrived. A link with a reader thread is left to it.
     fn pump(&self) -> bool {
         if !self.pumped {
@@ -385,7 +395,7 @@ impl MeshSender {
     /// died is a silent no-op — the owner has (or will) see the
     /// `PeerDown` event and must react there.
     pub fn send(&self, to: u32, frame: Frame) {
-        self.deliver(to, frame, true);
+        self.deliver(to, frame, |link, frame| link.send(frame, true));
     }
 
     /// Like [`send`](Self::send), but never wait for another thread's
@@ -397,10 +407,30 @@ impl MeshSender {
     /// what is already in the socket, and only small frames are ever left
     /// to another thread to write (`send` writes its own).
     pub fn post(&self, to: u32, frame: Frame) {
-        self.deliver(to, frame, false);
+        self.deliver(to, frame, |link, frame| link.send(frame, false));
     }
 
-    fn deliver(&self, to: u32, frame: Frame, wait: bool) {
+    /// Like [`post`](Self::post), but write nothing: the frame is
+    /// stamped, fault-injected and encoded into the link's backlog, and
+    /// goes out, in order, with the next send, post,
+    /// [`flush`](Self::flush), pump or tick on the link. For a thread
+    /// that sends many small frames and then flushes (a worker's LP
+    /// threads, once per pass of the LP loop): one write for them all.
+    pub fn stage(&self, to: u32, frame: Frame) {
+        self.deliver(to, frame, Link::stage);
+    }
+
+    /// Write every link's backlog, unless another thread is writing that
+    /// link — it takes the bytes along. Never waits.
+    pub fn flush(&self) {
+        for link in self.links.iter().flatten() {
+            link.flush();
+        }
+    }
+
+    /// A self-send loops back locally; a frame for a live peer's link
+    /// goes to `send`.
+    fn deliver(&self, to: u32, frame: Frame, send: impl FnOnce(&Link, Frame)) {
         if to == self.proc_id {
             let _ = self.loopback.send(MeshEvent::Frame {
                 from: self.proc_id,
@@ -409,14 +439,13 @@ impl MeshSender {
             return;
         }
         if let Some(Some(link)) = self.links.get(to as usize) {
-            link.send(frame, wait);
+            send(link, frame);
         }
     }
 
-    /// Read every pumped link until its socket would block, delivering
-    /// through the link's hook, and flush its backlog. A link another
-    /// thread is reading at that moment is skipped. True if any byte
-    /// arrived.
+    /// Read what every pumped link's socket holds, delivering through
+    /// the link's hook, and flush its backlog. A link another thread is
+    /// reading at that moment is skipped. True if any byte arrived.
     pub fn pump(&self) -> bool {
         self.links
             .iter()
@@ -1254,27 +1283,37 @@ impl LinkIn {
     }
 
     /// One read — blocking or not, as the socket is set — and delivery of
-    /// whatever it completed. False when there was nothing to read.
-    fn read_once(&mut self) -> bool {
+    /// whatever it completed. `None` when there was nothing to read;
+    /// otherwise the bytes that arrived (0 on an interrupted read, and on
+    /// an EOF or error, which take the link down).
+    fn read_once(&mut self) -> Option<usize> {
         match (&self.stream).read(&mut self.buf) {
             Ok(0) => self.down(false, "connection closed without Bye".into()),
             Ok(n) => {
                 self.last_byte = Instant::now();
                 self.dec.push(&self.buf[..n]);
                 self.deliver();
+                return Some(n);
             }
-            Err(e) if would_block(&e) => return false,
+            Err(e) if would_block(&e) => return None,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => self.down(false, format!("read failed: {e}")),
         }
-        true
+        Some(0)
     }
 
-    /// Read until the socket would block. True if any byte arrived.
+    /// Read until the socket would block, or until a read that did not
+    /// fill the buffer: the socket had no more than that, and asking
+    /// again would almost always cost an empty read. Bytes arriving
+    /// meanwhile wait for the next pump. True if any byte arrived.
     fn read_available(&mut self) -> bool {
         let mut any = false;
-        while !self.done && self.read_once() {
-            any = true;
+        while !self.done {
+            let Some(n) = self.read_once() else { break };
+            any |= n > 0;
+            if (1..self.buf.len()).contains(&n) {
+                break;
+            }
         }
         any
     }
@@ -1681,11 +1720,13 @@ mod tests {
         let sender = m0.sender();
         let (sent_tx, sent) = mpsc::channel();
         thread::spawn(move || {
+            // Sent, posted and staged in turn: what one of them leaves
+            // behind, the next takes along, in order.
             for epoch in 0..n {
-                if epoch % 2 == 0 {
-                    sender.send(1, bulky(epoch));
-                } else {
-                    sender.post(1, bulky(epoch));
+                match epoch % 3 {
+                    0 => sender.send(1, bulky(epoch)),
+                    1 => sender.post(1, bulky(epoch)),
+                    _ => sender.stage(1, bulky(epoch)),
                 }
             }
             sent_tx.send(()).unwrap();
@@ -1728,6 +1769,63 @@ mod tests {
             "every frame once, in order"
         );
         shutdown_pair(m0, m1);
+    }
+
+    #[test]
+    fn staged_frames_wait_for_a_flush_a_pump_or_a_post() {
+        let (m0, m1) = pair_hooked(fast_cfg(0, 2), fast_cfg(1, 2), relay(true), relay(true));
+        let out = m0.sender();
+        let link = m0.out.links[1].as_ref().unwrap();
+        for (round, write) in ["flush", "pump", "post"].into_iter().enumerate() {
+            let epochs = 3 * round as u32..3 * round as u32 + 3;
+            let mut wire = Vec::new();
+            for epoch in epochs.clone() {
+                out.stage(1, data(epoch));
+                // One frame per epoch, so the link stamps `seq` = epoch.
+                let Frame::Data { msg, .. } = data(epoch) else {
+                    unreachable!()
+                };
+                let seq = epoch.into();
+                Frame::Data { seq, epoch, msg }.encode_into(&mut wire);
+            }
+            assert_eq!(link.staged(), wire.len(), "{write}: staging wrote bytes");
+            // Nothing proc 0 does meanwhile writes: proc 1 reads nothing.
+            let quiet = Instant::now() + Duration::from_millis(60);
+            while Instant::now() < quiet {
+                assert_eq!(
+                    m1.recv_timeout(m1.tick()),
+                    None,
+                    "{write}: a staged frame arrived"
+                );
+            }
+            match write {
+                "flush" => out.flush(),
+                "pump" => _ = out.pump(),
+                _ => out.post(1, token(9)),
+            }
+            assert_eq!(link.staged(), 0, "{write} left bytes staged");
+            assert_eq!(recv_data_epochs(&m1, 3), epochs.collect::<Vec<_>>());
+        }
+        assert_eq!(expect_frame(&m1), (0, token(9)));
+        shutdown_pair(m0, m1);
+    }
+
+    #[test]
+    fn a_posted_token_arrives_behind_the_frames_staged_before_it() {
+        for pumped in [false, true] {
+            let (m0, m1) = pair_hooked(fast_cfg(0, 2), fast_cfg(1, 2), relay(true), relay(pumped));
+            let out = m0.sender();
+            for epoch in 0..16 {
+                out.stage(1, data(epoch));
+            }
+            out.post(1, token(3));
+            out.stage(1, data(16));
+            out.flush();
+            assert_eq!(recv_data_epochs(&m1, 16), (0..16).collect::<Vec<_>>());
+            assert_eq!(expect_frame(&m1), (0, token(3)), "pumped: {pumped}");
+            assert_eq!(recv_data_epochs(&m1, 1), vec![16]);
+            shutdown_pair(m0, m1);
+        }
     }
 
     #[test]
@@ -1896,6 +1994,107 @@ mod tests {
         assert_eq!(expect_down(&m0), (1, true));
         m0.shutdown();
         rogue.join().unwrap();
+    }
+
+    /// A raw proc 1 that handshakes with a proc 0 whose link to it is
+    /// pumped: the test writes proc 1's bytes itself.
+    fn raw_peer_of_a_pumped_link() -> (TcpMesh, TcpStream) {
+        let listener = bind_loopback().unwrap();
+        let addr = listener.local_addr().unwrap();
+        let dialer = thread::spawn(move || {
+            let s = TcpStream::connect(addr).unwrap();
+            let hello = Frame::Hello {
+                version: PROTO_VERSION,
+                proc_id: 1,
+                n_procs: 2,
+                session: 0,
+            };
+            (&s).write_all(&hello.encode()).unwrap();
+            s
+        });
+        let m0 = TcpMesh::establish(fast_cfg(0, 2), listener, &[], |_| relay(true)).unwrap();
+        (m0, dialer.join().unwrap())
+    }
+
+    /// Pump `m`'s links until `n` data frames arrived; their epochs.
+    fn pump_data_epochs(m: &TcpMesh, n: usize) -> Vec<u32> {
+        let (out, deadline) = (m.sender(), Instant::now() + Duration::from_secs(5));
+        let mut got = Vec::new();
+        while got.len() < n {
+            assert!(
+                Instant::now() < deadline,
+                "{} of {n} frames arrived",
+                got.len()
+            );
+            out.pump();
+            while let Some(ev) = m.try_recv() {
+                match ev {
+                    MeshEvent::Frame {
+                        frame: Frame::Data { epoch, .. },
+                        ..
+                    } => got.push(epoch),
+                    other => panic!("expected Data, got {other:?}"),
+                }
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn pumps_read_a_burst_whole_and_deliver_what_a_short_read_completed() {
+        let (m0, peer) = raw_peer_of_a_pumped_link();
+        let frame = |seq: u64, len: usize| Frame::Data {
+            seq,
+            epoch: seq as u32,
+            msg: crate::aggregate::PhysMsg {
+                src: warp_core::LpId(1),
+                dst: warp_core::LpId(0),
+                events: vec![warp_core::Event::new(
+                    warp_core::event::EventId {
+                        sender: warp_core::ObjectId(1),
+                        serial: seq,
+                    },
+                    warp_core::ObjectId(0),
+                    VirtualTime::new(1),
+                    VirtualTime::new(2),
+                    0,
+                    vec![seq as u8; len],
+                )],
+            },
+        };
+        // A burst of several read buffers' worth, written while proc 0
+        // pumps: every frame arrives, once, in order.
+        let n = 96u64;
+        let mut burst = Vec::new();
+        for seq in 0..n {
+            frame(seq, 5 << 10).encode_into(&mut burst);
+        }
+        let buf = lock(&m0.out.links[1].as_ref().unwrap().rx).buf.len();
+        assert!(burst.len() > 4 * buf, "the burst fits a read buffer");
+        let writer = {
+            let peer = peer.try_clone().unwrap();
+            thread::spawn(move || (&peer).write_all(&burst).unwrap())
+        };
+        assert_eq!(
+            pump_data_epochs(&m0, n as usize),
+            (0..n as u32).collect::<Vec<_>>()
+        );
+        writer.join().unwrap();
+
+        // A frame and the head of the next: the short read that takes
+        // them ends its pump, and delivers the whole frame; the rest of
+        // the next one completes it at a later pump.
+        let mut two = Vec::new();
+        frame(n, 100).encode_into(&mut two);
+        let whole = two.len();
+        frame(n + 1, 100).encode_into(&mut two);
+        (&peer).write_all(&two[..whole + 10]).unwrap();
+        assert_eq!(pump_data_epochs(&m0, 1), vec![n as u32]);
+        m0.sender().pump();
+        assert!(m0.try_recv().is_none(), "a partial frame was delivered");
+        (&peer).write_all(&two[whole + 10..]).unwrap();
+        assert_eq!(pump_data_epochs(&m0, 1), vec![n as u32 + 1]);
+        m0.abort();
     }
 
     #[test]
@@ -2132,5 +2331,44 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
         assert!(start.elapsed() < Duration::from_secs(3));
         drop(silent);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 512,
+            .. ProptestConfig::default()
+        })]
+
+        /// Whatever order data frames arrive in — duplicated, reordered,
+        /// with gaps — the sequencing never panics and delivers each
+        /// sequence number at most once, in increasing order: exactly
+        /// the prefix that arrived without a gap.
+        #[test]
+        fn link_rx_delivers_the_gap_free_prefix_once_in_order(
+            seqs in proptest::collection::vec(0u64..24, 0..64),
+        ) {
+            let mut rx = LinkRx::new();
+            let mut delivered = Vec::new();
+            let mut offer = |frame: Frame| {
+                let Frame::Data { seq, .. } = frame else {
+                    panic!("offered a non-data frame: {frame:?}")
+                };
+                delivered.push(seq);
+                true
+            };
+            for &seq in &seqs {
+                let Frame::Data { epoch, msg, .. } = data(seq as u32) else {
+                    unreachable!()
+                };
+                let status = rx.on_frame(Frame::Data { seq, epoch, msg }, &mut offer);
+                prop_assert!(matches!(status, RxStatus::Open), "{status:?}");
+            }
+            let prefix = (0..).take_while(|s| seqs.contains(s)).count() as u64;
+            prop_assert_eq!(delivered, (0..prefix).collect::<Vec<_>>());
+            prop_assert_eq!(rx.expected_seq, prefix);
+            prop_assert_eq!(rx.gap_since.is_some(), !rx.ahead.is_empty());
+        }
     }
 }
