@@ -3,7 +3,7 @@
 //! Topology: one **coordinator** (mesh process 0, no LPs — pure control
 //! plane) plus `n_workers` **worker** processes, each owning a set of
 //! the simulation's LPs (contiguous blocks at start; arbitrary after a
-//! migration — the explicit [`warp_balance::Assignment`] map travels in
+//! migration — the explicit [`Assignment`] map travels in
 //! every [`SessionLine`]). Every process joins a full
 //! TCP mesh ([`warp_net::tcp`]); inside a worker, each of its LPs runs
 //! the *same* `lp_thread` loop over the *same* SPSC lane mesh
@@ -116,39 +116,31 @@
 //! liveness timeouts cannot see — and routes them through the same
 //! recovery path as a crash.
 //!
-//! # On-line load balancing (LP migration)
+//! # The cluster loop (LP migration and elastic membership)
 //!
-//! With [`BalancePolicy::enabled`] (requires recovery), workers also
-//! stream one [`Frame::LoadReport`] per LP at every GVT round. The
-//! coordinator buckets a complete round of reports and feeds it to a
-//! [`warp_balance::BalanceController`] — the cluster-level instance of
-//! the paper's on-line configuration loop, where the sampled output `O`
-//! is each LP's LVT lead over GVT and the input `I` is the LP↔worker
-//! assignment. When the controller (after its dead-zone/patience
-//! hysteresis) proposes a new assignment, migration reuses the recovery
-//! machinery wholesale: the coordinator drives one extra checkpoint
-//! barrier so the images cover everything committed, then drops its mesh
-//! links without `Bye` (every worker sees proc 0 go, aborts its LP
-//! threads exactly as on any peer loss and announces a fresh listener),
-//! and regroups into a new session whose resume stream sends every LP's
-//! image to its *new* owner. An image is per LP, so moving one is a
-//! matter of addressing; and because a restore commits exactly what the image holds, the
-//! committed trace digest is unchanged by any migration. Migrations are
-//! recorded as [`MigrationRecord`]s in the final report and as
-//! `Param::Assignment` control events in the telemetry trajectory.
-//!
-//! # Elastic membership (growing and shrinking the worker set)
-//!
-//! With [`ElasticPolicy::enabled`] (requires recovery, like balancing),
-//! the same per-LP [`Frame::LoadReport`] stream also feeds a
-//! [`warp_elastic::ElasticController`] — the paper's configuration loop
-//! pointed at the *worker count itself*. When cluster-wide pressure
-//! (the spread of LVT leads) stays outside the controller's dead zone
-//! for its patience window, the coordinator drives a **scale
-//! transition** through the identical barrier-checkpoint machinery a
-//! migration uses: one extra checkpoint so the images cover everything
-//! committed, then the session ends on purpose (never charged to the
-//! recovery budget).
+//! With a [`ClusterPolicy`] that is [armed](ClusterPolicy::armed) — a
+//! move budget, or a worker range wider than one count — (requires
+//! recovery), workers also stream one [`Frame::LoadReport`] per LP at
+//! every GVT round. The coordinator buckets a complete round of reports
+//! and feeds it to one [`ClusterController`] per session — the paper's
+//! `<O,I,S,T,P>` loop lifted to the cluster, where the sampled output `O`
+//! is the spread of per-worker LVT leads and the input `I` is the
+//! LP↔worker assignment, its worker count included. When the controller
+//! (after its dead zone and patience) proposes a [`Plan`], the plan's
+//! change in worker count is its kind: 0 moves an LP between the current
+//! workers, +1 admits a worker, −1 retires the highest-numbered one.
+//! Every kind rides the recovery machinery wholesale: the coordinator
+//! drives one extra checkpoint barrier so the images cover everything
+//! committed, then ends the session on purpose (never charged to the
+//! recovery budget). An image is per LP, so moving one is a matter of
+//! addressing; and because a restore commits exactly what the image
+//! holds, the committed trace digest is unchanged by any plan. A
+//! migration is recorded as a [`MigrationRecord`] and as
+//! `Param::Assignment` control events, a scale as a [`ScaleRecord`] and
+//! a `Param::ClusterSize` event. With the job's telemetry on, every
+//! round the controller saw lands in the report's telemetry as a
+//! [`LoadRound`], with the plan taken on it: the stream a replay of the
+//! loop feeds back.
 //!
 //! Every session that ends short of the finish — a migration, a scale
 //! either way, a probation fallback, a crash recovery — ends one way:
@@ -159,12 +151,12 @@
 //!
 //! *Scale-out* admits a fresh worker into the successor session: the
 //! coordinator either spawns another copy of the worker binary
-//! ([`ElasticPolicy::spawn`]) or adopts a process started by hand that
+//! ([`ClusterPolicy::spawn`]) or adopts a process started by hand that
 //! dialed the admission point with a [`Frame::Join`] of its own (the
 //! `--join` flag of a worker binary; the point's address is published
 //! via [`DistConfig::admit_file`]). The newcomer is seeded
 //! exactly like a respawned worker — the images of the LPs the grown
-//! [`warp_balance::Assignment`] gives it, streamed as `ResumeChunk`s —
+//! [`Assignment`] gives it, streamed as `ResumeChunk`s —
 //! and runs one **probation** session: if the very next session is lost
 //! blaming the newcomer, the coordinator *evicts* it and falls back to
 //! the pre-scale membership (recorded as a `"fallback"`
@@ -191,9 +183,7 @@
 //! continues the run under a bumped session; each LP restores from its
 //! image exactly as after any other recovery.
 
-use crate::report::{
-    LpSummary, MigrationMove, MigrationRecord, ResumeStats, RunReport, ScaleRecord,
-};
+use crate::report::{LpSummary, MigrationRecord, ResumeStats, RunReport, ScaleRecord};
 use crate::snapshot::{
     decode_image_set, encode_image_set,
     store::{load_segment, segment_path, Segment, SegmentStore},
@@ -212,10 +202,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
-use warp_balance::{Assignment, BalanceController, BalancePolicy, LpLoad};
+use warp_control::cluster::{
+    Assignment, ClusterController, ClusterPolicy, LoadRound, LpLoad, Move, Plan,
+};
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::VirtualTime;
-use warp_elastic::{ElasticController, ElasticPolicy, ScaleDirection, ScalePlan};
 use warp_net::tcp::{bind_loopback, InboundHook, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
 use warp_net::{lane_mesh, FaultPlan, Frame, FrameDecoder, LaneEndpoint, PROTO_VERSION};
 use warp_telemetry::{ControlEvent, Param, TelemetryReport};
@@ -379,13 +370,13 @@ pub struct DistConfig {
     pub net: NetTuning,
     /// Checkpoint-and-recovery policy.
     pub recovery: RecoveryPolicy,
-    /// On-line load-balancing policy. Enabling it requires
-    /// `recovery.enabled` — migration rides the checkpoint machinery.
-    pub balance: BalancePolicy,
-    /// Elastic-membership policy: grow/shrink the worker set between
-    /// `min_workers` and `max_workers` off the same load stream the
-    /// balancer reads. Enabling it requires `recovery.enabled`.
-    pub elastic: ElasticPolicy,
+    /// The cluster loop: LP migration and elastic membership. Arming it
+    /// requires `recovery.enabled` — every plan rides the checkpoint
+    /// machinery.
+    pub cluster: ClusterPolicy,
+    /// Whether the job records telemetry: the coordinator then records
+    /// every round the cluster loop sees.
+    pub telemetry: bool,
     /// Write the admission listener's address to this file once it is
     /// bound, so external `--join` workers (and tests) can find it.
     pub admit_file: Option<PathBuf>,
@@ -406,8 +397,8 @@ impl DistConfig {
             timeout: Duration::from_secs(120),
             net: NetTuning::default(),
             recovery: RecoveryPolicy::default(),
-            balance: BalancePolicy::default(),
-            elastic: ElasticPolicy::default(),
+            cluster: ClusterPolicy::default(),
+            telemetry: false,
             admit_file: None,
             fault: None,
         }
@@ -475,7 +466,7 @@ pub struct WorkerInit {
     pub net: NetTuning,
     /// Whether the checkpoint/recovery protocol is armed.
     pub recovery: bool,
-    /// Whether the load balancer is armed (workers then stream one
+    /// Whether the cluster loop is armed (workers then stream one
     /// [`Frame::LoadReport`] per LP at each GVT round).
     pub balance: bool,
     /// Deterministic fault plan: the mesh applies its link rules; the
@@ -499,7 +490,7 @@ pub struct SessionLine {
     /// migrated placement after a migration.
     pub assignment: Vec<u32>,
     /// Total mesh size (workers + coordinator): the grown or shrunk
-    /// cluster shape after an elastic scale.
+    /// cluster shape after a scale.
     pub n_procs: u32,
 }
 
@@ -894,11 +885,9 @@ enum SessionEnd {
 /// Why a session ended short of the finish. Every cause takes the same
 /// regroup step; they differ only in the membership change.
 enum Regroup {
-    /// The load balancer moves LPs between the current workers.
-    Migrate(warp_balance::Rebalance),
-    /// The elastic controller adds a worker or retires one (the highest
-    /// numbered).
-    Scale(ScalePlan),
+    /// The cluster loop's plan: LP moves between the current workers, or
+    /// one worker added or retired (the highest numbered).
+    Plan(Plan),
     /// A worker was lost uncleanly. The newcomer of the last scale-out,
     /// still on probation, is evicted (a fallback); anyone else is
     /// recovered (a crash recovery).
@@ -1056,6 +1045,10 @@ struct CoordState {
     /// coordinator incarnation included — the unit a
     /// [`warp_net::ProcFault::CrashCoordinator`] counts.
     barriers: u64,
+    /// The rounds the cluster loop saw, recorded with the job's telemetry
+    /// on. Observational and never stored: a resumed coordinator records
+    /// its own.
+    rounds: Vec<LoadRound>,
 }
 
 /// The coordinator's control-plane state: the JSON payload of the
@@ -1169,51 +1162,41 @@ impl CoordState {
         // worker's loss leaves one there.
         let probation = self.probation.take();
         let (membership, next, events) = match cause {
-            Regroup::Migrate(plan) => {
-                let events = plan
-                    .moves
-                    .iter()
-                    .map(|m| ControlEvent {
+            Regroup::Plan(plan) => {
+                let (from, to) = (self.assign.n_workers(), plan.assignment.n_workers());
+                let pressure = plan.pressure;
+                let membership = if to > from {
+                    self.probation = Some((to, self.assign.clone(), pressure));
+                    Membership::Admit(to)
+                } else if to < from {
+                    Membership::Retire(from)
+                } else {
+                    Membership::Keep
+                };
+                let events = if from == to {
+                    let moved = |m: &Move| ControlEvent {
                         lp: m.lp,
                         object: m.lp,
-                        ..event(
-                            Param::Assignment,
-                            m.from as f64,
-                            m.to as f64,
-                            plan.imbalance,
-                        )
-                    })
-                    .collect();
-                self.migrations.push(MigrationRecord {
-                    gvt,
-                    imbalance: plan.imbalance,
-                    moves: record_moves(&plan.moves),
-                });
-                (Membership::Keep, Some(plan.assignment), events)
-            }
-            Regroup::Scale(plan) => {
-                let (membership, direction) = match plan.direction {
-                    ScaleDirection::Out => {
-                        self.probation =
-                            Some((plan.to_workers, self.assign.clone(), plan.pressure));
-                        (Membership::Admit(plan.to_workers), "out")
-                    }
-                    ScaleDirection::In => (Membership::Retire(plan.from_workers), "in"),
+                        ..event(Param::Assignment, m.from as f64, m.to as f64, pressure)
+                    };
+                    let events = plan.moves.iter().map(moved).collect();
+                    self.migrations.push(MigrationRecord {
+                        gvt,
+                        imbalance: pressure,
+                        moves: plan.moves,
+                    });
+                    events
+                } else {
+                    self.scales.push(ScaleRecord {
+                        gvt,
+                        direction: if to > from { "out" } else { "in" }.into(),
+                        from_workers: from,
+                        to_workers: to,
+                        pressure,
+                        moves: plan.moves,
+                    });
+                    vec![event(Param::ClusterSize, from as f64, to as f64, pressure)]
                 };
-                self.scales.push(ScaleRecord {
-                    gvt,
-                    direction: direction.into(),
-                    from_workers: plan.from_workers,
-                    to_workers: plan.to_workers,
-                    pressure: plan.pressure,
-                    moves: record_moves(&plan.moves),
-                });
-                let events = vec![event(
-                    Param::ClusterSize,
-                    plan.from_workers as f64,
-                    plan.to_workers as f64,
-                    plan.pressure,
-                )];
                 (membership, Some(plan.assignment), events)
             }
             Regroup::Lost { peer, detail } => match probation {
@@ -1277,54 +1260,29 @@ impl CoordState {
     }
 }
 
-fn record_moves(moves: &[warp_balance::Move]) -> Vec<MigrationMove> {
-    moves
-        .iter()
-        .map(|m| MigrationMove {
-            lp: m.lp,
-            from: m.from,
-            to: m.to,
-        })
-        .collect()
-}
-
 /// Refuse a configuration that cannot be staged, before any worker
 /// exists. A fresh run checks it against its starting worker count, a
 /// resume against the stored one.
 fn validate_config(cfg: &DistConfig, n_workers: u32) -> Result<(), DistError> {
     let invalid = |m: &str| Err(DistError::InvalidConfig(m.into()));
     cfg.net.validate().map_err(DistError::InvalidConfig)?;
-    cfg.balance.validate().map_err(DistError::InvalidConfig)?;
-    cfg.elastic.validate().map_err(DistError::InvalidConfig)?;
-    if cfg.balance.enabled && !cfg.recovery.enabled {
+    cfg.cluster.validate().map_err(DistError::InvalidConfig)?;
+    if cfg.cluster.armed() && !cfg.recovery.enabled {
         return invalid(
-            "load balancing requires recovery: migration rides the checkpoint/resume machinery",
+            "the cluster loop requires recovery: migration and scaling ride the \
+             checkpoint/resume machinery",
         );
     }
-    if cfg.elastic.enabled && !cfg.recovery.enabled {
-        return invalid(
-            "elastic membership requires recovery: scaling rides the checkpoint/resume machinery",
-        );
-    }
-    if cfg.elastic.enabled
-        && (n_workers < cfg.elastic.min_workers || n_workers > cfg.elastic.max_workers)
-    {
+    let (min, max) = cfg.cluster.workers.unwrap_or((n_workers, n_workers));
+    if !(min..=max).contains(&n_workers) {
         return Err(DistError::InvalidConfig(format!(
-            "initial worker count {n_workers} outside the elastic bounds {}..={}",
-            cfg.elastic.min_workers, cfg.elastic.max_workers
+            "initial worker count {n_workers} outside the elastic bounds {min}..={max}"
         )));
     }
     // A fault may name a proc only a scale-out creates, up to the
-    // elastic maximum.
-    let max_procs = if cfg.elastic.enabled {
-        cfg.elastic.max_workers.max(n_workers)
-    } else {
-        n_workers
-    };
+    // maximum worker count.
     if let Some(fault) = &cfg.fault {
-        fault
-            .validate(max_procs)
-            .map_err(DistError::InvalidConfig)?;
+        fault.validate(max).map_err(DistError::InvalidConfig)?;
     }
     if cfg.recovery.store_dir.is_some() && !cfg.recovery.enabled {
         return invalid(
@@ -1375,6 +1333,7 @@ pub fn run_coordinator(cfg: &DistConfig) -> Result<RunReport, DistError> {
         telemetry: None,
         probation: None,
         barriers: 0,
+        rounds: Vec::new(),
     };
     run_cluster(cfg, start, st)
 }
@@ -1620,6 +1579,7 @@ pub fn resume_coordinator(cfg: &DistConfig, store_dir: &Path) -> Result<RunRepor
         telemetry: rec.telemetry,
         probation: None,
         barriers: rec.barriers,
+        rounds: Vec::new(),
     };
     st.merge_telemetry(TelemetryReport {
         events: vec![ControlEvent {
@@ -1683,7 +1643,7 @@ fn run_session_as_coordinator(
                 model: cfg.model.clone(),
                 net: cfg.net.clone(),
                 recovery: cfg.recovery.enabled,
-                balance: cfg.balance.enabled || cfg.elastic.enabled,
+                balance: cfg.cluster.armed(),
                 fault: cfg.fault.clone(),
             });
             link.send(&init).map_err(died)?;
@@ -1802,8 +1762,6 @@ fn coordinate(
         SessionEnd::Regroup(Regroup::Lost { peer, detail })
     }
     let n_workers = st.assign.n_workers() as usize;
-    let migrations_done = st.migrations.len() as u32;
-    let scales_done = st.scales.len() as u32;
     let mut reports: Vec<Option<WorkerReport>> = (0..n_workers).map(|_| None).collect();
     let mut closed = vec![false; n_workers];
     let mut pending: Option<PendingCkpt> = None;
@@ -1816,36 +1774,31 @@ fn coordinate(
         mesh.send(st.assign.proc_of(0), Frame::SnapshotReq { ckpt });
         PendingCkpt::new(ckpt, n_workers)
     };
-    // The cluster-level configuration loop. A fresh controller per
-    // session doubles as the cooldown after a migration or recovery;
-    // the per-run migration cap carries across sessions via the
-    // remaining budget.
-    let mut balancer = (cfg.balance.enabled
-        && cfg.recovery.enabled
-        && migrations_done < cfg.balance.max_migrations)
-        .then(|| {
-            let mut policy = cfg.balance.clone();
-            policy.max_migrations = cfg.balance.max_migrations - migrations_done;
-            BalanceController::new(policy, cfg.n_lps, st.assign.n_workers())
-        });
-    // The capacity-level configuration loop, same lifecycle rules: a
-    // fresh controller per session, the per-run scale cap carried via
-    // the remaining budget (fallback evictions count against it, which
-    // is what stops a crash-looping admission from retrying forever).
-    let mut elastic = (cfg.elastic.enabled
-        && cfg.recovery.enabled
-        && scales_done < cfg.elastic.max_scales)
-        .then(|| {
-            let mut policy = cfg.elastic.clone();
-            policy.max_scales = cfg.elastic.max_scales - scales_done;
-            ElasticController::new(policy, cfg.n_lps)
-        });
+    // The cluster loop. A fresh controller per session doubles as the
+    // cooldown after a plan or a recovery; the per-run budgets carry
+    // across sessions as what is left of them (fallback evictions count
+    // against the scale budget, which is what stops a crash-looping
+    // admission from retrying forever). One plan per session: the
+    // controller is dropped once it has proposed one.
+    let policy = ClusterPolicy {
+        max_migrations: cfg
+            .cluster
+            .max_migrations
+            .saturating_sub(st.migrations.len() as u32),
+        max_scales: cfg
+            .cluster
+            .max_scales
+            .saturating_sub(st.scales.len() as u32),
+        ..cfg.cluster.clone()
+    };
+    let mut controller =
+        (cfg.recovery.enabled && policy.armed()).then(|| ClusterController::new(policy, cfg.n_lps));
     // One GVT round's worth of per-LP load reports, bucketed by gvt. A
     // report from a newer round discards any incomplete older bucket.
     let mut loads: Vec<Option<LpLoad>> = vec![None; cfg.n_lps as usize];
     let mut load_gvt: Option<VirtualTime> = None;
-    // A regroup a controller proposed — migration or scale — waiting on
-    // its checkpoint barrier before the session can be ended on purpose.
+    // The plan the controller proposed, waiting on its checkpoint
+    // barrier before the session can be ended on purpose.
     let mut planned: Option<Regroup> = None;
     let mut barrier_fired = false;
     let stall_budget = (cfg.recovery.enabled && cfg.recovery.stall_budget_ms > 0)
@@ -1926,8 +1879,7 @@ fn coordinate(
                     // The run is winding down; migrating or scaling now
                     // would only throw away finished work.
                     planned = None;
-                    balancer = None;
-                    elastic = None;
+                    controller = None;
                 }
                 Frame::Telemetry(bytes) => {
                     // Advisory stream; a batch that fails to parse is
@@ -1945,8 +1897,7 @@ fn coordinate(
                     if !gvt.is_finite() {
                         // GVT = ∞: reports are imminent; stand down.
                         planned = None;
-                        balancer = None;
-                        elastic = None;
+                        controller = None;
                     }
                     let due = cfg.recovery.enabled
                         && gvt.is_finite()
@@ -1969,55 +1920,42 @@ fn coordinate(
                 } => {
                     // Advisory, like telemetry: a malformed or stale
                     // report is dropped, never fatal.
-                    if (balancer.is_some() || elastic.is_some())
-                        && gvt.is_finite()
-                        && (lp as usize) < loads.len()
-                    {
-                        if load_gvt != Some(gvt) {
-                            if load_gvt.is_some_and(|g| gvt < g) {
-                                continue; // straggling report from an old round
-                            }
-                            load_gvt = Some(gvt);
-                            loads.iter_mut().for_each(|l| *l = None);
-                        }
-                        loads[lp as usize] = Some(LpLoad {
-                            executed,
-                            rolled_back,
-                            retained,
-                            lvt_lead,
+                    let Some(ctl) = controller.as_mut() else {
+                        continue;
+                    };
+                    let stale = load_gvt.is_some_and(|g| gvt < g); // from an old round
+                    if !gvt.is_finite() || lp as usize >= loads.len() || stale {
+                        continue;
+                    }
+                    if load_gvt != Some(gvt) {
+                        load_gvt = Some(gvt);
+                        loads.fill(None);
+                    }
+                    loads[lp as usize] = Some(LpLoad {
+                        executed,
+                        rolled_back,
+                        retained,
+                        lvt_lead,
+                    });
+                    let Some(loads) = loads.iter().copied().collect::<Option<Vec<LpLoad>>>() else {
+                        continue;
+                    };
+                    let can_add = cfg.cluster.spawn || admission.joiners_waiting();
+                    let plan = ctl.observe(&st.assign, &loads, can_add);
+                    if cfg.telemetry {
+                        st.rounds.push(LoadRound {
+                            session: st.session,
+                            gvt: gvt.ticks(),
+                            owners: st.assign.owners().to_vec(),
+                            can_add,
+                            loads,
+                            plan: plan.clone(),
                         });
-                        if loads.iter().all(Option::is_some) {
-                            let bucket: Vec<LpLoad> = loads.iter().map(|l| l.unwrap()).collect();
-                            // WARP_DEBUG_ROUNDS=1 dumps one line per
-                            // complete observation round — the raw
-                            // lvt_lead signal the balance and elastic
-                            // controllers see, before EWMA smoothing.
-                            if std::env::var_os("WARP_DEBUG_ROUNDS").is_some() {
-                                eprintln!(
-                                    "ROUND gvt={} leads={:?} workers={}",
-                                    gvt.ticks(),
-                                    bucket.iter().map(|l| l.lvt_lead).collect::<Vec<_>>(),
-                                    st.assign.n_workers()
-                                );
-                            }
-                            // Both controllers observe every complete
-                            // round (their filters must track the live
-                            // load), but at most one transition is in
-                            // flight; migration wins a tie.
-                            let can_add = cfg.elastic.spawn || admission.joiners_waiting();
-                            let bal_prop = balancer
-                                .as_mut()
-                                .and_then(|b| b.observe(&st.assign, &bucket));
-                            let ela_prop = elastic
-                                .as_mut()
-                                .and_then(|e| e.observe(&st.assign, &bucket, can_add));
-                            if planned.is_none() {
-                                planned = bal_prop
-                                    .map(Regroup::Migrate)
-                                    .or_else(|| ela_prop.map(Regroup::Scale));
-                                barrier_fired = false;
-                            }
-                        }
+                    }
+                    if let Some(plan) = plan {
+                        planned = Some(Regroup::Plan(plan));
+                        barrier_fired = false;
+                        controller = None;
                     }
                 }
                 Frame::Snapshot { ckpt, gvt, payload } => {
@@ -2145,7 +2083,14 @@ fn await_listen(
 
 /// The run's report: the workers' final reports merged with what the
 /// coordinator kept across sessions.
-fn merge_reports(reports: Vec<WorkerReport>, wall: f64, st: CoordState) -> RunReport {
+fn merge_reports(reports: Vec<WorkerReport>, wall: f64, mut st: CoordState) -> RunReport {
+    if !st.rounds.is_empty() {
+        let rounds = std::mem::take(&mut st.rounds);
+        st.merge_telemetry(TelemetryReport {
+            rounds,
+            ..TelemetryReport::default()
+        });
+    }
     let mut resume = st.store.stats;
     for r in &reports {
         resume.merge(&r.resume);
@@ -2434,7 +2379,7 @@ impl LpPort for WorkerPort {
     fn wants_load(&self) -> bool {
         self.balance
     }
-    fn report_load(&self, gvt: VirtualTime, load: warp_balance::LpLoad) {
+    fn report_load(&self, gvt: VirtualTime, load: LpLoad) {
         self.mesh_tx.post(
             0,
             Frame::LoadReport {
@@ -3471,8 +3416,7 @@ mod tests {
             serde_json::json!(null),
             4,
         );
-        cfg.elastic.enabled = true;
-        cfg.elastic.max_workers = 3;
+        cfg.cluster.workers = Some((1, 3));
         cfg.recovery.enabled = false;
         match run_coordinator(&cfg) {
             Err(DistError::InvalidConfig(m)) => assert!(m.contains("recovery"), "{m}"),
@@ -3488,9 +3432,7 @@ mod tests {
             serde_json::json!(null),
             4,
         );
-        cfg.elastic.enabled = true;
-        cfg.elastic.min_workers = 2;
-        cfg.elastic.max_workers = 3;
+        cfg.cluster.workers = Some((2, 3));
         match run_coordinator(&cfg) {
             Err(DistError::InvalidConfig(m)) => assert!(m.contains("elastic bounds"), "{m}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
@@ -3508,8 +3450,7 @@ mod tests {
             serde_json::json!(null),
             6,
         );
-        cfg.elastic.enabled = true;
-        cfg.elastic.max_workers = 3;
+        cfg.cluster.workers = Some((1, 3));
         cfg.fault = Some(FaultPlan::new().slow(3, 500, 1000));
         match run_coordinator(&cfg) {
             Err(DistError::Io(_)) => {}
@@ -3525,7 +3466,7 @@ mod tests {
             serde_json::json!(null),
             2,
         );
-        cfg.balance.enabled = true;
+        cfg.cluster.max_migrations = 4;
         cfg.recovery.enabled = false;
         match run_coordinator(&cfg) {
             Err(DistError::InvalidConfig(m)) => assert!(m.contains("recovery"), "{m}"),
@@ -3693,12 +3634,13 @@ mod tests {
             telemetry: None,
             probation: None,
             barriers: 1,
+            rounds: Vec::new(),
         };
         let recovery = RecoveryPolicy {
             max_recoveries: 2,
             ..RecoveryPolicy::default()
         };
-        let mv = |lp, from, to| warp_balance::Move { lp, from, to };
+        let mv = |lp, from, to| Move { lp, from, to };
         // The trajectory sorts by (gvt, lp), stably: a param's events at
         // one horizon stay in the order they were appended.
         let last_event = |st: &CoordState, param| {
@@ -3725,13 +3667,13 @@ mod tests {
         };
 
         // Migration: LP 1 moves to worker 2.
-        let plan = warp_balance::Rebalance {
+        let plan = Plan {
             assignment: owners(vec![1, 2, 2, 2]),
             moves: vec![mv(1, 1, 2)],
-            imbalance: 0.7,
+            pressure: 0.7,
         };
         assert_eq!(
-            st.regroup(Regroup::Migrate(plan), &recovery).unwrap(),
+            st.regroup(Regroup::Plan(plan), &recovery).unwrap(),
             Membership::Keep
         );
         assert_eq!(resume_lps(&st), vec![vec![0], vec![1, 2, 3]]);
@@ -3752,15 +3694,12 @@ mod tests {
         );
 
         // Scale-out: worker 3 joins on probation and takes LPs 2 and 3.
-        let out = ScalePlan {
-            direction: ScaleDirection::Out,
-            from_workers: 2,
-            to_workers: 3,
+        let out = Plan {
             assignment: owners(vec![1, 2, 3, 3]),
             moves: vec![mv(2, 2, 3), mv(3, 2, 3)],
             pressure: 0.9,
         };
-        let membership = st.regroup(Regroup::Scale(out.clone()), &recovery).unwrap();
+        let membership = st.regroup(Regroup::Plan(out.clone()), &recovery).unwrap();
         assert_eq!(membership, Membership::Admit(3));
         assert_eq!(resume_lps(&st), vec![vec![0], vec![1], vec![2, 3]]);
         assert_eq!(
@@ -3796,7 +3735,7 @@ mod tests {
         // Out again, then a crash of another worker: one recovery, same
         // owners, no record, no event, and the newcomer stays on
         // probation.
-        st.regroup(Regroup::Scale(out), &recovery).unwrap();
+        st.regroup(Regroup::Plan(out), &recovery).unwrap();
         let (placed, events, records) = (resume_lps(&st), n_events(&st), st.scales.len());
         assert_eq!(st.regroup(lost(1), &recovery).unwrap(), Membership::Keep);
         assert_eq!(resume_lps(&st), placed);
@@ -3808,16 +3747,13 @@ mod tests {
         assert_eq!(st.probation.as_ref().map(|p| p.0), Some(3));
 
         // Scale-in: worker 3 retires and its LPs go back to worker 2.
-        let inn = ScalePlan {
-            direction: ScaleDirection::In,
-            from_workers: 3,
-            to_workers: 2,
+        let inn = Plan {
             assignment: owners(vec![1, 2, 2, 2]),
             moves: vec![mv(2, 3, 2), mv(3, 3, 2)],
             pressure: 0.1,
         };
         assert_eq!(
-            st.regroup(Regroup::Scale(inn), &recovery).unwrap(),
+            st.regroup(Regroup::Plan(inn), &recovery).unwrap(),
             Membership::Retire(3)
         );
         assert_eq!(resume_lps(&st), vec![vec![0], vec![1, 2, 3]]);

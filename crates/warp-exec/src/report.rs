@@ -1,6 +1,7 @@
 //! Run reports: the measured output of an executive.
 
 use serde::{Deserialize, Serialize};
+use warp_control::cluster::Move;
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_telemetry::TelemetryReport;
 
@@ -53,32 +54,21 @@ pub struct TimelineSample {
     pub retained: u64,
 }
 
-/// One LP move inside a [`MigrationRecord`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MigrationMove {
-    /// The migrated LP.
-    pub lp: u32,
-    /// Worker the LP left.
-    pub from: u32,
-    /// Worker the LP landed on.
-    pub to: u32,
-}
-
-/// One on-line reconfiguration of the LP↔worker assignment performed by
-/// the distributed executive's load balancer.
+/// One LP migration performed by the distributed executive's cluster
+/// loop.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MigrationRecord {
     /// GVT at which the migration barrier committed (`None` if the
     /// horizon was still at virtual time zero).
     pub gvt: Option<u64>,
-    /// The imbalance index that triggered the move.
+    /// The pressure index that triggered the move.
     pub imbalance: f64,
     /// The LPs that changed owner.
-    pub moves: Vec<MigrationMove>,
+    pub moves: Vec<Move>,
 }
 
-/// One elastic membership change performed by the distributed
-/// executive's elastic controller (or its recovery fallback).
+/// One membership change performed by the distributed executive's
+/// cluster loop (or its recovery fallback).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScaleRecord {
     /// GVT at which the scale barrier committed (`None` if the horizon
@@ -96,7 +86,7 @@ pub struct ScaleRecord {
     /// fallback).
     pub pressure: f64,
     /// The LPs that changed owner across the membership change.
-    pub moves: Vec<MigrationMove>,
+    pub moves: Vec<Move>,
 }
 
 /// Resume and durable-store accounting for distributed runs. All zero
@@ -163,7 +153,7 @@ pub struct RunReport {
     /// finish the run (0 everywhere else, and on a fault-free run).
     #[serde(default)]
     pub recoveries: u64,
-    /// LP migrations the distributed load balancer performed (empty
+    /// LP migrations the distributed cluster loop performed (empty
     /// everywhere else, and when balancing was off or never triggered).
     #[serde(default)]
     pub migrations: Vec<MigrationRecord>,
@@ -396,7 +386,7 @@ mod tests {
         r.migrations.push(MigrationRecord {
             gvt: Some(144),
             imbalance: 0.8,
-            moves: vec![MigrationMove {
+            moves: vec![Move {
                 lp: 3,
                 from: 2,
                 to: 1,
@@ -425,7 +415,7 @@ mod tests {
             from_workers: 2,
             to_workers: 3,
             pressure: 0.7,
-            moves: vec![MigrationMove {
+            moves: vec![Move {
                 lp: 5,
                 from: 1,
                 to: 3,

@@ -103,15 +103,15 @@ pub(crate) trait LpPort {
     /// toward the coordinator. Only called when `wants_telemetry()`.
     fn stream_telemetry(&self, _json: Vec<u8>) {}
     /// Should per-LP load samples be reported at GVT rounds? The
-    /// distributed port says yes when the cluster balance controller is
+    /// distributed port says yes when the cluster loop is
     /// armed; in-process transports have no one to rebalance.
     fn wants_load(&self) -> bool {
         false
     }
     /// Ship one LP's cumulative load counters for the GVT round toward
-    /// the coordinator's balance controller. Only called when
+    /// the coordinator's cluster loop. Only called when
     /// `wants_load()`. Advisory: loss only delays a migration decision.
-    fn report_load(&self, _gvt: VirtualTime, _load: warp_balance::LpLoad) {}
+    fn report_load(&self, _gvt: VirtualTime, _load: warp_control::cluster::LpLoad) {}
     /// Host-speed pacing hook, called once per optimistically executed
     /// event. The distributed port uses it to emulate a slow host (a
     /// process-wide rate limit) for balance tests; everywhere else it is
@@ -394,7 +394,7 @@ impl<P: LpPort> LpThread<P> {
             let front = self.lp.lvt_front();
             self.port.report_load(
                 gvt,
-                warp_balance::LpLoad {
+                warp_control::cluster::LpLoad {
                     executed: stats.executed,
                     rolled_back: stats.rolled_back,
                     retained: self.lp.history_items() as u64,

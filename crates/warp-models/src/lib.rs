@@ -24,7 +24,7 @@
 //! * [`serve`] — an open-arrival service-traffic cluster (diurnal rate,
 //!   burst waves, Zipf tenant skew, batched GPU-style stations with a
 //!   KV cache): the first workload whose *modeled* load drives the
-//!   on-line balance and elastic controllers.
+//!   on-line cluster loop (LP migration and elastic membership).
 
 #![warn(missing_docs)]
 

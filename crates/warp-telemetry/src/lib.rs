@@ -16,7 +16,9 @@
 //! * [`TelemetryReport`] — the mergeable result: cluster-wide series
 //!   are built by merging per-LP (and, distributed, per-worker) reports.
 //!   Exports as JSONL (one self-describing [`TelemetryLine`] per line)
-//!   and CSV for plotting.
+//!   and CSV for plotting. A distributed run's report also carries the
+//!   coordinator's series of cluster-loop rounds ([`LoadRound`]), the
+//!   input a replay of that loop feeds back.
 //!
 //! Observation is strictly passive: recording charges no modeled cost
 //! and never touches the event path, so a run's committed trace digest
@@ -29,6 +31,8 @@
 use serde::{Deserialize, Serialize};
 use warp_core::policy::{CancellationMode, ControlChange, ControlTransition};
 use warp_core::{LpRuntime, ObjectStats, VirtualTime};
+
+pub use warp_control::cluster::LoadRound;
 
 /// Default ring capacity for metric samples, per recorder.
 pub const DEFAULT_SAMPLE_CAP: usize = 4096;
@@ -79,12 +83,12 @@ pub enum Param {
     /// by: modeled seconds on the virtual cluster, wall seconds on the
     /// threaded and distributed executives.
     Window,
-    /// LP→worker assignment: the cluster balancer migrated an LP
+    /// LP→worker assignment: the cluster loop migrated an LP
     /// (`lp`/`object` are the migrated LP; `old`/`new` are the source
-    /// and destination worker ids; `sampled_o` is the imbalance index
+    /// and destination worker ids; `sampled_o` is the pressure index
     /// that triggered the move). Recorded by the coordinator.
     Assignment,
-    /// Cluster worker count: the elastic controller grew or shrank the
+    /// Cluster worker count: the cluster loop grew or shrank the
     /// worker set (`old`/`new` are worker counts; `lp`/`object` are 0;
     /// `sampled_o` is the pressure index that triggered the scale, `-1`
     /// for a recovery fallback). Recorded by the coordinator.
@@ -157,12 +161,14 @@ pub struct Sample {
 
 /// One line of the JSONL export: every line is exactly one of these, so
 /// a file is schema-checked by parsing each line.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TelemetryLine {
     /// A metric snapshot.
     Sample(Sample),
     /// A controller decision.
     Event(ControlEvent),
+    /// A round the cluster loop observed.
+    Round(LoadRound),
 }
 
 /// Bounded ring: keeps the newest `cap` entries, counts what fell off.
@@ -379,6 +385,7 @@ impl Recorder {
             events: self.events.drain_ordered(),
             dropped_samples: std::mem::replace(&mut self.samples.dropped, 0),
             dropped_events: std::mem::replace(&mut self.events.dropped, 0),
+            rounds: Vec::new(),
         })
     }
 
@@ -399,6 +406,10 @@ pub struct TelemetryReport {
     pub dropped_samples: u64,
     /// Control events lost to ring overflow.
     pub dropped_events: u64,
+    /// Every complete load round the coordinator fed the cluster loop,
+    /// ordered by `(session, gvt)`.
+    #[serde(default)]
+    pub rounds: Vec<LoadRound>,
 }
 
 fn gvt_key(g: Option<u64>) -> u64 {
@@ -410,6 +421,7 @@ impl TelemetryReport {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
             && self.events.is_empty()
+            && self.rounds.is_empty()
             && self.dropped_samples == 0
             && self.dropped_events == 0
     }
@@ -421,7 +433,9 @@ impl TelemetryReport {
         self.events.extend(other.events);
         self.dropped_samples += other.dropped_samples;
         self.dropped_events += other.dropped_events;
+        self.rounds.extend(other.rounds);
         self.samples.sort_by_key(|s| (gvt_key(s.gvt), s.lp));
+        self.rounds.sort_by_key(|r| (r.session, r.gvt));
         self.events
             .sort_by_key(|e| (gvt_key(e.gvt), e.lp, e.object));
     }
@@ -450,15 +464,15 @@ impl TelemetryReport {
             .count()
     }
 
-    /// One JSON object per line: samples first (GVT order), then events.
+    /// One JSON object per line: samples first (GVT order), then
+    /// events, then rounds.
     pub fn to_jsonl(&self) -> String {
+        let samples = self.samples.iter().map(|s| TelemetryLine::Sample(*s));
+        let events = self.events.iter().map(|e| TelemetryLine::Event(*e));
+        let rounds = self.rounds.iter().map(|r| TelemetryLine::Round(r.clone()));
         let mut out = String::new();
-        for s in &self.samples {
-            out.push_str(&serde_json::to_string(&TelemetryLine::Sample(*s)).expect("sample json"));
-            out.push('\n');
-        }
-        for e in &self.events {
-            out.push_str(&serde_json::to_string(&TelemetryLine::Event(*e)).expect("event json"));
+        for line in samples.chain(events).chain(rounds) {
+            out.push_str(&serde_json::to_string(&line).expect("telemetry line json"));
             out.push('\n');
         }
         out
@@ -476,6 +490,7 @@ impl TelemetryReport {
             match serde_json::from_str::<TelemetryLine>(line) {
                 Ok(TelemetryLine::Sample(s)) => report.samples.push(s),
                 Ok(TelemetryLine::Event(e)) => report.events.push(e),
+                Ok(TelemetryLine::Round(r)) => report.rounds.push(r),
                 Err(e) => return Err(format!("line {}: {e}", i + 1)),
             }
         }
@@ -678,16 +693,25 @@ mod tests {
             }],
             dropped_samples: 3,
             dropped_events: 0,
+            rounds: vec![LoadRound {
+                session: 1,
+                gvt: 5,
+                owners: vec![1, 2],
+                can_add: false,
+                loads: vec![Default::default(); 2],
+                plan: None,
+            }],
         });
         let gvts: Vec<_> = a.samples.iter().map(|s| s.gvt.unwrap()).collect();
         assert_eq!(gvts, vec![2, 5, 9]);
         assert_eq!(a.dropped_samples, 3);
 
         let text = a.to_jsonl();
-        assert_eq!(text.lines().count(), 4);
+        assert_eq!(text.lines().count(), 5);
         let back = TelemetryReport::from_jsonl(&text).expect("schema-valid");
         assert_eq!(back.samples, a.samples);
         assert_eq!(back.events, a.events);
+        assert_eq!(back.rounds, a.rounds);
         assert!(TelemetryReport::from_jsonl("{\"bogus\":1}\n").is_err());
 
         let csv = a.to_csv();

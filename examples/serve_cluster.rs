@@ -1,6 +1,6 @@
 //! SERVE: open-arrival service traffic under the on-line configured
-//! kernel — the diurnal-wave scenario that drives the balance and
-//! elastic controllers from modeled load alone.
+//! kernel — the diurnal-wave scenario that drives the cluster loop (LP
+//! migration and elastic membership) from modeled load alone.
 //!
 //! Millions of simulated users arrive through seeded thinning of a
 //! diurnal rate (no per-user state); routers fan requests to batched
@@ -19,10 +19,9 @@
 //! committed digests for the same spec — byte-identical committed
 //! histories mean the distributed report must match this output.
 
-use warp_balance::BalancePolicy;
-use warp_elastic::ElasticPolicy;
 use warp_exec::distributed::RecoveryPolicy;
 use warped_online::cluster::{ClusterJob, ModelSpec};
+use warped_online::control::ClusterPolicy;
 use warped_online::exec::{run_sequential, run_virtual_inspect, VirtualOptions};
 use warped_online::models::serve::{SinkState, StationState};
 use warped_online::models::ServeConfig;
@@ -40,23 +39,13 @@ fn wave_job() -> ClusterJob {
             stall_budget_ms: 0,
             ..RecoveryPolicy::default()
         },
-        balance: BalancePolicy {
-            enabled: true,
-            dead_zone: 0.4,
-            patience: 3,
-            warmup_rounds: 2,
-            max_moves: 1,
-            min_lps: 1,
-            max_migrations: 1,
-        },
-        elastic: ElasticPolicy {
-            enabled: true,
-            min_workers: 2,
-            max_workers: 3,
-            scale_out_pressure: 0.6,
-            scale_in_pressure: 0.45,
+        cluster: ClusterPolicy {
+            high: 0.5,
+            low: 0.45,
             patience: 1,
             warmup_rounds: 1,
+            max_migrations: 1,
+            workers: Some((2, 3)),
             max_scales: 3,
             spawn: true,
         },

@@ -23,18 +23,20 @@
 //! (what this command prints on stdout), it prints the report's summary
 //! and each worker's peak resident set.
 //!
-//! `--balance` arms the on-line load balancer (LP migration; implies
-//! recovery). `--slow PROC:MICROS[:EVENTS]` artificially caps worker
+//! `--balance` lets the cluster loop move LPs (a budget of 4 moves
+//! unless the job sets one; implies recovery). `--slow
+//! PROC:MICROS[:EVENTS]` artificially caps worker
 //! `PROC` at one executed event per `MICROS` microseconds — a
-//! reproducible "slow machine" for balance experiments. The optional
+//! reproducible "slow machine" for migration experiments. The optional
 //! `:EVENTS` suffix makes the slowdown transient: it lapses after that
-//! many events, so elastic experiments can watch a skew subside. The
+//! many events, so scaling experiments can watch a skew subside. The
 //! flag adds a `Slow` entry to the job's `fault.procs`; a job file that
 //! still uses the retired `handicaps` lists is refused.
 //!
-//! `--elastic` arms elastic membership (grow/shrink the worker set
-//! mid-run; implies recovery). `--min-workers`/`--max-workers` bound
-//! the cluster size; `--admit-file PATH` publishes the admission
+//! `--elastic` lets the cluster loop grow and shrink the worker set
+//! mid-run (within 1..=4 workers unless the job sets a range; implies
+//! recovery). `--min-workers`/`--max-workers` move the range's bounds;
+//! `--admit-file PATH` publishes the admission
 //! listener's address to `PATH` so external `warp-worker --join`
 //! processes can dial in (see `docs/elasticity.md`).
 //!
@@ -303,19 +305,21 @@ fn run() -> Result<(), String> {
     if telemetry_out.is_some() {
         job.telemetry = true;
     }
-    if balance {
-        job.balance.enabled = true;
-        job.recovery.enabled = true;
+    // The two switches arm the one cluster loop: a move budget, and a
+    // worker range, at what a job without them gets (4 moves, 1..=4
+    // workers); the bounds flags then narrow the range.
+    if balance && job.cluster.max_migrations == 0 {
+        job.cluster.max_migrations = 4;
     }
     if elastic {
-        job.elastic.enabled = true;
+        job.cluster.workers.get_or_insert((1, 4));
+    }
+    if let Some((min, max)) = &mut job.cluster.workers {
+        *min = min_workers.unwrap_or(*min);
+        *max = max_workers.unwrap_or(*max);
+    }
+    if balance || elastic {
         job.recovery.enabled = true;
-    }
-    if let Some(n) = min_workers {
-        job.elastic.min_workers = n;
-    }
-    if let Some(n) = max_workers {
-        job.elastic.max_workers = n;
     }
     if let Some(dir) = store_dir {
         job.recovery.store_dir = Some(dir);

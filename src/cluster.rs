@@ -13,8 +13,7 @@
 //! `warp-worker` binary, done.
 
 use serde::{Deserialize, Serialize};
-use warp_balance::BalancePolicy;
-use warp_elastic::ElasticPolicy;
+use warp_control::ClusterPolicy;
 use warp_exec::distributed::{run_coordinator, DistConfig, DistError, NetTuning, RecoveryPolicy};
 use warp_exec::{RunReport, SimulationSpec};
 use warp_models::{PholdConfig, QnetConfig, RaidConfig, ServeConfig, SmmpConfig};
@@ -77,15 +76,14 @@ pub struct ClusterJob {
     /// Checkpoint-and-recovery policy for the run.
     #[serde(default)]
     pub recovery: RecoveryPolicy,
-    /// On-line LP-migration policy (needs `recovery.enabled`).
+    /// The cluster loop: LP migration and a growing or shrinking worker
+    /// set (armed, it needs `recovery.enabled`). A job written with the
+    /// `balance` and `elastic` sections it replaced loads through
+    /// [`parse_job`].
     #[serde(default)]
-    pub balance: BalancePolicy,
-    /// Elastic cluster-membership policy: grow/shrink the worker set
-    /// mid-run (needs `recovery.enabled`).
-    #[serde(default)]
-    pub elastic: ElasticPolicy,
+    pub cluster: ClusterPolicy,
     /// Deterministic fault plan (`None` = a healthy run): link faults
-    /// for the mesh, plus slowed workers (the skew balance and elastic
+    /// for the mesh, plus slowed workers (the skew the cluster loop's
     /// experiments need) and crashing workers or coordinator.
     #[serde(default)]
     pub fault: Option<FaultPlan>,
@@ -102,8 +100,7 @@ impl ClusterJob {
             aggregation: AggregationConfig::Unaggregated,
             net: NetTuning::default(),
             recovery: RecoveryPolicy::default(),
-            balance: BalancePolicy::default(),
-            elastic: ElasticPolicy::default(),
+            cluster: ClusterPolicy::default(),
             fault: None,
         }
     }
@@ -162,8 +159,8 @@ pub fn dist_config(
         timeout,
         net: job.net.clone(),
         recovery: job.recovery.clone(),
-        balance: job.balance.clone(),
-        elastic: job.elastic.clone(),
+        cluster: job.cluster.clone(),
+        telemetry: job.telemetry,
         fault: job.fault.clone(),
         admit_file: None,
     })
@@ -217,12 +214,101 @@ const RETIRED_KEYS: [(&str, &str, &str); 3] = [
     ),
 ];
 
+/// The `balance` section of a job written before the cluster loop was
+/// one, as such a build wrote it.
+#[derive(Deserialize)]
+struct LegacyBalance {
+    enabled: bool,
+    dead_zone: f64,
+    patience: u32,
+    warmup_rounds: u32,
+    max_moves: u32,
+    min_lps: u32,
+    max_migrations: u32,
+}
+
+/// The `elastic` section of a job written before the cluster loop was
+/// one, as such a build wrote it.
+#[derive(Deserialize)]
+struct LegacyElastic {
+    enabled: bool,
+    min_workers: u32,
+    max_workers: u32,
+    scale_out_pressure: f64,
+    scale_in_pressure: f64,
+    patience: u32,
+    warmup_rounds: u32,
+    max_scales: u32,
+    spawn: bool,
+}
+
+/// Map a job's pre-merge `balance` and `elastic` sections onto one
+/// [`ClusterPolicy`] (`None` when the job has neither). A disabled
+/// section maps to nothing. An enabled balance section brings its move
+/// budget, an enabled elastic one its worker bounds, scale budget,
+/// spawn switch and low threshold; when both are enabled, balance's
+/// threshold, patience and warmup win, as migration won a tie between
+/// the two loops.
+fn legacy_cluster(job: &serde_json::Value) -> Result<Option<ClusterPolicy>, String> {
+    let (balance, elastic) = (job.get("balance"), job.get("elastic"));
+    if balance.is_none() && elastic.is_none() {
+        return Ok(None);
+    }
+    if job.get("cluster").is_some() {
+        return Err(
+            "a job sets `cluster` or the `balance` and `elastic` sections it \
+                    replaced, not both"
+                .into(),
+        );
+    }
+    let balance: Option<LegacyBalance> = balance
+        .map(|v| serde_json::from_value(v.clone()))
+        .transpose()
+        .map_err(|e| format!("`balance`: {e}"))?;
+    let elastic: Option<LegacyElastic> = elastic
+        .map(|v| serde_json::from_value(v.clone()))
+        .transpose()
+        .map_err(|e| format!("`elastic`: {e}"))?;
+    let mut policy = ClusterPolicy::default();
+    if let Some(e) = elastic.filter(|e| e.enabled) {
+        policy = ClusterPolicy {
+            high: e.scale_out_pressure,
+            low: e.scale_in_pressure,
+            patience: e.patience,
+            warmup_rounds: e.warmup_rounds,
+            workers: Some((e.min_workers, e.max_workers)),
+            max_scales: e.max_scales,
+            spawn: e.spawn,
+            ..policy
+        };
+    }
+    if let Some(b) = balance.filter(|b| b.enabled) {
+        if (b.max_moves, b.min_lps) != (1, 1) {
+            return Err(
+                "`balance.max_moves` and `balance.min_lps` are retired: a migration \
+                        moves one LP and leaves the straggler at least one (both must be 1)"
+                    .into(),
+            );
+        }
+        policy = ClusterPolicy {
+            high: b.dead_zone,
+            low: policy.low.min(b.dead_zone),
+            patience: b.patience,
+            warmup_rounds: b.warmup_rounds,
+            max_migrations: b.max_migrations,
+            ..policy
+        };
+    }
+    Ok(Some(policy))
+}
+
 /// Decode a job file (or a stored job). The slow-worker lists that
 /// preceded `fault.procs` are refused, not ignored: a job that still
-/// carries one would otherwise run with no skew at all, and a balance
-/// or elastic experiment would pass or fail for the wrong reason. So is
-/// a retired knob (checkpoint compaction, the rejoin and the orphan
-/// grace) set to anything but 0.
+/// carries one would otherwise run with no skew at all, and an
+/// experiment with the cluster loop would pass or fail for the wrong
+/// reason. So is a retired knob (checkpoint compaction, the rejoin and
+/// the orphan grace) set to anything but 0. The `balance` and `elastic`
+/// sections the `cluster` policy replaced load onto it.
 pub fn parse_job(json: &str) -> Result<ClusterJob, String> {
     let value: serde_json::Value =
         serde_json::from_str(json).map_err(|e| format!("undecodable ClusterJob: {e}"))?;
@@ -240,7 +326,13 @@ pub fn parse_job(json: &str) -> Result<ClusterJob, String> {
             return Err(format!("`{section}.{key}` is retired: {why}"));
         }
     }
-    serde_json::from_value(value).map_err(|e| format!("undecodable ClusterJob: {e}"))
+    let legacy = legacy_cluster(&value)?;
+    let mut job: ClusterJob =
+        serde_json::from_value(value).map_err(|e| format!("undecodable ClusterJob: {e}"))?;
+    if let Some(policy) = legacy {
+        job.cluster = policy;
+    }
+    Ok(job)
 }
 
 /// The coordinator side: run `job` across `n_workers` worker processes
@@ -330,6 +422,94 @@ mod tests {
             assert!(section == "net" || err.contains("images"), "{err}");
             assert!(parse_job(&with(0)).is_ok(), "{key}: 0");
         }
+    }
+
+    /// A job as a build with two cluster loops wrote it: `balance` and
+    /// `elastic` sections where `cluster` is now.
+    fn pre_merge_job(balance: bool, elastic: bool, max_moves: u32) -> String {
+        let job = ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None);
+        let json = serde_json::to_string(&job).unwrap();
+        let at = json
+            .find(r#""cluster":{"#)
+            .expect("the job carries a cluster section");
+        let end = at + json[at..].find('}').unwrap() + 1;
+        let sections = format!(
+            r#""balance":{{"enabled":{balance},"dead_zone":0.4,"patience":3,"warmup_rounds":2,"max_moves":{max_moves},"min_lps":1,"max_migrations":3}},"elastic":{{"enabled":{elastic},"min_workers":2,"max_workers":3,"scale_out_pressure":0.6,"scale_in_pressure":0.45,"patience":1,"warmup_rounds":1,"max_scales":2,"spawn":false}}"#
+        );
+        format!("{}{sections}{}", &json[..at], &json[end..])
+    }
+
+    #[test]
+    fn a_pre_merge_balance_job_maps_onto_moves_only() {
+        let job = parse_job(&pre_merge_job(true, false, 1)).unwrap();
+        let want = ClusterPolicy {
+            high: 0.4,
+            patience: 3,
+            warmup_rounds: 2,
+            max_migrations: 3,
+            ..ClusterPolicy::default()
+        };
+        assert_eq!(job.cluster, want);
+        assert!(job.cluster.armed() && job.cluster.workers.is_none());
+    }
+
+    #[test]
+    fn a_pre_merge_elastic_job_maps_onto_scaling_only() {
+        let job = parse_job(&pre_merge_job(false, true, 1)).unwrap();
+        let want = ClusterPolicy {
+            high: 0.6,
+            low: 0.45,
+            patience: 1,
+            warmup_rounds: 1,
+            max_migrations: 0,
+            workers: Some((2, 3)),
+            max_scales: 2,
+            spawn: false,
+        };
+        assert_eq!(job.cluster, want);
+    }
+
+    #[test]
+    fn a_pre_merge_job_with_both_loops_takes_balances_shared_values() {
+        let job = parse_job(&pre_merge_job(true, true, 1)).unwrap();
+        // Balance's threshold, patience and warmup win, as migration won
+        // a tie; the low threshold never rises above the high one.
+        let want = ClusterPolicy {
+            high: 0.4,
+            low: 0.4,
+            patience: 3,
+            warmup_rounds: 2,
+            max_migrations: 3,
+            workers: Some((2, 3)),
+            max_scales: 2,
+            spawn: false,
+        };
+        assert_eq!(job.cluster, want);
+        // Neither enabled: unarmed, whatever the sections hold.
+        let off = parse_job(&pre_merge_job(false, false, 7)).unwrap();
+        assert_eq!(off.cluster, ClusterPolicy::default());
+    }
+
+    #[test]
+    fn pre_merge_jobs_refuse_what_the_one_loop_cannot_do() {
+        let err = parse_job(&pre_merge_job(true, false, 2)).unwrap_err();
+        assert!(
+            err.contains("max_moves") && err.contains("retired"),
+            "{err}"
+        );
+        let both = pre_merge_job(true, false, 1).replacen('{', r#"{"cluster":{},"#, 1);
+        let err = parse_job(&both).unwrap_err();
+        assert!(err.contains("not both"), "{err}");
+        // A job written now round-trips.
+        let job = ClusterJob {
+            cluster: ClusterPolicy {
+                workers: Some((1, 3)),
+                ..ClusterPolicy::default()
+            },
+            ..ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None)
+        };
+        let back = parse_job(&serde_json::to_string(&job).unwrap()).unwrap();
+        assert_eq!(back.cluster, job.cluster);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use warp_elastic::ElasticPolicy;
 use warp_exec::distributed::RecoveryPolicy;
 use warp_exec::run_sequential;
 use warp_net::{FaultKind, FaultPlan, FaultRule, FaultScope, Selector};
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
+use warped_online::control::ClusterPolicy;
 use warped_online::models::PholdConfig;
 
 fn worker_bin() -> PathBuf {
@@ -99,14 +99,13 @@ fn newcomer_crash_during_scale_out_falls_back_without_divergence() {
     // nothing is lost — record a "fallback" ScaleRecord, and still
     // commit the sequential history.
     let job = ClusterJob {
-        elastic: ElasticPolicy {
-            enabled: true,
-            min_workers: 2,
-            max_workers: 3,
-            scale_out_pressure: 0.5,
-            scale_in_pressure: 0.15,
+        cluster: ClusterPolicy {
+            high: 0.5,
+            low: 0.15,
             patience: 2,
             warmup_rounds: 1,
+            max_migrations: 0,
+            workers: Some((2, 3)),
             max_scales: 1,
             spawn: true,
         },

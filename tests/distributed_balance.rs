@@ -8,12 +8,13 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use warp_balance::BalancePolicy;
 use warp_exec::distributed::RecoveryPolicy;
 use warp_exec::run_sequential;
 use warp_net::FaultPlan;
 use warp_telemetry::Param;
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
+use warped_online::control::cluster::Assignment;
+use warped_online::control::ClusterPolicy;
 use warped_online::models::PholdConfig;
 
 fn worker_bin() -> PathBuf {
@@ -78,14 +79,12 @@ fn slowed_worker_triggers_migration_and_commits_the_sequential_history() {
     // which the committed trace must still be byte-identical to the
     // sequential run.
     let job = ClusterJob {
-        balance: BalancePolicy {
-            enabled: true,
-            dead_zone: 0.4,
+        cluster: ClusterPolicy {
+            high: 0.4,
             patience: 3,
             warmup_rounds: 2,
-            max_moves: 1,
-            min_lps: 1,
             max_migrations: 3,
+            ..ClusterPolicy::default()
         },
         fault: Some(FaultPlan::new().slow(3, 400, 0)),
         telemetry: true,
@@ -106,7 +105,7 @@ fn slowed_worker_triggers_migration_and_commits_the_sequential_history() {
     // *net* effect: replaying every recorded move over the seed
     // assignment leaves the slowed worker with strictly fewer LPs
     // than it started with.
-    let seed = warp_balance::Assignment::contiguous(6, 3).unwrap();
+    let seed = Assignment::contiguous(6, 3).unwrap();
     let initial = seed.lps_of(3).len();
     let mut owners = seed.owners().to_vec();
     for m in &dist.migrations {
@@ -137,6 +136,23 @@ fn slowed_worker_triggers_migration_and_commits_the_sequential_history() {
         assignment_events >= dist.migrations.iter().map(|m| m.moves.len()).sum::<usize>(),
         "migrations missing from the telemetry trajectory"
     );
+    // With telemetry on the coordinator records every round the loop
+    // saw, and the plan taken on one of them is the first migration.
+    let plan = telemetry
+        .rounds
+        .iter()
+        .find_map(|r| r.plan.as_ref())
+        .expect("no recorded round carries the migration's plan");
+    let recorded: Vec<_> = plan.moves.iter().map(|m| (m.lp, m.from, m.to)).collect();
+    let taken: Vec<_> = dist.migrations[0]
+        .moves
+        .iter()
+        .map(|m| (m.lp, m.from, m.to))
+        .collect();
+    assert_eq!(
+        recorded, taken,
+        "the recorded plan is not the migration taken"
+    );
 }
 
 #[test]
@@ -146,14 +162,12 @@ fn balanced_cluster_never_migrates_inside_the_dead_zone() {
     // produces must stay inside the hysteresis, so the assignment never
     // moves even though the balancer is armed.
     let job = ClusterJob {
-        balance: BalancePolicy {
-            enabled: true,
-            dead_zone: 0.85,
+        cluster: ClusterPolicy {
+            high: 0.85,
             patience: 6,
             warmup_rounds: 2,
-            max_moves: 1,
-            min_lps: 1,
             max_migrations: 3,
+            ..ClusterPolicy::default()
         },
         ..phold_job()
     };
@@ -175,14 +189,12 @@ fn migration_recovers_throughput_lost_to_a_slow_worker() {
     // modest (10%) because CI machines are noisy; the real effect (the
     // slow worker drops from 2 LPs to 1) is closer to 2x.
     let slow = |balance: bool| ClusterJob {
-        balance: BalancePolicy {
-            enabled: balance,
-            dead_zone: 0.4,
+        cluster: ClusterPolicy {
+            high: 0.4,
             patience: 3,
             warmup_rounds: 2,
-            max_moves: 1,
-            min_lps: 1,
-            max_migrations: 3,
+            max_migrations: if balance { 3 } else { 0 },
+            ..ClusterPolicy::default()
         },
         fault: Some(FaultPlan::new().slow(3, 500, 0)),
         ..phold_job()

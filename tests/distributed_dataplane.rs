@@ -8,12 +8,12 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use warp_balance::BalancePolicy;
 use warp_exec::distributed::RecoveryPolicy;
 use warp_exec::run_sequential;
 use warp_net::{AggregationConfig, FaultPlan};
 use warp_telemetry::Param;
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
+use warped_online::control::ClusterPolicy;
 use warped_online::models::PholdConfig;
 
 fn worker_bin() -> PathBuf {
@@ -155,14 +155,12 @@ fn slowed_worker_under_aggregation_migrates_and_matches_sequential() {
             stall_budget_ms: 0,
             ..RecoveryPolicy::default()
         },
-        balance: BalancePolicy {
-            enabled: true,
-            dead_zone: 0.4,
+        cluster: ClusterPolicy {
+            high: 0.4,
             patience: 3,
             warmup_rounds: 2,
-            max_moves: 1,
-            min_lps: 1,
             max_migrations: 3,
+            ..ClusterPolicy::default()
         },
         fault: Some(FaultPlan::new().slow(3, 400, 0)),
         ..ClusterJob::new(ModelSpec::Phold(cfg), None)

@@ -11,13 +11,13 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use warp_elastic::ElasticPolicy;
 use warp_exec::distributed::{run_coordinator, RecoveryPolicy};
 use warp_exec::run_sequential;
 use warp_net::frame::PROTO_VERSION;
 use warp_net::{FaultPlan, Frame};
 use warp_telemetry::Param;
 use warped_online::cluster::{dist_config, run_distributed_job, ClusterJob, ModelSpec};
+use warped_online::control::ClusterPolicy;
 use warped_online::models::PholdConfig;
 
 fn worker_bin() -> PathBuf {
@@ -57,15 +57,14 @@ fn phold_job(ttl: u32) -> ClusterJob {
 // Short hysteresis: the three tests in this binary run concurrently,
 // and a CPU-starved "fast" worker narrows the lead spread — the
 // controller must fire on the rounds it does get.
-fn elastic_policy() -> ElasticPolicy {
-    ElasticPolicy {
-        enabled: true,
-        min_workers: 2,
-        max_workers: 3,
-        scale_out_pressure: 0.5,
-        scale_in_pressure: 0.3,
+fn elastic_policy() -> ClusterPolicy {
+    ClusterPolicy {
+        high: 0.5,
+        low: 0.3,
         patience: 2,
         warmup_rounds: 1,
+        max_migrations: 0,
+        workers: Some((2, 3)),
         max_scales: 3,
         spawn: true,
     }
@@ -97,7 +96,7 @@ fn skewed_cluster_scales_out_and_commits_the_sequential_history() {
     // worker — after which the committed trace must still be
     // byte-identical to the sequential run.
     let job = ClusterJob {
-        elastic: elastic_policy(),
+        cluster: elastic_policy(),
         fault: Some(FaultPlan::new().slow(1, 800, 0)),
         telemetry: true,
         ..phold_job(220)
@@ -127,7 +126,7 @@ fn skewed_cluster_scales_out_and_commits_the_sequential_history() {
         "scale-out moves must all land on the admitted worker"
     );
     assert!(
-        out.pressure >= job.elastic.scale_out_pressure,
+        out.pressure >= job.cluster.high,
         "recorded pressure {} below the firing threshold",
         out.pressure
     );
@@ -163,7 +162,7 @@ fn transient_skew_scales_out_then_back_in() {
     // retired process must exit cleanly and the history must still
     // match the sequential model.
     let job = ClusterJob {
-        elastic: elastic_policy(),
+        cluster: elastic_policy(),
         fault: Some(FaultPlan::new().slow(1, 400, 5_000)),
         telemetry: true,
         ..phold_job(1200)
@@ -209,7 +208,7 @@ fn parked_join_worker_is_adopted_when_pressure_mounts() {
     let _ = std::fs::remove_file(&admit_file);
 
     let job = ClusterJob {
-        elastic: ElasticPolicy {
+        cluster: ClusterPolicy {
             spawn: false,
             ..elastic_policy()
         },
@@ -318,7 +317,7 @@ fn joiner_that_dies_before_its_first_session_falls_back() {
     let _ = std::fs::remove_file(&admit_file);
 
     let job = ClusterJob {
-        elastic: ElasticPolicy {
+        cluster: ClusterPolicy {
             spawn: false,
             ..elastic_policy()
         },
@@ -370,14 +369,13 @@ fn scale_in_retires_the_highest_worker_and_commits_the_sequential_history() {
     // The retiree must exit 0 (the run fails otherwise) and its LPs
     // must restore on the survivors without perturbing the history.
     let job = ClusterJob {
-        elastic: ElasticPolicy {
-            enabled: true,
-            min_workers: 2,
-            max_workers: 3,
-            scale_out_pressure: 1.0,
-            scale_in_pressure: 0.99,
+        cluster: ClusterPolicy {
+            high: 1.0,
+            low: 0.99,
             patience: 1,
             warmup_rounds: 1,
+            max_migrations: 0,
+            workers: Some((2, 3)),
             max_scales: 1,
             spawn: false,
         },

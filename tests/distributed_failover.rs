@@ -390,6 +390,52 @@ fn a_store_written_before_respawn_only_resume_still_resumes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rewrite the store's job record the way a build with two cluster
+/// loops wrote it: the `balance` and `elastic` sections, at that build's
+/// defaults, where the one `cluster` policy is now.
+fn as_a_two_loop_build_wrote_it(store: &Path) {
+    let path = store.join("images.seg");
+    let bytes = std::fs::read(&path).unwrap();
+    let (header, rest) = bytes.split_at(16);
+    let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+    let job = std::str::from_utf8(&rest[8..8 + len]).unwrap();
+    let at = job
+        .find(r#""cluster":{"#)
+        .expect("the job carries a cluster section");
+    let end = at + job[at..].find('}').unwrap() + 1;
+    let sections = concat!(
+        r#""balance":{"enabled":false,"dead_zone":0.5,"patience":3,"warmup_rounds":2,"#,
+        r#""max_moves":1,"min_lps":1,"max_migrations":4},"#,
+        r#""elastic":{"enabled":false,"min_workers":1,"max_workers":4,"#,
+        r#""scale_out_pressure":0.6,"scale_in_pressure":0.15,"patience":3,"#,
+        r#""warmup_rounds":2,"max_scales":2,"spawn":true}"#
+    );
+    let job = format!("{}{sections}{}", &job[..at], &job[end..]).into_bytes();
+    let mut out = header.to_vec();
+    out.extend_from_slice(&(job.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&job).to_le_bytes());
+    out.extend_from_slice(&job);
+    out.extend_from_slice(&rest[8 + len..]);
+    std::fs::write(&path, out).unwrap();
+}
+
+#[test]
+fn a_store_written_with_two_cluster_loops_still_resumes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = unique_dir("two-loops");
+    let job = failover_job(&dir);
+
+    let crash_log = dir.join("crash.stderr");
+    let pids = crash_coordinator(&job, &dir, &crash_log, 1);
+    assert_orphans_exit(&pids, &crash_log);
+    as_a_two_loop_build_wrote_it(&dir);
+    let report = resume_coordinator(&dir, &dir.join("resume.stderr"));
+
+    assert_matches_sequential(&job, &report);
+    assert_eq!(report.resume.images_loaded, 4, "{:?}", report.resume);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn supervised_coordinator_resumes_once_and_never_crashes_again() {
     // `--supervise` runs the coordinator as a child and restarts it with

@@ -6,19 +6,18 @@
 //! through a worker crash mid-run) must all commit the
 //! byte-identical history — the golden-model contract every other
 //! workload honors. Second, the reason SERVE exists: a diurnal burst
-//! wave with hot-tenant skew must make the balance controller migrate
-//! an LP and the elastic controller scale the cluster out and back in
-//! — from *modeled* load alone, with no slowed worker anywhere —
-//! while the committed trace still matches the sequential run exactly.
+//! wave with hot-tenant skew must make the cluster loop migrate an LP
+//! and scale the cluster out and back in — from *modeled* load alone,
+//! with no slowed worker anywhere — while the committed trace still
+//! matches the sequential run exactly.
 
 use std::path::PathBuf;
 use std::time::Duration;
-use warp_balance::BalancePolicy;
-use warp_elastic::ElasticPolicy;
 use warp_exec::distributed::RecoveryPolicy;
 use warp_exec::{run_sequential, run_threaded};
 use warp_net::{AggregationConfig, FaultPlan};
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
+use warped_online::control::ClusterPolicy;
 use warped_online::models::ServeConfig;
 
 fn worker_bin() -> PathBuf {
@@ -138,31 +137,20 @@ fn diurnal_wave_drives_migration_and_scaling_without_handicaps() {
     // load is near-uniform; at 150ms of virtual time a 4× burst with
     // hot-tenant skew concentrates traffic on the low-numbered
     // stations — which the contiguous assignment puts on worker 1. The
-    // balance controller must notice worker 1's optimism front lagging
-    // and migrate an LP off it; the elastic controller must admit a
-    // third worker while the wave lasts and drain it after the wave
-    // subsides. The committed history must match the sequential model
-    // before, during and after all of it.
+    // cluster loop must notice worker 1's optimism front lagging and
+    // migrate an LP off it, then admit a third worker while the wave
+    // lasts and drain it after the wave subsides. The committed history
+    // must match the sequential model before, during and after all of it.
     let job = ClusterJob {
         collect_traces: true,
         recovery: recovery(),
-        balance: BalancePolicy {
-            enabled: true,
-            dead_zone: 0.4,
-            patience: 3,
-            warmup_rounds: 2,
-            max_moves: 1,
-            min_lps: 1,
-            max_migrations: 1,
-        },
-        elastic: ElasticPolicy {
-            enabled: true,
-            min_workers: 2,
-            max_workers: 3,
-            scale_out_pressure: 0.6,
-            scale_in_pressure: 0.45,
+        cluster: ClusterPolicy {
+            high: 0.5,
+            low: 0.45,
             patience: 1,
             warmup_rounds: 1,
+            max_migrations: 1,
+            workers: Some((2, 3)),
             max_scales: 3,
             spawn: true,
         },
