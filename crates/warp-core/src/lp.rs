@@ -196,9 +196,9 @@ impl LpRuntime {
         self.route(out);
     }
 
-    /// Deliver a batch of incoming events from the transport. Cascaded
-    /// anti-messages to remote LPs are pushed to `out`.
-    pub fn deliver(&mut self, events: Vec<Event>, out: &mut Vec<Event>) {
+    /// Deliver a batch of incoming events from the transport, in order.
+    /// Cascaded anti-messages to remote LPs are pushed to `out`.
+    pub fn deliver(&mut self, events: impl IntoIterator<Item = Event>, out: &mut Vec<Event>) {
         self.cascade.extend(events);
         self.route(out);
     }

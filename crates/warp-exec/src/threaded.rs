@@ -1008,6 +1008,15 @@ mod tests {
     }
 
     #[test]
+    fn a_packet_carries_its_lone_event_in_place_within_two_cache_lines() {
+        use std::mem::size_of;
+        // A lane slot holds a whole packet, so the packet's size is the
+        // ring's: `LANE_CAP` slots per lane, n² lanes.
+        assert_eq!(size_of::<PhysMsg>(), size_of::<Event>() + 8);
+        assert_eq!(size_of::<Packet>(), 96);
+    }
+
+    #[test]
     fn pinned_gvt_starts_one_round_per_budget_of_growth_not_a_storm() {
         // LP 1 crawls, so GVT stays far behind LP 0 and LP 0's fossil
         // passes reclaim next to nothing: its retained history only

@@ -66,7 +66,9 @@ impl VirtualOptions {
 #[derive(Debug)]
 enum VEvent {
     /// A physical message completes its wire transit into an LP's inbox.
-    Arrive { dst_lp: usize, msg: PhysMsg },
+    /// The message waits in `Cluster::in_flight[slot]`: a heap item stays
+    /// a few words, however large the message.
+    Arrive { slot: usize },
     /// A node should look for work.
     Wake { node: usize, version: u64 },
     /// Periodic exact-GVT computation + fossil collection.
@@ -112,6 +114,10 @@ struct Cluster {
     lps: Vec<LpRuntime>,
     aggs: Vec<Aggregator>,
     inbox: Vec<Vec<PhysMsg>>,
+    /// Messages in transit, each indexed by its `Arrive` item; a `None`
+    /// slot is free and listed in `free_slots`.
+    in_flight: Vec<Option<PhysMsg>>,
+    free_slots: Vec<usize>,
     node_of_lp: Vec<usize>,
     nodes: Vec<Node>,
     heap: BinaryHeap<HeapItem>,
@@ -173,8 +179,17 @@ impl Cluster {
             self.charge(node, send_cost);
             self.aggs[lp].note_send_cost(send_cost);
             let arrive_at = self.nodes[node].clock + msg.transit_time(&self.cost);
-            let dst_lp = msg.dst.index();
-            self.push(arrive_at, VEvent::Arrive { dst_lp, msg });
+            let slot = match self.free_slots.pop() {
+                Some(slot) => {
+                    self.in_flight[slot] = Some(msg);
+                    slot
+                }
+                None => {
+                    self.in_flight.push(Some(msg));
+                    self.in_flight.len() - 1
+                }
+            };
+            self.push(arrive_at, VEvent::Arrive { slot });
         }
         self.due = due;
     }
@@ -294,10 +309,8 @@ impl Cluster {
                 g = g.min(m.min_recv_time());
             }
         }
-        for item in self.heap.iter() {
-            if let VEvent::Arrive { msg, .. } = &item.ev {
-                g = g.min(msg.min_recv_time());
-            }
+        for msg in self.in_flight.iter().flatten() {
+            g = g.min(msg.min_recv_time());
         }
         g
     }
@@ -359,6 +372,8 @@ pub fn run_virtual_inspect(
             })
             .collect(),
         inbox: vec![Vec::new(); n_lps],
+        in_flight: Vec::new(),
+        free_slots: Vec::new(),
         node_of_lp,
         nodes,
         heap: BinaryHeap::new(),
@@ -416,8 +431,13 @@ pub fn run_virtual_inspect(
             );
         }
         match ev {
-            VEvent::Arrive { dst_lp, msg } => {
+            VEvent::Arrive { slot } => {
                 cluster.live -= 1;
+                let msg = cluster.in_flight[slot]
+                    .take()
+                    .expect("an arrival's slot holds it");
+                cluster.free_slots.push(slot);
+                let dst_lp = msg.dst.index();
                 cluster.inbox[dst_lp].push(msg);
                 cluster.schedule_wake(cluster.node_of_lp[dst_lp], at);
             }

@@ -14,6 +14,8 @@
 
 use crate::policy::{AggregationConfig, BucketPolicy};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Bound;
 use warp_core::stats::CommStats;
 use warp_core::{CostModel, Event, LpId};
 
@@ -25,7 +27,121 @@ pub struct PhysMsg {
     /// Receiving logical process.
     pub dst: LpId,
     /// The aggregated application events, in send order.
-    pub events: Vec<Event>,
+    pub events: EventBatch,
+}
+
+/// The events of a [`PhysMsg`]: a lone event stored in place, two or
+/// more in one heap block. An unaggregated message — every message under
+/// the default configuration — therefore allocates nothing from the
+/// sender's [`Aggregator`] to the receiver's `deliver`, and no LP thread
+/// frees a block another thread allocated. It reads as an `[Event]`
+/// ([`Deref`](core::ops::Deref)) and iterates by value; equality is
+/// slice equality, whichever way the events are stored.
+#[derive(Clone)]
+pub struct EventBatch(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    One(Event),
+    /// None, or two and more.
+    Many(Vec<Event>),
+}
+
+impl EventBatch {
+    /// The empty batch.
+    pub const fn new() -> Self {
+        EventBatch(Repr::Many(Vec::new()))
+    }
+
+    /// A batch of one event, in place.
+    pub fn one(ev: Event) -> Self {
+        EventBatch(Repr::One(ev))
+    }
+
+    /// Whether the events are stored in place (no heap block).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::One(_))
+    }
+}
+
+impl Default for EventBatch {
+    fn default() -> Self {
+        EventBatch::new()
+    }
+}
+
+impl core::ops::Deref for EventBatch {
+    type Target = [Event];
+    #[inline]
+    fn deref(&self) -> &[Event] {
+        match &self.0 {
+            Repr::One(ev) => core::slice::from_ref(ev),
+            Repr::Many(v) => v,
+        }
+    }
+}
+
+impl FromIterator<Event> for EventBatch {
+    /// A lone event stays in place; two or more go to one heap block,
+    /// sized by the iterator's hint (exact for a `drain`).
+    fn from_iter<I: IntoIterator<Item = Event>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return EventBatch::new();
+        };
+        let Some(second) = iter.next() else {
+            return EventBatch::one(first);
+        };
+        let mut v = Vec::with_capacity(2 + iter.size_hint().0);
+        v.push(first);
+        v.push(second);
+        v.extend(iter);
+        EventBatch(Repr::Many(v))
+    }
+}
+
+impl From<Vec<Event>> for EventBatch {
+    /// A lone event is moved in place (and the block freed); any other
+    /// count keeps the vector as it is.
+    fn from(mut v: Vec<Event>) -> Self {
+        match v.len() {
+            1 => EventBatch::one(v.pop().expect("one event")),
+            _ => EventBatch(Repr::Many(v)),
+        }
+    }
+}
+
+impl PartialEq for EventBatch {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for EventBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl<'a> IntoIterator for &'a EventBatch {
+    type Item = &'a Event;
+    type IntoIter = core::slice::Iter<'a, Event>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl IntoIterator for EventBatch {
+    type Item = Event;
+    /// The lone event, or the block's events: one half is always empty.
+    type IntoIter = core::iter::Chain<core::option::IntoIter<Event>, std::vec::IntoIter<Event>>;
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self.0 {
+            Repr::One(ev) => (Some(ev), Vec::new()),
+            Repr::Many(v) => (None, v),
+        };
+        one.into_iter().chain(many)
+    }
 }
 
 impl PhysMsg {
@@ -176,28 +292,12 @@ impl Aggregator {
 
     /// Flush every bucket whose deadline has passed at `now`.
     pub fn poll(&mut self, now: f64, out: &mut Vec<PhysMsg>) {
-        let due: Vec<LpId> = self
-            .buckets
-            .iter()
-            .filter(|(_, b)| !b.events.is_empty() && now >= b.deadline())
-            .map(|(&dst, _)| dst)
-            .collect();
-        for dst in due {
-            self.flush_bucket(dst, now, out);
-        }
+        self.flush_where(now, out, |b| now >= b.deadline());
     }
 
     /// Flush everything regardless of age (termination, GVT barrier).
     pub fn flush_all(&mut self, now: f64, out: &mut Vec<PhysMsg>) {
-        let dsts: Vec<LpId> = self
-            .buckets
-            .iter()
-            .filter(|(_, b)| !b.events.is_empty())
-            .map(|(&d, _)| d)
-            .collect();
-        for dst in dsts {
-            self.flush_bucket(dst, now, out);
-        }
+        self.flush_where(now, out, |_| true);
     }
 
     /// Buffered events not yet shipped (diagnostics, GVT accounting).
@@ -237,6 +337,25 @@ impl Aggregator {
         self.stats.local_events += n;
     }
 
+    /// Flush, in destination order, every non-empty bucket `due` picks.
+    /// A cursor over the map, not a list of keys: a poll allocates
+    /// nothing.
+    fn flush_where(&mut self, now: f64, out: &mut Vec<PhysMsg>, due: impl Fn(&Bucket) -> bool) {
+        let mut from = Bound::Unbounded;
+        while let Some(dst) = self
+            .buckets
+            .range((from, Bound::Unbounded))
+            .find(|(_, b)| !b.events.is_empty() && due(b))
+            .map(|(&dst, _)| dst)
+        {
+            self.flush_bucket(dst, now, out);
+            from = Bound::Excluded(dst);
+        }
+    }
+
+    /// Ship `dst`'s bucket as one physical message. The bucket keeps its
+    /// capacity: a lone event moves into the message, two or more into
+    /// one block of their exact size.
     fn flush_bucket(&mut self, dst: LpId, now: f64, out: &mut Vec<PhysMsg>) {
         let bucket = self
             .buckets
@@ -245,7 +364,7 @@ impl Aggregator {
         if bucket.events.is_empty() {
             return;
         }
-        let events = std::mem::take(&mut bucket.events);
+        let events: EventBatch = bucket.events.drain(..).collect();
         let n = events.len();
         let age = (now - bucket.opened_at).max(0.0);
         let before = bucket.policy.window();
@@ -418,12 +537,49 @@ mod tests {
     }
 
     #[test]
+    fn a_message_holds_its_lone_event_in_place() {
+        // The batch is no larger than the event it holds in place; the
+        // message adds the two LP ids.
+        assert_eq!(
+            std::mem::size_of::<EventBatch>(),
+            std::mem::size_of::<Event>()
+        );
+        assert_eq!(std::mem::size_of::<PhysMsg>(), 88);
+        let mut agg = Aggregator::new(LpId(0), AggregationConfig::Unaggregated);
+        let mut out = Vec::new();
+        agg.offer(DST, ev(0, 10), 0.0, &mut out);
+        assert!(out[0].events.is_inline());
+        assert_eq!(*out[0].events, [ev(0, 10)]);
+    }
+
+    #[test]
+    fn poll_and_flush_all_ship_in_destination_order() {
+        let mut agg = Aggregator::new(LpId(0), AggregationConfig::Faw { window: 1e-3 });
+        let mut out = Vec::new();
+        for (s, dst) in [3, 1, 2, 1].into_iter().enumerate() {
+            agg.offer(LpId(dst), ev(s as u64, 10), 0.0, &mut out);
+        }
+        agg.offer(LpId(4), ev(9, 10), 0.5e-3, &mut out);
+        agg.poll(1e-3, &mut out);
+        let shipped = |out: &[PhysMsg]| -> Vec<(u32, usize)> {
+            out.iter().map(|m| (m.dst.0, m.events.len())).collect()
+        };
+        assert_eq!(shipped(&out), [(1, 2), (2, 1), (3, 1)]);
+        assert!(!out[0].events.is_inline() && out[1].events.is_inline());
+        agg.offer(LpId(2), ev(10, 10), 1e-3, &mut out);
+        out.clear();
+        agg.flush_all(1e-3, &mut out);
+        assert_eq!(shipped(&out), [(2, 1), (4, 1)]);
+        assert_eq!(agg.buffered(), 0);
+    }
+
+    #[test]
     fn phys_msg_costs_scale_with_content() {
         let cost = CostModel::sparc_now_10mbps();
         let small = PhysMsg {
             src: LpId(0),
             dst: DST,
-            events: vec![ev(0, 1)],
+            events: EventBatch::one(ev(0, 1)),
         };
         let big = PhysMsg {
             src: LpId(0),

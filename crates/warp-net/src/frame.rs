@@ -57,7 +57,7 @@
 //! letting receivers drop duplicates, reorder delayed frames back into
 //! send order, and detect gaps (lost frames) as an unclean link failure.
 
-use crate::aggregate::PhysMsg;
+use crate::aggregate::{EventBatch, PhysMsg};
 use std::fmt;
 use warp_core::gvt::GvtToken;
 use warp_core::wire::{
@@ -428,10 +428,16 @@ impl Frame {
                         body.len()
                     )));
                 }
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push(decode_event(&mut r).map_err(mal)?);
-                }
+                // A lone event is decoded in place, without a block.
+                let events = if n == 1 {
+                    EventBatch::one(decode_event(&mut r).map_err(mal)?)
+                } else {
+                    let mut events = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        events.push(decode_event(&mut r).map_err(mal)?);
+                    }
+                    EventBatch::from(events)
+                };
                 Frame::Data {
                     seq,
                     epoch,
@@ -643,7 +649,7 @@ mod tests {
                 msg: PhysMsg {
                     src: LpId(1),
                     dst: LpId(0),
-                    events: vec![ev(1, 10), ev(2, 11).to_anti()],
+                    events: vec![ev(1, 10), ev(2, 11).to_anti()].into(),
                 },
             },
             Frame::Token {

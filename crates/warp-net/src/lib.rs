@@ -38,7 +38,7 @@ pub mod policy;
 pub mod spsc;
 pub mod tcp;
 
-pub use aggregate::{Aggregator, PhysMsg};
+pub use aggregate::{Aggregator, EventBatch, PhysMsg};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope, ProcFault, Selector};
 pub use frame::{Frame, FrameDecoder, FrameError, PROTO_VERSION};
 pub use policy::AggregationConfig;

@@ -1534,7 +1534,7 @@ mod tests {
             msg: crate::aggregate::PhysMsg {
                 src: warp_core::LpId(0),
                 dst: warp_core::LpId(1),
-                events: vec![],
+                events: crate::EventBatch::new(),
             },
         }
     }
@@ -1704,7 +1704,7 @@ mod tests {
             msg: crate::aggregate::PhysMsg {
                 src: warp_core::LpId(0),
                 dst: warp_core::LpId(1),
-                events: vec![warp_core::Event::new(
+                events: crate::EventBatch::one(warp_core::Event::new(
                     warp_core::event::EventId {
                         sender: warp_core::ObjectId(0),
                         serial: epoch.into(),
@@ -1714,7 +1714,7 @@ mod tests {
                     VirtualTime::new(2),
                     0,
                     vec![epoch as u8; 64 << 10],
-                )],
+                )),
             },
         };
         let sender = m0.sender();
@@ -2049,7 +2049,7 @@ mod tests {
             msg: crate::aggregate::PhysMsg {
                 src: warp_core::LpId(1),
                 dst: warp_core::LpId(0),
-                events: vec![warp_core::Event::new(
+                events: crate::EventBatch::one(warp_core::Event::new(
                     warp_core::event::EventId {
                         sender: warp_core::ObjectId(1),
                         serial: seq,
@@ -2059,7 +2059,7 @@ mod tests {
                     VirtualTime::new(2),
                     0,
                     vec![seq as u8; len],
-                )],
+                )),
             },
         };
         // A burst of several read buffers' worth, written while proc 0

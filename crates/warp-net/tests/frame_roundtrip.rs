@@ -100,7 +100,7 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                 msg: PhysMsg {
                     src: LpId(src),
                     dst: LpId(dst),
-                    events,
+                    events: events.into(),
                 },
             }),
         (any::<u32>(), any::<u32>(), any::<u64>(), any::<i64>()).prop_map(
