@@ -83,7 +83,7 @@
 //! [`load_checkpoint_segment`]).
 //!
 //! When a peer is lost *uncleanly* (crash, half-open link past the
-//! liveness timeout, or an unrecoverable sequence gap), every survivor
+//! liveness timeout, or a data frame out of sequence), every survivor
 //! aborts its LP threads, re-binds a fresh listener, announces it on its
 //! control socket, and waits there; the coordinator reaps dead
 //! workers, respawns them, distributes the new peer list (a
@@ -220,8 +220,8 @@ pub struct NetTuning {
     /// Longest a live link stays silent before a heartbeat goes out
     /// (milliseconds).
     pub heartbeat_ms: u64,
-    /// Silence threshold after which a link is declared half-open, and
-    /// the bound on how long a sequence gap may persist (milliseconds).
+    /// Silence threshold after which a link is declared half-open
+    /// (milliseconds).
     pub liveness_ms: u64,
     /// First dial-retry backoff during mesh establishment (milliseconds).
     pub connect_backoff_start_ms: u64,
@@ -2843,7 +2843,7 @@ fn route_data(lane: &LaneEndpoint<Packet>, slot_of: &[Slot], frame: Frame) -> Op
 /// worker's one image set, and
 /// counts the LPs' exit wakes until all `n_local` have stopped
 /// (`Finished`). Between events it does the peer links' idle duties
-/// (`TcpMesh::tick`: liveness, gap expiry, heartbeats) as often as the
+/// (`TcpMesh::tick`: liveness, heartbeats) as often as the
 /// mesh asks. LP traffic never comes here: whoever pumps a peer link
 /// delivers it (`route_data`). A peer loss (the coordinator's, at a
 /// regroup, included) or a protocol violation aborts every local LP and

@@ -1,31 +1,28 @@
 //! Deterministic fault injection for the process mesh.
 //!
 //! Recovery code that is only exercised by real crashes is recovery code
-//! that has never run. This module makes every failure mode the
-//! transport can suffer *reproducible*: a [`FaultPlan`] is a list of
-//! seeded, declarative rules — drop, duplicate, or delay specific data
-//! frames, partition a link, crash a process — that the TCP mesh applies
-//! on the *sending* side of each link, keyed on the per-link [`Frame::Data`]
-//! sequence number rather than wall-clock time, so the same plan perturbs
-//! the same frames on every run.
+//! that has never run. This module makes the failures a network of
+//! workstations suffers *reproducible*. Inside one TCP connection bytes
+//! are never duplicated, reordered or silently lost: a link delivers in
+//! order, goes silent, or dies. So a [`FaultPlan`] is a list of
+//! declarative rules of exactly those shapes — partition a link,
+//! black-hole one direction of it, crash a process — that the TCP mesh
+//! applies on the *sending* side of each link, keyed on the link's count
+//! of [`Frame::Data`] frames rather than wall-clock time, so the same
+//! plan fires at the same frame on every run. Every rule latches: from
+//! its frame on it holds until the session ends.
 //!
 //! Rules carry a [`FaultScope`]. The default, [`FaultScope::Data`],
-//! perturbs the application channel: `Data` frames, counted by their
-//! per-link sequence number. [`FaultScope::Control`] instead targets the
-//! GVT plane — `Token` and `GvtNews` frames, counted by their own
-//! per-link ordinal — which is how a *wedged-but-connected* worker is
+//! counts `Data` frames. [`FaultScope::Control`] instead targets the GVT
+//! plane — `Token` and `GvtNews` frames, counted by their own per-link
+//! ordinal — which is how a *wedged-but-connected* worker is
 //! manufactured: data and heartbeats keep flowing, the Mattern ring goes
 //! silent, and only a GVT-progress watchdog can tell anything is wrong.
-//! Control scope deliberately honours only the loss-shaped kinds
-//! (`Drop`, `Partition`, `Crash`); `Duplicate` and `Delay` degrade to
-//! plain delivery, because a duplicated Mattern token corrupts the GVT
-//! computation itself — a fault no transport-level recovery could
-//! repair — and a reordered `GvtNews` could announce horizons backwards.
-//! Heartbeats and the checkpoint frames are exempt in every scope:
-//! dropping heartbeats is expressed more honestly as a
-//! [`FaultKind::Partition`]. What the plan models is an unreliable
-//! channel; what recovery must guarantee is that the committed trace
-//! survives it anyway.
+//! In that scope `Partition` and `Blackhole` alike silence the GVT
+//! frames. Heartbeats and the checkpoint frames are exempt in every
+//! scope: silencing heartbeats is what [`FaultKind::Partition`] does.
+//! What recovery must guarantee is that the committed trace survives
+//! every rule.
 //!
 //! Plans are plain serde values so they can ride inside `ClusterJob`
 //! specs and `WorkerInit` lines; each rule can be pinned to a session
@@ -43,84 +40,32 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which data frames (by per-link sequence number) a rule applies to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Selector {
-    /// Exactly the frame with this sequence number.
-    At(u64),
-    /// Every `every`-th frame, offset by `phase`: fires when
-    /// `seq % every == phase`. `every == 0` never fires.
-    Every {
-        /// Period in frames (0 disables the rule).
-        every: u64,
-        /// Offset within the period.
-        phase: u64,
-    },
-    /// A deterministic pseudo-random `per_mille`/1000 of frames, keyed on
-    /// `(seed, link, seq)` — the same plan picks the same frames on every
-    /// run, but different links and seeds decorrelate.
-    Random {
-        /// Mixes into the hash so distinct rules pick distinct frames.
-        seed: u64,
-        /// Fire probability in thousandths (1000 = every frame).
-        per_mille: u16,
-    },
-    /// Every frame from this sequence number onward. `Drop(From(n))` is
-    /// an *asymmetric partition*: the directed link swallows all its
-    /// data while the reverse direction — and this direction's
-    /// heartbeats — keep flowing. Because nothing later ever arrives,
-    /// the receiver sees no sequence gap and liveness stays green; only
-    /// the GVT plane betrays the fault (the Mattern counts never
-    /// reconcile), so the stall watchdog is the detector.
-    From(u64),
-}
-
-impl Selector {
-    /// Does this selector pick the data frame with sequence `seq` on the
-    /// link identified by `salt`?
-    pub fn matches(&self, salt: u64, seq: u64) -> bool {
-        match *self {
-            Selector::At(n) => seq == n,
-            Selector::Every { every, phase } => every != 0 && seq % every == phase % every,
-            Selector::Random { seed, per_mille } => {
-                (splitmix(seed ^ salt ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 1000)
-                    < per_mille as u64
-            }
-            Selector::From(n) => seq >= n,
-        }
-    }
-}
-
-/// One kind of injected failure.
+/// One kind of injected failure. Each fires at the link's `after`-th
+/// frame of its scope (counted from 0) and holds from there on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// Silently discard matching data frames (the receiver sees a
-    /// sequence gap and, after a timeout, an unclean link failure).
-    Drop(Selector),
-    /// Send matching data frames twice (the receiver's dedup must absorb
-    /// the copy).
-    Duplicate(Selector),
-    /// Hold matching data frames back until `hold` further data frames
-    /// have been sent on the link — a bounded reorder (the receiver's
-    /// sequence buffer must restore send order).
-    Delay {
-        /// Which frames to hold back.
-        sel: Selector,
-        /// How many subsequent data frames overtake a held one.
-        hold: u64,
-    },
     /// From data frame `after` onward, the link goes completely silent —
     /// including heartbeats — until the session ends. The peer's liveness
     /// timeout fires and recovery takes over.
     Partition {
-        /// First sequence number swallowed by the partition.
+        /// First data frame swallowed by the partition.
         after: u64,
     },
     /// Abort the whole sending process the moment it would send data
     /// frame `after` on this link (`std::process::abort`, no cleanup —
     /// the hardest failure the coordinator must survive).
     Crash {
-        /// Sequence number that triggers the abort.
+        /// Data frame that triggers the abort.
+        after: u64,
+    },
+    /// An *asymmetric partition*: from data frame `after` onward the
+    /// directed link swallows all its data, while its heartbeats and GVT
+    /// frames — and the reverse direction — keep flowing. Nothing later
+    /// arrives, so the receiver sees nothing out of sequence and liveness
+    /// stays green; only the GVT plane betrays the fault (the Mattern
+    /// counts never reconcile), so the stall watchdog is the detector.
+    Blackhole {
+        /// First data frame swallowed.
         after: u64,
     },
 }
@@ -128,12 +73,11 @@ pub enum FaultKind {
 /// Which frame class a rule perturbs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultScope {
-    /// `Data` frames, keyed on the per-link data sequence number.
+    /// `Data` frames, counted per link.
     #[default]
     Data,
-    /// `Token` / `GvtNews` frames, keyed on their own per-link ordinal.
-    /// Only `Drop`, `Partition` and `Crash` act in this scope; the
-    /// reordering kinds degrade to delivery (see the module docs).
+    /// `Token` / `GvtNews` frames, counted per link by their own ordinal
+    /// (see the module docs).
     Control,
 }
 
@@ -194,11 +138,11 @@ pub enum ProcFault {
     },
 }
 
-/// A complete, seeded fault schedule for a run.
+/// A complete, deterministic fault schedule for a run.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// The rules; order is irrelevant except for [`LinkChaos::fate`]'s
-    /// severity precedence.
+    /// The rules, in any order (where several fire, the most severe
+    /// wins: see [`LinkChaos::fate`]).
     pub rules: Vec<FaultRule>,
     /// Process faults, read by the distributed executive (the mesh
     /// ignores them).
@@ -330,20 +274,19 @@ impl FaultPlan {
     }
 
     /// Convenience: an *asymmetric* partition — from data frame `after`
-    /// onward the directed link `from → to` silently discards every data
-    /// frame, while `to → from` and this link's heartbeats keep flowing,
-    /// in session `session` only. Unlike [`FaultPlan::partition`] no
-    /// liveness timeout ever fires (the link looks healthy end to end)
-    /// and no sequence gap is ever observed (no later frame arrives to
-    /// reveal one); the run wedges with every connection green until the
+    /// onward the directed link `from → to` swallows every data frame,
+    /// while `to → from` and this link's heartbeats and GVT frames keep
+    /// flowing, in session `session` only. Unlike [`FaultPlan::partition`]
+    /// no liveness timeout ever fires (the link looks healthy end to
+    /// end); the run wedges with every connection green until the
     /// GVT-progress watchdog declares a stall.
-    pub fn asym_partition(mut self, from: u32, to: u32, after: u64, session: u32) -> Self {
+    pub fn blackhole(mut self, from: u32, to: u32, after: u64, session: u32) -> Self {
         self.rules.push(FaultRule {
             from,
             to,
             session: Some(session),
             scope: FaultScope::Data,
-            kind: FaultKind::Drop(Selector::From(after)),
+            kind: FaultKind::Blackhole { after },
         });
         self
     }
@@ -364,55 +307,22 @@ impl FaultPlan {
         self
     }
 
-    /// Convenience: add an unpinned data-scope rule on `from → to`.
-    pub fn with(mut self, from: u32, to: u32, kind: FaultKind) -> Self {
-        self.rules.push(FaultRule {
-            from,
-            to,
-            session: None,
-            scope: FaultScope::Data,
-            kind,
-        });
-        self
-    }
-
-    /// Convenience: add an unpinned rule on `from → to` in an explicit
-    /// scope.
-    pub fn with_scoped(mut self, from: u32, to: u32, scope: FaultScope, kind: FaultKind) -> Self {
-        self.rules.push(FaultRule {
-            from,
-            to,
-            session: None,
-            scope,
-            kind,
-        });
-        self
-    }
-
     /// Compile the plan's data-scope rules for one directed link in one
     /// session: the rules that apply, ready for the link's sending side
     /// to consult per data frame. `None` when no rule touches the link (the
     /// common case — zero overhead on healthy links).
     pub fn link(&self, from: u32, to: u32, session: u32) -> Option<LinkChaos> {
-        self.compile(from, to, session, FaultScope::Data, 0)
+        self.compile(from, to, session, FaultScope::Data)
     }
 
     /// Compile the plan's control-scope rules (tokens + GVT news) for
-    /// one directed link in one session. A separate chaos stream with
-    /// its own ordinal counter and a decorrelated salt, so the same
-    /// `Random` selector picks independently in each scope.
+    /// one directed link in one session, consulted with the link's own
+    /// count of control frames.
     pub fn link_control(&self, from: u32, to: u32, session: u32) -> Option<LinkChaos> {
-        self.compile(from, to, session, FaultScope::Control, 0x5CAF_F01D)
+        self.compile(from, to, session, FaultScope::Control)
     }
 
-    fn compile(
-        &self,
-        from: u32,
-        to: u32,
-        session: u32,
-        scope: FaultScope,
-        salt_tweak: u64,
-    ) -> Option<LinkChaos> {
+    fn compile(&self, from: u32, to: u32, session: u32, scope: FaultScope) -> Option<LinkChaos> {
         let rules: Vec<FaultKind> = self
             .rules
             .iter()
@@ -424,34 +334,18 @@ impl FaultPlan {
             })
             .map(|r| r.kind)
             .collect();
-        if rules.is_empty() {
-            None
-        } else {
-            Some(LinkChaos {
-                rules,
-                salt: splitmix(
-                    ((from as u64) << 40) ^ ((to as u64) << 16) ^ session as u64 ^ salt_tweak,
-                ),
-            })
-        }
+        (!rules.is_empty()).then_some(LinkChaos { rules })
     }
 }
 
-/// What a link's sending side should do with one outgoing data frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What a link's sending side does with one outgoing frame of a rule's
+/// scope, in rising severity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DataFate {
     /// Send normally.
     Deliver,
-    /// Discard without sending.
-    Drop,
-    /// Send two copies back to back.
-    Duplicate,
-    /// Buffer; release after the data frame with sequence `release_after`
-    /// has been sent.
-    Hold {
-        /// Sequence number whose transmission releases the held frame.
-        release_after: u64,
-    },
+    /// Discard without sending; everything else on the link flows.
+    Blackhole,
     /// Go silent on this link for the rest of the session.
     Partition,
     /// Abort the process.
@@ -462,53 +356,24 @@ pub enum DataFate {
 #[derive(Clone, Debug)]
 pub struct LinkChaos {
     rules: Vec<FaultKind>,
-    salt: u64,
 }
 
 impl LinkChaos {
-    /// Decide the fate of the outgoing data frame with sequence `seq`.
-    /// When several rules match, the most severe wins:
-    /// crash > partition > drop > delay > duplicate.
-    pub fn fate(&self, seq: u64) -> DataFate {
-        let mut fate = DataFate::Deliver;
-        for rule in &self.rules {
-            let candidate = match *rule {
-                FaultKind::Crash { after } if seq >= after => DataFate::Crash,
-                FaultKind::Partition { after } if seq >= after => DataFate::Partition,
-                FaultKind::Drop(sel) if sel.matches(self.salt, seq) => DataFate::Drop,
-                FaultKind::Delay { sel, hold } if sel.matches(self.salt, seq) => DataFate::Hold {
-                    release_after: seq.saturating_add(hold.max(1)),
-                },
-                FaultKind::Duplicate(sel) if sel.matches(self.salt, seq) => DataFate::Duplicate,
+    /// Decide the fate of the link's outgoing frame number `n` (of the
+    /// scope it was compiled for). When several rules have fired, the
+    /// most severe wins.
+    pub fn fate(&self, n: u64) -> DataFate {
+        self.rules
+            .iter()
+            .map(|rule| match *rule {
+                FaultKind::Crash { after } if n >= after => DataFate::Crash,
+                FaultKind::Partition { after } if n >= after => DataFate::Partition,
+                FaultKind::Blackhole { after } if n >= after => DataFate::Blackhole,
                 _ => DataFate::Deliver,
-            };
-            if severity(candidate) > severity(fate) {
-                fate = candidate;
-            }
-        }
-        fate
+            })
+            .max()
+            .unwrap_or(DataFate::Deliver)
     }
-}
-
-fn severity(f: DataFate) -> u8 {
-    match f {
-        DataFate::Deliver => 0,
-        DataFate::Duplicate => 1,
-        DataFate::Hold { .. } => 2,
-        DataFate::Drop => 3,
-        DataFate::Partition => 4,
-        DataFate::Crash => 5,
-    }
-}
-
-/// SplitMix64 finalizer — a tiny, well-mixed hash for the `Random`
-/// selector (and the transport's deterministic dial jitter). Quality
-/// matters less than determinism and independence.
-pub(crate) fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -516,41 +381,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn selectors_pick_the_expected_frames() {
-        let salt = 99;
-        assert!(Selector::At(5).matches(salt, 5));
-        assert!(!Selector::At(5).matches(salt, 6));
-        let every = Selector::Every { every: 3, phase: 1 };
-        let picked: Vec<u64> = (0..10).filter(|&s| every.matches(salt, s)).collect();
-        assert_eq!(picked, vec![1, 4, 7]);
-        assert!(!Selector::Every { every: 0, phase: 0 }.matches(salt, 0));
-    }
-
-    #[test]
-    fn random_selector_is_deterministic_and_roughly_calibrated() {
-        let sel = Selector::Random {
-            seed: 42,
-            per_mille: 250,
-        };
-        let a: Vec<bool> = (0..4000).map(|s| sel.matches(7, s)).collect();
-        let b: Vec<bool> = (0..4000).map(|s| sel.matches(7, s)).collect();
-        assert_eq!(a, b, "same link, same picks");
-        let hits = a.iter().filter(|&&h| h).count();
-        assert!(
-            (700..1300).contains(&hits),
-            "~25% of 4000 expected, got {hits}"
-        );
-        let other: Vec<bool> = (0..4000).map(|s| sel.matches(8, s)).collect();
-        assert_ne!(a, other, "different links decorrelate");
-    }
-
-    #[test]
     fn link_compilation_filters_by_endpoint_and_session() {
-        let plan = FaultPlan::new().crash(2, 1, 10, 0).with(
-            1,
-            2,
-            FaultKind::Duplicate(Selector::Every { every: 1, phase: 0 }),
-        );
+        let mut plan = FaultPlan::new().crash(2, 1, 10, 0);
+        plan.rules.push(FaultRule {
+            from: 1,
+            to: 2,
+            session: None,
+            scope: FaultScope::Data,
+            kind: FaultKind::Blackhole { after: 5 },
+        });
         assert!(plan.link(2, 1, 0).is_some());
         assert!(plan.link(2, 1, 1).is_none(), "crash pinned to session 0");
         assert!(plan.link(1, 2, 3).is_some(), "unpinned rule spans sessions");
@@ -558,26 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn severity_precedence_resolves_overlapping_rules() {
-        let plan = FaultPlan::new()
-            .with(1, 2, FaultKind::Duplicate(Selector::At(4)))
-            .with(1, 2, FaultKind::Drop(Selector::At(4)))
-            .with(
-                1,
-                2,
-                FaultKind::Delay {
-                    sel: Selector::At(6),
-                    hold: 2,
-                },
-            );
-        let chaos = plan.link(1, 2, 0).unwrap();
-        assert_eq!(chaos.fate(4), DataFate::Drop, "drop beats duplicate");
-        assert_eq!(chaos.fate(5), DataFate::Deliver);
-        assert_eq!(chaos.fate(6), DataFate::Hold { release_after: 8 });
-    }
-
-    #[test]
-    fn partition_and_crash_latch_from_their_threshold() {
+    fn every_kind_latches_from_its_threshold_and_the_most_severe_wins() {
         let chaos = FaultPlan::new()
             .partition(1, 2, 3, 0)
             .link(1, 2, 0)
@@ -587,15 +407,31 @@ mod tests {
         assert_eq!(chaos.fate(100), DataFate::Partition);
         let chaos = FaultPlan::new().crash(1, 2, 3, 0).link(1, 2, 0).unwrap();
         assert_eq!(chaos.fate(7), DataFate::Crash);
+        let chaos = FaultPlan::new()
+            .blackhole(1, 2, 2, 0)
+            .crash(1, 2, 6, 0)
+            .partition(1, 2, 4, 0)
+            .link(1, 2, 0)
+            .unwrap();
+        let fates: Vec<DataFate> = (0..8).map(|n| chaos.fate(n)).collect();
+        use DataFate::*;
+        assert_eq!(
+            fates,
+            [Deliver, Deliver, Blackhole, Blackhole, Partition, Partition, Crash, Crash]
+        );
     }
 
     #[test]
-    fn asym_partition_drops_one_direction_only() {
-        let plan = FaultPlan::new().asym_partition(2, 1, 5, 0);
+    fn blackhole_swallows_one_direction_only() {
+        let plan = FaultPlan::new().blackhole(2, 1, 5, 0);
         let forward = plan.link(2, 1, 0).expect("forward link is shaped");
         assert_eq!(forward.fate(4), DataFate::Deliver, "pre-threshold flows");
-        assert_eq!(forward.fate(5), DataFate::Drop, "threshold frame dropped");
-        assert_eq!(forward.fate(5000), DataFate::Drop, "latched forever");
+        assert_eq!(
+            forward.fate(5),
+            DataFate::Blackhole,
+            "threshold frame swallowed"
+        );
+        assert_eq!(forward.fate(5000), DataFate::Blackhole, "latched forever");
         assert!(
             plan.link(1, 2, 0).is_none(),
             "reverse direction is untouched"
@@ -609,28 +445,19 @@ mod tests {
     }
 
     #[test]
-    fn from_selector_matches_a_latched_suffix() {
-        assert!(!Selector::From(3).matches(0, 2));
-        assert!(Selector::From(3).matches(0, 3));
-        assert!(Selector::From(3).matches(0, u64::MAX));
-        assert!(Selector::From(0).matches(7, 0), "zero threshold = all");
-        let json = serde_json::to_string(&Selector::From(3)).unwrap();
-        let back: Selector = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, Selector::From(3));
-    }
-
-    #[test]
     fn scopes_compile_to_independent_chaos_streams() {
-        let plan = FaultPlan::new().control_partition(2, 1, 5, 0).with(
-            2,
-            1,
-            FaultKind::Drop(Selector::At(3)),
-        );
+        let plan = FaultPlan::new()
+            .control_partition(2, 1, 5, 0)
+            .blackhole(2, 1, 3, 0);
         let data = plan.link(2, 1, 0).expect("data rule present");
         let ctl = plan.link_control(2, 1, 0).expect("control rule present");
-        assert_eq!(data.fate(3), DataFate::Drop);
-        assert_eq!(data.fate(5), DataFate::Deliver, "partition is control-only");
-        assert_eq!(ctl.fate(3), DataFate::Deliver, "drop is data-only");
+        assert_eq!(data.fate(3), DataFate::Blackhole);
+        assert_eq!(
+            data.fate(5),
+            DataFate::Blackhole,
+            "partition is control-only"
+        );
+        assert_eq!(ctl.fate(3), DataFate::Deliver, "blackhole is data-only");
         assert_eq!(ctl.fate(5), DataFate::Partition);
         assert!(
             plan.link_control(2, 1, 1).is_none(),
@@ -638,22 +465,6 @@ mod tests {
         );
         let data_only = FaultPlan::new().crash(2, 1, 0, 0);
         assert!(data_only.link_control(2, 1, 0).is_none());
-    }
-
-    #[test]
-    fn scope_salts_decorrelate_random_selectors() {
-        let sel = Selector::Random {
-            seed: 9,
-            per_mille: 500,
-        };
-        let plan = FaultPlan::new()
-            .with(1, 2, FaultKind::Drop(sel))
-            .with_scoped(1, 2, FaultScope::Control, FaultKind::Drop(sel));
-        let data = plan.link(1, 2, 0).unwrap();
-        let ctl = plan.link_control(1, 2, 0).unwrap();
-        let d: Vec<DataFate> = (0..256).map(|s| data.fate(s)).collect();
-        let c: Vec<DataFate> = (0..256).map(|s| ctl.fate(s)).collect();
-        assert_ne!(d, c, "same selector must pick differently per scope");
     }
 
     #[test]
@@ -692,7 +503,7 @@ mod tests {
         assert!(base().slow(1, 100, 0).slow(2, 100, 0).validate(2).is_ok());
         assert!(base().crash_coordinator(1).validate(1).is_ok());
 
-        let self_link = FaultPlan::new().with(0, 0, FaultKind::Crash { after: 3 });
+        let self_link = FaultPlan::new().crash(0, 0, 3, 0);
         let err = self_link.validate(2).unwrap_err();
         assert!(
             err.contains("0 → 0") && err.contains("CrashCoordinator"),
@@ -729,23 +540,13 @@ mod tests {
             .crash(2, 0, 40, 0)
             .partition(1, 2, 10, 0)
             .control_partition(2, 1, 4, 0)
-            .with(
-                1,
-                2,
-                FaultKind::Delay {
-                    sel: Selector::Random {
-                        seed: 1,
-                        per_mille: 100,
-                    },
-                    hold: 3,
-                },
-            );
+            .blackhole(2, 1, 7, 1);
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
         // Pre-scope plans (no `scope` field) must still parse, as data
         // scope — old job files stay valid — and with no process faults.
-        let legacy = r#"{"rules":[{"from":1,"to":2,"kind":{"Drop":{"At":5}}}]}"#;
+        let legacy = r#"{"rules":[{"from":1,"to":2,"kind":{"Partition":{"after":5}}}]}"#;
         let plan: FaultPlan = serde_json::from_str(legacy).unwrap();
         assert_eq!(plan.rules[0].scope, FaultScope::Data);
         assert!(plan.procs.is_empty());

@@ -53,9 +53,10 @@
 //! `Hello` additionally carries a *session epoch*: recovery re-establishes
 //! the mesh under an incremented session, so connection attempts left over
 //! from a dead session fail the handshake instead of leaking stale frames
-//! into the resumed run. `Data` frames carry a per-link sequence number,
-//! letting receivers drop duplicates, reorder delayed frames back into
-//! send order, and detect gaps (lost frames) as an unclean link failure.
+//! into the resumed run. `Data` frames carry a per-link sequence number
+//! that the receiver checks: one TCP connection never loses, repeats or
+//! reorders a frame, so a number out of sequence means corrupt bytes and
+//! closes the link uncleanly.
 
 use crate::aggregate::{EventBatch, PhysMsg};
 use std::fmt;
@@ -114,8 +115,7 @@ pub enum Frame {
     /// Application events between two LPs.
     Data {
         /// Per-link monotone sequence number, assigned by the sending
-        /// link. Lets the receiver deduplicate, restore send order, and
-        /// detect frame loss.
+        /// link. The receiver closes the link on one out of sequence.
         seq: u64,
         /// Sender's Mattern epoch at transmission time.
         epoch: u32,

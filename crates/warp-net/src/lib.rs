@@ -16,13 +16,14 @@
 //! * [`frame`] + [`tcp`] — the distributed executive's transport: a
 //!   length-prefixed, versioned frame codec over the canonical
 //!   `warp_core::wire` encoding, and a full TCP mesh of processes with
-//!   handshakes, heartbeats, sequencing and drain-then-close shutdown.
+//!   handshakes, heartbeats, an in-sequence check and drain-then-close
+//!   shutdown.
 //!   Senders write on their own thread; links to peer workers are pumped
 //!   by their owner's threads, the rest keep one reader thread each. It is the only
 //!   inter-process engine; `docs/data-plane.md` records why.
-//! * [`fault`] — deterministic, seeded fault injection (drop / duplicate
-//!   / delay / partition / crash) applied at the sending side of each TCP
-//!   link, so every recovery path is exercised reproducibly.
+//! * [`fault`] — deterministic fault injection (partition / black hole /
+//!   crash, the failures a TCP link has) applied at the sending side of
+//!   each link, so every recovery path is exercised reproducibly.
 //!
 //! The *network itself* — the 10 Mb Ethernet of the paper's testbed — is
 //! modeled by `warp_core::CostModel` (per-message CPU overheads, wire
@@ -39,7 +40,7 @@ pub mod spsc;
 pub mod tcp;
 
 pub use aggregate::{Aggregator, EventBatch, PhysMsg};
-pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope, ProcFault, Selector};
+pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope, ProcFault};
 pub use frame::{Frame, FrameDecoder, FrameError, PROTO_VERSION};
 pub use policy::AggregationConfig;
 pub use spsc::{lane_mesh, LaneEndpoint};

@@ -19,13 +19,15 @@
 //! accepted connection claiming a different session (a zombie dial from
 //! the dead session) is simply dropped — the listener keeps accepting.
 //!
-//! Reliability: each link's sending side stamps outgoing [`Frame::Data`]
-//! frames with a per-link sequence number; the receiving side
-//! deduplicates, buffers ahead-of-order frames until the gap fills, and
-//! declares the link uncleanly down if a gap persists past the liveness
-//! timeout (a lost frame cannot be retransmitted — recovery restarts
-//! from a checkpoint instead). A [`FaultPlan`] in the config arms
-//! deterministic fault injection on the sending side of each link (see
+//! Reliability is TCP's: a connection delivers its bytes once and in
+//! order, or dies, and a dead link ends the session through recovery (a
+//! lost frame is never retransmitted — recovery restarts from a
+//! checkpoint instead). Each link's sending side stamps outgoing
+//! [`Frame::Data`] frames with a per-link sequence number, and the
+//! receiving side checks it: a data frame that is not the next one is
+//! bytes no healthy peer sends, and closes the link uncleanly, as a
+//! corrupt stream does. A [`FaultPlan`] in the config arms deterministic
+//! fault injection on the sending side of each link (see
 //! [`crate::fault`]).
 //!
 //! Sending: no link has a thread of its own for it. A send stages the
@@ -53,15 +55,15 @@
 //! thread blocked on its socket; its writes block too, but only while
 //! that peer's own reader thread drains them, and a write it takes
 //! nothing of for the liveness timeout closes the link. Both ways of
-//! reading run the same code: every frame that leaves the sequencing, in
-//! order, is offered to the link's hook; what the hook hands back — and
-//! everything on a hook-less link — goes to the owner's event queue.
+//! reading run the same code: every frame that passes the sequence
+//! check, in order, is offered to the link's hook; what the hook hands
+//! back — and everything on a hook-less link — goes to the owner's event
+//! queue.
 //!
 //! Liveness: whoever reads a link also does its idle duties. Once a link
 //! has sent nothing for half a heartbeat interval, its pending backlog
-//! is flushed, frames a `Delay` fault holds back are released and a
-//! [`Frame::Heartbeat`] goes out; a link silent for longer than the
-//! liveness timeout is declared half-open and reported as
+//! is flushed and a [`Frame::Heartbeat`] goes out; a link silent for
+//! longer than the liveness timeout is declared half-open and reported as
 //! [`MeshEvent::PeerDown`] with `clean: false` — the same event an
 //! abrupt EOF (peer killed) produces. A reader thread does this after
 //! each read, or its timeout; the owner of pumped links calls
@@ -73,7 +75,6 @@
 
 use crate::fault::{DataFate, FaultPlan, LinkChaos};
 use crate::frame::{Frame, FrameDecoder, PROTO_VERSION};
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,9 +96,7 @@ pub struct TcpMeshConfig {
     /// Longest a live link stays silent: a link that has sent nothing
     /// for half of it heartbeats at its reader's next idle check.
     pub heartbeat_interval: Duration,
-    /// Silence threshold after which a link is declared half-open. Also
-    /// bounds how long a data-frame sequence gap may persist before the
-    /// link is declared lossy (unclean).
+    /// Silence threshold after which a link is declared half-open.
     pub liveness_timeout: Duration,
     /// Total budget for establishing the full mesh (dial retries and
     /// accepts included).
@@ -348,10 +347,9 @@ impl Link {
     }
 
     /// The link's idle duties: read a pumped link, declare the link down
-    /// once it has been silent or held a sequence gap past `liveness`,
-    /// and — once it has sent nothing for `idle` — release held frames
-    /// and heartbeat; flush. [`TcpMesh::tick`] runs them for pumped
-    /// links, a reader thread after each read of its own.
+    /// once it has been silent past `liveness`, and — once it has sent
+    /// nothing for `idle` — heartbeat; flush. [`TcpMesh::tick`] runs
+    /// them for pumped links, a reader thread after each read of its own.
     fn tick(&self, idle: Duration, liveness: Duration) {
         if let Ok(mut rx) = self.rx.try_lock() {
             if self.pumped {
@@ -509,11 +507,10 @@ impl TcpMesh {
 
     /// The idle duties of the pumped links, which no thread of their own
     /// watches: read each one, declare it down once it has been silent
-    /// or held a sequence gap past the liveness timeout, and — once it
-    /// has sent nothing for a while — release held frames and heartbeat;
-    /// flush its backlog. Returns how long the owner may wait before the
-    /// next call (half the heartbeat interval). A mesh with no pumped
-    /// link has nothing to do here.
+    /// past the liveness timeout, and — once it has sent nothing for a
+    /// while — heartbeat; flush its backlog. Returns how long the owner
+    /// may wait before the next call (half the heartbeat interval). A mesh
+    /// with no pumped link has nothing to do here.
     pub fn tick(&self) -> Duration {
         let idle = self.cfg.idle_check();
         for link in self.out.links.iter().flatten().filter(|l| l.pumped) {
@@ -850,16 +847,24 @@ fn jittered_backoff(start: Duration, max: Duration, attempt: u32, seed: u64) -> 
     let jitter = if span == 0 {
         0
     } else {
-        crate::fault::splitmix(seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            % (span + 1)
+        splitmix(seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % (span + 1)
     };
     half + Duration::from_nanos(jitter)
+}
+
+/// SplitMix64 finalizer — a tiny, well-mixed hash for the deterministic
+/// dial jitter. Quality matters less than determinism and independence.
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Per-dialer jitter seed: decorrelates processes retrying against the
 /// same listener without any shared state (deterministic per identity).
 fn dial_seed(proc_id: u32, addr: &SocketAddr) -> u64 {
-    crate::fault::splitmix(((proc_id as u64) << 32) ^ ((addr.port() as u64) << 8) ^ 0xD1A1)
+    splitmix(((proc_id as u64) << 32) ^ ((addr.port() as u64) << 8) ^ 0xD1A1)
 }
 
 fn dial_with_backoff(
@@ -965,15 +970,13 @@ fn handshake(
     }
 }
 
-/// A link's outbound half: its backlog, data-frame sequence stamping,
-/// fault injection, and the buffer of frames a `Delay` rule is holding
-/// back. [`Link::write`] takes the backlog to the socket.
+/// A link's outbound half: its backlog, data-frame sequence stamping and
+/// fault injection. [`Link::write`] takes the backlog to the socket.
 struct LinkTx {
     /// Encoded bytes no writer has taken yet, oldest first. A send
     /// appends behind them, so frames reach the wire in send order.
     backlog: Vec<u8>,
-    /// When a frame was last staged: the idle clock behind heartbeats and
-    /// the release of held frames.
+    /// When a frame was last staged: the idle clock behind heartbeats.
     last_send: Instant,
     /// `Bye` was staged or a write failed: nothing more is staged.
     closed: bool,
@@ -984,12 +987,6 @@ struct LinkTx {
     /// ring while data and heartbeats keep flowing.
     ctl_chaos: Option<LinkChaos>,
     ctl_next_seq: u64,
-    /// A control-scope `Partition` fired: GVT frames vanish, all else
-    /// flows — the wedged-but-connected failure mode.
-    ctl_partitioned: bool,
-    /// Held-back (delayed) encoded frames, keyed by the sequence number
-    /// whose transmission releases them.
-    held: Vec<(u64, Vec<u8>)>,
     /// A `Partition` rule fired: the link is silent for the session.
     partitioned: bool,
 }
@@ -1004,8 +1001,6 @@ impl LinkTx {
             chaos,
             ctl_chaos,
             ctl_next_seq: 0,
-            ctl_partitioned: false,
-            held: Vec::new(),
             partitioned: false,
         }
     }
@@ -1026,19 +1021,16 @@ impl LinkTx {
         self.backlog.clear();
     }
 
-    /// Once nothing was staged for `idle`, release held frames and stage
-    /// a heartbeat.
+    /// Once nothing was staged for `idle`, stage a heartbeat.
     fn heartbeat(&mut self, idle: Duration) {
         if !self.closed && !self.partitioned && self.last_send.elapsed() >= idle {
-            self.flush_held();
             Frame::Heartbeat.encode_into(&mut self.backlog);
             self.last_send = Instant::now();
         }
     }
 
-    /// Stage `Bye` behind everything queued and held, and accept nothing
-    /// more. A partitioned link stays silent instead. True if a `Bye`
-    /// was staged.
+    /// Stage `Bye` behind everything queued, and accept nothing more. A
+    /// partitioned link stays silent instead. True if a `Bye` was staged.
     fn stage_bye(&mut self) -> bool {
         if self.closed {
             return false;
@@ -1047,94 +1039,44 @@ impl LinkTx {
         if self.partitioned {
             return false;
         }
-        self.flush_held();
         Frame::Bye.encode_into(&mut self.backlog);
         true
     }
 
     /// Stamp and encode one outgoing frame into the backlog, applying
-    /// any fault rules. Data frames consume a sequence number even when
-    /// a fault swallows them — that is exactly what makes the loss
-    /// visible to the receiver as a gap.
+    /// any fault rules. A frame a rule swallows still counts.
     fn stage(&mut self, mut frame: Frame) {
         let out = &mut self.backlog;
         if self.partitioned {
             return;
         }
-        if matches!(frame, Frame::Token { .. } | Frame::GvtNews { .. }) {
-            if self.ctl_partitioned {
-                return;
+        let (chaos, count) = match &mut frame {
+            Frame::Token { .. } | Frame::GvtNews { .. } => {
+                (&self.ctl_chaos, &mut self.ctl_next_seq)
             }
-            let Some(c) = &self.ctl_chaos else {
+            Frame::Data { seq, .. } => {
+                *seq = self.next_seq;
+                (&self.chaos, &mut self.next_seq)
+            }
+            _ => {
                 frame.encode_into(out);
                 return;
-            };
-            let s = self.ctl_next_seq;
-            self.ctl_next_seq += 1;
-            match c.fate(s) {
-                DataFate::Drop => {}
-                DataFate::Partition => self.ctl_partitioned = true,
-                DataFate::Crash => std::process::abort(),
-                // Duplicate/Hold degrade to delivery: a duplicated
-                // Mattern token or a reordered GvtNews corrupts the GVT
-                // computation itself (see the fault module docs).
-                DataFate::Deliver | DataFate::Duplicate | DataFate::Hold { .. } => {
-                    frame.encode_into(out)
-                }
             }
-            return;
-        }
-        let Frame::Data { seq: seq_slot, .. } = &mut frame else {
-            frame.encode_into(out);
-            return;
         };
-        let s = self.next_seq;
-        self.next_seq += 1;
-        *seq_slot = s;
-        let fate = self.chaos.as_ref().map_or(DataFate::Deliver, |c| c.fate(s));
-        match fate {
+        let n = *count;
+        *count += 1;
+        let data = matches!(frame, Frame::Data { .. });
+        match chaos.as_ref().map_or(DataFate::Deliver, |c| c.fate(n)) {
             DataFate::Deliver => frame.encode_into(out),
-            DataFate::Duplicate => {
-                frame.encode_into(out);
-                frame.encode_into(out);
-            }
-            DataFate::Drop => {}
-            DataFate::Hold { release_after } => {
-                let mut bytes = Vec::new();
-                frame.encode_into(&mut bytes);
-                self.held.push((release_after, bytes));
-            }
-            DataFate::Partition => {
-                // Frames already in the backlog still go out (they
-                // precede the partition point); everything from here on
-                // is swallowed, heartbeats included.
-                self.partitioned = true;
-                self.held.clear();
-                return;
-            }
+            // Frames already in the backlog still go out (they precede
+            // the partition point); everything from here on is
+            // swallowed, heartbeats included.
+            DataFate::Partition if data => self.partitioned = true,
+            // Swallowed, and so is every later frame of its scope. In
+            // control scope a partition is this too: GVT frames vanish,
+            // all else flows — the wedged-but-connected failure mode.
+            DataFate::Blackhole | DataFate::Partition => {}
             DataFate::Crash => std::process::abort(),
-        }
-        // Frames the current one has now overtaken go out (reordered).
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].0 <= s {
-                let (_, bytes) = self.held.remove(i);
-                out.extend_from_slice(&bytes);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Release everything still held — on idle and before `Bye`, so a
-    /// delayed frame is never lost to quiescence or shutdown.
-    fn flush_held(&mut self) {
-        if self.partitioned {
-            return;
-        }
-        self.held.sort_by_key(|(release, _)| *release);
-        for (_, bytes) in self.held.drain(..) {
-            self.backlog.extend_from_slice(&bytes);
         }
     }
 }
@@ -1144,108 +1086,59 @@ impl LinkTx {
 enum RxStatus {
     /// Keep reading.
     Open,
-    /// The peer ended its stream with `Bye`; unclean when a sequence
-    /// gap never filled (those frames are lost for good).
+    /// The peer ended its stream: cleanly with `Bye`, uncleanly with a
+    /// data frame out of sequence.
     Closed { clean: bool, detail: String },
     /// The mesh owner dropped its receiver; stop reading silently.
     OwnerGone,
 }
 
-/// Per-link inbound state: data-frame deduplication, reorder buffering
-/// and gap tracking.
+/// Per-link inbound sequence check.
 struct LinkRx {
     /// The next expected data-frame sequence number.
     expected_seq: u64,
-    /// Frames that arrived ahead of a gap, keyed by sequence.
-    ahead: BTreeMap<u64, Frame>,
-    /// When the oldest unfilled gap opened.
-    gap_since: Option<Instant>,
 }
 
 impl LinkRx {
     fn new() -> Self {
-        LinkRx {
-            expected_seq: 0,
-            ahead: BTreeMap::new(),
-            gap_since: None,
-        }
+        LinkRx { expected_seq: 0 }
     }
 
-    /// Feed one decoded frame through the sequencing machinery, handing
-    /// deliverable frames to `offer` in order (it returns false once the
-    /// mesh owner is gone).
+    /// Check one decoded frame and hand it to `offer` (which returns
+    /// false once the mesh owner is gone). A data frame that is not the
+    /// next in sequence ends the stream: one TCP connection neither
+    /// loses, repeats nor reorders frames, so such bytes are corrupt.
     fn on_frame(&mut self, frame: Frame, offer: &mut impl FnMut(Frame) -> bool) -> RxStatus {
         match frame {
-            Frame::Heartbeat => RxStatus::Open,
+            Frame::Heartbeat => return RxStatus::Open,
             Frame::Bye => {
-                if self.ahead.is_empty() {
-                    RxStatus::Closed {
-                        clean: true,
-                        detail: "peer said Bye".into(),
-                    }
-                } else {
-                    // The peer finished sending while we still wait for
-                    // a gap to fill: those frames are lost.
-                    RxStatus::Closed {
-                        clean: false,
-                        detail: format!(
-                            "peer said Bye but data frame {} never arrived \
-                             ({} buffered beyond the gap)",
-                            self.expected_seq,
-                            self.ahead.len()
-                        ),
-                    }
+                return RxStatus::Closed {
+                    clean: true,
+                    detail: "peer said Bye".into(),
                 }
             }
-            Frame::Data { seq, .. } => {
-                if seq < self.expected_seq {
-                    // Duplicate of an already-delivered frame.
-                    return RxStatus::Open;
+            Frame::Data { seq, .. } if seq != self.expected_seq => {
+                return RxStatus::Closed {
+                    clean: false,
+                    detail: format!(
+                        "data frame {seq} out of sequence (expected {})",
+                        self.expected_seq
+                    ),
                 }
-                if seq > self.expected_seq {
-                    // Ahead of a gap: buffer until the gap fills
-                    // (insert dedups ahead-of-order duplicates too).
-                    self.ahead.insert(seq, frame);
-                    self.gap_since.get_or_insert_with(Instant::now);
-                    return RxStatus::Open;
-                }
-                if !offer(frame) {
-                    return RxStatus::OwnerGone;
-                }
-                self.expected_seq += 1;
-                while let Some(frame) = self.ahead.remove(&self.expected_seq) {
-                    if !offer(frame) {
-                        return RxStatus::OwnerGone;
-                    }
-                    self.expected_seq += 1;
-                }
-                self.gap_since = if self.ahead.is_empty() {
-                    None
-                } else {
-                    Some(Instant::now())
-                };
-                RxStatus::Open
             }
-            frame => {
-                if !offer(frame) {
-                    return RxStatus::OwnerGone;
-                }
-                RxStatus::Open
-            }
+            Frame::Data { .. } => self.expected_seq += 1,
+            _ => {}
         }
-    }
-
-    /// A gap that outlives the liveness budget means the frame was
-    /// lost, not reordered — there is no retransmission, so the link is
-    /// broken for good. Returns the lost sequence number.
-    fn gap_expired(&self, liveness: Duration) -> Option<u64> {
-        self.gap_since
-            .and_then(|t| (t.elapsed() > liveness).then_some(self.expected_seq))
+        if offer(frame) {
+            RxStatus::Open
+        } else {
+            RxStatus::OwnerGone
+        }
     }
 }
 
 /// A link's inbound half: the read side of the connection, the decoder,
-/// the sequencing, and delivery to the hook or the owner's event queue.
+/// the sequence check, and delivery to the hook or the owner's event queue.
 /// A reader thread and [`Link::pump`] drive this same code.
 struct LinkIn {
     peer: u32,
@@ -1318,8 +1211,8 @@ impl LinkIn {
         any
     }
 
-    /// Run every frame the decoder completed through the sequencing, in
-    /// order, into the hook or the event queue.
+    /// Run every frame the decoder completed through the sequence check,
+    /// in order, into the hook or the event queue.
     fn deliver(&mut self) {
         let (hook, events, peer) = (&mut self.hook, &self.events, self.peer);
         let mut offer = |frame: Frame| {
@@ -1353,18 +1246,9 @@ impl LinkIn {
         self.end(end);
     }
 
-    /// A gap that outlived the liveness budget, or a link silent for as
-    /// long, is down.
+    /// A link silent for longer than the liveness budget is down.
     fn check(&mut self, liveness: Duration) {
-        if self.done {
-            return;
-        }
-        if let Some(lost) = self.seq.gap_expired(liveness) {
-            self.down(
-                false,
-                format!("data frame {lost} lost (gap persisted past {liveness:?})"),
-            );
-        } else if self.last_byte.elapsed() > liveness {
+        if !self.done && self.last_byte.elapsed() > liveness {
             self.down(false, format!("half-open link: silent for {liveness:?}"));
         }
     }
@@ -1422,8 +1306,6 @@ mod tests {
     use super::*;
     use warp_core::gvt::GvtToken;
     use warp_core::VirtualTime;
-
-    use crate::fault::{FaultKind, Selector};
 
     #[test]
     fn jittered_backoff_is_deterministic_banded_and_capped() {
@@ -1539,6 +1421,14 @@ mod tests {
         }
     }
 
+    /// A data frame as a peer's link stamps it: `data(seq)` at `seq`.
+    fn data_at(seq: u64) -> Frame {
+        let Frame::Data { epoch, msg, .. } = data(seq as u32) else {
+            unreachable!()
+        };
+        Frame::Data { seq, epoch, msg }
+    }
+
     fn recv_data_epochs(m: &TcpMesh, n: usize) -> Vec<u32> {
         let mut got = Vec::new();
         while got.len() < n {
@@ -1577,10 +1467,20 @@ mod tests {
     }
 
     fn expect_down(m: &TcpMesh) -> (u32, bool) {
+        let (peer, clean, _) = expect_down_detail(m);
+        (peer, clean)
+    }
+
+    fn expect_down_detail(m: &TcpMesh) -> (u32, bool, String) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
-            if let Some(MeshEvent::PeerDown { peer, clean, .. }) = m.recv_timeout(m.tick()) {
-                return (peer, clean);
+            if let Some(MeshEvent::PeerDown {
+                peer,
+                clean,
+                detail,
+            }) = m.recv_timeout(m.tick())
+            {
+                return (peer, clean, detail);
             }
         }
         panic!("no PeerDown within 5s");
@@ -1997,8 +1897,9 @@ mod tests {
     }
 
     /// A raw proc 1 that handshakes with a proc 0 whose link to it is
-    /// pumped: the test writes proc 1's bytes itself.
-    fn raw_peer_of_a_pumped_link() -> (TcpMesh, TcpStream) {
+    /// pumped (or has a reader thread): the test writes proc 1's bytes
+    /// itself.
+    fn raw_peer(pumped: bool) -> (TcpMesh, TcpStream) {
         let listener = bind_loopback().unwrap();
         let addr = listener.local_addr().unwrap();
         let dialer = thread::spawn(move || {
@@ -2012,7 +1913,7 @@ mod tests {
             (&s).write_all(&hello.encode()).unwrap();
             s
         });
-        let m0 = TcpMesh::establish(fast_cfg(0, 2), listener, &[], |_| relay(true)).unwrap();
+        let m0 = TcpMesh::establish(fast_cfg(0, 2), listener, &[], |_| relay(pumped)).unwrap();
         (m0, dialer.join().unwrap())
     }
 
@@ -2042,7 +1943,7 @@ mod tests {
 
     #[test]
     fn pumps_read_a_burst_whole_and_deliver_what_a_short_read_completed() {
-        let (m0, peer) = raw_peer_of_a_pumped_link();
+        let (m0, peer) = raw_peer(true);
         let frame = |seq: u64, len: usize| Frame::Data {
             seq,
             epoch: seq as u32,
@@ -2110,50 +2011,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_data_frames_are_deduplicated_in_order() {
-        for pumped in [false, true] {
-            let mut cfg0 = fast_cfg(0, 2);
-            cfg0.faults = Some(FaultPlan::new().with(
-                0,
-                1,
-                FaultKind::Duplicate(Selector::Every { every: 1, phase: 0 }),
-            ));
-            let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, relay(pumped));
-            for epoch in 0..4 {
-                m0.send(1, data(epoch));
-            }
-            m0.send(1, token(77));
-            assert_eq!(recv_data_epochs(&m1, 4), vec![0, 1, 2, 3]);
-            // The token right behind the duplicates proves nothing extra
-            // was delivered in between.
-            assert_eq!(expect_frame(&m1), (0, token(77)));
-            shutdown_pair(m0, m1);
-        }
-    }
-
-    #[test]
-    fn delayed_data_frames_are_reordered_back() {
-        for pumped in [false, true] {
-            let mut cfg0 = fast_cfg(0, 2);
-            cfg0.faults = Some(FaultPlan::new().with(
-                0,
-                1,
-                FaultKind::Delay {
-                    sel: Selector::At(0),
-                    hold: 2,
-                },
-            ));
-            let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, relay(pumped));
-            // Frame 0 is held until frame 2 ships: wire order 1,2,0,3.
-            for epoch in 0..4 {
-                m0.send(1, data(epoch));
-            }
-            assert_eq!(recv_data_epochs(&m1, 4), vec![0, 1, 2, 3]);
-            shutdown_pair(m0, m1);
-        }
-    }
-
-    #[test]
     fn inbound_hook_sees_each_data_frame_once_in_order() {
         // A hooked link is pumped: by its owner's ticks alone, then also
         // by another thread racing them, as a worker's LP threads do.
@@ -2163,30 +2020,13 @@ mod tests {
     }
 
     fn hook_delivers_each_data_frame_once_in_order(racing: bool) {
-        let mut cfg0 = fast_cfg(0, 2);
-        cfg0.faults = Some(
-            FaultPlan::new()
-                .with(
-                    0,
-                    1,
-                    FaultKind::Duplicate(Selector::Every { every: 2, phase: 1 }),
-                )
-                .with(
-                    0,
-                    1,
-                    FaultKind::Delay {
-                        sel: Selector::At(2),
-                        hold: 2,
-                    },
-                ),
-        );
         // The hook consumes data frames and hands every other frame back.
         let (seen_tx, seen) = mpsc::channel::<Frame>();
         let hook: InboundHook = Box::new(move |frame| {
             seen_tx.send(frame.clone()).unwrap();
             (!matches!(frame, Frame::Data { .. })).then_some(frame)
         });
-        let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, Some(hook));
+        let (m0, m1) = pair_hooked(fast_cfg(0, 2), fast_cfg(1, 2), None, Some(hook));
         let stop = Arc::new(AtomicBool::new(false));
         let racer = racing.then(|| {
             let (pumps, stop) = (m1.sender(), Arc::clone(&stop));
@@ -2233,24 +2073,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_data_frame_surfaces_as_unclean_loss() {
-        for pumped in [false, true] {
-            let mut cfg0 = fast_cfg(0, 2);
-            cfg0.faults = Some(FaultPlan::new().with(0, 1, FaultKind::Drop(Selector::At(1))));
-            let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, relay(pumped));
-            for epoch in 0..3 {
-                m0.send(1, data(epoch));
-            }
-            assert_eq!(recv_data_epochs(&m1, 1), vec![0]);
-            let (peer, clean) = expect_down(&m1);
-            assert_eq!(peer, 0);
-            assert!(!clean, "a lost frame is an unclean link failure");
-            m0.abort();
-            m1.abort();
-        }
-    }
-
-    #[test]
     fn partitioned_link_goes_silent_and_trips_liveness() {
         for pumped in [false, true] {
             let mut cfg0 = fast_cfg(0, 2);
@@ -2263,6 +2085,48 @@ mod tests {
             assert!(!clean);
             m0.abort();
             m1.abort();
+        }
+    }
+
+    #[test]
+    fn a_blackholed_link_swallows_its_data_and_stays_live() {
+        for pumped in [false, true] {
+            let mut cfg0 = fast_cfg(0, 2);
+            cfg0.faults = Some(FaultPlan::new().blackhole(0, 1, 1, 0));
+            let (m0, m1) = pair_hooked(cfg0, fast_cfg(1, 2), None, relay(pumped));
+            for epoch in 0..3 {
+                m0.send(1, data(epoch));
+            }
+            assert_eq!(recv_data_epochs(&m1, 1), vec![0]);
+            // Past the liveness timeout the heartbeats keep the link up,
+            // and GVT frames still cross it — right behind frame 0.
+            tick_for(&m1, Duration::from_millis(600));
+            m0.send(1, token(7));
+            assert_eq!(expect_frame(&m1), (0, token(7)));
+            shutdown_pair(m0, m1);
+        }
+    }
+
+    #[test]
+    fn a_data_frame_out_of_sequence_closes_the_link_uncleanly() {
+        // Bytes no healthy peer sends: data frame 2 right behind frame 0,
+        // then a token that must never surface.
+        for pumped in [false, true] {
+            let (m0, peer) = raw_peer(pumped);
+            let mut bytes = Vec::new();
+            data_at(0).encode_into(&mut bytes);
+            data_at(2).encode_into(&mut bytes);
+            token(5).encode_into(&mut bytes);
+            (&peer).write_all(&bytes).unwrap();
+            assert_eq!(recv_data_epochs(&m0, 1), vec![0]);
+            let (from, clean, detail) = expect_down_detail(&m0);
+            assert_eq!((from, clean), (1, false), "{detail}");
+            assert!(
+                detail.contains("data frame 2 out of sequence (expected 1)"),
+                "{detail}"
+            );
+            assert!(m0.try_recv().is_none(), "a frame behind it surfaced");
+            m0.abort();
         }
     }
 
@@ -2341,14 +2205,16 @@ mod tests {
             .. ProptestConfig::default()
         })]
 
-        /// Whatever order data frames arrive in — duplicated, reordered,
-        /// with gaps — the sequencing never panics and delivers each
-        /// sequence number at most once, in increasing order: exactly
-        /// the prefix that arrived without a gap.
+        /// Whatever sequence numbers data frames carry, the check never
+        /// panics: it delivers exactly the in-order prefix, once each,
+        /// and closes the link uncleanly at the first frame out of
+        /// sequence.
         #[test]
-        fn link_rx_delivers_the_gap_free_prefix_once_in_order(
-            seqs in proptest::collection::vec(0u64..24, 0..64),
+        fn link_rx_delivers_the_in_order_prefix_then_closes_uncleanly(
+            prefix in 0u64..32,
+            tail in proptest::collection::vec(0u64..40, 0..16),
         ) {
+            let seqs: Vec<u64> = (0..prefix).chain(tail).collect();
             let mut rx = LinkRx::new();
             let mut delivered = Vec::new();
             let mut offer = |frame: Frame| {
@@ -2358,17 +2224,21 @@ mod tests {
                 delivered.push(seq);
                 true
             };
-            for &seq in &seqs {
-                let Frame::Data { epoch, msg, .. } = data(seq as u32) else {
-                    unreachable!()
+            let in_order = seqs.iter().zip(0..).take_while(|(s, i)| *s == i).count();
+            for (i, &seq) in seqs.iter().enumerate() {
+                let status = rx.on_frame(data_at(seq), &mut offer);
+                if i < in_order {
+                    prop_assert!(matches!(status, RxStatus::Open), "{status:?}");
+                    continue;
+                }
+                let RxStatus::Closed { clean: false, detail } = status else {
+                    panic!("frame {seq} at {i} did not close the link: {status:?}")
                 };
-                let status = rx.on_frame(Frame::Data { seq, epoch, msg }, &mut offer);
-                prop_assert!(matches!(status, RxStatus::Open), "{status:?}");
+                prop_assert!(detail.contains("out of sequence"), "{detail}");
+                break;
             }
-            let prefix = (0..).take_while(|s| seqs.contains(s)).count() as u64;
-            prop_assert_eq!(delivered, (0..prefix).collect::<Vec<_>>());
-            prop_assert_eq!(rx.expected_seq, prefix);
-            prop_assert_eq!(rx.gap_since.is_some(), !rx.ahead.is_empty());
+            prop_assert_eq!(delivered, (0..in_order as u64).collect::<Vec<_>>());
+            prop_assert_eq!(rx.expected_seq, in_order as u64);
         }
     }
 }

@@ -406,6 +406,21 @@ mod tests {
     }
 
     #[test]
+    fn job_files_refuse_the_retired_packet_faults() {
+        let mut job = ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None);
+        job.fault = Some(FaultPlan::new().partition(2, 1, 60, 0));
+        let json = serde_json::to_string(&job).unwrap();
+        assert_eq!(parse_job(&json).unwrap().fault, job.fault);
+        // A frame lost inside a live connection is a fault TCP cannot
+        // produce: the job is refused, not loaded as a healthy plan.
+        let kind = r#"{"Partition":{"after":60}}"#;
+        assert!(json.contains(kind), "{json}");
+        let old = json.replacen(kind, r#"{"Drop":{"At":60}}"#, 1);
+        let err = parse_job(&old).unwrap_err();
+        assert!(err.contains("`Drop`"), "{err}");
+    }
+
+    #[test]
     fn job_files_refuse_the_retired_compaction_knob() {
         let job = ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None);
         let json = serde_json::to_string(&job).unwrap();

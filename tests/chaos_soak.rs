@@ -1,15 +1,15 @@
 //! Chaos coverage beyond the targeted scenarios: an asymmetric
-//! partition (quick, always on) and a seeded random soak (long; run by
-//! the nightly CI job via `--ignored`).
+//! partition (quick, always on) and a seeded soak over every link fault
+//! kind (long; run by the nightly CI job via `--ignored`).
 //!
 //! Both are digest-checked against the sequential golden model — chaos
 //! may cost recoveries, never history.
 
 use std::path::PathBuf;
 use std::time::Duration;
-use warp_exec::distributed::RecoveryPolicy;
+use warp_exec::distributed::{NetTuning, RecoveryPolicy};
 use warp_exec::run_sequential;
-use warp_net::{FaultKind, FaultPlan, FaultRule, FaultScope, Selector};
+use warp_net::{FaultKind, FaultPlan, FaultRule, FaultScope};
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
 use warped_online::control::ClusterPolicy;
 use warped_online::models::PholdConfig;
@@ -69,12 +69,13 @@ fn asymmetric_partition_is_caught_by_the_stall_watchdog() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Worker 2's data toward worker 1 silently vanishes from frame 100
     // on (session 0 only), while the reverse direction and this
-    // direction's heartbeats keep flowing: no sequence gap ever forms
-    // and per-link liveness stays green. Only the GVT plane betrays the
-    // fault — the Mattern counts never reconcile — so the stall
-    // watchdog must declare the livelock and route it through recovery.
+    // direction's heartbeats keep flowing: nothing arrives out of
+    // sequence and per-link liveness stays green. Only the GVT plane
+    // betrays the fault — the Mattern counts never reconcile — so the
+    // stall watchdog must declare the livelock and route it through
+    // recovery.
     let job = ClusterJob {
-        fault: Some(FaultPlan::new().asym_partition(2, 1, 100, 0)),
+        fault: Some(FaultPlan::new().blackhole(2, 1, 100, 0)),
         ..phold_job(150, 3, 800)
     };
     let dist = run_distributed_job(&job, 2, worker_bin(), Duration::from_secs(120))
@@ -135,50 +136,61 @@ fn newcomer_crash_during_scale_out_falls_back_without_divergence() {
     assert_matches_sequential(&job, &dist);
 }
 
-/// The nightly soak: a long PHOLD run under *seeded random* chaos — a
-/// sprinkle of dropped data frames (sessions 0–2; a random drop is
-/// always fatal to its session, so unpinned drops would re-kill every
-/// recovered epoch forever) plus bounded reordering on the reverse
-/// link for the whole run. The plan is deterministic (same seeds pick
-/// the same frames every run), so a failure reproduces locally with
-/// the exact same schedule. Run with `cargo test --test chaos_soak --
-/// --ignored`.
+/// The nightly soak: a long PHOLD run under a seeded schedule of every
+/// link fault kind — one `Partition`, one `Crash` and one `Blackhole`
+/// rule, shuffled over sessions 0–2, each on a drawn direction between
+/// the two workers and at a drawn data frame. Every rule is pinned to its
+/// session (a fault that fired again in each recovered epoch would
+/// re-kill it forever). The draws come from a seed fixed here, so a
+/// failure reproduces locally with the exact same schedule. Run with
+/// `cargo test --test chaos_soak -- --ignored`.
 #[test]
 #[ignore = "long soak; exercised by the nightly chaos-soak CI job"]
 fn seeded_random_chaos_soak_commits_the_sequential_history() {
     let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut fault = FaultPlan::new().with(
-        1,
-        2,
-        FaultKind::Delay {
-            sel: Selector::Random {
-                seed: 0xBEEF,
-                per_mille: 25,
-            },
-            hold: 3,
-        },
-    );
+    // SplitMix64 over a fixed seed.
+    let mut state = 0xC0FF_EE00_u64;
+    let mut draw = |below: u64| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % below
+    };
+    let mut kinds: Vec<fn(u64) -> FaultKind> = vec![
+        |after| FaultKind::Partition { after },
+        |after| FaultKind::Crash { after },
+        |after| FaultKind::Blackhole { after },
+    ];
+    let mut fault = FaultPlan::new();
     for session in 0..3 {
+        let kind = kinds.remove(draw(kinds.len() as u64) as usize);
+        let from = 1 + draw(2) as u32;
         fault.rules.push(FaultRule {
-            from: 2,
-            to: 1,
+            from,
+            to: 3 - from,
             session: Some(session),
             scope: FaultScope::Data,
-            kind: FaultKind::Drop(Selector::Random {
-                seed: 0xC0FFEE + u64::from(session),
-                per_mille: 3,
-            }),
+            kind: kind(50 + draw(350)),
         });
     }
+    eprintln!("chaos schedule: {:?}", fault.rules);
     let job = ClusterJob {
+        net: NetTuning {
+            heartbeat_ms: 100,
+            liveness_ms: 1000,
+            ..NetTuning::default()
+        },
         fault: Some(fault),
-        ..phold_job(2000, 5, 0)
+        // The stall watchdog catches the black hole; its budget is above
+        // the liveness timeout, so a partition is caught as a dead link.
+        ..phold_job(2000, 5, 2000)
     };
     let dist = run_distributed_job(&job, 2, worker_bin(), Duration::from_secs(480))
         .expect("seeded chaos soak failed");
     assert!(
         dist.recoveries >= 3,
-        "the random drops never cost their sessions — chaos too gentle to mean anything"
+        "the scheduled faults never cost their sessions — chaos too gentle to mean anything"
     );
     assert!(
         dist.recoveries <= 5,

@@ -99,6 +99,7 @@ fn saaw_aggregation_commits_the_sequential_history_and_batches() {
     };
     let dist = run_job(&job, 2);
     assert_matches_sequential(&job, &dist);
+    assert_eq!(dist.recoveries, 0, "a fault-free run lost a worker");
     assert_aggregated(&dist);
 }
 
@@ -167,6 +168,7 @@ fn slowed_worker_under_aggregation_migrates_and_matches_sequential() {
     };
     let dist = run_job(&job, 3);
     assert_matches_sequential(&job, &dist);
+    assert_eq!(dist.recoveries, 0, "a migration is not a loss");
     assert!(
         !dist.migrations.is_empty(),
         "the slowed worker never shed an LP: {}",

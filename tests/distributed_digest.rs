@@ -42,6 +42,9 @@ fn assert_distributed_matches_sequential(job: ClusterJob, n_workers: u32) {
         "distributed run committed a different history than the sequential golden model"
     );
     assert_eq!(dist.per_lp.len(), spec.partition.n_lps());
+    // Recovery is on by default: a link that closed on a frame out of
+    // sequence would be absorbed silently without this.
+    assert_eq!(dist.recoveries, 0, "a fault-free run lost a worker");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Chaos tests for the distributed executive's checkpoint/recovery
 //! machinery: under a deterministic fault plan — a worker crash, a link
-//! partition, message duplication — the run must still finish and commit
+//! partition — the run must still finish and commit
 //! *exactly* the history the sequential golden model commits, with the
 //! recovery count recorded in the merged report.
 //!
@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 use warp_exec::distributed::{NetTuning, RecoveryPolicy};
 use warp_exec::run_sequential;
-use warp_net::{FaultKind, FaultPlan, Selector};
+use warp_net::FaultPlan;
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
 use warped_online::models::PholdConfig;
 
@@ -103,26 +103,6 @@ fn link_partition_recovers_with_every_process_surviving() {
     assert!(
         report.recoveries >= 1,
         "the partition never fired — no recovery was exercised"
-    );
-}
-
-#[test]
-fn duplicated_messages_are_absorbed_without_recovery() {
-    // Every data frame from worker 2 to worker 1 is sent twice, in every
-    // session. The receiver's sequence dedup must absorb the copies: no
-    // recovery, same committed history.
-    let job = ClusterJob {
-        fault: Some(FaultPlan::new().with(
-            2,
-            1,
-            FaultKind::Duplicate(Selector::Every { every: 1, phase: 0 }),
-        )),
-        ..phold_job()
-    };
-    let report = run_with_faults(job);
-    assert_eq!(
-        report.recoveries, 0,
-        "duplication alone must not trigger recovery"
     );
 }
 
