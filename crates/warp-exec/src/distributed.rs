@@ -190,9 +190,9 @@ use crate::snapshot::{
     SnapshotError,
 };
 use crate::spec::SimulationSpec;
-use crate::threaded::{lp_thread, LpOutcome, LpPort, LpSeed, Packet, BATCH};
+use crate::threaded::{lp_thread, LpOutcome, LpPort, LpSeed, Packet, WriteRule, BATCH};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
@@ -207,6 +207,7 @@ use warp_control::cluster::{
 };
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::VirtualTime;
+use warp_net::poll::PollFd;
 use warp_net::tcp::{bind_loopback, InboundHook, MeshEvent, MeshSender, TcpMesh, TcpMeshConfig};
 use warp_net::{lane_mesh, FaultPlan, Frame, FrameDecoder, LaneEndpoint, PROTO_VERSION};
 use warp_telemetry::{ControlEvent, Param, TelemetryReport};
@@ -2236,13 +2237,14 @@ enum Slot {
 
 /// An LP's transport inside a worker process: its endpoint in the
 /// session's SPSC lane mesh — the transport `run_threaded` uses — for
-/// co-resident LPs, a frame this thread posts to the TCP mesh,
-/// addressed to the owning process, for everything else. Peer workers'
-/// frames reach the lane when some thread of this process pumps their
-/// links (`route_data`) — this one when its lane is empty — checkpoint
-/// and abort packets from the session thread. Dropping the port, when
-/// the LP thread ends or unwinds, sends the session thread its exit
-/// wake.
+/// co-resident LPs, a frame this thread stages or posts to the TCP mesh,
+/// addressed to the owning process, for everything else; the LP loop
+/// decides when staged frames are written ([`WriteRule`]). Peer
+/// workers' frames reach the lane when some thread of this process
+/// pumps their links (`route_data`) — this one when its lane is empty,
+/// or when a frame wakes it from a park — checkpoint and abort packets
+/// from the session thread. Dropping the port, when the LP thread ends
+/// or unwinds, sends the session thread its exit wake.
 struct WorkerPort {
     lp: u32,
     lane: LaneEndpoint<Packet>,
@@ -2257,6 +2259,11 @@ struct WorkerPort {
     /// Checks skipped after the last empty pump: doubles with each empty
     /// pump up to a pass ([`BATCH`]), back to 0 when a byte arrives.
     backoff: Cell<usize>,
+    /// Whether a pump writes the staged data frames.
+    writes: WriteRule,
+    /// The peer links' sockets, rebuilt at each park (reused, so parks
+    /// allocate nothing once it has grown).
+    watch: RefCell<Vec<PollFd>>,
     /// Stream per-LP load reports to the coordinator at GVT rounds.
     balance: bool,
     /// Artificial slowdown shared by every LP thread in this process.
@@ -2264,10 +2271,37 @@ struct WorkerPort {
 }
 
 impl WorkerPort {
-    /// Pump the peer links and restart or extend the backoff. True if
-    /// any byte arrived.
+    fn new(
+        lp: u32,
+        lane: LaneEndpoint<Packet>,
+        n_local: usize,
+        slot_of: Arc<[Slot]>,
+        mesh_tx: MeshSender,
+        balance: bool,
+        throttle: Option<Arc<EventThrottle>>,
+    ) -> Self {
+        WorkerPort {
+            lp,
+            lane,
+            n_local,
+            slot_of,
+            mesh_tx,
+            skip: Cell::new(0),
+            backoff: Cell::new(0),
+            writes: WriteRule::default(),
+            watch: RefCell::new(Vec::new()),
+            balance,
+            throttle,
+        }
+    }
+
+    /// Pump the peer links and restart or extend the backoff; write what
+    /// is staged if the write rule says so. True if any byte arrived.
     fn pump(&self) -> bool {
         let read = self.mesh_tx.pump();
+        if self.writes.pump_writes() {
+            self.mesh_tx.flush();
+        }
         let backoff = if read {
             0
         } else {
@@ -2313,13 +2347,16 @@ impl LpPort for WorkerPort {
                     Packet::CkptReq(_) | Packet::Abort => return,
                 };
                 match &frame {
-                    Frame::Data { msg, .. } if stages(msg) => self.mesh_tx.stage(proc, frame),
+                    Frame::Data { msg, .. } if WriteRule::stages(msg) => {
+                        self.mesh_tx.stage(proc, frame)
+                    }
                     _ => self.mesh_tx.post(proc, frame),
                 }
             }
         }
     }
-    fn flush(&self) {
+    fn flush(&self, full: bool) {
+        self.writes.pass_ended(full);
         self.mesh_tx.flush();
     }
     /// The lanes first; when they are empty, the peer links — unless
@@ -2338,14 +2375,22 @@ impl LpPort for WorkerPort {
             }
         }
     }
-    /// Pump the peer links, then park on the lanes. Frames that reach
-    /// the socket during the park wait for its end, or for another
-    /// thread of this process to pump; pumping and yielding until the
-    /// timeout instead cost `phold-dense` a quarter of its rate
-    /// (`docs/hot-path.md` §6).
+    /// Pump the peer links, then park in one `ppoll` on the lanes'
+    /// doorbell and the peer links' sockets: the first lane packet or
+    /// frame byte ends the park, and a frame is pumped onto the lanes at
+    /// once. (Pumping and yielding until the timeout instead cost
+    /// `phold-dense` a quarter of its rate, `docs/hot-path.md` §6.)
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
         self.pump();
-        self.lane.recv_timeout(timeout)
+        let mut watch = self.watch.borrow_mut();
+        self.mesh_tx.watch(&mut watch);
+        if let Some(p) = self.lane.recv_timeout_watching(timeout, &mut watch) {
+            return Some(p);
+        }
+        let woke = watch.iter().any(PollFd::ready);
+        (woke && self.pump())
+            .then(|| self.lane.try_recv())
+            .flatten()
     }
     fn note_gvt(&self, gvt: VirtualTime) {
         // Only the controller LP calls this; the coordinator paces the
@@ -2409,14 +2454,6 @@ impl LpPort for WorkerPort {
     fn yield_core(&self) {
         std::thread::yield_now();
     }
-}
-
-/// Whether an LP's data message for a peer worker is staged for the
-/// pass's flush rather than posted at once: unless it carries an
-/// anti-message. A cancellation that waits out the pass lets the peer
-/// speculate further on what it cancels.
-fn stages(msg: &warp_net::PhysMsg) -> bool {
-    !msg.events.iter().any(warp_core::Event::is_anti)
 }
 
 impl Drop for WorkerPort {
@@ -2554,10 +2591,10 @@ fn run_worker(
         let sl = match heard {
             Ok(Some(Control::Session(sl))) => sl,
             Ok(Some(Control::Retire)) => {
-                eprintln!(
+                log_line(format!(
                     "warp-worker (proc {}): retired by scale-in; exiting",
                     init.proc_id
-                );
+                ));
                 return Ok(());
             }
             other => {
@@ -2566,14 +2603,10 @@ fn run_worker(
                     Err(e) if e.kind() != ErrorKind::InvalidData => "control socket closed".into(),
                     other => return Err(format!("expected a session line, got {other:?}")),
                 };
-                // One write: a dead coordinator's orphans exit at the same
-                // instant on a shared stderr, and `eprintln!` writes a
-                // line in pieces that a sibling's can split.
-                let line = format!(
-                    "warp-worker (proc {}): orphaned ({why}); exiting\n",
+                log_line(format!(
+                    "warp-worker (proc {}): orphaned ({why}); exiting",
                     init.proc_id
-                );
-                eprint!("{line}");
+                ));
                 std::process::exit(3);
             }
         };
@@ -2584,18 +2617,27 @@ fn run_worker(
             return Ok(());
         };
         if !init.recovery {
-            eprintln!(
+            log_line(format!(
                 "warp-worker (proc {}): session {session} {why}; exiting",
                 init.proc_id
-            );
+            ));
             std::process::exit(3);
         }
-        eprintln!(
+        log_line(format!(
             "warp-worker (proc {}): session {session} {why}; awaiting the next session",
             init.proc_id
-        );
+        ));
         listener = bind_loopback().map_err(|e| format!("re-bind: {e}"))?;
     }
+}
+
+/// Write one finished line to stderr in one call. Workers share their
+/// coordinator's stderr and often log at the same instant (a dead
+/// coordinator's orphans, every worker at a regroup), and `eprintln!`
+/// writes a line in pieces that a sibling's can split.
+fn log_line(mut line: String) {
+    line.push('\n');
+    let _ = io::stderr().write_all(line.as_bytes());
 }
 
 /// One worker session: establish the mesh under the session epoch,
@@ -2780,17 +2822,15 @@ fn run_session_as_worker(
         .into_iter()
         .zip(lanes)
         .map(|((lp, seed), lane)| {
-            let port = WorkerPort {
+            let port = WorkerPort::new(
                 lp,
                 lane,
                 n_local,
-                slot_of: Arc::clone(&slot_of),
-                mesh_tx: mesh.sender(),
-                skip: Cell::new(0),
-                backoff: Cell::new(0),
-                balance: init.balance,
-                throttle: carried.throttle.clone(),
-            };
+                Arc::clone(&slot_of),
+                mesh.sender(),
+                init.balance,
+                carried.throttle.clone(),
+            );
             let spec = spec.clone();
             std::thread::spawn(move || lp_thread(spec, port, seed, ckpt_base))
         })
@@ -3977,6 +4017,134 @@ mod tests {
             TICKS,
             "the restore coasted through every input at full speed"
         );
+        peer.abort();
+    }
+
+    /// The port of LP 0, parked on worker proc 1 of a two-process mesh,
+    /// whose proc 0 — a bare mesh with a reader thread — owns LP 2; LP 1
+    /// is co-resident. Heartbeats are 10 s apart, so nothing reaches the
+    /// socket that a test does not write. Returns the port, LP 1's and
+    /// the session thread's lane endpoints, and both meshes.
+    fn parked_port() -> (WorkerPort, [LaneEndpoint<Packet>; 2], TcpMesh, TcpMesh) {
+        let cfg = |proc_id| TcpMeshConfig {
+            heartbeat_interval: Duration::from_secs(10),
+            liveness_timeout: Duration::from_secs(30),
+            ..TcpMeshConfig::new(proc_id, 2)
+        };
+        let [l0, l1] = [(); 2].map(|_| bind_loopback().unwrap());
+        let addr0 = l0.local_addr().unwrap();
+        let peer = std::thread::spawn(move || TcpMesh::establish(cfg(0), l0, &[], |_| None));
+        let slot_of: Arc<[Slot]> = vec![Slot::Lane(0), Slot::Lane(1), Slot::Remote(0)].into();
+        // LP 0, LP 1, the session thread, the link to proc 0.
+        let [lp0, lp1, session, link] = <[_; 4]>::try_from(lane_mesh::<Packet>(4)).ok().unwrap();
+        let mut hook = Some((link, Arc::clone(&slot_of)));
+        let mesh = TcpMesh::establish(cfg(1), l1, &[(0, addr0)], |_| {
+            let (link, route) = hook.take()?;
+            Some(Box::new(move |frame| route_data(&link, &route, frame)) as InboundHook)
+        })
+        .unwrap();
+        let port = WorkerPort::new(0, lp0, 2, slot_of, mesh.sender(), false, None);
+        (port, [lp1, session], mesh, peer.join().unwrap().unwrap())
+    }
+
+    /// Park `port` for `LONG` at most, again after each wake without a
+    /// packet, until one arrives; the packet and the time it took.
+    fn park_until_a_packet(port: &WorkerPort) -> (Packet, Duration) {
+        const LONG: Duration = Duration::from_secs(5);
+        let t0 = Instant::now();
+        loop {
+            if let Some(p) = port.recv_timeout(LONG) {
+                return (p, t0.elapsed());
+            }
+            assert!(t0.elapsed() < LONG, "nothing arrived");
+        }
+    }
+
+    /// How long a test's sender waits before it sends, so that the port
+    /// is parked by then (were it not, it would find the packet without
+    /// parking, inside the bound all the same).
+    const LATER: Duration = Duration::from_millis(100);
+    /// How soon a parked port must be awake: well inside the 5 s park
+    /// of [`park_until_a_packet`].
+    const PROMPTLY: Duration = Duration::from_secs(1);
+
+    #[test]
+    fn a_parked_worker_port_wakes_on_a_peer_data_frame() {
+        let (port, _lanes, mesh, peer) = parked_port();
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(LATER);
+            let ev = warp_core::Event::new(
+                warp_core::EventId {
+                    sender: warp_core::ObjectId(2),
+                    serial: 0,
+                },
+                warp_core::ObjectId(0),
+                VirtualTime::ZERO,
+                VirtualTime::new(1),
+                0,
+                Vec::new(),
+            );
+            let msg = warp_net::PhysMsg {
+                src: warp_core::LpId(2),
+                dst: warp_core::LpId(0),
+                events: warp_net::EventBatch::one(ev),
+            };
+            peer.send(
+                1,
+                Frame::Data {
+                    seq: 0,
+                    epoch: 7,
+                    msg,
+                },
+            );
+            peer
+        });
+        let (p, took) = park_until_a_packet(&port);
+        assert!(matches!(p, Packet::Data { epoch: 7, .. }));
+        assert!(took < PROMPTLY, "the frame waited out the park: {took:?}");
+        drop(port);
+        mesh.abort();
+        writer.join().unwrap().abort();
+    }
+
+    #[test]
+    fn a_parked_worker_port_wakes_on_a_lane_packet_and_a_checkpoint_request() {
+        let (port, [lp1, session], mesh, peer) = parked_port();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(LATER);
+            let news = Packet::GvtNews {
+                gvt: VirtualTime::ZERO,
+                ckpt: None,
+            };
+            lp1.send(0, news);
+            std::thread::sleep(LATER);
+            session.send(0, Packet::CkptReq(3));
+            (lp1, session)
+        });
+        let (p, took) = park_until_a_packet(&port);
+        assert!(matches!(p, Packet::GvtNews { .. }));
+        assert!(
+            took < PROMPTLY,
+            "the lane packet waited out the park: {took:?}"
+        );
+        let (p, took) = park_until_a_packet(&port);
+        assert!(matches!(p, Packet::CkptReq(3)));
+        assert!(took < PROMPTLY, "the request waited out the park: {took:?}");
+        drop(sender.join().unwrap());
+        drop(port);
+        mesh.abort();
+        peer.abort();
+    }
+
+    #[test]
+    fn a_silent_park_times_out() {
+        let (port, _lanes, mesh, peer) = parked_port();
+        let timeout = Duration::from_millis(50);
+        let t0 = Instant::now();
+        assert!(port.recv_timeout(timeout).is_none());
+        assert!(t0.elapsed() >= timeout, "woke after {:?}", t0.elapsed());
+        drop(port);
+        mesh.abort();
         peer.abort();
     }
 }

@@ -13,6 +13,7 @@
 
 use crate::report::{LpSummary, ObjectSummary, RunReport};
 use crate::spec::SimulationSpec;
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 use warp_core::gvt::{GvtController, MatternAgent};
 use warp_core::stats::{CommStats, ObjectStats};
@@ -57,11 +58,12 @@ pub(crate) trait LpPort {
     /// Send a packet to a global LP id. Must never block on the LP loop
     /// and must tolerate peers that already shut down. The lanes never
     /// block. The distributed port stages a remote data packet in the
-    /// owner's link (`MeshSender::stage`) for [`flush`](Self::flush) to
-    /// write, and posts every other remote packet (`MeshSender::post`),
-    /// which writes the staged ones ahead of it: a post never waits for
-    /// another thread's write, and writes on this thread only when no
-    /// other thread is writing. A peer worker's socket is non-blocking
+    /// owner's link (`MeshSender::stage`) and writes it when
+    /// [`WriteRule`] says, and posts every other remote packet
+    /// (`MeshSender::post`), which writes the staged ones ahead of it: a
+    /// post never waits for another thread's write, and writes on this
+    /// thread only when no other thread is writing. A peer worker's
+    /// socket is non-blocking
     /// and what it refuses waits in the link's backlog — without it, two
     /// LPs writing to each other over full buffers would deadlock. (The
     /// port's frames for the coordinator — `note_gvt`,
@@ -73,14 +75,21 @@ pub(crate) trait LpPort {
     /// Write what [`send`](Self::send) left staged. Called once per pass
     /// of the LP loop, after the pass's sends and before the loop yields
     /// its core or parks, so no LP waits on a peer over frames it never
-    /// wrote. The lanes stage nothing.
-    fn flush(&self) {}
+    /// wrote. `full`: the pass ran all [`BATCH`] events, so the LP is
+    /// CPU-bound and the port leaves what the next pass stages to the
+    /// next call ([`WriteRule`]). The lanes stage nothing.
+    fn flush(&self, _full: bool) {}
     /// Non-blocking receive. The LP loop asks after every executed
     /// event, so with nothing inbound this must be cheap: a lane scan
     /// is; the distributed port's read of its peer links is a syscall,
-    /// so it backs off over empty reads (`WorkerPort`).
+    /// so it backs off over empty reads (`WorkerPort`), and after a pass
+    /// that ran dry it writes what is staged there too ([`WriteRule`]).
     fn try_recv(&self) -> Option<Packet>;
-    /// Blocking receive with a timeout; `None` on timeout.
+    /// Blocking receive with a timeout: `None` on timeout, or when
+    /// something other than a packet woke the LP. The lanes park on
+    /// their doorbell; the distributed port parks on it and on its peer
+    /// links' sockets in one `ppoll`, so a frame wakes it as a lane
+    /// packet does.
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet>;
     /// The controller LP announced a fresh GVT. The distributed port
     /// forwards this to the coordinator as `Frame::Progress`, which is
@@ -144,6 +153,39 @@ impl LpPort for LaneEndpoint<Packet> {
     }
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
         LaneEndpoint::recv_timeout(self, timeout)
+    }
+}
+
+/// When a port that stages its remote data packets writes them (the
+/// distributed port; kept beside the loop that drives it, so the loop's
+/// tests hold the rule too). After a pass that filled its [`BATCH`] the
+/// LP is CPU-bound: its staged packets wait for the next pass-end
+/// [`LpPort::flush`], at most a batch of events, and its pumps only
+/// read. After a pass that ran dry the LP waits on its peers, and its
+/// pumps write as they go. A packet carrying an anti-message is never
+/// staged.
+#[derive(Default)]
+pub(crate) struct WriteRule {
+    /// The last pass filled its batch.
+    busy: Cell<bool>,
+}
+
+impl WriteRule {
+    /// Whether `msg` is staged for a later write rather than written at
+    /// once: unless it carries an anti-message. A cancellation that
+    /// waits lets the peer speculate further on what it cancels.
+    pub(crate) fn stages(msg: &PhysMsg) -> bool {
+        !msg.events.iter().any(Event::is_anti)
+    }
+
+    /// Whether a pump writes what is staged.
+    pub(crate) fn pump_writes(&self) -> bool {
+        !self.busy.get()
+    }
+
+    /// At the pass-end flush: did the pass fill its batch?
+    pub(crate) fn pass_ended(&self, full: bool) {
+        self.busy.set(full);
     }
 }
 
@@ -514,7 +556,8 @@ impl<P: LpPort> LpThread<P> {
             //    handled over an unsent event. Nothing here walks the
             //    objects, and the clock is read only for an event that
             //    produced remote sends.
-            for _ in 0..BATCH {
+            let mut ran = 0;
+            while ran < BATCH {
                 while let Some(p) = self.port.try_recv() {
                     idle = false;
                     self.handle(p);
@@ -526,6 +569,7 @@ impl<P: LpPort> LpThread<P> {
                     break;
                 }
                 idle = false;
+                ran += 1;
                 self.port.throttle();
                 self.offer_remote();
             }
@@ -539,7 +583,7 @@ impl<P: LpPort> LpThread<P> {
                 self.lp.flush_idle(&mut self.remote);
                 self.offer_remote();
             }
-            self.port.flush();
+            self.port.flush(ran == BATCH);
             if !idle {
                 self.port.yield_core();
             }
@@ -678,6 +722,12 @@ mod tests {
         own: u32,
         cross: u32,
         hops: u32,
+        /// 0: every `CROSS` hop takes one tick. Otherwise crossing job
+        /// `j` starts `j` hops short, and a hop with `left` hops to go
+        /// takes `1 + left % spread` ticks: the jobs drift apart, so one
+        /// job's hop arrives behind another's executed one and cancels
+        /// what it sent.
+        spread: u32,
         /// `CROSS` sends so far (re-executions included).
         crossed: Arc<AtomicU64>,
         state: Hops,
@@ -696,7 +746,8 @@ mod tests {
             w.u32(left - 1);
             let me = ctx.me();
             if kind == CROSS {
-                ctx.send(ObjectId(1 - me.0), 1, CROSS, w.finish());
+                let delay = 1 + left.checked_rem(self.spread).unwrap_or(0);
+                ctx.send(ObjectId(1 - me.0), delay.into(), CROSS, w.finish());
                 self.crossed.fetch_add(1, Relaxed);
             } else {
                 ctx.send(me, STEP, OWN, w.finish());
@@ -709,8 +760,9 @@ mod tests {
             for _ in 0..self.own {
                 self.hop(ctx, OWN, self.hops);
             }
-            for _ in 0..self.cross {
-                self.hop(ctx, CROSS, self.hops);
+            for j in 0..self.cross {
+                let short = if self.spread > 0 { j } else { 0 };
+                self.hop(ctx, CROSS, self.hops - short);
             }
         }
         fn execute(&mut self, ctx: &mut dyn ExecutionContext, ev: &Event) {
@@ -732,7 +784,18 @@ mod tests {
     /// a history-growth round.
     fn hop_spec(
         n_lps: usize,
+        jobs: (u32, u32, u32),
+        crossed: [Arc<AtomicU64>; 2],
+    ) -> SimulationSpec {
+        spread_spec(n_lps, jobs, 0, crossed)
+    }
+
+    /// [`hop_spec`] whose crossing jobs drift apart by `spread`
+    /// (`Looper::spread`).
+    fn spread_spec(
+        n_lps: usize,
         (own, cross, hops): (u32, u32, u32),
+        spread: u32,
         crossed: [Arc<AtomicU64>; 2],
     ) -> SimulationSpec {
         SimulationSpec::new(
@@ -742,6 +805,7 @@ mod tests {
                     own,
                     cross,
                     hops,
+                    spread,
                     crossed: crossed[id.0 as usize].clone(),
                     state: Hops(0),
                 }) as Box<dyn SimObject>
@@ -833,6 +897,33 @@ mod tests {
         /// yields its core or parks over a staged packet; count the parks
         /// with a data packet sent since the previous one.
         Staged { parks: Arc<AtomicU64> },
+        /// Tally, by the kind of pass before, what the port's
+        /// [`WriteRule`] writes when (every inbox check is a pump).
+        Writes { tally: Arc<WriteTally> },
+    }
+
+    /// What a `Writes` probe saw. "After a full pass": since a pass-end
+    /// flush whose pass the probe itself counted [`BATCH`] events into.
+    #[derive(Default)]
+    struct WriteTally {
+        /// Passes that ran all of [`BATCH`].
+        full_passes: AtomicU64,
+        /// Pumps that found data packets staged and wrote them, after a
+        /// full / a dry pass.
+        pump_writes: [AtomicU64; 2],
+        /// Pumps that found data packets staged and left them.
+        pump_holds: [AtomicU64; 2],
+        /// Pass-end flushes that wrote staged packets.
+        flush_writes: [AtomicU64; 2],
+        /// Packets carrying an anti-message, written at once / staged.
+        antis_written: [AtomicU64; 2],
+        antis_staged: AtomicU64,
+    }
+
+    impl WriteTally {
+        fn get(counter: &[AtomicU64; 2], after_full: bool) -> u64 {
+            counter[after_full as usize].load(Relaxed)
+        }
     }
 
     struct Probe {
@@ -855,6 +946,10 @@ mod tests {
         /// whether any was sent since the last park.
         staged: Cell<u64>,
         sent: Cell<bool>,
+        /// `Writes`: the rule under test, and whether the probe counted
+        /// the last pass full.
+        rule: WriteRule,
+        after_full: Cell<bool>,
     }
 
     impl Probe {
@@ -870,6 +965,31 @@ mod tests {
                 produced_before: Cell::new(0),
                 staged: Cell::new(0),
                 sent: Cell::new(false),
+                rule: WriteRule::default(),
+                after_full: Cell::new(false),
+            }
+        }
+
+        /// `Writes`: the tally to count into.
+        fn tally(&self) -> Option<&WriteTally> {
+            match &self.script {
+                Script::Writes { tally } => Some(tally),
+                _ => None,
+            }
+        }
+
+        /// `Writes`: an inbox check pumps, and writes what is staged if
+        /// the rule says so.
+        fn pump(&self) {
+            let Some(tally) = self.tally().filter(|_| self.staged.get() > 0) else {
+                return;
+            };
+            let after = self.after_full.get() as usize;
+            if self.rule.pump_writes() {
+                self.staged.set(0);
+                tally.pump_writes[after].fetch_add(1, Relaxed);
+            } else {
+                tally.pump_holds[after].fetch_add(1, Relaxed);
             }
         }
 
@@ -922,16 +1042,41 @@ mod tests {
                 Packet::Token(_) => self.tokens.set(self.tokens.get() + 1),
                 _ => {}
             }
-            if matches!(p, Packet::Data { .. }) {
-                self.staged.set(self.staged.get() + 1);
+            if let Packet::Data { msg, .. } = &p {
+                match self.tally() {
+                    // Posted: written at once, the staged ones ahead of it.
+                    Some(tally) if !WriteRule::stages(msg) => {
+                        self.staged.set(0);
+                        tally.antis_written[self.after_full.get() as usize].fetch_add(1, Relaxed);
+                    }
+                    Some(tally) => {
+                        if msg.events.iter().any(Event::is_anti) {
+                            tally.antis_staged.fetch_add(1, Relaxed);
+                        }
+                        self.staged.set(self.staged.get() + 1);
+                    }
+                    None => self.staged.set(self.staged.get() + 1),
+                }
                 self.sent.set(true);
             }
             self.lane.send(to, p);
         }
-        fn flush(&self) {
+        fn flush(&self, full: bool) {
+            if let Some(tally) = self.tally() {
+                let counted_full = self.in_pass.get() == BATCH as u64;
+                assert_eq!(full, counted_full, "the loop misreported its pass");
+                tally.full_passes.fetch_add(full as u64, Relaxed);
+                if self.staged.get() > 0 {
+                    tally.flush_writes[self.after_full.get() as usize].fetch_add(1, Relaxed);
+                }
+                self.rule.pass_ended(full);
+                self.after_full.set(counted_full);
+                self.in_pass.set(0);
+            }
             self.staged.set(0);
         }
         fn try_recv(&self) -> Option<Packet> {
+            self.pump();
             let hold_tokens = matches!(self.script, Script::TokensMidPass { .. });
             if !hold_tokens || self.in_pass.get() > 0 {
                 if let Some(p) = self.take_held() {
@@ -1205,6 +1350,87 @@ mod tests {
             parks.load(Relaxed) >= 10,
             "only {} parks followed a send",
             parks.load(Relaxed)
+        );
+    }
+
+    /// Run `spec` on two LPs behind `Writes` probes.
+    fn tally_writes(spec: &SimulationSpec) -> Arc<WriteTally> {
+        let tally = Arc::new(WriteTally::default());
+        let outcomes = run_on(spec, |lane| {
+            let tally = tally.clone();
+            Probe::new(lane, Script::Writes { tally })
+        });
+        assert_sequential(spec, &outcomes);
+        tally
+    }
+
+    #[test]
+    fn a_full_pass_leaves_its_data_to_the_pass_end_flush() {
+        // Own jobs keep both LPs busy, so nearly every pass runs its whole
+        // batch; the crossing jobs send data in them.
+        let spec = hop_spec(2, (0, 64, 100), Default::default())
+            .with_gvt_period(None)
+            .with_traces();
+        let tally = tally_writes(&spec);
+        let full = true;
+        assert!(tally.full_passes.load(Relaxed) >= 20, "too few full passes");
+        assert_eq!(
+            WriteTally::get(&tally.pump_writes, full),
+            0,
+            "a pump wrote after a full pass"
+        );
+        assert!(
+            WriteTally::get(&tally.pump_holds, full) >= 10,
+            "only {} pumps after a full pass found data staged",
+            WriteTally::get(&tally.pump_holds, full)
+        );
+        assert!(WriteTally::get(&tally.flush_writes, full) >= 10);
+    }
+
+    #[test]
+    fn a_pass_that_ran_dry_writes_at_its_pumps() {
+        // Only crossing jobs: every event sends to the other LP, which
+        // runs dry waiting for the answer.
+        let spec = hop_spec(2, (0, 4, 300), Default::default())
+            .with_gvt_period(None)
+            .with_traces();
+        let tally = tally_writes(&spec);
+        let dry = false;
+        assert_eq!(
+            WriteTally::get(&tally.pump_holds, dry),
+            0,
+            "a pump after a dry pass left data staged"
+        );
+        assert!(
+            WriteTally::get(&tally.pump_writes, dry) >= 10,
+            "only {} pumps after a dry pass wrote",
+            WriteTally::get(&tally.pump_writes, dry)
+        );
+    }
+
+    #[test]
+    fn an_anti_message_is_written_at_once_after_either_pass() {
+        // Both LPs run ahead on their own jobs and roll back on the
+        // crossing ones, which cancels what they sent: anti-messages
+        // after full passes; and, with few own jobs, after dry ones.
+        let mut antis = [0; 2];
+        for own in [0, 6] {
+            let spec = spread_spec(2, (own, 8, 300), 4, Default::default())
+                .with_gvt_period(None)
+                .with_traces();
+            let tally = tally_writes(&spec);
+            assert_eq!(
+                tally.antis_staged.load(Relaxed),
+                0,
+                "an anti-message waited"
+            );
+            for (after_full, n) in antis.iter_mut().enumerate() {
+                *n += WriteTally::get(&tally.antis_written, after_full == 1);
+            }
+        }
+        assert!(
+            antis.iter().all(|&n| n > 0),
+            "anti-messages written after a dry / a full pass: {antis:?}"
         );
     }
 

@@ -21,6 +21,9 @@
 //!   Senders write on their own thread; links to peer workers are pumped
 //!   by their owner's threads, the rest keep one reader thread each. It is the only
 //!   inter-process engine; `docs/data-plane.md` records why.
+//! * [`poll`] — one `ppoll(2)` over several descriptors, and the
+//!   `eventfd(2)` behind each lane's doorbell: a worker's LP parks on
+//!   its lanes and its peer links in one call.
 //! * [`fault`] — deterministic fault injection (partition / black hole /
 //!   crash, the failures a TCP link has) applied at the sending side of
 //!   each link, so every recovery path is exercised reproducibly.
@@ -36,6 +39,7 @@ pub mod aggregate;
 pub mod fault;
 pub mod frame;
 pub mod policy;
+pub mod poll;
 pub mod spsc;
 pub mod tcp;
 

@@ -14,17 +14,23 @@
 //! * Sends never block and never fail: a full ring spills, a
 //!   dropped-peer send parks harmlessly in the shared lane (the
 //!   allocation lives as long as any endpoint).
-//! * `recv_timeout` parks the thread on a per-endpoint eventcount
-//!   (futex-style: senders only touch the mutex when the receiver has
+//! * `recv_timeout` parks the thread on a per-endpoint eventcount over
+//!   an eventfd (senders only write to it when the receiver has
 //!   advertised that it is sleeping), so the idle path stays cheap and
-//!   the hot path lock-free.
+//!   the hot path lock-free; the park is a `ppoll`, so a receiver can
+//!   sleep on other descriptors in the same call
+//!   ([`LaneEndpoint::recv_timeout_watching`]).
 
+use crate::poll::{self, PollFd};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
+use std::fs::File;
+use std::io::{Read, Write};
 use std::mem::MaybeUninit;
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Ring capacity per lane (messages). Lanes preallocate this many slots
 /// up front; sustained bursts beyond it degrade gracefully into the
@@ -136,61 +142,66 @@ impl<T> Drop for Lane<T> {
 }
 
 /// Per-endpoint sleep/wake primitive: an eventcount reduced to one
-/// boolean. Senders check `parked` (a single atomic load on the hot
-/// path) and take the mutex only when the receiver advertised that it
-/// is about to sleep.
+/// boolean, over a file descriptor. Senders check `parked` (a single
+/// atomic load on the hot path) and add to an eventfd
+/// ([`poll::event_fd`]) only when the receiver advertised that it is
+/// about to sleep; the receiver sleeps in one `ppoll` ([`crate::poll`])
+/// on it — together with whatever other descriptors it watches (a worker
+/// LP's peer links).
 struct Doorbell {
     parked: AtomicBool,
-    state: Mutex<bool>,
-    cv: Condvar,
+    /// The counter was added to since the receiver last drained it: later
+    /// rings need not add again.
+    rung: AtomicBool,
+    bell: File,
 }
 
 impl Doorbell {
+    /// Panics if the process is out of file descriptors.
     fn new() -> Self {
         Doorbell {
             parked: AtomicBool::new(false),
-            state: Mutex::new(false),
-            cv: Condvar::new(),
+            rung: AtomicBool::new(false),
+            bell: poll::event_fd().expect("a doorbell eventfd"),
         }
     }
 
     /// Sender side: wake the receiver if (and only if) it is parked.
     fn ring(&self) {
         // Pairs with the SeqCst fence in `wait`: either we observe
-        // `parked` and notify, or the receiver's re-check observes our
+        // `parked` and write, or the receiver's re-check observes our
         // message. A missed wake is additionally bounded by the
         // receiver's timeout, never lost forever.
         fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) {
-            let mut rung = self.state.lock().unwrap();
-            *rung = true;
-            self.cv.notify_one();
+        if self.parked.load(Ordering::Relaxed) && !self.rung.swap(true, Ordering::AcqRel) {
+            // Fails only on a counter about to overflow, which is readable.
+            let _ = (&self.bell).write(&1u64.to_ne_bytes());
         }
     }
 
-    /// Receiver side: sleep until rung or `timeout`. `recheck` is
-    /// polled once after advertising the park, closing the race with a
-    /// sender that rang just before.
-    fn wait(&self, timeout: Duration, recheck: impl Fn() -> bool) {
+    /// Receiver side: sleep until rung, until one of `fds` — the bell
+    /// last, see [`Doorbell::watch`] — is readable, or until `timeout`.
+    /// `recheck` is polled once after advertising the park, closing the
+    /// race with a sender that rang just before.
+    fn wait(&self, timeout: Duration, recheck: impl Fn() -> bool, fds: &mut [PollFd]) {
         self.parked.store(true, Ordering::Relaxed);
         fence(Ordering::SeqCst);
-        if recheck() {
-            self.parked.store(false, Ordering::Relaxed);
-            return;
-        }
-        let deadline = Instant::now() + timeout;
-        let mut rung = self.state.lock().unwrap();
-        while !*rung {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (g, _) = self.cv.wait_timeout(rung, deadline - now).unwrap();
-            rung = g;
-        }
-        *rung = false;
-        drop(rung);
+        let slept = !recheck() && poll::wait(fds, timeout);
         self.parked.store(false, Ordering::Relaxed);
+        // A count left behind (a ring that raced the re-check, or the
+        // last drain) only wakes the next park early, which drains it.
+        if slept && fds.last().is_some_and(PollFd::ready) {
+            let _ = (&self.bell).read(&mut [0; 8]);
+            // After the drain. Release pairs with the `AcqRel` swap in
+            // `ring`: a sender that finds `rung` clear adds to the
+            // counter after this drain, so the next park sees it.
+            self.rung.store(false, Ordering::Release);
+        }
+    }
+
+    /// The descriptor to watch for this bell.
+    fn watch(&self) -> PollFd {
+        PollFd::readable(self.bell.as_raw_fd())
     }
 }
 
@@ -263,15 +274,33 @@ impl<T> LaneEndpoint<T> {
 
     /// Blocking receive with a timeout; `None` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
+        self.park(timeout, &mut [self.bells[self.id].watch()])
+    }
+
+    /// [`recv_timeout`](Self::recv_timeout) that also wakes when one of
+    /// `fds` is readable — `None` then too, unless a packet came with it.
+    /// The park is one `ppoll` over `fds` and this endpoint's doorbell;
+    /// `fds` is handed back as it came (the doorbell is pushed and popped,
+    /// so a reused vector allocates once).
+    pub fn recv_timeout_watching(&self, timeout: Duration, fds: &mut Vec<PollFd>) -> Option<T> {
+        fds.push(self.bells[self.id].watch());
+        let p = self.park(timeout, fds);
+        fds.pop();
+        p
+    }
+
+    /// Receive, or park on `fds` — this endpoint's doorbell last.
+    fn park(&self, timeout: Duration, fds: &mut [PollFd]) -> Option<T> {
         if let Some(p) = self.try_recv() {
             return Some(p);
         }
-        self.bells[self.id].wait(timeout, || {
+        let recheck = || {
             self.rx.iter().any(|l| {
                 let head = l.head.0.load(Ordering::Relaxed);
                 l.tail.0.load(Ordering::Acquire) != head || l.spill_len.load(Ordering::Acquire) != 0
             })
-        });
+        };
+        self.bells[self.id].wait(timeout, recheck, fds);
         self.try_recv()
     }
 
@@ -288,6 +317,7 @@ impl<T> LaneEndpoint<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn routes_point_to_point() {

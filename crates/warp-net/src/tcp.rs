@@ -38,9 +38,11 @@
 //! never wait, leaves its bytes to a writer already at work. So a large
 //! frame is only ever written by the thread that sent it.
 //! [`MeshSender::stage`] writes nothing at all: a worker's LP threads
-//! stage their data frames and [`MeshSender::flush`] once per pass of
-//! the LP loop, so a pass costs each peer link one write, not one per
-//! frame; any send, post, pump or tick on the link writes them too.
+//! stage their data frames and [`MeshSender::flush`] when their LP loop
+//! says — at the end of a pass, or sooner while the LP runs dry — so a
+//! busy pass costs each peer link one write, not one per frame; any
+//! send, post, flush or tick on the link writes them too. A pump only
+//! reads.
 //!
 //! Receiving: what a link carries decides who reads it. A link whose
 //! owner gave it an [`InboundHook`] — a worker's link to a peer worker,
@@ -48,9 +50,10 @@
 //! socket is non-blocking, no thread is spawned for it, and whoever wants
 //! its frames reads what it holds — until it would block or a read
 //! comes back short ([`MeshSender::pump`], from the LP threads between
-//! events, and [`TcpMesh::tick`]); bytes its socket refuses stay in the
-//! backlog for the next send, pump or tick, so a sender never blocks on
-//! a peer that is not reading. Every other
+//! events, and [`TcpMesh::tick`]); a thread with nothing to do sleeps on
+//! their sockets ([`MeshSender::watch`]). Bytes its socket refuses stay
+//! in the backlog for the next send, flush or tick, so a sender never
+//! blocks on a peer that is not reading. Every other
 //! link — every link to the coordinator, on both sides — keeps one reader
 //! thread blocked on its socket; its writes block too, but only while
 //! that peer's own reader thread drains them, and a write it takes
@@ -75,8 +78,10 @@
 
 use crate::fault::{DataFate, FaultPlan, LinkChaos};
 use crate::frame::{Frame, FrameDecoder, PROTO_VERSION};
+use crate::poll::PollFd;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -263,7 +268,7 @@ impl Link {
     }
 
     /// Stage one frame behind the backlog and write nothing: the next
-    /// send, flush, pump or tick on the link takes it along.
+    /// send, flush or tick on the link takes it along.
     fn stage(&self, frame: Frame) {
         lock(&self.tx).send(frame);
     }
@@ -305,7 +310,7 @@ impl Link {
 
     /// Write `wire`, refilling it from the backlog, until both are empty
     /// (true) or a pumped link's socket refuses more (false; the rest
-    /// waits, in order, for the next send, pump or tick). A failed
+    /// waits, in order, for the next send, flush or tick). A failed
     /// write closes the link for sending, and its reader reports the
     /// loss. On a blocking link that includes a write the peer took
     /// nothing of for the whole liveness timeout: it is wedged, and a
@@ -335,15 +340,19 @@ impl Link {
     }
 
     /// Read what a pumped link's socket holds — unless another thread
-    /// is reading it right now — then flush its backlog. True if
-    /// any byte arrived. A link with a reader thread is left to it.
+    /// is reading it right now. True if any byte arrived. A link with a
+    /// reader thread is left to it. Writes nothing: when its backlog goes
+    /// out is the pumping thread's call.
     fn pump(&self) -> bool {
-        if !self.pumped {
-            return false;
-        }
-        let read = self.rx.try_lock().is_ok_and(|mut rx| rx.read_available());
-        self.flush();
-        read
+        self.pumped && self.rx.try_lock().is_ok_and(|mut rx| rx.read_available())
+    }
+
+    /// A pumped link's socket, to sleep on until bytes arrive — unless
+    /// nothing more will be read from it: once it is down, its end of
+    /// stream would wake every sleep at once.
+    fn watch(&self) -> Option<PollFd> {
+        let live = self.pumped && self.rx.try_lock().map_or(true, |rx| !rx.done);
+        live.then(|| PollFd::readable(self.stream.as_raw_fd()))
     }
 
     /// The link's idle duties: read a pumped link, declare the link down
@@ -400,7 +409,7 @@ impl MeshSender {
     /// write: stage the frame and write only if no other thread is
     /// writing the link — that one takes these bytes along. On a pumped
     /// link the socket never blocks: what it refuses waits in the link's
-    /// backlog for the next send, pump or tick. A link with a reader
+    /// backlog for the next send, flush or tick. A link with a reader
     /// thread blocks, but only until the peer's own reader thread takes
     /// what is already in the socket, and only small frames are ever left
     /// to another thread to write (`send` writes its own).
@@ -411,9 +420,9 @@ impl MeshSender {
     /// Like [`post`](Self::post), but write nothing: the frame is
     /// stamped, fault-injected and encoded into the link's backlog, and
     /// goes out, in order, with the next send, post,
-    /// [`flush`](Self::flush), pump or tick on the link. For a thread
-    /// that sends many small frames and then flushes (a worker's LP
-    /// threads, once per pass of the LP loop): one write for them all.
+    /// [`flush`](Self::flush) or tick on the link. For a thread that
+    /// sends many small frames and then flushes (a worker's LP threads,
+    /// at the end of a busy pass of the LP loop): one write for them all.
     pub fn stage(&self, to: u32, frame: Frame) {
         self.deliver(to, frame, Link::stage);
     }
@@ -442,13 +451,23 @@ impl MeshSender {
     }
 
     /// Read what every pumped link's socket holds, delivering through
-    /// the link's hook, and flush its backlog. A link another thread is
-    /// reading at that moment is skipped. True if any byte arrived.
+    /// the link's hook. A link another thread is reading at that moment
+    /// is skipped. True if any byte arrived. Writes nothing: a pumping
+    /// thread that wants its staged frames out flushes
+    /// ([`flush`](Self::flush)).
     pub fn pump(&self) -> bool {
         self.links
             .iter()
             .flatten()
             .fold(false, |any, link| link.pump() | any)
+    }
+
+    /// Replace `fds` with the sockets of the pumped links still open for
+    /// reading: what a thread that pumps them sleeps on
+    /// ([`LaneEndpoint::recv_timeout_watching`](crate::LaneEndpoint::recv_timeout_watching)).
+    pub fn watch(&self, fds: &mut Vec<PollFd>) {
+        fds.clear();
+        fds.extend(self.links.iter().flatten().filter_map(|link| link.watch()));
     }
 }
 
@@ -1672,11 +1691,11 @@ mod tests {
     }
 
     #[test]
-    fn staged_frames_wait_for_a_flush_a_pump_or_a_post() {
+    fn staged_frames_wait_for_a_flush_or_a_post_not_a_pump() {
         let (m0, m1) = pair_hooked(fast_cfg(0, 2), fast_cfg(1, 2), relay(true), relay(true));
         let out = m0.sender();
         let link = m0.out.links[1].as_ref().unwrap();
-        for (round, write) in ["flush", "pump", "post"].into_iter().enumerate() {
+        for (round, write) in ["flush", "post"].into_iter().enumerate() {
             let epochs = 3 * round as u32..3 * round as u32 + 3;
             let mut wire = Vec::new();
             for epoch in epochs.clone() {
@@ -1689,18 +1708,20 @@ mod tests {
                 Frame::Data { seq, epoch, msg }.encode_into(&mut wire);
             }
             assert_eq!(link.staged(), wire.len(), "{write}: staging wrote bytes");
-            // Nothing proc 0 does meanwhile writes: proc 1 reads nothing.
+            // Nothing proc 0 does meanwhile writes, its pumps included:
+            // proc 1 reads nothing.
             let quiet = Instant::now() + Duration::from_millis(60);
             while Instant::now() < quiet {
+                out.pump();
                 assert_eq!(
                     m1.recv_timeout(m1.tick()),
                     None,
                     "{write}: a staged frame arrived"
                 );
             }
+            assert_eq!(link.staged(), wire.len(), "{write}: a pump wrote");
             match write {
                 "flush" => out.flush(),
-                "pump" => _ = out.pump(),
                 _ => out.post(1, token(9)),
             }
             assert_eq!(link.staged(), 0, "{write} left bytes staged");
