@@ -524,6 +524,10 @@ struct WorkerReport {
     /// The worker process's peak resident set in KiB ([`peak_rss_kb`]).
     #[serde(default)]
     peak_rss_kb: u64,
+    /// `write(2)` calls on this worker's links to its peer workers,
+    /// summed over its sessions.
+    #[serde(default)]
+    link_writes: u64,
 }
 
 /// This process's peak resident set (`VmHWM` in `/proc/self/status`) in
@@ -2098,6 +2102,7 @@ fn merge_reports(reports: Vec<WorkerReport>, wall: f64, mut st: CoordState) -> R
     }
     let gvt_rounds = reports.iter().map(|r| r.gvt_rounds).max().unwrap_or(0);
     let worker_peak_rss_kb = reports.iter().map(|r| r.peak_rss_kb).collect();
+    let worker_link_writes = reports.iter().map(|r| r.link_writes).collect();
     let mut per_lp: Vec<LpSummary> = reports.into_iter().flat_map(|r| r.per_lp).collect();
     per_lp.sort_by_key(|s| s.lp);
 
@@ -2130,6 +2135,7 @@ fn merge_reports(reports: Vec<WorkerReport>, wall: f64, mut st: CoordState) -> R
         scales: st.scales,
         telemetry: st.telemetry.filter(|t| !t.is_empty()),
         worker_peak_rss_kb,
+        worker_link_writes,
         resume,
     }
 }
@@ -2259,7 +2265,7 @@ struct WorkerPort {
     /// Checks skipped after the last empty pump: doubles with each empty
     /// pump up to a pass ([`BATCH`]), back to 0 when a byte arrives.
     backoff: Cell<usize>,
-    /// Whether a pump writes the staged data frames.
+    /// When the staged data frames are written.
     writes: WriteRule,
     /// The peer links' sockets, rebuilt at each park (reused, so parks
     /// allocate nothing once it has grown).
@@ -2295,12 +2301,19 @@ impl WorkerPort {
         }
     }
 
+    /// Write every link's staged frames (or leave them to the thread
+    /// writing that link, which takes them along).
+    fn write_links(&self) {
+        self.mesh_tx.flush();
+        self.writes.wrote();
+    }
+
     /// Pump the peer links and restart or extend the backoff; write what
     /// is staged if the write rule says so. True if any byte arrived.
     fn pump(&self) -> bool {
         let read = self.mesh_tx.pump();
         if self.writes.pump_writes() {
-            self.mesh_tx.flush();
+            self.write_links();
         }
         let backoff = if read {
             0
@@ -2330,8 +2343,14 @@ impl LpPort for WorkerPort {
             Slot::Lane(lane) => self.lane.send(lane, p),
             Slot::Remote(proc) => {
                 let frame = match p {
-                    // The link stamps the real per-link sequence.
-                    Packet::Data { msg, epoch } => Frame::Data { seq: 0, epoch, msg },
+                    // Staged, anti-messages too: the write rule decides
+                    // when it is written. The link stamps the real
+                    // per-link sequence.
+                    Packet::Data { msg, epoch } => {
+                        self.writes.staged(&msg);
+                        let frame = Frame::Data { seq: 0, epoch, msg };
+                        return self.mesh_tx.stage(proc, frame);
+                    }
                     Packet::Token(token) => Frame::Token {
                         dst_lp: to as u32,
                         token,
@@ -2346,18 +2365,18 @@ impl LpPort for WorkerPort {
                     // peer.
                     Packet::CkptReq(_) | Packet::Abort => return,
                 };
-                match &frame {
-                    Frame::Data { msg, .. } if WriteRule::stages(msg) => {
-                        self.mesh_tx.stage(proc, frame)
-                    }
-                    _ => self.mesh_tx.post(proc, frame),
-                }
+                self.mesh_tx.post(proc, frame);
             }
         }
     }
     fn flush(&self, full: bool) {
         self.writes.pass_ended(full);
-        self.mesh_tx.flush();
+        self.write_links();
+    }
+    fn before_event(&self) {
+        if self.writes.event_writes() {
+            self.write_links();
+        }
     }
     /// The lanes first; when they are empty, the peer links — unless
     /// the backoff says to skip this check. An empty non-blocking read is
@@ -2536,6 +2555,8 @@ fn lost_peer(peer: u32, detail: &str) -> String {
 struct Carried {
     /// Resume accounting across every session, for the final report.
     resume_stats: ResumeStats,
+    /// Writes on the peer-worker links of the sessions so far.
+    link_writes: u64,
     /// The process's one throttle (its `Slow` fault): the event budget
     /// must not re-arm when a recovery or scale starts a new session.
     throttle: Option<Arc<EventThrottle>>,
@@ -2545,6 +2566,7 @@ impl Carried {
     fn new(init: &WorkerInit) -> Self {
         Carried {
             resume_stats: ResumeStats::default(),
+            link_writes: 0,
             throttle: init
                 .fault
                 .as_ref()
@@ -2841,6 +2863,10 @@ fn run_session_as_worker(
         .into_iter()
         .map(|h| h.join().expect("LP thread panicked"))
         .collect();
+    carried.link_writes += (1..n_procs)
+        .filter(|&peer| peer != init.proc_id)
+        .map(|peer| mesh.link_writes(peer))
+        .sum::<u64>();
 
     match end {
         WorkerSessionEnd::Finished => {
@@ -2850,6 +2876,7 @@ fn run_session_as_worker(
                 per_lp: outcomes.into_iter().map(|o| o.summary).collect(),
                 resume: carried.resume_stats.clone(),
                 peak_rss_kb: peak_rss_kb(),
+                link_writes: carried.link_writes,
             };
             let bytes = serde_json::to_vec(&report).map_err(|e| format!("report encode: {e}"))?;
             mesh.send(0, Frame::Report(bytes));

@@ -171,6 +171,11 @@ pub struct RunReport {
     /// Empty outside the distributed executive.
     #[serde(default)]
     pub worker_peak_rss_kb: Vec<u64>,
+    /// `write(2)` calls each worker that reported made on its links to
+    /// its peer workers, over all its sessions, in worker order. Empty
+    /// outside the distributed executive.
+    #[serde(default)]
+    pub worker_link_writes: Vec<u64>,
     /// Resume and checkpoint-store accounting (all zero outside the
     /// distributed executive). Kept last so legacy reports parse.
     #[serde(default)]
@@ -347,6 +352,7 @@ mod tests {
             scales: Vec::new(),
             telemetry: None,
             worker_peak_rss_kb: Vec::new(),
+            worker_link_writes: Vec::new(),
             resume: ResumeStats::default(),
             per_lp: vec![LpSummary {
                 lp: 0,
@@ -459,11 +465,25 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.worker_peak_rss_kb, r.worker_peak_rss_kb);
+        r.worker_link_writes = vec![9_214, 8_870];
+        let json = serde_json::to_string(&r).unwrap();
+        let back: RunReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.worker_link_writes, r.worker_link_writes);
+        // A report from before either field: both keys cut out.
         let cut = json.find(",\"worker_peak_rss_kb\"").expect("serialized");
         let end = json[cut + 1..].find(",\"resume\"").unwrap() + cut + 1;
         let legacy = format!("{}{}", &json[..cut], &json[end..]);
+        assert!(!legacy.contains("worker_link_writes"));
         let old: RunReport = serde_json::from_str(&legacy).unwrap();
         assert!(old.worker_peak_rss_kb.is_empty());
+        assert!(old.worker_link_writes.is_empty());
+        // And one from before the link writes alone.
+        let cut = json.find(",\"worker_link_writes\"").expect("serialized");
+        let end = json[cut + 1..].find(",\"resume\"").unwrap() + cut + 1;
+        let legacy = format!("{}{}", &json[..cut], &json[end..]);
+        let old: RunReport = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(old.worker_peak_rss_kb, r.worker_peak_rss_kb);
+        assert!(old.worker_link_writes.is_empty());
     }
 
     #[test]

@@ -225,6 +225,7 @@ pub fn run_sequential(spec: &SimulationSpec) -> RunReport {
         scales: Vec::new(),
         telemetry: None,
         worker_peak_rss_kb: Vec::new(),
+        worker_link_writes: Vec::new(),
         resume: Default::default(),
     }
 }

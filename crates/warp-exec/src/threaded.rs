@@ -57,15 +57,15 @@ pub(crate) trait LpPort {
     fn n_local(&self) -> usize;
     /// Send a packet to a global LP id. Must never block on the LP loop
     /// and must tolerate peers that already shut down. The lanes never
-    /// block. The distributed port stages a remote data packet in the
-    /// owner's link (`MeshSender::stage`) and writes it when
-    /// [`WriteRule`] says, and posts every other remote packet
-    /// (`MeshSender::post`), which writes the staged ones ahead of it: a
-    /// post never waits for another thread's write, and writes on this
-    /// thread only when no other thread is writing. A peer worker's
-    /// socket is non-blocking
-    /// and what it refuses waits in the link's backlog — without it, two
-    /// LPs writing to each other over full buffers would deadlock. (The
+    /// block. The distributed port stages every remote data packet,
+    /// anti-messages included, in the owner's link (`MeshSender::stage`)
+    /// and writes it when [`WriteRule`] says, and posts every other
+    /// remote packet (`MeshSender::post`), which writes the staged ones
+    /// ahead of it: a post never waits for another thread's write, and
+    /// writes on this thread only when no other thread is writing. A
+    /// peer worker's socket is non-blocking and what it refuses waits in
+    /// the link's backlog — without it, two LPs writing to each other
+    /// over full buffers would deadlock. (The
     /// port's frames for the coordinator — `note_gvt`,
     /// `stream_telemetry`, `report_load` — are posted too. That socket
     /// blocks, but only until the coordinator's reader thread takes what
@@ -79,6 +79,12 @@ pub(crate) trait LpPort {
     /// CPU-bound and the port leaves what the next pass stages to the
     /// next call ([`WriteRule`]). The lanes stage nothing.
     fn flush(&self, _full: bool) {}
+    /// Called before each event the LP loop executes, after the inbox
+    /// was read. A port that staged a cancellation since its links were
+    /// last written writes them here, once for all the anti-messages the
+    /// drain and the previous event staged ([`WriteRule`]): none waits
+    /// while the LP runs on. The lanes do nothing.
+    fn before_event(&self) {}
     /// Non-blocking receive. The LP loop asks after every executed
     /// event, so with nothing inbound this must be cheap: a lane scan
     /// is; the distributed port's read of its peer links is a syscall,
@@ -162,25 +168,41 @@ impl LpPort for LaneEndpoint<Packet> {
 /// LP is CPU-bound: its staged packets wait for the next pass-end
 /// [`LpPort::flush`], at most a batch of events, and its pumps only
 /// read. After a pass that ran dry the LP waits on its peers, and its
-/// pumps write as they go. A packet carrying an anti-message is never
-/// staged.
+/// pumps write as they go. Either way a staged anti-message is written
+/// before the LP's next event ([`LpPort::before_event`]): a cancellation
+/// that waits lets the peer speculate further on what it cancels, and
+/// one write takes all that a rollback's drain staged.
 #[derive(Default)]
 pub(crate) struct WriteRule {
     /// The last pass filled its batch.
     busy: Cell<bool>,
+    /// A packet carrying an anti-message was staged since the links
+    /// were last written.
+    cancels: Cell<bool>,
 }
 
 impl WriteRule {
-    /// Whether `msg` is staged for a later write rather than written at
-    /// once: unless it carries an anti-message. A cancellation that
-    /// waits lets the peer speculate further on what it cancels.
-    pub(crate) fn stages(msg: &PhysMsg) -> bool {
-        !msg.events.iter().any(Event::is_anti)
+    /// The port staged `msg`.
+    pub(crate) fn staged(&self, msg: &PhysMsg) {
+        if msg.events.iter().any(Event::is_anti) {
+            self.cancels.set(true);
+        }
+    }
+
+    /// The port wrote its links: nothing staged is left for later.
+    pub(crate) fn wrote(&self) {
+        self.cancels.set(false);
     }
 
     /// Whether a pump writes what is staged.
     pub(crate) fn pump_writes(&self) -> bool {
         !self.busy.get()
+    }
+
+    /// Whether the port writes what is staged before the next event: a
+    /// cancellation is among it.
+    pub(crate) fn event_writes(&self) -> bool {
+        self.cancels.get()
     }
 
     /// At the pass-end flush: did the pass fill its batch?
@@ -262,6 +284,7 @@ pub fn run_threaded(spec: &SimulationSpec) -> RunReport {
         scales: Vec::new(),
         telemetry,
         worker_peak_rss_kb: Vec::new(),
+        worker_link_writes: Vec::new(),
         resume: Default::default(),
     }
 }
@@ -553,9 +576,10 @@ impl<P: LpPort> LpThread<P> {
             //    rollback one event deep, not a batch deep); afterwards
             //    the event's remote sends, offered at once so the peer is
             //    not kept waiting either — and so that no token is ever
-            //    handled over an unsent event. Nothing here walks the
-            //    objects, and the clock is read only for an event that
-            //    produced remote sends.
+            //    handled over an unsent event. The port writes the
+            //    cancellations the drain staged before the event runs.
+            //    Nothing here walks the objects, and the clock is read
+            //    only for an event that produced remote sends.
             let mut ran = 0;
             while ran < BATCH {
                 while let Some(p) = self.port.try_recv() {
@@ -565,6 +589,7 @@ impl<P: LpPort> LpThread<P> {
                         break 'run;
                     }
                 }
+                self.port.before_event();
                 if !self.lp.process_one(&mut self.remote) {
                     break;
                 }
@@ -898,12 +923,16 @@ mod tests {
         /// with a data packet sent since the previous one.
         Staged { parks: Arc<AtomicU64> },
         /// Tally, by the kind of pass before, what the port's
-        /// [`WriteRule`] writes when (every inbox check is a pump).
+        /// [`WriteRule`] writes when. An inbox check that finds the lane
+        /// empty is a pump, as the distributed port pumps only then.
         Writes { tally: Arc<WriteTally> },
     }
 
     /// What a `Writes` probe saw. "After a full pass": since a pass-end
     /// flush whose pass the probe itself counted [`BATCH`] events into.
+    /// A drain: the stretch from one event's start, or a pass end, to the
+    /// next one's — the inbox read in between, and the sends of the
+    /// event before it.
     #[derive(Default)]
     struct WriteTally {
         /// Passes that ran all of [`BATCH`].
@@ -915,9 +944,14 @@ mod tests {
         pump_holds: [AtomicU64; 2],
         /// Pass-end flushes that wrote staged packets.
         flush_writes: [AtomicU64; 2],
-        /// Packets carrying an anti-message, written at once / staged.
-        antis_written: [AtomicU64; 2],
-        antis_staged: AtomicU64,
+        /// Packets carrying an anti-message staged.
+        antis_staged: [AtomicU64; 2],
+        /// Events that ran while such a packet, staged before the event
+        /// started, was still unwritten.
+        late_antis: AtomicU64,
+        /// Writes that carried such packets, and drains that staged any.
+        anti_writes: AtomicU64,
+        anti_drains: AtomicU64,
     }
 
     impl WriteTally {
@@ -947,9 +981,12 @@ mod tests {
         staged: Cell<u64>,
         sent: Cell<bool>,
         /// `Writes`: the rule under test, and whether the probe counted
-        /// the last pass full.
+        /// the last pass full; staged packets carrying an anti-message,
+        /// and whether the current drain staged any.
         rule: WriteRule,
         after_full: Cell<bool>,
+        antis: Cell<u64>,
+        drain_antis: Cell<bool>,
     }
 
     impl Probe {
@@ -967,6 +1004,8 @@ mod tests {
                 sent: Cell::new(false),
                 rule: WriteRule::default(),
                 after_full: Cell::new(false),
+                antis: Cell::new(0),
+                drain_antis: Cell::new(false),
             }
         }
 
@@ -986,10 +1025,26 @@ mod tests {
             };
             let after = self.after_full.get() as usize;
             if self.rule.pump_writes() {
-                self.staged.set(0);
+                self.write(tally);
                 tally.pump_writes[after].fetch_add(1, Relaxed);
             } else {
                 tally.pump_holds[after].fetch_add(1, Relaxed);
+            }
+        }
+
+        /// `Writes`: every staged packet goes out in one write.
+        fn write(&self, tally: &WriteTally) {
+            if self.antis.replace(0) > 0 {
+                tally.anti_writes.fetch_add(1, Relaxed);
+            }
+            self.staged.set(0);
+            self.rule.wrote();
+        }
+
+        /// `Writes`: a drain ends.
+        fn drain_ends(&self, tally: &WriteTally) {
+            if self.drain_antis.replace(false) {
+                tally.anti_drains.fetch_add(1, Relaxed);
             }
         }
 
@@ -1043,20 +1098,15 @@ mod tests {
                 _ => {}
             }
             if let Packet::Data { msg, .. } = &p {
-                match self.tally() {
-                    // Posted: written at once, the staged ones ahead of it.
-                    Some(tally) if !WriteRule::stages(msg) => {
-                        self.staged.set(0);
-                        tally.antis_written[self.after_full.get() as usize].fetch_add(1, Relaxed);
+                if let Some(tally) = self.tally() {
+                    if msg.events.iter().any(Event::is_anti) {
+                        tally.antis_staged[self.after_full.get() as usize].fetch_add(1, Relaxed);
+                        self.antis.set(self.antis.get() + 1);
+                        self.drain_antis.set(true);
                     }
-                    Some(tally) => {
-                        if msg.events.iter().any(Event::is_anti) {
-                            tally.antis_staged.fetch_add(1, Relaxed);
-                        }
-                        self.staged.set(self.staged.get() + 1);
-                    }
-                    None => self.staged.set(self.staged.get() + 1),
+                    self.rule.staged(msg);
                 }
+                self.staged.set(self.staged.get() + 1);
                 self.sent.set(true);
             }
             self.lane.send(to, p);
@@ -1069,14 +1119,23 @@ mod tests {
                 if self.staged.get() > 0 {
                     tally.flush_writes[self.after_full.get() as usize].fetch_add(1, Relaxed);
                 }
+                self.write(tally);
+                self.drain_ends(tally);
                 self.rule.pass_ended(full);
                 self.after_full.set(counted_full);
                 self.in_pass.set(0);
             }
             self.staged.set(0);
         }
+        fn before_event(&self) {
+            if let Some(tally) = self.tally() {
+                if self.rule.event_writes() {
+                    self.write(tally);
+                }
+                self.drain_ends(tally);
+            }
+        }
         fn try_recv(&self) -> Option<Packet> {
-            self.pump();
             let hold_tokens = matches!(self.script, Script::TokensMidPass { .. });
             if !hold_tokens || self.in_pass.get() > 0 {
                 if let Some(p) = self.take_held() {
@@ -1084,11 +1143,15 @@ mod tests {
                 }
             }
             loop {
-                match self.lane.try_recv()? {
-                    p @ Packet::Token(_) if hold_tokens => {
+                match self.lane.try_recv() {
+                    Some(p @ Packet::Token(_)) if hold_tokens => {
                         self.held.borrow_mut().push_back((self.clock.get(), p));
                     }
-                    p => return Some(p),
+                    Some(p) => return Some(p),
+                    None => {
+                        self.pump();
+                        return None;
+                    }
                 }
             }
         }
@@ -1107,6 +1170,11 @@ mod tests {
             self.clock.set(now);
             self.in_pass.set(self.in_pass.get() + 1);
             match &self.script {
+                // The event's own sends are still to be offered: what is
+                // staged was staged before it started.
+                Script::Writes { tally } if self.antis.get() > 0 => {
+                    tally.late_antis.fetch_add(1, Relaxed);
+                }
                 Script::CrawlingPeer {
                     tokens_while_busy, ..
                 } => {
@@ -1408,30 +1476,52 @@ mod tests {
         );
     }
 
-    #[test]
-    fn an_anti_message_is_written_at_once_after_either_pass() {
-        // Both LPs run ahead on their own jobs and roll back on the
-        // crossing ones, which cancels what they sent: anti-messages
-        // after full passes; and, with few own jobs, after dry ones.
-        let mut antis = [0; 2];
-        for own in [0, 6] {
+    /// Both LPs run ahead on their own jobs and roll back on the
+    /// crossing ones, which cancels what they sent: anti-messages after
+    /// full passes; and, with few own jobs, after dry ones.
+    fn tally_cancellations() -> [Arc<WriteTally>; 2] {
+        [0, 6].map(|own| {
             let spec = spread_spec(2, (own, 8, 300), 4, Default::default())
                 .with_gvt_period(None)
                 .with_traces();
-            let tally = tally_writes(&spec);
+            tally_writes(&spec)
+        })
+    }
+
+    #[test]
+    fn a_cancellation_is_written_before_the_next_event() {
+        let mut antis = [0; 2];
+        for tally in tally_cancellations() {
             assert_eq!(
-                tally.antis_staged.load(Relaxed),
+                tally.late_antis.load(Relaxed),
                 0,
-                "an anti-message waited"
+                "an event ran over an anti-message staged before it"
             );
             for (after_full, n) in antis.iter_mut().enumerate() {
-                *n += WriteTally::get(&tally.antis_written, after_full == 1);
+                *n += WriteTally::get(&tally.antis_staged, after_full == 1);
             }
         }
         assert!(
             antis.iter().all(|&n| n > 0),
-            "anti-messages written after a dry / a full pass: {antis:?}"
+            "anti-messages staged after a dry / a full pass: {antis:?}"
         );
+    }
+
+    #[test]
+    fn a_rollbacks_cancellations_leave_in_one_write() {
+        for (own, tally) in [0, 6].into_iter().zip(tally_cancellations()) {
+            let writes = tally.anti_writes.load(Relaxed);
+            let drains = tally.anti_drains.load(Relaxed);
+            let antis: u64 = tally.antis_staged.iter().map(|n| n.load(Relaxed)).sum();
+            assert!(
+                writes <= drains,
+                "own {own}: {writes} writes carried the anti-messages of {drains} drains"
+            );
+            assert!(
+                writes < antis,
+                "own {own}: {writes} writes for {antis} anti-messages"
+            );
+        }
     }
 
     #[test]

@@ -600,6 +600,7 @@ pub fn run_virtual_inspect(
             recorders.into_iter().map(warp_telemetry::Recorder::finish),
         ),
         worker_peak_rss_kb: Vec::new(),
+        worker_link_writes: Vec::new(),
         resume: Default::default(),
     }
 }

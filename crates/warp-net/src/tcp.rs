@@ -39,8 +39,9 @@
 //! frame is only ever written by the thread that sent it.
 //! [`MeshSender::stage`] writes nothing at all: a worker's LP threads
 //! stage their data frames and [`MeshSender::flush`] when their LP loop
-//! says — at the end of a pass, or sooner while the LP runs dry — so a
-//! busy pass costs each peer link one write, not one per frame; any
+//! says — at the end of a pass, sooner while the LP runs dry, and before
+//! its next event once a cancellation is staged — so a busy pass costs
+//! each peer link one write, not one per frame; any
 //! send, post, flush or tick on the link writes them too. A pump only
 //! reads.
 //!
@@ -250,11 +251,20 @@ struct Link {
     /// The outbound half: frames are stamped, fault-injected and encoded
     /// into its backlog under this lock, which no one holds across I/O.
     tx: Mutex<LinkTx>,
-    /// The writer's role, and the bytes its holder took off the backlog
-    /// that the socket has not taken yet (they go out first).
-    wire: Mutex<Vec<u8>>,
+    /// The writer's role, and what its holder writes with.
+    wire: Mutex<Wire>,
     /// The inbound half: the link's reader thread, or whoever pumps it.
     rx: Mutex<LinkIn>,
+}
+
+/// What the holder of a link's writer role works with.
+#[derive(Default)]
+struct Wire {
+    /// Bytes taken off the backlog that the socket has not taken yet
+    /// (they go out first).
+    bytes: Vec<u8>,
+    /// `write(2)` calls on the socket so far.
+    writes: u64,
 }
 
 impl Link {
@@ -285,7 +295,7 @@ impl Link {
     /// role taken and left them to us. True when nothing is left for
     /// later; false when the socket refused bytes or another writer has
     /// them.
-    fn write(&self, role: Option<MutexGuard<'_, Vec<u8>>>) -> bool {
+    fn write(&self, role: Option<MutexGuard<'_, Wire>>) -> bool {
         let mut wire = match role {
             Some(wire) => wire,
             None => match self.wire.try_lock() {
@@ -308,30 +318,31 @@ impl Link {
         }
     }
 
-    /// Write `wire`, refilling it from the backlog, until both are empty
-    /// (true) or a pumped link's socket refuses more (false; the rest
-    /// waits, in order, for the next send, flush or tick). A failed
+    /// Write `wire`'s bytes, refilling them from the backlog, until both
+    /// are empty (true) or a pumped link's socket refuses more (false;
+    /// the rest waits, in order, for the next send, flush or tick). A failed
     /// write closes the link for sending, and its reader reports the
     /// loss. On a blocking link that includes a write the peer took
     /// nothing of for the whole liveness timeout: it is wedged, and a
     /// remainder left for later would be written by whoever flushes next
     /// — possibly a thread that must not wait.
-    fn write_out(&self, wire: &mut Vec<u8>) -> bool {
+    fn write_out(&self, wire: &mut Wire) -> bool {
         loop {
-            if wire.is_empty() {
-                std::mem::swap(wire, &mut lock(&self.tx).backlog);
-                if wire.is_empty() {
+            if wire.bytes.is_empty() {
+                std::mem::swap(&mut wire.bytes, &mut lock(&self.tx).backlog);
+                if wire.bytes.is_empty() {
                     return true;
                 }
             }
-            match (&self.stream).write(wire) {
+            wire.writes += 1;
+            match (&self.stream).write(&wire.bytes) {
                 Ok(n) if n > 0 => {
-                    wire.drain(..n);
+                    wire.bytes.drain(..n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if self.pumped && would_block(&e) => return false,
                 _ => {
-                    wire.clear();
+                    wire.bytes.clear();
                     lock(&self.tx).fail();
                     return true;
                 }
@@ -373,7 +384,7 @@ impl Link {
     /// Bytes staged and not yet written.
     #[cfg(test)]
     fn staged(&self) -> usize {
-        lock(&self.wire).len() + lock(&self.tx).backlog.len()
+        lock(&self.wire).bytes.len() + lock(&self.tx).backlog.len()
     }
 }
 
@@ -510,6 +521,16 @@ impl TcpMesh {
         self.out.send(to, frame);
     }
 
+    /// `write(2)` calls made so far on the link to `peer` (0 where there
+    /// is none). Waits for a write in progress on that link.
+    pub fn link_writes(&self, peer: u32) -> u64 {
+        self.out
+            .links
+            .get(peer as usize)
+            .and_then(Option::as_ref)
+            .map_or(0, |link| lock(&link.wire).writes)
+    }
+
     /// Next event if one is already queued.
     pub fn try_recv(&self) -> Option<MeshEvent> {
         self.event_rx.try_recv().ok()
@@ -586,7 +607,7 @@ impl TcpMesh {
                 stream,
                 pumped,
                 tx: Mutex::new(tx),
-                wire: Mutex::new(Vec::new()),
+                wire: Mutex::default(),
                 rx: Mutex::new(rx),
             });
             if !pumped {

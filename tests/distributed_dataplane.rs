@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 use warp_exec::distributed::RecoveryPolicy;
-use warp_exec::run_sequential;
+use warp_exec::{run_sequential, run_threaded, run_virtual};
 use warp_net::{AggregationConfig, FaultPlan};
 use warp_telemetry::Param;
 use warped_online::cluster::{run_distributed_job, ClusterJob, ModelSpec};
@@ -101,6 +101,36 @@ fn saaw_aggregation_commits_the_sequential_history_and_batches() {
     assert_matches_sequential(&job, &dist);
     assert_eq!(dist.recoveries, 0, "a fault-free run lost a worker");
     assert_aggregated(&dist);
+}
+
+#[test]
+fn each_worker_reports_the_writes_on_its_peer_links() {
+    let job = phold_job();
+    let dist = run_job(&job, 2);
+    assert_matches_sequential(&job, &dist);
+    assert_eq!(
+        dist.worker_link_writes.len(),
+        2,
+        "one count per worker: {:?}",
+        dist.worker_link_writes
+    );
+    assert!(
+        dist.worker_link_writes.iter().all(|&w| w > 0),
+        "a worker sent its peer data without a write: {:?}",
+        dist.worker_link_writes
+    );
+    let spec = job.spec();
+    for report in [
+        run_sequential(&spec),
+        run_threaded(&spec),
+        run_virtual(&spec),
+    ] {
+        assert!(
+            report.worker_link_writes.is_empty(),
+            "the {} executive has no worker links",
+            report.executive
+        );
+    }
 }
 
 #[test]
