@@ -65,12 +65,12 @@ pub(crate) trait LpPort {
     /// writes on this thread only when no other thread is writing. A
     /// peer worker's socket is non-blocking and what it refuses waits in
     /// the link's backlog — without it, two LPs writing to each other
-    /// over full buffers would deadlock. (The
-    /// port's frames for the coordinator — `note_gvt`,
-    /// `stream_telemetry`, `report_load` — are posted too. That socket
-    /// blocks, but only until the coordinator's reader thread takes what
-    /// is already in it: checkpoints are written by the thread that sends
-    /// them, never left to an LP.)
+    /// over full buffers would deadlock. (The port's frames for the
+    /// coordinator — `note_gvt`, `stream_telemetry`, `report_load` —
+    /// are posted too. That socket blocks, but only until the
+    /// coordinator's reader thread takes what is already in it:
+    /// checkpoints are written by the thread that sends them, never left
+    /// to an LP.)
     fn send(&self, to: usize, p: Packet);
     /// Write what [`send`](Self::send) left staged. Called once per pass
     /// of the LP loop, after the pass's sends and before the loop yields
