@@ -28,19 +28,20 @@
 //! when it worsens — the same cheap heuristic family the paper's dynamic
 //! checkpointing uses.
 
+/// Multiplicative step: grow by ×(1+STEP), shrink by ÷(1+STEP).
+const STEP: f64 = 0.25;
+/// Per-physical-message overhead being amortized (seconds).
+const OVERHEAD: f64 = 1.0e-3;
+/// Cost attributed to one second of event delay (dimensionless weight
+/// applied to the age term).
+const DELAY_PENALTY: f64 = 0.02;
+
 /// Multiplicative hill-climbing SAAW controller.
 #[derive(Clone, Debug)]
 pub struct SaawLaw {
     window: f64,
     min: f64,
     max: f64,
-    /// Multiplicative step: grow by ×(1+step), shrink by ÷(1+step).
-    step: f64,
-    /// Per-physical-message overhead being amortized (seconds).
-    overhead: f64,
-    /// Cost attributed to one second of event delay (dimensionless weight
-    /// applied to the age term).
-    delay_penalty: f64,
     last_score: Option<f64>,
     /// Current walk direction: +1 grow, −1 shrink.
     dir: f64,
@@ -60,34 +61,10 @@ impl SaawLaw {
             window: initial_window.clamp(min, max),
             min,
             max,
-            step: 0.25,
-            overhead: 1.0e-3,
-            delay_penalty: 0.02,
             last_score: None,
             dir: 1.0,
             adjustments: 0,
         }
-    }
-
-    /// Override the multiplicative step (must be positive).
-    pub fn with_step(mut self, step: f64) -> Self {
-        assert!(step > 0.0 && step.is_finite());
-        self.step = step;
-        self
-    }
-
-    /// Override the per-message overhead estimate (seconds).
-    pub fn with_overhead(mut self, overhead: f64) -> Self {
-        assert!(overhead > 0.0 && overhead.is_finite());
-        self.overhead = overhead;
-        self
-    }
-
-    /// Override the delay-penalty weight.
-    pub fn with_delay_penalty(mut self, penalty: f64) -> Self {
-        assert!(penalty > 0.0 && penalty.is_finite());
-        self.delay_penalty = penalty;
-        self
     }
 
     /// Current window size in modeled seconds.
@@ -105,7 +82,7 @@ impl SaawLaw {
     /// (smaller is better).
     pub fn score(&self, n: usize, age: f64) -> f64 {
         let n = n.max(1) as f64;
-        self.overhead / n + self.delay_penalty * age.max(0.0)
+        OVERHEAD / n + DELAY_PENALTY * age.max(0.0)
     }
 
     /// Invoked as each aggregate is sent: feeds back its achieved
@@ -125,9 +102,9 @@ impl SaawLaw {
                 self.dir = -self.dir;
             }
             let factor = if self.dir > 0.0 {
-                1.0 + self.step
+                1.0 + STEP
             } else {
-                1.0 / (1.0 + self.step)
+                1.0 / (1.0 + STEP)
             };
             let next = (self.window * factor).clamp(self.min, self.max);
             if next != self.window {

@@ -40,8 +40,6 @@ pub struct DynamicCheckpoint {
     chi: u32,
     min: u32,
     max: u32,
-    /// Relative change in `Ec` treated as "significant".
-    epsilon: f64,
     rule: AdaptRule,
     period: u64,
     last_ec: Option<f64>,
@@ -67,7 +65,6 @@ impl DynamicCheckpoint {
             chi: chi0,
             min: 1,
             max: max_chi,
-            epsilon: Self::DEFAULT_EPSILON,
             rule,
             period,
             last_ec: None,
@@ -76,19 +73,12 @@ impl DynamicCheckpoint {
         }
     }
 
-    /// Default significance threshold. It must sit *below* the relative
-    /// per-step change of `Ec` near the optimum, or the increment rule
-    /// walks straight past the minimum; 1% is comfortably below the
-    /// 2–4% per-step changes seen at realistic cost ratios while still
-    /// filtering sampling noise.
-    const DEFAULT_EPSILON: f64 = 0.01;
-
-    /// Override the significance threshold (relative `Ec` change).
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(epsilon >= 0.0 && epsilon.is_finite());
-        self.epsilon = epsilon;
-        self
-    }
+    /// Relative change in `Ec` treated as "significant". It must sit
+    /// *below* the relative per-step change of `Ec` near the optimum, or
+    /// the increment rule walks straight past the minimum; 1% is
+    /// comfortably below the 2–4% per-step changes seen at realistic cost
+    /// ratios while still filtering sampling noise.
+    const EPSILON: f64 = 0.01;
 
     fn significant_increase(&self, ec: f64) -> bool {
         match self.last_ec {
@@ -96,7 +86,7 @@ impl DynamicCheckpoint {
             Some(prev) => {
                 // Relative to the previous sample, guarding tiny baselines.
                 let base = prev.abs().max(1e-12);
-                (ec - prev) / base > self.epsilon
+                (ec - prev) / base > Self::EPSILON
             }
         }
     }
@@ -217,11 +207,11 @@ mod tests {
 
     #[test]
     fn small_fluctuations_are_insignificant() {
-        let mut t = DynamicCheckpoint::new(4, 16, 8).with_epsilon(0.10);
+        let mut t = DynamicCheckpoint::new(4, 16, 8);
         t.invoke(100.0, 0.0);
         let chi_before = t.interval();
-        // +5% — within epsilon, still counts as "not increased".
-        t.invoke(105.0, 0.0);
+        // +0.5% — within the 1% threshold, still counts as "not increased".
+        t.invoke(100.5, 0.0);
         assert_eq!(t.interval(), chi_before + 1);
     }
 

@@ -9,97 +9,9 @@
 //! crate is deliberately cheap: a handful of arithmetic operations per
 //! invocation, invoked infrequently.
 //!
-//! This module provides the shared signal-conditioning pieces: smoothing
-//! filters and the non-linear dead-zone threshold the paper found best
-//! suited for damping discrete strategy selection.
-
-/// Exponentially weighted moving average — the cheapest smoothing filter.
-#[derive(Clone, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha` ∈ (0, 1]: weight of the newest sample.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feed a sample, returning the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average (`None` before the first sample).
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forget all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// Fixed-capacity sliding window with O(1) mean.
-#[derive(Clone, Debug)]
-pub struct SlidingWindow {
-    cap: usize,
-    buf: std::collections::VecDeque<f64>,
-    sum: f64,
-}
-
-impl SlidingWindow {
-    /// Window of the given capacity (≥ 1).
-    pub fn new(cap: usize) -> Self {
-        assert!(cap >= 1, "window capacity must be >= 1");
-        SlidingWindow {
-            cap,
-            buf: std::collections::VecDeque::with_capacity(cap),
-            sum: 0.0,
-        }
-    }
-
-    /// Push a sample, evicting the oldest when full.
-    pub fn push(&mut self, x: f64) {
-        if self.buf.len() == self.cap {
-            self.sum -= self.buf.pop_front().expect("non-empty when full");
-        }
-        self.buf.push_back(x);
-        self.sum += x;
-    }
-
-    /// Samples currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no samples are held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// True once the window has filled.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.cap
-    }
-
-    /// Mean over the held samples (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.buf.is_empty() {
-            None
-        } else {
-            Some(self.sum / self.buf.len() as f64)
-        }
-    }
-}
+//! This module provides the shared signal-conditioning piece: the
+//! non-linear dead-zone threshold the paper found best suited for damping
+//! discrete strategy selection.
 
 /// Non-linear thresholding with hysteresis (the paper's Figure 3): the
 /// output flips *high* only when the input rises above the upper
@@ -151,39 +63,6 @@ impl DeadZone {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewma_tracks_and_smooths() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.update(10.0), 10.0);
-        assert_eq!(e.update(0.0), 5.0);
-        assert_eq!(e.update(0.0), 2.5);
-        e.reset();
-        assert_eq!(e.value(), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn sliding_window_mean_and_eviction() {
-        let mut w = SlidingWindow::new(3);
-        assert_eq!(w.mean(), None);
-        w.push(3.0);
-        w.push(6.0);
-        assert_eq!(w.mean(), Some(4.5));
-        assert!(!w.is_full());
-        w.push(9.0);
-        assert!(w.is_full());
-        assert_eq!(w.mean(), Some(6.0));
-        w.push(12.0); // evicts 3.0
-        assert_eq!(w.mean(), Some(9.0));
-        assert_eq!(w.len(), 3);
-    }
 
     #[test]
     fn dead_zone_holds_state_between_thresholds() {

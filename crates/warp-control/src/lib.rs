@@ -11,7 +11,6 @@
 //! | checkpointing | cost index `Ec` (save + coast-forward cost) | interval χ | [`checkpoint`] |
 //! | cancellation | Hit Ratio over a filter-depth window | aggressive/lazy | [`cancellation`] |
 //! | aggregation | age-modified reception rate `R(age)` | window size `W` | [`aggregation`] |
-//! | GVT cadence (extension) | reclaimed + retained history | period `P_gvt` | [`gvtperiod`] |
 //! | cluster (extension) | spread of per-worker LVT leads | LP→worker assignment, worker count included | [`cluster`] |
 //!
 //! Controllers plug into the kernel through the `warp_core::policy`
@@ -28,13 +27,11 @@ pub mod cancellation;
 pub mod checkpoint;
 pub mod cluster;
 pub mod framework;
-pub mod gvtperiod;
 pub mod hitwindow;
 
 pub use aggregation::SaawLaw;
 pub use cancellation::DynamicCancellation;
 pub use checkpoint::{AdaptRule, DynamicCheckpoint};
 pub use cluster::{ClusterController, ClusterPolicy};
-pub use framework::{DeadZone, Ewma, SlidingWindow};
-pub use gvtperiod::GvtPeriodLaw;
+pub use framework::DeadZone;
 pub use hitwindow::HitWindow;

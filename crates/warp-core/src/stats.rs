@@ -129,8 +129,6 @@ pub struct CommStats {
     pub events_received: u64,
     /// Payload bytes sent (excluding physical headers).
     pub bytes_sent: u64,
-    /// Events delivered locally (same LP), bypassing the wire.
-    pub local_events: u64,
     /// Aggregation-window adjustments made by SAAW.
     pub window_adjustments: u64,
     /// Modeled seconds of sender CPU spent in the protocol stack.
@@ -156,7 +154,6 @@ impl CommStats {
         self.phys_received += other.phys_received;
         self.events_received += other.events_received;
         self.bytes_sent += other.bytes_sent;
-        self.local_events += other.local_events;
         self.window_adjustments += other.window_adjustments;
         self.cost_send += other.cost_send;
         self.cost_recv += other.cost_recv;
@@ -255,11 +252,11 @@ mod tests {
         a.merge(&CommStats {
             phys_sent: 3,
             cost_send: 0.2,
-            local_events: 7,
+            events_received: 7,
             ..Default::default()
         });
         assert_eq!(a.phys_sent, 5);
-        assert_eq!(a.local_events, 7);
+        assert_eq!(a.events_received, 7);
         assert!((a.cost_send - 0.3).abs() < 1e-12);
     }
 }

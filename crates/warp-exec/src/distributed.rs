@@ -290,16 +290,36 @@ impl NetTuning {
         }
     }
 
-    fn heartbeat(&self) -> Duration {
-        Duration::from_millis(self.heartbeat_ms)
+    /// Process `proc_id`'s mesh configuration for one session. The
+    /// coordinator and every worker build theirs here, so both ends of a
+    /// link detect failure on the same timings: exactly the values
+    /// [`NetTuning::validate`] accepted. `connect_ms` is the session's
+    /// establishment budget (at least 100 ms).
+    fn mesh_config(
+        &self,
+        proc_id: u32,
+        n_procs: u32,
+        session: u32,
+        connect_ms: u64,
+        faults: Option<FaultPlan>,
+    ) -> TcpMeshConfig {
+        TcpMeshConfig {
+            session,
+            heartbeat_interval: Duration::from_millis(self.heartbeat_ms),
+            liveness_timeout: Duration::from_millis(self.liveness_ms),
+            connect_timeout: Duration::from_millis(connect_ms.max(100)),
+            dial_backoff_start: Duration::from_millis(self.connect_backoff_start_ms),
+            dial_backoff_max: Duration::from_millis(self.connect_backoff_max_ms),
+            faults,
+            max_frame_bytes: self.frame_cap(),
+            ..TcpMeshConfig::new(proc_id, n_procs)
+        }
     }
-    fn liveness(&self) -> Duration {
-        Duration::from_millis(self.liveness_ms)
-    }
-    /// How long an orphaned worker waits for recovery instructions
-    /// before giving up.
+
+    /// How long an orphaned worker, or a resumed one awaiting its
+    /// images, waits for the coordinator before giving up.
     fn orphan_wait(&self) -> Duration {
-        Duration::from_millis(self.liveness_ms * 10).max(Duration::from_secs(30))
+        Duration::from_millis(self.liveness_ms.saturating_mul(10)).max(Duration::from_secs(30))
     }
 }
 
@@ -1657,20 +1677,13 @@ fn run_session_as_coordinator(
         link.send(&session_line).map_err(died)?;
     }
 
-    let mesh_cfg = TcpMeshConfig {
+    let mesh_cfg = cfg.net.mesh_config(
+        0,
+        n_procs,
         session,
-        heartbeat_interval: cfg.net.heartbeat(),
-        liveness_timeout: cfg.net.liveness(),
-        connect_timeout: Duration::from_millis(remaining_ms(deadline).max(100)),
-        dial_backoff_start: Duration::from_millis(cfg.net.connect_backoff_start_ms),
-        dial_backoff_max: Duration::from_millis(cfg.net.connect_backoff_max_ms),
-        faults: cfg.fault.clone(),
-        max_frame_bytes: cfg.net.frame_cap(),
-        // The coordinator sends no `Data` frames, so aggregation is
-        // inert on its links; leave it off to keep control latency
-        // minimal.
-        ..TcpMeshConfig::new(0, n_procs)
-    };
+        remaining_ms(deadline),
+        cfg.fault.clone(),
+    );
     let mesh = TcpMesh::establish(mesh_cfg, listener, &[], |_| None)?;
 
     if session > 0 {
@@ -2687,21 +2700,13 @@ fn run_session_as_worker(
         })
         .collect::<Result<_, _>>()?;
 
-    let mesh_cfg = TcpMeshConfig {
+    let mesh_cfg = init.net.mesh_config(
+        init.proc_id,
+        n_procs,
         session,
-        heartbeat_interval: Duration::from_millis(init.net.heartbeat_ms.max(10)),
-        liveness_timeout: Duration::from_millis(init.net.liveness_ms.max(100)),
-        connect_timeout: Duration::from_millis(sl.connect_ms.max(100)),
-        dial_backoff_start: Duration::from_millis(init.net.connect_backoff_start_ms.max(1)),
-        dial_backoff_max: Duration::from_millis(
-            init.net
-                .connect_backoff_max_ms
-                .max(init.net.connect_backoff_start_ms.max(1)),
-        ),
-        faults: init.fault.clone(),
-        max_frame_bytes: init.net.frame_cap(),
-        ..TcpMeshConfig::new(init.proc_id, n_procs)
-    };
+        sl.connect_ms,
+        init.fault.clone(),
+    );
     // One lane mesh per session, built first so that each peer worker's
     // link hook can own an endpoint: the co-resident LPs' endpoints in
     // ascending global-id order, then this thread's, then one per peer
@@ -2744,8 +2749,7 @@ fn run_session_as_worker(
     // sends anything else, so on its FIFO link nothing else can come
     // first.
     let restore = if session > 0 {
-        let wait = Duration::from_millis(init.net.liveness_ms.saturating_mul(10))
-            .max(Duration::from_secs(30));
+        let wait = init.net.orphan_wait();
         let resume_deadline = Instant::now() + wait;
         let mut chunks: Vec<u8> = Vec::new();
         let mut next_seq = 0u32;
@@ -3580,6 +3584,31 @@ mod tests {
             ..NetTuning::default()
         };
         assert!(t.validate().is_err(), "512 is below the 1024-byte floor");
+    }
+
+    #[test]
+    fn both_ends_of_a_link_get_the_same_timings_at_the_validation_edge() {
+        let net = NetTuning {
+            heartbeat_ms: 1,
+            liveness_ms: 2,
+            connect_backoff_start_ms: 1,
+            connect_backoff_max_ms: 1,
+            ..NetTuning::default()
+        };
+        assert!(net.validate().is_ok());
+        let coordinator = net.mesh_config(0, 3, 2, 50, None);
+        let worker = net.mesh_config(2, 3, 2, 50, None);
+        for cfg in [&coordinator, &worker] {
+            assert!(cfg.validate().is_ok());
+            assert_eq!(cfg.session, 2);
+            assert_eq!(cfg.heartbeat_interval, Duration::from_millis(1));
+            assert_eq!(cfg.liveness_timeout, Duration::from_millis(2));
+            assert_eq!(cfg.connect_timeout, Duration::from_millis(100));
+            assert_eq!(cfg.dial_backoff_start, Duration::from_millis(1));
+            assert_eq!(cfg.dial_backoff_max, Duration::from_millis(1));
+            assert_eq!(cfg.max_frame_bytes, warp_net::frame::MAX_FRAME_BYTES);
+        }
+        assert_eq!((coordinator.proc_id, worker.proc_id), (0, 2));
     }
 
     #[test]

@@ -504,6 +504,14 @@ mod tests {
         let old: RunReport = serde_json::from_str(&legacy).unwrap();
         assert_eq!(old.resume, ResumeStats::default());
 
+        // A report whose comm counters still carry `local_events` (a
+        // counter nothing fed) parses with the key ignored.
+        let legacy = json.replace("\"comm\":{", "\"comm\":{\"local_events\":0,");
+        assert_eq!(legacy.matches("local_events").count(), 2, "run and LP");
+        let old: RunReport = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(old.comm, r.comm);
+        assert_eq!(old.per_lp[0].comm, r.per_lp[0].comm);
+
         let mut sum = ResumeStats::default();
         sum.merge(&r.resume);
         sum.merge(&r.resume);

@@ -45,12 +45,6 @@ pub struct SimulationSpec {
     /// and DyMA window change). Strictly observational — a run's
     /// committed trace is identical with this on or off.
     pub telemetry: bool,
-    /// Adaptive GVT cadence (extension facet): when set, the virtual
-    /// executive re-tunes the GVT period after every round from the
-    /// reclaimed/retained history volumes, starting from the law's own
-    /// period (`gvt_period` is ignored except as on/off: `None` still
-    /// disables GVT entirely).
-    pub gvt_law: Option<warp_control::GvtPeriodLaw>,
 }
 
 impl SimulationSpec {
@@ -66,7 +60,6 @@ impl SimulationSpec {
             policies: Arc::new(|_| ObjectPolicies::default()),
             collect_traces: false,
             telemetry: false,
-            gvt_law: None,
         }
     }
 
@@ -101,12 +94,6 @@ impl SimulationSpec {
     /// Enable committed-trace digests in the report.
     pub fn with_traces(mut self) -> Self {
         self.collect_traces = true;
-        self
-    }
-
-    /// Enable the adaptive GVT-period controller (extension facet).
-    pub fn with_adaptive_gvt(mut self, law: warp_control::GvtPeriodLaw) -> Self {
-        self.gvt_law = Some(law);
         self
     }
 

@@ -548,26 +548,9 @@ impl<P: LpPort> LpThread<P> {
     }
 
     fn run(mut self) -> LpOutcome {
-        let debug_trace = std::env::var("WARP_DEBUG_THREADED").is_ok();
-        let mut loops: u64 = 0;
         self.offer_remote();
 
         'run: while !self.done {
-            loops += 1;
-            if debug_trace && loops.is_multiple_of(200_000) {
-                eprintln!(
-                    "[thr lp{}] loops={} next={} lmin={} buffered={} rounds={} in_prog={:?} stats={}r/{}x",
-                    self.port.id(),
-                    loops,
-                    self.lp.next_time(),
-                    self.local_min(),
-                    self.agg.buffered(),
-                    self.gvt_rounds,
-                    self.ctrl.as_ref().map(|c| c.in_progress()),
-                    self.lp.stats().rollbacks(),
-                    self.lp.stats().executed,
-                );
-            }
             let mut idle = true;
 
             // 1. Up to a batch of optimistic event executions. Around

@@ -53,16 +53,6 @@ impl Default for VirtualOptions {
     }
 }
 
-impl VirtualOptions {
-    /// Uniform speed for every node.
-    pub fn with_uniform_speed(n_nodes: usize, speed: f64) -> Self {
-        VirtualOptions {
-            node_speeds: vec![speed; n_nodes],
-            ..Default::default()
-        }
-    }
-}
-
 #[derive(Debug)]
 enum VEvent {
     /// A physical message completes its wire transit into an LP's inbox.
@@ -399,10 +389,8 @@ pub fn run_virtual_inspect(
         let t = cluster.nodes[node].clock;
         cluster.schedule_wake(node, t);
     }
-    let mut gvt_law = spec.gvt_law.clone();
     if let Some(p) = spec.gvt_period {
-        let first = gvt_law.as_ref().map_or(p, |law| law.period());
-        cluster.push_tick(first);
+        cluster.push_tick(p);
     }
 
     // Main loop.
@@ -414,22 +402,7 @@ pub fn run_virtual_inspect(
     } else {
         Vec::new()
     };
-    let debug_trace = std::env::var("WARP_DEBUG_VIRTUAL").is_ok();
-    let mut pops: u64 = 0;
     while let Some(HeapItem { at, ev, .. }) = cluster.heap.pop() {
-        pops += 1;
-        if debug_trace && pops.is_multiple_of(1_000_000) {
-            eprintln!(
-                "[virt] pops={} steps={} live={} heap={} t={:.6} gvt={} clocks={:?}",
-                pops,
-                cluster.steps,
-                cluster.live,
-                cluster.heap.len(),
-                at,
-                cluster.compute_gvt(),
-                cluster.nodes.iter().map(|n| n.clock).collect::<Vec<_>>()
-            );
-        }
         match ev {
             VEvent::Arrive { slot } => {
                 cluster.live -= 1;
@@ -480,22 +453,10 @@ pub fn run_virtual_inspect(
                 if g.is_infinite() && cluster.live == 0 {
                     break;
                 }
-                let mut reclaimed = 0u64;
                 if g.is_finite() {
-                    let before: u64 = cluster
-                        .lps
-                        .iter()
-                        .map(|lp| lp.stats().fossils_collected)
-                        .sum();
                     for lp in &mut cluster.lps {
                         lp.fossil_collect(g);
                     }
-                    let after: u64 = cluster
-                        .lps
-                        .iter()
-                        .map(|lp| lp.stats().fossils_collected)
-                        .sum();
-                    reclaimed = after - before;
                     for node in &mut cluster.nodes {
                         node.clock += cluster.cost.gvt_round / node.speed;
                     }
@@ -504,13 +465,7 @@ pub fn run_virtual_inspect(
                 // the global event axis: GVT work consumes node CPU, so a
                 // tick cadence faster than the clocks advance would recede
                 // from the work it charges for (and never terminate).
-                let period = match gvt_law.as_mut() {
-                    Some(law) => {
-                        let retained: usize = cluster.lps.iter().map(|lp| lp.history_items()).sum();
-                        law.on_round(reclaimed, retained as u64, spec.partition.n_objects())
-                    }
-                    None => spec.gvt_period.expect("tick without period"),
-                };
+                let period = spec.gvt_period.expect("tick without period");
                 let busiest_clock = cluster.nodes.iter().map(|n| n.clock).fold(at, f64::max);
                 cluster.push_tick(busiest_clock + period);
             }

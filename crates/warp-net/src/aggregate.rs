@@ -332,11 +332,6 @@ impl Aggregator {
         self.stats.cost_send += c;
     }
 
-    /// Record an intra-LP delivery that bypassed the wire.
-    pub fn note_local_events(&mut self, n: u64) {
-        self.stats.local_events += n;
-    }
-
     /// Flush, in destination order, every non-empty bucket `due` picks.
     /// A cursor over the map, not a list of keys: a poll allocates
     /// nothing.

@@ -15,8 +15,8 @@
 //!   kernel's control-transition log into flat [`ControlEvent`]s.
 //! * [`TelemetryReport`] — the mergeable result: cluster-wide series
 //!   are built by merging per-LP (and, distributed, per-worker) reports.
-//!   Exports as JSONL (one self-describing [`TelemetryLine`] per line)
-//!   and CSV for plotting. A distributed run's report also carries the
+//!   Exports as JSONL (one self-describing [`TelemetryLine`] per line),
+//!   the format `warp-cluster stats` reads back. A distributed run's report also carries the
 //!   coordinator's series of cluster-loop rounds ([`LoadRound`]), the
 //!   input a replay of that loop feeds back.
 //!
@@ -497,34 +497,6 @@ impl TelemetryReport {
         Ok(report)
     }
 
-    /// The metric series as CSV (samples only; events live in JSONL).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "gvt,lp,lvt_front,retained,mean_chi,lazy_objects,n_objects,\
-             executed,rolled_back,rollbacks,coasted,anti_sent,rollback_distance\n",
-        );
-        let opt = |v: Option<u64>| v.map(|t| t.to_string()).unwrap_or_default();
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                opt(s.gvt),
-                s.lp,
-                opt(s.lvt_front),
-                s.retained,
-                s.mean_chi,
-                s.lazy_objects,
-                s.n_objects,
-                s.executed,
-                s.rolled_back,
-                s.rollbacks,
-                s.coasted,
-                s.anti_sent,
-                s.rollback_distance,
-            ));
-        }
-        out
-    }
-
     /// One-line digest for logs and the `stats` subcommand.
     pub fn summary_line(&self) -> String {
         let max_gvt = self
@@ -714,9 +686,6 @@ mod tests {
         assert_eq!(back.rounds, a.rounds);
         assert!(TelemetryReport::from_jsonl("{\"bogus\":1}\n").is_err());
 
-        let csv = a.to_csv();
-        assert_eq!(csv.lines().count(), 4, "header + 3 samples");
-        assert!(csv.starts_with("gvt,lp,"));
         assert!(!a.summary_line().is_empty());
     }
 }

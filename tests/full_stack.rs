@@ -172,32 +172,6 @@ fn per_object_final_configuration_is_reported() {
 }
 
 #[test]
-fn adaptive_gvt_period_trades_rounds_for_memory() {
-    use warped_online::control::GvtPeriodLaw;
-    let cfg = SmmpConfig::paper(150, 6);
-    // A deliberately too-eager fixed period: many near-useless rounds.
-    let eager = run_virtual(&cfg.spec().with_gvt_period(Some(0.002)));
-    // The adaptive law starts at the same period but backs off when
-    // rounds stop paying for themselves.
-    let adaptive = run_virtual(
-        &cfg.spec()
-            .with_gvt_period(Some(0.002))
-            .with_adaptive_gvt(GvtPeriodLaw::new(0.002, 0.002, 1.0).with_target(200.0)),
-    );
-    assert_eq!(eager.committed_events, adaptive.committed_events);
-    assert!(
-        adaptive.gvt_rounds < eager.gvt_rounds,
-        "the law should skip useless rounds: {} vs {}",
-        adaptive.gvt_rounds,
-        eager.gvt_rounds
-    );
-    assert!(
-        adaptive.kernel.fossils_collected > 0,
-        "it must still reclaim memory"
-    );
-}
-
-#[test]
 fn timeline_samples_respect_invariants() {
     use warped_online::exec::{run_virtual_with, VirtualOptions};
     let spec = SmmpConfig::small(150, 12)
