@@ -49,11 +49,6 @@ impl DeadZone {
         self.high
     }
 
-    /// Current output state without feeding a sample.
-    pub fn is_high(&self) -> bool {
-        self.high
-    }
-
     /// The `(lower, upper)` thresholds.
     pub fn thresholds(&self) -> (f64, f64) {
         (self.lower, self.upper)

@@ -90,10 +90,10 @@
 //! [`SessionLine`] to everyone, after a [`WorkerInit`] to respawned
 //! processes), re-establishes the mesh under the bumped epoch, and
 //! **streams** every worker the images of the LPs it owns as an ordered
-//! [`Frame::ResumeChunk`] sequence — chunked at
-//! [`RecoveryPolicy::resume_chunk_bytes`] and reassembled by the worker,
-//! so a resume payload is never bounded by the transport's frame cap
-//! ([`NetTuning::max_frame_bytes`]). Every LP then restores the same way,
+//! [`Frame::ResumeChunk`] sequence — chunks of 1/64 of the transport's
+//! frame cap ([`NetTuning::max_frame_bytes`]; 1 MiB by default),
+//! reassembled by the worker, so a resume payload is never bounded by the
+//! cap. Every LP then restores the same way,
 //! whatever happened to the process that held it: its LP thread builds
 //! the LP from the spec and loads its image (`LpRuntime::restore`), which
 //! coasts through at most χ inputs and sends the frontier again. The
@@ -212,8 +212,8 @@ use warp_net::tcp::{bind_loopback, InboundHook, MeshEvent, MeshSender, TcpMesh, 
 use warp_net::{lane_mesh, FaultPlan, Frame, FrameDecoder, LaneEndpoint, PROTO_VERSION};
 use warp_telemetry::{ControlEvent, Param, TelemetryReport};
 
-/// Transport tuning for distributed runs. All knobs that used to be
-/// hard-coded constants; every worker receives the same values in its
+/// Transport tuning for distributed runs: failure detection and the
+/// frame cap. Every worker receives the same values in its
 /// [`WorkerInit`], so failure detection fires consistently across the
 /// cluster.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -224,14 +224,10 @@ pub struct NetTuning {
     /// Silence threshold after which a link is declared half-open
     /// (milliseconds).
     pub liveness_ms: u64,
-    /// First dial-retry backoff during mesh establishment (milliseconds).
-    pub connect_backoff_start_ms: u64,
-    /// Dial-retry backoff ceiling (milliseconds).
-    pub connect_backoff_max_ms: u64,
     /// Frame-size cap (bytes) every process's decoder enforces; bounds
-    /// worst-case memory per link and, together with
-    /// [`RecoveryPolicy::resume_chunk_bytes`], the frames of a streamed
-    /// resume. 0 = the protocol default
+    /// worst-case memory per link, a worker's checkpoint image set (one
+    /// frame) and the chunks of a streamed resume (1/64 of it, at most
+    /// 1 MiB). 0 = the protocol default
     /// ([`warp_net::frame::MAX_FRAME_BYTES`]).
     #[serde(default)]
     pub max_frame_bytes: u64,
@@ -242,8 +238,6 @@ impl Default for NetTuning {
         NetTuning {
             heartbeat_ms: 250,
             liveness_ms: 3000,
-            connect_backoff_start_ms: 20,
-            connect_backoff_max_ms: 500,
             max_frame_bytes: 0,
         }
     }
@@ -261,15 +255,6 @@ impl NetTuning {
             return Err(format!(
                 "liveness_ms ({}) must exceed heartbeat_ms ({}) or every idle link is declared dead",
                 self.liveness_ms, self.heartbeat_ms
-            ));
-        }
-        if self.connect_backoff_start_ms == 0 {
-            return Err("connect_backoff_start_ms must be positive".into());
-        }
-        if self.connect_backoff_max_ms < self.connect_backoff_start_ms {
-            return Err(format!(
-                "connect_backoff_max_ms ({}) below connect_backoff_start_ms ({})",
-                self.connect_backoff_max_ms, self.connect_backoff_start_ms
             ));
         }
         if self.max_frame_bytes != 0 && self.max_frame_bytes < 1024 {
@@ -308,8 +293,6 @@ impl NetTuning {
             heartbeat_interval: Duration::from_millis(self.heartbeat_ms),
             liveness_timeout: Duration::from_millis(self.liveness_ms),
             connect_timeout: Duration::from_millis(connect_ms.max(100)),
-            dial_backoff_start: Duration::from_millis(self.connect_backoff_start_ms),
-            dial_backoff_max: Duration::from_millis(self.connect_backoff_max_ms),
             faults,
             max_frame_bytes: self.frame_cap(),
             ..TcpMeshConfig::new(proc_id, n_procs)
@@ -350,11 +333,6 @@ pub struct RecoveryPolicy {
     /// keeps all of it in coordinator memory only.
     #[serde(default)]
     pub store_dir: Option<String>,
-    /// Payload bytes per [`Frame::ResumeChunk`] when streaming a resume
-    /// (0 = 1 MiB). Always clamped below the transport's frame cap, so
-    /// a resume is never bounded by [`NetTuning::max_frame_bytes`].
-    #[serde(default)]
-    pub resume_chunk_bytes: u64,
 }
 
 impl Default for RecoveryPolicy {
@@ -365,7 +343,6 @@ impl Default for RecoveryPolicy {
             ckpt_min_interval_ms: 100,
             stall_budget_ms: 0,
             store_dir: None,
-            resume_chunk_bytes: 0,
         }
     }
 }
@@ -1690,7 +1667,7 @@ fn run_session_as_coordinator(
         // Stream each worker the images of its LPs as a ResumeChunk
         // sequence: a large model's images must never have to fit one
         // frame.
-        let chunk = resume_chunk_len(&cfg.recovery, &cfg.net);
+        let chunk = resume_chunk_len(&cfg.net);
         for w in 1..n_procs {
             let payload = st.store.resume_payload(&st.assign, w);
             st.store.stats.resume_bytes += payload.len() as u64;
@@ -1710,19 +1687,16 @@ fn run_session_as_coordinator(
     end
 }
 
-/// Payload bytes per [`Frame::ResumeChunk`]: the configured size
-/// (default 1 MiB) clamped so every chunk frame — payload plus tag,
-/// session, gvt, seq/last fields, and length prefixes — stays under the
-/// transport's frame cap.
-fn resume_chunk_len(recovery: &RecoveryPolicy, net: &NetTuning) -> usize {
-    const DEFAULT_CHUNK: usize = 1 << 20;
-    const CHUNK_MARGIN: usize = 64;
-    let want = if recovery.resume_chunk_bytes == 0 {
-        DEFAULT_CHUNK
-    } else {
-        recovery.resume_chunk_bytes as usize
-    };
-    want.clamp(1, net.frame_cap().saturating_sub(CHUNK_MARGIN).max(1))
+/// Payload bytes per [`Frame::ResumeChunk`]: 1/64 of the frame cap, at
+/// most 1 MiB (the share it is of the protocol's 64 MiB default). A
+/// worker's image set reached the coordinator in one `Snapshot` frame
+/// under the same cap, and its resume hands back that set or more, so a
+/// chunk of nearly the whole cap would stream a resume as one chunk
+/// unless LPs had moved; a fixed share of the cap streams it in as many
+/// chunks under any cap, and leaves the chunk frame's envelope (tag,
+/// session, gvt, seq/last, length prefixes) room to spare.
+fn resume_chunk_len(net: &NetTuning) -> usize {
+    (net.frame_cap() / 64).min(1 << 20)
 }
 
 /// Stream one worker's resume payload as an ordered `ResumeChunk`
@@ -3434,35 +3408,6 @@ mod tests {
     }
 
     #[test]
-    fn retired_transport_key_is_ignored() {
-        // Job files written while `NetTuning` still had a `transport`
-        // engine switch or the on-the-wire aggregation knobs must keep
-        // loading: the keys are dropped, everything beside them is
-        // honored.
-        // (The five `agg_*` names are assembled here so CI's grep guard
-        // on retired names can cover this file too.)
-        let agg_keys = [
-            ("window_us", "2000"),
-            ("adapt", "true"),
-            ("min_window_us", "100"),
-            ("max_window_us", "20000"),
-            ("max_batch", "64"),
-        ]
-        .map(|(knob, value)| format!(r#""agg_{knob}":{value}"#))
-        .join(",");
-        for retired in [r#""transport":"Poll""#, &agg_keys] {
-            let net = format!(
-                r#"{{"heartbeat_ms":100,"liveness_ms":900,
-                    "connect_backoff_start_ms":20,"connect_backoff_max_ms":500,
-                    {retired}}}"#
-            );
-            let back: NetTuning = serde_json::from_str(&net).unwrap();
-            assert_eq!(back.liveness_ms, 900);
-            back.validate().unwrap();
-        }
-    }
-
-    #[test]
     fn session_line_round_trips_as_json() {
         let sl = SessionLine {
             session: 3,
@@ -3575,11 +3520,6 @@ mod tests {
         };
         assert!(t.validate().is_err());
         let t = NetTuning {
-            connect_backoff_max_ms: ok.connect_backoff_start_ms - 1,
-            ..NetTuning::default()
-        };
-        assert!(t.validate().is_err());
-        let t = NetTuning {
             max_frame_bytes: 512,
             ..NetTuning::default()
         };
@@ -3591,8 +3531,6 @@ mod tests {
         let net = NetTuning {
             heartbeat_ms: 1,
             liveness_ms: 2,
-            connect_backoff_start_ms: 1,
-            connect_backoff_max_ms: 1,
             ..NetTuning::default()
         };
         assert!(net.validate().is_ok());
@@ -3604,8 +3542,8 @@ mod tests {
             assert_eq!(cfg.heartbeat_interval, Duration::from_millis(1));
             assert_eq!(cfg.liveness_timeout, Duration::from_millis(2));
             assert_eq!(cfg.connect_timeout, Duration::from_millis(100));
-            assert_eq!(cfg.dial_backoff_start, Duration::from_millis(1));
-            assert_eq!(cfg.dial_backoff_max, Duration::from_millis(1));
+            assert_eq!(cfg.dial_backoff_start, Duration::from_millis(20));
+            assert_eq!(cfg.dial_backoff_max, Duration::from_millis(500));
             assert_eq!(cfg.max_frame_bytes, warp_net::frame::MAX_FRAME_BYTES);
         }
         assert_eq!((coordinator.proc_id, worker.proc_id), (0, 2));
@@ -3626,34 +3564,24 @@ mod tests {
     #[test]
     fn resume_chunks_obey_the_frame_cap() {
         // Default: 1 MiB chunks under the default cap.
-        assert_eq!(
-            resume_chunk_len(&RecoveryPolicy::default(), &NetTuning::default()),
-            1 << 20
-        );
-        // An explicit chunk size is honored when it fits.
-        let r = RecoveryPolicy {
-            resume_chunk_bytes: 100,
-            ..RecoveryPolicy::default()
-        };
-        assert_eq!(resume_chunk_len(&r, &NetTuning::default()), 100);
-        // A small frame cap clamps the chunk below it, margin included.
+        assert_eq!(resume_chunk_len(&NetTuning::default()), 1 << 20);
+        // A smaller frame cap makes the chunk the same share of it.
         let n = NetTuning {
-            max_frame_bytes: 2048,
+            max_frame_bytes: 16384,
             ..NetTuning::default()
         };
-        assert_eq!(resume_chunk_len(&RecoveryPolicy::default(), &n), 2048 - 64);
+        assert_eq!(resume_chunk_len(&n), 256);
     }
 
     #[test]
     fn legacy_recovery_policy_defaults_the_store_fields() {
-        // A pre-store config line must parse with the store off and the
-        // default chunking — wire compatibility with older coordinators.
+        // A config line without the store field parses with the store
+        // off, and one without a frame cap takes the protocol's.
         let raw =
             r#"{"enabled":true,"max_recoveries":3,"ckpt_min_interval_ms":100,"stall_budget_ms":0}"#;
         let p: RecoveryPolicy = serde_json::from_str(raw).unwrap();
         assert_eq!(p.store_dir, None);
-        assert_eq!(p.resume_chunk_bytes, 0);
-        let raw = r#"{"heartbeat_ms":250,"liveness_ms":3000,"connect_backoff_start_ms":20,"connect_backoff_max_ms":500}"#;
+        let raw = r#"{"heartbeat_ms":250,"liveness_ms":3000}"#;
         let t: NetTuning = serde_json::from_str(raw).unwrap();
         assert_eq!(t.max_frame_bytes, 0);
         assert_eq!(t.frame_cap(), warp_net::frame::MAX_FRAME_BYTES);

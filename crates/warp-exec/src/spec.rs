@@ -27,7 +27,9 @@ pub struct SimulationSpec {
     pub cost: CostModel,
     /// Message aggregation policy for cross-LP traffic.
     pub aggregation: AggregationConfig,
-    /// Modeled seconds between GVT rounds (and fossil collections).
+    /// Seconds between GVT rounds (and fossil collections), on the
+    /// executive's clock (modeled on the virtual cluster, wall on the real
+    /// executives).
     /// `None` disables GVT-driven fossil collection — memory then grows
     /// with the run, which is only acceptable for tests that inspect the
     /// full committed history.

@@ -597,15 +597,16 @@ impl<P: LpPort> LpThread<P> {
             }
 
             // 3. Controller cadence: periodic rounds, eager when idle
-            //    (termination detection) or when retained history has
+            //    with nothing of its own left, not even in its window
+            //    (termination detection), or when retained history has
             //    grown by this LP's share of the budget since the last
             //    fossil pass.
-            if let Some(ctrl) = self.ctrl.as_mut().filter(|c| !c.in_progress()) {
+            if self.ctrl.as_ref().is_some_and(|c| !c.in_progress()) {
                 let due_round = self.last_round.elapsed() >= self.gvt_period
-                    || (idle && self.lp.next_time().is_infinite())
+                    || (idle && self.local_min().is_infinite())
                     || (self.fossil
                         && self.lp.history_bytes() >= self.history_mark + self.history_budget);
-                if due_round {
+                if let Some(ctrl) = self.ctrl.as_mut().filter(|_| due_round) {
                     let token = ctrl.start_round();
                     self.forward_token(token);
                 }
@@ -1568,6 +1569,42 @@ mod tests {
             "{} messages for {} events",
             report.comm.phys_sent,
             report.comm.events_offered
+        );
+    }
+
+    #[test]
+    fn a_controller_waiting_on_its_own_window_starts_no_rounds() {
+        // Object 0, on the controller LP, sends its jobs to object 1 at
+        // init and has nothing else to run; object 1 runs what arrives and
+        // sends nothing. The jobs wait 20 ms in LP 0's window, with no
+        // event pending anywhere, and the period never fires: every round
+        // is an idle one. Started while the window holds, they would
+        // follow each other back to back for all of it.
+        let spec = SimulationSpec::new(
+            Partition::round_robin(2, 2),
+            Arc::new(|id: ObjectId| {
+                Box::new(Looper {
+                    own: 0,
+                    cross: if id.0 == 0 { 8 } else { 0 },
+                    hops: 1,
+                    spread: 0,
+                    crossed: Default::default(),
+                    state: Hops(0),
+                }) as Box<dyn SimObject>
+            }),
+        )
+        .with_aggregation(AggregationConfig::Faw { window: 20e-3 })
+        .with_gvt_period(Some(10.0));
+        let report = run_threaded(&spec);
+        let want = crate::run_sequential(&spec);
+        assert_eq!(report.committed_events, want.committed_events);
+        // Once the window flushes, a round may catch object 1 between any
+        // two of its 8 events, and one more finds the run done. Back to
+        // back, rounds number in the thousands over the window.
+        assert!(
+            report.gvt_rounds <= 10,
+            "{} GVT rounds for 8 events held in a window",
+            report.gvt_rounds
         );
     }
 }

@@ -57,15 +57,6 @@ fn mode_code(m: CancellationMode) -> f64 {
     }
 }
 
-/// Render a [`Param::Cancellation`] code back as a mode name.
-pub fn mode_name(code: f64) -> &'static str {
-    if code == MODE_LAZY {
-        "Lazy"
-    } else {
-        "Aggressive"
-    }
-}
-
 /// Which configured parameter a [`ControlEvent`] moved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Param {

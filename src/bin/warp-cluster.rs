@@ -8,7 +8,7 @@
 //! warp-cluster [JOB.json] [--workers N] [--timeout SECS] [--telemetry OUT.jsonl]
 //!              [--balance] [--slow PROC:MICROS[:EVENTS]] [--store-dir DIR]
 //!              [--elastic] [--min-workers N] [--max-workers N] [--admit-file PATH]
-//!              [--max-frame-bytes N] [--resume-chunk-bytes N]
+//!              [--max-frame-bytes N]
 //!              [--agg-window US] [--agg-fixed] [--supervise]
 //! warp-cluster --resume STORE_DIR [--workers N] [--timeout SECS]
 //!              [--telemetry OUT.jsonl] [--admit-file PATH]
@@ -30,8 +30,8 @@
 //! reproducible "slow machine" for migration experiments. The optional
 //! `:EVENTS` suffix makes the slowdown transient: it lapses after that
 //! many events, so scaling experiments can watch a skew subside. The
-//! flag adds a `Slow` entry to the job's `fault.procs`; a job file that
-//! still uses the retired `handicaps` lists is refused.
+//! flag adds a `Slow` entry to the job's `fault.procs`. A job file with
+//! a key this build does not read is refused, by the key's path.
 //!
 //! `--elastic` lets the cluster loop grow and shrink the worker set
 //! mid-run (within 1..=4 workers unless the job sets a range; implies
@@ -44,9 +44,8 @@
 //! LP's latest checkpoint image in one file, `DIR/images.seg`, replaced
 //! before every session and at each barrier (implies recovery; see
 //! `docs/recovery-store.md`). `--max-frame-bytes N` caps every frame
-//! the mesh accepts; `--resume-chunk-bytes N` sets the payload size of
-//! the streamed resume chunks (both override the job's `net`/`recovery`
-//! settings).
+//! the mesh accepts, the streamed resume chunks included (overrides the
+//! job's `net.max_frame_bytes`).
 //!
 //! `--agg-window US` sets the job's DyMA policy (`aggregation`): every
 //! LP buffers its cross-LP events per destination LP for a window of
@@ -87,7 +86,7 @@ fn usage() -> ! {
         "usage: warp-cluster [JOB.json] [--workers N] [--timeout SECS] [--telemetry OUT.jsonl]\n\
          \x20                [--balance] [--slow PROC:MICROS[:EVENTS]] [--store-dir DIR]\n\
          \x20                [--elastic] [--min-workers N] [--max-workers N] [--admit-file PATH]\n\
-         \x20                [--max-frame-bytes N] [--resume-chunk-bytes N]\n\
+         \x20                [--max-frame-bytes N]\n\
          \x20                [--agg-window US] [--agg-fixed] [--supervise]\n\
          \x20      warp-cluster --resume STORE_DIR [--workers N] [--timeout SECS]\n\
          \x20                [--telemetry OUT.jsonl] [--admit-file PATH]\n\
@@ -146,7 +145,6 @@ fn run() -> Result<(), String> {
     let mut slow = FaultPlan::new();
     let mut store_dir: Option<String> = None;
     let mut max_frame_bytes: Option<u64> = None;
-    let mut resume_chunk_bytes: Option<u64> = None;
     let mut agg_window: Option<u64> = None;
     let mut agg_fixed = false;
     let mut resume: Option<PathBuf> = None;
@@ -221,14 +219,6 @@ fn run() -> Result<(), String> {
                         .unwrap_or_else(|| usage()),
                 );
                 job_flags.push("--max-frame-bytes");
-            }
-            "--resume-chunk-bytes" => {
-                resume_chunk_bytes = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-                job_flags.push("--resume-chunk-bytes");
             }
             "--agg-window" => {
                 agg_window = Some(
@@ -327,9 +317,6 @@ fn run() -> Result<(), String> {
     }
     if let Some(n) = max_frame_bytes {
         job.net.max_frame_bytes = n;
-    }
-    if let Some(n) = resume_chunk_bytes {
-        job.recovery.resume_chunk_bytes = n;
     }
     match agg_window {
         Some(0) => job.aggregation = AggregationConfig::Unaggregated,

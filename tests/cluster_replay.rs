@@ -6,11 +6,16 @@
 //! each with the plan taken on it. They were recorded while LP
 //! migration and elastic membership were still two controllers, with
 //! the two fields no controller reads (`rolled_back`, `retained`) left
-//! out to keep each file small.
+//! out to keep each file small. Each job has since been rewritten in
+//! today's format: its `balance` and `elastic` sections became the one
+//! `cluster` policy the loader of the time mapped them onto, and the
+//! knobs no build reads any more were dropped; the rounds are as
+//! recorded.
 //!
 //! A replay feeds each session's rounds to a fresh [`ClusterController`],
-//! built under the policy [`parse_job`] maps the job onto and with the
-//! budgets the run had left, exactly as the coordinator does. On a
+//! built under the job's `cluster` policy (as [`parse_job`] reads it)
+//! and with the budgets the run had left, exactly as the coordinator
+//! does. On a
 //! stream where one actuation was armed, it must propose the plan the
 //! run took, on the same round, with the same assignment and moves; on
 //! the healthy stream, none.
@@ -23,7 +28,7 @@ use warped_online::control::{ClusterController, ClusterPolicy};
 /// One recorded run.
 #[derive(Deserialize)]
 struct Recording {
-    /// The job as it was written, `balance` and `elastic` sections and all.
+    /// The job the run was given.
     job: serde_json::Value,
     /// The worker count the run started with.
     n_workers: u32,

@@ -312,130 +312,6 @@ fn resume_respawns_a_worker_killed_during_the_outage() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Rewrite the store's one file the way a build that still parked
-/// orphaned workers wrote it: the same WSEG v3 layout, with the fields
-/// that build's job and state records carried and this one has retired
-/// (its rejoin and orphan graces at their defaults, the admission
-/// address, the re-adoption count). The names are assembled here so
-/// CI's grep guard on retired names can cover this file too.
-fn as_a_parking_build_wrote_it(store: &Path) {
-    let path = store.join("images.seg");
-    let bytes = std::fs::read(&path).unwrap();
-    let (header, mut rest) = bytes.split_at(16);
-    let mut records = Vec::new();
-    while !rest.is_empty() {
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        records.push(rest[8..8 + len].to_vec());
-        rest = &rest[8 + len..];
-    }
-    let field = |name: [&str; 2], value: &str| format!(r#""{}":{value}"#, name.join("_"));
-    let job = with_field(
-        &records[0],
-        r#""recovery":{"#,
-        field(["rejoin", "grace_ms"], "0"),
-    );
-    records[0] = with_field(&job, r#""net":{"#, field(["orphan", "grace_ms"], "0"));
-    let state = with_field(
-        &records[1],
-        "{",
-        field(["admit", "addr"], r#""127.0.0.1:1""#),
-    );
-    records[1] = with_field(&state, r#""stats":{"#, field(["re", "attached"], "2"));
-    let mut out = header.to_vec();
-    for record in &records {
-        out.extend_from_slice(&(record.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(record).to_le_bytes());
-        out.extend_from_slice(record);
-    }
-    std::fs::write(&path, out).unwrap();
-}
-
-/// The JSON `record` with `field` added right after the first `at`.
-fn with_field(record: &[u8], at: &str, field: String) -> Vec<u8> {
-    let text = std::str::from_utf8(record).unwrap();
-    assert!(text.contains(at), "no {at} in {text}");
-    text.replacen(at, &format!("{at}{field},"), 1).into_bytes()
-}
-
-/// CRC-32 (IEEE), the segment file's record checksum.
-fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c ^= u32::from(b);
-        for _ in 0..8 {
-            c = if c & 1 == 1 {
-                (c >> 1) ^ 0xEDB8_8320
-            } else {
-                c >> 1
-            };
-        }
-    }
-    !c
-}
-
-#[test]
-fn a_store_written_before_respawn_only_resume_still_resumes() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = unique_dir("older");
-    let job = failover_job(&dir);
-
-    let crash_log = dir.join("crash.stderr");
-    let pids = crash_coordinator(&job, &dir, &crash_log, 1);
-    assert_orphans_exit(&pids, &crash_log);
-    as_a_parking_build_wrote_it(&dir);
-    let report = resume_coordinator(&dir, &dir.join("resume.stderr"));
-
-    assert_matches_sequential(&job, &report);
-    assert_eq!(report.resume.images_loaded, 4, "{:?}", report.resume);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Rewrite the store's job record the way a build with two cluster
-/// loops wrote it: the `balance` and `elastic` sections, at that build's
-/// defaults, where the one `cluster` policy is now.
-fn as_a_two_loop_build_wrote_it(store: &Path) {
-    let path = store.join("images.seg");
-    let bytes = std::fs::read(&path).unwrap();
-    let (header, rest) = bytes.split_at(16);
-    let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-    let job = std::str::from_utf8(&rest[8..8 + len]).unwrap();
-    let at = job
-        .find(r#""cluster":{"#)
-        .expect("the job carries a cluster section");
-    let end = at + job[at..].find('}').unwrap() + 1;
-    let sections = concat!(
-        r#""balance":{"enabled":false,"dead_zone":0.5,"patience":3,"warmup_rounds":2,"#,
-        r#""max_moves":1,"min_lps":1,"max_migrations":4},"#,
-        r#""elastic":{"enabled":false,"min_workers":1,"max_workers":4,"#,
-        r#""scale_out_pressure":0.6,"scale_in_pressure":0.15,"patience":3,"#,
-        r#""warmup_rounds":2,"max_scales":2,"spawn":true}"#
-    );
-    let job = format!("{}{sections}{}", &job[..at], &job[end..]).into_bytes();
-    let mut out = header.to_vec();
-    out.extend_from_slice(&(job.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&job).to_le_bytes());
-    out.extend_from_slice(&job);
-    out.extend_from_slice(&rest[8 + len..]);
-    std::fs::write(&path, out).unwrap();
-}
-
-#[test]
-fn a_store_written_with_two_cluster_loops_still_resumes() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = unique_dir("two-loops");
-    let job = failover_job(&dir);
-
-    let crash_log = dir.join("crash.stderr");
-    let pids = crash_coordinator(&job, &dir, &crash_log, 1);
-    assert_orphans_exit(&pids, &crash_log);
-    as_a_two_loop_build_wrote_it(&dir);
-    let report = resume_coordinator(&dir, &dir.join("resume.stderr"));
-
-    assert_matches_sequential(&job, &report);
-    assert_eq!(report.resume.images_loaded, 4, "{:?}", report.resume);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn supervised_coordinator_resumes_once_and_never_crashes_again() {
     // `--supervise` runs the coordinator as a child and restarts it with

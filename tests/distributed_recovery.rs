@@ -20,6 +20,16 @@ fn worker_bin() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_BIN_EXE_warp-worker")))
 }
 
+/// A 16 KiB frame cap: every frame of the run still fits (a 4 KiB cap
+/// refused frames of 5.6 KiB), and the resume streams in chunks of 1/64
+/// of it, 256 bytes.
+fn small_frames() -> NetTuning {
+    NetTuning {
+        max_frame_bytes: 16384,
+        ..NetTuning::default()
+    }
+}
+
 /// PHOLD with 4 LPs over 2 workers and plenty of cross-process traffic:
 /// the model every chaos scenario below runs.
 fn phold_job() -> ClusterJob {
@@ -108,20 +118,17 @@ fn link_partition_recovers_with_every_process_surviving() {
 
 #[test]
 fn crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_back() {
-    // Same crash as above, but with a tiny resume-chunk size so the
-    // checkpoint chain cannot possibly travel as one frame: the resume
-    // must arrive as an ordered ResumeChunk stream. Worker 1 survives
-    // the session and the respawned worker 2 does not, and both load
+    // Same crash as above, but under a 16 KiB frame cap, which makes the
+    // resume chunks 256 bytes: the images cannot travel as one chunk, and
+    // the resume must arrive as an ordered ResumeChunk stream. Worker 1
+    // survives the session and the respawned worker 2 does not, and both load
     // their LPs' images the same way — and the committed history must
     // still match the golden model. Full speed, the 200th frame beats
     // the first 5 ms GVT round and no image exists when the crash
     // lands; the slowdown stretches the pre-crash window across many
     // checkpoint commits.
     let job = ClusterJob {
-        recovery: RecoveryPolicy {
-            resume_chunk_bytes: 200,
-            ..phold_job().recovery
-        },
+        net: small_frames(),
         fault: Some(
             FaultPlan::new()
                 .crash(2, 1, 200, 0)
@@ -141,7 +148,7 @@ fn crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_back() {
         "resume was not actually chunked: {r:?}"
     );
     assert!(
-        r.resume_bytes > 200,
+        r.resume_bytes > 256,
         "images smaller than one chunk — nothing streamed: {r:?}"
     );
     assert!(
@@ -165,10 +172,7 @@ fn with_fossils(job: ClusterJob) -> ClusterJob {
 #[test]
 fn fossil_on_crash_recovery_streams_the_resume_in_chunks_and_rolls_survivors_back() {
     let job = with_fossils(ClusterJob {
-        recovery: RecoveryPolicy {
-            resume_chunk_bytes: 200,
-            ..phold_job().recovery
-        },
+        net: small_frames(),
         fault: Some(
             FaultPlan::new()
                 .crash(2, 1, 200, 0)
