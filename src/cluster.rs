@@ -354,6 +354,78 @@ mod tests {
     }
 
     #[test]
+    fn job_files_refuse_the_retired_compaction_knob() {
+        let job = ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None);
+        let json = serde_json::to_string(&job).unwrap();
+        assert!(parse_job(&json).is_ok());
+        // Checkpoints are per-LP images with no history to compact: the
+        // knob is refused at any value, the 0 older builds wrote included.
+        for v in [0, 3] {
+            let with = json.replacen(
+                r#""recovery":{"#,
+                &format!(r#""recovery":{{"compact_after":{v},"#),
+                1,
+            );
+            assert_ne!(with, json, "the job carries a recovery section");
+            let err = parse_job(&with).unwrap_err();
+            assert!(
+                err.contains("`recovery.compact_after` is not a job key"),
+                "{v}: {err}"
+            );
+        }
+    }
+
+    /// A job as a build with two cluster loops wrote it: `balance` and/or
+    /// `elastic` sections where `cluster` is now, or next to it when
+    /// `keep_cluster`.
+    fn pre_merge_job(balance: bool, elastic: bool, keep_cluster: bool) -> String {
+        let job = ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None);
+        let json = serde_json::to_string(&job).unwrap();
+        let at = json
+            .find(r#""cluster":{"#)
+            .expect("the job carries a cluster section");
+        let end = at + json[at..].find('}').unwrap() + 1;
+        let (at, end) = if keep_cluster { (1, 1) } else { (at, end) };
+        let mut sections = Vec::new();
+        if balance {
+            sections.push(r#""balance":{"enabled":true,"dead_zone":0.4,"patience":3,"warmup_rounds":2,"max_moves":1,"min_lps":1,"max_migrations":3}"#);
+        }
+        if elastic {
+            sections.push(r#""elastic":{"enabled":true,"min_workers":2,"max_workers":3,"scale_out_pressure":0.6,"scale_in_pressure":0.45,"patience":1,"warmup_rounds":1,"max_scales":2,"spawn":false}"#);
+        }
+        let sep = if keep_cluster { "," } else { "" };
+        format!("{}{}{sep}{}", &json[..at], sections.join(","), &json[end..])
+    }
+
+    #[test]
+    fn pre_merge_jobs_refuse_what_the_one_loop_cannot_do() {
+        // One cluster loop reads one `cluster` section: a pre-merge
+        // section is refused by its name, alone, paired, or next to a
+        // `cluster` section.
+        for (balance, elastic, path) in [
+            (true, false, "balance"),
+            (false, true, "elastic"),
+            (true, true, "balance"),
+        ] {
+            for keep_cluster in [false, true] {
+                let old = pre_merge_job(balance, elastic, keep_cluster);
+                let err = parse_job(&old).unwrap_err();
+                assert!(err.contains(&format!("`{path}`")), "{path}: {err}");
+            }
+        }
+        // A job written now round-trips.
+        let job = ClusterJob {
+            cluster: ClusterPolicy {
+                workers: Some((1, 3)),
+                ..ClusterPolicy::default()
+            },
+            ..ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), None)
+        };
+        let back = parse_job(&serde_json::to_string(&job).unwrap()).unwrap();
+        assert_eq!(back.cluster, job.cluster);
+    }
+
+    #[test]
     fn each_model_variant_builds_a_spec() {
         let jobs = [
             ClusterJob::new(ModelSpec::Phold(PholdConfig::new(50, 1)), Some(0.02)),
