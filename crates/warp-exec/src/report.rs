@@ -35,6 +35,12 @@ pub struct LpSummary {
     pub comm: CommStats,
     /// Per-object details.
     pub objects: Vec<ObjectSummary>,
+    /// The CPU the LP's thread pinned itself to, as read back from its
+    /// own affinity mask: set by the threaded executive
+    /// (`docs/hot-path.md` §9). `None` for the other executives and
+    /// wherever pinning failed.
+    #[serde(default)]
+    pub cpu: Option<u32>,
 }
 
 /// One sample of the cluster's progress, taken at each GVT round when
@@ -367,6 +373,7 @@ mod tests {
                     stats: ObjectStats::default(),
                     trace_digest: Some(42),
                 }],
+                cpu: Some(1),
             }],
         }
     }
@@ -451,6 +458,15 @@ mod tests {
         assert!(json.contains("\"executive\":\"virtual\""));
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.committed_events, 1000);
+        assert_eq!(back.per_lp[0].cpu, Some(1));
+
+        // A report written before LP threads were placed has no `cpu`
+        // key in its LP summaries; it must parse with no placement.
+        let legacy = json.replace(",\"cpu\":1", "");
+        assert!(!legacy.contains("\"cpu\""), "{legacy}");
+        let old: RunReport = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(old.per_lp[0].cpu, None);
+        assert_eq!(old.committed_events, 1000);
     }
 
     #[test]

@@ -201,6 +201,7 @@ pub fn run_sequential(spec: &SimulationSpec) -> RunReport {
                 kernel,
                 comm: CommStats::default(),
                 objects: objs,
+                cpu: None,
             }
         })
         .collect();

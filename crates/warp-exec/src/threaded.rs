@@ -14,11 +14,12 @@
 use crate::report::{LpSummary, ObjectSummary, RunReport};
 use crate::spec::SimulationSpec;
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 use warp_core::gvt::{GvtController, MatternAgent};
 use warp_core::stats::{CommStats, ObjectStats};
 use warp_core::{Event, VirtualTime};
-use warp_net::{lane_mesh, Aggregator, LaneEndpoint, PhysMsg};
+use warp_net::{cpu, lane_mesh, Aggregator, LaneEndpoint, PhysMsg};
 
 /// Traffic multiplexed over the mesh. Shared with the distributed
 /// executive, whose TCP frames carry exactly these payloads (the
@@ -231,17 +232,49 @@ const TERMINATION_PROBE: Duration = Duration::from_millis(5);
 /// `docs/kernel-internals.md` ("GVT and fossils").
 const HISTORY_GROWTH_BUDGET: usize = 2 << 20;
 
+/// The next free slot of [`place`]'s rule in this process. Each run of
+/// [`run_threaded`] takes as many slots as it has LPs, so runs that
+/// overlap (tests on parallel threads) start on different CPUs instead
+/// of piling onto the first.
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+/// Take `n_lps` consecutive slots; the first of them is the run's base.
+fn take_slots(n_lps: usize) -> usize {
+    NEXT_SLOT.fetch_add(n_lps, Relaxed)
+}
+
+/// The CPU LP `lp` of a run with base slot `base` pins itself to: the
+/// `(base + lp)`-th of the `allowed` CPUs, round the set. `None` when
+/// the set is empty: the LP runs unpinned.
+fn place(allowed: &[u32], base: usize, lp: usize) -> Option<u32> {
+    (!allowed.is_empty()).then(|| allowed[base.wrapping_add(lp) % allowed.len()])
+}
+
 /// Run the spec on real threads. Returns when GVT reaches infinity.
+///
+/// Each LP thread pins itself to a CPU of its own before it builds its
+/// LP (`place`): left to the scheduler, two LP threads could share a
+/// core for tens of milliseconds, each running only while the other
+/// was parked (`docs/hot-path.md` §9). With more LPs than CPUs they share
+/// round the set; where pinning fails an LP runs unpinned.
 pub fn run_threaded(spec: &SimulationSpec) -> RunReport {
     let start_all = Instant::now();
     let n_lps = spec.partition.n_lps();
     let endpoints = lane_mesh::<Packet>(n_lps);
+    let allowed = cpu::allowed();
+    let base = take_slots(n_lps);
 
     let handles: Vec<_> = endpoints
         .into_iter()
         .map(|endpoint| {
             let spec = spec.clone();
-            std::thread::spawn(move || lp_thread(spec, endpoint, LpSeed::Fresh, None))
+            let cpu = place(&allowed, base, endpoint.id());
+            std::thread::spawn(move || {
+                let cpu = cpu.filter(|&c| cpu::pin_current(c));
+                let mut outcome = lp_thread(spec, endpoint, LpSeed::Fresh, None);
+                outcome.summary.cpu = cpu;
+                outcome
+            })
         })
         .collect();
 
@@ -651,6 +684,7 @@ impl<P: LpPort> LpThread<P> {
                 kernel: self.lp.stats(),
                 comm: self.agg.stats().clone(),
                 objects,
+                cpu: None,
             },
             gvt_rounds: self.gvt_rounds,
             telemetry,
@@ -1606,5 +1640,59 @@ mod tests {
             "{} GVT rounds for 8 events held in a window",
             report.gvt_rounds
         );
+    }
+
+    #[test]
+    fn placement_goes_round_the_allowed_set_from_the_base() {
+        let set = [2, 5, 7];
+        let run = |base| (0..4).map(|lp| place(&set, base, lp)).collect::<Vec<_>>();
+        // Wrap-around: a fourth LP shares the first LP's CPU.
+        assert_eq!(run(0), [Some(2), Some(5), Some(7), Some(2)]);
+        // Another base starts further round the set.
+        assert_eq!(run(4), [Some(5), Some(7), Some(2), Some(5)]);
+        assert_eq!(place(&set, usize::MAX, 1), Some(2), "the slot wraps");
+        // One CPU: every LP shares it.
+        assert_eq!(place(&[3], 0, 0), Some(3));
+        assert_eq!(place(&[3], 9, 1), Some(3));
+        // No set read: no placement.
+        assert_eq!(place(&[], 0, 0), None);
+        assert_eq!(place(&[], 5, 3), None);
+    }
+
+    #[test]
+    fn back_to_back_runs_take_different_base_slots() {
+        // Runs on other test threads may take slots in between; they
+        // only push the second base further on.
+        let first = take_slots(2);
+        let second = take_slots(2);
+        assert!(second >= first + 2, "bases {first} then {second}");
+    }
+
+    #[test]
+    fn each_lp_thread_runs_on_a_cpu_of_its_own() {
+        let phold = warp_models::phold::PholdConfig {
+            n_objects: 8,
+            n_lps: 2,
+            ..warp_models::phold::PholdConfig::new(40, 7)
+        }
+        .spec();
+        let spec = SimulationSpec::new((*phold.partition).clone(), phold.objects.clone());
+        let report = run_threaded(&spec);
+        assert_eq!(
+            report.committed_events,
+            crate::run_sequential(&spec).committed_events
+        );
+        let allowed = cpu::allowed();
+        let cpus: Vec<Option<u32>> = report.per_lp.iter().map(|lp| lp.cpu).collect();
+        assert!(
+            cpus.iter().flatten().all(|c| allowed.contains(c)),
+            "{cpus:?} outside {allowed:?}"
+        );
+        if allowed.len() >= 2 {
+            assert!(
+                cpus.iter().all(Option::is_some) && cpus[0] != cpus[1],
+                "LP CPUs {cpus:?} on a host that allows {allowed:?}"
+            );
+        }
     }
 }

@@ -530,6 +530,7 @@ pub fn run_virtual_inspect(
             kernel: ks,
             comm: cs,
             objects,
+            cpu: None,
         });
     }
 

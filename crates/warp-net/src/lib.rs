@@ -24,6 +24,8 @@
 //! * [`poll`] — one `ppoll(2)` over several descriptors, and the
 //!   `eventfd(2)` behind each lane's doorbell: a worker's LP parks on
 //!   its lanes and its peer links in one call.
+//! * [`cpu`] — the CPUs a thread may run on, and pinning one there:
+//!   each LP thread of the threaded executive runs on a CPU of its own.
 //! * [`fault`] — deterministic fault injection (partition / black hole /
 //!   crash, the failures a TCP link has) applied at the sending side of
 //!   each link, so every recovery path is exercised reproducibly.
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod cpu;
 pub mod fault;
 pub mod frame;
 pub mod policy;
